@@ -71,7 +71,12 @@ struct CtaCost {
 
   void Charge(const DeviceSpec& dev, const KernelEfficiency& eff, const WorkCost& c,
               int kv_bytes_per_elem = 2, int slots = 1, double overhead_us = -1.0) noexcept {
-    time_us += WorkItemTimeUs(dev, eff, c, kv_bytes_per_elem, slots, overhead_us);
+    Add(WorkItemTimeUs(dev, eff, c, kv_bytes_per_elem, slots, overhead_us), c);
+  }
+
+  /// Charges an item whose time the caller already converted.
+  void Add(double item_us, const WorkCost& c) noexcept {
+    time_us += item_us;
     total.hbm_bytes += c.hbm_bytes;
     total.l2_bytes += c.l2_bytes;
     total.tensor_flops += c.tensor_flops;

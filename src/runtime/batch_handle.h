@@ -26,13 +26,6 @@
 
 namespace flashinfer {
 
-/// Scheduling policy (ablation knob for Tables 6-7).
-enum class SchedulerKind : uint8_t {
-  kBalanced,    // Algorithm 1.
-  kNaive,       // One CTA per work unit, no splitting.
-  kFixedSplit,  // FlashDecoding-style constant split count.
-};
-
 class BatchAttentionHandle {
  public:
   /// Compile-time task information (Fig. 1 "task information" input).

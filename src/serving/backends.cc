@@ -55,54 +55,64 @@ BackendConfig VllmDefaultBackend() {
 
 namespace {
 
-/// Builds sequential fake page tables for a batch of KV lengths (the
-/// estimator needs structure, not data).
-std::vector<sparse::RequestKv> FakePages(const std::vector<int64_t>& kv_lens, int page_size,
-                                         const std::vector<int64_t>& pos_offsets) {
-  std::vector<sparse::RequestKv> kv(kv_lens.size());
-  int64_t next_page = 0;
-  for (size_t r = 0; r < kv_lens.size(); ++r) {
-    const int64_t len = kv_lens[r];
-    const int64_t pages = (len + page_size - 1) / page_size;
-    kv[r].pages.resize(static_cast<size_t>(pages));
-    std::iota(kv[r].pages.begin(), kv[r].pages.end(), next_page);
-    next_page += pages;
-    kv[r].last_page_len =
-        len == 0 ? 0 : static_cast<int>(len - (pages - 1) * page_size);
-    kv[r].pos_offset = pos_offsets.empty() ? 0 : pos_offsets[r];
-  }
-  return kv;
-}
+/// Per-call buffers of the pricer, reused across calls. Thread-local:
+/// cluster replicas price concurrently (ClusterConfig::step_threads).
+struct PricingScratch {
+  std::vector<BlockRowShape> rows;
+  ChunkSchedule schedule;
+  std::vector<gpusim::CtaCost> ctas;
+  std::vector<double> merge_times;
+};
+thread_local PricingScratch t_scratch;
 
-/// Prices a plan without executing any math: walks every CTA queue, charges
-/// the per-item roofline cost, and list-schedules the CTA times.
-gpusim::SimReport PricePlan(const gpusim::DeviceSpec& dev, const AttentionParams& p,
-                            const KernelConfig& cfg, const Plan& plan, DType kv_dtype,
-                            double kv_l2_fraction = 0.0) {
+/// Prices a schedule without executing any math: charges every chunk's
+/// roofline cost to its CTA in assignment order (so each CTA sums its queue
+/// in queue order), list-schedules the CTA times, then prices the
+/// contraction kernel's merge tasks from the split counts alone.
+gpusim::SimReport PriceSchedule(const gpusim::DeviceSpec& dev, const KernelConfig& cfg,
+                                int head_dim, DType kv_dtype, double kv_l2_fraction,
+                                const std::vector<BlockRowShape>& rows, int num_heads,
+                                const ChunkSchedule& s) {
   const int kvb = DTypeBytes(kv_dtype);
-  auto eff = EfficiencyModel(dev, cfg, p.head_dim, kvb);
-  const auto occ = OccupancyModel(dev, cfg, p.head_dim, kvb);
-  const auto shape = ResidencyModel(dev, occ, plan.NumCtas());
+  auto eff = EfficiencyModel(dev, cfg, head_dim, kvb);
+  const auto occ = OccupancyModel(dev, cfg, head_dim, kvb);
+  const auto shape = ResidencyModel(dev, occ, s.num_ctas);
   eff.mem *= shape.mem_scale;
 
-  gpusim::SimReport report;
-  report.num_ctas = plan.NumCtas();
-  report.cta_time_us.reserve(plan.cta_queues.size());
-  for (const auto& queue : plan.cta_queues) {
-    gpusim::CtaCost cost;
-    for (const auto& item : queue) {
-      const int rows = p.bsr->RowsInBlock(item.block_row);
-      const int64_t kv_tokens = item.kv_end - item.kv_begin;
-      auto wc =
-          AttentionWorkItemCost(rows, kv_tokens, p.head_dim, kvb, false, item.dest >= 0);
+  auto& ctas = t_scratch.ctas;
+  ctas.assign(static_cast<size_t>(s.num_ctas), gpusim::CtaCost{});
+  // Runs of assignments share one shape (every head of a tile, every full
+  // chunk), so each run converts its cost once.
+  int last_rows = -1;
+  int64_t last_tokens = -1;
+  bool last_partial = false;
+  gpusim::WorkCost wc;
+  double item_us = 0.0;
+  for (const auto& a : s.assignments) {
+    const auto& row = rows[static_cast<size_t>(a.block_row)];
+    const auto& split = s.splits[static_cast<size_t>(a.block_row)];
+    const int64_t tokens = split.ChunkEnd(a.chunk, row.kv_len) - split.ChunkBegin(a.chunk);
+    const bool partial = split.num_chunks > 1;
+    if (row.rows != last_rows || tokens != last_tokens || partial != last_partial) {
+      last_rows = row.rows;
+      last_tokens = tokens;
+      last_partial = partial;
+      wc = AttentionWorkItemCost(row.rows, tokens, head_dim, kvb, false, partial);
       if (kv_l2_fraction > 0.0) {
-        const double kv_bytes = static_cast<double>(kv_tokens) * 2.0 * p.head_dim * kvb;
+        const double kv_bytes = static_cast<double>(tokens) * 2.0 * head_dim * kvb;
         const double to_l2 = kv_bytes * kv_l2_fraction;
         wc.hbm_bytes -= to_l2;
         wc.l2_bytes += to_l2;
       }
-      cost.Charge(dev, eff, wc, kvb, shape.slots);
+      item_us = gpusim::WorkItemTimeUs(dev, eff, wc, kvb, shape.slots);
     }
+    ctas[static_cast<size_t>(a.cta)].Add(item_us, wc);
+  }
+
+  gpusim::SimReport report;
+  report.num_ctas = s.num_ctas;
+  report.cta_time_us.reserve(ctas.size());
+  for (const auto& cost : ctas) {
     report.cta_time_us.push_back(cost.time_us);
     report.total_hbm_bytes += cost.total.hbm_bytes;
     report.total_l2_bytes += cost.total.l2_bytes;
@@ -112,21 +122,31 @@ gpusim::SimReport PricePlan(const gpusim::DeviceSpec& dev, const AttentionParams
   report.time_us =
       gpusim::SimExecutor::Makespan(report.cta_time_us, shape.slots) + dev.kernel_launch_us;
 
-  if (!plan.rmap.Empty()) {
-    // Contraction kernel: merge tasks strided over SMs.
-    const int num_tasks = static_cast<int>(plan.rmap.tasks.size());
-    const int ctas = std::min(num_tasks, dev.num_sms);
-    std::vector<double> merge_times(static_cast<size_t>(ctas), 0.0);
-    for (int t = 0; t < num_tasks; ++t) {
-      const auto& task = plan.rmap.tasks[static_cast<size_t>(t)];
-      gpusim::WorkCost wc;
-      wc.hbm_bytes = static_cast<double>(task.count) * (p.head_dim + 1) * 4.0 +
-                     static_cast<double>(p.head_dim) * 2.0;
-      wc.cuda_flops = static_cast<double>(task.count) * (2.0 * p.head_dim + 8.0);
-      merge_times[static_cast<size_t>(t % ctas)] += gpusim::WorkItemTimeUs(
-          dev, eff, wc, kvb, dev.num_sms, gpusim::kMergeRowOverheadUs);
-      report.total_hbm_bytes += wc.hbm_bytes;
-      report.total_cuda_flops += wc.cuda_flops;
+  // Contraction kernel: one merge task per fused row of every split unit,
+  // folding as many partial states as the unit has chunks, strided over SMs.
+  int64_t num_tasks = 0;
+  for (size_t br = 0; br < rows.size(); ++br) {
+    if (s.splits[br].num_chunks > 1) num_tasks += int64_t{num_heads} * rows[br].rows;
+  }
+  if (num_tasks > 0) {
+    const int64_t merge_ctas = std::min<int64_t>(num_tasks, dev.num_sms);
+    auto& merge_times = t_scratch.merge_times;
+    merge_times.assign(static_cast<size_t>(merge_ctas), 0.0);
+    int64_t t = 0;
+    for (size_t br = 0; br < rows.size(); ++br) {
+      const int count = s.splits[br].num_chunks;
+      if (count == 1) continue;
+      gpusim::WorkCost merge;
+      merge.hbm_bytes = static_cast<double>(count) * (head_dim + 1) * 4.0 +
+                        static_cast<double>(head_dim) * 2.0;
+      merge.cuda_flops = static_cast<double>(count) * (2.0 * head_dim + 8.0);
+      const double merge_us = gpusim::WorkItemTimeUs(dev, eff, merge, kvb, dev.num_sms,
+                                                     gpusim::kMergeRowOverheadUs);
+      for (int64_t end = t + int64_t{num_heads} * rows[br].rows; t < end; ++t) {
+        merge_times[static_cast<size_t>(t % merge_ctas)] += merge_us;
+        report.total_hbm_bytes += merge.hbm_bytes;
+        report.total_cuda_flops += merge.cuda_flops;
+      }
     }
     report.time_us += gpusim::SimExecutor::Makespan(merge_times, dev.num_sms) +
                       dev.kernel_launch_us;
@@ -134,45 +154,49 @@ gpusim::SimReport PricePlan(const gpusim::DeviceSpec& dev, const AttentionParams
   return report;
 }
 
-/// Schedules `p` with the backend's policy and prices the plan, composing
-/// the caller's cross-request L2 reuse fraction with intra-batch tile reuse.
-gpusim::SimReport PlanAndPrice(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
-                               const AttentionParams& p, const KernelConfig& cfg,
-                               double extra_l2_fraction) {
+/// Schedules `rows` with the backend's policy and prices the schedule,
+/// composing the caller's cross-request L2 reuse fraction with intra-batch
+/// tile reuse.
+gpusim::SimReport ScheduleAndPrice(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
+                                   const AttnSimInput& in, const KernelConfig& cfg,
+                                   const std::vector<BlockRowShape>& rows) {
+  const int num_heads = backend.head_fusion ? in.num_kv_heads : in.num_qo_heads;
   const int num_ctas = dev.num_sms;  // Persistent grid, k = 1.
-  Plan plan;
+  ChunkSchedule& schedule = t_scratch.schedule;
   switch (backend.scheduler) {
     case SchedulerKind::kBalanced:
-      plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40);
+      ScheduleBalanced(rows, num_heads, cfg.tile_kv, num_ctas, 1.0, 1.0, &schedule);
       break;
     case SchedulerKind::kNaive:
-      plan = MakeNaivePlan(p, cfg);
+      ScheduleNaive(rows, num_heads, &schedule);
       break;
     case SchedulerKind::kFixedSplit:
-      plan = MakeFixedSplitPlan(p, cfg, num_ctas, 4, int64_t{1} << 40);
+      ScheduleFixedSplit(rows, num_heads, cfg.tile_kv, num_ctas, 4, &schedule);
       break;
   }
-  const double auto_l2 = IntraBatchKvReuseFraction(p);
-  const double l2_fraction = 1.0 - (1.0 - extra_l2_fraction) * (1.0 - auto_l2);
-  auto report = PricePlan(dev, p, cfg, plan, backend.kv_dtype, l2_fraction);
+  const double auto_l2 = KvReuseFraction(rows, num_heads, in.num_kv_heads);
+  const double l2_fraction = 1.0 - (1.0 - in.kv_l2_fraction) * (1.0 - auto_l2);
+  auto report = PriceSchedule(dev, cfg, in.head_dim, backend.kv_dtype, l2_fraction, rows,
+                              num_heads, schedule);
   report.time_us *= backend.kernel_time_scale;
   return report;
 }
 
-/// Prices one single-format attention launch over (qo_lens, kv_lens).
+/// Prices one single-format attention launch over (qo_lens, kv_lens): the
+/// paged batch's block rows come straight from the lengths. Reads only the
+/// geometry of `in` (heads, head dim, causal, L2 fraction, overrides).
 gpusim::SimReport PriceSingleFormat(const gpusim::DeviceSpec& dev,
                                     const BackendConfig& backend, const AttnSimInput& in,
                                     const std::vector<int64_t>& qo_lens,
                                     const std::vector<int64_t>& kv_lens,
-                                    const std::vector<int64_t>& pos_offsets,
                                     int tile_q_override = 0) {
   FI_CHECK_EQ(qo_lens.size(), kv_lens.size());
+  FI_CHECK(!qo_lens.empty());
   const int g = in.num_qo_heads / in.num_kv_heads;
+  const int fuse = backend.head_fusion ? g : 1;
   const int64_t total_q = std::accumulate(qo_lens.begin(), qo_lens.end(), int64_t{0});
   const double avg_fused =
-      qo_lens.empty() ? 1.0
-                      : static_cast<double>(total_q) / static_cast<double>(qo_lens.size()) *
-                            (backend.head_fusion ? g : 1);
+      static_cast<double>(total_q) / static_cast<double>(qo_lens.size()) * fuse;
 
   KernelConfig cfg = SelectKernelConfig(dev, avg_fused, in.head_dim,
                                         DTypeBytes(backend.kv_dtype),
@@ -183,26 +207,9 @@ gpusim::SimReport PriceSingleFormat(const gpusim::DeviceSpec& dev,
   if (in.force_template == 2) cfg.tmpl = gpusim::TemplateGen::kFA2;
   if (in.force_template == 3) cfg.tmpl = gpusim::TemplateGen::kFA3;
 
-  // Fused-row indptr and BSR.
-  std::vector<int64_t> fused_lens(qo_lens.size());
-  for (size_t i = 0; i < qo_lens.size(); ++i) {
-    fused_lens[i] = qo_lens[i] * (backend.head_fusion ? g : 1);
-  }
-  const auto fused_indptr = BuildIndptr(fused_lens);
-  const auto kv = FakePages(kv_lens, in.page_size, pos_offsets);
-  const auto bsr = sparse::BuildBatchBsr(fused_indptr, kv, in.page_size, cfg.tile_q);
-
-  AttentionParams p;
-  p.bsr = &bsr;
-  p.qo_indptr = BuildIndptr(qo_lens);
-  p.kv_len = kv_lens;
-  p.num_qo_heads = in.num_qo_heads;
-  p.num_kv_heads = in.num_kv_heads;
-  p.head_dim = in.head_dim;
-  p.head_fusion = backend.head_fusion;
-  p.variant.causal = in.causal;  // Enables causal work trimming in planning.
-
-  return PlanAndPrice(dev, backend, p, cfg, in.kv_l2_fraction);
+  // Causal trimming on: planning skips the KV each tile's mask hides.
+  BlockRowsFromLengths(qo_lens, kv_lens, fuse, cfg.tile_q, in.causal, &t_scratch.rows);
+  return ScheduleAndPrice(dev, backend, in, cfg, t_scratch.rows);
 }
 
 /// Fused-row boundary between the compute-bound ("large") and
@@ -265,12 +272,9 @@ std::optional<gpusim::SimReport> TryPricePackedTiles(const gpusim::DeviceSpec& d
   int small_tile = 16;
   while (small_tile < 64 && small_tile < small_avg) small_tile *= 2;
 
-  AttnSimInput flat = in;
-  flat.groups.clear();
-  const auto small_report = PriceSingleFormat(dev, backend, flat, small_qo, small_kv,
-                                              /*pos_offsets=*/{}, small_tile);
-  const auto large_report =
-      PriceSingleFormat(dev, backend, flat, large_qo, large_kv, /*pos_offsets=*/{});
+  const auto small_report =
+      PriceSingleFormat(dev, backend, in, small_qo, small_kv, small_tile);
+  const auto large_report = PriceSingleFormat(dev, backend, in, large_qo, large_kv);
 
   gpusim::SimReport out;
   out.num_ctas = std::max(small_report.num_ctas, large_report.num_ctas);
@@ -314,11 +318,10 @@ gpusim::SimReport SimulateMaskedAttention(const gpusim::DeviceSpec& dev,
   p.kv_len = kv_lens;
   p.num_qo_heads = in.num_qo_heads;
   p.num_kv_heads = in.num_kv_heads;
-  p.head_dim = in.head_dim;
   p.head_fusion = backend.head_fusion;
   p.variant.causal = false;  // The mask IS the structure; nothing to trim.
 
-  return PlanAndPrice(dev, backend, p, cfg, in.kv_l2_fraction);
+  return ScheduleAndPrice(dev, backend, in, cfg, BlockRowsFromBsr(p));
 }
 
 gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
@@ -331,8 +334,7 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
     // priced against the single-tile layout and the cheaper one runs — on
     // mixes where the compromise tile happens to fit, packed mode ties the
     // baseline instead of regressing it.
-    auto report = PriceSingleFormat(dev, backend, in, in.qo_lens, in.kv_lens,
-                                    /*pos_offsets=*/{});
+    auto report = PriceSingleFormat(dev, backend, in, in.qo_lens, in.kv_lens);
     if (backend.packed_tiles && in.groups.empty() && in.tile_q_override == 0 &&
         in.qo_lens.size() > 1) {
       if (auto packed = TryPricePackedTiles(dev, backend, in);
@@ -352,33 +354,28 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
   // group (prefix KV, concatenated member rows) plus one per real request
   // (suffix KV only).
   const int g = in.num_qo_heads / in.num_kv_heads;
-  std::vector<int64_t> combined_qo, combined_kv, combined_pos;
+  std::vector<int64_t> combined_qo, combined_kv;
   int max_group_rows = 1;
   for (const auto& group : in.groups) {
     int64_t rows = 0;
     for (int m : group.members) rows += in.qo_lens[static_cast<size_t>(m)];
     combined_qo.push_back(rows);
     combined_kv.push_back(group.prefix_len);
-    combined_pos.push_back(0);
     max_group_rows =
         std::max<int>(max_group_rows, static_cast<int>(rows) * (backend.head_fusion ? g : 1));
   }
-  std::vector<int64_t> l1_kv(in.kv_lens);
-  std::vector<int64_t> l1_pos(in.kv_lens.size(), 0);
+  const size_t num_groups = combined_kv.size();
+  combined_qo.insert(combined_qo.end(), in.qo_lens.begin(), in.qo_lens.end());
+  combined_kv.insert(combined_kv.end(), in.kv_lens.begin(), in.kv_lens.end());
   for (const auto& group : in.groups) {
     for (int m : group.members) {
-      l1_kv[static_cast<size_t>(m)] = in.kv_lens[static_cast<size_t>(m)] - group.prefix_len;
-      l1_pos[static_cast<size_t>(m)] = group.prefix_len;
+      combined_kv[num_groups + static_cast<size_t>(m)] =
+          in.kv_lens[static_cast<size_t>(m)] - group.prefix_len;
     }
   }
-  combined_qo.insert(combined_qo.end(), in.qo_lens.begin(), in.qo_lens.end());
-  combined_kv.insert(combined_kv.end(), l1_kv.begin(), l1_kv.end());
-  combined_pos.insert(combined_pos.end(), l1_pos.begin(), l1_pos.end());
 
-  AttnSimInput flat = in;
-  flat.groups.clear();
   // The prefix level's larger Br bounds the tile (and hence occupancy).
-  auto report = PriceSingleFormat(dev, backend, flat, combined_qo, combined_kv, combined_pos,
+  auto report = PriceSingleFormat(dev, backend, in, combined_qo, combined_kv,
                                   std::min(max_group_rows, 128));
 
   // --- Extra contraction: merge level-0 and level-1 states per fused row. --

@@ -5,8 +5,8 @@
 // CUDA/CUTLASS — Appendix C), host-side overheads (Table 8's Python
 // bookkeeping), RoPE fusion and composable-format support. The estimator
 // runs the *real* scheduler (runtime/scheduler.h) over the step's sequence
-// lengths and prices the resulting plan with the kernel cost model — the
-// serving engine never hand-waves attention time.
+// lengths and prices its schedule with the kernel cost model — the serving
+// engine never hand-waves attention time.
 #pragma once
 
 #include <string>
@@ -75,7 +75,7 @@ struct AttnSimInput {
   int num_qo_heads = 32;
   int num_kv_heads = 8;
   int head_dim = 128;
-  int page_size = 16;
+  int page_size = 16;  // Pricing does not depend on it: pages hold every KV token.
   bool causal = true;
   /// Fraction of KV traffic served from L2 (cross-CTA page reuse; used to
   /// model single-format shared-prefix reads and unfused GQA).
@@ -87,9 +87,10 @@ struct AttnSimInput {
   bool force_dense = false;
 };
 
-/// Simulates one attention launch (per layer) for the step: builds the BSR
-/// from the lengths, runs the backend's scheduler, prices the plan, and
-/// returns the launch report. With `backend.composable` and non-empty
+/// Simulates one attention launch (per layer) for the step: derives the
+/// query tiles from the lengths, runs the backend's scheduler, charges each
+/// chunk's roofline cost to its CTA in assignment order, and returns the
+/// launch report — bit-identical to materializing the Plan and walking it. With `backend.composable` and non-empty
 /// groups, prefix KV is processed once per group at large Br (level 0) and
 /// suffixes at small Br (level 1), plus the extra contraction.
 gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "spec/verify.h"
@@ -1202,13 +1200,6 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
             ->Inc(now_s_, mig_hidden_s * 1e3);
       }
     }
-  }
-
-  if (std::getenv("FI_DEBUG_ATTN") != nullptr) {
-    std::fprintf(stderr,
-                 "[attn] step decode=%zu chunks=%zu prefill_tokens=%lld t=%.2fus\n",
-                 decode_branches, plan.chunks.size(),
-                 static_cast<long long>(plan.prefill_tokens), attn_us);
   }
 
   metrics_.total_draft_ms += draft_us * 1e-3;

@@ -11,7 +11,10 @@
 //   2. exact KV accounting: KvTokensInUse()==0, HostKvTokensInUse()==0 and
 //      SpecKvLivePages()==0 after the drain,
 //   3. every admitted (non-rejected) request completes exactly once,
-//   4. on a fixed-seed subset, Run() ≡ an external Admit/StepTo loop.
+//   4. on a fixed-seed subset, Run() ≡ an external Admit/StepTo loop,
+//   5. the step attention pricer is bit-identical to the plan-walking
+//      reference (test_util.h) on random batches over the trial's backend
+//      and head geometry.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized test —
@@ -30,6 +33,7 @@
 #include "cluster/cluster.h"
 #include "obs/export.h"
 #include "serving/engine.h"
+#include "test_util.h"
 
 namespace flashinfer {
 namespace {
@@ -178,6 +182,29 @@ int64_t ExpectedOutputTokens(const Request& r) {
                : std::max<int64_t>(r.output_len, 1);
 }
 
+/// Prices a few random batches over the trial's device, backend and head
+/// geometry — as configured, then with its optional packed-tile and
+/// composable modes turned on — and requires the step pricer to equal the
+/// plan-walking reference bit for bit.
+void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
+  Rng rng(seed ^ 0x9121CEull);
+  serving::AttnSimInput geometry;
+  geometry.num_qo_heads = cfg.model.num_qo_heads / cfg.model.tensor_parallel;
+  geometry.num_kv_heads = std::max(1, cfg.model.num_kv_heads / cfg.model.tensor_parallel);
+  geometry.head_dim = cfg.model.head_dim;
+  geometry.page_size = cfg.page_size;
+  for (int i = 0; i < 4; ++i) {
+    serving::BackendConfig backend = cfg.backend;
+    backend.packed_tiles |= i >= 2;
+    backend.composable |= i == 3;
+    const auto in = test::RandomAttnBatch(rng, geometry, backend.composable);
+    EXPECT_EQ(test::ReportDiff(serving::SimulateBatchAttention(cfg.device, backend, in),
+                               test::ReferenceSimulateBatchAttention(cfg.device, backend, in)),
+              "")
+        << "pricing batch " << i;
+  }
+}
+
 /// Drains with a step bound so a future admission wedge fails with the
 /// reproducing seed instead of hanging the test binary until its timeout.
 void BoundedDrain(ServingEngine& engine) {
@@ -206,6 +233,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv) {
   Rng rng(seed);
   const EngineConfig cfg = RandomConfig(rng);
   std::vector<Request> reqs = RandomWorkload(rng);
+  ExpectPricerMatchesReference(cfg, seed);
 
   // Shuffled admission order: the engine must behave identically no matter
   // the order simultaneous arrivals are enqueued in.
@@ -408,6 +436,7 @@ void RunClusterTrial(uint64_t seed) {
   cfg.policy = u < 0.34   ? cluster::RouterPolicy::kRoundRobin
                : u < 0.67 ? cluster::RouterPolicy::kLeastLoaded
                           : cluster::RouterPolicy::kPrefixAffinity;
+  ExpectPricerMatchesReference(cfg.engine, seed);
 
   serving::TenantPoolConfig tcfg;
   tcfg.num_tenants = static_cast<int>(rng.UniformInt(4, 12));
@@ -489,6 +518,7 @@ void RunDisaggTrial(uint64_t seed) {
   cfg.migration_latency_us = rng.Uniform(50.0, 400.0);
   cfg.policy = rng.NextDouble() < 0.5 ? cluster::RouterPolicy::kRoundRobin
                                       : cluster::RouterPolicy::kLeastLoaded;
+  ExpectPricerMatchesReference(cfg.engine, seed);
 
   serving::TenantPoolConfig tcfg;
   tcfg.num_tenants = static_cast<int>(rng.UniformInt(4, 12));
