@@ -6,8 +6,10 @@
 // (std::function hooks) variant dispatch over the identical micro-kernel —
 // the CPU analog of the FlashInfer-vs-FlexAttention gap of Tables 1-4 —
 // plus the cost of the supporting machinery: sparse gather, state merging,
-// scheduling (plan time), and radix-tree matching.
+// scheduling (plan time), and radix-tree matching and eviction.
 #include <benchmark/benchmark.h>
+
+#include <numeric>
 
 #include "core/attention_state.h"
 #include "core/kernel_dispatch.h"
@@ -183,6 +185,41 @@ void BM_RadixMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RadixMatch);
+
+void BM_RadixInsertEvict(benchmark::State& state) {
+  // A router prefix mirror at capacity: each request inserts a fresh tail
+  // behind a shared system prompt, then evicts back to capacity. Eviction
+  // pops an index of leaves, so the time per iteration stays flat as the
+  // capacity (Arg, in pages) grows.
+  constexpr int kPage = 16;
+  constexpr size_t kPrefixTokens = 4 * kPage;
+  constexpr size_t kTailPages = 8;
+  const int64_t capacity = state.range(0);
+  RadixTree tree(kPage);
+  Rng rng(13);
+  std::vector<int32_t> prompt(kPrefixTokens + kTailPages * kPage);
+  for (size_t i = 0; i < kPrefixTokens; ++i) {
+    prompt[i] = static_cast<int32_t>(rng.UniformInt(0, 31999));
+  }
+  int32_t next_token = 32000;
+  std::vector<int64_t> pages(prompt.size() / kPage);
+  int64_t next_page = 0;
+  auto insert_fresh = [&] {
+    for (size_t i = kPrefixTokens; i < prompt.size(); ++i) prompt[i] = next_token++;
+    std::iota(pages.begin(), pages.end(), next_page);
+    next_page += static_cast<int64_t>(pages.size());
+    tree.Insert(prompt, pages);
+  };
+  while (tree.TotalCachedPages() < capacity) insert_fresh();
+  tree.EvictLru(tree.TotalCachedPages() - capacity);
+  for (auto _ : state) {
+    insert_fresh();
+    auto freed = tree.EvictLru(tree.TotalCachedPages() - capacity);
+    benchmark::DoNotOptimize(freed.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kTailPages));
+}
+BENCHMARK(BM_RadixInsertEvict)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
 
 }  // namespace
 }  // namespace flashinfer

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "kvcache/radix.h"
+#include "test_util.h"
 
 namespace flashinfer {
 namespace {
@@ -77,6 +78,38 @@ TEST(Radix, LockPreventsEviction) {
   EXPECT_TRUE(tree.EvictLru(10).empty());
   tree.Unlock(m.node_path);
   EXPECT_EQ(tree.EvictLru(10).size(), 2u);
+}
+
+TEST(Radix, ParentBecomesLruLeafAfterChildEvicted) {
+  RadixTree tree(2);
+  tree.Insert(Tokens({1, 2, 3, 4}), std::vector<int64_t>{1, 2});
+  tree.Insert(Tokens({5, 6}), std::vector<int64_t>{3});
+  // The {1,2} page is older than {5,6}, but only joins the leaves once its
+  // child is gone — within the same call.
+  EXPECT_EQ(tree.EvictLru(3), (std::vector<int64_t>{2, 1, 3}));
+  EXPECT_EQ(tree.TotalCachedPages(), 0);
+}
+
+TEST(Radix, UnlockMakesOldLeafEvictableAgain) {
+  RadixTree tree(2);
+  tree.Insert(Tokens({1, 2}), std::vector<int64_t>{1});
+  const auto m = tree.MatchPrefix(Tokens({1, 2}));
+  tree.Lock(m.node_path);
+  tree.Insert(Tokens({3, 4}), std::vector<int64_t>{2});
+  tree.Insert(Tokens({5, 6}), std::vector<int64_t>{3});
+  EXPECT_EQ(tree.EvictLru(1), (std::vector<int64_t>{2}));  // {1,2} is pinned.
+  tree.Unlock(m.node_path);
+  // Unpinned, {1,2} keeps its stamp from the match and is older than {5,6}.
+  EXPECT_EQ(tree.EvictLru(1), (std::vector<int64_t>{1}));
+  EXPECT_EQ(tree.EvictLru(1), (std::vector<int64_t>{3}));
+}
+
+TEST(Radix, MatchesScanningReferenceOnRandomOps) {
+  // Same freed pages in the same order, matches, peeks and page counts as
+  // the tree that scans every leaf per evicted page.
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    ASSERT_EQ(test::RadixOpsDiff(seed, 200), "");
+  }
 }
 
 TEST(Radix, DeepSharedPrefixAcrossManyRequests) {

@@ -14,7 +14,9 @@
 //   4. on a fixed-seed subset, Run() ≡ an external Admit/StepTo loop,
 //   5. the step attention pricer is bit-identical to the plan-walking
 //      reference (test_util.h) on random batches over the trial's backend
-//      and head geometry.
+//      and head geometry,
+//   6. on cluster trials, the indexed RadixTree matches the scanning
+//      reference tree (test_util.h) on a random mirror-op sequence.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized test —
@@ -437,6 +439,13 @@ void RunClusterTrial(uint64_t seed) {
                : u < 0.67 ? cluster::RouterPolicy::kLeastLoaded
                           : cluster::RouterPolicy::kPrefixAffinity;
   ExpectPricerMatchesReference(cfg.engine, seed);
+  // Half the prefix-affinity trials get mirrors small enough to evict on
+  // most requests. A separate stream leaves the trial's other draws as-is.
+  Rng mirror_rng(seed ^ 0x3A11C0ull);
+  if (cfg.policy == cluster::RouterPolicy::kPrefixAffinity && mirror_rng.NextDouble() < 0.5) {
+    cfg.prefix_cache_pages = mirror_rng.UniformInt(8, 64);
+  }
+  EXPECT_EQ(test::RadixOpsDiff(seed, 200), "");
 
   serving::TenantPoolConfig tcfg;
   tcfg.num_tenants = static_cast<int>(rng.UniformInt(4, 12));

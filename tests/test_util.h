@@ -1,12 +1,15 @@
 // Shared fixtures: random attention problems over the paged cache, a
-// serial (scheduler-free) kernel driver used to isolate kernel math, and the
-// plan-walking reference the serving attention pricer must match bit for bit.
+// serial (scheduler-free) kernel driver used to isolate kernel math, the
+// plan-walking reference the serving attention pricer must match bit for bit,
+// and the scanning prefix cache the indexed RadixTree must match.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "core/tile_heuristics.h"
 #include "gpusim/executor.h"
 #include "kvcache/paged.h"
+#include "kvcache/radix.h"
 #include "kvcache/ragged.h"
 #include "runtime/scheduler.h"
 #include "serving/backends.h"
@@ -445,6 +449,230 @@ inline serving::AttnSimInput RandomAttnBatch(Rng& rng, const serving::AttnSimInp
     }
   }
   return in;
+}
+
+// --------------------------------------------------------------------------
+// Reference prefix cache. RadixTree keeps an index of evictable leaves by
+// stamp; this is the tree it replaced, which finds each victim with a
+// full-tree scan (ties would go to the first leaf in reverse-lexicographic
+// preorder).
+
+class ReferenceRadixTree {
+ public:
+  explicit ReferenceRadixTree(int page_size) : page_size_(page_size) {}
+
+  RadixTree::MatchResult MatchPrefix(std::span<const int32_t> tokens) {
+    RadixTree::MatchResult result;
+    Node* node = &root_;
+    const int64_t full_pages = static_cast<int64_t>(tokens.size()) / page_size_;
+    ++clock_;
+    for (int64_t p = 0; p < full_pages; ++p) {
+      std::vector<int32_t> chunk(tokens.begin() + p * page_size_,
+                                 tokens.begin() + (p + 1) * page_size_);
+      const auto it = node->children.find(chunk);
+      if (it == node->children.end()) break;
+      node = it->second.get();
+      node->last_access = clock_;
+      result.pages.push_back(node->page);
+      result.matched_tokens += page_size_;
+      result.node_path.push_back(node);
+    }
+    return result;
+  }
+
+  int64_t PeekPrefixTokens(std::span<const int32_t> tokens) const {
+    const Node* node = &root_;
+    const int64_t full_pages = static_cast<int64_t>(tokens.size()) / page_size_;
+    int64_t matched = 0;
+    for (int64_t p = 0; p < full_pages; ++p) {
+      std::vector<int32_t> chunk(tokens.begin() + p * page_size_,
+                                 tokens.begin() + (p + 1) * page_size_);
+      const auto it = node->children.find(chunk);
+      if (it == node->children.end()) break;
+      node = it->second.get();
+      matched += page_size_;
+    }
+    return matched;
+  }
+
+  int64_t Insert(std::span<const int32_t> tokens, std::span<const int64_t> pages) {
+    const int64_t full_pages = static_cast<int64_t>(tokens.size()) / page_size_;
+    FI_CHECK_LE(full_pages, static_cast<int64_t>(pages.size()));
+    Node* node = &root_;
+    int64_t inserted = 0;
+    ++clock_;
+    for (int64_t p = 0; p < full_pages; ++p) {
+      std::vector<int32_t> chunk(tokens.begin() + p * page_size_,
+                                 tokens.begin() + (p + 1) * page_size_);
+      auto it = node->children.find(chunk);
+      if (it == node->children.end()) {
+        auto child = std::make_unique<Node>();
+        child->chunk = chunk;
+        child->page = pages[static_cast<size_t>(p)];
+        child->parent = node;
+        child->last_access = clock_;
+        it = node->children.emplace(std::move(chunk), std::move(child)).first;
+        ++inserted;
+        ++total_pages_;
+      } else {
+        it->second->last_access = clock_;
+      }
+      node = it->second.get();
+    }
+    return inserted;
+  }
+
+  void Lock(const std::vector<void*>& path) {
+    for (void* p : path) ++static_cast<Node*>(p)->lock_count;
+  }
+
+  void Unlock(const std::vector<void*>& path) {
+    for (void* p : path) {
+      auto* node = static_cast<Node*>(p);
+      FI_CHECK_GT(node->lock_count, 0);
+      --node->lock_count;
+    }
+  }
+
+  std::vector<int64_t> EvictLru(int64_t max_pages) {
+    std::vector<int64_t> freed;
+    while (static_cast<int64_t>(freed.size()) < max_pages) {
+      // Find the unlocked leaf with the oldest access stamp.
+      Node* victim = nullptr;
+      uint64_t best = UINT64_MAX;
+      // Iterative DFS.
+      std::vector<Node*> stack{&root_};
+      while (!stack.empty()) {
+        Node* n = stack.back();
+        stack.pop_back();
+        for (auto& [key, child] : n->children) stack.push_back(child.get());
+        if (n != &root_ && n->children.empty() && n->lock_count == 0 &&
+            n->last_access < best) {
+          best = n->last_access;
+          victim = n;
+        }
+      }
+      if (victim == nullptr) break;  // Everything pinned or tree empty.
+      freed.push_back(victim->page);
+      --total_pages_;
+      Node* parent = victim->parent;
+      parent->children.erase(victim->chunk);
+    }
+    return freed;
+  }
+
+  int64_t TotalCachedPages() const noexcept { return total_pages_; }
+
+ private:
+  struct Node {
+    std::vector<int32_t> chunk;
+    int64_t page = -1;
+    int lock_count = 0;
+    uint64_t last_access = 0;
+    Node* parent = nullptr;
+    std::map<std::vector<int32_t>, std::unique_ptr<Node>> children;
+  };
+
+  int page_size_;
+  uint64_t clock_ = 0;
+  int64_t total_pages_ = 0;
+  Node root_;
+};
+
+/// Runs `num_ops` seeded random prefix-cache operations through a RadixTree
+/// and the reference tree side by side: inserts, matches, peeks, locks and
+/// unlocks of matched paths, and evictions, over page sizes 1-4 and a tiny
+/// vocabulary so that prompts share prefixes and diverge. Empty when every
+/// result agreed; otherwise names the first operation that differed.
+inline std::string RadixOpsDiff(uint64_t seed, int num_ops) {
+  Rng rng(seed);
+  const int page = static_cast<int>(rng.UniformInt(1, 4));
+  const int vocab = static_cast<int>(rng.UniformInt(2, 4));
+  const int64_t cap = rng.UniformInt(4, 48);
+  RadixTree tree(page);
+  ReferenceRadixTree ref(page);
+  std::vector<std::vector<int32_t>> prompts;
+  std::vector<std::pair<std::vector<void*>, std::vector<void*>>> held;  // Locked paths.
+  int64_t next_page = 0;
+
+  // Half the prompts extend a cut of an earlier prompt.
+  auto random_prompt = [&] {
+    std::vector<int32_t> t;
+    if (!prompts.empty() && rng.NextDouble() < 0.5) {
+      const auto& base = prompts[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(prompts.size()) - 1))];
+      t.assign(base.begin(),
+               base.begin() + rng.UniformInt(0, static_cast<int64_t>(base.size())));
+    }
+    const int64_t extra = rng.UniformInt(0, 4 * page + page - 1);
+    for (int64_t i = 0; i < extra; ++i) {
+      t.push_back(static_cast<int32_t>(rng.UniformInt(0, vocab - 1)));
+    }
+    prompts.push_back(t);
+    if (prompts.size() > 16) prompts.erase(prompts.begin());
+    return t;
+  };
+  auto match = [&](const std::vector<int32_t>& t, RadixTree::MatchResult& a,
+                   RadixTree::MatchResult& b) {
+    a = tree.MatchPrefix(t);
+    b = ref.MatchPrefix(t);
+    return a.pages == b.pages && a.matched_tokens == b.matched_tokens &&
+           a.node_path.size() == b.node_path.size();
+  };
+  auto evict = [&](int64_t k) { return tree.EvictLru(k) == ref.EvictLru(k); };
+
+  for (int op = 0; op < num_ops; ++op) {
+    const std::string at = "seed " + std::to_string(seed) + " op " + std::to_string(op);
+    const double u = rng.NextDouble();
+    if (u < 0.35) {
+      const auto t = random_prompt();
+      std::vector<int64_t> pages(t.size() / static_cast<size_t>(page));
+      std::iota(pages.begin(), pages.end(), next_page);
+      next_page += static_cast<int64_t>(pages.size());
+      if (tree.Insert(t, pages) != ref.Insert(t, pages)) return at + ": Insert count differs";
+      // The router's mirror: evict back to capacity after every insert.
+      if (tree.TotalCachedPages() > cap && !evict(tree.TotalCachedPages() - cap)) {
+        return at + ": capacity EvictLru differs";
+      }
+    } else if (u < 0.55) {
+      RadixTree::MatchResult a, b;
+      if (!match(random_prompt(), a, b)) return at + ": MatchPrefix differs";
+    } else if (u < 0.7) {
+      const auto t = random_prompt();
+      if (tree.PeekPrefixTokens(t) != ref.PeekPrefixTokens(t)) {
+        return at + ": PeekPrefixTokens differs";
+      }
+    } else if (u < 0.78) {
+      RadixTree::MatchResult a, b;
+      if (!match(random_prompt(), a, b)) return at + ": MatchPrefix (lock) differs";
+      if (!a.node_path.empty()) {
+        tree.Lock(a.node_path);
+        ref.Lock(b.node_path);
+        held.emplace_back(a.node_path, b.node_path);
+      }
+    } else if (u < 0.86) {
+      if (!held.empty()) {
+        const auto i = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1));
+        tree.Unlock(held[i].first);
+        ref.Unlock(held[i].second);
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    } else if (!evict(rng.NextDouble() < 0.1 ? INT64_MAX : rng.UniformInt(0, 4))) {
+      return at + ": EvictLru differs";
+    }
+    if (tree.TotalCachedPages() != ref.TotalCachedPages()) {
+      return at + ": TotalCachedPages differs";
+    }
+  }
+  for (const auto& [a, b] : held) {
+    tree.Unlock(a);
+    ref.Unlock(b);
+  }
+  if (!evict(INT64_MAX) || tree.TotalCachedPages() != 0 || ref.TotalCachedPages() != 0) {
+    return "seed " + std::to_string(seed) + ": final drain differs";
+  }
+  return {};
 }
 
 /// Max absolute difference between two equally-shaped float vectors.
