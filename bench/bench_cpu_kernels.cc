@@ -17,6 +17,7 @@
 #include "jit/interpreted.h"
 #include "kvcache/radix.h"
 #include "runtime/scheduler.h"
+#include "serving/workload.h"
 #include "sparse/gather.h"
 #include "util/rng.h"
 
@@ -170,6 +171,40 @@ void BM_BalancedPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BalancedPlan)->Arg(8)->Arg(64)->Arg(256);
+
+void BM_ScheduleBalanced(benchmark::State& state) {
+  // Algorithm 1 alone, as the serving pricer runs it every step: block rows
+  // straight from a skewed decode batch (ShareGPT-like KV lengths, a prompt
+  // plus part of its response), 8 fused kv heads, a 132-CTA grid. The
+  // chunk costs mostly differ, unlike BM_BalancedPlan's uniform KV. The
+  // iterations cycle through 16 such batches: repeating a single one lets
+  // the branch predictor learn its comparisons, which a serving run never
+  // repeats.
+  constexpr size_t kBatches = 16;
+  Rng rng(17);
+  const std::vector<int64_t> qo_lens(static_cast<size_t>(state.range(0)), 1);
+  std::vector<std::vector<int64_t>> kv_lens(kBatches);
+  for (auto& batch : kv_lens) {
+    for (const auto& r : serving::ShareGptWorkload(rng, static_cast<int>(state.range(0)), 1.0)) {
+      batch.push_back(r.input_len + rng.UniformInt(0, r.output_len));
+    }
+  }
+  std::vector<BlockRowShape> rows;
+  ChunkSchedule schedule;
+  int64_t items = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    BlockRowsFromLengths(qo_lens, kv_lens[next], /*fuse=*/4, /*tile_q=*/16, /*causal=*/true,
+                         &rows);
+    ScheduleBalanced(rows, /*num_heads=*/8, /*tile_kv=*/64, /*num_ctas=*/132, 1.0, 1.0,
+                     &schedule);
+    benchmark::DoNotOptimize(schedule.assignments.data());
+    items += static_cast<int64_t>(schedule.assignments.size());
+    next = (next + 1) % kBatches;
+  }
+  state.SetItemsProcessed(items);
+}
+BENCHMARK(BM_ScheduleBalanced)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_RadixMatch(benchmark::State& state) {
   RadixTree tree(16);

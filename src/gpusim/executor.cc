@@ -1,5 +1,6 @@
 #include "gpusim/executor.h"
 
+#include <algorithm>
 #include <queue>
 
 #include "util/check.h"
@@ -8,8 +9,13 @@
 namespace flashinfer::gpusim {
 
 double SimExecutor::Makespan(const std::vector<double>& cta_times, int slots) noexcept {
-  if (cta_times.empty()) return 0.0;
   if (slots < 1) slots = 1;
+  if (cta_times.size() <= static_cast<size_t>(slots)) {
+    // The grid fits: every CTA starts at 0.0 on a slot of its own.
+    double makespan = 0.0;
+    for (double t : cta_times) makespan = std::max(makespan, t);
+    return makespan;
+  }
   // Min-heap of slot-free times; CTAs issue in grid order (hardware order).
   std::priority_queue<double, std::vector<double>, std::greater<>> free_at;
   for (int i = 0; i < slots; ++i) free_at.push(0.0);

@@ -34,8 +34,9 @@ class SimExecutor {
   SimReport Launch(int num_ctas, const Occupancy& occ,
                    const std::function<void(int, CtaCost&)>& body) const;
 
-  /// Computes the makespan of issuing `cta_times` (us) in order onto
-  /// `slots` concurrent execution slots (greedy list scheduling).
+  /// Computes the makespan of issuing `cta_times` (us, non-negative) in
+  /// order onto `slots` concurrent execution slots (greedy list
+  /// scheduling). A grid that fits the slots takes its longest CTA.
   static double Makespan(const std::vector<double>& cta_times, int slots) noexcept;
 
  private:

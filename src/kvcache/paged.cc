@@ -105,11 +105,11 @@ int PagedKVCache::CreateSequence() {
   // Reuse a dead slot if any.
   for (size_t i = 0; i < seqs_.size(); ++i) {
     if (!seqs_[i].live) {
-      seqs_[i] = Sequence{{}, 0, true};
+      seqs_[i] = Sequence{{}, 0, true, false, {}, {}};
       return static_cast<int>(i);
     }
   }
-  seqs_.push_back(Sequence{{}, 0, true});
+  seqs_.push_back(Sequence{{}, 0, true, false, {}, {}});
   return static_cast<int>(seqs_.size() - 1);
 }
 

@@ -1,6 +1,8 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "util/check.h"
 
@@ -47,6 +49,81 @@ void SplitRows(const std::vector<BlockRowShape>& rows, int num_heads, ChunkLen c
 int64_t RoundUpToTile(int64_t len, int64_t tile) noexcept {
   return std::max<int64_t>(((len + tile - 1) / tile) * tile, tile);
 }
+
+/// Algorithm 1's CTA choice (lines 7-9): Charge(cost) adds `cost` to the
+/// CTA that minimizes (accumulated load, index) and returns that CTA.
+/// Costs are finite.
+///
+/// While the first chunks have positive cost, chunk i lands on CTA i: CTAs
+/// 0..i-1 already hold positive loads and i is the lowest-indexed empty
+/// one. The first zero-cost chunk (it would leave its CTA empty) or the
+/// first chunk after every CTA is loaded builds a winner tree over the
+/// loads: leaves padded to a power of two with +inf, every inner node
+/// holding the lesser of its children and the left one on ties. The left
+/// subtree holds the lower indices, so the root is exactly the (load,
+/// index) minimum; each charge replays the one leaf-to-root path it
+/// changed.
+class LeastLoadedCtas {
+ public:
+  void Reset(int num_ctas) {
+    num_ctas_ = num_ctas;
+    first_empty_ = 0;
+    leaves_ = std::bit_ceil(static_cast<size_t>(num_ctas));
+    tree_.assign(2 * leaves_, Node{0.0, 0});
+  }
+
+  int32_t Charge(double cost) noexcept {
+    if (first_empty_ >= 0) {
+      if (cost > 0.0 && first_empty_ < num_ctas_) {
+        tree_[leaves_ + static_cast<size_t>(first_empty_)].load = cost;  // == 0.0 + cost.
+        return first_empty_++;
+      }
+      BuildTree();
+    }
+    const int32_t cta = tree_[1].cta;
+    size_t i = leaves_ + static_cast<size_t>(cta);
+    Node winner{tree_[i].load += cost, cta};
+    // Up the path, the winner carried from below meets the sibling
+    // subtree's stored winner; a left sibling (odd i) also wins ties. Mask
+    // selects keep the loop branch-free, and carrying the winner avoids
+    // re-reading the node just written.
+    for (; i > 1; i >>= 1) {
+      const Node& sibling = tree_[i ^ 1];
+      const int32_t sibling_wins = (sibling.load < winner.load) |
+                                   ((sibling.load == winner.load) & static_cast<int32_t>(i & 1));
+      winner.cta ^= (winner.cta ^ sibling.cta) & -sibling_wins;
+      winner.load = std::min(winner.load, sibling.load);  // Equal loads on ties.
+      tree_[i >> 1] = winner;
+    }
+    return cta;
+  }
+
+ private:
+  struct Node {
+    double load;
+    int32_t cta;
+  };
+
+  void BuildTree() noexcept {
+    first_empty_ = -1;
+    for (size_t c = 0; c < leaves_; ++c) {
+      Node& leaf = tree_[leaves_ + c];
+      leaf.cta = static_cast<int32_t>(c);
+      if (c >= static_cast<size_t>(num_ctas_)) leaf.load = kInf;
+    }
+    for (size_t i = leaves_ - 1; i != 0; --i) {
+      const size_t left = 2 * i;
+      tree_[i] = tree_[left + (tree_[left + 1].load < tree_[left].load)];
+    }
+  }
+
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  int32_t num_ctas_ = 0;
+  // Direct round: the next CTA, all later ones empty; -1 once the tree is up.
+  int32_t first_empty_ = 0;
+  size_t leaves_ = 1;
+  std::vector<Node> tree_;  // 1-based: node i has children 2i, 2i+1.
+};
 
 /// Builds the reduction map rows for one split work unit, mirroring the
 /// kernel's fused-row mapping (Appendix A). Chunk k's partial rows start at
@@ -269,13 +346,10 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
     return a.chunk < b.chunk;
   });
 
-  // Lines 6-13: longest-processing-time-first onto a min-heap of CTAs,
-  // ordered by (accumulated cost, cta index).
-  using HeapEntry = std::pair<double, int32_t>;
-  thread_local std::vector<HeapEntry> heap;
-  heap.clear();
-  for (int32_t c = 0; c < num_ctas; ++c) heap.emplace_back(0.0, c);  // Already a heap.
-  const size_t n = heap.size();
+  // Lines 6-13: longest-processing-time-first, each chunk onto the CTA
+  // with the least accumulated cost (lowest index on ties).
+  thread_local LeastLoadedCtas ctas;
+  ctas.Reset(num_ctas);
   out->assignments.reserve(keys.size() * static_cast<size_t>(num_heads));
   for (size_t a = 0; a < keys.size();) {
     size_t b = a + 1;
@@ -285,18 +359,8 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
     }
     for (int32_t h = 0; h < num_heads; ++h) {
       for (size_t j = a; j < b; ++j) {
-        // Pop the least-loaded CTA, charge the chunk, sift it back down.
-        HeapEntry top = heap[0];
-        out->assignments.push_back({keys[j].block_row, h, keys[j].chunk, top.second});
-        top.first += keys[j].cost;
-        size_t i = 0;
-        for (size_t child = 1; child < n; child = 2 * i + 1) {
-          if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
-          if (!(heap[child] < top)) break;
-          heap[i] = heap[child];
-          i = child;
-        }
-        heap[i] = top;
+        out->assignments.push_back(
+            {keys[j].block_row, h, keys[j].chunk, ctas.Charge(keys[j].cost)});
       }
     }
     a = b;

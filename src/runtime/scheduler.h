@@ -4,10 +4,26 @@
 // plan: the work queue of every CTA plus the reduction map between partial
 // and final outputs. Long KV rows are split into chunks of at most Lkv
 // tokens (Lkv = ceil(total work / #CTA)); chunks are assigned
-// longest-processing-time-first onto a min-heap of CTAs. Inspired by
-// Stream-K but with deterministic aggregation order instead of atomics:
-// identical sequence lengths always produce identical plans and identical
-// outputs.
+// longest-processing-time-first, each to the CTA with the least
+// accumulated cost, the lowest index on ties. Inspired by Stream-K but
+// with deterministic aggregation order instead of atomics: identical
+// sequence lengths always produce identical plans and identical outputs.
+//
+// The least-loaded CTA is found in two phases, with the same choices a
+// min-heap over (load, index) would make:
+//   1. Direct first round. While CTAs are still empty and the chunk's cost
+//      is positive, chunk i goes to CTA i: CTAs 0..i-1 already carry
+//      positive loads, so i is the lowest-indexed CTA at load zero. The
+//      first zero-cost chunk, or the first chunk once every CTA is loaded,
+//      ends the round.
+//   2. Winner tree. Leaves hold the CTA loads, padded to a power of two
+//      with +inf; each inner node holds the lesser of its two children, the
+//      left (lower-indexed) child on ties, so the root is the (load, index)
+//      minimum. A chunk adds its cost to the root's leaf and replays that
+//      leaf's path to the root, branch-free.
+// Both phases accumulate each CTA's load chunk by chunk in assignment
+// order (in the direct round, 0.0 + cost == cost), so the loads, and with
+// them every choice, are bit-exact rather than approximately balanced.
 //
 // Algorithm 1 needs only each query tile's shape — its rows and the KV
 // tokens it reads — never the page indices. So scheduling runs in two

@@ -132,7 +132,7 @@ gpusim::SimReport PriceSchedule(const gpusim::DeviceSpec& dev, const KernelConfi
     const int64_t merge_ctas = std::min<int64_t>(num_tasks, dev.num_sms);
     auto& merge_times = t_scratch.merge_times;
     merge_times.assign(static_cast<size_t>(merge_ctas), 0.0);
-    int64_t t = 0;
+    size_t cta = 0;  // Task t runs on CTA t % merge_ctas.
     for (size_t br = 0; br < rows.size(); ++br) {
       const int count = s.splits[br].num_chunks;
       if (count == 1) continue;
@@ -142,8 +142,9 @@ gpusim::SimReport PriceSchedule(const gpusim::DeviceSpec& dev, const KernelConfi
       merge.cuda_flops = static_cast<double>(count) * (2.0 * head_dim + 8.0);
       const double merge_us = gpusim::WorkItemTimeUs(dev, eff, merge, kvb, dev.num_sms,
                                                      gpusim::kMergeRowOverheadUs);
-      for (int64_t end = t + int64_t{num_heads} * rows[br].rows; t < end; ++t) {
-        merge_times[static_cast<size_t>(t % merge_ctas)] += merge_us;
+      for (int64_t k = int64_t{num_heads} * rows[br].rows; k > 0; --k) {
+        merge_times[cta] += merge_us;
+        if (++cta == merge_times.size()) cta = 0;
         report.total_hbm_bytes += merge.hbm_bytes;
         report.total_cuda_flops += merge.cuda_flops;
       }

@@ -226,7 +226,7 @@ struct Parser {
 }  // namespace
 
 bool JsonParse(const std::string& text, JsonValue* out, std::string* err) {
-  Parser p{text};
+  Parser p{text, 0, {}};
   *out = JsonValue{};
   if (!p.ParseValue(out)) {
     if (err != nullptr) *err = p.err;

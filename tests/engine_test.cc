@@ -6,6 +6,18 @@
 namespace flashinfer::serving {
 namespace {
 
+/// A request that sets only the fields these tests vary.
+Request MakeReq(int id, double arrival_s, int64_t input_len, int64_t output_len,
+                int parallel_n = 1) {
+  Request r;
+  r.id = id;
+  r.arrival_s = arrival_s;
+  r.input_len = input_len;
+  r.output_len = output_len;
+  r.parallel_n = parallel_n;
+  return r;
+}
+
 EngineConfig BaseConfig() {
   EngineConfig cfg;
   cfg.model = Llama31_8B();
@@ -59,8 +71,8 @@ TEST(Engine, EmptyWorkload) {
 TEST(Engine, IdleGapsSkipToNextArrival) {
   ServingEngine engine(BaseConfig());
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 64, 2, 1};
-  reqs[1] = {1, 100.0, 64, 2, 1};  // Arrives after a long idle gap.
+  reqs[0] = MakeReq(0, 0.0, 64, 2, 1);
+  reqs[1] = MakeReq(1, 100.0, 64, 2, 1);  // Arrives after a long idle gap.
   const auto m = engine.Run(reqs);
   // Request 1's TTFT is measured from ITS arrival, not from t=0.
   EXPECT_LT(m.ttft_ms[1], 1000.0);
@@ -70,7 +82,7 @@ TEST(Engine, IdleGapsSkipToNextArrival) {
 TEST(Engine, OutputTokenAccounting) {
   ServingEngine engine(BaseConfig());
   std::vector<Request> reqs(4);
-  for (int i = 0; i < 4; ++i) reqs[i] = {i, 0.01 * i, 32, 10, 1};
+  for (int i = 0; i < 4; ++i) reqs[i] = MakeReq(i, 0.01 * i, 32, 10, 1);
   const auto m = engine.Run(reqs);
   EXPECT_EQ(m.total_output_tokens, 4 * 10);
   // ITL gaps: 9 per request (first token comes from prefill).
@@ -80,8 +92,8 @@ TEST(Engine, OutputTokenAccounting) {
 TEST(Engine, ParallelBranchesMultiplyOutputs) {
   ServingEngine engine(BaseConfig());
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 64, 6, 4};
-  reqs[1] = {1, 0.0, 64, 6, 1};
+  reqs[0] = MakeReq(0, 0.0, 64, 6, 4);
+  reqs[1] = MakeReq(1, 0.0, 64, 6, 1);
   const auto m = engine.Run(reqs);
   // Request 0: 1 prefill token + 4 branches x 5; request 1: 1 + 5.
   EXPECT_EQ(m.total_output_tokens, (1 + 4 * 5) + (1 + 5));
@@ -93,7 +105,7 @@ TEST(Engine, KvBudgetThrottlesAdmission) {
   ServingEngine engine(cfg);
   EXPECT_LT(engine.KvTokenBudget(), 30000);
   std::vector<Request> reqs(8);
-  for (int i = 0; i < 8; ++i) reqs[i] = {i, 0.0, 2048, 4, 1};
+  for (int i = 0; i < 8; ++i) reqs[i] = MakeReq(i, 0.0, 2048, 4, 1);
   const auto m = engine.Run(reqs);  // Must complete despite the tight pool.
   EXPECT_EQ(m.ttft_ms.size(), 8u);
   EXPECT_EQ(m.total_output_tokens, 8 * 4);
@@ -196,8 +208,8 @@ TEST(ChunkedPrefill, MixedBatchingRemovesDecodeStalls) {
   // stalls every branch behind the prefill; mixed batching does not, and
   // both deliver the same tokens.
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 64, 64, 1};
-  reqs[1] = {1, 0.05, 6000, 8, 1};  // Long prompt lands mid-decode.
+  reqs[0] = MakeReq(0, 0.0, 64, 64, 1);
+  reqs[1] = MakeReq(1, 0.05, 6000, 8, 1);  // Long prompt lands mid-decode.
 
   auto legacy_cfg = BaseConfig();
   legacy_cfg.prefill_chunk_tokens = 0;
@@ -263,8 +275,8 @@ TEST(ChunkedPrefill, ThroughputPolicyPacksMoreThanDecodePriority) {
   // chunk's worth per step; throughput-priority packs both requests' chunks
   // and finishes the prefill backlog in fewer steps.
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 4096, 4, 1};
-  reqs[1] = {1, 0.0, 4096, 4, 1};
+  reqs[0] = MakeReq(0, 0.0, 4096, 4, 1);
+  reqs[1] = MakeReq(1, 0.0, 4096, 4, 1);
 
   auto cfg = BaseConfig();
   cfg.prefill_chunk_tokens = 1024;

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "gpusim/cost.h"
 #include "gpusim/device.h"
 #include "gpusim/executor.h"
 #include "gpusim/graph.h"
+#include "util/rng.h"
 
 namespace flashinfer::gpusim {
 namespace {
@@ -68,6 +70,32 @@ TEST(Makespan, GreedyListScheduling) {
 TEST(Makespan, WaveQuantization) {
   // 5 equal CTAs on 4 slots: two waves -> 2x single-CTA time.
   EXPECT_DOUBLE_EQ(SimExecutor::Makespan(std::vector<double>(5, 3.0), 4), 6.0);
+}
+
+TEST(Makespan, UnderfilledGridTakesLongestCta) {
+  // Fewer CTAs than slots, some idle: every CTA starts at once.
+  EXPECT_EQ(SimExecutor::Makespan({0.0, 3.0, 0.0, 5.0, 1.0}, 8), 5.0);
+  EXPECT_EQ(SimExecutor::Makespan({0.0, 0.0}, 4), 0.0);
+  EXPECT_EQ(SimExecutor::Makespan({}, 4), 0.0);
+}
+
+TEST(Makespan, MatchesListSchedulingByScan) {
+  // Issue order onto the earliest-free slot, found by a linear scan, over
+  // grids below, at and above the slot count, with idle CTAs mixed in.
+  Rng rng(0x3A4E5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int slots = static_cast<int>(rng.UniformInt(1, 12));
+    std::vector<double> times(static_cast<size_t>(rng.UniformInt(0, 3 * slots)));
+    for (auto& t : times) t = rng.NextDouble() < 0.2 ? 0.0 : rng.Uniform(0.0, 10.0);
+    std::vector<double> free_at(static_cast<size_t>(slots), 0.0);
+    double want = 0.0;
+    for (double t : times) {
+      double& slot = *std::min_element(free_at.begin(), free_at.end());
+      slot += t;
+      want = std::max(want, slot);
+    }
+    ASSERT_EQ(SimExecutor::Makespan(times, slots), want) << "trial " << trial;
+  }
 }
 
 TEST(Executor, RunsEveryCtaOnce) {

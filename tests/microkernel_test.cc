@@ -184,7 +184,9 @@ TEST(Kernel, EmptyKvProducesZeros) {
   WorkItem item{0, 0, 0, -1, 0, 0, -1};
   fn(p, cfg, item, sink, nullptr, nullptr);
   for (float x : prob.o.Row(0)) {
-    if (&x - prob.o.Row(0).data() < spec.head_dim) EXPECT_EQ(x, 0.0f);
+    if (&x - prob.o.Row(0).data() < spec.head_dim) {
+      EXPECT_EQ(x, 0.0f);
+    }
   }
 }
 

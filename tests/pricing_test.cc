@@ -9,7 +9,7 @@
 // byte/flop total, the grid and each CTA's time.
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <map>
 
 #include "serving/backends.h"
 #include "test_util.h"
@@ -200,57 +200,18 @@ TEST(Pricing, ClosedFormReuseMatchesMapDefinitionOnSparseBsrs) {
   EXPECT_GT(nonzero, 100);
 }
 
-/// Algorithm 1 unit by unit, as the paper states it: chunk every work unit,
-/// sort all chunks by descending cost (ties in (block_row, kv_head, qo_head,
-/// kv_begin) order), assign longest-first to the least-loaded CTA.
-std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(const AttentionParams& p,
-                                                           int tile_kv, int num_ctas) {
-  const auto units = EnumerateWorkUnits(p);
-  int64_t total_kv = 0;
-  for (const auto& u : units) total_kv += u.kv_len;
-  int64_t lkv = (total_kv + num_ctas - 1) / num_ctas;
-  lkv = std::max<int64_t>((lkv + tile_kv - 1) / tile_kv * tile_kv, tile_kv);
-  std::vector<std::pair<WorkItem, int>> chunks;  // (item, rows)
-  int32_t next_partial = 0;
-  for (const auto& u : units) {
-    const int64_t n = u.kv_len <= lkv ? 1 : (u.kv_len + lkv - 1) / lkv;
-    for (int64_t k = 0; k < n; ++k) {
-      const int64_t lo = k * lkv;
-      const int32_t dest = n == 1 ? -1 : next_partial;
-      if (n > 1) next_partial += u.rows;
-      chunks.push_back({WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, lo,
-                                 std::min(u.kv_len, lo + lkv), dest},
-                        u.rows});
-    }
-  }
-  auto cost = [](const std::pair<WorkItem, int>& c) {
-    return static_cast<double>(c.second) + static_cast<double>(c.first.kv_end - c.first.kv_begin);
-  };
-  std::sort(chunks.begin(), chunks.end(), [&](const auto& a, const auto& b) {
-    if (cost(a) != cost(b)) return cost(a) > cost(b);
-    return std::tie(a.first.block_row, a.first.kv_head, a.first.qo_head, a.first.kv_begin) <
-           std::tie(b.first.block_row, b.first.kv_head, b.first.qo_head, b.first.kv_begin);
-  });
-  std::vector<std::vector<WorkItem>> queues(static_cast<size_t>(num_ctas));
-  std::vector<double> load(static_cast<size_t>(num_ctas), 0.0);
-  for (const auto& c : chunks) {
-    const size_t cta = static_cast<size_t>(std::min_element(load.begin(), load.end()) - load.begin());
-    queues[cta].push_back(c.first);
-    load[cta] += cost(c);
-  }
-  return queues;
-}
-
-bool SameItem(const WorkItem& a, const WorkItem& b) {
-  return std::tie(a.block_row, a.request, a.kv_head, a.qo_head, a.kv_begin, a.kv_end, a.dest) ==
-         std::tie(b.block_row, b.request, b.kv_head, b.qo_head, b.kv_begin, b.kv_end, b.dest);
-}
-
 TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
-  // The shared Algorithm 1 sorts per block row and expands heads afterwards;
-  // its queues must equal the unit-by-unit statement exactly.
+  // The shared Algorithm 1 sorts per block row, expands heads afterwards and
+  // picks CTAs with a direct first round and a winner tree; its queues must
+  // equal the unit-by-unit statement exactly. Cost weights include zero
+  // (alpha = beta = 0 makes every chunk free, so the direct round must step
+  // aside at once) and grids straddle the tree's power-of-two padding.
   Rng rng(0x51CE0005);
-  for (int trial = 0; trial < 300; ++trial) {
+  const double weights[] = {1.0, 0.0, 0.25, 8.0};
+  const int boundary_ctas[] = {1, 2, 127, 128, 129, 255, 256, 257};
+  std::map<int, int> boundary_hits;
+  int all_free = 0, free_after_paid = 0, past_first_round = 0, within_first_round = 0;
+  for (int trial = 0; trial < 600; ++trial) {
     AttentionParams p;
     p.num_kv_heads = static_cast<int>(1 << rng.UniformInt(0, 3));
     p.num_qo_heads = p.num_kv_heads << rng.UniformInt(0, 2);
@@ -258,10 +219,16 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
     p.variant.causal = rng.NextDouble() < 0.5;
     const int fuse = p.head_fusion ? p.GroupSize() : 1;
     std::vector<int64_t> qo_lens, kv_lens;
+    bool reads_no_kv = false;
     for (int r = static_cast<int>(rng.UniformInt(1, 24)); r > 0; --r) {
       qo_lens.push_back(rng.NextDouble() < 0.7 ? 1 : rng.UniformInt(0, 80));
-      // Repeated lengths make equal-cost chunks across rows and heads.
-      kv_lens.push_back(qo_lens.back() + 64 * rng.UniformInt(0, 12) + rng.UniformInt(0, 1));
+      // Repeated lengths make equal-cost chunks across rows and heads. A few
+      // rows read no KV: with alpha = 0 their chunks are free and come last.
+      const bool empty = rng.NextDouble() < 0.05;
+      kv_lens.push_back(empty ? 0
+                              : qo_lens.back() + 64 * rng.UniformInt(0, 12) +
+                                    rng.UniformInt(0, 1));
+      reads_no_kv |= empty && qo_lens.back() > 0;
     }
     qo_lens[0] = std::max<int64_t>(qo_lens[0], 1);
     std::vector<int64_t> fused(qo_lens);
@@ -275,19 +242,28 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
     KernelConfig cfg;
     cfg.tile_q = tile_q;
     cfg.tile_kv = static_cast<int>(32 << rng.UniformInt(0, 2));
-    const int num_ctas = static_cast<int>(rng.UniformInt(1, 140));
+    const int num_ctas = rng.NextDouble() < 0.3
+                             ? boundary_ctas[rng.UniformInt(0, 7)]
+                             : static_cast<int>(rng.UniformInt(1, 300));
+    const double alpha = weights[rng.UniformInt(0, 3)];
+    const double beta = weights[rng.UniformInt(0, 3)];
 
-    const auto plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40);
-    const auto want = ReferenceBalancedQueues(p, cfg.tile_kv, num_ctas);
-    ASSERT_EQ(plan.cta_queues.size(), want.size());
-    for (size_t c = 0; c < want.size(); ++c) {
-      ASSERT_EQ(plan.cta_queues[c].size(), want[c].size()) << "trial " << trial << " cta " << c;
-      for (size_t i = 0; i < want[c].size(); ++i) {
-        ASSERT_TRUE(SameItem(plan.cta_queues[c][i], want[c][i]))
-            << "trial " << trial << " cta " << c << " item " << i;
-      }
-    }
+    ASSERT_EQ(test::BalancedQueuesDiff(p, cfg, num_ctas, alpha, beta), "")
+        << "trial " << trial << " ctas " << num_ctas << " alpha " << alpha << " beta "
+        << beta;
+
+    ++boundary_hits[num_ctas];
+    all_free += alpha == 0.0 && beta == 0.0;
+    free_after_paid += alpha == 0.0 && beta > 0.0 && reads_no_kv;
+    const int64_t items = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40).NumWorkItems();
+    past_first_round += items > num_ctas;
+    within_first_round += items < num_ctas;
   }
+  for (int n : {128, 129, 256, 257}) EXPECT_GT(boundary_hits[n], 5) << n << " CTAs";
+  EXPECT_GT(all_free, 20);
+  EXPECT_GT(free_after_paid, 5);
+  EXPECT_GT(past_first_round, 100);
+  EXPECT_GT(within_first_round, 50);
 }
 
 TEST(Pricing, LengthRowsMatchPagedBsrRows) {

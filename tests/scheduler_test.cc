@@ -213,7 +213,9 @@ TEST(FixedSplitPlan, SplitsLongRequests) {
       EXPECT_EQ(ranges.size(), 4u);
       found_long = true;
     }
-    if (total == 3) EXPECT_EQ(ranges.size(), 1u);
+    if (total == 3) {
+      EXPECT_EQ(ranges.size(), 1u);
+    }
   }
   EXPECT_TRUE(found_long);
 }

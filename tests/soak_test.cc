@@ -187,7 +187,9 @@ int64_t ExpectedOutputTokens(const Request& r) {
 /// Prices a few random batches over the trial's device, backend and head
 /// geometry — as configured, then with its optional packed-tile and
 /// composable modes turned on — and requires the step pricer to equal the
-/// plan-walking reference bit for bit.
+/// plan-walking reference bit for bit. The plan walk schedules with the same
+/// ScheduleBalanced, so each batch's balanced schedule is also checked
+/// against Algorithm 1 stated unit by unit.
 void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
   Rng rng(seed ^ 0x9121CEull);
   serving::AttnSimInput geometry;
@@ -204,6 +206,9 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
                                test::ReferenceSimulateBatchAttention(cfg.device, backend, in)),
               "")
         << "pricing batch " << i;
+    const test::ReferenceLaunch launch(cfg.device, backend, in, in.qo_lens, in.kv_lens);
+    EXPECT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, cfg.device.num_sms, 1.0, 1.0), "")
+        << "balanced schedule of batch " << i;
   }
 }
 
@@ -316,7 +321,9 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv) {
               codec.quant != KvQuantFormat::kNone ? 1.0 : 1.5);
     EXPECT_GT(m.evicted_stored_bytes, 0.0);
     EXPECT_GT(m.codec_encode_ms, 0.0);
-    if (codec.quant == KvQuantFormat::kNone) EXPECT_EQ(m.quant_mse_pages, 0);
+    if (codec.quant == KvQuantFormat::kNone) {
+      EXPECT_EQ(m.quant_mse_pages, 0);
+    }
   }
 
   // The telemetry registry must reconcile with ServingMetrics on every

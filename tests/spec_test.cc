@@ -20,6 +20,18 @@ using serving::Request;
 using serving::ServingEngine;
 using serving::ServingMetrics;
 
+/// A request that sets only the fields these tests vary.
+Request MakeReq(int id, double arrival_s, int64_t input_len, int64_t output_len,
+                int parallel_n = 1) {
+  Request r;
+  r.id = id;
+  r.arrival_s = arrival_s;
+  r.input_len = input_len;
+  r.output_len = output_len;
+  r.parallel_n = parallel_n;
+  return r;
+}
+
 EngineConfig BaseConfig() {
   EngineConfig cfg;
   cfg.model = serving::Llama31_8B();
@@ -261,7 +273,7 @@ TEST(SpecEngine, TightKvBudgetThrottlesAdmissionInsteadOfExhaustingPool) {
   ServingEngine engine(cfg);
   EXPECT_LT(engine.KvTokenBudget(), 30000);
   std::vector<Request> reqs(60);
-  for (int i = 0; i < 60; ++i) reqs[i] = {i, 0.0, 1024, 256, 1};
+  for (int i = 0; i < 60; ++i) reqs[i] = MakeReq(i, 0.0, 1024, 256, 1);
   const auto m = engine.Run(reqs);  // Must complete despite the tight pool.
   EXPECT_EQ(m.ttft_ms.size(), 60u);
   EXPECT_EQ(m.total_output_tokens, 60 * 256);
@@ -350,8 +362,8 @@ TEST(SpecEngine, StepToCountsOnlyWorkSteps) {
 TEST(SpecEngine, IdleTimeSeparatesFromBusyTime) {
   ServingEngine engine(BaseConfig());
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 64, 2, 1};
-  reqs[1] = {1, 100.0, 64, 2, 1};
+  reqs[0] = MakeReq(0, 0.0, 64, 2, 1);
+  reqs[1] = MakeReq(1, 100.0, 64, 2, 1);
   const auto m = engine.Run(reqs);
   EXPECT_EQ(m.num_idle_skips, 1);
   EXPECT_GT(m.total_idle_s, 99.0);

@@ -1,9 +1,11 @@
 // Shared fixtures: random attention problems over the paged cache, a
 // serial (scheduler-free) kernel driver used to isolate kernel math, the
 // plan-walking reference the serving attention pricer must match bit for bit,
-// and the scanning prefix cache the indexed RadixTree must match.
+// Algorithm 1 stated unit by unit, and the scanning prefix cache the indexed
+// RadixTree must match.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,6 +13,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/kernel_dispatch.h"
@@ -241,6 +244,48 @@ inline gpusim::SimReport ReferencePlanAndPrice(const gpusim::DeviceSpec& dev,
   return report;
 }
 
+/// One single-format launch over (qo_lens, kv_lens), lowered the way the
+/// reference pricer sees it: the kernel config the pricer selects and the
+/// paged batch BSR over fake page tables. `p` views `bsr`, so a launch is
+/// neither copied nor moved.
+struct ReferenceLaunch {
+  KernelConfig cfg;
+  sparse::BsrMatrix bsr;
+  AttentionParams p;
+
+  ReferenceLaunch(const gpusim::DeviceSpec& dev, const serving::BackendConfig& backend,
+                  const serving::AttnSimInput& in, const std::vector<int64_t>& qo_lens,
+                  const std::vector<int64_t>& kv_lens, int tile_q_override = 0) {
+    const int g = in.num_qo_heads / in.num_kv_heads;
+    const int fuse = backend.head_fusion ? g : 1;
+    const int64_t total_q = std::accumulate(qo_lens.begin(), qo_lens.end(), int64_t{0});
+    const double avg_fused =
+        static_cast<double>(total_q) / static_cast<double>(qo_lens.size()) * fuse;
+    cfg = SelectKernelConfig(dev, avg_fused, in.head_dim, DTypeBytes(backend.kv_dtype),
+                             !in.force_dense);
+    cfg.head_fusion = backend.head_fusion;
+    if (tile_q_override > 0) cfg.tile_q = tile_q_override;
+    if (in.tile_q_override > 0) cfg.tile_q = in.tile_q_override;
+    if (in.force_template == 2) cfg.tmpl = gpusim::TemplateGen::kFA2;
+    if (in.force_template == 3) cfg.tmpl = gpusim::TemplateGen::kFA3;
+
+    std::vector<int64_t> fused_lens(qo_lens);
+    for (auto& l : fused_lens) l *= fuse;
+    bsr = sparse::BuildBatchBsr(BuildIndptr(fused_lens), FakePages(kv_lens, in.page_size),
+                                in.page_size, cfg.tile_q);
+    p.bsr = &bsr;
+    p.qo_indptr = BuildIndptr(qo_lens);
+    p.kv_len = kv_lens;
+    p.num_qo_heads = in.num_qo_heads;
+    p.num_kv_heads = in.num_kv_heads;
+    p.head_dim = in.head_dim;
+    p.head_fusion = backend.head_fusion;
+    p.variant.causal = in.causal;
+  }
+  ReferenceLaunch(const ReferenceLaunch&) = delete;
+  ReferenceLaunch& operator=(const ReferenceLaunch&) = delete;
+};
+
 /// One single-format launch over (qo_lens, kv_lens) through the batch BSR.
 inline gpusim::SimReport ReferencePriceSingleFormat(const gpusim::DeviceSpec& dev,
                                                     const serving::BackendConfig& backend,
@@ -248,34 +293,8 @@ inline gpusim::SimReport ReferencePriceSingleFormat(const gpusim::DeviceSpec& de
                                                     const std::vector<int64_t>& qo_lens,
                                                     const std::vector<int64_t>& kv_lens,
                                                     int tile_q_override = 0) {
-  const int g = in.num_qo_heads / in.num_kv_heads;
-  const int fuse = backend.head_fusion ? g : 1;
-  const int64_t total_q = std::accumulate(qo_lens.begin(), qo_lens.end(), int64_t{0});
-  const double avg_fused =
-      static_cast<double>(total_q) / static_cast<double>(qo_lens.size()) * fuse;
-  KernelConfig cfg = SelectKernelConfig(dev, avg_fused, in.head_dim,
-                                        DTypeBytes(backend.kv_dtype), !in.force_dense);
-  cfg.head_fusion = backend.head_fusion;
-  if (tile_q_override > 0) cfg.tile_q = tile_q_override;
-  if (in.tile_q_override > 0) cfg.tile_q = in.tile_q_override;
-  if (in.force_template == 2) cfg.tmpl = gpusim::TemplateGen::kFA2;
-  if (in.force_template == 3) cfg.tmpl = gpusim::TemplateGen::kFA3;
-
-  std::vector<int64_t> fused_lens(qo_lens);
-  for (auto& l : fused_lens) l *= fuse;
-  const auto bsr = sparse::BuildBatchBsr(BuildIndptr(fused_lens),
-                                         FakePages(kv_lens, in.page_size), in.page_size,
-                                         cfg.tile_q);
-  AttentionParams p;
-  p.bsr = &bsr;
-  p.qo_indptr = BuildIndptr(qo_lens);
-  p.kv_len = kv_lens;
-  p.num_qo_heads = in.num_qo_heads;
-  p.num_kv_heads = in.num_kv_heads;
-  p.head_dim = in.head_dim;
-  p.head_fusion = backend.head_fusion;
-  p.variant.causal = in.causal;
-  return ReferencePlanAndPrice(dev, backend, p, cfg, in.kv_l2_fraction);
+  const ReferenceLaunch launch(dev, backend, in, qo_lens, kv_lens, tile_q_override);
+  return ReferencePlanAndPrice(dev, backend, launch.p, launch.cfg, in.kv_l2_fraction);
 }
 
 /// serving::SimulateBatchAttention over the reference single-format pricer:
@@ -403,6 +422,83 @@ inline std::string ReportDiff(const gpusim::SimReport& got, const gpusim::SimRep
   }
   if (got.num_ctas != want.num_ctas) return diff("num_ctas", got.num_ctas, want.num_ctas);
   if (got.cta_time_us != want.cta_time_us) return "cta_time_us differ";
+  return {};
+}
+
+// --------------------------------------------------------------------------
+// Reference Algorithm 1. ScheduleBalanced sorts per block row, expands heads
+// afterwards and finds the least-loaded CTA with a direct first round and a
+// winner tree; this states the algorithm unit by unit with a linear scan.
+
+/// Algorithm 1 unit by unit, as the paper states it: chunk every work unit,
+/// sort all chunks by descending cost alpha * rows + beta * tokens (ties in
+/// (block_row, kv_head, qo_head, kv_begin) order), assign longest-first to
+/// the least-loaded CTA, the lowest index on ties.
+inline std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(const AttentionParams& p,
+                                                                  int tile_kv, int num_ctas,
+                                                                  double alpha, double beta) {
+  const auto units = EnumerateWorkUnits(p);
+  int64_t total_kv = 0;
+  for (const auto& u : units) total_kv += u.kv_len;
+  int64_t lkv = (total_kv + num_ctas - 1) / num_ctas;
+  lkv = std::max<int64_t>((lkv + tile_kv - 1) / tile_kv * tile_kv, tile_kv);
+  std::vector<std::pair<WorkItem, int>> chunks;  // (item, rows)
+  int32_t next_partial = 0;
+  for (const auto& u : units) {
+    const int64_t n = u.kv_len <= lkv ? 1 : (u.kv_len + lkv - 1) / lkv;
+    for (int64_t k = 0; k < n; ++k) {
+      const int64_t lo = k * lkv;
+      const int32_t dest = n == 1 ? -1 : next_partial;
+      if (n > 1) next_partial += u.rows;
+      chunks.push_back({WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, lo,
+                                 std::min(u.kv_len, lo + lkv), dest},
+                        u.rows});
+    }
+  }
+  auto cost = [&](const std::pair<WorkItem, int>& c) {
+    return alpha * static_cast<double>(c.second) +
+           beta * static_cast<double>(c.first.kv_end - c.first.kv_begin);
+  };
+  std::sort(chunks.begin(), chunks.end(), [&](const auto& a, const auto& b) {
+    if (cost(a) != cost(b)) return cost(a) > cost(b);
+    return std::tie(a.first.block_row, a.first.kv_head, a.first.qo_head, a.first.kv_begin) <
+           std::tie(b.first.block_row, b.first.kv_head, b.first.qo_head, b.first.kv_begin);
+  });
+  std::vector<std::vector<WorkItem>> queues(static_cast<size_t>(num_ctas));
+  std::vector<double> load(static_cast<size_t>(num_ctas), 0.0);
+  for (const auto& c : chunks) {
+    const size_t cta =
+        static_cast<size_t>(std::min_element(load.begin(), load.end()) - load.begin());
+    queues[cta].push_back(c.first);
+    load[cta] += cost(c);
+  }
+  return queues;
+}
+
+/// Empty when MakeBalancedPlan's queues over `p` equal
+/// ReferenceBalancedQueues item for item; otherwise names the first
+/// difference.
+inline std::string BalancedQueuesDiff(const AttentionParams& p, const KernelConfig& cfg,
+                                      int num_ctas, double alpha, double beta) {
+  const auto plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40, alpha, beta);
+  const auto want = ReferenceBalancedQueues(p, cfg.tile_kv, num_ctas, alpha, beta);
+  if (plan.cta_queues.size() != want.size()) return "grid size differs";
+  for (size_t c = 0; c < want.size(); ++c) {
+    const auto& got = plan.cta_queues[c];
+    if (got.size() != want[c].size()) {
+      return "cta " + std::to_string(c) + ": " + std::to_string(got.size()) + " items != " +
+             std::to_string(want[c].size());
+    }
+    for (size_t i = 0; i < got.size(); ++i) {
+      const auto& a = got[i];
+      const auto& b = want[c][i];
+      if (std::tie(a.block_row, a.request, a.kv_head, a.qo_head, a.kv_begin, a.kv_end,
+                   a.dest) != std::tie(b.block_row, b.request, b.kv_head, b.qo_head,
+                                       b.kv_begin, b.kv_end, b.dest)) {
+        return "cta " + std::to_string(c) + " item " + std::to_string(i) + " differs";
+      }
+    }
+  }
   return {};
 }
 
