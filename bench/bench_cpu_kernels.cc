@@ -174,15 +174,17 @@ BENCHMARK(BM_BalancedPlan)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_ScheduleBalanced(benchmark::State& state) {
   // Algorithm 1 alone, as the serving pricer runs it every step: block rows
-  // straight from a skewed decode batch (ShareGPT-like KV lengths, a prompt
-  // plus part of its response), 8 fused kv heads, a 132-CTA grid. The
-  // chunk costs mostly differ, unlike BM_BalancedPlan's uniform KV. The
-  // iterations cycle through 16 such batches: repeating a single one lets
-  // the branch predictor learn its comparisons, which a serving run never
-  // repeats.
+  // straight from a skewed decode batch of range(0) rows (ShareGPT-like KV
+  // lengths, a prompt plus part of its response), range(1) fused kv heads
+  // (8: Llama-3.1-8B; 2: one Llama-3.1-70B shard at TP=4), a 132-CTA grid.
+  // The chunk costs mostly differ, unlike BM_BalancedPlan's uniform KV, and
+  // each chunk is charged once per kv head. The iterations cycle through 16
+  // such batches: repeating a single one lets the branch predictor learn its
+  // comparisons, which a serving run never repeats.
   constexpr size_t kBatches = 16;
   Rng rng(17);
   const std::vector<int64_t> qo_lens(static_cast<size_t>(state.range(0)), 1);
+  const int num_heads = static_cast<int>(state.range(1));
   std::vector<std::vector<int64_t>> kv_lens(kBatches);
   for (auto& batch : kv_lens) {
     for (const auto& r : serving::ShareGptWorkload(rng, static_cast<int>(state.range(0)), 1.0)) {
@@ -196,15 +198,14 @@ void BM_ScheduleBalanced(benchmark::State& state) {
   for (auto _ : state) {
     BlockRowsFromLengths(qo_lens, kv_lens[next], /*fuse=*/4, /*tile_q=*/16, /*causal=*/true,
                          &rows);
-    ScheduleBalanced(rows, /*num_heads=*/8, /*tile_kv=*/64, /*num_ctas=*/132, 1.0, 1.0,
-                     &schedule);
+    ScheduleBalanced(rows, num_heads, /*tile_kv=*/64, /*num_ctas=*/132, 1.0, 1.0, &schedule);
     benchmark::DoNotOptimize(schedule.assignments.data());
     items += static_cast<int64_t>(schedule.assignments.size());
     next = (next + 1) % kBatches;
   }
   state.SetItemsProcessed(items);
 }
-BENCHMARK(BM_ScheduleBalanced)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_ScheduleBalanced)->ArgsProduct({{64, 256, 1024}, {2, 8}});
 
 void BM_RadixMatch(benchmark::State& state) {
   RadixTree tree(16);

@@ -20,7 +20,10 @@ std::string ArgsFor(const TraceEvent& e) {
   std::string out;
   auto add = [&out](const char* key, double v) {
     out += out.empty() ? "" : ", ";
-    out += "\"" + std::string(key) + "\": " + JsonNum(v);
+    out += '"';
+    out += key;
+    out += "\": ";
+    out += JsonNum(v);
   };
   switch (e.name) {
     case TraceName::kStep:

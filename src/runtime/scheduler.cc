@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
+#include <cmath>
+#include <span>
 
 #include "util/check.h"
 
@@ -50,79 +51,139 @@ int64_t RoundUpToTile(int64_t len, int64_t tile) noexcept {
   return std::max<int64_t>(((len + tile - 1) / tile) * tile, tile);
 }
 
-/// Algorithm 1's CTA choice (lines 7-9): Charge(cost) adds `cost` to the
-/// CTA that minimizes (accumulated load, index) and returns that CTA.
-/// Costs are finite.
+/// Algorithm 1's CTA choice (lines 7-9) for a run of equal-cost chunks:
+/// Place(cost, run) puts each chunk of `run`, in order, on the CTA that
+/// minimizes (accumulated load, index), adds `cost` to that CTA's load and
+/// records the CTA in the chunk. Costs are finite and non-negative, and
+/// runs come in non-increasing cost order.
 ///
 /// While the first chunks have positive cost, chunk i lands on CTA i: CTAs
 /// 0..i-1 already hold positive loads and i is the lowest-indexed empty
-/// one. The first zero-cost chunk (it would leave its CTA empty) or the
-/// first chunk after every CTA is loaded builds a winner tree over the
-/// loads: leaves padded to a power of two with +inf, every inner node
-/// holding the lesser of its children and the left one on ties. The left
-/// subtree holds the lower indices, so the root is exactly the (load,
-/// index) minimum; each charge replays the one leaf-to-root path it
-/// changed.
+/// one. The first zero-cost chunk, or the first chunk after every CTA is
+/// loaded, groups the CTAs into classes: CTAs with bit-identical loads
+/// share one class, a bitset of their indices. The direct round's loads
+/// never increase with the index, so each class starts as an index range.
+/// Classes are kept in load order; non-negative doubles order like their
+/// bit patterns read as integers. A chunk goes to the least class's lowest
+/// index and moves it to the class at load + cost, so a run takes the
+/// least class's lowest indices in order and moves them together; when the
+/// least class empties, the run continues in the next one. If load + cost
+/// rounds back to the load, the lowest index takes the whole run.
 class LeastLoadedCtas {
  public:
   void Reset(int num_ctas) {
     num_ctas_ = num_ctas;
     first_empty_ = 0;
-    leaves_ = std::bit_ceil(static_cast<size_t>(num_ctas));
-    tree_.assign(2 * leaves_, Node{0.0, 0});
+    loads_.resize(static_cast<size_t>(num_ctas));
   }
 
-  int32_t Charge(double cost) noexcept {
+  void Place(double cost, std::span<ChunkSchedule::Assignment> run) {
+    size_t i = 0;
     if (first_empty_ >= 0) {
-      if (cost > 0.0 && first_empty_ < num_ctas_) {
-        tree_[leaves_ + static_cast<size_t>(first_empty_)].load = cost;  // == 0.0 + cost.
-        return first_empty_++;
+      if (cost > 0.0) {
+        for (; i < run.size() && first_empty_ < num_ctas_; ++i) {
+          loads_[static_cast<size_t>(first_empty_)] = cost;  // == 0.0 + cost.
+          run[i].cta = first_empty_++;
+        }
+        if (i == run.size()) return;
       }
-      BuildTree();
+      BuildClasses();
     }
-    const int32_t cta = tree_[1].cta;
-    size_t i = leaves_ + static_cast<size_t>(cta);
-    Node winner{tree_[i].load += cost, cta};
-    // Up the path, the winner carried from below meets the sibling
-    // subtree's stored winner; a left sibling (odd i) also wins ties. Mask
-    // selects keep the loop branch-free, and carrying the winner avoids
-    // re-reading the node just written.
-    for (; i > 1; i >>= 1) {
-      const Node& sibling = tree_[i ^ 1];
-      const int32_t sibling_wins = (sibling.load < winner.load) |
-                                   ((sibling.load == winner.load) & static_cast<int32_t>(i & 1));
-      winner.cta ^= (winner.cta ^ sibling.cta) & -sibling_wins;
-      winner.load = std::min(winner.load, sibling.load);  // Equal loads on ties.
-      tree_[i >> 1] = winner;
+    while (i < run.size()) {
+      const Class least = order_.back();
+      const uint64_t load = std::bit_cast<uint64_t>(std::bit_cast<double>(least.load) + cost);
+      uint64_t* from = Members(least.id);
+      if (load == least.load) {  // The cost rounds away: the lowest index stays least.
+        int32_t w = 0;
+        while (from[w] == 0) ++w;
+        const int32_t cta = 64 * w + std::countr_zero(from[w]);
+        for (; i < run.size(); ++i) run[i].cta = cta;
+        return;
+      }
+      // The least class's lowest indices, in order, move to the class at `load`.
+      const int32_t target = FindOrInsert(load);
+      uint64_t* to = Members(target);
+      const int32_t moved = static_cast<int32_t>(
+          std::min<size_t>(run.size() - i, static_cast<size_t>(size_[least.id])));
+      size_[least.id] -= moved;
+      size_[target] += moved;
+      for (int32_t w = 0, left = moved; left > 0; ++w) {
+        uint64_t rest = from[w];
+        for (; rest != 0 && left > 0; --left, rest &= rest - 1) {
+          run[i++].cta = 64 * w + std::countr_zero(rest);
+        }
+        to[w] |= from[w] ^ rest;
+        from[w] = rest;
+      }
+      if (size_[least.id] == 0) {
+        order_.pop_back();
+        free_.push_back(least.id);
+      }
     }
-    return cta;
   }
 
  private:
-  struct Node {
-    double load;
-    int32_t cta;
+  struct Class {
+    uint64_t load;  // Bit pattern of the members' shared load.
+    int32_t id;
   };
 
-  void BuildTree() noexcept {
-    first_empty_ = -1;
-    for (size_t c = 0; c < leaves_; ++c) {
-      Node& leaf = tree_[leaves_ + c];
-      leaf.cta = static_cast<int32_t>(c);
-      if (c >= static_cast<size_t>(num_ctas_)) leaf.load = kInf;
-    }
-    for (size_t i = leaves_ - 1; i != 0; --i) {
-      const size_t left = 2 * i;
-      tree_[i] = tree_[left + (tree_[left + 1].load < tree_[left].load)];
-    }
+  uint64_t* Members(int32_t id) noexcept {
+    return members_.data() + static_cast<size_t>(id) * static_cast<size_t>(words_);
   }
 
-  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  void BuildClasses() {
+    // A move creates its target class before it releases the emptied one,
+    // so up to num_ctas + 1 classes are live at once. Their bitsets take
+    // (num_ctas + 1) * ceil(num_ctas / 64) words: 3.1 KiB for 132 CTAs.
+    const size_t pool = static_cast<size_t>(num_ctas_) + 1;
+    words_ = (num_ctas_ + 63) / 64;
+    members_.assign(pool * static_cast<size_t>(words_), 0);
+    size_.assign(pool, 0);
+    free_.resize(pool);
+    for (size_t id = 0; id < pool; ++id) free_[id] = static_cast<int32_t>(pool - 1 - id);
+    order_.clear();
+    order_.reserve(pool);
+    auto load_of = [this](int32_t c) {
+      return c < first_empty_ ? std::bit_cast<uint64_t>(loads_[static_cast<size_t>(c)])
+                              : uint64_t{0};
+    };
+    // Highest load first, so the least class sits at the back.
+    for (int32_t lo = 0, hi; lo < num_ctas_; lo = hi) {
+      const uint64_t load = load_of(lo);
+      for (hi = lo + 1; hi < num_ctas_ && load_of(hi) == load;) ++hi;
+      const int32_t id = free_.back();
+      free_.pop_back();
+      uint64_t* members = Members(id);
+      for (int32_t c = lo; c < hi; ++c) members[c / 64] |= uint64_t{1} << (c % 64);
+      size_[id] = hi - lo;
+      order_.push_back({load, id});
+    }
+    first_empty_ = -1;
+  }
+
+  /// The class at `load`, which is above the least class's load; created in
+  /// order if no CTA holds that load yet. A new load tends to land among the
+  /// highest, so the search starts there.
+  int32_t FindOrInsert(uint64_t load) {
+    size_t j = 0;
+    while (order_[j].load > load) ++j;
+    if (order_[j].load == load) return order_[j].id;
+    const int32_t id = free_.back();
+    free_.pop_back();
+    order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(j), Class{load, id});
+    return id;
+  }
+
   int32_t num_ctas_ = 0;
-  // Direct round: the next CTA, all later ones empty; -1 once the tree is up.
+  // Direct round: the next CTA, all later ones empty; -1 once classes are up.
   int32_t first_empty_ = 0;
-  size_t leaves_ = 1;
-  std::vector<Node> tree_;  // 1-based: node i has children 2i, 2i+1.
+  std::vector<double> loads_;  // Direct round: per-CTA loads.
+  int32_t words_ = 0;          // Bitset words per class.
+  std::vector<uint64_t> members_;  // Class id -> bitset of member CTAs.
+  std::vector<int32_t> size_;      // Class id -> member count.
+  std::vector<int32_t> free_;      // Unused class ids.
+  std::vector<Class> order_;       // Live classes, highest load first.
 };
 
 /// Builds the reduction map rows for one split work unit, mirroring the
@@ -307,6 +368,8 @@ double IntraBatchKvReuseFraction(const AttentionParams& p) {
 void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
                       int num_ctas, double alpha, double beta, ChunkSchedule* out) {
   FI_CHECK_GE(num_ctas, 1);
+  FI_CHECK(std::isfinite(alpha) && alpha >= 0.0);
+  FI_CHECK(std::isfinite(beta) && beta >= 0.0);
   out->num_ctas = num_ctas;
   out->assignments.clear();
 
@@ -347,23 +410,28 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
   });
 
   // Lines 6-13: longest-processing-time-first, each chunk onto the CTA
-  // with the least accumulated cost (lowest index on ties).
+  // with the least accumulated cost (lowest index on ties). Each maximal
+  // run of equal cost is placed at once; within it, each block row's keys
+  // expand head-major.
   thread_local LeastLoadedCtas ctas;
   ctas.Reset(num_ctas);
   out->assignments.reserve(keys.size() * static_cast<size_t>(num_heads));
   for (size_t a = 0; a < keys.size();) {
-    size_t b = a + 1;
-    while (b < keys.size() && keys[b].cost == keys[a].cost &&
-           keys[b].block_row == keys[a].block_row) {
-      ++b;
-    }
-    for (int32_t h = 0; h < num_heads; ++h) {
-      for (size_t j = a; j < b; ++j) {
-        out->assignments.push_back(
-            {keys[j].block_row, h, keys[j].chunk, ctas.Charge(keys[j].cost)});
+    const double cost = keys[a].cost;
+    const size_t run_begin = out->assignments.size();
+    while (a < keys.size() && keys[a].cost == cost) {
+      size_t b = a + 1;
+      while (b < keys.size() && keys[b].cost == cost && keys[b].block_row == keys[a].block_row) {
+        ++b;
       }
+      for (int32_t h = 0; h < num_heads; ++h) {
+        for (size_t j = a; j < b; ++j) {
+          out->assignments.push_back({keys[j].block_row, h, keys[j].chunk, -1});
+        }
+      }
+      a = b;
     }
-    a = b;
+    ctas.Place(cost, std::span(out->assignments).subspan(run_begin));
   }
 }
 

@@ -9,18 +9,26 @@
 // with deterministic aggregation order instead of atomics: identical
 // sequence lengths always produce identical plans and identical outputs.
 //
-// The least-loaded CTA is found in two phases, with the same choices a
-// min-heap over (load, index) would make:
+// The least-loaded CTA is found with the same choices a min-heap over
+// (load, index) would make, a whole run of equal-cost chunks at a time:
 //   1. Direct first round. While CTAs are still empty and the chunk's cost
 //      is positive, chunk i goes to CTA i: CTAs 0..i-1 already carry
 //      positive loads, so i is the lowest-indexed CTA at load zero. The
 //      first zero-cost chunk, or the first chunk once every CTA is loaded,
 //      ends the round.
-//   2. Winner tree. Leaves hold the CTA loads, padded to a power of two
-//      with +inf; each inner node holds the lesser of its two children, the
-//      left (lower-indexed) child on ties, so the root is the (load, index)
-//      minimum. A chunk adds its cost to the root's leaf and replays that
-//      leaf's path to the root, branch-free.
+//   2. Equal-load classes. CTAs whose loads are bit-identical share a
+//      class, a bitset of their indices; classes are ordered by load, which
+//      for non-negative doubles is the order of their bit patterns read as
+//      integers. The first round's loads never increase with the index, so
+//      each class starts as an index range. A run of m chunks of cost c
+//      takes the least class's lowest indices in order and moves them to
+//      the class at load + c; when the least class empties, the run
+//      continues in the next least one. (When load + c rounds back to
+//      load, the least class's lowest index takes the whole run.) Every
+//      head of a chunk costs the same, so with 8 kv heads the 132 CTAs of
+//      a serving step hold only about 20 distinct loads, and a run of 8
+//      chunks mostly costs one or two class lookups rather than one search
+//      per chunk.
 // Both phases accumulate each CTA's load chunk by chunk in assignment
 // order (in the direct round, 0.0 + cost == cost), so the loads, and with
 // them every choice, are bit-exact rather than approximately balanced.
@@ -91,7 +99,8 @@ struct Plan {
 
 /// Algorithm 1. `num_ctas` is the persistent grid size (k x #SM). Head
 /// multiplicity comes from the params (kv heads when fused, qo heads
-/// otherwise). `max_partial_rows` bounds workspace usage (checked).
+/// otherwise). `max_partial_rows` bounds workspace usage (checked); alpha
+/// and beta are finite and non-negative (see ScheduleBalanced).
 Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
                       int64_t max_partial_rows, double alpha = 1.0, double beta = 1.0);
 
@@ -169,7 +178,9 @@ struct ChunkSchedule {
 
 /// Algorithm 1 over `rows` x `num_heads` work units, `num_ctas` persistent
 /// CTAs and chunk cost alpha * rows + beta * kv_tokens. Overwrites `out`.
-/// Thread-safe: its scratch is thread-local.
+/// Thread-safe: its scratch is thread-local. alpha and beta must be finite
+/// and non-negative (checked): CTA loads are then non-negative, and the
+/// equal-load classes order them by their bit patterns.
 void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
                       int num_ctas, double alpha, double beta, ChunkSchedule* out);
 /// One CTA per work unit, unsplit.

@@ -48,9 +48,10 @@ TEST(Lz4, EmptyInputRoundTrips) {
 TEST(Lz4, TinyInputsRoundTrip) {
   // Below the minimum matchable size everything is literals; exercise each
   // length around the last-literals boundary.
+  // Input n is bytes 17 * i + 3 for i < n: grow one buffer a byte at a time.
+  std::vector<uint8_t> src;
   for (size_t n = 1; n <= 16; ++n) {
-    std::vector<uint8_t> src(n);
-    for (size_t i = 0; i < n; ++i) src[i] = static_cast<uint8_t>(17 * i + 3);
+    src.push_back(static_cast<uint8_t>(17 * (n - 1) + 3));
     EXPECT_EQ(RoundTrip(src), src) << "n=" << n;
   }
 }

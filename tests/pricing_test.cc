@@ -202,16 +202,22 @@ TEST(Pricing, ClosedFormReuseMatchesMapDefinitionOnSparseBsrs) {
 
 TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   // The shared Algorithm 1 sorts per block row, expands heads afterwards and
-  // picks CTAs with a direct first round and a winner tree; its queues must
-  // equal the unit-by-unit statement exactly. Cost weights include zero
-  // (alpha = beta = 0 makes every chunk free, so the direct round must step
-  // aside at once) and grids straddle the tree's power-of-two padding.
+  // places each run of equal-cost chunks at once, with a direct first round
+  // and then over classes of CTAs with equal loads; its queues must equal
+  // the unit-by-unit statement exactly. Cost weights include zero (alpha =
+  // beta = 0 makes every chunk free, so the direct round must step aside at
+  // once) and 2^-60 (a positive cost that leaves a load unchanged, so the
+  // least class's lowest index takes the whole run), and grids straddle
+  // the class bitsets' 64-bit words. The reference's own loads count the
+  // class edge cases the trials reach.
   Rng rng(0x51CE0005);
-  const double weights[] = {1.0, 0.0, 0.25, 8.0};
+  const double weights[] = {1.0, 0.0, 0.25, 8.0, 0x1p-60};
   const int boundary_ctas[] = {1, 2, 127, 128, 129, 255, 256, 257};
   std::map<int, int> boundary_hits;
   int all_free = 0, free_after_paid = 0, past_first_round = 0, within_first_round = 0;
-  for (int trial = 0; trial < 600; ++trial) {
+  // Trials whose reference runs reached each class edge case.
+  int outlast_least = 0, land_on_held_load = 0, keep_load = 0, single_cta_moves = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
     AttentionParams p;
     p.num_kv_heads = static_cast<int>(1 << rng.UniformInt(0, 3));
     p.num_qo_heads = p.num_kv_heads << rng.UniformInt(0, 2);
@@ -245,13 +251,18 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
     const int num_ctas = rng.NextDouble() < 0.3
                              ? boundary_ctas[rng.UniformInt(0, 7)]
                              : static_cast<int>(rng.UniformInt(1, 300));
-    const double alpha = weights[rng.UniformInt(0, 3)];
-    const double beta = weights[rng.UniformInt(0, 3)];
+    const double alpha = weights[rng.UniformInt(0, 4)];
+    const double beta = weights[rng.UniformInt(0, 4)];
 
-    ASSERT_EQ(test::BalancedQueuesDiff(p, cfg, num_ctas, alpha, beta), "")
+    test::ReferenceRunStats trial_runs;
+    ASSERT_EQ(test::BalancedQueuesDiff(p, cfg, num_ctas, alpha, beta, &trial_runs), "")
         << "trial " << trial << " ctas " << num_ctas << " alpha " << alpha << " beta "
         << beta;
 
+    outlast_least += trial_runs.outlast_least > 0;
+    land_on_held_load += trial_runs.land_on_held_load > 0;
+    keep_load += trial_runs.keep_load > 0;
+    single_cta_moves += num_ctas == 1 && trial_runs.moves > 0;
     ++boundary_hits[num_ctas];
     all_free += alpha == 0.0 && beta == 0.0;
     free_after_paid += alpha == 0.0 && beta > 0.0 && reads_no_kv;
@@ -264,6 +275,12 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   EXPECT_GT(free_after_paid, 5);
   EXPECT_GT(past_first_round, 100);
   EXPECT_GT(within_first_round, 50);
+  EXPECT_GT(outlast_least, 350);
+  EXPECT_GT(land_on_held_load, 150);
+  EXPECT_GT(keep_load, 20);
+  // One CTA: every move creates its target class while the emptied one is
+  // still live.
+  EXPECT_GT(single_cta_moves, 15);
 }
 
 TEST(Pricing, LengthRowsMatchPagedBsrRows) {

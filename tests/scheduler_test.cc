@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -253,6 +255,21 @@ TEST(BalancedPlan, ZeroLengthKvHandled) {
   const auto plan = MakeBalancedPlan(p, cfg, 2, 1 << 20);
   // Both units present; the empty one is a zero-width writethrough item.
   EXPECT_EQ(plan.NumWorkItems(), 2);
+}
+
+TEST(BalancedScheduleDeathTest, RejectsNegativeOrNonFiniteCostWeights) {
+  // The equal-load CTA classes order loads by their bit patterns, which
+  // needs non-negative loads, so the cost weights are checked.
+  const std::vector<BlockRowShape> rows = {{0, 4, 300}, {1, 4, 70}};
+  ChunkSchedule s;
+  ScheduleBalanced(rows, 2, 64, 3, 0.0, 1.0, &s);  // Fine.
+  EXPECT_EQ(s.assignments.size(), 6u);  // Row 0 splits in two at Lkv = 256.
+  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, -1.0, 1.0, &s), "FI_CHECK");
+  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, 1.0, -0.25, &s), "FI_CHECK");
+  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, std::numeric_limits<double>::infinity(),
+                                1.0, &s),
+               "FI_CHECK");
+  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, 1.0, std::nan(""), &s), "FI_CHECK");
 }
 
 }  // namespace

@@ -189,7 +189,8 @@ int64_t ExpectedOutputTokens(const Request& r) {
 /// composable modes turned on — and requires the step pricer to equal the
 /// plan-walking reference bit for bit. The plan walk schedules with the same
 /// ScheduleBalanced, so each batch's balanced schedule is also checked
-/// against Algorithm 1 stated unit by unit.
+/// against Algorithm 1 stated unit by unit, as is one more batch's over a
+/// random head geometry and grid.
 void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
   Rng rng(seed ^ 0x9121CEull);
   serving::AttnSimInput geometry;
@@ -210,6 +211,22 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
     EXPECT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, cfg.device.num_sms, 1.0, 1.0), "")
         << "balanced schedule of batch " << i;
   }
+  // One more balanced schedule over a random head geometry and grid, so
+  // every trial also places fragmented equal-load CTA classes (1-2 kv
+  // heads: few equal costs) and wide ones (40), not only the model's heads.
+  const int kv_heads[] = {1, 2, 8, 40};
+  serving::AttnSimInput heads = geometry;
+  heads.num_kv_heads = kv_heads[rng.UniformInt(0, 3)];
+  heads.num_qo_heads = heads.num_kv_heads << rng.UniformInt(0, 2);
+  serving::BackendConfig backend = cfg.backend;
+  backend.head_fusion = rng.NextDouble() < 0.5;
+  const int num_ctas = static_cast<int>(rng.UniformInt(1, 300));
+  const auto in = test::RandomAttnBatch(rng, heads, /*with_groups=*/false);
+  const test::ReferenceLaunch launch(cfg.device, backend, in, in.qo_lens, in.kv_lens);
+  EXPECT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, num_ctas, 1.0, 1.0), "")
+      << "balanced schedule over " << heads.num_kv_heads << " kv heads ("
+      << heads.num_qo_heads << " qo, fused " << backend.head_fusion << ") and " << num_ctas
+      << " CTAs";
 }
 
 /// Drains with a step bound so a future admission wedge fails with the

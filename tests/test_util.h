@@ -427,16 +427,32 @@ inline std::string ReportDiff(const gpusim::SimReport& got, const gpusim::SimRep
 
 // --------------------------------------------------------------------------
 // Reference Algorithm 1. ScheduleBalanced sorts per block row, expands heads
-// afterwards and finds the least-loaded CTA with a direct first round and a
-// winner tree; this states the algorithm unit by unit with a linear scan.
+// afterwards and places each run of equal-cost chunks at once over
+// equal-load CTA classes; this states the algorithm unit by unit with a
+// linear scan.
+
+/// What the reference's own loads went through, for coverage checks of
+/// ScheduleBalanced's class edge cases. A run is a maximal stretch of
+/// equal-cost chunks in the sorted order.
+struct ReferenceRunStats {
+  /// Runs that needed more CTAs than held the least load when they began.
+  int outlast_least = 0;
+  /// Runs whose first chunk raised its CTA to a load another CTA held.
+  int land_on_held_load = 0;
+  /// Chunks of positive cost that left their CTA's load unchanged.
+  int keep_load = 0;
+  /// Chunks that changed an already positive load.
+  int moves = 0;
+};
 
 /// Algorithm 1 unit by unit, as the paper states it: chunk every work unit,
 /// sort all chunks by descending cost alpha * rows + beta * tokens (ties in
 /// (block_row, kv_head, qo_head, kv_begin) order), assign longest-first to
-/// the least-loaded CTA, the lowest index on ties.
-inline std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(const AttentionParams& p,
-                                                                  int tile_kv, int num_ctas,
-                                                                  double alpha, double beta) {
+/// the least-loaded CTA, the lowest index on ties. Counts into `stats` when
+/// given.
+inline std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(
+    const AttentionParams& p, int tile_kv, int num_ctas, double alpha, double beta,
+    ReferenceRunStats* stats = nullptr) {
   const auto units = EnumerateWorkUnits(p);
   int64_t total_kv = 0;
   for (const auto& u : units) total_kv += u.kv_len;
@@ -466,22 +482,41 @@ inline std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(const Attentio
   });
   std::vector<std::vector<WorkItem>> queues(static_cast<size_t>(num_ctas));
   std::vector<double> load(static_cast<size_t>(num_ctas), 0.0);
-  for (const auto& c : chunks) {
+  double run_load = 0.0;  // The least load when the current run began.
+  bool outlasted = false;
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const double c = cost(chunks[i]);
     const size_t cta =
         static_cast<size_t>(std::min_element(load.begin(), load.end()) - load.begin());
-    queues[cta].push_back(c.first);
-    load[cta] += cost(c);
+    if (stats != nullptr) {
+      const double before = load[cta];
+      const double after = before + c;
+      if (i == 0 || cost(chunks[i - 1]) != c) {
+        run_load = before;
+        outlasted = false;
+        stats->land_on_held_load +=
+            after != before && std::find(load.begin(), load.end(), after) != load.end();
+      } else if (!outlasted && before != run_load) {
+        outlasted = true;
+        ++stats->outlast_least;
+      }
+      stats->keep_load += c > 0.0 && after == before;
+      stats->moves += before > 0.0 && after != before;
+    }
+    queues[cta].push_back(chunks[i].first);
+    load[cta] += c;
   }
   return queues;
 }
 
 /// Empty when MakeBalancedPlan's queues over `p` equal
 /// ReferenceBalancedQueues item for item; otherwise names the first
-/// difference.
+/// difference. Counts the reference's runs into `stats` when given.
 inline std::string BalancedQueuesDiff(const AttentionParams& p, const KernelConfig& cfg,
-                                      int num_ctas, double alpha, double beta) {
+                                      int num_ctas, double alpha, double beta,
+                                      ReferenceRunStats* stats = nullptr) {
   const auto plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40, alpha, beta);
-  const auto want = ReferenceBalancedQueues(p, cfg.tile_kv, num_ctas, alpha, beta);
+  const auto want = ReferenceBalancedQueues(p, cfg.tile_kv, num_ctas, alpha, beta, stats);
   if (plan.cta_queues.size() != want.size()) return "grid size differs";
   for (size_t c = 0; c < want.size(); ++c) {
     const auto& got = plan.cta_queues[c];
