@@ -6,7 +6,8 @@
 // (std::function hooks) variant dispatch over the identical micro-kernel —
 // the CPU analog of the FlashInfer-vs-FlexAttention gap of Tables 1-4 —
 // plus the cost of the supporting machinery: sparse gather, state merging,
-// scheduling (plan time), and radix-tree matching and eviction.
+// scheduling (plan time), per-step attention pricing, and radix-tree
+// matching and eviction.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -17,6 +18,7 @@
 #include "jit/interpreted.h"
 #include "kvcache/radix.h"
 #include "runtime/scheduler.h"
+#include "serving/backends.h"
 #include "serving/workload.h"
 #include "sparse/gather.h"
 #include "util/rng.h"
@@ -172,25 +174,30 @@ void BM_BalancedPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancedPlan)->Arg(8)->Arg(64)->Arg(256);
 
-void BM_ScheduleBalanced(benchmark::State& state) {
-  // Algorithm 1 alone, as the serving pricer runs it every step: block rows
-  // straight from a skewed decode batch of range(0) rows (ShareGPT-like KV
-  // lengths, a prompt plus part of its response), range(1) fused kv heads
-  // (8: Llama-3.1-8B; 2: one Llama-3.1-70B shard at TP=4), a 132-CTA grid.
-  // The chunk costs mostly differ, unlike BM_BalancedPlan's uniform KV, and
-  // each chunk is charged once per kv head. The iterations cycle through 16
-  // such batches: repeating a single one lets the branch predictor learn its
-  // comparisons, which a serving run never repeats.
-  constexpr size_t kBatches = 16;
+/// 16 skewed decode batches of `rows` rows: ShareGPT-like KV lengths, a
+/// prompt plus part of its response.
+std::vector<std::vector<int64_t>> ShareGptDecodeKvLens(int rows) {
   Rng rng(17);
-  const std::vector<int64_t> qo_lens(static_cast<size_t>(state.range(0)), 1);
-  const int num_heads = static_cast<int>(state.range(1));
-  std::vector<std::vector<int64_t>> kv_lens(kBatches);
+  std::vector<std::vector<int64_t>> kv_lens(16);
   for (auto& batch : kv_lens) {
-    for (const auto& r : serving::ShareGptWorkload(rng, static_cast<int>(state.range(0)), 1.0)) {
+    for (const auto& r : serving::ShareGptWorkload(rng, rows, 1.0)) {
       batch.push_back(r.input_len + rng.UniformInt(0, r.output_len));
     }
   }
+  return kv_lens;
+}
+
+void BM_ScheduleBalanced(benchmark::State& state) {
+  // Algorithm 1 alone, as the serving pricer runs it every step: block rows
+  // straight from a skewed decode batch of range(0) rows, range(1) fused kv
+  // heads (8: Llama-3.1-8B; 2: one Llama-3.1-70B shard at TP=4), a 132-CTA
+  // grid. The chunk costs mostly differ, unlike BM_BalancedPlan's uniform
+  // KV, and each chunk is charged once per kv head. The iterations cycle
+  // through 16 such batches: repeating a single one lets the branch
+  // predictor learn its comparisons, which a serving run never repeats.
+  const std::vector<int64_t> qo_lens(static_cast<size_t>(state.range(0)), 1);
+  const int num_heads = static_cast<int>(state.range(1));
+  const auto kv_lens = ShareGptDecodeKvLens(static_cast<int>(state.range(0)));
   std::vector<BlockRowShape> rows;
   ChunkSchedule schedule;
   int64_t items = 0;
@@ -201,11 +208,36 @@ void BM_ScheduleBalanced(benchmark::State& state) {
     ScheduleBalanced(rows, num_heads, /*tile_kv=*/64, /*num_ctas=*/132, 1.0, 1.0, &schedule);
     benchmark::DoNotOptimize(schedule.assignments.data());
     items += static_cast<int64_t>(schedule.assignments.size());
-    next = (next + 1) % kBatches;
+    next = (next + 1) % kv_lens.size();
   }
   state.SetItemsProcessed(items);
 }
 BENCHMARK(BM_ScheduleBalanced)->ArgsProduct({{64, 256, 1024}, {2, 8}});
+
+void BM_PriceStep(benchmark::State& state) {
+  // The serving engine's whole per-step attention price (the time-only
+  // entry: block rows, Algorithm 1, the CTA walk, the makespan and the
+  // merge kernel) over BM_ScheduleBalanced's 16 cycled decode batches:
+  // range(0) rows, range(1) kv heads with 4 qo heads each (its 4 fused
+  // rows per request), on the H100.
+  const auto dev = gpusim::H100Sxm80GB();
+  const auto backend = serving::FlashInferBackend();
+  std::vector<serving::AttnSimInput> batches;
+  for (auto& kv : ShareGptDecodeKvLens(static_cast<int>(state.range(0)))) {
+    serving::AttnSimInput in;
+    in.num_kv_heads = static_cast<int>(state.range(1));
+    in.num_qo_heads = 4 * in.num_kv_heads;
+    in.qo_lens.assign(kv.size(), 1);
+    in.kv_lens = std::move(kv);
+    batches.push_back(std::move(in));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serving::BatchAttentionTimeUs(dev, backend, batches[next]));
+    next = (next + 1) % batches.size();
+  }
+}
+BENCHMARK(BM_PriceStep)->ArgsProduct({{64, 256}, {2, 8}});
 
 void BM_RadixMatch(benchmark::State& state) {
   RadixTree tree(16);

@@ -10,11 +10,17 @@ namespace flashinfer::gpusim {
 
 double SimExecutor::Makespan(const std::vector<double>& cta_times, int slots) noexcept {
   if (slots < 1) slots = 1;
-  if (cta_times.size() <= static_cast<size_t>(slots)) {
-    // The grid fits: every CTA starts at 0.0 on a slot of its own.
-    double makespan = 0.0;
-    for (double t : cta_times) makespan = std::max(makespan, t);
-    return makespan;
+  const size_t n = cta_times.size();
+  if (n <= static_cast<size_t>(slots)) {
+    // The grid fits: every CTA starts at 0.0 on a slot of its own. Four
+    // independent max lanes: the max does not depend on the order.
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      for (size_t j = 0; j < 4; ++j) lane[j] = std::max(lane[j], cta_times[i + j]);
+    }
+    for (; i < n; ++i) lane[0] = std::max(lane[0], cta_times[i]);
+    return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
   }
   // Min-heap of slot-free times; CTAs issue in grid order (hardware order).
   std::priority_queue<double, std::vector<double>, std::greater<>> free_at;

@@ -1,9 +1,11 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "util/check.h"
 
@@ -115,7 +117,7 @@ class LeastLoadedCtas {
         to[w] |= from[w] ^ rest;
         from[w] = rest;
       }
-      if (size_[least.id] == 0) {
+      if (size_[least.id] == 0) {  // Every member moved: its bitset is empty again.
         order_.pop_back();
         free_.push_back(least.id);
       }
@@ -136,30 +138,42 @@ class LeastLoadedCtas {
     // A move creates its target class before it releases the emptied one,
     // so up to num_ctas + 1 classes are live at once. Their bitsets take
     // (num_ctas + 1) * ceil(num_ctas / 64) words: 3.1 KiB for 132 CTAs.
+    // Ids are taken as classes appear, so a call writes only the bitsets
+    // of the classes it creates.
     const size_t pool = static_cast<size_t>(num_ctas_) + 1;
     words_ = (num_ctas_ + 63) / 64;
-    members_.assign(pool * static_cast<size_t>(words_), 0);
-    size_.assign(pool, 0);
-    free_.resize(pool);
-    for (size_t id = 0; id < pool; ++id) free_[id] = static_cast<int32_t>(pool - 1 - id);
+    if (members_.size() < pool * static_cast<size_t>(words_)) {
+      members_.resize(pool * static_cast<size_t>(words_));
+    }
+    if (size_.size() < pool) size_.resize(pool);
+    next_id_ = 0;
+    free_.clear();
     order_.clear();
-    order_.reserve(pool);
     auto load_of = [this](int32_t c) {
       return c < first_empty_ ? std::bit_cast<uint64_t>(loads_[static_cast<size_t>(c)])
                               : uint64_t{0};
     };
-    // Highest load first, so the least class sits at the back.
+    // Highest load first, so the least class sits at the back. Each class
+    // is an index range, written a whole word at a time.
     for (int32_t lo = 0, hi; lo < num_ctas_; lo = hi) {
       const uint64_t load = load_of(lo);
       for (hi = lo + 1; hi < num_ctas_ && load_of(hi) == load;) ++hi;
-      const int32_t id = free_.back();
-      free_.pop_back();
+      const int32_t id = next_id_++;
       uint64_t* members = Members(id);
-      for (int32_t c = lo; c < hi; ++c) members[c / 64] |= uint64_t{1} << (c % 64);
+      for (int32_t w = 0; w < words_; ++w) members[w] = WordRange(lo - 64 * w, hi - 64 * w);
       size_[id] = hi - lo;
       order_.push_back({load, id});
     }
     first_empty_ = -1;
+  }
+
+  /// Bits [lo, hi) of one 64-bit word, clamped to it.
+  static uint64_t WordRange(int32_t lo, int32_t hi) noexcept {
+    lo = std::clamp(lo, 0, 64);
+    hi = std::clamp(hi, 0, 64);
+    if (lo >= hi) return 0;
+    const uint64_t below_hi = hi == 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
+    return below_hi & ~((uint64_t{1} << lo) - 1);
   }
 
   /// The class at `load`, which is above the least class's load; created in
@@ -169,8 +183,15 @@ class LeastLoadedCtas {
     size_t j = 0;
     while (order_[j].load > load) ++j;
     if (order_[j].load == load) return order_[j].id;
-    const int32_t id = free_.back();
-    free_.pop_back();
+    int32_t id;
+    if (free_.empty()) {
+      id = next_id_++;
+      std::fill_n(Members(id), words_, uint64_t{0});
+      size_[id] = 0;
+    } else {  // A released class: no members, and an empty bitset.
+      id = free_.back();
+      free_.pop_back();
+    }
     order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(j), Class{load, id});
     return id;
   }
@@ -182,9 +203,48 @@ class LeastLoadedCtas {
   int32_t words_ = 0;          // Bitset words per class.
   std::vector<uint64_t> members_;  // Class id -> bitset of member CTAs.
   std::vector<int32_t> size_;      // Class id -> member count.
-  std::vector<int32_t> free_;      // Unused class ids.
+  int32_t next_id_ = 0;            // Ids below it have been taken.
+  std::vector<int32_t> free_;      // Released class ids.
   std::vector<Class> order_;       // Live classes, highest load first.
 };
+
+/// One (block_row, chunk) key of Algorithm 1's line 5.
+struct ChunkKey {
+  double cost;
+  int32_t block_row;
+  int32_t chunk;
+};
+
+/// Sorts keys generated in (block_row, chunk) order by descending cost,
+/// ties in generation order. From kRadixSortMinKeys keys on this is a
+/// stable LSD radix sort over the bytes of the costs' bit patterns, which
+/// for non-negative doubles order like the costs; bytes that every key
+/// shares take no pass. Fewer keys do not pay for its passes.
+void SortByDescendingCost(std::vector<ChunkKey>& keys, std::vector<ChunkKey>& spare) {
+  if (keys.size() < kRadixSortMinKeys) {
+    std::sort(keys.begin(), keys.end(), [](const ChunkKey& a, const ChunkKey& b) {
+      if (a.cost != b.cost) return a.cost > b.cost;
+      if (a.block_row != b.block_row) return a.block_row < b.block_row;
+      return a.chunk < b.chunk;
+    });
+    return;
+  }
+  auto bits = [](const ChunkKey& k) { return std::bit_cast<uint64_t>(k.cost); };
+  uint64_t varying = 0;
+  for (const auto& k : keys) varying |= bits(k) ^ bits(keys[0]);
+  spare.resize(keys.size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;
+    // Digit 0 is the highest byte value: descending order.
+    auto digit = [&](const ChunkKey& k) { return 0xFF - ((bits(k) >> shift) & 0xFF); };
+    std::array<uint32_t, 256> start{};
+    for (const auto& k : keys) ++start[digit(k)];
+    uint32_t sum = 0;
+    for (auto& s : start) sum += std::exchange(s, sum);
+    for (const auto& k : keys) spare[start[digit(k)]++] = k;
+    keys.swap(spare);
+  }
+}
 
 /// Builds the reduction map rows for one split work unit, mirroring the
 /// kernel's fused-row mapping (Appendix A). Chunk k's partial rows start at
@@ -371,7 +431,6 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
   FI_CHECK(std::isfinite(alpha) && alpha >= 0.0);
   FI_CHECK(std::isfinite(beta) && beta >= 0.0);
   out->num_ctas = num_ctas;
-  out->assignments.clear();
 
   // Line 3: maximum KV chunk size, rounded up to the KV tile.
   int64_t total_kv = 0;
@@ -387,12 +446,7 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
   // chunk). Every head of a block row has the same chunks, so the sort runs
   // over (block_row, chunk) and heads are expanded afterwards: within a run
   // of equal cost from one block row, generation order is head-major.
-  struct Key {
-    double cost;
-    int32_t block_row;
-    int32_t chunk;
-  };
-  thread_local std::vector<Key> keys;
+  thread_local std::vector<ChunkKey> keys, spare;
   keys.clear();
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& split = out->splits[i];
@@ -403,11 +457,7 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
                       static_cast<int32_t>(i), k});
     }
   }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.cost != b.cost) return a.cost > b.cost;
-    if (a.block_row != b.block_row) return a.block_row < b.block_row;
-    return a.chunk < b.chunk;
-  });
+  SortByDescendingCost(keys, spare);
 
   // Lines 6-13: longest-processing-time-first, each chunk onto the CTA
   // with the least accumulated cost (lowest index on ties). Each maximal
@@ -415,23 +465,22 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
   // expand head-major.
   thread_local LeastLoadedCtas ctas;
   ctas.Reset(num_ctas);
-  out->assignments.reserve(keys.size() * static_cast<size_t>(num_heads));
+  out->assignments.resize(keys.size() * static_cast<size_t>(num_heads));
+  ChunkSchedule::Assignment* next = out->assignments.data();
   for (size_t a = 0; a < keys.size();) {
     const double cost = keys[a].cost;
-    const size_t run_begin = out->assignments.size();
+    ChunkSchedule::Assignment* const run = next;
     while (a < keys.size() && keys[a].cost == cost) {
       size_t b = a + 1;
       while (b < keys.size() && keys[b].cost == cost && keys[b].block_row == keys[a].block_row) {
         ++b;
       }
       for (int32_t h = 0; h < num_heads; ++h) {
-        for (size_t j = a; j < b; ++j) {
-          out->assignments.push_back({keys[j].block_row, h, keys[j].chunk, -1});
-        }
+        for (size_t j = a; j < b; ++j) *next++ = {keys[j].block_row, h, keys[j].chunk, -1};
       }
       a = b;
     }
-    ctas.Place(cost, std::span(out->assignments).subspan(run_begin));
+    ctas.Place(cost, std::span(run, next));
   }
 }
 

@@ -33,6 +33,14 @@
 // order (in the direct round, 0.0 + cost == cost), so the loads, and with
 // them every choice, are bit-exact rather than approximately balanced.
 //
+// The longest-first order comes from one sort key per (block_row, chunk),
+// since every head of a block row has the same chunks. Keys are generated
+// in (block_row, chunk) order, so any stable sort by descending cost keeps
+// the tie-break. From kRadixSortMinKeys keys on that is an LSD radix sort
+// over the bytes of the costs' bit patterns, skipping the bytes every key
+// shares (decode costs differ only in a few high bytes); below it,
+// std::sort with the same order is cheaper.
+//
 // Algorithm 1 needs only each query tile's shape — its rows and the KV
 // tokens it reads — never the page indices. So scheduling runs in two
 // layers:
@@ -44,8 +52,9 @@
 //      into a ChunkSchedule: every KV chunk and its CTA, in assignment
 //      order, plus each row's split.
 // The serving cost model prices a ChunkSchedule directly from the lengths
-// at every generation step (serving/backends.cc), so the per-step path
-// builds no BSR and no Plan. The Make*Plan functions materialize the same
+// at every generation step (serving/backends.cc: BatchAttentionTimeUs for
+// the engine, SimulateBatchAttention for the full report), so the per-step
+// path builds no BSR and no Plan. The Make*Plan functions materialize the same
 // schedule into a Plan — WorkItem queues and the ReductionMap — because
 // BatchAttentionHandle executes real kernel math over it and caches it
 // across layers, exactly like FlashInfer's plan/run split.
@@ -57,6 +66,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -175,6 +185,12 @@ struct ChunkSchedule {
   std::vector<RowSplit> splits;  // Per block row.
   std::vector<Assignment> assignments;
 };
+
+/// ScheduleBalanced sorts its (block_row, chunk) keys with a stable radix
+/// sort from this many keys on, and with std::sort below it: fewer keys do
+/// not pay for the radix passes. Set by measurement on the serving
+/// benchmark's captured steps, where the two sorts break even at ~40 keys.
+inline constexpr size_t kRadixSortMinKeys = 40;
 
 /// Algorithm 1 over `rows` x `num_heads` work units, `num_ctas` persistent
 /// CTAs and chunk cost alpha * rows + beta * kv_tokens. Overwrites `out`.

@@ -55,12 +55,27 @@ BackendConfig VllmDefaultBackend() {
 
 namespace {
 
+/// A block row's chunk times, indexed by "is the row's last chunk": every
+/// chunk before the last is full (chunk_len tokens), the last holds the
+/// rest. An unsplit row's one chunk is its last.
+struct RowPrice {
+  double us[2];
+  int32_t last_chunk;
+};
+/// The same row's chunk costs, for the full report's byte/flop totals.
+struct RowCost {
+  gpusim::WorkCost wc[2];
+};
+
 /// Per-call buffers of the pricer, reused across calls. Thread-local:
 /// cluster replicas price concurrently (ClusterConfig::step_threads).
 struct PricingScratch {
   std::vector<BlockRowShape> rows;
   ChunkSchedule schedule;
-  std::vector<gpusim::CtaCost> ctas;
+  std::vector<RowPrice> row_prices;
+  std::vector<RowCost> row_costs;     // Full report only.
+  std::vector<gpusim::CtaCost> ctas;  // Full report only.
+  std::vector<double> cta_us;         // Time only: per-CTA times.
   std::vector<double> merge_times;
 };
 thread_local PricingScratch t_scratch;
@@ -68,7 +83,10 @@ thread_local PricingScratch t_scratch;
 /// Prices a schedule without executing any math: charges every chunk's
 /// roofline cost to its CTA in assignment order (so each CTA sums its queue
 /// in queue order), list-schedules the CTA times, then prices the
-/// contraction kernel's merge tasks from the split counts alone.
+/// contraction kernel's merge tasks from the split counts alone. With
+/// kReport the report carries every CTA's time and the byte/flop totals;
+/// without, only time_us and num_ctas, computed identically.
+template <bool kReport>
 gpusim::SimReport PriceSchedule(const gpusim::DeviceSpec& dev, const KernelConfig& cfg,
                                 int head_dim, DType kv_dtype, double kv_l2_fraction,
                                 const std::vector<BlockRowShape>& rows, int num_heads,
@@ -79,48 +97,79 @@ gpusim::SimReport PriceSchedule(const gpusim::DeviceSpec& dev, const KernelConfi
   const auto shape = ResidencyModel(dev, occ, s.num_ctas);
   eff.mem *= shape.mem_scale;
 
-  auto& ctas = t_scratch.ctas;
-  ctas.assign(static_cast<size_t>(s.num_ctas), gpusim::CtaCost{});
-  // Runs of assignments share one shape (every head of a tile, every full
-  // chunk), so each run converts its cost once.
-  int last_rows = -1;
-  int64_t last_tokens = -1;
-  bool last_partial = false;
-  gpusim::WorkCost wc;
-  double item_us = 0.0;
-  for (const auto& a : s.assignments) {
-    const auto& row = rows[static_cast<size_t>(a.block_row)];
-    const auto& split = s.splits[static_cast<size_t>(a.block_row)];
-    const int64_t tokens = split.ChunkEnd(a.chunk, row.kv_len) - split.ChunkBegin(a.chunk);
-    const bool partial = split.num_chunks > 1;
-    if (row.rows != last_rows || tokens != last_tokens || partial != last_partial) {
-      last_rows = row.rows;
-      last_tokens = tokens;
-      last_partial = partial;
-      wc = AttentionWorkItemCost(row.rows, tokens, head_dim, kvb, false, partial);
-      if (kv_l2_fraction > 0.0) {
-        const double kv_bytes = static_cast<double>(tokens) * 2.0 * head_dim * kvb;
-        const double to_l2 = kv_bytes * kv_l2_fraction;
-        wc.hbm_bytes -= to_l2;
-        wc.l2_bytes += to_l2;
-      }
-      item_us = gpusim::WorkItemTimeUs(dev, eff, wc, kvb, shape.slots);
+  // Each row's two chunk shapes convert once; a shape equal to the one
+  // converted before it (every full chunk of a balanced schedule, rows of
+  // equal length) reuses that conversion.
+  struct Converted {
+    int rows = -1;
+    int64_t tokens = -1;
+    bool partial = false;
+    gpusim::WorkCost wc;
+    double us = 0.0;
+  };
+  auto convert = [&](Converted& c, int rows_in_tile, int64_t tokens, bool partial) {
+    if (rows_in_tile == c.rows && tokens == c.tokens && partial == c.partial) return;
+    c.rows = rows_in_tile;
+    c.tokens = tokens;
+    c.partial = partial;
+    c.wc = AttentionWorkItemCost(rows_in_tile, tokens, head_dim, kvb, false, partial);
+    if (kv_l2_fraction > 0.0) {
+      const double kv_bytes = static_cast<double>(tokens) * 2.0 * head_dim * kvb;
+      const double to_l2 = kv_bytes * kv_l2_fraction;
+      c.wc.hbm_bytes -= to_l2;
+      c.wc.l2_bytes += to_l2;
     }
-    ctas[static_cast<size_t>(a.cta)].Add(item_us, wc);
+    c.us = gpusim::WorkItemTimeUs(dev, eff, c.wc, kvb, shape.slots);
+  };
+  auto& prices = t_scratch.row_prices;
+  auto& costs = t_scratch.row_costs;
+  prices.resize(rows.size());
+  if constexpr (kReport) costs.resize(rows.size());
+  Converted full, last;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto& split = s.splits[i];
+    const int32_t k = split.num_chunks - 1;
+    const bool partial = k > 0;
+    convert(last, rows[i].rows, split.ChunkEnd(k, rows[i].kv_len) - split.ChunkBegin(k),
+            partial);
+    if (partial) convert(full, rows[i].rows, split.chunk_len, true);
+    const Converted& first = partial ? full : last;
+    prices[i] = {{first.us, last.us}, k};
+    if constexpr (kReport) costs[i] = {{first.wc, last.wc}};
+  }
+
+  auto& ctas = t_scratch.ctas;
+  auto& times = t_scratch.cta_us;
+  if constexpr (kReport) {
+    ctas.assign(static_cast<size_t>(s.num_ctas), gpusim::CtaCost{});
+  } else {
+    times.assign(static_cast<size_t>(s.num_ctas), 0.0);
+  }
+  for (const auto& a : s.assignments) {
+    const auto row = static_cast<size_t>(a.block_row);
+    const int is_last = a.chunk == prices[row].last_chunk;
+    if constexpr (kReport) {
+      ctas[static_cast<size_t>(a.cta)].Add(prices[row].us[is_last], costs[row].wc[is_last]);
+    } else {
+      times[static_cast<size_t>(a.cta)] += prices[row].us[is_last];
+    }
   }
 
   gpusim::SimReport report;
   report.num_ctas = s.num_ctas;
-  report.cta_time_us.reserve(ctas.size());
-  for (const auto& cost : ctas) {
-    report.cta_time_us.push_back(cost.time_us);
-    report.total_hbm_bytes += cost.total.hbm_bytes;
-    report.total_l2_bytes += cost.total.l2_bytes;
-    report.total_tensor_flops += cost.total.tensor_flops;
-    report.total_cuda_flops += cost.total.cuda_flops;
+  if constexpr (kReport) {
+    report.cta_time_us.reserve(ctas.size());
+    for (const auto& cost : ctas) {
+      report.cta_time_us.push_back(cost.time_us);
+      report.total_hbm_bytes += cost.total.hbm_bytes;
+      report.total_l2_bytes += cost.total.l2_bytes;
+      report.total_tensor_flops += cost.total.tensor_flops;
+      report.total_cuda_flops += cost.total.cuda_flops;
+    }
   }
   report.time_us =
-      gpusim::SimExecutor::Makespan(report.cta_time_us, shape.slots) + dev.kernel_launch_us;
+      gpusim::SimExecutor::Makespan(kReport ? report.cta_time_us : times, shape.slots) +
+      dev.kernel_launch_us;
 
   // Contraction kernel: one merge task per fused row of every split unit,
   // folding as many partial states as the unit has chunks, strided over SMs.
@@ -145,8 +194,10 @@ gpusim::SimReport PriceSchedule(const gpusim::DeviceSpec& dev, const KernelConfi
       for (int64_t k = int64_t{num_heads} * rows[br].rows; k > 0; --k) {
         merge_times[cta] += merge_us;
         if (++cta == merge_times.size()) cta = 0;
-        report.total_hbm_bytes += merge.hbm_bytes;
-        report.total_cuda_flops += merge.cuda_flops;
+        if constexpr (kReport) {
+          report.total_hbm_bytes += merge.hbm_bytes;
+          report.total_cuda_flops += merge.cuda_flops;
+        }
       }
     }
     report.time_us += gpusim::SimExecutor::Makespan(merge_times, dev.num_sms) +
@@ -158,6 +209,7 @@ gpusim::SimReport PriceSchedule(const gpusim::DeviceSpec& dev, const KernelConfi
 /// Schedules `rows` with the backend's policy and prices the schedule,
 /// composing the caller's cross-request L2 reuse fraction with intra-batch
 /// tile reuse.
+template <bool kReport>
 gpusim::SimReport ScheduleAndPrice(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
                                    const AttnSimInput& in, const KernelConfig& cfg,
                                    const std::vector<BlockRowShape>& rows) {
@@ -177,8 +229,8 @@ gpusim::SimReport ScheduleAndPrice(const gpusim::DeviceSpec& dev, const BackendC
   }
   const double auto_l2 = KvReuseFraction(rows, num_heads, in.num_kv_heads);
   const double l2_fraction = 1.0 - (1.0 - in.kv_l2_fraction) * (1.0 - auto_l2);
-  auto report = PriceSchedule(dev, cfg, in.head_dim, backend.kv_dtype, l2_fraction, rows,
-                              num_heads, schedule);
+  auto report = PriceSchedule<kReport>(dev, cfg, in.head_dim, backend.kv_dtype, l2_fraction,
+                                       rows, num_heads, schedule);
   report.time_us *= backend.kernel_time_scale;
   return report;
 }
@@ -186,6 +238,7 @@ gpusim::SimReport ScheduleAndPrice(const gpusim::DeviceSpec& dev, const BackendC
 /// Prices one single-format attention launch over (qo_lens, kv_lens): the
 /// paged batch's block rows come straight from the lengths. Reads only the
 /// geometry of `in` (heads, head dim, causal, L2 fraction, overrides).
+template <bool kReport>
 gpusim::SimReport PriceSingleFormat(const gpusim::DeviceSpec& dev,
                                     const BackendConfig& backend, const AttnSimInput& in,
                                     const std::vector<int64_t>& qo_lens,
@@ -210,7 +263,7 @@ gpusim::SimReport PriceSingleFormat(const gpusim::DeviceSpec& dev,
 
   // Causal trimming on: planning skips the KV each tile's mask hides.
   BlockRowsFromLengths(qo_lens, kv_lens, fuse, cfg.tile_q, in.causal, &t_scratch.rows);
-  return ScheduleAndPrice(dev, backend, in, cfg, t_scratch.rows);
+  return ScheduleAndPrice<kReport>(dev, backend, in, cfg, t_scratch.rows);
 }
 
 /// Fused-row boundary between the compute-bound ("large") and
@@ -248,6 +301,7 @@ constexpr double kPackedContention = 0.35;
 ///
 /// Returns nullopt when the batch is homogeneous (either class empty): the
 /// average heuristic already fits, and the caller keeps the baseline path.
+template <bool kReport>
 std::optional<gpusim::SimReport> TryPricePackedTiles(const gpusim::DeviceSpec& dev,
                                                      const BackendConfig& backend,
                                                      const AttnSimInput& in) {
@@ -274,19 +328,21 @@ std::optional<gpusim::SimReport> TryPricePackedTiles(const gpusim::DeviceSpec& d
   while (small_tile < 64 && small_tile < small_avg) small_tile *= 2;
 
   const auto small_report =
-      PriceSingleFormat(dev, backend, in, small_qo, small_kv, small_tile);
-  const auto large_report = PriceSingleFormat(dev, backend, in, large_qo, large_kv);
+      PriceSingleFormat<kReport>(dev, backend, in, small_qo, small_kv, small_tile);
+  const auto large_report = PriceSingleFormat<kReport>(dev, backend, in, large_qo, large_kv);
 
   gpusim::SimReport out;
   out.num_ctas = std::max(small_report.num_ctas, large_report.num_ctas);
-  out.cta_time_us = small_report.cta_time_us;
-  out.cta_time_us.insert(out.cta_time_us.end(), large_report.cta_time_us.begin(),
-                         large_report.cta_time_us.end());
-  out.total_hbm_bytes = small_report.total_hbm_bytes + large_report.total_hbm_bytes;
-  out.total_l2_bytes = small_report.total_l2_bytes + large_report.total_l2_bytes;
-  out.total_tensor_flops =
-      small_report.total_tensor_flops + large_report.total_tensor_flops;
-  out.total_cuda_flops = small_report.total_cuda_flops + large_report.total_cuda_flops;
+  if constexpr (kReport) {
+    out.cta_time_us = small_report.cta_time_us;
+    out.cta_time_us.insert(out.cta_time_us.end(), large_report.cta_time_us.begin(),
+                           large_report.cta_time_us.end());
+    out.total_hbm_bytes = small_report.total_hbm_bytes + large_report.total_hbm_bytes;
+    out.total_l2_bytes = small_report.total_l2_bytes + large_report.total_l2_bytes;
+    out.total_tensor_flops =
+        small_report.total_tensor_flops + large_report.total_tensor_flops;
+    out.total_cuda_flops = small_report.total_cuda_flops + large_report.total_cuda_flops;
+  }
   const double hi = std::max(small_report.time_us, large_report.time_us);
   const double lo = std::min(small_report.time_us, large_report.time_us);
   // One persistent launch: the second class's launch overhead is not paid
@@ -322,12 +378,15 @@ gpusim::SimReport SimulateMaskedAttention(const gpusim::DeviceSpec& dev,
   p.head_fusion = backend.head_fusion;
   p.variant.causal = false;  // The mask IS the structure; nothing to trim.
 
-  return ScheduleAndPrice(dev, backend, in, cfg, BlockRowsFromBsr(p));
+  return ScheduleAndPrice<true>(dev, backend, in, cfg, BlockRowsFromBsr(p));
 }
 
-gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
-                                         const BackendConfig& backend,
-                                         const AttnSimInput& in) {
+namespace {
+
+/// SimulateBatchAttention with kReport, BatchAttentionTimeUs without.
+template <bool kReport>
+gpusim::SimReport SimulateBatch(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
+                                const AttnSimInput& in) {
   if (!backend.composable || in.groups.empty()) {
     // Packed tiles engage only on heterogeneous batches with no bench
     // overrides pinning the geometry; otherwise the baseline path runs
@@ -335,10 +394,10 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
     // priced against the single-tile layout and the cheaper one runs — on
     // mixes where the compromise tile happens to fit, packed mode ties the
     // baseline instead of regressing it.
-    auto report = PriceSingleFormat(dev, backend, in, in.qo_lens, in.kv_lens);
+    auto report = PriceSingleFormat<kReport>(dev, backend, in, in.qo_lens, in.kv_lens);
     if (backend.packed_tiles && in.groups.empty() && in.tile_q_override == 0 &&
         in.qo_lens.size() > 1) {
-      if (auto packed = TryPricePackedTiles(dev, backend, in);
+      if (auto packed = TryPricePackedTiles<kReport>(dev, backend, in);
           packed.has_value() && packed->time_us < report.time_us) {
         return *packed;
       }
@@ -376,8 +435,8 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
   }
 
   // The prefix level's larger Br bounds the tile (and hence occupancy).
-  auto report = PriceSingleFormat(dev, backend, in, combined_qo, combined_kv,
-                                  std::min(max_group_rows, 128));
+  auto report = PriceSingleFormat<kReport>(dev, backend, in, combined_qo, combined_kv,
+                                           std::min(max_group_rows, 128));
 
   // --- Extra contraction: merge level-0 and level-1 states per fused row. --
   {
@@ -394,10 +453,25 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
     wc.cuda_flops = static_cast<double>(fused_rows) * (2.0 * in.head_dim + 8.0);
     gpusim::KernelEfficiency eff;  // Bandwidth-bound merge kernel.
     report.time_us += wc.hbm_bytes / (dev.hbm_gbps * eff.mem * 1e3);
-    report.total_hbm_bytes += wc.hbm_bytes;
-    report.total_cuda_flops += wc.cuda_flops;
+    if constexpr (kReport) {
+      report.total_hbm_bytes += wc.hbm_bytes;
+      report.total_cuda_flops += wc.cuda_flops;
+    }
   }
   return report;
+}
+
+}  // namespace
+
+gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
+                                         const BackendConfig& backend,
+                                         const AttnSimInput& in) {
+  return SimulateBatch<true>(dev, backend, in);
+}
+
+double BatchAttentionTimeUs(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
+                            const AttnSimInput& in) {
+  return SimulateBatch<false>(dev, backend, in).time_us;
 }
 
 }  // namespace flashinfer::serving

@@ -90,11 +90,20 @@ struct AttnSimInput {
 /// Simulates one attention launch (per layer) for the step: derives the
 /// query tiles from the lengths, runs the backend's scheduler, charges each
 /// chunk's roofline cost to its CTA in assignment order, and returns the
-/// launch report — bit-identical to materializing the Plan and walking it. With `backend.composable` and non-empty
-/// groups, prefix KV is processed once per group at large Br (level 0) and
-/// suffixes at small Br (level 1), plus the extra contraction.
+/// full launch report: launch time, every CTA's time and the byte/flop
+/// totals, bit-identical to materializing the Plan and walking it. With
+/// `backend.composable` and non-empty groups, prefix KV is processed once
+/// per group at large Br (level 0) and suffixes at small Br (level 1), plus
+/// the extra contraction.
 gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
                                          const BackendConfig& backend, const AttnSimInput& in);
+
+/// The launch time alone: exactly SimulateBatchAttention(dev, backend,
+/// in).time_us, bit for bit, for every backend and input. Both share one
+/// pricer; this one skips what only the report needs (per-CTA times in the
+/// report, byte/flop totals). The serving engine prices every step here.
+double BatchAttentionTimeUs(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
+                            const AttnSimInput& in);
 
 /// Prices one attention launch over an *explicit* BSR — masks that qo/kv
 /// lengths cannot describe (tree-attention verification for speculative

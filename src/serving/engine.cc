@@ -42,6 +42,7 @@ ServingEngine::ServingEngine(EngineConfig cfg)
     verify_pricer_ = std::make_unique<spec::VerifyPricer>(cfg_.device, cfg_.backend,
                                                           HeadGeometry(), *tree_);
   }
+  step_in_ = HeadGeometry();
   Reset();
 }
 
@@ -78,10 +79,9 @@ AttnSimInput ServingEngine::HeadGeometry() const {
 }
 
 double ServingEngine::AttnLaunchUs(const AttnSimInput& in) const {
-  auto report = SimulateBatchAttention(cfg_.device, cfg_.backend, in);
   // Plan reuse across layers: one scheduler pass, num_layers launches.
   const int layers = cfg_.model.num_layers;
-  double t = report.time_us * layers;
+  double t = BatchAttentionTimeUs(cfg_.device, cfg_.backend, in) * layers;
   if (!cfg_.backend.fused_rope) {
     // Separate RoPE kernel over this step's Q and K rows (bandwidth-bound,
     // small-kernel efficiency).
@@ -1094,30 +1094,46 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
   // (decode rows first, then prefill-chunk rows), reused across layers.
   // Spec verify tokens are the exception: their ancestor-masked attention is
   // priced through the tree-kernel path (SpecVerifyAttnUs) and added here.
-  AttnSimInput in = HeadGeometry();
+  // The input's buffers persist across steps.
+  AttnSimInput& in = step_in_;
+  in.qo_lens.clear();
+  in.kv_lens.clear();
+  size_t num_groups = 0;
   if (plan.decode && !spec_step) {
     for (const auto& b : running_) {
       in.qo_lens.push_back(1);
       in.kv_lens.push_back(b.kv_len);
     }
-    // Identify parallel-generation sibling groups (contiguous by
-    // construction; members index the decode rows, which come first).
-    std::map<int, AttnSimInput::Group> groups;
-    for (size_t i = 0; i < running_.size(); ++i) {
-      if (running_[i].group < 0) continue;
-      auto& grp = groups[running_[i].group];
-      grp.prefix_len = running_[i].prefix_len;
-      grp.members.push_back(static_cast<int>(i));
-    }
-    for (auto& [id, grp] : groups) {
-      if (grp.members.size() < 2 || grp.prefix_len < cfg_.page_size) continue;
-      if (cfg_.backend.composable) in.groups.push_back(grp);
-    }
+    // Parallel-generation sibling groups of at least a page of shared
+    // prompt, in ascending group id, members in row order (members index
+    // the decode rows, which come first); a group's prefix_len is its last
+    // member's. A restored branch re-enters running_ at the back, so
+    // siblings need not be contiguous: sort (group id, row) pairs.
     // Without composable-format support the engine materializes each
     // branch's prompt KV separately (Sec. 5.1: prior shared-prefix systems
     // need separate prefix/suffix cache management), so sibling reads hit
-    // distinct HBM addresses — no L2 dedup credit for the single format.
+    // distinct HBM addresses — no groups and no L2 dedup credit for the
+    // single format.
+    if (cfg_.backend.composable) {
+      auto& rows = group_rows_;
+      rows.clear();
+      for (size_t i = 0; i < running_.size(); ++i) {
+        if (running_[i].group >= 0) rows.emplace_back(running_[i].group, static_cast<int>(i));
+      }
+      std::sort(rows.begin(), rows.end());
+      for (size_t a = 0, b; a < rows.size(); a = b) {
+        for (b = a + 1; b < rows.size() && rows[b].first == rows[a].first;) ++b;
+        const int64_t prefix_len = running_[static_cast<size_t>(rows[b - 1].second)].prefix_len;
+        if (b - a < 2 || prefix_len < cfg_.page_size) continue;
+        if (num_groups == in.groups.size()) in.groups.emplace_back();
+        auto& grp = in.groups[num_groups++];
+        grp.prefix_len = prefix_len;
+        grp.members.clear();
+        for (size_t j = a; j < b; ++j) grp.members.push_back(rows[j].second);
+      }
+    }
   }
+  in.groups.resize(num_groups);
   for (const auto& c : plan.chunks) {
     if (c.tokens == 0) continue;  // Swap-in transfer chunk: no attention rows.
     const auto& p = prefilling_[c.prefill_idx];

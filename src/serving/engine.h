@@ -6,7 +6,7 @@
 // prefill contributes a prompt *chunk* of at most
 // EngineConfig::prefill_chunk_tokens — and an executor prices that plan as a
 // single step. The resulting heterogeneous qo_lens go through ONE
-// SimulateBatchAttention call per step (the balanced scheduler absorbs the
+// BatchAttentionTimeUs call per step (the balanced scheduler absorbs the
 // mixed query tiles; naive/fixed-split backends pay for them — Tables 6/7
 // extended to serving), GEMM time (roofline over the model's dense layers),
 // tensor-parallel all-reduce time, and host overhead are charged once per
@@ -59,6 +59,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "gpusim/copystream.h"
@@ -566,7 +567,7 @@ class ServingEngine {
   /// Assembles the next step's unified batch from prefilling_ and running_.
   StepPlan FormStepPlan() const;
 
-  /// Prices the plan as one step (single SimulateBatchAttention over the
+  /// Prices the plan as one step (single BatchAttentionTimeUs over the
   /// mixed qo_lens; GEMM/comm/host charged once), advances the clock, then
   /// commits decode tokens, chunk progress, and prefill completions.
   void ExecuteStepPlan(const StepPlan& plan);
@@ -606,6 +607,11 @@ class ServingEngine {
   /// Caches the lowered tree-mask BSR and tile choice across verify steps
   /// (tree shape and head geometry never change after construction).
   std::unique_ptr<spec::VerifyPricer> verify_pricer_;
+  /// The step's attention input at the engine's head geometry;
+  /// ExecuteStepPlan rebuilds its lengths and groups in place every step.
+  AttnSimInput step_in_;
+  /// ExecuteStepPlan's (group id, decode row) pairs, kept for their buffer.
+  std::vector<std::pair<int, int>> group_rows_;
 
   // Steppable state (reset by Reset()).
   std::deque<Request> pending_;

@@ -96,6 +96,22 @@ TEST(Makespan, MatchesListSchedulingByScan) {
     }
     ASSERT_EQ(SimExecutor::Makespan(times, slots), want) << "trial " << trial;
   }
+  // The serving grids (108 SMs on A100, 132 on H100) with 0-300 CTAs: the
+  // fitting grids' max lanes and their tails, and the oversubscribed ones.
+  for (int trial = 0; trial < 600; ++trial) {
+    const int slots = rng.NextDouble() < 0.5 ? 108 : 132;
+    std::vector<double> times(static_cast<size_t>(rng.UniformInt(0, 300)));
+    for (auto& t : times) t = rng.NextDouble() < 0.2 ? 0.0 : rng.Uniform(0.0, 10.0);
+    std::vector<double> free_at(static_cast<size_t>(slots), 0.0);
+    double want = 0.0;
+    for (double t : times) {
+      double& slot = *std::min_element(free_at.begin(), free_at.end());
+      slot += t;
+      want = std::max(want, slot);
+    }
+    ASSERT_EQ(SimExecutor::Makespan(times, slots), want)
+        << "serving-grid trial " << trial << ": " << times.size() << " CTAs on " << slots;
+  }
 }
 
 TEST(Executor, RunsEveryCtaOnce) {

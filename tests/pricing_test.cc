@@ -9,7 +9,9 @@
 // byte/flop total, the grid and each CTA's time.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
+#include <optional>
 
 #include "serving/backends.h"
 #include "test_util.h"
@@ -81,6 +83,8 @@ TEST(Pricing, MatchesPlanWalkOnRandomBatches) {
     const auto got = serving::SimulateBatchAttention(dev, backend, in);
     const auto want = test::ReferenceSimulateBatchAttention(dev, backend, in);
     ASSERT_EQ(test::ReportDiff(got, want), "") << "trial " << trial;
+    ASSERT_EQ(test::TimeOnlyDiff(serving::BatchAttentionTimeUs(dev, backend, in), got), "")
+        << "trial " << trial;
 
     unfused += !backend.head_fusion;
     non_causal += !in.causal;
@@ -209,7 +213,11 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   // once) and 2^-60 (a positive cost that leaves a load unchanged, so the
   // least class's lowest index takes the whole run), and grids straddle
   // the class bitsets' 64-bit words. The reference's own loads count the
-  // class edge cases the trials reach.
+  // class edge cases the trials reach. Trials fall on both sides of the
+  // key count where the sort switches from std::sort to the radix sort; on
+  // the radix side the 2^-60 weight makes costs that differ only in their
+  // low mantissa bytes, and equal costs from different block rows check
+  // that the sort is stable.
   Rng rng(0x51CE0005);
   const double weights[] = {1.0, 0.0, 0.25, 8.0, 0x1p-60};
   const int boundary_ctas[] = {1, 2, 127, 128, 129, 255, 256, 257};
@@ -217,6 +225,10 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   int all_free = 0, free_after_paid = 0, past_first_round = 0, within_first_round = 0;
   // Trials whose reference runs reached each class edge case.
   int outlast_least = 0, land_on_held_load = 0, keep_load = 0, single_cta_moves = 0;
+  // Trials on each side of kRadixSortMinKeys, and radix-sorted ones whose
+  // costs differ only in their low four bytes (beta = 2^-60 over tiles of
+  // equal rows) or that tie keys from different block rows.
+  int std_sorted = 0, radix_sorted = 0, radix_low_bytes_only = 0, radix_cross_row_ties = 0;
   for (int trial = 0; trial < 1000; ++trial) {
     AttentionParams p;
     p.num_kv_heads = static_cast<int>(1 << rng.UniformInt(0, 3));
@@ -266,9 +278,31 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
     ++boundary_hits[num_ctas];
     all_free += alpha == 0.0 && beta == 0.0;
     free_after_paid += alpha == 0.0 && beta > 0.0 && reads_no_kv;
-    const int64_t items = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40).NumWorkItems();
+    const Plan plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40);
+    const int64_t items = plan.NumWorkItems();
     past_first_round += items > num_ctas;
     within_first_round += items < num_ctas;
+    // Every head of a block row has the same chunks: one sort key each.
+    const int64_t keys = items / (p.head_fusion ? p.num_kv_heads : p.num_qo_heads);
+    if (keys < static_cast<int64_t>(kRadixSortMinKeys)) {
+      ++std_sorted;
+    } else {
+      ++radix_sorted;
+      const auto shapes = BlockRowsFromBsr(p);
+      // Bits in which some chunk's cost differs from the first one's.
+      std::optional<uint64_t> first;
+      uint64_t differ = 0;
+      for (const auto& queue : plan.cta_queues) {
+        for (const auto& it : queue) {
+          const double cost = alpha * shapes[static_cast<size_t>(it.block_row)].rows +
+                              beta * static_cast<double>(it.kv_end - it.kv_begin);
+          if (!first) first = std::bit_cast<uint64_t>(cost);
+          differ |= std::bit_cast<uint64_t>(cost) ^ *first;
+        }
+      }
+      radix_low_bytes_only += differ != 0 && differ >> 32 == 0;
+      radix_cross_row_ties += trial_runs.cross_row_ties > 0;
+    }
   }
   for (int n : {128, 129, 256, 257}) EXPECT_GT(boundary_hits[n], 5) << n << " CTAs";
   EXPECT_GT(all_free, 20);
@@ -281,6 +315,10 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   // One CTA: every move creates its target class while the emptied one is
   // still live.
   EXPECT_GT(single_cta_moves, 15);
+  EXPECT_GT(std_sorted, 150);
+  EXPECT_GT(radix_sorted, 350);
+  EXPECT_GT(radix_low_bytes_only, 10);
+  EXPECT_GT(radix_cross_row_ties, 300);
 }
 
 TEST(Pricing, LengthRowsMatchPagedBsrRows) {

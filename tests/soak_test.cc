@@ -203,10 +203,14 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
     backend.packed_tiles |= i >= 2;
     backend.composable |= i == 3;
     const auto in = test::RandomAttnBatch(rng, geometry, backend.composable);
-    EXPECT_EQ(test::ReportDiff(serving::SimulateBatchAttention(cfg.device, backend, in),
+    const auto report = serving::SimulateBatchAttention(cfg.device, backend, in);
+    EXPECT_EQ(test::ReportDiff(report,
                                test::ReferenceSimulateBatchAttention(cfg.device, backend, in)),
               "")
         << "pricing batch " << i;
+    EXPECT_EQ(test::TimeOnlyDiff(serving::BatchAttentionTimeUs(cfg.device, backend, in), report),
+              "")
+        << "time-only pricing of batch " << i;
     const test::ReferenceLaunch launch(cfg.device, backend, in, in.qo_lens, in.kv_lens);
     EXPECT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, cfg.device.num_sms, 1.0, 1.0), "")
         << "balanced schedule of batch " << i;

@@ -6,7 +6,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -425,6 +427,15 @@ inline std::string ReportDiff(const gpusim::SimReport& got, const gpusim::SimRep
   return {};
 }
 
+/// Empty when the time-only price `time_us` (BatchAttentionTimeUs) is bit
+/// for bit the full report's launch time; otherwise names both.
+inline std::string TimeOnlyDiff(double time_us, const gpusim::SimReport& report) {
+  if (std::bit_cast<uint64_t>(time_us) == std::bit_cast<uint64_t>(report.time_us)) return {};
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "time-only %a != report time_us %a", time_us, report.time_us);
+  return buf;
+}
+
 // --------------------------------------------------------------------------
 // Reference Algorithm 1. ScheduleBalanced sorts per block row, expands heads
 // afterwards and places each run of equal-cost chunks at once over
@@ -443,6 +454,8 @@ struct ReferenceRunStats {
   int keep_load = 0;
   /// Chunks that changed an already positive load.
   int moves = 0;
+  /// Chunks whose cost equals the previous chunk's, from another block row.
+  int cross_row_ties = 0;
 };
 
 /// Algorithm 1 unit by unit, as the paper states it: chunk every work unit,
@@ -502,6 +515,8 @@ inline std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(
       }
       stats->keep_load += c > 0.0 && after == before;
       stats->moves += before > 0.0 && after != before;
+      stats->cross_row_ties += i > 0 && cost(chunks[i - 1]) == c &&
+                               chunks[i - 1].first.block_row != chunks[i].first.block_row;
     }
     queues[cta].push_back(chunks[i].first);
     load[cta] += c;
