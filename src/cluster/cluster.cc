@@ -15,8 +15,9 @@ using serving::ServingMetrics;
 namespace {
 
 /// Merges one replica's metrics into a running aggregate: sample vectors
-/// concatenate, counters and time totals sum, the ITL sketch merges. The
-/// caller owns makespan (max over replicas, since replicas run concurrently).
+/// concatenate, every kMetricFields counter sums, the ITL sketch and the
+/// acceptance histogram merge. The caller owns makespan (max over replicas,
+/// since replicas run concurrently).
 void MergeInto(ServingMetrics& agg, const ServingMetrics& m) {
   agg.ttft_ms.insert(agg.ttft_ms.end(), m.ttft_ms.begin(), m.ttft_ms.end());
   agg.ttft_priority.insert(agg.ttft_priority.end(), m.ttft_priority.begin(),
@@ -27,58 +28,15 @@ void MergeInto(ServingMetrics& agg, const ServingMetrics& m) {
   // working when the per-token vectors are empty.
   agg.itl_sketch.MergeFrom(m.itl_sketch);
   agg.bounded_itl = agg.bounded_itl || m.bounded_itl;
-  agg.total_output_tokens += m.total_output_tokens;
-  agg.total_attention_ms += m.total_attention_ms;
-  agg.total_gemm_ms += m.total_gemm_ms;
-  agg.total_host_ms += m.total_host_ms;
-  agg.total_comm_ms += m.total_comm_ms;
-  agg.num_steps += m.num_steps;
-  agg.total_prefill_tokens += m.total_prefill_tokens;
-  agg.cached_prefix_tokens += m.cached_prefix_tokens;
-  agg.num_idle_skips += m.num_idle_skips;
-  agg.total_idle_s += m.total_idle_s;
-  agg.mixed_steps += m.mixed_steps;
-  agg.prefill_only_steps += m.prefill_only_steps;
-  agg.decode_only_steps += m.decode_only_steps;
-  agg.prefill_chunks += m.prefill_chunks;
-  agg.chunked_requests += m.chunked_requests;
-  agg.itl_stall_steps += m.itl_stall_steps;
-  agg.steps_with_stalls += m.steps_with_stalls;
+  for (const serving::MetricField& f : serving::kMetricFields) f.AddTo(agg, m);
   agg.branch_stalls.insert(agg.branch_stalls.end(), m.branch_stalls.begin(),
                            m.branch_stalls.end());
-  agg.num_preemptions += m.num_preemptions;
-  agg.rejected_requests += m.rejected_requests;
-  agg.evicted_pages += m.evicted_pages;
-  agg.restored_pages += m.restored_pages;
-  agg.total_swap_ms += m.total_swap_ms;
-  agg.swap_hidden_ms += m.swap_hidden_ms;
-  agg.swap_stall_ms += m.swap_stall_ms;
-  agg.recompute_tokens += m.recompute_tokens;
-  agg.num_swap_restores += m.num_swap_restores;
-  agg.num_recompute_restores += m.num_recompute_restores;
-  agg.preempt_stall_steps += m.preempt_stall_steps;
-  agg.evicted_logical_bytes += m.evicted_logical_bytes;
-  agg.evicted_stored_bytes += m.evicted_stored_bytes;
-  agg.codec_encode_ms += m.codec_encode_ms;
-  agg.codec_decode_ms += m.codec_decode_ms;
-  agg.quant_mse_sum += m.quant_mse_sum;
-  agg.quant_mse_pages += m.quant_mse_pages;
-  agg.spec_steps += m.spec_steps;
-  agg.spec_committed_tokens += m.spec_committed_tokens;
-  agg.total_draft_ms += m.total_draft_ms;
   if (agg.accepted_len_hist.size() < m.accepted_len_hist.size()) {
     agg.accepted_len_hist.resize(m.accepted_len_hist.size(), 0);
   }
   for (size_t k = 0; k < m.accepted_len_hist.size(); ++k) {
     agg.accepted_len_hist[k] += m.accepted_len_hist[k];
   }
-  agg.num_migrations_out += m.num_migrations_out;
-  agg.num_migrations_in += m.num_migrations_in;
-  agg.num_migrations_retained += m.num_migrations_retained;
-  agg.migrated_kv_tokens += m.migrated_kv_tokens;
-  agg.total_migration_ms += m.total_migration_ms;
-  agg.migration_hidden_ms += m.migration_hidden_ms;
-  agg.migration_stall_ms += m.migration_stall_ms;
 }
 
 }  // namespace

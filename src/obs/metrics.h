@@ -9,6 +9,7 @@
 // and bounded in memory no matter how long the run:
 //
 //   Counter  Inc(t, v)      -> total(), WindowSum(now), WindowRatePerS(now)
+//            SetTotal(t, v)    (moves the total to v; the window gets the step)
 //   Gauge    Set(t, v)      -> value(), WindowMax(now)
 //   Sketch   Observe(t, v)  -> cumulative Histogram + WindowSnapshot(now)
 //
@@ -137,6 +138,13 @@ class Counter {
   void Inc(double t_s, double v = 1.0) {
     total_ += v;
     window_.Add(t_s, v);
+  }
+
+  /// Moves the total to `total` (a publisher's own running sum), adding the
+  /// difference to the window at `t_s`.
+  void SetTotal(double t_s, double total) {
+    window_.Add(t_s, total - total_);
+    total_ = total;
   }
 
   double total() const noexcept { return total_; }

@@ -18,6 +18,22 @@ int64_t CachedTokens(const Request& r) {
   return std::min(std::max<int64_t>(r.cached_prefix_len, 0), max_cached);
 }
 
+/// Where each occupancy value PublishStepEnd samples goes, in the order it
+/// computes them: its trace counter and its registry gauge.
+struct OccupancySeries {
+  obs::TraceName trace;
+  const char* gauge;
+};
+constexpr OccupancySeries kOccupancy[] = {
+    {obs::TraceName::kCtrKvDevice, "fi_kv_device_tokens"},
+    {obs::TraceName::kCtrKvHost, "fi_kv_host_tokens"},
+    {obs::TraceName::kCtrHostStoredBytes, "fi_kv_host_stored_bytes"},
+    {obs::TraceName::kCtrQueueDepth, "fi_queue_depth"},
+    {obs::TraceName::kCtrRunning, "fi_running_branches"},
+    {obs::TraceName::kCtrPreempted, "fi_preempted_branches"},
+};
+constexpr size_t kDeviceKvSeries = 0;  // fi_kv_device_tokens.
+
 }  // namespace
 
 ServingEngine::ServingEngine(EngineConfig cfg)
@@ -188,30 +204,42 @@ void ServingEngine::ObserveTokens(const Branch& b, int64_t tokens, double itl_ms
   }
 }
 
-void ServingEngine::PublishStepTelemetry(int64_t step_output_tokens,
-                                         int64_t prefill_tokens) {
+void ServingEngine::FlushTelemetry() {
   if (!telemetry_) return;
-  telemetry_->GetCounter("fi_steps_total")->Inc(now_s_);
-  telemetry_->GetCounter("fi_output_tokens_total")
-      ->Inc(now_s_, static_cast<double>(step_output_tokens));
-  telemetry_->GetCounter("fi_prefill_tokens_total")
-      ->Inc(now_s_, static_cast<double>(prefill_tokens));
-  telemetry_->GetGauge("fi_kv_device_tokens")
-      ->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
-  telemetry_->GetGauge("fi_kv_host_tokens")
-      ->Set(now_s_, static_cast<double>(host_kv_tokens_in_use_));
-  // Estimated bytes the host tier actually stores for the resident logical
-  // tokens (logical KV bytes scaled by the cache's observed codec ratio;
-  // exactly the logical bytes with the codec off).
-  telemetry_->GetGauge("fi_kv_host_stored_bytes")
-      ->Set(now_s_, static_cast<double>(host_kv_tokens_in_use_) *
-                        cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) *
-                        CodecRatioEstimate());
-  telemetry_->GetGauge("fi_queue_depth")->Set(now_s_, static_cast<double>(pending_.size()));
-  telemetry_->GetGauge("fi_running_branches")
-      ->Set(now_s_, static_cast<double>(running_.size()));
-  telemetry_->GetGauge("fi_preempted_branches")
-      ->Set(now_s_, static_cast<double>(preempted_.size()));
+  if (field_counters_.empty()) {
+    for (const MetricField& f : kMetricFields) {
+      if (f.family) field_counters_.emplace_back(&f, telemetry_->GetCounter(f.family));
+    }
+    for (size_t i = 0; i < kOccupancySeries; ++i) {
+      gauges_[i] = telemetry_->GetGauge(kOccupancy[i].gauge);
+    }
+  }
+  for (const auto& [field, counter] : field_counters_) {
+    const double v = field->Value(metrics_);
+    if (v != counter->total()) counter->SetTotal(now_s_, v);
+  }
+}
+
+void ServingEngine::PublishStepEnd(double tok_per_s) {
+  if (!trace_ && !telemetry_) return;
+  const double occupancy[] = {
+      static_cast<double>(kv_tokens_in_use_),
+      static_cast<double>(host_kv_tokens_in_use_),
+      // Estimated bytes the host tier actually stores for the resident
+      // logical tokens (logical KV bytes scaled by the cache's observed codec
+      // ratio; exactly the logical bytes with the codec off).
+      static_cast<double>(host_kv_tokens_in_use_) *
+          cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) * CodecRatioEstimate(),
+      static_cast<double>(pending_.size()),
+      static_cast<double>(running_.size()),
+      static_cast<double>(preempted_.size())};
+  static_assert(std::size(occupancy) == kOccupancySeries);
+  static_assert(std::size(kOccupancy) == kOccupancySeries);
+  for (size_t i = 0; i < kOccupancySeries; ++i) {
+    TraceCounter(kOccupancy[i].trace, occupancy[i]);
+    if (telemetry_) gauges_[i]->Set(now_s_, occupancy[i]);
+  }
+  TraceCounter(obs::TraceName::kCtrTokPerS, tok_per_s);
   if (slo_) slo_->Evaluate(now_s_);
 }
 
@@ -244,6 +272,8 @@ void ServingEngine::Reset() {
     trace_.reset();
   }
   class_series_.clear();
+  field_counters_.clear();
+  gauges_ = {};
   if (cfg_.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::MetricsRegistry>(cfg_.telemetry.window);
     slo_ = cfg_.telemetry.slos.empty()
@@ -340,6 +370,7 @@ int64_t ServingEngine::StepTo(double deadline_s) {
     if (kind == StepKind::kNone) break;
     if (kind == StepKind::kWork) ++work_steps;
   }
+  FlushTelemetry();
   return work_steps;
 }
 
@@ -376,24 +407,25 @@ void ServingEngine::FinishBranch(const Branch& b) {
   TraceSpan(obs::TraceName::kReqDecode, b.seg_start_s, now_s_, b.request_id,
             b.kv_len);
   TraceInstant(obs::TraceName::kReqFinish, b.request_id);
-  if (b.group < 0) {
-    // Release the branch's pages plus its admission slack (charged as
-    // parallel_n * slack_tokens_ at admission; leaking it would shrink
-    // effective capacity forever and can wedge admission on long-lived
-    // engines).
-    kv_tokens_in_use_ -= b.kv_len + slack_tokens_;
-  } else {
-    // Grouped branch: release the unique suffix; the shared prefix goes
-    // with the last sibling.
-    kv_tokens_in_use_ -= b.kv_len - b.prefix_len + slack_tokens_;
+  ReleaseKv(b);
+  metrics_.branch_stalls.push_back(b.stall_steps);
+}
+
+void ServingEngine::ReleaseKv(const Branch& b) {
+  // The branch's pages plus its admission slack (charged as parallel_n *
+  // slack_tokens_ at admission; leaking it would shrink effective capacity
+  // forever and can wedge admission on long-lived engines). A grouped branch
+  // releases its unique suffix; the shared prefix goes with the last sibling.
+  kv_tokens_in_use_ -= b.kv_len - (b.group < 0 ? 0 : b.prefix_len) + slack_tokens_;
+  if (b.group >= 0) {
     auto& [refs, prefix] = group_refs_[b.group];
     if (--refs == 0) {
       kv_tokens_in_use_ -= prefix;
       group_refs_.erase(b.group);
     }
   }
+  if (FullKvReserve()) kv_tokens_in_use_ -= b.remaining;
   if (b.spec_seq >= 0) spec_kv_->DropSequence(b.spec_seq);
-  metrics_.branch_stalls.push_back(b.stall_steps);
 }
 
 int64_t ServingEngine::KvNeed(const Request& r) const noexcept {
@@ -473,34 +505,16 @@ MigrationUnit ServingEngine::ExtractMigratable(int64_t unit_id) {
                          [unit_id](const Exportable& u) { return u.unit_id == unit_id; });
   FI_CHECK(it != exportable_.end());
   MigrationUnit m = BuildUnitView(*it);
-  for (const Branch& b : it->branches) {
-    if (b.group < 0) {
-      kv_tokens_in_use_ -= b.kv_len + slack_tokens_;
-    } else {
-      kv_tokens_in_use_ -= b.kv_len - b.prefix_len + slack_tokens_;
-      auto& [refs, prefix] = group_refs_[b.group];
-      if (--refs == 0) {
-        kv_tokens_in_use_ -= prefix;
-        group_refs_.erase(b.group);
-      }
-    }
-    if (FullKvReserve()) kv_tokens_in_use_ -= b.remaining;
-    if (b.spec_seq >= 0) spec_kv_->DropSequence(b.spec_seq);
-  }
+  for (const Branch& b : it->branches) ReleaseKv(b);
   ++metrics_.num_migrations_out;
   metrics_.migrated_kv_tokens += m.kv_tokens;
   TraceInstant(obs::TraceName::kReqMigrateOut, m.branches.front().request_id,
                m.kv_tokens, m.pages, static_cast<int64_t>(m.branches.size()));
-  if (telemetry_) {
-    telemetry_->GetCounter("fi_migrations_out_total")->Inc(now_s_);
-    telemetry_->GetCounter("fi_migrated_kv_tokens_total")
-        ->Inc(now_s_, static_cast<double>(m.kv_tokens));
-    // Extraction frees KV outside any step; without this the device-KV gauge
-    // stays stale at the pre-export value until the next executed step — on a
-    // fully-exported prefill replica, forever.
-    telemetry_->GetGauge("fi_kv_device_tokens")
-        ->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
-  }
+  FlushTelemetry();
+  // Extraction frees KV outside any step; without this the device-KV gauge
+  // stays stale at the pre-export value until the next executed step — on a
+  // fully-exported prefill replica, forever.
+  if (telemetry_) gauges_[kDeviceKvSeries]->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
   exportable_.erase(it);
   return m;
 }
@@ -514,7 +528,7 @@ void ServingEngine::RetainMigratable(int64_t unit_id) {
   // first token, so the decode span absorbs the parked time.
   for (const Branch& b : it->branches) ResumeBranch(b);
   ++metrics_.num_migrations_retained;
-  if (telemetry_) telemetry_->GetCounter("fi_migrations_retained_total")->Inc(now_s_);
+  FlushTelemetry();
   exportable_.erase(it);
 }
 
@@ -576,14 +590,9 @@ void ServingEngine::AdmitMigratedUnit(const MigrationUnit& u,
   TraceSpan(obs::TraceName::kCopyMigrate, xfer.begin_s, xfer.end_s, pp.req.id,
             u.kv_tokens, u.pages,
             static_cast<int64_t>((xfer.begin_s - u.export_s) * 1e6));
-  if (telemetry_) {
-    telemetry_->GetCounter("fi_migrations_in_total")->Inc(now_s_);
-    telemetry_->GetCounter("fi_migration_ms_total")
-        ->Inc(now_s_, (xfer.end_s - xfer.begin_s) * 1e3);
-    // Admission charges KV outside any step — keep the gauge current.
-    telemetry_->GetGauge("fi_kv_device_tokens")
-        ->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
-  }
+  FlushTelemetry();
+  // Admission charges KV outside any step — keep the gauge current.
+  if (telemetry_) gauges_[kDeviceKvSeries]->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
   prefilling_.push_back(std::move(pp));
 }
 
@@ -674,7 +683,6 @@ void ServingEngine::AdmitArrived() {
       // an FI_CHECK when this state was reached). Refuse it and move on.
       ++metrics_.rejected_requests;
       TraceInstant(obs::TraceName::kReqReject, r.id, need, kv_token_budget_);
-      if (telemetry_) telemetry_->GetCounter("fi_requests_rejected_total")->Inc(now_s_);
       pending_.pop_front();
       continue;
     }
@@ -745,9 +753,6 @@ void ServingEngine::RestorePreempted() {
       const double decode_ms =
           CodecUs(b.kv_len, cfg_.preemption.codec_decode_gbps) * 1e-3;
       metrics_.codec_decode_ms += decode_ms;
-      if (telemetry_) {
-        telemetry_->GetCounter("fi_codec_decode_ms_total")->Inc(now_s_, decode_ms);
-      }
       if (cfg_.preemption.host_codec.enabled()) {
         TraceInstant(obs::TraceName::kKvDecode, b.request_id, b.kv_len,
                      static_cast<int64_t>(decode_ms * 1e3));
@@ -766,10 +771,6 @@ void ServingEngine::RestorePreempted() {
       }
       metrics_.total_swap_ms += t_us * 1e-3;
       ++metrics_.num_swap_restores;
-      if (telemetry_) {
-        telemetry_->GetCounter("fi_swap_restores_total")->Inc(now_s_);
-        telemetry_->GetCounter("fi_swap_ms_total")->Inc(now_s_, t_us * 1e-3);
-      }
       pp.swap_restore = true;
       pp.req.input_len = 0;
       pp.to_compute = 0;
@@ -778,7 +779,6 @@ void ServingEngine::RestorePreempted() {
       // the chunked-prefill path as a synthetic request; the branch resumes
       // once the last chunk lands.
       ++metrics_.num_recompute_restores;
-      if (telemetry_) telemetry_->GetCounter("fi_recompute_restores_total")->Inc(now_s_);
       pp.req.input_len = b.kv_len;
       pp.to_compute = b.kv_len;
     }
@@ -831,11 +831,6 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
   ++metrics_.num_preemptions;
   const int64_t evicted_pages = (b.kv_len + cfg_.page_size - 1) / cfg_.page_size;
   metrics_.evicted_pages += evicted_pages;
-  if (telemetry_) {
-    telemetry_->GetCounter("fi_preemptions_total")->Inc(now_s_);
-    telemetry_->GetCounter("fi_evicted_pages_total")
-        ->Inc(now_s_, static_cast<double>(evicted_pages));
-  }
   // The eviction closes the branch's current decode segment.
   TraceSpan(obs::TraceName::kReqDecode, b.seg_start_s, now_s_, b.request_id,
             b.kv_len);
@@ -905,16 +900,6 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
       metrics_.codec_encode_ms += encode_ms;
       metrics_.quant_mse_sum += st.mse_sum;
       metrics_.quant_mse_pages += st.mse_pages;
-      if (telemetry_) {
-        telemetry_->GetCounter("fi_kv_evicted_logical_bytes_total")
-            ->Inc(now_s_, logical_bytes);
-        telemetry_->GetCounter("fi_kv_evicted_stored_bytes_total")
-            ->Inc(now_s_, stored_bytes);
-        telemetry_->GetCounter("fi_codec_encode_ms_total")->Inc(now_s_, encode_ms);
-        telemetry_->GetCounter("fi_quant_mse_sum_total")->Inc(now_s_, st.mse_sum);
-        telemetry_->GetCounter("fi_quant_mse_pages_total")
-            ->Inc(now_s_, static_cast<double>(st.mse_pages));
-      }
       if (cfg_.preemption.host_codec.enabled()) {
         TraceInstant(obs::TraceName::kKvEncode, b.request_id,
                      static_cast<int64_t>(logical_bytes),
@@ -936,7 +921,6 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
       pending_swap_us_ += t_us;  // Swap-out serializes into the next step.
     }
     metrics_.total_swap_ms += t_us * 1e-3;
-    if (telemetry_) telemetry_->GetCounter("fi_swap_ms_total")->Inc(now_s_, t_us * 1e-3);
   } else if (spec_kv_ && b.spec_seq >= 0) {
     // Dropped for recompute: the structural pages free immediately; a fresh
     // sequence is rebuilt when the recompute restore completes.
@@ -1059,17 +1043,11 @@ ServingEngine::StepKind ServingEngine::StepOnce() {
       // swap stall).
       if (migrate_wait) {
         metrics_.migration_stall_ms += skip_s * 1e3;
-        if (telemetry_) {
-          telemetry_->GetCounter("fi_migration_stall_ms_total")
-              ->Inc(now_s_, skip_s * 1e3);
-        }
       } else {
         metrics_.swap_stall_ms += skip_s * 1e3;
-        if (telemetry_) {
-          telemetry_->GetCounter("fi_swap_stall_ms_total")->Inc(now_s_, skip_s * 1e3);
-        }
       }
     }
+    FlushTelemetry();  // Stamp this instant's increments before the jump.
     now_s_ = wake_s;
     metrics_.total_idle_s += skip_s;
     ++metrics_.num_idle_skips;
@@ -1183,39 +1161,24 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
   // copy-wait idle time.
   const double swap_us = pending_swap_us_;
   pending_swap_us_ = 0.0;
-  if (swap_us > 0.0) {
-    metrics_.swap_stall_ms += swap_us * 1e-3;
-    if (telemetry_) {
-      telemetry_->GetCounter("fi_swap_stall_ms_total")->Inc(now_s_, swap_us * 1e-3);
-    }
-  }
+  if (swap_us > 0.0) metrics_.swap_stall_ms += swap_us * 1e-3;
   const double step_s =
       (draft_us + host_us + gemm_us + attn_us + comm_us + swap_us) * 1e-6;
+  FlushTelemetry();  // Stamp this instant's increments before the clock moves.
   now_s_ += step_s;
   // Overlap accounting: copy-stream busy time inside this step's window was
   // hidden under compute (the step would have run regardless).
   if (cfg_.preemption.overlap_swap) {
     const double hidden_s =
         copy_d2h_.BusyWithin(t0_s, now_s_) + copy_h2d_.BusyWithin(t0_s, now_s_);
-    if (hidden_s > 0.0) {
-      metrics_.swap_hidden_ms += hidden_s * 1e3;
-      if (telemetry_) {
-        telemetry_->GetCounter("fi_swap_hidden_ms_total")->Inc(now_s_, hidden_s * 1e3);
-      }
-    }
+    if (hidden_s > 0.0) metrics_.swap_hidden_ms += hidden_s * 1e3;
   }
   // Inbound-migration transfer time inside this step's window was hidden
   // under compute the destination ran anyway (conservative: link time before
   // the first post-admission step is neither hidden nor stalled here).
   if (copy_migrate_.num_transfers() > 0) {
     const double mig_hidden_s = copy_migrate_.BusyWithin(t0_s, now_s_);
-    if (mig_hidden_s > 0.0) {
-      metrics_.migration_hidden_ms += mig_hidden_s * 1e3;
-      if (telemetry_) {
-        telemetry_->GetCounter("fi_migration_hidden_ms_total")
-            ->Inc(now_s_, mig_hidden_s * 1e3);
-      }
-    }
+    if (mig_hidden_s > 0.0) metrics_.migration_hidden_ms += mig_hidden_s * 1e3;
   }
 
   metrics_.total_draft_ms += draft_us * 1e-3;
@@ -1298,20 +1261,14 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
   }
 
   // --- Prefill progress and completions (FIFO order). ----------------------
-  int64_t step_prefill_tokens = 0;  // Prompt work only (restores excluded).
   for (const auto& c : plan.chunks) {
     auto& p = prefilling_[c.prefill_idx];
     p.computed += c.tokens;
     ++p.chunks_used;
     if (p.restore) {
       metrics_.recompute_tokens += c.tokens;
-      if (telemetry_ && c.tokens > 0) {
-        telemetry_->GetCounter("fi_recompute_tokens_total")
-            ->Inc(now_s_, static_cast<double>(c.tokens));
-      }
     } else {
       metrics_.total_prefill_tokens += c.tokens;
-      step_prefill_tokens += c.tokens;
     }
   }
   std::vector<size_t> done;
@@ -1366,10 +1323,6 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
           // short here (RestoreSequenceEx returns pages == -1 if it would).
           FI_CHECK_GE(st.pages, 0);
           metrics_.restored_pages += st.pages;
-          if (telemetry_) {
-            telemetry_->GetCounter("fi_restored_pages_total")
-                ->Inc(now_s_, static_cast<double>(st.pages));
-          }
         } else {
           b.spec_seq = spec_kv_->CreateSequence();
           spec_kv_->ExtendSequence(b.spec_seq, b.kv_len);
@@ -1396,30 +1349,11 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     prefilling_.erase(prefilling_.begin() + static_cast<std::ptrdiff_t>(*it));
   }
   metrics_.makespan_s = now_s_;
-
-  if (trace_) {
-    // Post-step state snapshot, one sample per counter per executed step.
-    TraceCounter(obs::TraceName::kCtrKvDevice,
-                 static_cast<double>(kv_tokens_in_use_));
-    TraceCounter(obs::TraceName::kCtrKvHost,
-                 static_cast<double>(host_kv_tokens_in_use_));
-    TraceCounter(obs::TraceName::kCtrHostStoredBytes,
-                 static_cast<double>(host_kv_tokens_in_use_) *
-                     cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) *
-                     CodecRatioEstimate());
-    TraceCounter(obs::TraceName::kCtrQueueDepth,
-                 static_cast<double>(pending_.size()));
-    TraceCounter(obs::TraceName::kCtrRunning, static_cast<double>(running_.size()));
-    TraceCounter(obs::TraceName::kCtrPreempted,
-                 static_cast<double>(preempted_.size()));
-    TraceCounter(obs::TraceName::kCtrTokPerS,
-                 step_s > 0.0 ? static_cast<double>(metrics_.total_output_tokens -
+  // Post-step state snapshot, one sample per series per executed step.
+  PublishStepEnd(step_s > 0.0 ? static_cast<double>(metrics_.total_output_tokens -
                                                     toks_before) /
                                     step_s
                               : 0.0);
-  }
-
-  PublishStepTelemetry(metrics_.total_output_tokens - toks_before, step_prefill_tokens);
 }
 
 void ServingEngine::CompletePrefill(const Request& r) {
@@ -1501,9 +1435,10 @@ void ServingEngine::CompletePrefill(const Request& r) {
 }
 
 void ServingEngine::CommitDecode() {
-  std::vector<Branch> still_running;
-  still_running.reserve(running_.size());
-  for (auto& b : running_) {
+  // Survivors compact to the front in order; FinishBranch never touches
+  // running_.
+  size_t keep = 0;
+  for (Branch& b : running_) {
     const double gap_ms = (now_s_ - b.last_emit_s) * 1e3;
     metrics_.AddItl(gap_ms);
     ObserveTokens(b, /*tokens=*/1, gap_ms);
@@ -1516,19 +1451,18 @@ void ServingEngine::CommitDecode() {
     ++metrics_.total_output_tokens;
     b.remaining -= 1;
     if (b.remaining > 0) {
-      still_running.push_back(b);
+      running_[keep++] = b;
     } else {
       FinishBranch(b);
     }
   }
-  running_ = std::move(still_running);
+  running_.resize(keep);
 }
 
 void ServingEngine::CommitSpecDecode() {
   const spec::DraftTree& tree = *tree_;
-  std::vector<Branch> still_running;
-  still_running.reserve(running_.size());
-  for (auto& b : running_) {
+  size_t keep = 0;  // In-place compaction, as in CommitDecode.
+  for (Branch& b : running_) {
     const int accepted = spec::SampleAcceptedLen(rng_, tree, b.accept_prob);
     ++metrics_.accepted_len_hist[static_cast<size_t>(accepted)];
     // Accepted draft prefix + the target's bonus/correction token, capped by
@@ -1549,12 +1483,12 @@ void ServingEngine::CommitSpecDecode() {
     metrics_.spec_committed_tokens += commit;
     b.remaining -= commit;
     if (b.remaining > 0) {
-      still_running.push_back(b);
+      running_[keep++] = b;
     } else {
       FinishBranch(b);
     }
   }
-  running_ = std::move(still_running);
+  running_.resize(keep);
 }
 
 void ServingEngine::SpecCommitKv(Branch& b, int accepted, int64_t commit) {

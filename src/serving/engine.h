@@ -55,6 +55,7 @@
 // queue sorted by arrival, so unsorted admission orders behave identically.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -546,8 +547,9 @@ class ServingEngine {
                     int64_t b = 0, int64_t c = 0) noexcept;
   void TraceCounter(obs::TraceName n, double v) noexcept;
 
-  // --- Telemetry publication (no-ops when telemetry is disabled: every site
-  // is gated on the telemetry_ pointer, mirroring the trace_ pattern). ------
+  // --- Telemetry (no-ops when disabled). The engine writes counters into
+  // metrics_ only and FlushTelemetry mirrors them into the registry; the
+  // per-class series and the SLO monitor are fed directly. ------------------
 
   /// Cached per-(tenant, priority) instrument handles — registry lookups
   /// happen once per class, not once per sample.
@@ -561,8 +563,17 @@ class ServingEngine {
   void ObserveTtft(int tenant, int priority, double ms);
   /// Records committed output tokens + the ITL gap sample for one branch.
   void ObserveTokens(const Branch& b, int64_t tokens, double itl_ms);
-  /// Publishes end-of-step gauges/counters and advances SLO alerting.
-  void PublishStepTelemetry(int64_t step_output_tokens, int64_t prefill_tokens);
+  /// Moves each named field's counter that changed to the field's value,
+  /// stamped at now_s_. Runs right before every clock change and before
+  /// returning to the caller, so each increment lands in the window slot of
+  /// the instant it was made. The first flush after Reset resolves handles.
+  void FlushTelemetry();
+  /// After an executed step: samples the occupancy (device/host KV tokens,
+  /// host stored bytes, queue depth, running/preempted branches) into both
+  /// the trace counters and the gauges, adds the trace-only step
+  /// throughput, and advances SLO alerting.
+  void PublishStepEnd(double tok_per_s);
+  static constexpr size_t kOccupancySeries = 6;
 
   /// Assembles the next step's unified batch from prefilling_ and running_.
   StepPlan FormStepPlan() const;
@@ -583,8 +594,12 @@ class ServingEngine {
   void CommitSpecDecode();
   /// KV fork/extend/rollback for one branch's verification outcome.
   void SpecCommitKv(Branch& b, int accepted, int64_t commit);
-  /// Releases a finished branch's KV charge (and its spec sequence).
+  /// Releases a finished branch's KV and records its stall count.
   void FinishBranch(const Branch& b);
+  /// Releases a branch's device KV charge (own tokens, slack and
+  /// remaining-output reserve; the group's shared prefix with the last
+  /// sibling) and its structural sequence.
+  void ReleaseKv(const Branch& b);
 
   /// Roofline GEMM time for one forward pass of `m` over `tokens` rows
   /// (weight-streaming floor vs compute); used for target, prefill, verify,
@@ -662,12 +677,15 @@ class ServingEngine {
   /// Event recorder; null when EngineConfig::trace is disabled (every
   /// emission site is gated on this pointer).
   std::unique_ptr<obs::TraceRecorder> trace_;
-  /// Live metrics registry + SLO monitor; null when telemetry is disabled
-  /// (every publication site is gated on telemetry_).
+  /// Live metrics registry + SLO monitor; null when telemetry is disabled.
   std::unique_ptr<obs::MetricsRegistry> telemetry_;
   std::unique_ptr<obs::SloMonitor> slo_;
   /// (tenant, priority) -> cached instrument handles, keyed by packed id.
   std::map<int64_t, ClassSeries> class_series_;
+  /// Handles resolved by the first FlushTelemetry after Reset: one counter
+  /// per named kMetricFields entry, one gauge per occupancy series.
+  std::vector<std::pair<const MetricField*, obs::Counter*>> field_counters_;
+  std::array<obs::Gauge*, kOccupancySeries> gauges_{};
 };
 
 }  // namespace flashinfer::serving

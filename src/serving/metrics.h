@@ -232,17 +232,19 @@ struct ServingMetrics {
   /// Callers that conflated the two read a perfect-looking 0 "efficiency"
   /// out of runs that never swapped; use value_or(0.0) only where that is
   /// actually the right collapse (e.g. summing stall budgets).
+  /// Capped at 1: hidden and total time are summed over different intervals,
+  /// so rounding alone can push the raw ratio a few ulps past 1.
   std::optional<double> SwapOverlapEfficiency() const {
     if (total_swap_ms <= 0.0) return std::nullopt;
-    return swap_hidden_ms / total_swap_ms;
+    return std::min(1.0, swap_hidden_ms / total_swap_ms);
   }
 
   /// Fraction of migration transfer time hidden under executed compute steps
   /// on the importing replica. nullopt when no migration traffic occurred
-  /// (same disambiguation as SwapOverlapEfficiency).
+  /// (same disambiguation and cap as SwapOverlapEfficiency).
   std::optional<double> MigrationOverlapEfficiency() const {
     if (total_migration_ms <= 0.0) return std::nullopt;
-    return migration_hidden_ms / total_migration_ms;
+    return std::min(1.0, migration_hidden_ms / total_migration_ms);
   }
 
   // --- Host-tier codec derived metrics -------------------------------------
@@ -300,6 +302,83 @@ struct ServingMetrics {
     const double busy = BusyMs();
     return busy > 0.0 ? total_draft_ms / busy : 0.0;
   }
+};
+
+/// One scalar counter of ServingMetrics: the int64_t or double member it
+/// reads and, for the fields the engine publishes, the registry counter
+/// family that mirrors it (nullptr for the unpublished ones).
+struct MetricField {
+  constexpr MetricField(int64_t ServingMetrics::*m, const char* fam = nullptr)
+      : i64(m), family(fam) {}
+  constexpr MetricField(double ServingMetrics::*m, const char* fam = nullptr)
+      : f64(m), family(fam) {}
+
+  double Value(const ServingMetrics& m) const {
+    return i64 ? static_cast<double>(m.*i64) : m.*f64;
+  }
+  /// agg.field += m.field, in the field's own type.
+  void AddTo(ServingMetrics& agg, const ServingMetrics& m) const {
+    if (i64) {
+      agg.*i64 += m.*i64;
+    } else {
+      agg.*f64 += m.*f64;
+    }
+  }
+
+  int64_t ServingMetrics::*i64 = nullptr;
+  double ServingMetrics::*f64 = nullptr;
+  const char* family = nullptr;
+};
+
+/// Every scalar counter of ServingMetrics, the single list behind the
+/// engine's registry counters, the cluster merge and the reconciliation
+/// tests. The engine writes only the fields; its telemetry flush moves each
+/// named family's counter to the field's exact value.
+inline constexpr MetricField kMetricFields[] = {
+    {&ServingMetrics::total_output_tokens, "fi_output_tokens_total"},
+    {&ServingMetrics::total_attention_ms},
+    {&ServingMetrics::total_gemm_ms},
+    {&ServingMetrics::total_host_ms},
+    {&ServingMetrics::total_comm_ms},
+    {&ServingMetrics::num_steps, "fi_steps_total"},
+    {&ServingMetrics::total_prefill_tokens, "fi_prefill_tokens_total"},
+    {&ServingMetrics::cached_prefix_tokens},
+    {&ServingMetrics::num_idle_skips},
+    {&ServingMetrics::total_idle_s},
+    {&ServingMetrics::mixed_steps},
+    {&ServingMetrics::prefill_only_steps},
+    {&ServingMetrics::decode_only_steps},
+    {&ServingMetrics::prefill_chunks},
+    {&ServingMetrics::chunked_requests},
+    {&ServingMetrics::itl_stall_steps},
+    {&ServingMetrics::steps_with_stalls},
+    {&ServingMetrics::num_preemptions, "fi_preemptions_total"},
+    {&ServingMetrics::rejected_requests, "fi_requests_rejected_total"},
+    {&ServingMetrics::evicted_pages, "fi_evicted_pages_total"},
+    {&ServingMetrics::restored_pages, "fi_restored_pages_total"},
+    {&ServingMetrics::total_swap_ms, "fi_swap_ms_total"},
+    {&ServingMetrics::swap_hidden_ms, "fi_swap_hidden_ms_total"},
+    {&ServingMetrics::swap_stall_ms, "fi_swap_stall_ms_total"},
+    {&ServingMetrics::recompute_tokens, "fi_recompute_tokens_total"},
+    {&ServingMetrics::num_swap_restores, "fi_swap_restores_total"},
+    {&ServingMetrics::num_recompute_restores, "fi_recompute_restores_total"},
+    {&ServingMetrics::preempt_stall_steps},
+    {&ServingMetrics::evicted_logical_bytes, "fi_kv_evicted_logical_bytes_total"},
+    {&ServingMetrics::evicted_stored_bytes, "fi_kv_evicted_stored_bytes_total"},
+    {&ServingMetrics::codec_encode_ms, "fi_codec_encode_ms_total"},
+    {&ServingMetrics::codec_decode_ms, "fi_codec_decode_ms_total"},
+    {&ServingMetrics::quant_mse_sum, "fi_quant_mse_sum_total"},
+    {&ServingMetrics::quant_mse_pages, "fi_quant_mse_pages_total"},
+    {&ServingMetrics::spec_steps},
+    {&ServingMetrics::spec_committed_tokens},
+    {&ServingMetrics::total_draft_ms},
+    {&ServingMetrics::num_migrations_out, "fi_migrations_out_total"},
+    {&ServingMetrics::num_migrations_in, "fi_migrations_in_total"},
+    {&ServingMetrics::num_migrations_retained, "fi_migrations_retained_total"},
+    {&ServingMetrics::migrated_kv_tokens, "fi_migrated_kv_tokens_total"},
+    {&ServingMetrics::total_migration_ms, "fi_migration_ms_total"},
+    {&ServingMetrics::migration_hidden_ms, "fi_migration_hidden_ms_total"},
+    {&ServingMetrics::migration_stall_ms, "fi_migration_stall_ms_total"},
 };
 
 }  // namespace flashinfer::serving

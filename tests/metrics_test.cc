@@ -101,6 +101,10 @@ TEST(Metrics, CounterTotalsAndWindowRate) {
   // The cumulative total never expires; the window does.
   EXPECT_DOUBLE_EQ(c.WindowSum(100.0), 0.0);
   EXPECT_DOUBLE_EQ(c.total(), 11.0);
+  // SetTotal moves to a publisher's running sum; the window gets the step.
+  c.SetTotal(100.5, 15.0);
+  EXPECT_DOUBLE_EQ(c.total(), 15.0);
+  EXPECT_DOUBLE_EQ(c.WindowSum(100.5), 4.0);
 }
 
 TEST(Metrics, GaugeLastWriteWinsWithWindowMax) {

@@ -584,6 +584,15 @@ TEST(OverlapEfficiency, NoTrafficIsNulloptZeroHiddenIsZero) {
   EXPECT_DOUBLE_EQ(*m.MigrationOverlapEfficiency(), 0.0);
   m.migration_hidden_ms = 4.0;
   EXPECT_DOUBLE_EQ(*m.MigrationOverlapEfficiency(), 1.0);
+
+  // Hidden and total time are summed over different intervals: a rounding
+  // overshoot past the total still reads as exactly 1.
+  m.swap_hidden_ms = m.total_swap_ms * (1.0 + 1e-15);
+  ASSERT_GT(m.swap_hidden_ms, m.total_swap_ms);
+  EXPECT_EQ(*m.SwapOverlapEfficiency(), 1.0);
+  m.migration_hidden_ms = m.total_migration_ms * (1.0 + 1e-15);
+  ASSERT_GT(m.migration_hidden_ms, m.total_migration_ms);
+  EXPECT_EQ(*m.MigrationOverlapEfficiency(), 1.0);
 }
 
 // --- Host-tier codec (quantized + compressed swap) ---------------------------

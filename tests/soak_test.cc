@@ -348,53 +348,14 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv) {
   }
 
   // The telemetry registry must reconcile with ServingMetrics on every
-  // trial: each published counter shadows a metrics field exactly, and the
-  // per-class latency sketches tile the aggregate sample counts.
+  // trial: each published counter equals its kMetricFields field bit for
+  // bit, and the per-class series tile the aggregate token and sample counts.
   {
     const obs::MetricsRegistry* reg = engine.Telemetry();
     ASSERT_NE(reg, nullptr);
-    const auto total = [&](const char* name) { return reg->CounterFamilyTotal(name); };
-    EXPECT_DOUBLE_EQ(total("fi_steps_total"), static_cast<double>(m.num_steps));
-    EXPECT_DOUBLE_EQ(total("fi_output_tokens_total"),
-                     static_cast<double>(m.total_output_tokens));
-    EXPECT_DOUBLE_EQ(total("fi_tokens_total"),
-                     static_cast<double>(m.total_output_tokens));
-    EXPECT_DOUBLE_EQ(total("fi_prefill_tokens_total"),
-                     static_cast<double>(m.total_prefill_tokens));
-    EXPECT_DOUBLE_EQ(total("fi_recompute_tokens_total"),
-                     static_cast<double>(m.recompute_tokens));
-    EXPECT_DOUBLE_EQ(total("fi_preemptions_total"),
-                     static_cast<double>(m.num_preemptions));
-    EXPECT_DOUBLE_EQ(total("fi_requests_rejected_total"),
-                     static_cast<double>(m.rejected_requests));
-    EXPECT_DOUBLE_EQ(total("fi_swap_restores_total"),
-                     static_cast<double>(m.num_swap_restores));
-    EXPECT_DOUBLE_EQ(total("fi_recompute_restores_total"),
-                     static_cast<double>(m.num_recompute_restores));
-    EXPECT_DOUBLE_EQ(total("fi_evicted_pages_total"),
-                     static_cast<double>(m.evicted_pages));
-    EXPECT_DOUBLE_EQ(total("fi_restored_pages_total"),
-                     static_cast<double>(m.restored_pages));
-    EXPECT_NEAR(total("fi_swap_ms_total"), m.total_swap_ms,
-                1e-9 * std::max(1.0, m.total_swap_ms));
-    EXPECT_NEAR(total("fi_swap_stall_ms_total"), m.swap_stall_ms,
-                1e-9 * std::max(1.0, m.swap_stall_ms));
-    EXPECT_NEAR(total("fi_swap_hidden_ms_total"), m.swap_hidden_ms,
-                1e-9 * std::max(1.0, m.swap_hidden_ms));
-    // Codec series counters shadow their metrics fields exactly (zero-valued
-    // but reconciled on codec-off trials).
-    EXPECT_NEAR(total("fi_kv_evicted_logical_bytes_total"), m.evicted_logical_bytes,
-                1e-9 * std::max(1.0, m.evicted_logical_bytes));
-    EXPECT_NEAR(total("fi_kv_evicted_stored_bytes_total"), m.evicted_stored_bytes,
-                1e-9 * std::max(1.0, m.evicted_stored_bytes));
-    EXPECT_NEAR(total("fi_codec_encode_ms_total"), m.codec_encode_ms,
-                1e-9 * std::max(1.0, m.codec_encode_ms));
-    EXPECT_NEAR(total("fi_codec_decode_ms_total"), m.codec_decode_ms,
-                1e-9 * std::max(1.0, m.codec_decode_ms));
-    EXPECT_NEAR(total("fi_quant_mse_sum_total"), m.quant_mse_sum,
-                1e-9 * std::max(1.0, m.quant_mse_sum));
-    EXPECT_DOUBLE_EQ(total("fi_quant_mse_pages_total"),
-                     static_cast<double>(m.quant_mse_pages));
+    EXPECT_EQ(test::CounterFieldDiff(*reg, m), "");
+    EXPECT_EQ(reg->CounterFamilyTotal("fi_tokens_total"),
+              static_cast<double>(m.total_output_tokens));
     int64_t ttft_samples = 0, itl_samples = 0;
     for (const auto& [name, label_key] : reg->InstanceNames()) {
       if (name != "fi_ttft_ms" && name != "fi_itl_ms") continue;
@@ -499,12 +460,7 @@ void RunClusterTrial(uint64_t seed) {
   // The merged (replica-relabeled) registry reconciles with the aggregate.
   const obs::MetricsRegistry* reg = cluster.Telemetry();
   ASSERT_NE(reg, nullptr);
-  EXPECT_DOUBLE_EQ(reg->CounterFamilyTotal("fi_output_tokens_total"),
-                   static_cast<double>(m.aggregate.total_output_tokens));
-  EXPECT_DOUBLE_EQ(reg->CounterFamilyTotal("fi_steps_total"),
-                   static_cast<double>(m.aggregate.num_steps));
-  EXPECT_DOUBLE_EQ(reg->CounterFamilyTotal("fi_preemptions_total"),
-                   static_cast<double>(m.aggregate.num_preemptions));
+  EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
 
   // Threaded twin: the identical config and workload driven over a worker
   // pool must reproduce the serial run bit-for-bit (replica state is
@@ -590,12 +546,7 @@ void RunDisaggTrial(uint64_t seed) {
   }
   const obs::MetricsRegistry* reg = cluster.Telemetry();
   ASSERT_NE(reg, nullptr);
-  EXPECT_DOUBLE_EQ(reg->CounterFamilyTotal("fi_migrations_out_total"),
-                   static_cast<double>(m.migrations));
-  EXPECT_DOUBLE_EQ(reg->CounterFamilyTotal("fi_migrations_in_total"),
-                   static_cast<double>(m.migrations));
-  EXPECT_DOUBLE_EQ(reg->CounterFamilyTotal("fi_migrations_retained_total"),
-                   static_cast<double>(m.migrations_retained));
+  EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
 
   // Threaded twin: the disaggregated driver's fine-grained prefill stepping
   // still only syncs at barriers, so any thread count is bit-identical.

@@ -4,8 +4,10 @@
 //    off produces exactly the metrics of one with it on (telemetry observes,
 //    never perturbs the schedule).
 //  * The registry reconciles with ServingMetrics: every counter the engine
-//    publishes equals the corresponding ServingMetrics field, and the
-//    per-class sketch sample counts tile the TTFT/ITL sample vectors.
+//    publishes equals its kMetricFields field bit for bit, after every
+//    StepTo and migration call, with each increment in the window slot of
+//    the instant it was made; the per-class sketch sample counts tile the
+//    TTFT/ITL sample vectors.
 //  * Bounded ITL mode answers percentile/max queries from the log-bucketed
 //    sketch within its documented error, with exact count and max.
 //  * SLO burn-rate monitors classify, fire edge-triggered alerts into the
@@ -18,6 +20,7 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "serving/engine.h"
+#include "test_util.h"
 
 namespace flashinfer {
 namespace {
@@ -129,26 +132,7 @@ TEST(Telemetry, RegistryReconcilesWithServingMetrics) {
   const obs::MetricsRegistry* reg = engine.Telemetry();
   ASSERT_NE(reg, nullptr);
 
-  const auto total = [&](const char* name) { return reg->CounterFamilyTotal(name); };
-  EXPECT_DOUBLE_EQ(total("fi_steps_total"), static_cast<double>(m.num_steps));
-  EXPECT_DOUBLE_EQ(total("fi_output_tokens_total"),
-                   static_cast<double>(m.total_output_tokens));
-  EXPECT_DOUBLE_EQ(total("fi_prefill_tokens_total"),
-                   static_cast<double>(m.total_prefill_tokens));
-  EXPECT_DOUBLE_EQ(total("fi_recompute_tokens_total"),
-                   static_cast<double>(m.recompute_tokens));
-  EXPECT_DOUBLE_EQ(total("fi_preemptions_total"), static_cast<double>(m.num_preemptions));
-  EXPECT_DOUBLE_EQ(total("fi_requests_rejected_total"),
-                   static_cast<double>(m.rejected_requests));
-  EXPECT_DOUBLE_EQ(total("fi_swap_restores_total"),
-                   static_cast<double>(m.num_swap_restores));
-  EXPECT_DOUBLE_EQ(total("fi_recompute_restores_total"),
-                   static_cast<double>(m.num_recompute_restores));
-  EXPECT_DOUBLE_EQ(total("fi_evicted_pages_total"), static_cast<double>(m.evicted_pages));
-  EXPECT_DOUBLE_EQ(total("fi_restored_pages_total"),
-                   static_cast<double>(m.restored_pages));
-  EXPECT_NEAR(total("fi_swap_ms_total"), m.total_swap_ms,
-              1e-9 * std::max(1.0, m.total_swap_ms));
+  EXPECT_EQ(test::CounterFieldDiff(*reg, m), "");
   EXPECT_GT(m.num_preemptions, 0);  // The pressured config actually preempted.
 
   // The per-class series tile the aggregate sample vectors exactly.
@@ -174,6 +158,101 @@ TEST(Telemetry, RegistryReconcilesWithServingMetrics) {
   ASSERT_NE(kv, nullptr);
   EXPECT_GT(kv->WindowMax(m.makespan_s), 0.0);
   EXPECT_NE(reg->FindGauge("fi_queue_depth"), nullptr);
+}
+
+/// Sum of the per-class fi_tokens_total windows over MixedWorkload's classes
+/// (3 tenants x 2 priorities).
+double ClassTokenWindow(const obs::MetricsRegistry& reg, double now_s) {
+  double sum = 0.0;
+  for (int tenant = 0; tenant < 3; ++tenant) {
+    for (int priority = 0; priority < 2; ++priority) {
+      const obs::LabelSet labels = obs::ClassLabels(tenant, priority);
+      if (const obs::Counter* c = reg.FindCounter("fi_tokens_total", labels)) {
+        sum += c->WindowSum(now_s);
+      }
+    }
+  }
+  return sum;
+}
+
+// No flush is missed. Stepped over ~50 increasing deadlines, some mid-burst
+// and some across the idle gap to the next burst, every named family equals
+// its field after each StepTo. The engine-wide output-token counter's 10 ms
+// window slots must also match the per-class token counters', which the
+// engine increments directly when a token commits: a field increment flushed
+// only at a later clock change would land in a later slot and split the two
+// windows.
+TEST(Telemetry, FlushesBeforeEveryClockChange) {
+  EngineConfig cfg = PressuredConfig();
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.window = {0.05, 5};
+  constexpr int kBursts = 8;
+  constexpr int kBurstSize = 10;
+  constexpr double kGapS = 3.0;  // Far longer than a burst: the engine idles.
+  ServingEngine engine(cfg);
+  engine.Reset();
+  for (int burst = 0; burst < kBursts; ++burst) {
+    for (Request r : MixedWorkload(kBurstSize)) {
+      r.id += kBurstSize * burst;
+      r.arrival_s += kGapS * burst;
+      engine.Admit(r);
+    }
+  }
+  for (int burst = 0; burst < kBursts; ++burst) {
+    for (const double offset : {0.005, 0.03, 0.1, 0.2, 0.3, 0.45}) {
+      engine.StepTo(kGapS * burst + offset);
+      const obs::MetricsRegistry& reg = *engine.Telemetry();
+      EXPECT_EQ(test::CounterFieldDiff(reg, engine.Metrics()), "");
+      const double now = engine.Now();
+      EXPECT_EQ(reg.FindCounter("fi_output_tokens_total")->WindowSum(now),
+                ClassTokenWindow(reg, now))
+          << "now=" << now;
+    }
+  }
+  engine.Drain();
+  EXPECT_EQ(test::CounterFieldDiff(*engine.Telemetry(), engine.Metrics()), "");
+  EXPECT_TRUE(engine.Finished());
+  EXPECT_GE(engine.Metrics().num_idle_skips, kBursts - 1);
+  EXPECT_GT(engine.Metrics().num_preemptions, 0);
+}
+
+// The migration calls run outside StepTo, so each flushes before returning:
+// both engines reconcile right after every call.
+TEST(Telemetry, MigrationCallsFlushBeforeReturning) {
+  EngineConfig scfg = BaseConfig();
+  scfg.telemetry.enabled = true;
+  scfg.export_at_first_token = true;
+  EngineConfig dcfg = BaseConfig();
+  dcfg.telemetry.enabled = true;
+  ServingEngine src(scfg);
+  ServingEngine dst(dcfg);
+  src.Reset();
+  dst.Reset();
+  for (const Request& r : MixedWorkload(6)) src.Admit(r);
+  bool retained = false;
+  for (int i = 0; i < 1000 && !src.Finished(); ++i) {
+    src.StepTo(src.NextEventTime());
+    for (const serving::MigrationUnit& u : src.MigratableUnits()) {
+      if (!retained) {
+        src.RetainMigratable(u.unit_id);
+        EXPECT_EQ(test::CounterFieldDiff(*src.Telemetry(), src.Metrics()), "");
+        retained = true;
+        continue;
+      }
+      const serving::MigrationUnit m = src.ExtractMigratable(u.unit_id);
+      EXPECT_EQ(test::CounterFieldDiff(*src.Telemetry(), src.Metrics()), "");
+      gpusim::CopyStream::Transfer xfer;
+      xfer.begin_s = m.export_s;
+      xfer.end_s = m.export_s + 0.002;
+      dst.AdmitMigratedUnit(m, xfer);
+      EXPECT_EQ(test::CounterFieldDiff(*dst.Telemetry(), dst.Metrics()), "");
+    }
+  }
+  ASSERT_TRUE(src.Finished());
+  dst.Drain();
+  EXPECT_EQ(src.Metrics().num_migrations_retained, 1);
+  EXPECT_EQ(dst.Metrics().num_migrations_in, 5);
+  EXPECT_GT(dst.Metrics().total_migration_ms, 0.0);
 }
 
 // Bounded-ITL mode: the schedule is untouched, the percentile queries come

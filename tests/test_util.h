@@ -1,8 +1,8 @@
 // Shared fixtures: random attention problems over the paged cache, a
 // serial (scheduler-free) kernel driver used to isolate kernel math, the
 // plan-walking reference the serving attention pricer must match bit for bit,
-// Algorithm 1 stated unit by unit, and the scanning prefix cache the indexed
-// RadixTree must match.
+// Algorithm 1 stated unit by unit, the scanning prefix cache the indexed
+// RadixTree must match, and the registry-vs-ServingMetrics reconciliation.
 #pragma once
 
 #include <algorithm>
@@ -25,8 +25,10 @@
 #include "kvcache/paged.h"
 #include "kvcache/radix.h"
 #include "kvcache/ragged.h"
+#include "obs/metrics.h"
 #include "runtime/scheduler.h"
 #include "serving/backends.h"
+#include "serving/metrics.h"
 #include "sparse/bsr.h"
 #include "util/rng.h"
 
@@ -425,6 +427,25 @@ inline std::string ReportDiff(const gpusim::SimReport& got, const gpusim::SimRep
   if (got.num_ctas != want.num_ctas) return diff("num_ctas", got.num_ctas, want.num_ctas);
   if (got.cta_time_us != want.cta_time_us) return "cta_time_us differ";
   return {};
+}
+
+/// Empty when every named kMetricFields family's registry total (summed over
+/// all its label sets) equals its ServingMetrics field bit for bit;
+/// otherwise names each family that differs.
+inline std::string CounterFieldDiff(const obs::MetricsRegistry& reg,
+                                    const serving::ServingMetrics& m) {
+  std::string out;
+  for (const serving::MetricField& f : serving::kMetricFields) {
+    if (f.family == nullptr) continue;
+    const double total = reg.CounterFamilyTotal(f.family);
+    if (std::bit_cast<uint64_t>(total) != std::bit_cast<uint64_t>(f.Value(m))) {
+      char buf[160];
+      std::snprintf(buf, sizeof buf, "%s: registry %.17g != field %.17g; ", f.family,
+                    total, f.Value(m));
+      out += buf;
+    }
+  }
+  return out;
 }
 
 /// Empty when the time-only price `time_us` (BatchAttentionTimeUs) is bit
