@@ -1,20 +1,23 @@
 #include "kvcache/paged.h"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <tuple>
 
 namespace flashinfer {
 
 PagedKVCache::PagedKVCache(DType dtype, int num_kv_heads, int head_dim, int page_size,
-                           int64_t max_pages, int64_t max_host_pages, KvCodecConfig codec,
-                           bool synthetic_fill)
+                           int64_t max_pages, int64_t max_host_pages, KvCodecConfig codec)
     : dtype_(dtype),
       num_kv_heads_(num_kv_heads),
       head_dim_(head_dim),
       page_size_(page_size),
       max_pages_(max_pages),
       max_host_pages_(max_host_pages),
-      codec_(codec),
-      synthetic_fill_(synthetic_fill) {
+      codec_(codec) {
   FI_CHECK_GE(num_kv_heads, 1);
   FI_CHECK_GE(head_dim, 1);
   FI_CHECK_GE(page_size, 1);
@@ -148,26 +151,6 @@ void PagedKVCache::AdoptPrefix(int seq, const std::vector<int64_t>& pages, int64
   s.length = token_count;
 }
 
-void PagedKVCache::FillSlotSynthetic(int64_t page, int slot) {
-  for (int h = 0; h < num_kv_heads_; ++h) {
-    const int64_t koff = KOffset(page, h, slot);
-    const int64_t voff = VOffset(page, h, slot);
-    for (int d = 0; d < head_dim_; ++d) {
-      // Deterministic pseudo-values keyed by the element's storage position:
-      // page reuse, forks, and Run≡StepTo twins all see identical bytes. A
-      // small value alphabet in [-1, 1) keeps the encoded pages compressible
-      // enough to behave like real (correlated) KV.
-      for (const int64_t off : {koff + d, voff + d}) {
-        uint64_t x = static_cast<uint64_t>(off) * 0x9E3779B97F4A7C15ull;
-        x ^= x >> 29;
-        x *= 0xBF58476D1CE4E5B9ull;
-        x ^= x >> 32;
-        StoreElem(off, static_cast<float>((x >> 11) & 0xF) / 8.0f - 1.0f);
-      }
-    }
-  }
-}
-
 void PagedKVCache::ExtendSequence(int seq, int64_t count) {
   auto& s = seqs_.at(static_cast<size_t>(seq));
   FI_CHECK(s.live);
@@ -178,13 +161,12 @@ void PagedKVCache::ExtendSequence(int seq, int64_t count) {
     // partial page would collide with the other holder's slots.
     FI_CHECK_EQ(ref_[static_cast<size_t>(s.pages.back())], 1);
   }
-  for (int64_t t = 0; t < count; ++t) {
-    if (s.length % page_size_ == 0) s.pages.push_back(AllocPage());
-    if (synthetic_fill_) {
-      FillSlotSynthetic(s.pages.back(), static_cast<int>(s.length % page_size_));
-    }
-    ++s.length;
+  // The pages AppendTokens would open, one per new token that starts a page.
+  const auto pages_to = [this](int64_t len) { return (len + page_size_ - 1) / page_size_; };
+  for (int64_t p = pages_to(s.length); p < pages_to(s.length + count); ++p) {
+    s.pages.push_back(AllocPage());
   }
+  s.length += count;
 }
 
 int PagedKVCache::ForkSequence(int seq) {
@@ -458,6 +440,93 @@ void PagedKVCache::SetToken(int64_t page, int slot, const float* k, const float*
       StoreElem(voff + d, v[h * head_dim_ + d]);
     }
   }
+}
+
+void SyntheticKv(Rng& rng, int64_t tokens, int heads, int dim, float* k, float* v) {
+  for (int64_t t = 0; t < tokens; ++t) {
+    for (int h = 0; h < heads; ++h) {
+      for (int d = 0; d < dim; ++d) {
+        const int64_t i = (t * heads + h) * dim + d;
+        const float base = std::sin(0.02f * static_cast<float>(d) +
+                                    0.7f * static_cast<float>(h)) *
+                           2.0f;
+        const float noise = static_cast<float>(rng.Uniform(-0.05, 0.05));
+        k[i] = base + noise;
+        v[i] = 0.5f * base + noise;
+      }
+    }
+  }
+}
+
+namespace {
+
+template <typename T>
+T SumOverPages(const std::vector<T>& levels, int64_t tokens) {
+  const int64_t page = static_cast<int64_t>(levels.size());
+  const int64_t tail = tokens % page;
+  return static_cast<T>(tokens / page) * levels.back() +
+         (tail > 0 ? levels[static_cast<size_t>(tail - 1)] : T{});
+}
+
+PageCodecTable BuildPageCodecTable(DType dtype, int heads, int dim, int page_size,
+                                   const KvCodecConfig& codec) {
+  PageCodecTable t;
+  const int64_t elems = 2LL * heads * page_size * dim;
+  if (!codec.enabled()) {
+    t.bound_bytes = elems * DTypeBytes(dtype);
+    t.logical_bytes.assign(static_cast<size_t>(page_size), t.bound_bytes);
+    t.stored_bytes = t.logical_bytes;
+    t.mse.assign(static_cast<size_t>(page_size), 0.0);
+    return t;
+  }
+  t.bound_bytes =
+      static_cast<int64_t>(util::EncodedPageBound(static_cast<size_t>(elems), dtype, codec));
+  Rng rng(kSyntheticKvSeed);
+  std::vector<float> k(static_cast<size_t>(page_size) * heads * dim), v(k.size());
+  SyntheticKv(rng, page_size, heads, dim, k.data(), v.data());
+  // Level `fill` evicts a cache of `fill`-token pages holding those tokens:
+  // EvictSequenceEx runs EncodePage on exactly the bytes the cache lays out.
+  // A codec host tier allocates nothing up front, and a budget of one page
+  // plus a header's worth of pages fits any blob.
+  for (int fill = 1; fill <= page_size; ++fill) {
+    PagedKVCache one(dtype, heads, dim, fill, 1, 1 + util::kPageCodecHeaderBytes, codec);
+    const int seq = one.CreateSequence();
+    one.AppendTokens(seq, k.data(), v.data(), fill);
+    const PagedKVCache::CodecStats st = one.EvictSequenceEx(seq);
+    t.logical_bytes.push_back(st.logical_bytes);
+    t.stored_bytes.push_back(st.stored_bytes);
+    t.mse.push_back(st.mse_sum);
+  }
+  return t;
+}
+
+}  // namespace
+
+int64_t PageCodecTable::LogicalBytes(int64_t tokens) const noexcept {
+  return SumOverPages(logical_bytes, tokens);
+}
+
+int64_t PageCodecTable::StoredBytes(int64_t tokens) const noexcept {
+  return SumOverPages(stored_bytes, tokens);
+}
+
+double PageCodecTable::MseSum(int64_t tokens) const noexcept {
+  return SumOverPages(mse, tokens);
+}
+
+const PageCodecTable& PageCodecTableFor(DType dtype, int num_kv_heads, int head_dim,
+                                        int page_size, const KvCodecConfig& codec) {
+  using Key = std::tuple<DType, int, int, int, KvQuantFormat, bool>;
+  static std::mutex mu;
+  static std::map<Key, std::unique_ptr<const PageCodecTable>> tables;
+  const Key key{dtype, num_kv_heads, head_dim, page_size, codec.quant, codec.compress};
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& slot = tables[key];
+  if (!slot) {
+    slot = std::make_unique<const PageCodecTable>(
+        BuildPageCodecTable(dtype, num_kv_heads, head_dim, page_size, codec));
+  }
+  return *slot;
 }
 
 }  // namespace flashinfer

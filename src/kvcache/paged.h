@@ -28,6 +28,14 @@
 // accuracy proxy from the CodecStats that Evict/RestoreSequenceEx return.
 // With the codec disabled the host tier is byte-for-byte the raw page pool
 // it always was.
+//
+// Table metering (PageCodecTableFor): a simulator that tracks pages but not
+// values meters its host tier per page instead. The table holds, for each
+// fill level 1..page_size, the logical bytes, stored bytes and MSE of
+// EncodePage on the filled slots of a SyntheticKv page of the model's
+// per-shard geometry. On 8 KV heads x 128 dims, f16, 16-token pages a full
+// page stores at 0.49 of its bytes with int8+lz4, 0.50 with int8, ~1.0 with
+// lz4 alone and 0.34 with fp8+lz4.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +45,7 @@
 #include "util/check.h"
 #include "util/codec.h"
 #include "util/float_types.h"
+#include "util/rng.h"
 
 namespace flashinfer {
 
@@ -55,12 +64,8 @@ class PagedKVCache {
 
   /// `max_host_pages` sizes the host (offload) tier; 0 disables eviction.
   /// `codec` selects the host-tier encoding (default: disabled = raw pages).
-  /// `synthetic_fill` makes ExtendSequence write deterministic pseudo-values
-  /// into the slots it allocates (structural caches carry no real KV; the
-  /// codec needs bytes that behave like data for ratio/MSE metering).
   PagedKVCache(DType dtype, int num_kv_heads, int head_dim, int page_size, int64_t max_pages,
-               int64_t max_host_pages = 0, KvCodecConfig codec = {},
-               bool synthetic_fill = false);
+               int64_t max_host_pages = 0, KvCodecConfig codec = {});
 
   DType dtype() const noexcept { return dtype_; }
   int num_kv_heads() const noexcept { return num_kv_heads_; }
@@ -127,8 +132,7 @@ class PagedKVCache {
   // --- Fork / rollback (speculative decoding) -----------------------------
   /// Appends `count` token slots without writing K/V data (structural use:
   /// serving simulation tracks page accounting, not values). Allocates pages
-  /// exactly as AppendTokens would. With `synthetic_fill`, the new slots are
-  /// filled with deterministic pseudo-values (see ctor).
+  /// exactly as AppendTokens would.
   void ExtendSequence(int seq, int64_t count);
   /// Creates a new sequence sharing `seq`'s committed KV: full pages are
   /// retained (refcounted aliasing), a partially-filled last page is
@@ -230,7 +234,6 @@ class PagedKVCache {
   int64_t AllocHostPage();
   int64_t AllocBlobSlot();
   void FreeBlobSlot(int64_t slot);
-  void FillSlotSynthetic(int64_t page, int slot);
 
   DType dtype_;
   int num_kv_heads_;
@@ -239,7 +242,6 @@ class PagedKVCache {
   int64_t max_pages_;
   int64_t max_host_pages_ = 0;
   KvCodecConfig codec_;
-  bool synthetic_fill_ = false;
   int64_t elems_per_page_;
   std::vector<std::byte> data_;
   std::vector<std::byte> host_data_;
@@ -256,5 +258,44 @@ class PagedKVCache {
   int64_t cum_stored_bytes_ = 0;
   int64_t cum_logical_bytes_ = 0;
 };
+
+/// Channel-structured synthetic KV, the only synthetic KV source: every
+/// (head, dim) channel carries a smooth per-head activation (V at half K's
+/// amplitude) plus uniform noise of +/-0.05 from `rng`. Nearby channels are
+/// similar, the structure real KV compresses on; white noise would not.
+/// Writes `tokens` tokens of K and V, row-major [tokens, heads, dim] floats
+/// (AppendTokens' input layout).
+void SyntheticKv(Rng& rng, int64_t tokens, int heads, int dim, float* k, float* v);
+
+/// Seed of the SyntheticKv page that PageCodecTableFor encodes.
+inline constexpr uint64_t kSyntheticKvSeed = 0x5EED;
+
+/// What the host tier takes in and stores for one page of a given geometry
+/// and codec, by fill level. Codec on, level `fill` is EncodePage of the page
+/// holding the first `fill` tokens of SyntheticKv(Rng(kSyntheticKvSeed)),
+/// encoded without its empty slots: the encoder skips them, as a swap moves
+/// only the filled tokens. Codec off, every level holds the raw page.
+struct PageCodecTable {
+  int64_t bound_bytes = 0;  ///< Worst case a page can store (EncodedPageBound).
+  /// Per level, index fill - 1 for fill in [1, page_size].
+  std::vector<int64_t> logical_bytes;
+  std::vector<int64_t> stored_bytes;
+  std::vector<double> mse;  ///< 0 unless quantized.
+
+  int page_size() const noexcept { return static_cast<int>(stored_bytes.size()); }
+  /// Logical bytes of one full page.
+  int64_t page_bytes() const noexcept { return logical_bytes.back(); }
+  /// Sums over the pages `tokens` tokens fill: every full page at the top
+  /// level, a partial last page at its fill.
+  int64_t LogicalBytes(int64_t tokens) const noexcept;
+  int64_t StoredBytes(int64_t tokens) const noexcept;
+  double MseSum(int64_t tokens) const noexcept;
+};
+
+/// The table for one (dtype, KV heads, head_dim, page_size, codec). Built on
+/// first use and kept for the process; thread-safe, and every later lookup
+/// of the same key returns the same table.
+const PageCodecTable& PageCodecTableFor(DType dtype, int num_kv_heads, int head_dim,
+                                        int page_size, const KvCodecConfig& codec);
 
 }  // namespace flashinfer

@@ -49,6 +49,15 @@ ServingEngine::ServingEngine(EngineConfig cfg)
     host_kv_token_budget_ = static_cast<int64_t>(
         cfg_.preemption.host_capacity_gb * 1e9 /
         cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype));
+    const AttnSimInput g = HeadGeometry();
+    host_table_ = &PageCodecTableFor(cfg_.backend.kv_dtype, g.num_kv_heads, g.head_dim,
+                                     cfg_.page_size, cfg_.preemption.host_codec);
+    // The token budget in pages, plus two pages of rounding per running
+    // branch and 64 spare. Codec off, the capacity gate counts free pages
+    // of this pool.
+    const int64_t host_pages = host_kv_token_budget_ / cfg_.page_size +
+                               static_cast<int64_t>(cfg_.max_running) * 2 + 64;
+    host_byte_capacity_ = host_pages * host_table_->page_bytes();
   }
   if (cfg_.spec.enabled) {
     tree_ = std::make_unique<spec::DraftTree>(cfg_.spec.tree);
@@ -253,6 +262,7 @@ void ServingEngine::Reset() {
   now_s_ = 0.0;
   kv_tokens_in_use_ = 0;
   host_kv_tokens_in_use_ = 0;
+  host_stored_bytes_ = 0;
   pending_swap_us_ = 0.0;
   copy_d2h_.Reset();
   copy_h2d_.Reset();
@@ -289,23 +299,12 @@ void ServingEngine::Reset() {
       metrics_.accepted_len_hist.assign(static_cast<size_t>(tree_->Depth()) + 1, 0);
     }
     // Structural cache: 1 head x 1 dim (page accounting, not values). Sized
-    // for the token budget plus page-rounding and transient-fork headroom;
-    // the host tier holds its own budget plus per-branch page rounding.
+    // for the token budget plus page-rounding and transient-fork headroom.
     const int64_t branching = cfg_.spec.enabled ? cfg_.spec.tree.branching : 0;
     const int64_t pages = kv_token_budget_ / cfg_.page_size +
                           static_cast<int64_t>(cfg_.max_running) * (2 + branching) + 64;
-    const int64_t host_pages =
-        cfg_.preemption.enabled
-            ? host_kv_token_budget_ / cfg_.page_size +
-                  static_cast<int64_t>(cfg_.max_running) * 2 + 64
-            : 0;
-    // Synthetic fill only matters with the codec on: it gives the encoder
-    // real element payloads (for compression ratio and the quantization-MSE
-    // proxy) without perturbing the codec-off structural-only fast path.
-    spec_kv_ = std::make_unique<PagedKVCache>(
-        DType::kF16, /*num_kv_heads=*/1, /*head_dim=*/1, cfg_.page_size, pages,
-        host_pages, cfg_.preemption.host_codec,
-        /*synthetic_fill=*/cfg_.preemption.host_codec.enabled());
+    spec_kv_ = std::make_unique<PagedKVCache>(DType::kF16, /*num_kv_heads=*/1,
+                                              /*head_dim=*/1, cfg_.page_size, pages);
   }
 }
 
@@ -631,10 +630,12 @@ double ServingEngine::SwapInUs(int64_t tokens, double stored_ratio) const {
 }
 
 double ServingEngine::CodecRatioEstimate() const {
-  // Prospective stored/logical ratio for branches not yet evicted: the
-  // cache's cumulative observed ratio (falls back to the worst-case encoded
-  // bound before any eviction; exactly 1.0 with the codec off).
-  return spec_kv_ ? spec_kv_->ObservedStoredRatio() : 1.0;
+  // Prospective stored/logical ratio for branches not yet evicted. Codec off,
+  // both branches are exactly 1.0: every page stores its own bytes.
+  if (metrics_.evicted_logical_bytes > 0.0) return metrics_.HostStoredRatio();
+  if (host_table_ == nullptr) return 1.0;
+  return static_cast<double>(host_table_->bound_bytes) /
+         static_cast<double>(host_table_->page_bytes());
 }
 
 double ServingEngine::RecomputeEstimateUs(int64_t kv_len) const {
@@ -743,8 +744,8 @@ void ServingEngine::RestorePreempted() {
       // serializes the PCIe transfer into the next executed step; overlap
       // mode enqueues it on the async H2D stream and gates the entry's step
       // eligibility on the transfer completion time instead, so other work
-      // keeps stepping under the DMA. The structural pages come back when
-      // the transfer completes.
+      // keeps stepping under the DMA. The host copy frees, and the
+      // structural sequence is rebuilt, when the transfer completes.
       host_kv_tokens_in_use_ -= b.kv_len;
       // Swap-in moves the branch's *stored* bytes (realized ratio captured
       // at eviction) and pays the decode pass to re-materialize the pages;
@@ -860,12 +861,12 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
       host_kv_tokens_in_use_ + b.kv_len > host_kv_token_budget_) {
     swap = false;
   }
-  // Capacity gate: many short evicted branches can exhaust the host pool
-  // (one page each) long before the token budget — per the PagedKVCache
-  // contract, check admissibility before evicting. Codec-off this is the
-  // free-host-page check; codec-on it meters worst-case stored bytes.
-  if (swap && spec_kv_ && b.spec_seq >= 0 &&
-      !spec_kv_->HostCanHold(spec_kv_->ExclusivePages(b.spec_seq))) {
+  // Capacity gate: many short evicted branches can exhaust the host tier
+  // (a page each) long before the token budget. Each page is admitted at
+  // its worst-case stored size, so a swap never overshoots the capacity.
+  // Codec off this is the free-host-page check.
+  if (swap && evicted_pages * host_table_->bound_bytes >
+                  host_byte_capacity_ - host_stored_bytes_) {
     swap = false;
   }
 
@@ -879,32 +880,26 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
   p.evicted_s = now_s_;
   if (swap) {
     host_kv_tokens_in_use_ += b.kv_len;
-    // Evict (and encode) first: the codec runs at eviction time, so the
-    // branch's transfers are priced on its *realized* stored/logical ratio —
-    // the observed-ratio estimate only steers the kAuto decision above.
-    double stored_ratio = 1.0;
-    if (spec_kv_ && b.spec_seq >= 0) {
-      const auto st = spec_kv_->EvictSequenceEx(b.spec_seq);
-      if (st.logical_bytes > 0) {
-        stored_ratio = static_cast<double>(st.stored_bytes) /
-                       static_cast<double>(st.logical_bytes);
-      }
-      const double logical_bytes =
-          static_cast<double>(b.kv_len) *
-          cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype);
-      const double stored_bytes = logical_bytes * stored_ratio;
-      const double encode_ms =
-          CodecUs(b.kv_len, cfg_.preemption.codec_encode_gbps) * 1e-3;
-      metrics_.evicted_logical_bytes += logical_bytes;
-      metrics_.evicted_stored_bytes += stored_bytes;
-      metrics_.codec_encode_ms += encode_ms;
-      metrics_.quant_mse_sum += st.mse_sum;
-      metrics_.quant_mse_pages += st.mse_pages;
-      if (cfg_.preemption.host_codec.enabled()) {
-        TraceInstant(obs::TraceName::kKvEncode, b.request_id,
-                     static_cast<int64_t>(logical_bytes),
-                     static_cast<int64_t>(stored_bytes));
-      }
+    // Meter the branch's pages first: its transfers are priced on its own
+    // stored/logical ratio; the running estimate only steers kAuto above.
+    const int64_t stored = host_table_->StoredBytes(b.kv_len);
+    host_stored_bytes_ += stored;
+    FI_CHECK_LE(host_stored_bytes_, host_byte_capacity_);
+    const double stored_ratio =
+        static_cast<double>(stored) / static_cast<double>(host_table_->LogicalBytes(b.kv_len));
+    const double logical_bytes =
+        static_cast<double>(b.kv_len) * cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype);
+    const double stored_bytes = logical_bytes * stored_ratio;
+    metrics_.evicted_logical_bytes += logical_bytes;
+    metrics_.evicted_stored_bytes += stored_bytes;
+    metrics_.codec_encode_ms += CodecUs(b.kv_len, cfg_.preemption.codec_encode_gbps) * 1e-3;
+    if (cfg_.preemption.host_codec.quant != KvQuantFormat::kNone) {
+      metrics_.quant_mse_sum += host_table_->MseSum(b.kv_len);
+      metrics_.quant_mse_pages += evicted_pages;
+    }
+    if (cfg_.preemption.host_codec.enabled()) {
+      TraceInstant(obs::TraceName::kKvEncode, b.request_id,
+                   static_cast<int64_t>(logical_bytes), static_cast<int64_t>(stored_bytes));
     }
     p.stored_ratio = stored_ratio;
     const double t_us = SwapOutUs(b.kv_len, stored_ratio);
@@ -921,12 +916,10 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
       pending_swap_us_ += t_us;  // Swap-out serializes into the next step.
     }
     metrics_.total_swap_ms += t_us * 1e-3;
-  } else if (spec_kv_ && b.spec_seq >= 0) {
-    // Dropped for recompute: the structural pages free immediately; a fresh
-    // sequence is rebuilt when the recompute restore completes.
-    spec_kv_->DropSequence(b.spec_seq);
-    b.spec_seq = -1;
   }
+  // Either way the structural pages free now; the restore rebuilds them.
+  spec_kv_->DropSequence(b.spec_seq);
+  b.spec_seq = -1;
   p.branch = b;
   // Keep preempted_ sorted by (priority desc, eviction order asc).
   auto it = std::upper_bound(preempted_.begin(), preempted_.end(), p,
@@ -1309,25 +1302,19 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
                 p.req.id, unit_kv,
                 static_cast<int64_t>(p.import_branches.size()));
     } else if (p.restore) {
-      // Restore finished: re-materialize the structural KV — swap-ins pull
-      // their pages back from the host tier, recomputes rebuild a fresh
-      // sequence to the branch's context length — and put the branch back
-      // in the decode batch. No first-token emission: the request's TTFT
-      // was paid long ago.
+      // Restore finished: a swap-in's host copy frees now that its transfer
+      // landed. Rebuild the structural sequence to the branch's context
+      // length and put the branch back in the decode batch. No first-token
+      // emission: the request's TTFT was paid long ago.
       Branch b = p.branch;
-      if (spec_kv_) {
-        if (p.swap_restore && b.spec_seq >= 0) {
-          const auto st = spec_kv_->RestoreSequenceEx(b.spec_seq);
-          // The engine re-reserved the branch's full budget before queueing
-          // the restore, so the structural device pool can never come up
-          // short here (RestoreSequenceEx returns pages == -1 if it would).
-          FI_CHECK_GE(st.pages, 0);
-          metrics_.restored_pages += st.pages;
-        } else {
-          b.spec_seq = spec_kv_->CreateSequence();
-          spec_kv_->ExtendSequence(b.spec_seq, b.kv_len);
-        }
+      if (p.swap_restore) {
+        host_stored_bytes_ -= host_table_->StoredBytes(b.kv_len);
+        metrics_.restored_pages += (b.kv_len + cfg_.page_size - 1) / cfg_.page_size;
       }
+      // The engine re-reserved the branch's full budget before queueing the
+      // restore, so the structural device pool cannot come up short.
+      b.spec_seq = spec_kv_->CreateSequence();
+      spec_kv_->ExtendSequence(b.spec_seq, b.kv_len);
       TraceSpan(p.swap_restore ? obs::TraceName::kReqSwapIn
                                : obs::TraceName::kReqRecompute,
                 p.phase_start_s, now_s_, b.request_id, b.kv_len);
@@ -1443,8 +1430,8 @@ void ServingEngine::CommitDecode() {
     metrics_.AddItl(gap_ms);
     ObserveTokens(b, /*tokens=*/1, gap_ms);
     b.last_emit_s = now_s_;
-    // Preemption-enabled engines track the decode structurally too, so an
-    // eviction swaps exactly the pages this branch's KV occupies.
+    // Preemption-enabled engines track the decode structurally too, so the
+    // structural pool holds exactly the pages every branch's KV occupies.
     if (spec_kv_ && b.spec_seq >= 0) spec_kv_->ExtendSequence(b.spec_seq, 1);
     b.kv_len += 1;
     if (!FullKvReserve()) kv_tokens_in_use_ += 1;

@@ -44,7 +44,10 @@
 // branch's full output KV up front under preemption, so the device budget
 // is never violated; a request whose KV need exceeds the *total* budget is
 // rejected with a metric (the pre-preemption engine aborted on a loud
-// FI_CHECK when such a request wedged the arrival queue).
+// FI_CHECK when such a request wedged the arrival queue). The engine meters
+// the host tier itself, per page of the model's real head layout: table
+// bytes (kvcache/paged.h PageCodecTableFor) with the host codec on, raw page
+// bytes with it off.
 //
 // The engine is *steppable*: a cluster driver (src/cluster/) owns N replicas
 // and interleaves event-driven time across them with Admit()/StepTo(), so
@@ -314,6 +317,12 @@ class ServingEngine {
   int64_t HostKvTokensInUse() const noexcept { return host_kv_tokens_in_use_; }
   /// Host-tier KV token capacity (0 when preemption is disabled).
   int64_t HostKvTokenBudget() const noexcept { return host_kv_token_budget_; }
+  /// Bytes the host tier holds for swapped-out branches, metered per page of
+  /// one layer's per-shard KV from the host page table. A branch's bytes stay
+  /// held until its swap-in transfer lands.
+  int64_t HostStoredBytes() const noexcept { return host_stored_bytes_; }
+  /// The host tier's byte capacity in the same units (0 without preemption).
+  int64_t HostByteCapacity() const noexcept { return host_byte_capacity_; }
   /// Branches currently evicted and awaiting restore.
   int64_t PreemptedBranches() const noexcept {
     return static_cast<int64_t>(preempted_.size());
@@ -321,8 +330,8 @@ class ServingEngine {
 
   /// Live pages in the structural KV accounting cache (active under spec
   /// decode and/or preemption; 0 otherwise, and 0 after Drain() when nothing
-  /// leaked through the fork/rollback/evict paths). Device tier only — host
-  /// pages held by swapped-out branches are tracked by HostKvTokensInUse.
+  /// leaked through the fork/rollback/evict paths). Device pages only: an
+  /// evicted branch drops its structural sequence.
   int64_t SpecKvLivePages() const noexcept {
     return spec_kv_ ? spec_kv_->num_live_pages() : 0;
   }
@@ -516,8 +525,8 @@ class ServingEngine {
   /// Full swap-in price: H2D transfer of stored bytes + decode time.
   double SwapInUs(int64_t tokens, double stored_ratio) const;
   /// Stored/logical ratio estimate for pricing decisions made *before* the
-  /// encode happens (kAuto crossover): the structural tier's observed ratio,
-  /// worst-case bound before any eviction, 1.0 with the codec off.
+  /// encode happens (kAuto crossover): the ratio evictions realized so far,
+  /// the worst-case page bound before any eviction, 1.0 with the codec off.
   double CodecRatioEstimate() const;
 
   /// Estimated marginal cost of rebuilding `kv_len` context tokens via
@@ -615,6 +624,11 @@ class ServingEngine {
   EngineConfig cfg_;
   int64_t kv_token_budget_ = 0;
   int64_t host_kv_token_budget_ = 0;
+  /// The host tier per page of one layer's per-shard KV, for the configured
+  /// codec (null without preemption). Victims are never grouped, so a
+  /// swapped branch of kv_len tokens holds StoredBytes(kv_len).
+  const PageCodecTable* host_table_ = nullptr;
+  int64_t host_byte_capacity_ = 0;
   /// Per-branch admission reserve: decode slack (8) plus, under spec decode,
   /// one tree of transient verification KV.
   int64_t slack_tokens_ = 8;
@@ -656,6 +670,7 @@ class ServingEngine {
   double now_s_ = 0.0;
   int64_t kv_tokens_in_use_ = 0;
   int64_t host_kv_tokens_in_use_ = 0;
+  int64_t host_stored_bytes_ = 0;  // Metered by host_table_.
   /// Swap transfer time waiting to serialize into the next executed step
   /// (legacy mode only; overlap-swap routes through the copy streams).
   double pending_swap_us_ = 0.0;
@@ -670,9 +685,9 @@ class ServingEngine {
   int next_group_ = 0;
   Rng rng_;  // Acceptance sampling; reseeded by Reset().
   /// Structural paged KV (1 head x 1 dim: page accounting, not values) that
-  /// the spec path forks/extends/truncates and the preemption path
-  /// evicts/restores, so rollback and swap exercise the real refcount and
-  /// two-tier machinery. Null when both spec decode and preemption are off.
+  /// the spec path forks/extends/truncates, so rollback exercises the real
+  /// refcount machinery. Preemption drops a victim's sequence and rebuilds
+  /// it on restore. Null when both spec decode and preemption are off.
   std::unique_ptr<PagedKVCache> spec_kv_;
   /// Event recorder; null when EngineConfig::trace is disabled (every
   /// emission site is gated on this pointer).

@@ -108,10 +108,11 @@ struct ServingMetrics {
   /// Sum over work steps of preempted branches waiting out the step — the
   /// stall a victim's user experiences, analogous to itl_stall_steps.
   int64_t preempt_stall_steps = 0;
-  /// --- Host-tier codec (populated when PreemptionConfig::host_codec is
-  /// enabled; all zero otherwise). Byte totals are model-level KV bytes
-  /// (tokens * KvBytesPerToken), scaled by the structural tier's realized
-  /// encode ratio for the stored side. ------------------------------------
+  /// --- Host-tier codec (codec time and MSE stay zero unless
+  /// PreemptionConfig::host_codec is enabled; with it off, stored bytes equal
+  /// logical). Byte totals are model-level KV bytes (tokens *
+  /// KvBytesPerToken), scaled by each branch's stored/logical ratio from the
+  /// engine's host page table for the stored side. -------------------------
   /// Logical KV bytes of every page swapped out to the host tier.
   double evicted_logical_bytes = 0.0;
   /// Encoded bytes those pages actually occupied in the host tier.

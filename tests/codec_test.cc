@@ -1,13 +1,16 @@
 // Host KV-tier codec: LZ4-style block compressor round trips, bounded-error
-// quantization (incl. bfloat16 edge values), page-codec properties, and the
+// quantization (incl. bfloat16 edge values), page-codec properties, the
 // PagedKVCache codec tier (byte accounting, capacity multiplication,
-// transactional restore on device shortfall, codec-off bit-identity).
+// transactional restore on device shortfall, codec-off bit-identity), and
+// the per-fill-level page table that meters a simulated host tier.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "kvcache/paged.h"
@@ -267,10 +270,9 @@ TEST(PageCodec, RandomizedRoundTripsStayWithinBound) {
 
 constexpr int kPage = 16;
 
-PagedKVCache MakeCodecCache(int64_t pages, int64_t host_pages, KvCodecConfig codec,
-                            bool synthetic = false) {
+PagedKVCache MakeCodecCache(int64_t pages, int64_t host_pages, KvCodecConfig codec) {
   return PagedKVCache(DType::kF16, /*num_kv_heads=*/2, /*head_dim=*/8, kPage, pages,
-                      host_pages, codec, synthetic);
+                      host_pages, codec);
 }
 
 std::vector<float> Rows(int64_t tokens, float base) {
@@ -432,20 +434,87 @@ TEST(CodecTier, CodecOffRestoreIsBitExact) {
   }
 }
 
-TEST(CodecTier, SyntheticFillGivesCompressiblePages) {
-  // Structural engine caches enable synthetic_fill so encoded ratios reflect
-  // data-like payloads; the fill must be deterministic and compressible.
+// --- Page codec table --------------------------------------------------------
+
+/// The filled slots of the SyntheticKv page the table encodes at `fill`,
+/// laid out by hand as [K/V][head][slot][dim] f16.
+std::vector<half_t> SyntheticPage(int heads, int dim, int fill) {
+  std::vector<float> k(static_cast<size_t>(kPage) * heads * dim), v(k.size());
+  Rng rng(kSyntheticKvSeed);
+  SyntheticKv(rng, kPage, heads, dim, k.data(), v.data());
+  std::vector<half_t> page(2 * static_cast<size_t>(heads) * fill * dim);
+  for (int kv = 0; kv < 2; ++kv) {
+    for (int h = 0; h < heads; ++h) {
+      for (int slot = 0; slot < fill; ++slot) {
+        for (int d = 0; d < dim; ++d) {
+          const size_t src = (static_cast<size_t>(slot) * heads + h) * dim + d;
+          page[((static_cast<size_t>(kv) * heads + h) * fill + slot) * dim + d] =
+              half_t(kv == 0 ? k[src] : v[src]);
+        }
+      }
+    }
+  }
+  return page;
+}
+
+TEST(PageCodecTable, LevelsAreEncodedSyntheticPages) {
+  // The model's per-shard page: 8 KV heads x 128 dims, f16, 16 tokens.
+  constexpr int kHeads = 8, kDim = 128;
   const KvCodecConfig codec{KvQuantFormat::kInt8, /*compress=*/true};
-  auto a = MakeCodecCache(4, 4, codec, /*synthetic=*/true);
-  auto b = MakeCodecCache(4, 4, codec, /*synthetic=*/true);
-  const int sa = a.CreateSequence();
-  const int sb = b.CreateSequence();
-  a.ExtendSequence(sa, 2 * kPage);
-  b.ExtendSequence(sb, 2 * kPage);
-  const auto ea = a.EvictSequenceEx(sa);
-  const auto eb = b.EvictSequenceEx(sb);
-  EXPECT_EQ(ea.stored_bytes, eb.stored_bytes);  // Deterministic fill.
-  EXPECT_LT(ea.stored_bytes, ea.logical_bytes);
+  const PageCodecTable& t = PageCodecTableFor(DType::kF16, kHeads, kDim, kPage, codec);
+  EXPECT_EQ(&t, &PageCodecTableFor(DType::kF16, kHeads, kDim, kPage, codec));
+  const size_t elems = 2u * kHeads * kPage * kDim;
+  EXPECT_EQ(t.page_bytes(), static_cast<int64_t>(elems * 2));
+  EXPECT_EQ(t.bound_bytes, static_cast<int64_t>(EncodedPageBound(elems, DType::kF16, codec)));
+  ASSERT_EQ(t.page_size(), kPage);
+  for (int fill = 1; fill <= kPage; ++fill) {
+    SCOPED_TRACE("fill=" + std::to_string(fill));
+    const auto page = SyntheticPage(kHeads, kDim, fill);
+    PageCodecStats st;
+    EncodePage(reinterpret_cast<const std::byte*>(page.data()), page.size(), DType::kF16,
+               codec, &st);
+    const size_t level = static_cast<size_t>(fill - 1);
+    EXPECT_EQ(t.logical_bytes[level], st.logical_bytes);
+    EXPECT_EQ(t.stored_bytes[level], st.stored_bytes);
+    EXPECT_EQ(t.mse[level], st.mse);
+    EXPECT_LE(st.stored_bytes, t.bound_bytes);
+  }
+  // Per-block int8 pays off at the full head dimension: a full page stores
+  // under 0.52 of its bytes.
+  EXPECT_LT(static_cast<double>(t.stored_bytes.back()) / static_cast<double>(t.page_bytes()),
+            0.52);
+  // Whole pages at the top level, a partial tail at its fill.
+  EXPECT_EQ(t.StoredBytes(2 * kPage + 3), 2 * t.stored_bytes.back() + t.stored_bytes[2]);
+  EXPECT_EQ(t.LogicalBytes(2 * kPage + 3), (2 * kPage + 3) * t.page_bytes() / kPage);
+  EXPECT_EQ(t.MseSum(kPage), t.mse.back());
+}
+
+TEST(PageCodecTable, ConcurrentFirstLookupsShareOneTable) {
+  // Engines on several threads may ask for a key before anyone built it.
+  const KvCodecConfig codec{KvQuantFormat::kFp8E4M3, /*compress=*/true};
+  std::vector<const PageCodecTable*> got(4, nullptr);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back(
+        [&got, &codec, i] { got[i] = &PageCodecTableFor(DType::kBF16, 3, 40, kPage, codec); });
+  }
+  for (auto& t : threads) t.join();
+  for (const PageCodecTable* t : got) EXPECT_EQ(t, got[0]);
+  EXPECT_EQ(got[0]->page_size(), kPage);
+}
+
+TEST(PageCodecTable, CodecOffStoresRawPages) {
+  // The raw tier's fixed slots hold a whole page at every fill.
+  const PageCodecTable& t = PageCodecTableFor(DType::kF16, 2, 8, kPage, KvCodecConfig{});
+  EXPECT_EQ(t.page_bytes(), 2 * 2 * kPage * 8 * 2);
+  EXPECT_EQ(t.bound_bytes, t.page_bytes());
+  for (int fill = 1; fill <= kPage; ++fill) {
+    const size_t level = static_cast<size_t>(fill - 1);
+    EXPECT_EQ(t.logical_bytes[level], t.page_bytes());
+    EXPECT_EQ(t.stored_bytes[level], t.page_bytes());
+    EXPECT_EQ(t.mse[level], 0.0);
+  }
+  EXPECT_EQ(t.StoredBytes(kPage + 1), 2 * t.page_bytes());
 }
 
 }  // namespace

@@ -712,15 +712,16 @@ bool AutoVictimSwapsAt(int64_t ctx, KvCodecConfig codec) {
 }
 
 // kAuto regression: the crossover must price the actual stored bytes plus the
-// encode/decode passes. At default link/codec speeds the structural int8
-// bound (0.75x stored) plus two codec passes makes the swap round trip
-// strictly more expensive than the raw tier's, so the swap-wins crossover
-// shifts to longer contexts when quantization is on — contexts that swapped
-// codec-off must now recompute near the old crossover.
+// encode/decode passes. At default link/codec speeds an int8 page (0.50x
+// stored at the model's page geometry) plus two codec passes makes the swap
+// round trip strictly more expensive than the raw tier's, so the swap-wins
+// crossover shifts to longer contexts when quantization is on (608 -> 752
+// tokens); contexts that swapped codec-off must now recompute near the old
+// crossover. The 128-token sweep resolves that shift.
 TEST(KvCodec, AutoRestoreCrossoverShiftsWhenQuantizationOn) {
   const KvCodecConfig int8{KvQuantFormat::kInt8, /*compress=*/false};
-  const std::vector<int64_t> ctxs = {512,  1024, 2048, 3072, 4096,
-                                     6144, 8192, 12288, 16384};
+  std::vector<int64_t> ctxs;
+  for (int64_t ctx = 512; ctx <= 16384; ctx += 128) ctxs.push_back(ctx);
   int64_t first_swap_off = -1, first_swap_on = -1;
   for (const int64_t ctx : ctxs) {
     if (first_swap_off < 0 && AutoVictimSwapsAt(ctx, {})) first_swap_off = ctx;

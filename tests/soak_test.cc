@@ -16,11 +16,14 @@
 //      reference (test_util.h) on random batches over the trial's backend
 //      and head geometry,
 //   6. on cluster trials, the indexed RadixTree matches the scanning
-//      reference tree (test_util.h) on a random mirror-op sequence.
+//      reference tree (test_util.h) on a random mirror-op sequence,
+//   7. the engine's host byte meter never exceeds its capacity after any
+//      step, drains to 0, and on codec trials meters a stored/logical ratio
+//      inside the host page table's range.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
-// Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized test —
-// CI's sanitizer job runs only the 3 pinned seeds, which are always on).
+// Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
+// CI's sanitizer jobs run only the pinned cases, which are always on).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -238,6 +241,7 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
 void BoundedDrain(ServingEngine& engine) {
   for (int64_t i = 0; i < 500000 && !engine.Finished(); ++i) {
     engine.StepTo(engine.NextEventTime());
+    ASSERT_LE(engine.HostStoredBytes(), engine.HostByteCapacity()) << "step " << i;
   }
   ASSERT_TRUE(engine.Finished()) << "drain did not terminate";
 }
@@ -254,12 +258,18 @@ int FailedPartCount() {
   return failed;
 }
 
-void RunEngineTrial(uint64_t seed, bool check_step_equiv) {
+/// Runs one randomized engine trial. `pin`, when set, overrides the drawn
+/// config before the workload is drawn; `drained`, when set, receives the
+/// metrics after the drain.
+void RunEngineTrial(uint64_t seed, bool check_step_equiv,
+                    void (*pin)(EngineConfig&) = nullptr,
+                    ServingMetrics* drained = nullptr) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   g_current_seed = seed;
   const int failed_before = FailedPartCount();
   Rng rng(seed);
-  const EngineConfig cfg = RandomConfig(rng);
+  EngineConfig cfg = RandomConfig(rng);
+  if (pin != nullptr) pin(cfg);
   std::vector<Request> reqs = RandomWorkload(rng);
   ExpectPricerMatchesReference(cfg, seed);
 
@@ -283,9 +293,11 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv) {
   }
 
   const ServingMetrics& m = engine.Metrics();
+  if (drained != nullptr) *drained = m;
   // Exact KV accounting on both tiers, and a clean structural page pool.
   EXPECT_EQ(engine.KvTokensInUse(), 0);
   EXPECT_EQ(engine.HostKvTokensInUse(), 0);
+  EXPECT_EQ(engine.HostStoredBytes(), 0);
   EXPECT_EQ(engine.SpecKvLivePages(), 0);
   EXPECT_EQ(engine.PreemptedBranches(), 0);
   EXPECT_EQ(engine.QueuedTokens(), 0);
@@ -345,6 +357,20 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv) {
     if (codec.quant == KvQuantFormat::kNone) {
       EXPECT_EQ(m.quant_mse_pages, 0);
     }
+    // Every branch's ratio mixes the table's levels, and so does their
+    // logical-byte-weighted mean.
+    const PageCodecTable& table = PageCodecTableFor(
+        cfg.backend.kv_dtype, std::max(1, cfg.model.num_kv_heads / cfg.model.tensor_parallel),
+        cfg.model.head_dim, cfg.page_size, codec);
+    double lo = 1e300, hi = 0.0;
+    for (int fill = 1; fill <= table.page_size(); ++fill) {
+      const double r = static_cast<double>(table.stored_bytes[static_cast<size_t>(fill - 1)]) /
+                       static_cast<double>(table.logical_bytes[static_cast<size_t>(fill - 1)]);
+      lo = std::min(lo, r);
+      hi = std::max(hi, r);
+    }
+    EXPECT_GE(m.HostStoredRatio(), lo * (1.0 - 1e-12));
+    EXPECT_LE(m.HostStoredRatio(), hi * (1.0 + 1e-12));
   }
 
   // The telemetry registry must reconcile with ServingMetrics on every
@@ -587,8 +613,8 @@ int TrialCount() {
   return std::max(0, std::atoi(env));
 }
 
-// Three pinned seeds, always on (CI's sanitizer job runs exactly these by
-// setting FI_SOAK_TRIALS=0). Each is checked for Run ≡ StepTo too.
+// The pinned cases are always on (CI's sanitizer jobs run exactly these by
+// setting FI_SOAK_TRIALS=0). Each engine trial is checked for Run ≡ StepTo.
 TEST(Soak, PinnedSeeds) {
   for (const uint64_t seed : {0xC0FFEEull, 0xBADF00Dull, 0x5EED42ull}) {
     RunEngineTrial(seed, /*check_step_equiv=*/true);
@@ -597,6 +623,29 @@ TEST(Soak, PinnedSeeds) {
     if (::testing::Test::HasFatalFailure()) return;
     RunDisaggTrial(seed ^ 0xD15A66ull);
   }
+}
+
+/// The metered codec swap path: kAuto restores over the copy streams into a
+/// tight int8+lz4 host tier, under a tight device budget. The host tier's
+/// capacity adds 64 pages plus two per running branch to the token budget,
+/// so a small max_running keeps it tight.
+void PinMeteredCodecSwap(EngineConfig& cfg) {
+  cfg.preemption.enabled = true;
+  cfg.preemption.restore = RestorePolicy::kAuto;
+  cfg.preemption.overlap_swap = true;
+  cfg.preemption.host_codec = {KvQuantFormat::kInt8, /*compress=*/true};
+  cfg.preemption.host_capacity_gb = 0.01;
+  cfg.max_running = 8;
+  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+}
+
+TEST(Soak, PinnedMeteredCodecSwap) {
+  ServingMetrics m;
+  RunEngineTrial(0xC0DEC00Bull, /*check_step_equiv=*/true, PinMeteredCodecSwap, &m);
+  // On this seed the host tier fills: without the capacity gate its meter
+  // would reach 1.27x capacity. Swaps and recomputes both run.
+  EXPECT_GT(m.num_swap_restores, 0);
+  EXPECT_GT(m.num_recompute_restores, 0);
 }
 
 TEST(Soak, RandomizedEngineTrials) {
