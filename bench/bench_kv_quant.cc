@@ -69,47 +69,62 @@ struct CodecRow {
 };
 
 /// Encodes + decodes `pages` real-geometry pages through the codec tier and
-/// reports the realized multiplier, accuracy proxy, and bit-exactness.
+/// reports the realized multiplier, accuracy proxy, and bit-exactness. With
+/// the codec off the host tier holds raw page copies.
 CodecRow MeasureCodec(const KvCodecConfig& codec, int64_t pages, Rng& rng) {
   CodecRow row;
-  PagedKVCache kv(DType::kF16, kHeads, kDim, kPage, pages + 2, pages, codec);
+  PagedKVCache kv(DType::kF16, kHeads, kDim, kPage, pages);
   const int seq = kv.CreateSequence();
   std::vector<float> k(static_cast<size_t>(pages * kPage) * kHeads * kDim), v(k.size());
   SyntheticKv(rng, pages * kPage, kHeads, kDim, k.data(), v.data());
   kv.AppendTokens(seq, k.data(), v.data(), pages * kPage);
 
-  // Snapshot the raw bytes of the first page for the bit-exactness probe.
+  int64_t stored = 0, logical = 0, mse_pages = 0;
+  double mse_sum = 0.0;
+  std::vector<uint8_t> blob0;  // Page 0's host copy, for the round-trip probe.
+  for (const int64_t page : kv.SequencePages(seq)) {
+    util::PageCodecStats st{kv.PageBytes(), kv.PageBytes(), 0.0};
+    std::vector<uint8_t> blob;
+    if (codec.enabled()) {
+      blob = util::EncodePage(kv.PageData(page), static_cast<size_t>(kv.PageElems()),
+                              DType::kF16, codec, &st);
+    }
+    stored += st.stored_bytes;
+    logical += st.logical_bytes;
+    if (codec.quant != KvQuantFormat::kNone) {
+      mse_sum += st.mse;
+      ++mse_pages;
+    }
+    if (blob0.empty()) blob0 = std::move(blob);
+  }
+  row.multiplier = stored > 0 ? static_cast<double>(logical) / static_cast<double>(stored) : 0.0;
+  row.mean_mse = mse_pages > 0 ? mse_sum / static_cast<double>(mse_pages) : 0.0;
+
+  // Restore page 0 and compare it with the cache's copy: bit-exact for the
+  // lossless paths, bounded for quantized configs.
   const int64_t page0 = kv.SequencePages(seq)[0];
-  std::vector<float> before;
+  std::vector<half_t> restored(static_cast<size_t>(kv.PageElems()));
+  if (codec.enabled()) {
+    util::DecodePage(blob0.data(), blob0.size(), reinterpret_cast<std::byte*>(restored.data()),
+                     restored.size(), DType::kF16);
+  } else {
+    std::memcpy(restored.data(), kv.PageData(page0), static_cast<size_t>(kv.PageBytes()));
+  }
+  // Layout [K/V][head][slot][dim]: K of slot 0 and V of slot 7 per head.
+  const auto at = [&restored](int kv_half, int h, int slot, int d) {
+    return restored[((static_cast<size_t>(kv_half) * kHeads + h) * kPage + slot) * kDim + d];
+  };
+  row.lossless_exact = true;
   for (int h = 0; h < kHeads; ++h) {
     for (int d = 0; d < kDim; ++d) {
-      before.push_back(kv.KAt(page0, h, 0, d));
-      before.push_back(kv.VAt(page0, h, 7, d));
-    }
-  }
-
-  const auto st = kv.EvictSequenceEx(seq);
-  row.multiplier = st.stored_bytes > 0
-                       ? static_cast<double>(st.logical_bytes) /
-                             static_cast<double>(st.stored_bytes)
-                       : 0.0;
-  row.mean_mse = st.mse_pages > 0 ? st.mse_sum / static_cast<double>(st.mse_pages) : 0.0;
-  const auto rt = kv.RestoreSequenceEx(seq);
-  row.lossless_exact = rt.pages == pages;
-  const int64_t page0b = kv.SequencePages(seq)[0];
-  size_t i = 0;
-  for (int h = 0; h < kHeads && row.lossless_exact; ++h) {
-    for (int d = 0; d < kDim; ++d) {
-      // Bit-exact for the lossless path; bounded for quantized configs.
-      const float ka = kv.KAt(page0b, h, 0, d);
-      const float va = kv.VAt(page0b, h, 7, d);
-      const float ke = before[i++];
-      const float ve = before[i++];
+      const half_t ka = at(0, h, 0, d), va = at(1, h, 7, d);
+      const float ke = kv.KAt(page0, h, 0, d);
+      const float ve = kv.VAt(page0, h, 7, d);
       if (codec.quant == KvQuantFormat::kNone) {
-        if (half_t(ka).bits != half_t(ke).bits || half_t(va).bits != half_t(ve).bits) {
+        if (ka.bits != half_t(ke).bits || va.bits != half_t(ve).bits) {
           row.lossless_exact = false;
         }
-      } else if (std::abs(ka - ke) > 0.25f || std::abs(va - ve) > 0.25f) {
+      } else if (std::abs(ToFloat(ka) - ke) > 0.25f || std::abs(ToFloat(va) - ve) > 0.25f) {
         row.lossless_exact = false;
       }
     }

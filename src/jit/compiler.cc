@@ -3,12 +3,15 @@
 #include <dlfcn.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <vector>
 
 #include "jit/codegen.h"
 #include "util/check.h"
@@ -41,6 +44,33 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// FNV-1a 64 over the relative path and bytes of every header under
+/// FI_SRC_DIR, read once per process. Each kernel compiles against those
+/// headers' layouts (PagedKVCache, AttentionParams), so the on-disk cache
+/// keys on them: a .so built against other headers is never loaded.
+uint64_t HeaderFingerprint() {
+  static const uint64_t fingerprint = [] {
+    namespace fs = std::filesystem;
+    std::vector<fs::path> headers;
+    for (const auto& entry : fs::recursive_directory_iterator(FI_SRC_DIR)) {
+      if (entry.is_regular_file() && entry.path().extension() == ".h") {
+        headers.push_back(entry.path());
+      }
+    }
+    std::sort(headers.begin(), headers.end());
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](const std::string& bytes) {
+      for (const unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ull;
+    };
+    for (const fs::path& header : headers) {
+      mix(fs::relative(header, FI_SRC_DIR).string());
+      mix(ReadFile(header.string()));
+    }
+    return h;
+  }();
+  return fingerprint;
 }
 
 std::shared_ptr<CompiledKernel> LoadSo(const std::string& so_path) {
@@ -84,7 +114,8 @@ std::shared_ptr<CompiledKernel> CompileVariant(const AttentionSpecDesc& spec,
 
   EnsureDir(opts.cache_dir);
   std::ostringstream base;
-  base << opts.cache_dir << "/" << spec.name << "_" << std::hex << hash;
+  base << opts.cache_dir << "/" << spec.name << "_" << std::hex << hash << "_"
+       << HeaderFingerprint();
   const std::string src_path = base.str() + ".cpp";
   const std::string so_path = base.str() + ".so";
   const std::string log_path = base.str() + ".log";

@@ -6,6 +6,9 @@
 // hash (repeat CompileVariant calls return the same handle) and an on-disk
 // cache of .so files (repeat processes skip compilation entirely), matching
 // the paper's "kernels are JIT-compiled at init time and cached for reuse".
+// A .so is named by its spec hash and a fingerprint of the headers it
+// compiles against, so a cache left by a build with other headers is
+// recompiled, not loaded.
 #pragma once
 
 #include <memory>

@@ -10,50 +10,21 @@
 namespace flashinfer {
 
 PagedKVCache::PagedKVCache(DType dtype, int num_kv_heads, int head_dim, int page_size,
-                           int64_t max_pages, int64_t max_host_pages, KvCodecConfig codec)
+                           int64_t max_pages)
     : dtype_(dtype),
       num_kv_heads_(num_kv_heads),
       head_dim_(head_dim),
       page_size_(page_size),
-      max_pages_(max_pages),
-      max_host_pages_(max_host_pages),
-      codec_(codec) {
+      max_pages_(max_pages) {
   FI_CHECK_GE(num_kv_heads, 1);
   FI_CHECK_GE(head_dim, 1);
   FI_CHECK_GE(page_size, 1);
   FI_CHECK_GE(max_pages, 1);
-  FI_CHECK_GE(max_host_pages, 0);
   elems_per_page_ = 2LL * num_kv_heads_ * page_size_ * head_dim_;
   data_.resize(static_cast<size_t>(elems_per_page_ * max_pages_ * DTypeBytes(dtype_)));
   ref_.assign(static_cast<size_t>(max_pages_), 0);
   free_list_.reserve(static_cast<size_t>(max_pages_));
   for (int64_t p = max_pages_ - 1; p >= 0; --p) free_list_.push_back(p);
-  if (!codec_.enabled()) {
-    // Raw host tier: a fixed pool of page-sized slots. The codec tier stores
-    // variable-size blobs instead and charges bytes, so it skips this
-    // allocation entirely.
-    host_data_.resize(
-        static_cast<size_t>(elems_per_page_ * max_host_pages_ * DTypeBytes(dtype_)));
-    host_free_list_.reserve(static_cast<size_t>(max_host_pages_));
-    for (int64_t p = max_host_pages_ - 1; p >= 0; --p) host_free_list_.push_back(p);
-  }
-}
-
-bool PagedKVCache::HostCanHold(int64_t pages) const noexcept {
-  if (!codec_.enabled()) return pages <= static_cast<int64_t>(host_free_list_.size());
-  const int64_t bound = static_cast<int64_t>(
-      util::EncodedPageBound(static_cast<size_t>(elems_per_page_), dtype_, codec_));
-  return pages * bound <= host_byte_capacity() - host_bytes_in_use_;
-}
-
-double PagedKVCache::ObservedStoredRatio() const noexcept {
-  if (!codec_.enabled()) return 1.0;
-  if (cum_logical_bytes_ > 0) {
-    return static_cast<double>(cum_stored_bytes_) / static_cast<double>(cum_logical_bytes_);
-  }
-  const double bound = static_cast<double>(
-      util::EncodedPageBound(static_cast<size_t>(elems_per_page_), dtype_, codec_));
-  return bound / static_cast<double>(PageBytes());
 }
 
 int64_t PagedKVCache::AllocPage() {
@@ -79,47 +50,21 @@ int PagedKVCache::RefCount(int64_t page) const {
   return ref_[static_cast<size_t>(page)];
 }
 
-int64_t PagedKVCache::AllocHostPage() {
-  FI_CHECK(!host_free_list_.empty());
-  const int64_t page = host_free_list_.back();
-  host_free_list_.pop_back();
-  return page;
-}
-
-int64_t PagedKVCache::AllocBlobSlot() {
-  if (!host_blob_free_.empty()) {
-    const int64_t slot = host_blob_free_.back();
-    host_blob_free_.pop_back();
-    return slot;
-  }
-  host_blobs_.emplace_back();
-  return static_cast<int64_t>(host_blobs_.size()) - 1;
-}
-
-void PagedKVCache::FreeBlobSlot(int64_t slot) {
-  auto& blob = host_blobs_.at(static_cast<size_t>(slot));
-  host_bytes_in_use_ -= static_cast<int64_t>(blob.size());
-  --live_host_pages_;
-  blob = {};
-  host_blob_free_.push_back(slot);
-}
-
 int PagedKVCache::CreateSequence() {
   // Reuse a dead slot if any.
   for (size_t i = 0; i < seqs_.size(); ++i) {
     if (!seqs_[i].live) {
-      seqs_[i] = Sequence{{}, 0, true, false, {}, {}};
+      seqs_[i] = Sequence{{}, 0, true};
       return static_cast<int>(i);
     }
   }
-  seqs_.push_back(Sequence{{}, 0, true, false, {}, {}});
+  seqs_.push_back(Sequence{{}, 0, true});
   return static_cast<int>(seqs_.size() - 1);
 }
 
 void PagedKVCache::AppendTokens(int seq, const float* k, const float* v, int64_t count) {
   auto& s = seqs_.at(static_cast<size_t>(seq));
   FI_CHECK(s.live);
-  FI_CHECK(!s.evicted);
   for (int64_t t = 0; t < count; ++t) {
     const int slot = static_cast<int>(s.length % page_size_);
     if (slot == 0) {
@@ -140,7 +85,6 @@ void PagedKVCache::AppendTokens(int seq, const float* k, const float* v, int64_t
 void PagedKVCache::AdoptPrefix(int seq, const std::vector<int64_t>& pages, int64_t token_count) {
   auto& s = seqs_.at(static_cast<size_t>(seq));
   FI_CHECK(s.live);
-  FI_CHECK(!s.evicted);
   FI_CHECK_EQ(s.length, 0);
   FI_CHECK_LE(token_count, static_cast<int64_t>(pages.size()) * page_size_);
   // Shared prefixes must end on a page boundary: a partially-filled shared
@@ -154,7 +98,6 @@ void PagedKVCache::AdoptPrefix(int seq, const std::vector<int64_t>& pages, int64
 void PagedKVCache::ExtendSequence(int seq, int64_t count) {
   auto& s = seqs_.at(static_cast<size_t>(seq));
   FI_CHECK(s.live);
-  FI_CHECK(!s.evicted);
   FI_CHECK_GE(count, 0);
   if (count > 0 && s.length % page_size_ != 0) {
     // Same exclusivity contract as AppendTokens: growing into a shared
@@ -175,7 +118,6 @@ int PagedKVCache::ForkSequence(int seq) {
   const std::vector<int64_t> parent_pages = seqs_.at(static_cast<size_t>(seq)).pages;
   const int64_t parent_len = seqs_.at(static_cast<size_t>(seq)).length;
   FI_CHECK(seqs_.at(static_cast<size_t>(seq)).live);
-  FI_CHECK(!seqs_.at(static_cast<size_t>(seq)).evicted);
 
   const int64_t full_pages = parent_len / page_size_;
   const int tail_len = static_cast<int>(parent_len % page_size_);
@@ -203,7 +145,6 @@ int PagedKVCache::ForkSequence(int seq) {
 void PagedKVCache::TruncateSequence(int seq, int64_t new_len) {
   auto& s = seqs_.at(static_cast<size_t>(seq));
   FI_CHECK(s.live);
-  FI_CHECK(!s.evicted);
   FI_CHECK_GE(new_len, 0);
   FI_CHECK_LE(new_len, s.length);
   const int64_t keep_pages = (new_len + page_size_ - 1) / page_size_;
@@ -217,144 +158,8 @@ void PagedKVCache::TruncateSequence(int seq, int64_t new_len) {
 void PagedKVCache::DropSequence(int seq) {
   auto& s = seqs_.at(static_cast<size_t>(seq));
   FI_CHECK(s.live);
-  for (int64_t p : s.pages) {
-    if (p >= 0) ReleasePage(p);
-  }
-  for (int64_t h : s.host_slots) {
-    if (h < 0) continue;
-    if (codec_.enabled()) {
-      FreeBlobSlot(h);
-    } else {
-      host_free_list_.push_back(h);
-    }
-  }
+  for (int64_t p : s.pages) ReleasePage(p);
   s = Sequence{};
-}
-
-int64_t PagedKVCache::EvictSequence(int seq) { return EvictSequenceEx(seq).pages; }
-
-PagedKVCache::CodecStats PagedKVCache::EvictSequenceEx(int seq) {
-  auto& s = seqs_.at(static_cast<size_t>(seq));
-  FI_CHECK(s.live);
-  FI_CHECK(!s.evicted);
-  const int64_t bytes_per_elem = DTypeBytes(dtype_);
-  s.host_slots.assign(s.pages.size(), -1);
-  CodecStats out;
-  for (size_t i = 0; i < s.pages.size(); ++i) {
-    const int64_t p = s.pages[i];
-    if (ref_[static_cast<size_t>(p)] > 1) continue;  // Shared: stays resident.
-    if (codec_.enabled()) {
-      util::PageCodecStats ps;
-      auto blob = util::EncodePage(data_.data() + p * elems_per_page_ * bytes_per_elem,
-                                   static_cast<size_t>(elems_per_page_), dtype_, codec_, &ps);
-      FI_CHECK_LE(host_bytes_in_use_ + static_cast<int64_t>(blob.size()),
-                  host_byte_capacity());
-      const int64_t slot = AllocBlobSlot();
-      host_bytes_in_use_ += static_cast<int64_t>(blob.size());
-      ++live_host_pages_;
-      host_blobs_[static_cast<size_t>(slot)] = std::move(blob);
-      s.host_slots[i] = slot;
-      out.stored_bytes += ps.stored_bytes;
-      out.logical_bytes += ps.logical_bytes;
-      if (codec_.quant != KvQuantFormat::kNone) {
-        out.mse_sum += ps.mse;
-        ++out.mse_pages;
-      }
-    } else {
-      const int64_t h = AllocHostPage();
-      std::copy_n(data_.begin() + p * elems_per_page_ * bytes_per_elem,
-                  elems_per_page_ * bytes_per_elem,
-                  host_data_.begin() + h * elems_per_page_ * bytes_per_elem);
-      s.host_slots[i] = h;
-      out.stored_bytes += PageBytes();
-      out.logical_bytes += PageBytes();
-    }
-    ReleasePage(p);
-    s.pages[i] = -1;
-    ++out.pages;
-  }
-  s.evicted = true;
-  if (codec_.enabled()) {
-    cum_stored_bytes_ += out.stored_bytes;
-    cum_logical_bytes_ += out.logical_bytes;
-  }
-  s.host_stats.pages += out.pages;
-  s.host_stats.stored_bytes += out.stored_bytes;
-  s.host_stats.logical_bytes += out.logical_bytes;
-  s.host_stats.mse_sum += out.mse_sum;
-  s.host_stats.mse_pages += out.mse_pages;
-  return out;
-}
-
-int64_t PagedKVCache::RestoreSequence(int seq) { return RestoreSequenceEx(seq).pages; }
-
-PagedKVCache::CodecStats PagedKVCache::RestoreSequenceEx(int seq) {
-  auto& s = seqs_.at(static_cast<size_t>(seq));
-  FI_CHECK(s.live);
-  FI_CHECK(s.evicted);
-  // Transactional: check the whole device need up front. A mid-loop
-  // allocation failure would strand a half-restored sequence — some pages
-  // device-resident, some still in the host tier, the frozen flag ambiguous
-  // — and leak its host pages. With the precheck, a shortfall mutates
-  // nothing: the caller sees -1, the sequence stays evicted and intact.
-  int64_t needed = 0;
-  for (const int64_t h : s.host_slots) {
-    if (h >= 0) ++needed;
-  }
-  if (needed > num_free_pages()) {
-    CodecStats fail;
-    fail.pages = -1;
-    return fail;
-  }
-  const int64_t bytes_per_elem = DTypeBytes(dtype_);
-  CodecStats out = s.host_stats;
-  out.pages = 0;
-  for (size_t i = 0; i < s.pages.size(); ++i) {
-    const int64_t h = s.host_slots[i];
-    if (h < 0) continue;  // Stayed resident (shared page).
-    const int64_t p = AllocPage();
-    if (codec_.enabled()) {
-      const auto& blob = host_blobs_.at(static_cast<size_t>(h));
-      util::DecodePage(blob.data(), blob.size(),
-                       data_.data() + p * elems_per_page_ * bytes_per_elem,
-                       static_cast<size_t>(elems_per_page_), dtype_);
-      FreeBlobSlot(h);
-    } else {
-      std::copy_n(host_data_.begin() + h * elems_per_page_ * bytes_per_elem,
-                  elems_per_page_ * bytes_per_elem,
-                  data_.begin() + p * elems_per_page_ * bytes_per_elem);
-      host_free_list_.push_back(h);
-    }
-    s.pages[i] = p;
-    ++out.pages;
-  }
-  s.host_slots.clear();
-  s.host_stats = CodecStats{};
-  s.evicted = false;
-  return out;
-}
-
-bool PagedKVCache::IsEvicted(int seq) const {
-  return seqs_.at(static_cast<size_t>(seq)).evicted;
-}
-
-int64_t PagedKVCache::ExclusivePages(int seq) const {
-  const auto& s = seqs_.at(static_cast<size_t>(seq));
-  FI_CHECK(s.live);
-  int64_t n = 0;
-  for (int64_t p : s.pages) {
-    if (p >= 0 && ref_[static_cast<size_t>(p)] == 1) ++n;
-  }
-  return n;
-}
-
-int64_t PagedKVCache::HostPagesHeld(int seq) const {
-  const auto& s = seqs_.at(static_cast<size_t>(seq));
-  int64_t n = 0;
-  for (int64_t h : s.host_slots) {
-    if (h >= 0) ++n;
-  }
-  return n;
 }
 
 int64_t PagedKVCache::SequenceLength(int seq) const {
@@ -375,7 +180,6 @@ int PagedKVCache::LastPageLen(int seq) const {
 sparse::RequestKv PagedKVCache::ExportKv(int seq, int64_t pos_offset) const {
   const auto& s = seqs_.at(static_cast<size_t>(seq));
   FI_CHECK(s.live);
-  FI_CHECK(!s.evicted);
   sparse::RequestKv kv;
   kv.pages = s.pages;
   kv.last_page_len = LastPageLen(seq);
@@ -484,18 +288,18 @@ PageCodecTable BuildPageCodecTable(DType dtype, int heads, int dim, int page_siz
   Rng rng(kSyntheticKvSeed);
   std::vector<float> k(static_cast<size_t>(page_size) * heads * dim), v(k.size());
   SyntheticKv(rng, page_size, heads, dim, k.data(), v.data());
-  // Level `fill` evicts a cache of `fill`-token pages holding those tokens:
-  // EvictSequenceEx runs EncodePage on exactly the bytes the cache lays out.
-  // A codec host tier allocates nothing up front, and a budget of one page
-  // plus a header's worth of pages fits any blob.
+  // Level `fill` encodes the page of a cache of `fill`-token pages holding
+  // those tokens: EncodePage runs on exactly the bytes the cache lays out.
   for (int fill = 1; fill <= page_size; ++fill) {
-    PagedKVCache one(dtype, heads, dim, fill, 1, 1 + util::kPageCodecHeaderBytes, codec);
+    PagedKVCache one(dtype, heads, dim, fill, 1);
     const int seq = one.CreateSequence();
     one.AppendTokens(seq, k.data(), v.data(), fill);
-    const PagedKVCache::CodecStats st = one.EvictSequenceEx(seq);
+    util::PageCodecStats st;
+    util::EncodePage(one.PageData(one.SequencePages(seq)[0]),
+                     static_cast<size_t>(one.PageElems()), dtype, codec, &st);
     t.logical_bytes.push_back(st.logical_bytes);
     t.stored_bytes.push_back(st.stored_bytes);
-    t.mse.push_back(st.mse_sum);
+    t.mse.push_back(st.mse);
   }
   return t;
 }

@@ -21,8 +21,10 @@
 //     kPhaseDraft/Attn/Gemm/Comm/Swap/Host
 //                   span   component times laid end-to-end inside the step
 //                          (they sum exactly to the step duration).
-//     kChunk        inst   req a=tokens b=completes c=restore(0 none,
-//                          1 recompute, 2 swap transfer)
+//     kChunk        inst   req a=tokens b=completes c=the entry's Resume
+//                          kind (serving/engine.h): 0 a new request's
+//                          prompt, 1 recompute, 2 swap-in transfer,
+//                          3 migration transfer (migrate-in)
 //
 //   Request lifecycle (async per request id; phases tile arrival→finish):
 //     kReqQueued    span   arrival -> admission
@@ -39,7 +41,7 @@
 //     kReqFinish    inst   per finished branch
 //     kReqReject    inst   a=kv_need b=kv_token_budget
 //
-//   KV events (two-tier cache traffic):
+//   KV events (device <-> host tier traffic):
 //     kKvEvictSwap / kKvEvictDrop        inst  req a=kv_len b=pages
 //     kKvRestoreSwap / kKvRestoreRecompute inst req a=kv_len
 //     kKvEncode     inst  host-codec encode at eviction (codec-on only);

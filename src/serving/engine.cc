@@ -103,41 +103,32 @@ AttnSimInput ServingEngine::HeadGeometry() const {
   return in;
 }
 
+double ServingEngine::UnfusedRopeUs(int64_t tokens) const {
+  if (cfg_.backend.fused_rope) return 0.0;
+  // Over this step's Q and K rows, at the engine's head geometry.
+  const AttnSimInput& g = step_in_;
+  const double bytes = 2.0 *  // Read + write.
+                       static_cast<double>(tokens) *
+                       (g.num_qo_heads + g.num_kv_heads) * g.head_dim * 2.0;
+  return cfg_.model.num_layers *
+         (bytes / (cfg_.device.hbm_gbps * 0.45 * 1e3) + cfg_.device.kernel_launch_us);
+}
+
 double ServingEngine::AttnLaunchUs(const AttnSimInput& in) const {
   // Plan reuse across layers: one scheduler pass, num_layers launches.
-  const int layers = cfg_.model.num_layers;
-  double t = BatchAttentionTimeUs(cfg_.device, cfg_.backend, in) * layers;
-  if (!cfg_.backend.fused_rope) {
-    // Separate RoPE kernel over this step's Q and K rows (bandwidth-bound,
-    // small-kernel efficiency).
-    int64_t tokens = 0;
-    for (int64_t q : in.qo_lens) tokens += q;
-    const double bytes = 2.0 *  // Read + write.
-                         static_cast<double>(tokens) *
-                         (in.num_qo_heads + in.num_kv_heads) * in.head_dim * 2.0;
-    t += layers * (bytes / (cfg_.device.hbm_gbps * 0.45 * 1e3) +
-                   cfg_.device.kernel_launch_us);
-  }
-  return t;
+  int64_t tokens = 0;
+  for (int64_t q : in.qo_lens) tokens += q;
+  return BatchAttentionTimeUs(cfg_.device, cfg_.backend, in) * cfg_.model.num_layers +
+         UnfusedRopeUs(tokens);
 }
 
 double ServingEngine::SpecVerifyAttnUs() const {
-  AttnSimInput in = HeadGeometry();
   std::vector<int64_t> context_lens;
   context_lens.reserve(running_.size());
   for (const auto& b : running_) context_lens.push_back(b.kv_len);
-  auto report = verify_pricer_->Price(context_lens);
   // Plan reuse across layers, exactly like AttnLaunchUs.
-  const int layers = cfg_.model.num_layers;
-  double t = report.time_us * layers;
-  if (!cfg_.backend.fused_rope) {
-    const int64_t tokens = static_cast<int64_t>(running_.size()) * tree_->Size();
-    const double bytes = 2.0 * static_cast<double>(tokens) *
-                         (in.num_qo_heads + in.num_kv_heads) * in.head_dim * 2.0;
-    t += layers * (bytes / (cfg_.device.hbm_gbps * 0.45 * 1e3) +
-                   cfg_.device.kernel_launch_us);
-  }
-  return t;
+  return verify_pricer_->Price(context_lens).time_us * cfg_.model.num_layers +
+         UnfusedRopeUs(static_cast<int64_t>(running_.size()) * tree_->Size());
 }
 
 void ServingEngine::TraceSpan(obs::TraceName n, double begin_s, double end_s,
@@ -303,8 +294,8 @@ void ServingEngine::Reset() {
     const int64_t branching = cfg_.spec.enabled ? cfg_.spec.tree.branching : 0;
     const int64_t pages = kv_token_budget_ / cfg_.page_size +
                           static_cast<int64_t>(cfg_.max_running) * (2 + branching) + 64;
-    spec_kv_ = std::make_unique<PagedKVCache>(DType::kF16, /*num_kv_heads=*/1,
-                                              /*head_dim=*/1, cfg_.page_size, pages);
+    structural_kv_ = std::make_unique<PagedKVCache>(DType::kF16, /*num_kv_heads=*/1,
+                                                    /*head_dim=*/1, cfg_.page_size, pages);
   }
 }
 
@@ -424,7 +415,7 @@ void ServingEngine::ReleaseKv(const Branch& b) {
     }
   }
   if (FullKvReserve()) kv_tokens_in_use_ -= b.remaining;
-  if (b.spec_seq >= 0) spec_kv_->DropSequence(b.spec_seq);
+  if (b.kv_seq >= 0) structural_kv_->DropSequence(b.kv_seq);
 }
 
 int64_t ServingEngine::KvNeed(const Request& r) const noexcept {
@@ -455,31 +446,21 @@ int64_t ServingEngine::UnitKvCharge(const MigrationUnit& u) const noexcept {
 MigrationUnit ServingEngine::BuildUnitView(const Exportable& u) const {
   MigrationUnit m;
   m.unit_id = u.unit_id;
-  m.grouped = u.grouped;
-  m.prefix_tokens = u.prefix_tokens;
+  // Siblings of one parallel-n group share the prompt as their prefix.
+  m.grouped = u.branches.front().group >= 0;
+  m.prefix_tokens = m.grouped ? u.branches.front().prefix_len : 0;
   m.export_s = u.export_s;
-  m.kv_tokens = u.grouped ? u.prefix_tokens : 0;
+  m.kv_tokens = m.prefix_tokens;
   for (const Branch& b : u.branches) {
-    MigratedBranch mb;
-    mb.request_id = b.request_id;
-    mb.prefix_len = b.prefix_len;
-    mb.kv_len = b.kv_len;
-    mb.remaining = b.remaining;
-    mb.accept_prob = b.accept_prob;
-    mb.priority = b.priority;
-    mb.tenant = b.tenant;
-    mb.arrival_s = b.arrival_s;
-    mb.last_emit_s = b.last_emit_s;
-    mb.stall_steps = b.stall_steps;
     m.kv_tokens += b.kv_len - b.prefix_len;
-    m.branches.push_back(mb);
+    m.branches.emplace_back(b);
   }
-  if (spec_kv_) {
+  if (structural_kv_) {
     // Real page lists via ExportKv: sibling branches share prefix pages, so
     // the union is what crosses the wire.
     std::vector<int64_t> pages;
     for (const Branch& b : u.branches) {
-      const sparse::RequestKv kv = spec_kv_->ExportKv(b.spec_seq);
+      const sparse::RequestKv kv = structural_kv_->ExportKv(b.kv_seq);
       pages.insert(pages.end(), kv.pages.begin(), kv.pages.end());
     }
     std::sort(pages.begin(), pages.end());
@@ -525,7 +506,7 @@ void ServingEngine::RetainMigratable(int64_t unit_id) {
   // Fallback: the branches re-enter the local decode loop. Their KV charge
   // and structural sequences never left, and seg_start_s still points at the
   // first token, so the decode span absorbs the parked time.
-  for (const Branch& b : it->branches) ResumeBranch(b);
+  running_.insert(running_.end(), it->branches.begin(), it->branches.end());
   ++metrics_.num_migrations_retained;
   FlushTelemetry();
   exportable_.erase(it);
@@ -548,51 +529,23 @@ void ServingEngine::AdmitMigratedUnit(const MigrationUnit& u,
     group = next_group_++;
     group_refs_[group] = {static_cast<int>(u.branches.size()), u.prefix_tokens};
   }
-  PrefillProgress pp;
-  pp.migrate = true;
-  pp.phase_start_s = now_s_;
-  // The unit rides one zero-token transfer-gated entry, exactly like an
-  // overlap-swap restore: ineligible for the step plan until the link
-  // transfer lands (which may already have, if this replica's clock ran
-  // ahead of the transfer end).
-  pp.ready_s = xfer.end_s;
-  pp.req.id = u.branches.front().request_id;
-  pp.req.arrival_s = now_s_;
-  pp.req.input_len = 0;
-  pp.to_compute = 0;
-  int64_t out = 0;
-  int priority = u.branches.front().priority;
-  for (const MigratedBranch& mb : u.branches) {
-    Branch b;
-    b.request_id = mb.request_id;
-    b.group = group;
-    b.prefix_len = u.grouped ? u.prefix_tokens : 0;
-    b.kv_len = mb.kv_len;
-    b.remaining = mb.remaining;
-    b.last_emit_s = mb.last_emit_s;
-    b.stall_steps = mb.stall_steps;
-    b.accept_prob = mb.accept_prob;
-    b.priority = mb.priority;
-    b.tenant = mb.tenant;
-    b.arrival_s = mb.arrival_s;
-    pp.import_branches.push_back(b);
-    out += mb.remaining;
-    priority = std::max(priority, mb.priority);
+  std::vector<Branch> branches(u.branches.size());
+  for (size_t i = 0; i < branches.size(); ++i) {
+    static_cast<MigratedBranch&>(branches[i]) = u.branches[i];
+    branches[i].group = group;
   }
-  // The synthetic req carries the unit's remaining output so QueuedTokens
-  // sees the inbound backlog before the transfer lands.
-  pp.req.output_len = out;
-  pp.req.priority = priority;
   ++metrics_.num_migrations_in;
   metrics_.total_migration_ms += (xfer.end_s - xfer.begin_s) * 1e3;
   copy_migrate_.Record(xfer);
-  TraceSpan(obs::TraceName::kCopyMigrate, xfer.begin_s, xfer.end_s, pp.req.id,
-            u.kv_tokens, u.pages,
+  TraceSpan(obs::TraceName::kCopyMigrate, xfer.begin_s, xfer.end_s,
+            u.branches.front().request_id, u.kv_tokens, u.pages,
             static_cast<int64_t>((xfer.begin_s - u.export_s) * 1e6));
   FlushTelemetry();
   // Admission charges KV outside any step — keep the gauge current.
   if (telemetry_) gauges_[kDeviceKvSeries]->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
-  prefilling_.push_back(std::move(pp));
+  // The unit resumes once the link transfer lands (which may already have,
+  // if this replica's clock ran ahead of the transfer end).
+  QueueResume(Resume::kMigrateIn, std::move(branches), xfer.end_s);
 }
 
 double ServingEngine::SwapXferUs(int64_t tokens, double stored_ratio) const {
@@ -612,7 +565,7 @@ double ServingEngine::SwapXferUs(int64_t tokens, double stored_ratio) const {
 double ServingEngine::CodecUs(int64_t tokens, double gbps) const {
   // Encode/decode touches every logical byte regardless of how small the
   // stored blob ends up. Zero with the codec off, so codec-off swap pricing
-  // is bit-identical to the plain two-tier path.
+  // is bit-identical to the raw host tier.
   if (!cfg_.preemption.host_codec.enabled()) return 0.0;
   const double bytes = static_cast<double>(tokens) *
                        cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype);
@@ -730,14 +683,7 @@ void ServingEngine::RestorePreempted() {
     TraceInstant(p.swapped ? obs::TraceName::kKvRestoreSwap
                            : obs::TraceName::kKvRestoreRecompute,
                  b.request_id, b.kv_len);
-    PrefillProgress pp;
-    pp.restore = true;
-    pp.branch = b;
-    pp.phase_start_s = now_s_;
-    pp.req.id = b.request_id;
-    pp.req.arrival_s = now_s_;
-    pp.req.output_len = b.remaining;
-    pp.req.priority = b.priority;
+    double ready_s = 0.0;
     if (p.swapped) {
       // Swap-in: the branch rides a step as a zero-token transfer chunk —
       // it cannot decode while its KV is still in flight. Legacy mode
@@ -762,7 +708,7 @@ void ServingEngine::RestorePreempted() {
         // The host copy must fully exist before it can stream back.
         const double issue_s = std::max(now_s_, p.swapout_done_s);
         const auto xfer = copy_h2d_.Enqueue(issue_s, t_us);
-        pp.ready_s = xfer.end_s;
+        ready_s = xfer.end_s;
         TraceSpan(obs::TraceName::kCopyH2D, xfer.begin_s, xfer.end_s,
                   b.request_id, b.kv_len,
                   (b.kv_len + cfg_.page_size - 1) / cfg_.page_size,
@@ -772,20 +718,34 @@ void ServingEngine::RestorePreempted() {
       }
       metrics_.total_swap_ms += t_us * 1e-3;
       ++metrics_.num_swap_restores;
-      pp.swap_restore = true;
-      pp.req.input_len = 0;
-      pp.to_compute = 0;
     } else {
       // Recompute: the whole context (prompt + generated tokens) re-enters
-      // the chunked-prefill path as a synthetic request; the branch resumes
-      // once the last chunk lands.
+      // the chunked-prefill path; the branch resumes once the last chunk
+      // lands.
       ++metrics_.num_recompute_restores;
-      pp.req.input_len = b.kv_len;
-      pp.to_compute = b.kv_len;
     }
-    prefilling_.push_back(std::move(pp));
+    QueueResume(p.swapped ? Resume::kSwapIn : Resume::kRecompute, {b}, ready_s);
     preempted_.pop_front();
   }
+}
+
+void ServingEngine::QueueResume(Resume kind, std::vector<Branch> branches, double ready_s) {
+  PrefillProgress p;
+  p.resume = kind;
+  p.phase_start_s = now_s_;
+  p.ready_s = ready_s;
+  p.req.id = branches.front().request_id;
+  p.req.arrival_s = now_s_;
+  // A recompute re-prefills the branch's context; transfers carry no tokens.
+  p.to_compute = kind == Resume::kRecompute ? branches.front().kv_len : 0;
+  p.req.input_len = p.to_compute;
+  p.req.priority = branches.front().priority;
+  for (const Branch& b : branches) {
+    p.req.output_len += b.remaining;
+    p.req.priority = std::max(p.req.priority, b.priority);
+  }
+  p.branches = std::move(branches);
+  prefilling_.push_back(std::move(p));
 }
 
 bool ServingEngine::TryPreemptFor(const Request& r, int64_t need) {
@@ -918,8 +878,8 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
     metrics_.total_swap_ms += t_us * 1e-3;
   }
   // Either way the structural pages free now; the restore rebuilds them.
-  spec_kv_->DropSequence(b.spec_seq);
-  b.spec_seq = -1;
+  structural_kv_->DropSequence(b.kv_seq);
+  b.kv_seq = -1;
   p.branch = b;
   // Keep preempted_ sorted by (priority desc, eviction order asc).
   auto it = std::upper_bound(preempted_.begin(), preempted_.end(), p,
@@ -929,10 +889,6 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
                                           : a.order < x.order;
                              });
   preempted_.insert(it, std::move(p));
-}
-
-void ServingEngine::ResumeBranch(const Branch& b) {
-  running_.push_back(b);
 }
 
 ServingEngine::StepPlan ServingEngine::FormStepPlan() const {
@@ -995,7 +951,7 @@ ServingEngine::StepKind ServingEngine::StepOnce() {
     for (const auto& p : prefilling_) {
       if (p.ready_s < ready_min) {
         ready_min = p.ready_s;
-        migrate_wait = p.migrate;
+        migrate_wait = p.resume == Resume::kMigrateIn;
       }
     }
     const bool copy_wait = !prefilling_.empty();
@@ -1106,7 +1062,7 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
   }
   in.groups.resize(num_groups);
   for (const auto& c : plan.chunks) {
-    if (c.tokens == 0) continue;  // Swap-in transfer chunk: no attention rows.
+    if (c.tokens == 0) continue;  // Transfer chunk: no attention rows.
     const auto& p = prefilling_[c.prefill_idx];
     // A chunk's query covers its new prompt tokens while KV spans everything
     // prefilled so far (cached prefix + earlier chunks + this chunk) —
@@ -1238,9 +1194,8 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     phase(obs::TraceName::kPhaseHost, host_us);
     for (const auto& c : plan.chunks) {
       const auto& p = prefilling_[c.prefill_idx];
-      TraceInstant(obs::TraceName::kChunk, p.req.id, c.tokens,
-                   c.completes ? 1 : 0,
-                   p.migrate ? 3 : p.restore ? (p.swap_restore ? 2 : 1) : 0);
+      TraceInstant(obs::TraceName::kChunk, p.req.id, c.tokens, c.completes ? 1 : 0,
+                   static_cast<int64_t>(p.resume));
     }
   }
 
@@ -1258,10 +1213,10 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     auto& p = prefilling_[c.prefill_idx];
     p.computed += c.tokens;
     ++p.chunks_used;
-    if (p.restore) {
-      metrics_.recompute_tokens += c.tokens;
-    } else {
+    if (p.resume == Resume::kNone) {
       metrics_.total_prefill_tokens += c.tokens;
+    } else {
+      metrics_.recompute_tokens += c.tokens;  // Transfer chunks carry none.
     }
   }
   std::vector<size_t> done;
@@ -1269,57 +1224,8 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     if (!c.completes) continue;
     auto& p = prefilling_[c.prefill_idx];
     FI_CHECK_EQ(p.computed, p.to_compute);
-    if (p.migrate) {
-      // Inbound migration landed: materialize the unit's branches — grouped
-      // units rebuild the shared prefix once and fork it per sibling, so the
-      // destination's structural pages mirror the source's sharing — and
-      // resume them. No first-token emission: TTFT was paid on the prefill
-      // replica; last_emit_s carried over, so the migration latency surfaces
-      // as one inter-token gap on this replica's ITL distribution.
-      int prefix_seq = -1;
-      const Branch& first = p.import_branches.front();
-      if (spec_kv_ && first.group >= 0) {
-        prefix_seq = spec_kv_->CreateSequence();
-        spec_kv_->ExtendSequence(prefix_seq, first.prefix_len);
-      }
-      int64_t unit_kv = 0;
-      for (Branch b : p.import_branches) {
-        if (spec_kv_) {
-          if (prefix_seq >= 0) {
-            b.spec_seq = spec_kv_->ForkSequence(prefix_seq);
-            spec_kv_->ExtendSequence(b.spec_seq, b.kv_len - b.prefix_len);
-          } else {
-            b.spec_seq = spec_kv_->CreateSequence();
-            spec_kv_->ExtendSequence(b.spec_seq, b.kv_len);
-          }
-        }
-        b.seg_start_s = now_s_;
-        unit_kv += b.kv_len;
-        ResumeBranch(b);
-      }
-      if (prefix_seq >= 0) spec_kv_->DropSequence(prefix_seq);
-      TraceSpan(obs::TraceName::kReqMigrateIn, p.phase_start_s, now_s_,
-                p.req.id, unit_kv,
-                static_cast<int64_t>(p.import_branches.size()));
-    } else if (p.restore) {
-      // Restore finished: a swap-in's host copy frees now that its transfer
-      // landed. Rebuild the structural sequence to the branch's context
-      // length and put the branch back in the decode batch. No first-token
-      // emission: the request's TTFT was paid long ago.
-      Branch b = p.branch;
-      if (p.swap_restore) {
-        host_stored_bytes_ -= host_table_->StoredBytes(b.kv_len);
-        metrics_.restored_pages += (b.kv_len + cfg_.page_size - 1) / cfg_.page_size;
-      }
-      // The engine re-reserved the branch's full budget before queueing the
-      // restore, so the structural device pool cannot come up short.
-      b.spec_seq = spec_kv_->CreateSequence();
-      spec_kv_->ExtendSequence(b.spec_seq, b.kv_len);
-      TraceSpan(p.swap_restore ? obs::TraceName::kReqSwapIn
-                               : obs::TraceName::kReqRecompute,
-                p.phase_start_s, now_s_, b.request_id, b.kv_len);
-      b.seg_start_s = now_s_;  // The restored decode segment starts here.
-      ResumeBranch(b);
+    if (p.resume != Resume::kNone) {
+      CompleteResume(p);
     } else {
       if (p.chunks_used > 1) ++metrics_.chunked_requests;
       TraceSpan(obs::TraceName::kReqPrefill, p.phase_start_s, now_s_, p.req.id,
@@ -1343,82 +1249,99 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
                               : 0.0);
 }
 
+void ServingEngine::CompleteResume(PrefillProgress& p) {
+  // No first token: the request's TTFT was paid long ago (or, for a
+  // migrated unit, on the prefill replica; last_emit_s carried over, so the
+  // migration latency surfaces as one inter-token gap here).
+  int64_t kv_tokens = 0;
+  for (const Branch& b : p.branches) {
+    kv_tokens += b.kv_len;
+    if (p.resume == Resume::kSwapIn) {
+      // The host copy frees now that its transfer landed.
+      host_stored_bytes_ -= host_table_->StoredBytes(b.kv_len);
+      metrics_.restored_pages += (b.kv_len + cfg_.page_size - 1) / cfg_.page_size;
+    }
+  }
+  // The engine re-reserved the branches' full budget before queueing the
+  // resume, so the structural device pool cannot come up short.
+  const int64_t resumed = static_cast<int64_t>(p.branches.size());
+  AttachKv(p.branches);
+  running_.insert(running_.end(), p.branches.begin(), p.branches.end());
+  const obs::TraceName span = p.resume == Resume::kSwapIn      ? obs::TraceName::kReqSwapIn
+                              : p.resume == Resume::kRecompute ? obs::TraceName::kReqRecompute
+                                                               : obs::TraceName::kReqMigrateIn;
+  TraceSpan(span, p.phase_start_s, now_s_, p.req.id, kv_tokens,
+            p.resume == Resume::kMigrateIn ? resumed : 0);
+}
+
 void ServingEngine::CompletePrefill(const Request& r) {
   // The request's first token is produced by its last chunk.
   metrics_.AddTtft((now_s_ - r.arrival_s) * 1e3, r.priority);
   ObserveTtft(r.tenant, r.priority, (now_s_ - r.arrival_s) * 1e3);
   ++metrics_.total_output_tokens;
   metrics_.cached_prefix_tokens += CachedTokens(r);
-  const size_t running_before = running_.size();
   const int group = r.parallel_n > 1 ? next_group_++ : -1;
   if (group >= 0) group_refs_[group] = {r.parallel_n, r.input_len};
-  // Spec decode: materialize the prompt KV structurally; parallel branches
-  // fork it (retained pages) instead of re-owning it.
-  int prefix_seq = -1;
-  if (spec_kv_ && r.parallel_n > 1) {
-    prefix_seq = spec_kv_->CreateSequence();
-    spec_kv_->ExtendSequence(prefix_seq, r.input_len);
-  }
-  for (int n = 0; n < r.parallel_n; ++n) {
-    Branch b;
+  std::vector<Branch> branches(static_cast<size_t>(std::max(r.parallel_n, 0)));
+  for (Branch& b : branches) {
     b.request_id = r.id;
     b.group = group;
-    b.prefix_len = r.parallel_n > 1 ? r.input_len : 0;
+    b.prefix_len = group >= 0 ? r.input_len : 0;
     b.kv_len = r.input_len + 1;
     b.remaining = std::max<int64_t>(r.output_len - 1, 0);
     b.last_emit_s = now_s_;
     b.priority = r.priority;
     b.tenant = r.tenant;
     b.arrival_s = r.arrival_s;
-    b.seg_start_s = now_s_;  // First decode segment opens at the first token.
-    if (spec_kv_) {
-      b.accept_prob =
-          r.accept_prob >= 0.0 ? r.accept_prob : cfg_.spec.default_accept_prob;
-      if (prefix_seq >= 0) {
-        b.spec_seq = spec_kv_->ForkSequence(prefix_seq);
-        spec_kv_->ExtendSequence(b.spec_seq, 1);
-      } else {
-        b.spec_seq = spec_kv_->CreateSequence();
-        spec_kv_->ExtendSequence(b.spec_seq, r.input_len + 1);
-      }
-    }
-    running_.push_back(b);
-    // Full-reserve engines (spec, preemption) charged the whole output at
-    // admission; vanilla charges tokens as they are emitted.
-    if (!FullKvReserve()) kv_tokens_in_use_ += 1;
-    // A zero-remaining branch never reaches a decode step; settle its charge
-    // now (vanilla decode releases via the decode loop, but spec prefill
-    // must not leave its sequence behind).
-    if (b.remaining == 0 && spec_kv_) {
-      FinishBranch(b);
-      running_.pop_back();
+    if (structural_kv_) {
+      b.accept_prob = r.accept_prob >= 0.0 ? r.accept_prob : cfg_.spec.default_accept_prob;
     }
   }
-  if (prefix_seq >= 0) spec_kv_->DropSequence(prefix_seq);
+  // Full-reserve engines (spec, preemption) charged the whole output at
+  // admission; vanilla charges tokens as they are emitted.
+  if (!FullKvReserve()) kv_tokens_in_use_ += static_cast<int64_t>(branches.size());
+  // Parallel branches fork the prompt KV (retained pages) instead of
+  // re-owning it.
+  AttachKv(branches);
+  if (branches.empty()) return;
   if (cfg_.export_at_first_token) {
     // Disaggregated prefill pool: the finished prefill's branches do not
     // decode here — they park as one exportable unit (KV charge and
     // structural sequences intact) for the cluster driver to migrate to a
-    // decode replica. Branches with nothing left to emit already finished
-    // above and stay out of the unit.
-    Exportable u;
-    u.grouped = group >= 0;
-    u.prefix_tokens = group >= 0 ? r.input_len : 0;
-    u.export_s = now_s_;
-    size_t keep = running_before;
-    for (size_t i = running_before; i < running_.size(); ++i) {
-      if (running_[i].remaining > 0) {
-        u.branches.push_back(running_[i]);
+    // decode replica.
+    exportable_.push_back({next_unit_id_++, std::move(branches), now_s_});
+  } else {
+    running_.insert(running_.end(), branches.begin(), branches.end());
+  }
+}
+
+void ServingEngine::AttachKv(std::vector<Branch>& branches) {
+  PagedKVCache* kv = structural_kv_.get();
+  int prefix_seq = -1;
+  if (kv != nullptr && !branches.empty() && branches.front().group >= 0) {
+    prefix_seq = kv->CreateSequence();
+    kv->ExtendSequence(prefix_seq, branches.front().prefix_len);
+  }
+  size_t keep = 0;  // Survivors compact to the front in order.
+  for (Branch& b : branches) {
+    if (kv != nullptr) {
+      if (prefix_seq >= 0) {
+        b.kv_seq = kv->ForkSequence(prefix_seq);
+        kv->ExtendSequence(b.kv_seq, b.kv_len - b.prefix_len);
       } else {
-        running_[keep++] = running_[i];
+        b.kv_seq = kv->CreateSequence();
+        kv->ExtendSequence(b.kv_seq, b.kv_len);
       }
     }
-    running_.resize(keep);
-    if (!u.branches.empty()) {
-      u.unit_id = next_unit_id_++;
-      exportable_.push_back(std::move(u));
+    b.seg_start_s = now_s_;  // The branch's decode segment opens here.
+    if (b.remaining > 0) {
+      branches[keep++] = b;
+    } else {
+      FinishBranch(b);  // Its first token was its last.
     }
   }
+  branches.resize(keep);
+  if (prefix_seq >= 0) kv->DropSequence(prefix_seq);
 }
 
 void ServingEngine::CommitDecode() {
@@ -1432,7 +1355,7 @@ void ServingEngine::CommitDecode() {
     b.last_emit_s = now_s_;
     // Preemption-enabled engines track the decode structurally too, so the
     // structural pool holds exactly the pages every branch's KV occupies.
-    if (spec_kv_ && b.spec_seq >= 0) spec_kv_->ExtendSequence(b.spec_seq, 1);
+    if (b.kv_seq >= 0) structural_kv_->ExtendSequence(b.kv_seq, 1);
     b.kv_len += 1;
     if (!FullKvReserve()) kv_tokens_in_use_ += 1;
     ++metrics_.total_output_tokens;
@@ -1479,16 +1402,16 @@ void ServingEngine::CommitSpecDecode() {
 }
 
 void ServingEngine::SpecCommitKv(Branch& b, int accepted, int64_t commit) {
-  PagedKVCache& kv = *spec_kv_;
+  PagedKVCache& kv = *structural_kv_;
   const spec::DraftTree& tree = *tree_;
-  const int64_t len0 = kv.SequenceLength(b.spec_seq);
+  const int64_t len0 = kv.SequenceLength(b.kv_seq);
   FI_CHECK_EQ(len0, b.kv_len);
 
   if (tree.Branching() == 1) {
     // Chain draft: the speculative tail extends the branch in place; the
     // rejected suffix rolls back by truncation.
-    kv.ExtendSequence(b.spec_seq, tree.Size());
-    kv.TruncateSequence(b.spec_seq, len0 + std::min<int64_t>(commit, tree.Size()));
+    kv.ExtendSequence(b.kv_seq, tree.Size());
+    kv.TruncateSequence(b.kv_seq, len0 + std::min<int64_t>(commit, tree.Size()));
   } else {
     // Tree draft: each top-level subtree speculates on its own fork of the
     // committed KV (full pages shared via refcount, partial tail page CoW).
@@ -1496,15 +1419,15 @@ void ServingEngine::SpecCommitKv(Branch& b, int accepted, int64_t commit) {
     // the winner's own rejected suffix — unwinds through ReleasePage.
     std::vector<int> forks(static_cast<size_t>(tree.Branching()));
     for (auto& f : forks) {
-      f = kv.ForkSequence(b.spec_seq);
+      f = kv.ForkSequence(b.kv_seq);
       kv.ExtendSequence(f, tree.SubtreeSize());
     }
     if (accepted > 0) {
-      kv.DropSequence(b.spec_seq);
+      kv.DropSequence(b.kv_seq);
       // Which subtree won is structurally irrelevant; take the first.
-      b.spec_seq = forks[0];
+      b.kv_seq = forks[0];
       for (size_t j = 1; j < forks.size(); ++j) kv.DropSequence(forks[j]);
-      kv.TruncateSequence(b.spec_seq,
+      kv.TruncateSequence(b.kv_seq,
                           len0 + std::min<int64_t>(commit, tree.SubtreeSize()));
     } else {
       for (int f : forks) kv.DropSequence(f);
@@ -1513,9 +1436,9 @@ void ServingEngine::SpecCommitKv(Branch& b, int accepted, int64_t commit) {
   // Bonus/correction token (and chain full-acceptance overflow): append the
   // remainder the rollback could not cover.
   const int64_t target = len0 + commit;
-  const int64_t have = kv.SequenceLength(b.spec_seq);
-  if (have < target) kv.ExtendSequence(b.spec_seq, target - have);
-  FI_CHECK_EQ(kv.SequenceLength(b.spec_seq), target);
+  const int64_t have = kv.SequenceLength(b.kv_seq);
+  if (have < target) kv.ExtendSequence(b.kv_seq, target - have);
+  FI_CHECK_EQ(kv.SequenceLength(b.kv_seq), target);
 }
 
 ServingMetrics ServingEngine::Run(const std::vector<Request>& workload) {

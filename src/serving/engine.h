@@ -32,10 +32,9 @@
 // PagedKVCache refcounts. Verify tokens coexist with in-flight prefill
 // chunks in one mixed step instead of alternating exclusively.
 //
-// KV pressure (src/kvcache/ two-tier pool): with PreemptionConfig enabled,
-// an arrived request that does not fit the device KV budget preempts running
-// branches of strictly lower priority (lowest first, then youngest) instead
-// of queuing behind them. A victim's KV either swaps to a host-memory tier
+// KV pressure: with PreemptionConfig enabled, an arrived request that does
+// not fit the device KV budget preempts running branches of strictly lower
+// priority (lowest first, then youngest) instead of queuing behind them. A victim's KV either swaps to a host-memory tier
 // (PCIe transfer charged into the steps it serializes with) or is dropped
 // and later *recomputed* through the chunked-prefill path — chosen per
 // victim by a cost estimate whose crossover the kv-pressure bench sweeps:
@@ -109,13 +108,13 @@ enum class RestorePolicy {
   kAuto,
 };
 
-/// Priority preemption over a two-tier KV cache. When an arrived request
-/// does not fit the device KV budget, the engine evicts running branches of
-/// strictly lower priority (lowest first, then youngest) instead of letting
-/// the arrival queue wedge. Victims either swap their KV to a host-memory
-/// tier or drop it for later recompute; they re-enter through AdmitArrived
-/// as swap transfers or prompt chunks, re-reserving their KV charge, so the
-/// device budget is never violated.
+/// Priority preemption over the device KV budget and a host-memory tier.
+/// When an arrived request does not fit the device KV budget, the engine
+/// evicts running branches of strictly lower priority (lowest first, then
+/// youngest) instead of letting the arrival queue wedge. Victims either swap
+/// their KV to the host tier or drop it for later recompute; they re-enter
+/// through AdmitArrived as swap transfers or prompt chunks, re-reserving
+/// their KV charge, so the device budget is never violated.
 struct PreemptionConfig {
   bool enabled = false;
   /// Host (offload tier) KV capacity, GB.
@@ -144,7 +143,7 @@ struct PreemptionConfig {
   /// bytes and the tier's effective capacity multiplies. Restores decode the
   /// pages; decode time is priced into the restore transfer (CopyStream path
   /// included) and the per-page quantization MSE lands in ServingMetrics as
-  /// the accuracy proxy. Default-disabled: the raw two-tier path is
+  /// the accuracy proxy. Default-disabled: the raw host tier is
   /// bit-identical to the pre-codec engine.
   KvCodecConfig host_codec;
   /// Codec throughput for pricing encode (evict) / decode (restore) time,
@@ -199,21 +198,21 @@ struct EngineConfig {
   obs::TelemetryConfig telemetry;
 };
 
-/// One decode branch crossing a replica boundary in a migration unit: the
-/// scheduler state a decode-pool replica needs to resume it mid-stream.
-/// `last_emit_s` carries over, so the migration latency surfaces as exactly
-/// one inter-token gap on the destination's ITL distribution.
+/// One decode branch's scheduler state: what a decode-pool replica needs to
+/// resume it mid-stream when it crosses a replica boundary in a migration
+/// unit. `last_emit_s` carries over, so the migration latency surfaces as
+/// exactly one inter-token gap on the destination's ITL distribution.
 struct MigratedBranch {
   int request_id = 0;
-  int64_t prefix_len = 0;   // Shared prompt tokens (grouped units).
-  int64_t kv_len = 0;       // KV tokens to ship (incl. shared prefix).
-  int64_t remaining = 0;    // Output tokens still to emit.
-  double accept_prob = 0.0;
-  int priority = 0;
-  int tenant = -1;
-  double arrival_s = 0.0;
-  double last_emit_s = 0.0;  // First-token time on the prefill replica.
-  int64_t stall_steps = 0;
+  int64_t prefix_len = 0;    // Shared prompt tokens (parallel-n groups).
+  int64_t kv_len = 0;        // Current KV length (incl. shared prefix).
+  int64_t remaining = 0;     // Output tokens still to emit.
+  double accept_prob = 0.0;  // Spec decode: draft acceptance probability.
+  int priority = 0;          // Preemption: request priority.
+  int tenant = -1;           // Telemetry: owning tenant (-1 = unassigned).
+  double arrival_s = 0.0;    // Preemption: victim tie-break (youngest).
+  double last_emit_s = 0.0;  // Last token's time (the first token on export).
+  int64_t stall_steps = 0;   // Work steps survived without emitting.
 };
 
 /// A finished-prefill request (all sibling branches of one parallel-n group)
@@ -328,12 +327,12 @@ class ServingEngine {
     return static_cast<int64_t>(preempted_.size());
   }
 
-  /// Live pages in the structural KV accounting cache (active under spec
-  /// decode and/or preemption; 0 otherwise, and 0 after Drain() when nothing
-  /// leaked through the fork/rollback/evict paths). Device pages only: an
-  /// evicted branch drops its structural sequence.
+  /// Live pages in the structural KV cache (active under spec decode and/or
+  /// preemption; 0 otherwise, and 0 after Drain() when nothing leaked
+  /// through the fork/rollback/evict paths). Device pages only: an evicted
+  /// branch drops its structural sequence.
   int64_t SpecKvLivePages() const noexcept {
-    return spec_kv_ ? spec_kv_->num_live_pages() : 0;
+    return structural_kv_ ? structural_kv_->num_live_pages() : 0;
   }
 
   // --- Disaggregated migration (export_at_first_token mode) -----------------
@@ -345,9 +344,8 @@ class ServingEngine {
   // decode-pool replica can take it: the unit falls back into the local
   // decode loop, charge untouched). Destination side: CanAcceptMigration()
   // gates on KV headroom + run slots; AdmitMigratedUnit() charges the KV and
-  // parks the unit behind a transfer-gated zero-token prefill entry that
-  // becomes runnable at the link transfer's end time, exactly like an
-  // overlap-swap restore.
+  // queues the unit as a resume entry that becomes runnable at the link
+  // transfer's end time, exactly like an overlap-swap restore.
 
   /// Units parked in the exportable pool (cheap emptiness probe).
   int64_t MigratableUnitCount() const noexcept {
@@ -398,49 +396,40 @@ class ServingEngine {
   const obs::SloMonitor* Slo() const noexcept { return slo_.get(); }
 
  private:
-  struct Branch {
-    int request_id = 0;
+  /// A decoding branch: its migratable scheduler state plus what stays on
+  /// this replica.
+  struct Branch : MigratedBranch {
     int group = -1;            // Parallel-generation group id, -1 if alone.
-    int64_t prefix_len = 0;    // Shared prompt tokens (group != -1).
-    int64_t kv_len = 0;        // Current KV length (incl. shared prefix).
-    int64_t remaining = 0;     // Output tokens still to emit.
-    double last_emit_s = 0.0;
-    int64_t stall_steps = 0;   // Work steps survived without emitting.
-    double accept_prob = 0.0;  // Spec decode: draft acceptance probability.
-    int spec_seq = -1;         // Structural KV: sequence id in spec_kv_.
-    int priority = 0;          // Preemption: request priority.
-    int tenant = -1;           // Telemetry: owning tenant (-1 = unassigned).
-    double arrival_s = 0.0;    // Preemption: victim tie-break (youngest).
+    int kv_seq = -1;           // Its sequence in structural_kv_.
     double seg_start_s = 0.0;  // Trace: start of the current decode segment.
   };
 
+  /// How a prefilling entry completes. The value is its kChunk trace code.
+  enum class Resume : uint8_t {
+    kNone = 0,       ///< A new request: its last chunk emits the first token.
+    kRecompute = 1,  ///< A preempted branch re-prefills its whole context.
+    kSwapIn = 2,     ///< A preempted branch whose KV swaps back in.
+    kMigrateIn = 3,  ///< A migrated unit whose KV crosses the replica link.
+  };
+
   /// Admitted request whose prompt is (possibly partially) prefilled; lives
-  /// in prefilling_ until its last chunk lands and it becomes Branch(es).
-  /// Restores reuse this machinery: `restore` entries either re-prefill a
-  /// preempted branch's whole context (recompute: to_compute = the context
-  /// to rebuild) or ride one step as a zero-token transfer chunk (swap: the
-  /// branch must not decode while its KV is still in flight over PCIe). The
-  /// synthetic req carries the branch's remaining output so QueuedTokens
-  /// sees the backlog; completion resumes `branch` instead of emitting a
-  /// first token.
+  /// in prefilling_ until its last chunk lands. A resume entry puts
+  /// `branches` back into the decode batch instead of emitting a first
+  /// token: a recompute re-prefills their context (to_compute = its length),
+  /// a swap-in or a migrated unit rides a step as a zero-token transfer
+  /// chunk. Its synthetic req carries the branches' remaining output so
+  /// QueuedTokens sees the backlog.
   struct PrefillProgress {
     Request req;
     int64_t computed = 0;    // Uncached prompt tokens already prefilled.
     int64_t to_compute = 0;  // Total uncached prompt tokens.
     int chunks_used = 0;     // Chunks scheduled so far (metrics).
-    bool restore = false;    // Restore of a preempted branch.
-    bool swap_restore = false;  // Swap-in transfer (vs recompute).
-    Branch branch;           // Valid when restore == true.
-    /// Inbound migration (disaggregated mode): a whole unit rides one
-    /// zero-token transfer-gated entry; completion materializes
-    /// import_branches instead of emitting a first token (TTFT was paid on
-    /// the prefill replica).
-    bool migrate = false;
-    std::vector<Branch> import_branches;  // Valid when migrate == true.
-    double phase_start_s = 0.0;  // Trace: admission / restore-start time.
-    /// Overlap-swap mode: completion time of the in-flight H2D transfer.
-    /// The entry is ineligible for the step plan until now >= ready_s (its
-    /// KV is still on the PCIe link); 0 for everything else.
+    Resume resume = Resume::kNone;
+    std::vector<Branch> branches;  // What a resume puts back.
+    double phase_start_s = 0.0;    // Trace: admission / resume-start time.
+    /// Completion time of the entry's in-flight transfer (overlap-swap H2D
+    /// or migration link). The entry is ineligible for the step plan until
+    /// now >= ready_s (its KV is still on the link); 0 for everything else.
     double ready_s = 0.0;
   };
 
@@ -494,10 +483,20 @@ class ServingEngine {
   void AdmitArrived();
 
   /// Restores preempted branches (priority desc, then eviction order) while
-  /// the device budget and a run slot allow: swap-ins re-enter running_ and
-  /// serialize their PCIe transfer into the next step; recompute restores
-  /// re-enter prefilling_ as chunked context rebuilds.
+  /// the device budget and a run slot allow. Both kinds queue a resume entry
+  /// in prefilling_: a swap-in rides a step as a zero-token transfer chunk
+  /// (its PCIe time serialized into the next step, or gating the entry on
+  /// the H2D stream with overlap_swap); a recompute rebuilds the context as
+  /// prompt chunks.
   void RestorePreempted();
+
+  /// Queues an entry in prefilling_ that resumes `branches` when it
+  /// completes (see PrefillProgress), runnable from `ready_s` on.
+  void QueueResume(Resume kind, std::vector<Branch> branches, double ready_s);
+
+  /// A completed resume entry: a swap-in's host bytes free, the branches get
+  /// their structural KV back and rejoin the decode batch.
+  void CompleteResume(PrefillProgress& p);
 
   /// Evicts lowest-priority-then-youngest running branches of priority
   /// strictly below `r.priority` until `need` fits the device budget.
@@ -510,9 +509,6 @@ class ServingEngine {
   /// swaps its KV to the host tier or drops it for recompute, per the
   /// restore policy's cost estimate.
   void PreemptBranch(size_t running_idx);
-
-  /// Re-materializes a restored branch into running_.
-  void ResumeBranch(const Branch& b);
 
   /// PCIe transfer time for `tokens` of KV scaled to `stored_ratio` of its
   /// logical bytes (the codec tier moves encoded bytes), microseconds.
@@ -596,6 +592,12 @@ class ServingEngine {
   /// its branch(es).
   void CompletePrefill(const Request& r);
 
+  /// Gives each branch a structural sequence of its kv_len tokens (a
+  /// group's siblings fork one shared prefix, so the pages mirror their
+  /// sharing) and opens its decode segment; finishes and removes every
+  /// branch with nothing left to emit.
+  void AttachKv(std::vector<Branch>& branches);
+
   /// Vanilla decode commit: one token per running branch.
   void CommitDecode();
   /// Spec decode commit: sample acceptance, commit accepted+bonus tokens,
@@ -619,6 +621,10 @@ class ServingEngine {
   /// reused across layers, plus the unfused-RoPE pass when configured.
   double AttnLaunchUs(const AttnSimInput& in) const;
   double SpecVerifyAttnUs() const;
+  /// The separate RoPE kernel an unfused backend launches per layer over
+  /// `tokens` query rows (bandwidth-bound, small-kernel efficiency); 0 with
+  /// fused RoPE.
+  double UnfusedRopeUs(int64_t tokens) const;
   AttnSimInput HeadGeometry() const;
 
   EngineConfig cfg_;
@@ -651,11 +657,10 @@ class ServingEngine {
   /// Finished-prefill units parked for migration (export_at_first_token
   /// mode). Branches here keep their KV charge and structural sequences
   /// alive — extraction releases both exactly; retention re-runs them.
+  /// A unit is grouped when its branches are siblings of a parallel-n group.
   struct Exportable {
     int64_t unit_id = 0;
     std::vector<Branch> branches;
-    bool grouped = false;
-    int64_t prefix_tokens = 0;
     double export_s = 0.0;
   };
   std::deque<Exportable> exportable_;
@@ -684,11 +689,12 @@ class ServingEngine {
   int64_t next_preempt_order_ = 0;
   int next_group_ = 0;
   Rng rng_;  // Acceptance sampling; reseeded by Reset().
-  /// Structural paged KV (1 head x 1 dim: page accounting, not values) that
-  /// the spec path forks/extends/truncates, so rollback exercises the real
-  /// refcount machinery. Preemption drops a victim's sequence and rebuilds
-  /// it on restore. Null when both spec decode and preemption are off.
-  std::unique_ptr<PagedKVCache> spec_kv_;
+  /// Structural paged KV (1 head x 1 dim: page accounting, not values).
+  /// Spec decode forks/extends/truncates it, so rollback exercises the real
+  /// refcount machinery; preemption drops a victim's sequence and rebuilds
+  /// it on restore; migration counts a unit's pages from it. Null when both
+  /// spec decode and preemption are off.
+  std::unique_ptr<PagedKVCache> structural_kv_;
   /// Event recorder; null when EngineConfig::trace is disabled (every
   /// emission site is gated on this pointer).
   std::unique_ptr<obs::TraceRecorder> trace_;

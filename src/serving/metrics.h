@@ -74,7 +74,7 @@ struct ServingMetrics {
   /// emitting a token. All zeros once mixed batching is on.
   std::vector<int64_t> branch_stalls;
 
-  // --- Preemption / two-tier KV (populated when preemption is enabled;
+  // --- Preemption / host KV tier (populated when preemption is enabled;
   // rejected_requests can also count on vanilla engines — the graceful form
   // of the old tight-budget admission wedge). ------------------------------
   /// Running branches evicted to relieve KV pressure.

@@ -1,8 +1,7 @@
 // Host KV-tier codec: LZ4-style block compressor round trips, bounded-error
-// quantization (incl. bfloat16 edge values), page-codec properties, the
-// PagedKVCache codec tier (byte accounting, capacity multiplication,
-// transactional restore on device shortfall, codec-off bit-identity), and
-// the per-fill-level page table that meters a simulated host tier.
+// quantization (incl. bfloat16 edge values), page-codec properties, a cache
+// page encoded as laid out, and the per-fill-level page table that meters a
+// simulated host tier.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -266,169 +265,43 @@ TEST(PageCodec, RandomizedRoundTripsStayWithinBound) {
   }
 }
 
-// --- PagedKVCache codec tier -------------------------------------------------
+// --- Cache pages through the codec -------------------------------------------
 
 constexpr int kPage = 16;
 
-PagedKVCache MakeCodecCache(int64_t pages, int64_t host_pages, KvCodecConfig codec) {
-  return PagedKVCache(DType::kF16, /*num_kv_heads=*/2, /*head_dim=*/8, kPage, pages,
-                      host_pages, codec);
-}
-
-std::vector<float> Rows(int64_t tokens, float base) {
-  std::vector<float> v(static_cast<size_t>(tokens) * 2 * 8);
-  for (size_t i = 0; i < v.size(); ++i) {
-    v[i] = base + 0.125f * static_cast<float>(i % 64);
+TEST(PageCodec, CachePageRoundTripsThroughInt8Lz4) {
+  // A host tier encodes the cache's page bytes as laid out: PageData is the
+  // [K/V][head][slot][dim] page the codec sees.
+  constexpr int kHeads = 2, kDim = 8;
+  PagedKVCache kv(DType::kF16, kHeads, kDim, kPage, 4);
+  const int seq = kv.CreateSequence();
+  std::vector<float> k(static_cast<size_t>(kPage) * kHeads * kDim), v(k.size());
+  for (size_t i = 0; i < k.size(); ++i) {
+    k[i] = 1.0f + 0.125f * static_cast<float>(i % 64);
+    v[i] = -3.0f + 0.125f * static_cast<float>(i % 64);
   }
-  return v;
-}
-
-TEST(CodecTier, QuantizedEvictRestoreApproximatesValues) {
-  const KvCodecConfig codec{KvQuantFormat::kInt8, /*compress=*/true};
-  auto kv = MakeCodecCache(8, 8, codec);
-  const int seq = kv.CreateSequence();
-  const auto k = Rows(2 * kPage, 1.0f);
-  const auto v = Rows(2 * kPage, -3.0f);
-  kv.AppendTokens(seq, k.data(), v.data(), 2 * kPage);
-
-  const auto est = kv.EvictSequenceEx(seq);
-  EXPECT_EQ(est.pages, 2);
-  EXPECT_GT(est.stored_bytes, 0);
-  EXPECT_EQ(est.logical_bytes, 2 * kv.PageBytes());
-  EXPECT_LT(est.stored_bytes, est.logical_bytes);  // int8 halves f16 at worst.
-  EXPECT_GT(est.mse_pages, 0);
-  EXPECT_EQ(kv.host_bytes_in_use(), est.stored_bytes);
-  EXPECT_TRUE(kv.IsEvicted(seq));
-
-  const auto rst = kv.RestoreSequenceEx(seq);
-  EXPECT_EQ(rst.pages, 2);
-  EXPECT_EQ(rst.stored_bytes, est.stored_bytes);
-  EXPECT_EQ(kv.host_bytes_in_use(), 0);
-  EXPECT_FALSE(kv.IsEvicted(seq));
-  // Values come back within the int8 step of the page range.
-  const auto& pages = kv.SequencePages(seq);
-  for (int slot = 0; slot < kPage; ++slot) {
-    for (int h = 0; h < 2; ++h) {
-      for (int d = 0; d < 8; ++d) {
-        const size_t idx =
-            (static_cast<size_t>(slot) * 2 + static_cast<size_t>(h)) * 8 +
-            static_cast<size_t>(d);
-        EXPECT_NEAR(kv.KAt(pages[0], h, slot, d), k[idx], 0.05f);
-        EXPECT_NEAR(kv.VAt(pages[0], h, slot, d), v[idx], 0.05f);
-      }
-    }
-  }
-}
-
-TEST(CodecTier, EffectiveCapacityExceedsNominalPageCount) {
-  // 2 nominal host pages. Admission gates on the *worst-case* encoded size
-  // (int8 bound ~0.52x of f16), but realized int8+lz4 blobs are far smaller,
-  // so sequential evictions pack 4 pages into a tier sized for 2 raw ones.
-  const KvCodecConfig codec{KvQuantFormat::kInt8, /*compress=*/true};
-  auto kv = MakeCodecCache(8, 2, codec);
-  const int a = kv.CreateSequence();
-  const int b = kv.CreateSequence();
-  const auto k = Rows(2 * kPage, 0.5f);
-  const auto v = Rows(2 * kPage, -1.5f);
-  kv.AppendTokens(a, k.data(), v.data(), 2 * kPage);
-  kv.AppendTokens(b, k.data(), v.data(), 2 * kPage);
-
-  ASSERT_TRUE(kv.HostCanHold(2));
-  const auto sa = kv.EvictSequenceEx(a);
-  EXPECT_EQ(sa.pages, 2);
-  EXPECT_LT(kv.ObservedStoredRatio(), 0.52);
-  // The first eviction's realized bytes leave room the raw tier lacks: the
-  // worst-case gate still admits the second 2-page sequence.
-  ASSERT_TRUE(kv.HostCanHold(2));
-  const auto sb = kv.EvictSequenceEx(b);
-  EXPECT_EQ(sb.pages, 2);
-  EXPECT_EQ(kv.num_live_host_pages(), 4);  // 2x the nominal page count.
-  EXPECT_GT(kv.num_live_host_pages(), kv.max_host_pages());
-  EXPECT_LE(kv.host_bytes_in_use(), kv.host_byte_capacity());
-
-  EXPECT_EQ(kv.RestoreSequence(a), 2);
-  EXPECT_EQ(kv.RestoreSequence(b), 2);
-  EXPECT_EQ(kv.host_bytes_in_use(), 0);
-  EXPECT_EQ(kv.num_live_host_pages(), 0);
-}
-
-TEST(CodecTier, RestoreShortfallIsTransactional) {
-  const KvCodecConfig codec{KvQuantFormat::kInt8, /*compress=*/false};
-  auto kv = MakeCodecCache(4, 8, codec);
-  const int seq = kv.CreateSequence();
-  const auto k = Rows(3 * kPage, 2.0f);
-  const auto v = Rows(3 * kPage, 4.0f);
-  kv.AppendTokens(seq, k.data(), v.data(), 3 * kPage);
-  ASSERT_EQ(kv.EvictSequence(seq), 3);
-  const int64_t host_bytes = kv.host_bytes_in_use();
-  const int64_t host_pages = kv.num_live_host_pages();
-
-  // Exhaust the device pool so only 2 of the 3 needed pages are free.
-  const int hog = kv.CreateSequence();
-  kv.ExtendSequence(hog, 2 * kPage);
-  ASSERT_EQ(kv.num_free_pages(), 2);
-
-  const auto st = kv.RestoreSequenceEx(seq);
-  EXPECT_EQ(st.pages, -1);  // Refused...
-  EXPECT_TRUE(kv.IsEvicted(seq));  // ...and nothing moved:
-  EXPECT_EQ(kv.host_bytes_in_use(), host_bytes);
-  EXPECT_EQ(kv.num_live_host_pages(), host_pages);
-  EXPECT_EQ(kv.num_free_pages(), 2);
-
-  // Free device pages; the retry succeeds and drains the host bytes.
-  kv.DropSequence(hog);
-  const auto ok = kv.RestoreSequenceEx(seq);
-  EXPECT_EQ(ok.pages, 3);
-  EXPECT_EQ(kv.host_bytes_in_use(), 0);
-  EXPECT_FALSE(kv.IsEvicted(seq));
-  kv.DropSequence(seq);
-  EXPECT_EQ(kv.num_free_pages(), 4);
-}
-
-TEST(CodecTier, DropWhileEvictedFreesHostBytes) {
-  const KvCodecConfig codec{KvQuantFormat::kFp8E4M3, /*compress=*/true};
-  auto kv = MakeCodecCache(4, 4, codec);
-  const int seq = kv.CreateSequence();
-  const auto k = Rows(2 * kPage, 1.0f);
-  const auto v = Rows(2 * kPage, 2.0f);
-  kv.AppendTokens(seq, k.data(), v.data(), 2 * kPage);
-  ASSERT_EQ(kv.EvictSequence(seq), 2);
-  EXPECT_GT(kv.host_bytes_in_use(), 0);
-  kv.DropSequence(seq);
-  EXPECT_EQ(kv.host_bytes_in_use(), 0);
-  EXPECT_EQ(kv.num_live_host_pages(), 0);
-  EXPECT_EQ(kv.num_free_pages(), 4);
-}
-
-TEST(CodecTier, CodecOffRestoreIsBitExact) {
-  // The codec-off tier must remain byte-for-byte the raw page pool: evict +
-  // restore round-trips exact f16 bits (no encode in the path).
-  auto kv = MakeCodecCache(4, 4, KvCodecConfig{});
-  const int seq = kv.CreateSequence();
-  const auto k = Rows(kPage, 0.333f);
-  const auto v = Rows(kPage, -0.777f);
   kv.AppendTokens(seq, k.data(), v.data(), kPage);
-  const int64_t page_before = kv.SequencePages(seq)[0];
-  std::vector<uint16_t> bits_before;
+  const int64_t page = kv.SequencePages(seq)[0];
+
+  const KvCodecConfig codec{KvQuantFormat::kInt8, /*compress=*/true};
+  PageCodecStats st;
+  const auto blob = EncodePage(kv.PageData(page), static_cast<size_t>(kv.PageElems()),
+                               DType::kF16, codec, &st);
+  EXPECT_EQ(st.logical_bytes, kv.PageBytes());
+  EXPECT_LT(st.stored_bytes, st.logical_bytes);
+  EXPECT_GT(st.mse, 0.0);
+  std::vector<half_t> out(static_cast<size_t>(kv.PageElems()));
+  DecodePage(blob.data(), blob.size(), reinterpret_cast<std::byte*>(out.data()), out.size(),
+             DType::kF16);
+  // Values come back within the int8 step of the page range.
   for (int slot = 0; slot < kPage; ++slot) {
-    for (int h = 0; h < 2; ++h) {
-      for (int d = 0; d < 8; ++d) {
-        bits_before.push_back(
-            half_t(kv.KAt(page_before, h, slot, d)).bits);
-        bits_before.push_back(
-            half_t(kv.VAt(page_before, h, slot, d)).bits);
-      }
-    }
-  }
-  ASSERT_EQ(kv.EvictSequence(seq), 1);
-  ASSERT_EQ(kv.RestoreSequence(seq), 1);
-  const int64_t page_after = kv.SequencePages(seq)[0];
-  size_t i = 0;
-  for (int slot = 0; slot < kPage; ++slot) {
-    for (int h = 0; h < 2; ++h) {
-      for (int d = 0; d < 8; ++d) {
-        EXPECT_EQ(half_t(kv.KAt(page_after, h, slot, d)).bits, bits_before[i++]);
-        EXPECT_EQ(half_t(kv.VAt(page_after, h, slot, d)).bits, bits_before[i++]);
+    for (int h = 0; h < kHeads; ++h) {
+      for (int d = 0; d < kDim; ++d) {
+        const size_t row = (static_cast<size_t>(slot) * kHeads + h) * kDim + d;
+        const size_t k_at = (static_cast<size_t>(h) * kPage + slot) * kDim + d;
+        const size_t v_at = (static_cast<size_t>(kHeads + h) * kPage + slot) * kDim + d;
+        EXPECT_NEAR(ToFloat(out[k_at]), k[row], 0.05f);
+        EXPECT_NEAR(ToFloat(out[v_at]), v[row], 0.05f);
       }
     }
   }

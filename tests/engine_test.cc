@@ -1,6 +1,9 @@
 // Serving-engine edge cases and regression tests.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "cluster/cluster.h"
 #include "serving/engine.h"
 
 namespace flashinfer::serving {
@@ -97,6 +100,43 @@ TEST(Engine, ParallelBranchesMultiplyOutputs) {
   const auto m = engine.Run(reqs);
   // Request 0: 1 prefill token + 4 branches x 5; request 1: 1 + 5.
   EXPECT_EQ(m.total_output_tokens, (1 + 4 * 5) + (1 + 5));
+}
+
+// A request with output_len = 1 emits only its first token, in every mode:
+// the prefill's first token is its last. Engines without a structural KV
+// cache used to decode each such branch once more: vanilla and
+// prefill-alone engines, and the vanilla disaggregated cluster below,
+// emitted 7 tokens and 4 ITL samples for these requests.
+TEST(Engine, OneTokenRequestsFinishAtTheirFirstToken) {
+  const std::vector<Request> reqs = {MakeReq(0, 0.0, 64, 1), MakeReq(1, 0.0, 128, 1, 2),
+                                     MakeReq(2, 0.01, 32, 1)};
+  EngineConfig prefill_alone = BaseConfig();
+  prefill_alone.prefill_chunk_tokens = 0;
+  EngineConfig spec = BaseConfig();
+  spec.spec.enabled = true;
+  EngineConfig preempting = BaseConfig();
+  preempting.preemption.enabled = true;
+  for (const auto& [name, cfg] :
+       {std::pair{"vanilla", BaseConfig()}, std::pair{"prefill-alone", prefill_alone},
+        std::pair{"spec", spec}, std::pair{"preemption", preempting}}) {
+    SCOPED_TRACE(name);
+    ServingEngine engine(cfg);
+    const auto m = engine.Run(reqs);
+    EXPECT_EQ(m.total_output_tokens, 3);
+    EXPECT_EQ(m.ttft_ms.size(), 3u);
+    EXPECT_EQ(m.ItlCount(), 0);
+    EXPECT_EQ(m.branch_stalls.size(), 4u);  // Every branch finished.
+    EXPECT_EQ(engine.KvTokensInUse(), 0);
+  }
+  cluster::ClusterConfig disagg;
+  disagg.engine = BaseConfig();
+  disagg.num_replicas = 2;
+  disagg.disaggregated = true;
+  disagg.prefill_replicas = 1;
+  const auto m = cluster::ClusterEngine(disagg).Run(reqs);
+  EXPECT_EQ(m.aggregate.total_output_tokens, 3);
+  EXPECT_EQ(m.aggregate.ItlCount(), 0);
+  EXPECT_EQ(m.migrations, 0);  // Nothing is left to decode elsewhere.
 }
 
 TEST(Engine, KvBudgetThrottlesAdmission) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "jit/codegen.h"
 #include "jit/compiler.h"
 #include "jit/interpreted.h"
@@ -141,6 +145,32 @@ TEST_F(JitCompileTest, CacheHitsInMemoryAndOnDisk) {
   const auto stats = GetJitCacheStats();
   EXPECT_GE(stats.memory_hits, 1);
   EXPECT_LE(stats.compilations, 1);  // 0 if a previous run left the .so.
+}
+
+TEST_F(JitCompileTest, SpecOnlyCacheNameIsNotLoaded) {
+  // A kernel compiles against the headers' layouts (PagedKVCache,
+  // AttentionParams). A .so left under the spec-hash-only name, as an older
+  // build named it, may hold other layouts: it must be recompiled, never
+  // loaded. This one is not even a shared object.
+  JitOptions opts;
+  opts.cache_dir = ::testing::TempDir() + "fi_jit_stale_cache";
+  std::filesystem::remove_all(opts.cache_dir);
+  std::filesystem::create_directories(opts.cache_dir);
+  AttentionSpecDesc spec;
+  spec.name = "StaleProbe";
+  spec.kv_dtype = DType::kF32;
+  spec.extra_params = {{"probe", 7.5f}};
+  spec.logits_transform_body = "return logit * p.sm_scale * probe;";
+  std::ostringstream stale;
+  stale << opts.cache_dir << "/" << spec.name << "_" << std::hex << SpecHash(spec) << ".so";
+  std::ofstream(stale.str()) << "compiled against other headers";
+
+  ResetJitCacheStats();
+  const auto kernel = CompileVariant(spec, opts);
+  EXPECT_NE(kernel->so_path(), stale.str());
+  EXPECT_EQ(GetJitCacheStats().compilations, 1);
+  EXPECT_EQ(GetJitCacheStats().disk_hits, 0);
+  std::filesystem::remove_all(opts.cache_dir);
 }
 
 TEST(Interpreted, DefaultHooksMatchVanilla) {

@@ -189,6 +189,7 @@ TEST(Paged, ForkSharesFullPagesAndCopiesPartialTail) {
   }
   const int fork = kv.ForkSequence(seq);
   EXPECT_EQ(kv.SequenceLength(fork), 6);
+  EXPECT_EQ(kv.num_live_pages(), 3);  // The parent's 2 pages + the CoW tail.
   const auto& sp = kv.SequencePages(seq);
   const auto& fp = kv.SequencePages(fork);
   EXPECT_EQ(fp[0], sp[0]);      // Full page aliased...
@@ -203,6 +204,11 @@ TEST(Paged, ForkSharesFullPagesAndCopiesPartialTail) {
   kv.AppendTokens(fork, k.data(), v.data(), 1);
   EXPECT_EQ(kv.SequenceLength(seq), 6);
   EXPECT_EQ(kv.KAt(sp[1], 0, 2, 0), 0.0f);  // Parent's slot untouched.
+  // The parent appends into its own tail; the fork's copy keeps its token.
+  k.assign(2, 300.0f);
+  kv.AppendTokens(seq, k.data(), v.data(), 1);
+  EXPECT_EQ(kv.KAt(sp[1], 0, 2, 0), 300.0f);
+  EXPECT_EQ(kv.KAt(fp[1], 0, 2, 0), 100.0f);
   kv.DropSequence(fork);
   EXPECT_EQ(kv.RefCount(sp[0]), 1);
   kv.DropSequence(seq);

@@ -1,13 +1,11 @@
-// Priority preemption over the two-tier paged KV cache: kvcache-level
-// eviction/restore under sharing, engine-level preempt-or-queue behavior,
-// the tight-KV admission-wedge regression, and KV-headroom routing.
+// Priority preemption under KV pressure: engine-level preempt-or-queue
+// behavior, swap and recompute restores, the tight-KV admission-wedge
+// regression, and KV-headroom routing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "cluster/router.h"
-#include "kvcache/paged.h"
-#include "kvcache/radix.h"
 #include "serving/engine.h"
 
 namespace flashinfer {
@@ -19,159 +17,6 @@ using serving::Request;
 using serving::RestorePolicy;
 using serving::ServingEngine;
 using serving::ServingMetrics;
-
-// --- Two-tier PagedKVCache ---------------------------------------------------
-
-constexpr int kPage = 16;
-
-PagedKVCache MakeCache(int64_t pages, int64_t host_pages) {
-  return PagedKVCache(DType::kF16, /*num_kv_heads=*/1, /*head_dim=*/4, kPage, pages,
-                      host_pages);
-}
-
-std::vector<float> Rows(int64_t tokens, float base) {
-  std::vector<float> v(static_cast<size_t>(tokens) * 4);
-  for (size_t i = 0; i < v.size(); ++i) v[i] = base + static_cast<float>(i);
-  return v;
-}
-
-TEST(TwoTierKv, EvictRestoreRoundTripsExclusivePages) {
-  auto kv = MakeCache(8, 8);
-  const int seq = kv.CreateSequence();
-  const auto k = Rows(40, 1.0f), v = Rows(40, 100.0f);
-  kv.AppendTokens(seq, k.data(), v.data(), 40);  // 2 full pages + 8-token tail.
-  EXPECT_EQ(kv.num_live_pages(), 3);
-  EXPECT_EQ(kv.ExclusivePages(seq), 3);
-  const float probe = kv.KAt(kv.SequencePages(seq)[1], 0, 3, 2);
-
-  EXPECT_EQ(kv.EvictSequence(seq), 3);
-  EXPECT_TRUE(kv.IsEvicted(seq));
-  EXPECT_EQ(kv.num_live_pages(), 0);  // All device pages freed.
-  EXPECT_EQ(kv.num_live_host_pages(), 3);
-  EXPECT_EQ(kv.HostPagesHeld(seq), 3);
-  EXPECT_EQ(kv.SequenceLength(seq), 40);  // Length survives eviction.
-
-  EXPECT_EQ(kv.RestoreSequence(seq), 3);
-  EXPECT_FALSE(kv.IsEvicted(seq));
-  EXPECT_EQ(kv.num_live_pages(), 3);
-  EXPECT_EQ(kv.num_live_host_pages(), 0);
-  // KV data survived the round trip through the host tier.
-  EXPECT_EQ(kv.KAt(kv.SequencePages(seq)[1], 0, 3, 2), probe);
-  // The restored sequence appends again.
-  kv.AppendTokens(seq, k.data(), v.data(), 8);
-  EXPECT_EQ(kv.SequenceLength(seq), 48);
-
-  kv.DropSequence(seq);
-  EXPECT_EQ(kv.num_live_pages(), 0);
-  EXPECT_EQ(kv.num_live_host_pages(), 0);
-}
-
-TEST(TwoTierKv, EvictingForkPreservesSharingAndRefcounts) {
-  auto kv = MakeCache(16, 16);
-  const int parent = kv.CreateSequence();
-  const auto k = Rows(40, 1.0f), v = Rows(40, 100.0f);
-  kv.AppendTokens(parent, k.data(), v.data(), 40);
-  const int fork = kv.ForkSequence(parent);  // 2 shared full pages + CoW tail.
-  const auto& ppages = kv.SequencePages(parent);
-  EXPECT_EQ(kv.RefCount(ppages[0]), 2);
-  EXPECT_EQ(kv.RefCount(ppages[1]), 2);
-  EXPECT_EQ(kv.num_live_pages(), 4);  // 3 parent + 1 CoW tail.
-
-  // Evicting the fork offloads only its exclusive CoW tail; the two shared
-  // pages stay resident under the fork's refcount — sharing is not broken.
-  EXPECT_EQ(kv.ExclusivePages(fork), 1);
-  EXPECT_EQ(kv.EvictSequence(fork), 1);
-  EXPECT_EQ(kv.RefCount(ppages[0]), 2);
-  EXPECT_EQ(kv.RefCount(ppages[1]), 2);
-  EXPECT_EQ(kv.num_live_pages(), 3);
-  EXPECT_EQ(kv.num_live_host_pages(), 1);
-
-  // The parent is untouched: it can keep appending into its own tail.
-  kv.AppendTokens(parent, k.data(), v.data(), 8);
-  EXPECT_EQ(kv.SequenceLength(parent), 48);
-
-  // Swap-path restore: the tail comes back, refcounts stay exact.
-  EXPECT_EQ(kv.RestoreSequence(fork), 1);
-  EXPECT_EQ(kv.RefCount(ppages[0]), 2);
-  EXPECT_EQ(kv.RefCount(ppages[1]), 2);
-  EXPECT_EQ(kv.SequenceLength(fork), 40);
-  kv.TruncateSequence(fork, 32);  // Fork can roll back normally again.
-
-  kv.DropSequence(fork);
-  EXPECT_EQ(kv.RefCount(ppages[0]), 1);
-  kv.DropSequence(parent);
-  EXPECT_EQ(kv.num_live_pages(), 0);
-  EXPECT_EQ(kv.num_live_host_pages(), 0);
-}
-
-TEST(TwoTierKv, DroppingEvictedForkReleasesHostPages) {
-  // Recompute-path restore at the cache level: the evicted sequence is
-  // dropped outright (its rebuilt replacement is a fresh sequence), which
-  // must free host pages AND the refcounts it still holds on shared pages.
-  auto kv = MakeCache(16, 16);
-  const int parent = kv.CreateSequence();
-  const auto k = Rows(40, 1.0f), v = Rows(40, 100.0f);
-  kv.AppendTokens(parent, k.data(), v.data(), 40);
-  const int fork = kv.ForkSequence(parent);
-  kv.EvictSequence(fork);
-  EXPECT_EQ(kv.num_live_host_pages(), 1);
-
-  kv.DropSequence(fork);
-  EXPECT_EQ(kv.num_live_host_pages(), 0);
-  EXPECT_EQ(kv.RefCount(kv.SequencePages(parent)[0]), 1);
-
-  // Rebuild (what the engine's recompute restore does structurally).
-  const int rebuilt = kv.CreateSequence();
-  kv.ExtendSequence(rebuilt, 40);
-  EXPECT_EQ(kv.SequenceLength(rebuilt), 40);
-  kv.DropSequence(rebuilt);
-  kv.DropSequence(parent);
-  EXPECT_EQ(kv.num_live_pages(), 0);
-}
-
-TEST(TwoTierKv, EvictionKeepsRadixMirrorAndAdoptedPrefixExact) {
-  // A cached prefix held by a radix tree (cache-owner sequence) and adopted
-  // by a branch: evicting the branch must not disturb the cached pages or
-  // the tree — only the branch's private suffix moves to host.
-  auto kv = MakeCache(16, 16);
-  RadixTree tree(kPage);
-
-  const int owner = kv.CreateSequence();  // Stands in for the prefix cache.
-  const auto k = Rows(32, 1.0f), v = Rows(32, 100.0f);
-  kv.AppendTokens(owner, k.data(), v.data(), 32);  // 2 full pages.
-  std::vector<int32_t> prompt(32);
-  for (int i = 0; i < 32; ++i) prompt[i] = i;
-  const std::vector<int64_t> prefix_pages = kv.SequencePages(owner);
-  EXPECT_EQ(tree.Insert(prompt, prefix_pages), 2);
-
-  const int branch = kv.CreateSequence();
-  kv.AdoptPrefix(branch, prefix_pages, 32);
-  kv.ExtendSequence(branch, 20);  // Private suffix: 1 full + 1 partial page.
-  EXPECT_EQ(kv.RefCount(prefix_pages[0]), 2);
-  EXPECT_EQ(kv.ExclusivePages(branch), 2);
-
-  EXPECT_EQ(kv.EvictSequence(branch), 2);  // Only the private suffix.
-  EXPECT_EQ(kv.RefCount(prefix_pages[0]), 2);
-  EXPECT_EQ(kv.RefCount(prefix_pages[1]), 2);
-  EXPECT_EQ(tree.TotalCachedPages(), 2);
-  // The mirror still matches the prompt while the branch is evicted.
-  EXPECT_EQ(tree.MatchPrefix(prompt).matched_tokens, 32);
-
-  EXPECT_EQ(kv.RestoreSequence(branch), 2);
-  EXPECT_EQ(kv.RefCount(prefix_pages[0]), 2);
-  EXPECT_EQ(kv.SequenceLength(branch), 52);
-
-  kv.DropSequence(branch);
-  kv.DropSequence(owner);
-  // The tree tracks page *ids*, not refcounts: with both sequences dropped,
-  // every page is back on the free list.
-  EXPECT_EQ(kv.num_live_pages(), 0);
-  EXPECT_EQ(kv.num_live_host_pages(), 0);
-  // (The radix mirror tracks page *ids*, not refcounts; TotalCachedPages is
-  // its own budget metric and must be unchanged by branch eviction.)
-  EXPECT_EQ(tree.TotalCachedPages(), 2);
-  EXPECT_EQ(tree.EvictLru(16).size(), 2u);
-}
 
 // --- Engine preemption -------------------------------------------------------
 

@@ -10,7 +10,9 @@
 //      reproducing seed instead of hanging the test runner),
 //   2. exact KV accounting: KvTokensInUse()==0, HostKvTokensInUse()==0 and
 //      SpecKvLivePages()==0 after the drain,
-//   3. every admitted (non-rejected) request completes exactly once,
+//   3. every admitted (non-rejected) request completes exactly once and
+//      emits exactly its expected tokens (randomized trials end a few
+//      requests at their first token, so every mode crosses that finish),
 //   4. on a fixed-seed subset, Run() ≡ an external Admit/StepTo loop,
 //   5. the step attention pricer is bit-identical to the plan-walking
 //      reference (test_util.h) on random batches over the trial's backend
@@ -181,6 +183,16 @@ std::vector<Request> RandomWorkload(Rng& rng) {
   return reqs;
 }
 
+/// Randomized trials end a few requests at their first token (output_len =
+/// 1), so every mode crosses the first-token finish. A separate stream keeps
+/// the trial's other draws as they were.
+void SetOneTokenRequests(uint64_t seed, std::vector<Request>& reqs) {
+  Rng rng(seed ^ 0x1707E4ull);
+  for (auto& r : reqs) {
+    if (rng.NextDouble() < 0.1) r.output_len = 1;
+  }
+}
+
 int64_t ExpectedOutputTokens(const Request& r) {
   const int n = std::max(1, r.parallel_n);
   return n > 1 ? 1 + static_cast<int64_t>(n) * std::max<int64_t>(r.output_len - 1, 0)
@@ -258,10 +270,23 @@ int FailedPartCount() {
   return failed;
 }
 
-/// Runs one randomized engine trial. `pin`, when set, overrides the drawn
-/// config before the workload is drawn; `drained`, when set, receives the
-/// metrics after the drain.
-void RunEngineTrial(uint64_t seed, bool check_step_equiv,
+/// Every admitted request emitted its expected tokens (exact when none was
+/// rejected).
+void ExpectOutputTokens(const ServingMetrics& m, const std::vector<Request>& reqs) {
+  if (m.rejected_requests == 0) {
+    int64_t expected = 0;
+    for (const auto& r : reqs) expected += ExpectedOutputTokens(r);
+    EXPECT_EQ(m.total_output_tokens, expected);
+  } else {
+    EXPECT_GT(m.total_output_tokens, 0);
+  }
+}
+
+/// Runs one engine trial. `one_token_requests` ends a few requests at their
+/// first token; `pin`, when set, overrides the drawn config before the
+/// workload is drawn; `drained`, when set, receives the metrics after the
+/// drain.
+void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_requests = false,
                     void (*pin)(EngineConfig&) = nullptr,
                     ServingMetrics* drained = nullptr) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -271,6 +296,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv,
   EngineConfig cfg = RandomConfig(rng);
   if (pin != nullptr) pin(cfg);
   std::vector<Request> reqs = RandomWorkload(rng);
+  if (one_token_requests) SetOneTokenRequests(seed, reqs);
   ExpectPricerMatchesReference(cfg, seed);
 
   // Shuffled admission order: the engine must behave identically no matter
@@ -307,13 +333,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv,
   EXPECT_EQ(m.ttft_ms.size() + static_cast<size_t>(m.rejected_requests),
             reqs.size());
   EXPECT_EQ(m.ttft_ms.size(), m.ttft_priority.size());
-  if (m.rejected_requests == 0) {
-    int64_t expected = 0;
-    for (const auto& r : reqs) expected += ExpectedOutputTokens(r);
-    EXPECT_EQ(m.total_output_tokens, expected);
-  } else {
-    EXPECT_GT(m.total_output_tokens, 0);
-  }
+  ExpectOutputTokens(m, reqs);
   // Restores must balance preemptions: nothing stays evicted.
   EXPECT_EQ(m.num_swap_restores + m.num_recompute_restores, m.num_preemptions);
   EXPECT_EQ(m.restored_pages == 0, m.num_swap_restores == 0);
@@ -440,7 +460,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv,
   }
 }
 
-void RunClusterTrial(uint64_t seed) {
+void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   g_current_seed = seed;
   g_current_engine = nullptr;  // Abort-path dump only covers engine trials.
@@ -468,6 +488,7 @@ void RunClusterTrial(uint64_t seed) {
       rng, static_cast<int>(rng.UniformInt(30, 60)), rng.Uniform(20.0, 60.0), tcfg);
   serving::AssignPriorities(rng, reqs, {0.7, 0.3});
   serving::AssignAcceptance(rng, reqs, 0.3, 0.95);
+  if (one_token_requests) SetOneTokenRequests(seed, reqs);
 
   cluster::ClusterEngine cluster(cfg);
   const auto m = cluster.Run(reqs);
@@ -477,6 +498,7 @@ void RunClusterTrial(uint64_t seed) {
   EXPECT_EQ(m.aggregate.ttft_ms.size() +
                 static_cast<size_t>(m.aggregate.rejected_requests),
             reqs.size());
+  ExpectOutputTokens(m.aggregate, reqs);
   EXPECT_EQ(m.aggregate.ttft_ms.size(), m.aggregate.ttft_priority.size());
   EXPECT_EQ(m.aggregate.num_swap_restores + m.aggregate.num_recompute_restores,
             m.aggregate.num_preemptions);
@@ -519,7 +541,7 @@ void RunClusterTrial(uint64_t seed) {
   }
 }
 
-void RunDisaggTrial(uint64_t seed) {
+void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   g_current_seed = seed;
   g_current_engine = nullptr;
@@ -545,6 +567,7 @@ void RunDisaggTrial(uint64_t seed) {
       rng, static_cast<int>(rng.UniformInt(30, 60)), rng.Uniform(20.0, 60.0), tcfg);
   serving::AssignPriorities(rng, reqs, {0.7, 0.3});
   serving::AssignAcceptance(rng, reqs, 0.3, 0.95);
+  if (one_token_requests) SetOneTokenRequests(seed, reqs);
 
   cluster::ClusterEngine cluster(cfg);
   const auto m = cluster.Run(reqs);
@@ -555,6 +578,7 @@ void RunDisaggTrial(uint64_t seed) {
   EXPECT_EQ(m.aggregate.ttft_ms.size() +
                 static_cast<size_t>(m.aggregate.rejected_requests),
             reqs.size());
+  ExpectOutputTokens(m.aggregate, reqs);
   EXPECT_EQ(m.decode_pool.ttft_ms.size(), 0u);
   EXPECT_EQ(m.prefill_pool.num_migrations_out, m.migrations);
   EXPECT_EQ(m.decode_pool.num_migrations_in, m.migrations);
@@ -641,7 +665,8 @@ void PinMeteredCodecSwap(EngineConfig& cfg) {
 
 TEST(Soak, PinnedMeteredCodecSwap) {
   ServingMetrics m;
-  RunEngineTrial(0xC0DEC00Bull, /*check_step_equiv=*/true, PinMeteredCodecSwap, &m);
+  RunEngineTrial(0xC0DEC00Bull, /*check_step_equiv=*/true, /*one_token_requests=*/false,
+                 PinMeteredCodecSwap, &m);
   // On this seed the host tier fills: without the capacity gate its meter
   // would reach 1.27x capacity. Swaps and recomputes both run.
   EXPECT_GT(m.num_swap_restores, 0);
@@ -653,7 +678,7 @@ TEST(Soak, RandomizedEngineTrials) {
   for (int i = 0; i < trials; ++i) {
     // Deterministic seed schedule: trial i always replays identically.
     RunEngineTrial(0x50AC0000ull + static_cast<uint64_t>(i),
-                   /*check_step_equiv=*/i % 5 == 0);
+                   /*check_step_equiv=*/i % 5 == 0, /*one_token_requests=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -661,7 +686,7 @@ TEST(Soak, RandomizedEngineTrials) {
 TEST(Soak, RandomizedClusterTrials) {
   const int trials = (TrialCount() + 5) / 6;  // ~1 cluster trial per 6 engine.
   for (int i = 0; i < trials; ++i) {
-    RunClusterTrial(0xC105E0ull + static_cast<uint64_t>(i));
+    RunClusterTrial(0xC105E0ull + static_cast<uint64_t>(i), /*one_token_requests=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -669,7 +694,7 @@ TEST(Soak, RandomizedClusterTrials) {
 TEST(Soak, RandomizedDisaggTrials) {
   const int trials = (TrialCount() + 5) / 6;
   for (int i = 0; i < trials; ++i) {
-    RunDisaggTrial(0xD15A0000ull + static_cast<uint64_t>(i));
+    RunDisaggTrial(0xD15A0000ull + static_cast<uint64_t>(i), /*one_token_requests=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
