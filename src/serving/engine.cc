@@ -815,7 +815,7 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
     }
   }
   // Logical-token budget gate: with the codec on, host capacity is metered
-  // in stored bytes (HostCanHold below), so the logical token count may
+  // in stored bytes (the capacity gate below), so the logical token count may
   // legitimately exceed the nominal budget by the compression factor.
   if (swap && !cfg_.preemption.host_codec.enabled() &&
       host_kv_tokens_in_use_ + b.kv_len > host_kv_token_budget_) {

@@ -34,12 +34,13 @@
 //
 // KV pressure: with PreemptionConfig enabled, an arrived request that does
 // not fit the device KV budget preempts running branches of strictly lower
-// priority (lowest first, then youngest) instead of queuing behind them. A victim's KV either swaps to a host-memory tier
-// (PCIe transfer charged into the steps it serializes with) or is dropped
-// and later *recomputed* through the chunked-prefill path — chosen per
-// victim by a cost estimate whose crossover the kv-pressure bench sweeps:
-// short contexts recompute nearly free under the weight-streaming floor,
-// long contexts are compute-bound and swap wins. Admission reserves each
+// priority (lowest first, then youngest) instead of queuing behind them. A
+// victim's KV either swaps to a host-memory tier (PCIe transfer charged
+// into the steps it serializes with) or is dropped and later *recomputed*
+// through the chunked-prefill path — chosen per victim by a cost estimate
+// whose crossover the kv-pressure bench sweeps: short contexts recompute
+// nearly free under the weight-streaming floor, long contexts are
+// compute-bound and swap wins. Admission reserves each
 // branch's full output KV up front under preemption, so the device budget
 // is never violated; a request whose KV need exceeds the *total* budget is
 // rejected with a metric (the pre-preemption engine aborted on a loud
