@@ -6,10 +6,11 @@
 // (std::function hooks) variant dispatch over the identical micro-kernel —
 // the CPU analog of the FlashInfer-vs-FlexAttention gap of Tables 1-4 —
 // plus the cost of the supporting machinery: sparse gather, state merging,
-// scheduling (plan time), per-step attention pricing, and radix-tree
-// matching and eviction.
+// scheduling (plan time), per-step attention pricing, per-token telemetry
+// samples, and radix-tree matching and eviction.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "core/attention_state.h"
@@ -17,6 +18,7 @@
 #include "core/microkernel.h"
 #include "jit/interpreted.h"
 #include "kvcache/radix.h"
+#include "obs/metrics.h"
 #include "runtime/scheduler.h"
 #include "serving/backends.h"
 #include "serving/workload.h"
@@ -238,6 +240,51 @@ void BM_PriceStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PriceStep)->ArgsProduct({{64, 256}, {2, 8}});
+
+/// 4096 ITL-like samples in ms, log-uniform from 1 ms (a decode step's gap)
+/// to 1 s (a preemption stall).
+std::vector<double> ItlSamples() {
+  Rng rng(19);
+  std::vector<double> samples(4096);
+  for (double& v : samples) v = std::exp(rng.Uniform(0.0, std::log(1000.0)));
+  return samples;
+}
+
+void BM_HistogramAdd(benchmark::State& state) {
+  // One sample into the default-geometry log-bucketed histogram: what
+  // ServingMetrics::AddItl pays for every committed token.
+  const auto samples = ItlSamples();
+  obs::Histogram h;
+  benchmark::DoNotOptimize(&h);
+  size_t next = 0;
+  for (auto _ : state) {
+    h.Add(samples[next]);
+    benchmark::ClobberMemory();
+    next = (next + 1) % samples.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramAdd);
+
+void BM_SketchObserve(benchmark::State& state) {
+  // One sample into a registry sketch (cumulative histogram plus a 10 s
+  // window of 5 slots), as the engine's per-class ITL series takes them: 16
+  // samples per 6 ms step at one timestamp, so a window slot is reused and
+  // cleared every ~5k samples.
+  const auto samples = ItlSamples();
+  obs::Sketch sketch(obs::WindowConfig{});
+  benchmark::DoNotOptimize(&sketch);
+  size_t next = 0;
+  double t_s = 0.0;
+  for (auto _ : state) {
+    sketch.Observe(t_s, samples[next]);
+    benchmark::ClobberMemory();
+    next = (next + 1) % samples.size();
+    if (next % 16 == 0) t_s += 0.006;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SketchObserve);
 
 void BM_RadixMatch(benchmark::State& state) {
   RadixTree tree(16);

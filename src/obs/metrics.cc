@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 #include "util/json.h"
@@ -63,6 +64,35 @@ LabelSet ClassLabels(int tenant, int priority) {
 // ---------------------------------------------------------------------------
 // WindowedSum / WindowedSketch
 
+namespace {
+
+struct RingPos {
+  int64_t epoch = 0;  // floor(t / slot_s).
+  size_t slot = 0;    // epoch mod the ring size.
+};
+
+/// The ring position of instant `t_s` in a ring of `slots` slots `slot_s`
+/// wide, memoized per thread: the engine publishes a whole step at one
+/// timestamp into many windows that share one geometry.
+RingPos PosOf(double t_s, double slot_s, size_t slots) {
+  constinit thread_local struct {
+    double t_s = std::numeric_limits<double>::quiet_NaN();
+    double slot_s = 0.0;
+    size_t slots = 0;
+    RingPos pos;
+  } last;
+  if (t_s != last.t_s || slot_s != last.slot_s || slots != last.slots) {
+    const auto epoch = static_cast<int64_t>(std::floor(t_s / slot_s));
+    last.t_s = t_s;
+    last.slot_s = slot_s;
+    last.slots = slots;
+    last.pos = {epoch, static_cast<size_t>(epoch % static_cast<int64_t>(slots))};
+  }
+  return last.pos;
+}
+
+}  // namespace
+
 WindowedSum::WindowedSum(double window_s, int slots)
     : slot_s_(window_s / slots), window_s_(window_s), slots_(static_cast<size_t>(slots)) {
   FI_CHECK_GT(window_s, 0.0);
@@ -74,9 +104,9 @@ int64_t WindowedSum::EpochOf(double t_s) const {
 }
 
 void WindowedSum::Add(double t_s, double v) {
-  const int64_t epoch = EpochOf(t_s);
-  Slot& s = slots_[static_cast<size_t>(epoch % static_cast<int64_t>(slots_.size()))];
-  if (s.epoch != epoch) s = Slot{epoch, 0.0, 0.0, 0};
+  const RingPos pos = PosOf(t_s, slot_s_, slots_.size());
+  Slot& s = slots_[pos.slot];
+  if (s.epoch != pos.epoch) s = Slot{pos.epoch, 0.0, 0.0, 0};
   s.sum += v;
   s.max = s.count == 0 ? v : std::max(s.max, v);
   ++s.count;
@@ -120,13 +150,17 @@ WindowedSketch::WindowedSketch(double window_s, int slots)
 }
 
 void WindowedSketch::Observe(double t_s, double v) {
-  const auto epoch = static_cast<int64_t>(std::floor(t_s / slot_s_));
-  Slot& s = slots_[static_cast<size_t>(epoch % static_cast<int64_t>(slots_.size()))];
-  if (s.epoch != epoch) {
-    s.epoch = epoch;
-    s.hist = Histogram();
+  ObserveAt(t_s, slots_.front().hist.IndexOf(v), v);
+}
+
+void WindowedSketch::ObserveAt(double t_s, int64_t index, double v) {
+  const RingPos pos = PosOf(t_s, slot_s_, slots_.size());
+  Slot& s = slots_[pos.slot];
+  if (s.epoch != pos.epoch) {
+    s.epoch = pos.epoch;
+    s.hist.Clear();
   }
-  s.hist.Add(v);
+  s.hist.AddAt(index, v);
 }
 
 Histogram WindowedSketch::Merged(double now_s) const {

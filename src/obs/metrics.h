@@ -75,7 +75,10 @@ LabelSet ClassLabels(int tenant, int priority);
 /// Sliding-window accumulator: a ring of `slots` sub-buckets, each
 /// `window_s / slots` of simulated time wide. A slot is lazily reset when its
 /// ring position is reused by a later epoch, so Add is O(1) and the window
-/// state is a fixed-size array regardless of run length.
+/// state is a fixed-size array regardless of run length. A timestamp's
+/// (epoch, slot) is worked out once per instant, not once per window: the
+/// engine publishes a whole step at one time into windows of one geometry,
+/// so each thread keeps the last answer.
 class WindowedSum {
  public:
   WindowedSum(double window_s, int slots);
@@ -104,14 +107,17 @@ class WindowedSum {
   std::vector<Slot> slots_;
 };
 
-/// Sliding-window percentile sketch: a ring of log-bucketed Histograms (same
-/// lazy-epoch scheme as WindowedSum); Merged(now) folds the live slots into
-/// one Histogram for quantile queries over the trailing window.
+/// Sliding-window percentile sketch: a ring of default-geometry Histograms
+/// (same lazy-epoch scheme as WindowedSum, a reused slot cleared in place);
+/// Merged(now) folds the live slots into one Histogram for quantile queries
+/// over the trailing window.
 class WindowedSketch {
  public:
   WindowedSketch(double window_s, int slots);
 
   void Observe(double t_s, double v);
+  /// Observe(t_s, v) for a caller that knows v's default-geometry bucket.
+  void ObserveAt(double t_s, int64_t index, double v);
   Histogram Merged(double now_s) const;
 
  private:
@@ -175,14 +181,15 @@ class Gauge {
 };
 
 /// Bounded percentile sketch: cumulative log-bucketed Histogram plus the
-/// sliding-window ring.
+/// sliding-window ring, one bucket lookup per sample for both.
 class Sketch {
  public:
   explicit Sketch(const WindowConfig& w) : window_(w.window_s, w.slots) {}
 
   void Observe(double t_s, double v) {
-    cumulative_.Add(v);
-    window_.Observe(t_s, v);
+    const int64_t index = cumulative_.IndexOf(v);
+    cumulative_.AddAt(index, v);
+    window_.ObserveAt(t_s, index, v);
   }
 
   const Histogram& Cumulative() const noexcept { return cumulative_; }

@@ -1,9 +1,12 @@
 #include "obs/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
+#include <mutex>
 
 #include "util/check.h"
 
@@ -41,14 +44,89 @@ std::string TimeSeries::ToString(const std::string& label) const {
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, double growth)
-    : lo_(lo), growth_(growth), log_growth_(std::log(growth)) {
+namespace {
+
+// IndexOf's start-bucket lookup is keyed by a sample's bit pattern shifted
+// right by this much: its binary exponent and top six mantissa bits. One key
+// spans a value ratio of at most 1 + 2^-6, so at the default ~19% growth a
+// lookup steps over an edge for ~1 sample in 16 (64 keys per binade, 1.5k
+// keys over the default geometry's range).
+constexpr int kKeyShift = 46;
+
+}  // namespace
+
+struct Histogram::Table {
+  double lo = 0.0, growth = 0.0, log_growth = 0.0;
+  int64_t regular = 0;  // Regular (non-under/overflow) bucket count.
+  /// least[k] (k < regular): bit pattern of the least double the formula
+  /// floor(log(v / lo) / log_growth) puts in regular bucket k, so least[0] is
+  /// lo's; least[regular]: the least double it sends to overflow. Positive
+  /// doubles order like their bit patterns.
+  std::vector<uint64_t> least;
+  uint64_t first_key = 0;  // lo's key (bits >> kKeyShift).
+  /// start[key - first_key]: the bucket of the least double with that key,
+  /// up to least[regular]'s key (0 where that double is below lo).
+  std::vector<int64_t> start;
+
+  Table(double first_edge, double ratio, int64_t buckets)
+      : lo(first_edge), growth(ratio), log_growth(std::log(ratio)), regular(buckets) {
+    // The formula is monotone in v, so bucket k's least value is found by
+    // bisection; comparing in double keeps an infinite quotient defined.
+    const auto reaches = [&](uint64_t bits, int64_t k) {
+      return std::floor(std::log(std::bit_cast<double>(bits) / lo) / log_growth) >=
+             static_cast<double>(k);
+    };
+    const auto inf_bits = std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity());
+    least.assign(static_cast<size_t>(regular) + 1, std::bit_cast<uint64_t>(lo));
+    for (size_t k = 1; k < least.size(); ++k) {
+      uint64_t below = least[k - 1], at = inf_bits;
+      if (reaches(below, static_cast<int64_t>(k))) {
+        least[k] = below;  // The formula skips index k - 1: that bucket holds no double.
+        continue;
+      }
+      while (at - below > 1) {
+        const uint64_t mid = below + (at - below) / 2;
+        (reaches(mid, static_cast<int64_t>(k)) ? at : below) = mid;
+      }
+      least[k] = at;
+    }
+    first_key = least.front() >> kKeyShift;
+    start.resize((least.back() >> kKeyShift) - first_key + 1);
+    // Capped below regular: IndexOf looks up only samples under least[regular].
+    int64_t k = 0;
+    for (size_t i = 0; i < start.size(); ++i) {
+      const uint64_t key_least = (first_key + i) << kKeyShift;
+      while (k + 1 < regular && least[static_cast<size_t>(k) + 1] <= key_least) ++k;
+      start[i] = k;
+    }
+  }
+};
+
+const Histogram::Table* Histogram::TableFor(double lo, double hi, double growth) {
   FI_CHECK_GT(lo, 0.0);
   FI_CHECK_GT(hi, lo);
   FI_CHECK_GT(growth, 1.0);
-  regular_ = static_cast<int64_t>(std::ceil(std::log(hi / lo) / log_growth_));
-  counts_.assign(static_cast<size_t>(regular_) + 2, 0);
+  const auto regular = static_cast<int64_t>(std::ceil(std::log(hi / lo) / std::log(growth)));
+  static std::mutex mu;
+  static std::vector<std::unique_ptr<const Table>> tables;  // Guarded by mu.
+  const std::lock_guard<std::mutex> lock(mu);
+  for (const auto& t : tables) {
+    if (t->lo == lo && t->growth == growth && t->regular == regular) return t.get();
+  }
+  tables.push_back(std::make_unique<const Table>(lo, growth, regular));
+  return tables.back().get();
 }
+
+Histogram::Histogram(const Table* table)
+    : table_(table), counts_(static_cast<size_t>(table->regular) + 2, 0) {}
+
+Histogram::Histogram() : Histogram([] {
+  static const Table* const kDefault = TableFor(1e-2, 1e5, 1.1892071150027210667);
+  return kDefault;
+}()) {}
+
+Histogram::Histogram(double lo, double hi, double growth)
+    : Histogram(TableFor(lo, hi, growth)) {}
 
 Histogram Histogram::FromSamples(const std::vector<double>& samples) {
   Histogram h;
@@ -57,23 +135,24 @@ Histogram Histogram::FromSamples(const std::vector<double>& samples) {
 }
 
 int64_t Histogram::IndexOf(double v) const {
-  if (!(v >= lo_)) return 0;  // Underflow (also catches NaN / negatives).
-  const auto i = static_cast<int64_t>(std::floor(std::log(v / lo_) / log_growth_));
-  if (i >= regular_) return regular_ + 1;  // Overflow.
-  return i + 1;
+  const Table& t = *table_;
+  if (!(v >= t.lo)) return 0;  // Underflow (also catches NaN / negatives).
+  const auto bits = std::bit_cast<uint64_t>(v);
+  if (bits >= t.least.back()) return t.regular + 1;  // Overflow, +inf included.
+  int64_t k = t.start[(bits >> kKeyShift) - t.first_key];
+  while (bits >= t.least[static_cast<size_t>(k) + 1]) ++k;
+  return k + 1;
 }
 
-void Histogram::Add(double v) {
-  ++counts_[static_cast<size_t>(IndexOf(v))];
-  min_ = count_ == 0 ? v : std::min(min_, v);
-  max_ = count_ == 0 ? v : std::max(max_, v);
-  sum_ += v;
-  ++count_;
+void Histogram::Clear() {
+  std::fill(counts_.begin(), counts_.end(), 0);
+  count_ = 0;
+  sum_ = 0.0;
+  min_ = max_ = 0.0;
 }
 
 void Histogram::MergeFrom(const Histogram& other) {
-  FI_CHECK_EQ(NumBuckets(), other.NumBuckets());
-  FI_CHECK(lo_ == other.lo_ && growth_ == other.growth_);
+  FI_CHECK(table_ == other.table_);  // Same geometry: tables are shared.
   if (other.count_ == 0) return;
   for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
@@ -82,9 +161,12 @@ void Histogram::MergeFrom(const Histogram& other) {
   count_ += other.count_;
 }
 
+double Histogram::lo() const noexcept { return table_->lo; }
+double Histogram::growth() const noexcept { return table_->growth; }
+
 double Histogram::BucketLowerEdge(int64_t i) const {
   if (i <= 0) return 0.0;
-  return lo_ * std::exp(static_cast<double>(i - 1) * log_growth_);
+  return table_->lo * std::exp(static_cast<double>(i - 1) * table_->log_growth);
 }
 
 double Histogram::Quantile(double p) const {
@@ -100,7 +182,9 @@ double Histogram::Quantile(double p) const {
       const double frac = (target - seen) / n;
       const double edge_lo = std::max(BucketLowerEdge(i), min_);
       const double edge_hi = std::min(
-          i >= regular_ + 1 ? max_ : lo_ * std::exp(static_cast<double>(i) * log_growth_),
+          i >= table_->regular + 1
+              ? max_
+              : table_->lo * std::exp(static_cast<double>(i) * table_->log_growth),
           max_);
       if (edge_lo <= 0.0 || edge_hi <= edge_lo) return std::min(edge_hi, max_);
       return std::min(max_, edge_lo * std::pow(edge_hi / edge_lo, frac));
@@ -121,9 +205,9 @@ std::string Histogram::ToString(const std::string& label) const {
     const int64_t n = counts_[static_cast<size_t>(i)];
     if (n == 0) continue;
     const double e0 = BucketLowerEdge(i);
-    const double e1 = i >= regular_ + 1
+    const double e1 = i >= table_->regular + 1
                           ? std::numeric_limits<double>::infinity()
-                          : lo_ * std::exp(static_cast<double>(i) * log_growth_);
+                          : table_->lo * std::exp(static_cast<double>(i) * table_->log_growth);
     std::snprintf(line, sizeof(line), "  [%10.4g,%10.4g) %lld\n", e0, e1,
                   static_cast<long long>(n));
     out += line;

@@ -7,8 +7,17 @@
 // distributions whose tails span orders of magnitude: TTFT/ITL histograms
 // stay a few dozen buckets whether the tail is 10 ms or 10 s, so CI can diff
 // the printed form across PRs without quantile jitter.
+//
+// A sample's bucket is the one `floor(log(v / lo) / log(growth))` names, but
+// Add calls no libm function: each geometry's table holds the least double
+// that formula puts in every bucket (found once by bisecting the bit
+// patterns of positive doubles), and IndexOf reads a start bucket off the
+// sample's top bit-pattern bits (its binary exponent and six mantissa bits)
+// and steps over the rare edge above it. The edges quantiles and
+// expositions print stay the formula's `lo * growth^i`.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -52,17 +61,35 @@ class TimeSeries {
 /// geometric interpolation for quantiles.
 class Histogram {
  public:
+  /// The default geometry resolves latencies from 10 us to ~100 s at ~19%
+  /// relative resolution. (Non-explicit so structs can hold a Histogram
+  /// member and still aggregate-initialize with {}.)
+  Histogram();
   /// `lo` > 0 is the lower edge of the first regular bucket, `hi` the upper
-  /// edge of the last, `growth` > 1 the bucket ratio. The default geometry
-  /// resolves latencies from 10 us to ~100 s at ~19% relative resolution.
-  /// (Non-explicit default ctor so structs can hold a Histogram member and
-  /// still aggregate-initialize with {}.)
-  Histogram() : Histogram(1e-2, 1e5, 1.1892071150027210667) {}
+  /// edge of the last, `growth` > 1 the bucket ratio. The first histogram of
+  /// a geometry builds its bucket table (thread-safe); later ones share it.
   explicit Histogram(double lo, double hi, double growth = 1.1892071150027210667);
 
   static Histogram FromSamples(const std::vector<double>& samples);
 
-  void Add(double v);
+  /// Bucket index for value v: 0 = underflow (v < lo, negatives, NaN),
+  /// 1..n = regular, n+1 = overflow (every v at or above the formula's least
+  /// overflowing value, +inf included). No libm call.
+  int64_t IndexOf(double v) const;
+
+  void Add(double v) { AddAt(IndexOf(v), v); }
+  /// Add(v) for a caller that already knows `index` == IndexOf(v), e.g.
+  /// from another histogram of the same geometry.
+  void AddAt(int64_t index, double v) {
+    ++counts_[static_cast<size_t>(index)];
+    min_ = count_ == 0 ? v : std::min(min_, v);
+    max_ = count_ == 0 ? v : std::max(max_, v);
+    sum_ += v;
+    ++count_;
+  }
+
+  /// Empties the histogram in place, keeping its geometry.
+  void Clear();
 
   /// Folds `other` into this histogram. Both must share the same bucket
   /// geometry (lo/growth/bucket count) — checked. Exact min/max/sum/count
@@ -73,6 +100,8 @@ class Histogram {
   int64_t Count() const noexcept { return count_; }
   double MinValue() const noexcept { return count_ > 0 ? min_ : 0.0; }
   double MaxValue() const noexcept { return count_ > 0 ? max_ : 0.0; }
+  /// Sum of the samples in the order they were added.
+  double Sum() const noexcept { return sum_; }
   double Mean() const noexcept { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
 
   /// Quantile estimate, p in [0,1]: geometric interpolation inside the
@@ -81,19 +110,24 @@ class Histogram {
 
   int64_t NumBuckets() const noexcept { return static_cast<int64_t>(counts_.size()); }
   int64_t BucketCount(int64_t i) const { return counts_[static_cast<size_t>(i)]; }
-  /// Lower edge of bucket i (0 for the underflow bucket).
+  /// Lower edge of bucket i (0 for the underflow bucket): lo*growth^(i-1),
+  /// which may differ by an ulp or so from the least value IndexOf puts in
+  /// bucket i.
   double BucketLowerEdge(int64_t i) const;
+  double lo() const noexcept;
+  double growth() const noexcept;
 
   /// Compact printable form (one line per non-empty bucket plus summary
   /// quantiles) — stable across runs with identical samples, so CI diffs it.
   std::string ToString(const std::string& label) const;
 
  private:
-  /// Bucket index for value v: 0 = underflow, 1..n = regular, n+1 = overflow.
-  int64_t IndexOf(double v) const;
+  struct Table;  // One per geometry, built once and shared by every copy.
+  /// The table of a geometry: found, or built under a lock on first use.
+  static const Table* TableFor(double lo, double hi, double growth);
+  explicit Histogram(const Table* table);
 
-  double lo_ = 0.0, growth_ = 2.0, log_growth_ = 0.0;
-  int64_t regular_ = 0;  // Regular (non-under/overflow) bucket count.
+  const Table* table_ = nullptr;
   std::vector<int64_t> counts_;
   int64_t count_ = 0;
   double sum_ = 0.0;

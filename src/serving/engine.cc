@@ -168,30 +168,32 @@ void ServingEngine::TraceCounter(obs::TraceName n, double v) noexcept {
   trace_->Record(e);
 }
 
-ServingEngine::ClassSeries& ServingEngine::SeriesFor(int tenant, int priority) {
+int ServingEngine::SeriesFor(int tenant, int priority) {
   const int64_t key = (static_cast<int64_t>(tenant) << 32) ^
                       (static_cast<int64_t>(priority) & 0xffffffff);
-  auto [it, inserted] = class_series_.try_emplace(key);
+  auto [it, inserted] =
+      class_index_.try_emplace(key, static_cast<int>(class_series_.size()));
   if (inserted) {
     const obs::LabelSet labels = obs::ClassLabels(tenant, priority);
-    it->second.tokens = telemetry_->GetCounter("fi_tokens_total", labels);
-    it->second.ttft = telemetry_->GetSketch("fi_ttft_ms", labels);
-    it->second.itl = telemetry_->GetSketch("fi_itl_ms", labels);
+    class_series_.push_back({telemetry_->GetCounter("fi_tokens_total", labels),
+                             telemetry_->GetSketch("fi_ttft_ms", labels),
+                             telemetry_->GetSketch("fi_itl_ms", labels)});
   }
   return it->second;
 }
 
 void ServingEngine::ObserveTtft(int tenant, int priority, double ms) {
   if (!telemetry_) return;
-  ClassSeries& s = SeriesFor(tenant, priority);
+  const ClassSeries& s = class_series_[static_cast<size_t>(SeriesFor(tenant, priority))];
   s.ttft->Observe(now_s_, ms);
   s.tokens->Inc(now_s_);  // The request's first token.
   if (slo_) slo_->Observe(obs::SloSignal::kTtft, tenant, priority, ms, now_s_);
 }
 
-void ServingEngine::ObserveTokens(const Branch& b, int64_t tokens, double itl_ms) {
+void ServingEngine::ObserveTokens(Branch& b, int64_t tokens, double itl_ms) {
   if (!telemetry_) return;
-  ClassSeries& s = SeriesFor(b.tenant, b.priority);
+  if (b.series < 0) b.series = SeriesFor(b.tenant, b.priority);
+  const ClassSeries& s = class_series_[static_cast<size_t>(b.series)];
   s.tokens->Inc(now_s_, static_cast<double>(tokens));
   // One ITL sample per committed token, mirroring ServingMetrics::AddItl:
   // the first closes the gap since the last emission, the rest (spec-decode
@@ -273,6 +275,7 @@ void ServingEngine::Reset() {
     trace_.reset();
   }
   class_series_.clear();
+  class_index_.clear();
   field_counters_.clear();
   gauges_ = {};
   if (cfg_.telemetry.enabled) {

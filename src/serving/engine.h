@@ -402,6 +402,7 @@ class ServingEngine {
   struct Branch : MigratedBranch {
     int group = -1;            // Parallel-generation group id, -1 if alone.
     int kv_seq = -1;           // Its sequence in structural_kv_.
+    int series = -1;           // Telemetry: its class_series_ index, -1 until first used.
     double seg_start_s = 0.0;  // Trace: start of the current decode segment.
   };
 
@@ -564,11 +565,13 @@ class ServingEngine {
     obs::Sketch* ttft = nullptr;     // fi_ttft_ms
     obs::Sketch* itl = nullptr;      // fi_itl_ms
   };
-  ClassSeries& SeriesFor(int tenant, int priority);
+  /// Index of the class's series in class_series_, registered on first use.
+  int SeriesFor(int tenant, int priority);
   /// Records one TTFT sample: per-class sketch + SLO monitor.
   void ObserveTtft(int tenant, int priority, double ms);
-  /// Records committed output tokens + the ITL gap sample for one branch.
-  void ObserveTokens(const Branch& b, int64_t tokens, double itl_ms);
+  /// Records committed output tokens + the ITL gap sample for one branch,
+  /// resolving its class series on the branch's first call.
+  void ObserveTokens(Branch& b, int64_t tokens, double itl_ms);
   /// Moves each named field's counter that changed to the field's value,
   /// stamped at now_s_. Runs right before every clock change and before
   /// returning to the caller, so each increment lands in the window slot of
@@ -702,8 +705,10 @@ class ServingEngine {
   /// Live metrics registry + SLO monitor; null when telemetry is disabled.
   std::unique_ptr<obs::MetricsRegistry> telemetry_;
   std::unique_ptr<obs::SloMonitor> slo_;
-  /// (tenant, priority) -> cached instrument handles, keyed by packed id.
-  std::map<int64_t, ClassSeries> class_series_;
+  /// Cached instrument handles per (tenant, priority) class, in first-use
+  /// order, and each packed class id's index into them.
+  std::vector<ClassSeries> class_series_;
+  std::map<int64_t, int> class_index_;
   /// Handles resolved by the first FlushTelemetry after Reset: one counter
   /// per named kMetricFields entry, one gauge per occupancy series.
   std::vector<std::pair<const MetricField*, obs::Counter*>> field_counters_;

@@ -3,14 +3,19 @@
 // exporter output shape, and the TraceQuery accounting primitives.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "obs/export.h"
 #include "obs/query.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
+#include "test_util.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace flashinfer {
 namespace {
@@ -173,6 +178,57 @@ TEST(Histogram, MergeFromAccumulatesAndTracksExtremes) {
   EXPECT_EQ(c.Count(), 200);
   EXPECT_DOUBLE_EQ(c.MinValue(), 1.0);
   EXPECT_DOUBLE_EQ(c.MaxValue(), 200.0);
+}
+
+// A sample whose quotient v / lo overflows to +inf counts as overflow. The
+// log formula's float-to-int cast of +inf is undefined; on x86 it wrapped
+// such samples into bucket 1, whose quantiles then read ~0.012.
+TEST(Histogram, InfiniteQuotientsOverflow) {
+  Histogram h;
+  h.Add(std::numeric_limits<double>::infinity());
+  h.Add(1e307);
+  const int64_t overflow = h.NumBuckets() - 1;
+  EXPECT_EQ(h.BucketCount(overflow), 2);
+  EXPECT_EQ(h.BucketCount(1), 0);
+  EXPECT_GE(h.Quantile(0.5), 1e307);
+}
+
+// IndexOf's table lookup puts every sample in the bucket the log formula
+// (test::ReferenceBucketIndex) names: each double within 4096 ulps of every
+// bucket edge, log-uniform samples over the whole range and beyond, and the
+// special values.
+TEST(Histogram, IndexOfMatchesLogFormula) {
+  constexpr int64_t kUlps = 4096;
+  constexpr int kSamples = 1000000;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [lo, hi] : {std::pair{1e-2, 1e5}, std::pair{1.0, 100.0}}) {
+    SCOPED_TRACE("lo=" + std::to_string(lo));
+    const Histogram h(lo, hi);
+    int64_t mismatches = 0;
+    const auto check = [&](double v) {
+      const int64_t want = test::ReferenceBucketIndex(h, v);
+      if (h.IndexOf(v) != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "v=" << v << ": IndexOf " << h.IndexOf(v) << " != formula " << want;
+      }
+    };
+    for (int64_t i = 1; i < h.NumBuckets(); ++i) {
+      // Bucket i's least value lies within a few ulps of its printed edge
+      // lo * growth^(i-1), so the sweep must cross into bucket i.
+      const auto edge = std::bit_cast<uint64_t>(h.BucketLowerEdge(i));
+      EXPECT_LT(test::ReferenceBucketIndex(h, std::bit_cast<double>(edge - kUlps)), i);
+      EXPECT_GE(test::ReferenceBucketIndex(h, std::bit_cast<double>(edge + kUlps)), i);
+      for (uint64_t b = edge - kUlps; b <= edge + kUlps; ++b) check(std::bit_cast<double>(b));
+    }
+    Rng rng(7);
+    const double log_min = std::log(lo / 20.0), log_max = std::log(hi * 20.0);
+    for (int n = 0; n < kSamples; ++n) check(std::exp(rng.Uniform(log_min, log_max)));
+    for (const double v : {0.0, -0.0, -1.0, -lo, -inf, std::nan(""),
+                           std::numeric_limits<double>::denorm_min(), lo, hi,
+                           std::numeric_limits<double>::max(), inf}) {
+      check(v);
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
 }
 
 TEST(Histogram, FromSamplesMatchesPercentileRoughly) {

@@ -21,7 +21,9 @@
 //      reference tree (test_util.h) on a random mirror-op sequence,
 //   7. the engine's host byte meter never exceeds its capacity after any
 //      step, drains to 0, and on codec trials meters a stored/logical ratio
-//      inside the host page table's range.
+//      inside the host page table's range,
+//   8. without bounded_itl, every engine's ITL sketch equals its per-token
+//      samples rebuilt in order through the log formula (test_util.h).
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -282,6 +284,14 @@ void ExpectOutputTokens(const ServingMetrics& m, const std::vector<Request>& req
   }
 }
 
+/// Without bounded_itl, an engine's ITL sketch is exactly its per-token
+/// samples added in order through the log formula the sketch's bucket table
+/// encodes: count, min, max, sum and every bucket, bit for bit.
+void ExpectItlSketchRebuilds(const EngineConfig& cfg, const ServingMetrics& m) {
+  if (cfg.telemetry.bounded_itl) return;
+  EXPECT_EQ(test::SketchRebuildDiff(m.itl_sketch, m.itl_ms), "");
+}
+
 /// Runs one engine trial. `one_token_requests` ends a few requests at their
 /// first token; `pin`, when set, overrides the drawn config before the
 /// workload is drawn; `drained`, when set, receives the metrics after the
@@ -334,6 +344,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
             reqs.size());
   EXPECT_EQ(m.ttft_ms.size(), m.ttft_priority.size());
   ExpectOutputTokens(m, reqs);
+  ExpectItlSketchRebuilds(cfg, m);
   // Restores must balance preemptions: nothing stays evicted.
   EXPECT_EQ(m.num_swap_restores + m.num_recompute_restores, m.num_preemptions);
   EXPECT_EQ(m.restored_pages == 0, m.num_swap_restores == 0);
@@ -499,6 +510,7 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
                 static_cast<size_t>(m.aggregate.rejected_requests),
             reqs.size());
   ExpectOutputTokens(m.aggregate, reqs);
+  for (const ServingMetrics& r : m.per_replica) ExpectItlSketchRebuilds(cfg.engine, r);
   EXPECT_EQ(m.aggregate.ttft_ms.size(), m.aggregate.ttft_priority.size());
   EXPECT_EQ(m.aggregate.num_swap_restores + m.aggregate.num_recompute_restores,
             m.aggregate.num_preemptions);
@@ -579,6 +591,7 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
                 static_cast<size_t>(m.aggregate.rejected_requests),
             reqs.size());
   ExpectOutputTokens(m.aggregate, reqs);
+  for (const ServingMetrics& r : m.per_replica) ExpectItlSketchRebuilds(cfg.engine, r);
   EXPECT_EQ(m.decode_pool.ttft_ms.size(), 0u);
   EXPECT_EQ(m.prefill_pool.num_migrations_out, m.migrations);
   EXPECT_EQ(m.decode_pool.num_migrations_in, m.migrations);

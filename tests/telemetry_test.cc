@@ -228,7 +228,8 @@ TEST(Telemetry, MigrationCallsFlushBeforeReturning) {
   ServingEngine dst(dcfg);
   src.Reset();
   dst.Reset();
-  for (const Request& r : MixedWorkload(6)) src.Admit(r);
+  const std::vector<Request> reqs = MixedWorkload(6);
+  for (const Request& r : reqs) src.Admit(r);
   bool retained = false;
   for (int i = 0; i < 1000 && !src.Finished(); ++i) {
     src.StepTo(src.NextEventTime());
@@ -253,6 +254,41 @@ TEST(Telemetry, MigrationCallsFlushBeforeReturning) {
   EXPECT_EQ(src.Metrics().num_migrations_retained, 1);
   EXPECT_EQ(dst.Metrics().num_migrations_in, 5);
   EXPECT_GT(dst.Metrics().total_migration_ms, 0.0);
+
+  // The per-class series of source plus destination tile both engines'
+  // output tokens and TTFT/ITL samples, class by class: a migrated-in branch
+  // resolves its own class on the destination. MixedWorkload(6) gives each
+  // of its six classes one request.
+  double tokens = 0.0;
+  int64_t ttft = 0, itl = 0;
+  for (const Request& r : reqs) {
+    const obs::LabelSet labels = obs::ClassLabels(r.tenant, r.priority);
+    double class_tokens = 0.0;
+    int64_t class_ttft = 0, class_itl = 0;
+    for (const ServingEngine* e : {&src, &dst}) {
+      const obs::MetricsRegistry& reg = *e->Telemetry();
+      if (const obs::Counter* c = reg.FindCounter("fi_tokens_total", labels)) {
+        class_tokens += c->total();
+      }
+      if (const obs::Sketch* sk = reg.FindSketch("fi_ttft_ms", labels)) {
+        class_ttft += sk->Cumulative().Count();
+      }
+      if (const obs::Sketch* sk = reg.FindSketch("fi_itl_ms", labels)) {
+        class_itl += sk->Cumulative().Count();
+      }
+    }
+    EXPECT_EQ(class_tokens, static_cast<double>(r.output_len)) << labels.Key();
+    EXPECT_EQ(class_ttft, 1) << labels.Key();
+    EXPECT_EQ(class_itl, r.output_len - 1) << labels.Key();
+    tokens += class_tokens;
+    ttft += class_ttft;
+    itl += class_itl;
+  }
+  const ServingMetrics& sm = src.Metrics();
+  const ServingMetrics& dm = dst.Metrics();
+  EXPECT_EQ(tokens, static_cast<double>(sm.total_output_tokens + dm.total_output_tokens));
+  EXPECT_EQ(ttft, static_cast<int64_t>(sm.ttft_ms.size() + dm.ttft_ms.size()));
+  EXPECT_EQ(itl, sm.ItlCount() + dm.ItlCount());
 }
 
 // Bounded-ITL mode: the schedule is untouched, the percentile queries come

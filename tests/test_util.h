@@ -2,11 +2,13 @@
 // serial (scheduler-free) kernel driver used to isolate kernel math, the
 // plan-walking reference the serving attention pricer must match bit for bit,
 // Algorithm 1 stated unit by unit, the scanning prefix cache the indexed
-// RadixTree must match, and the registry-vs-ServingMetrics reconciliation.
+// RadixTree must match, the registry-vs-ServingMetrics reconciliation, and
+// the log formula the histogram's bucket table encodes.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -446,6 +448,66 @@ inline std::string CounterFieldDiff(const obs::MetricsRegistry& reg,
     }
   }
   return out;
+}
+
+// --------------------------------------------------------------------------
+// Reference histogram bucketing. Histogram::IndexOf looks each sample up in a
+// table of every bucket's least value; this is the log formula that table
+// encodes.
+
+/// Bucket of `v` in `h`'s geometry: floor(log(v / lo) / log(growth)) + 1 for
+/// v >= lo, 0 below lo (NaN and negatives included), and the overflow bucket
+/// from the formula's first index past the regular buckets on (an infinite
+/// quotient included).
+inline int64_t ReferenceBucketIndex(const obs::Histogram& h, double v) {
+  if (!(v >= h.lo())) return 0;
+  const double i = std::floor(std::log(v / h.lo()) / std::log(h.growth()));
+  const int64_t regular = h.NumBuckets() - 2;
+  if (i >= static_cast<double>(regular)) return regular + 1;
+  return static_cast<int64_t>(i) + 1;
+}
+
+/// Empty when `sketch` equals the histogram that adding `samples` in order
+/// through ReferenceBucketIndex builds — count, min, max, sum and every
+/// bucket, bit for bit; otherwise names the first difference.
+inline std::string SketchRebuildDiff(const obs::Histogram& sketch,
+                                     const std::vector<double>& samples) {
+  std::vector<int64_t> counts(static_cast<size_t>(sketch.NumBuckets()), 0);
+  double sum = 0.0, mn = 0.0, mx = 0.0;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const double v = samples[i];
+    ++counts[static_cast<size_t>(ReferenceBucketIndex(sketch, v))];
+    mn = i == 0 ? v : std::min(mn, v);
+    mx = i == 0 ? v : std::max(mx, v);
+    sum += v;
+  }
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  char buf[160];
+  if (sketch.Count() != static_cast<int64_t>(samples.size())) {
+    std::snprintf(buf, sizeof buf, "count %lld != %zu", static_cast<long long>(sketch.Count()),
+                  samples.size());
+    return buf;
+  }
+  const struct {
+    const char* name;
+    double got, want;
+  } stats[] = {{"min", sketch.MinValue(), mn}, {"max", sketch.MaxValue(), mx},
+               {"sum", sketch.Sum(), sum}};
+  for (const auto& st : stats) {
+    if (bits(st.got) != bits(st.want)) {
+      std::snprintf(buf, sizeof buf, "%s %.17g != %.17g", st.name, st.got, st.want);
+      return buf;
+    }
+  }
+  for (int64_t b = 0; b < sketch.NumBuckets(); ++b) {
+    if (sketch.BucketCount(b) != counts[static_cast<size_t>(b)]) {
+      std::snprintf(buf, sizeof buf, "bucket %lld: %lld != %lld", static_cast<long long>(b),
+                    static_cast<long long>(sketch.BucketCount(b)),
+                    static_cast<long long>(counts[static_cast<size_t>(b)]));
+      return buf;
+    }
+  }
+  return "";
 }
 
 /// Empty when the time-only price `time_us` (BatchAttentionTimeUs) is bit
