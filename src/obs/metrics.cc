@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/check.h"
@@ -66,8 +65,16 @@ LabelSet ClassLabels(int tenant, int priority) {
 
 namespace {
 
+/// floor(t_s / slot_s) as an integer, without a libm call: truncation, then
+/// one step down for a negative non-integer quotient.
+int64_t EpochAt(double t_s, double slot_s) {
+  const double q = t_s / slot_s;
+  const auto epoch = static_cast<int64_t>(q);
+  return static_cast<double>(epoch) > q ? epoch - 1 : epoch;
+}
+
 struct RingPos {
-  int64_t epoch = 0;  // floor(t / slot_s).
+  int64_t epoch = 0;  // EpochAt(t, slot_s).
   size_t slot = 0;    // epoch mod the ring size.
 };
 
@@ -82,7 +89,7 @@ RingPos PosOf(double t_s, double slot_s, size_t slots) {
     RingPos pos;
   } last;
   if (t_s != last.t_s || slot_s != last.slot_s || slots != last.slots) {
-    const auto epoch = static_cast<int64_t>(std::floor(t_s / slot_s));
+    const int64_t epoch = EpochAt(t_s, slot_s);
     last.t_s = t_s;
     last.slot_s = slot_s;
     last.slots = slots;
@@ -99,10 +106,6 @@ WindowedSum::WindowedSum(double window_s, int slots)
   FI_CHECK_GT(slots, 0);
 }
 
-int64_t WindowedSum::EpochOf(double t_s) const {
-  return static_cast<int64_t>(std::floor(t_s / slot_s_));
-}
-
 void WindowedSum::Add(double t_s, double v) {
   const RingPos pos = PosOf(t_s, slot_s_, slots_.size());
   Slot& s = slots_[pos.slot];
@@ -113,7 +116,7 @@ void WindowedSum::Add(double t_s, double v) {
 }
 
 double WindowedSum::Sum(double now_s) const {
-  const int64_t lo = EpochOf(now_s) - static_cast<int64_t>(slots_.size()) + 1;
+  const int64_t lo = EpochAt(now_s, slot_s_) - static_cast<int64_t>(slots_.size()) + 1;
   double sum = 0.0;
   for (const Slot& s : slots_) {
     if (s.epoch >= lo) sum += s.sum;
@@ -122,7 +125,7 @@ double WindowedSum::Sum(double now_s) const {
 }
 
 double WindowedSum::Max(double now_s) const {
-  const int64_t lo = EpochOf(now_s) - static_cast<int64_t>(slots_.size()) + 1;
+  const int64_t lo = EpochAt(now_s, slot_s_) - static_cast<int64_t>(slots_.size()) + 1;
   double mx = 0.0;
   bool any = false;
   for (const Slot& s : slots_) {
@@ -135,7 +138,7 @@ double WindowedSum::Max(double now_s) const {
 }
 
 int64_t WindowedSum::Count(double now_s) const {
-  const int64_t lo = EpochOf(now_s) - static_cast<int64_t>(slots_.size()) + 1;
+  const int64_t lo = EpochAt(now_s, slot_s_) - static_cast<int64_t>(slots_.size()) + 1;
   int64_t n = 0;
   for (const Slot& s : slots_) {
     if (s.epoch >= lo) n += s.count;
@@ -164,8 +167,7 @@ void WindowedSketch::ObserveAt(double t_s, int64_t index, double v) {
 }
 
 Histogram WindowedSketch::Merged(double now_s) const {
-  const auto lo = static_cast<int64_t>(std::floor(now_s / slot_s_)) -
-                  static_cast<int64_t>(slots_.size()) + 1;
+  const int64_t lo = EpochAt(now_s, slot_s_) - static_cast<int64_t>(slots_.size()) + 1;
   Histogram out;
   for (const Slot& s : slots_) {
     if (s.epoch >= lo) out.MergeFrom(s.hist);

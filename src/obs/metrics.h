@@ -101,7 +101,6 @@ class WindowedSum {
     double max = 0.0;
     int64_t count = 0;
   };
-  int64_t EpochOf(double t_s) const;
   double slot_s_ = 1.0;
   double window_s_ = 1.0;
   std::vector<Slot> slots_;
