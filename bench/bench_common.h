@@ -24,9 +24,8 @@ namespace flashinfer::bench {
 
 /// Real (host) wall-clock stopwatch. Simulated time is derived from the cost
 /// model and is byte-reproducible; wall time measures how fast the simulator
-/// itself runs — the quantity the parallel cluster driver exists to improve.
-/// Every bench JSON carries a `wall_ms` so the perf trajectory of the
-/// *harness* is scraped alongside the simulated metrics.
+/// itself runs. Every bench JSON carries a `wall_ms` so the perf trajectory
+/// of the *harness* is scraped alongside the simulated metrics.
 class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
@@ -130,11 +129,8 @@ class JsonResult {
 /// Wall-clock keys (any key containing "wall") are host-dependent noise:
 /// pinning one turns CI into a machine-speed lottery, and a slow runner
 /// "passes" a real regression while a fast one fails a clean build. A
-/// baseline that names such a key therefore FAILS LOUDLY unless the caller
-/// opts in with `allow_wall_keys` — only bench_parallel_scale does, whose
-/// entire subject is the harness's own wall-clock scaling.
-inline bool CheckBaseline(const char* baseline_path, const JsonResult& result,
-                          bool allow_wall_keys = false) {
+/// baseline that names such a key therefore FAILS LOUDLY.
+inline bool CheckBaseline(const char* baseline_path, const JsonResult& result) {
   std::FILE* f = std::fopen(baseline_path, "rb");
   if (f == nullptr) {
     std::fprintf(stderr, "baseline check: cannot open %s\n", baseline_path);
@@ -157,12 +153,10 @@ inline bool CheckBaseline(const char* baseline_path, const JsonResult& result,
   bool ok = true;
   for (const auto& [key, spec] : doc.obj) {
     if (!spec.IsObject()) continue;  // Allow top-level comment strings.
-    if (!allow_wall_keys && key.find("wall") != std::string::npos) {
+    if (key.find("wall") != std::string::npos) {
       std::printf("  %-34s FAIL baseline pins a wall-clock key — host-"
                   "dependent, not a regression gate; remove it from the "
-                  "baseline (or gate it in bench_parallel_scale, the one "
-                  "harness whose subject is wall-clock scaling)\n",
-                  key.c_str());
+                  "baseline\n", key.c_str());
       ok = false;
       continue;
     }

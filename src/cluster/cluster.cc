@@ -53,30 +53,15 @@ struct ClusterEngine::Replica {
 
 ClusterEngine::ClusterEngine(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   FI_CHECK_GE(cfg_.num_replicas, 1);
-  FI_CHECK_GE(cfg_.step_threads, 0);
   if (cfg_.disaggregated) {
     // At least one replica in each pool, and a link with real bandwidth.
     FI_CHECK_GE(cfg_.prefill_replicas, 1);
     FI_CHECK_LT(cfg_.prefill_replicas, cfg_.num_replicas);
     FI_CHECK_GT(cfg_.migration_gbps, 0.0);
   }
-  if (cfg_.step_threads > 1) pool_ = std::make_unique<ThreadPool>(cfg_.step_threads);
 }
 
 ClusterEngine::~ClusterEngine() = default;
-
-void ClusterEngine::ForEachReplica(const std::function<void(size_t)>& fn) {
-  auto body = [&fn](int64_t i) { fn(static_cast<size_t>(i)); };
-  const int64_t n = static_cast<int64_t>(replicas_.size());
-  if (cfg_.step_threads == 1) {
-    // Fully serial reference driver: no pool involved at all.
-    for (int64_t i = 0; i < n; ++i) body(i);
-  } else if (pool_) {
-    pool_->ParallelFor(n, body);
-  } else {
-    ThreadPool::Global().ParallelFor(n, body);
-  }
-}
 
 void ClusterEngine::ProcessMigrations() {
   const size_t prefill_n = static_cast<size_t>(cfg_.prefill_replicas);
@@ -222,13 +207,11 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
   if (!cfg_.disaggregated) {
     for (const Request& r : sorted) {
       // Advance every replica to this arrival: each executes the steps it
-      // would have started by now, so the router sees live load. The fan-out
-      // runs on the configured pool; its barrier is the router's sync point.
-      ForEachReplica(
-          [this, &r](size_t i) { replicas_[i]->engine.StepTo(r.arrival_s); });
+      // would have started by now, so the router sees live load.
+      for (auto& rep : replicas_) rep->engine.StepTo(r.arrival_s);
       route_and_admit(r);
     }
-    ForEachReplica([this](size_t i) { replicas_[i]->engine.Drain(); });
+    for (auto& rep : replicas_) rep->engine.Drain();
   } else {
     // Disaggregated driver. The prefill pool must be stepped event-by-event:
     // each fine step can park exportable units, and processing them while
@@ -249,19 +232,16 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
           t_prefill = std::min(t_prefill, replicas_[i]->engine.NextEventTime());
         }
         if (t_prefill == inf || t_prefill > t_arrival) break;
-        ForEachReplica([this, prefill_n, t_prefill](size_t i) {
-          if (i < prefill_n) replicas_[i]->engine.StepTo(t_prefill);
-        });
+        for (size_t i = 0; i < prefill_n; ++i) replicas_[i]->engine.StepTo(t_prefill);
       }
       if (k >= sorted.size()) break;
-      const double t = t_arrival;
-      ForEachReplica([this, t](size_t i) { replicas_[i]->engine.StepTo(t); });
+      for (auto& rep : replicas_) rep->engine.StepTo(t_arrival);
       route_and_admit(sorted[k]);
       ++k;
     }
     // The prefill pool is fully drained (incl. retained fallbacks) by the
     // final inner loop; this Drain finishes the decode pool's in-flight work.
-    ForEachReplica([this](size_t i) { replicas_[i]->engine.Drain(); });
+    for (auto& rep : replicas_) rep->engine.Drain();
   }
 
   // --- Merged telemetry: every replica's registry under replica="i". -------

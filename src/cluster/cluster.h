@@ -14,19 +14,9 @@
 // down to a per-replica page budget. Matching happens at admission, not at
 // prefill completion — an idealization that slightly favors bursts of
 // identical prefixes (real engines would stall or recompute in that window).
-//
-// Parallel driver: ClusterConfig::step_threads fans the per-arrival StepTo
-// and the final Drain across a util::ThreadPool. Replica state is fully
-// disjoint (each engine owns its clock, queues, Rng, trace ring, and
-// registry), every simulated quantity is derived from the plan rather than
-// wall-clock interleaving, and the ParallelFor barrier hands control back to
-// the router between fan-outs — so a seeded run produces byte-identical
-// metrics, traces, and telemetry at any thread count (pinned by
-// determinism_test and the soak harness).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -35,7 +25,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serving/engine.h"
-#include "util/threadpool.h"
 
 namespace flashinfer::cluster {
 
@@ -51,14 +40,6 @@ struct ClusterConfig {
   /// Per-replica prefix-cache capacity in pages; 0 derives it from the
   /// replica's KV token budget (the cache can hold what the HBM could).
   int64_t prefix_cache_pages = 0;
-  /// Threads driving the replica StepTo/Drain fan-out. 1 (default) keeps the
-  /// fully serial driver; 0 uses util::ThreadPool::Global() (FI_THREADS /
-  /// hardware concurrency); N > 1 builds a dedicated pool of N threads.
-  /// Replica state is disjoint and each engine owns its Rng, so seeded runs
-  /// are byte-identical at every setting — the router (which runs on the
-  /// driver thread between fan-outs, like migration processing in
-  /// disaggregated mode) is the only synchronization point.
-  int step_threads = 1;
   /// Disaggregated prefill/decode serving: the first `prefill_replicas`
   /// replicas form the prefill pool (their engines run with
   /// export_at_first_token), the rest the decode pool. New prompts route
@@ -142,18 +123,12 @@ class ClusterEngine {
  private:
   struct Replica;
 
-  /// Runs fn(i) over all replicas, on the configured pool (step_threads != 1)
-  /// or inline. Returning is the barrier: every replica has settled before
-  /// the router touches any of them.
-  void ForEachReplica(const std::function<void(size_t)>& fn);
-
-  /// Disaggregated mode, driver thread only (always between ForEachReplica
-  /// barriers): drains every prefill replica's exportable pool — each unit
-  /// either migrates to the decode replica with the most KV headroom (its
-  /// transfer charged to the pair link's CopyStream from the unit's export
-  /// time) or is retained on its source. Always empties the pools, so no
-  /// unit waits more than one processing round and no engine stays blocked
-  /// on the cluster.
+  /// Disaggregated mode: drains every prefill replica's exportable pool —
+  /// each unit either migrates to the decode replica with the most KV
+  /// headroom (its transfer charged to the pair link's CopyStream from the
+  /// unit's export time) or is retained on its source. Always empties the
+  /// pools, so no unit waits more than one processing round and no engine
+  /// stays blocked on the cluster.
   void ProcessMigrations();
 
   ClusterConfig cfg_;
@@ -161,9 +136,6 @@ class ClusterEngine {
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::vector<obs::TraceTrack> last_trace_;
   std::unique_ptr<obs::MetricsRegistry> telemetry_;
-  /// Dedicated pool when step_threads > 1 (step_threads == 0 borrows the
-  /// global pool instead; == 1 never touches a pool).
-  std::unique_ptr<ThreadPool> pool_;
 
   // --- Disaggregated mode state (rebuilt per Run) ---------------------------
   int64_t migrations_ = 0;

@@ -138,14 +138,6 @@ int64_t TraceQuery::CountName(TraceName n) const {
   return total;
 }
 
-TimeSeries TraceQuery::CounterSeries(TraceName counter, double bucket_s) const {
-  TimeSeries series(bucket_s);
-  for (const TraceEvent& e : events_) {
-    if (e.name == counter) series.Add(e.ts_us * 1e-6, e.v);
-  }
-  return series;
-}
-
 std::string TraceQuery::BreakdownTable(int64_t max_rows) const {
   const auto rows = PerRequest();
   std::string out =

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/stats.h"
 #include "obs/trace.h"
 
 namespace flashinfer::obs {
@@ -83,9 +82,6 @@ class TraceQuery {
 
   /// Number of events with this name.
   int64_t CountName(TraceName n) const;
-
-  /// Collapses a counter track into fixed time buckets (mean/max per bucket).
-  TimeSeries CounterSeries(TraceName counter, double bucket_s) const;
 
   /// Renders PerRequest() rows (at most `max_rows`) as an aligned table.
   std::string BreakdownTable(int64_t max_rows = 20) const;

@@ -12,38 +12,6 @@
 
 namespace flashinfer::obs {
 
-TimeSeries::TimeSeries(double bucket_s) : bucket_s_(bucket_s) {
-  FI_CHECK_GT(bucket_s, 0.0);
-}
-
-void TimeSeries::Add(double t_s, double v) {
-  FI_CHECK_GE(t_s, 0.0);
-  const auto idx = static_cast<size_t>(t_s / bucket_s_);
-  if (idx >= buckets_.size()) buckets_.resize(idx + 1);
-  Bucket& b = buckets_[idx];
-  b.sum += v;
-  b.max = b.count == 0 ? v : std::max(b.max, v);
-  ++b.count;
-}
-
-double TimeSeries::Mean(int64_t i) const {
-  const Bucket& b = buckets_[static_cast<size_t>(i)];
-  return b.count > 0 ? b.sum / static_cast<double>(b.count) : 0.0;
-}
-
-std::string TimeSeries::ToString(const std::string& label) const {
-  std::string out = label + " (bucket " + std::to_string(bucket_s_) + " s)\n";
-  char line[160];
-  for (int64_t i = 0; i < NumBuckets(); ++i) {
-    std::snprintf(line, sizeof(line),
-                  "  [%8.3f,%8.3f) n=%-6lld sum=%-12.4g mean=%-12.4g max=%-12.4g\n",
-                  BucketStartS(i), BucketStartS(i + 1),
-                  static_cast<long long>(Count(i)), Sum(i), Mean(i), Max(i));
-    out += line;
-  }
-  return out;
-}
-
 namespace {
 
 // IndexOf's start-bucket lookup is keyed by a sample's bit pattern shifted

@@ -1,12 +1,9 @@
-// Time-series + histogram accumulators for serving telemetry.
+// Histogram accumulator for serving telemetry.
 //
-// TimeSeries buckets samples into fixed-width simulated-time bins (sum,
-// count, max per bin) — the printable form of a counter track, and the thing
-// a bench prints so two runs can be diffed bin-by-bin. Histogram is
-// log-bucketed (geometric bucket edges), the right shape for latency
-// distributions whose tails span orders of magnitude: TTFT/ITL histograms
-// stay a few dozen buckets whether the tail is 10 ms or 10 s, so CI can diff
-// the printed form across PRs without quantile jitter.
+// Histogram is log-bucketed (geometric bucket edges), the right shape for
+// latency distributions whose tails span orders of magnitude: TTFT/ITL
+// histograms stay a few dozen buckets whether the tail is 10 ms or 10 s, so
+// CI can diff the printed form across PRs without quantile jitter.
 //
 // A sample's bucket is the one `floor(log(v / lo) / log(growth))` names, but
 // Add calls no libm function: each geometry's table holds the least double
@@ -23,38 +20,6 @@
 #include <vector>
 
 namespace flashinfer::obs {
-
-/// Fixed-width time-bucket accumulator.
-class TimeSeries {
- public:
-  explicit TimeSeries(double bucket_s);
-
-  /// Accumulates `v` into the bucket containing time `t_s` (t_s >= 0).
-  void Add(double t_s, double v);
-
-  double bucket_s() const noexcept { return bucket_s_; }
-  /// Buckets up to the last one touched (leading/interior empties included).
-  int64_t NumBuckets() const noexcept { return static_cast<int64_t>(buckets_.size()); }
-  double BucketStartS(int64_t i) const { return static_cast<double>(i) * bucket_s_; }
-  int64_t Count(int64_t i) const { return buckets_[static_cast<size_t>(i)].count; }
-  double Sum(int64_t i) const { return buckets_[static_cast<size_t>(i)].sum; }
-  double Max(int64_t i) const { return buckets_[static_cast<size_t>(i)].max; }
-  double Mean(int64_t i) const;
-  /// Sum normalized by the bucket width: a per-second rate.
-  double RatePerS(int64_t i) const { return Sum(i) / bucket_s_; }
-
-  /// One line per bucket: "[t0,t1) count sum mean max".
-  std::string ToString(const std::string& label) const;
-
- private:
-  struct Bucket {
-    double sum = 0.0;
-    double max = 0.0;
-    int64_t count = 0;
-  };
-  double bucket_s_ = 1.0;
-  std::vector<Bucket> buckets_;
-};
 
 /// Log-bucketed histogram: bucket i spans [lo*growth^i, lo*growth^(i+1)),
 /// with explicit underflow/overflow buckets, exact min/max/sum tracking, and

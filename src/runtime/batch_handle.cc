@@ -113,8 +113,7 @@ gpusim::SimReport BatchAttentionHandle::Run(const RaggedTensor& q, const PagedKV
   cc.dev = &sim_.device();
   cc.kv_bytes = DTypeBytes(info_.kv_dtype);
   cc.eff = EfficiencyModel(sim_.device(), cfg_, info_.head_dim, cc.kv_bytes);
-  // Compose cross-request reuse (bench knob) with intra-batch tile reuse.
-  cc.kv_l2_fraction = 1.0 - (1.0 - kv_l2_fraction_) * (1.0 - auto_l2_fraction_);
+  cc.kv_l2_fraction = auto_l2_fraction_;
 
   PartialSink sink{workspace_->PartialO(), workspace_->PartialLse()};
   const auto& plan = *plan_;

@@ -56,10 +56,6 @@ class BatchAttentionHandle {
   const gpusim::DeviceSpec& device() const noexcept { return sim_.device(); }
   int NumCtas() const noexcept { return num_ctas_; }
 
-  /// Cross-CTA L2 reuse fraction for KV traffic (bench knob; see
-  /// CostContext::kv_l2_fraction).
-  void SetKvL2Fraction(double f) noexcept { kv_l2_fraction_ = f; }
-
   /// Inspector: runs the scheduler on this step's sequence-length
   /// information. Cached: planning with an identical signature is a no-op.
   /// The BSR must stay alive until the next Plan.
@@ -94,7 +90,6 @@ class BatchAttentionHandle {
   bool use_softmax_ = true;
   VariantParams variant_params_;
   int num_ctas_ = 1;
-  double kv_l2_fraction_ = 0.0;
   double auto_l2_fraction_ = 0.0;  // Intra-batch tile reuse, set by Plan().
 
   std::optional<::flashinfer::Plan> plan_;

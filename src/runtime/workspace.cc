@@ -23,12 +23,11 @@ Workspace::Workspace(int64_t bytes) {
 
 void Workspace::Bind(int head_dim) {
   FI_CHECK_GE(head_dim, 1);
-  plan_bytes_ = kPlanBytes;
-  const int64_t payload = Bytes() - plan_bytes_;
+  const int64_t payload = Bytes() - kPlanBytes;
   const int64_t row_bytes = static_cast<int64_t>(head_dim + 1) * 4;
   max_partial_rows_ = payload / row_bytes;
   FI_CHECK_GT(max_partial_rows_, 0);
-  auto* base = buffer_.data() + plan_bytes_;
+  auto* base = buffer_.data() + kPlanBytes;
   partial_o_ = reinterpret_cast<float*>(base);
   partial_lse_ = partial_o_ + max_partial_rows_ * head_dim;
 }

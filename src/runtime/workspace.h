@@ -31,7 +31,6 @@ class Workspace {
 
   /// Plan-metadata section ("async-copied" scheduler output).
   void* PlanRegion() noexcept { return buffer_.data(); }
-  int64_t PlanRegionBytes() const noexcept { return plan_bytes_; }
 
   /// Lays out sections for a given head_dim. Must be called before use;
   /// re-binding with a different head_dim is allowed (offsets stay fixed,
@@ -44,7 +43,6 @@ class Workspace {
 
  private:
   std::vector<std::byte> buffer_;
-  int64_t plan_bytes_ = 0;
   float* partial_o_ = nullptr;
   float* partial_lse_ = nullptr;
   int64_t max_partial_rows_ = 0;

@@ -67,8 +67,9 @@ struct RowCost {
   gpusim::WorkCost wc[2];
 };
 
-/// Per-call buffers of the pricer, reused across calls. Thread-local:
-/// cluster replicas price concurrently (ClusterConfig::step_threads).
+/// Per-call buffers of the pricer, reused across calls. Thread-local: the
+/// pricing entry points are free functions with no owner to hold buffers,
+/// so engines stepped on different threads each reuse their own, lock-free.
 struct PricingScratch {
   std::vector<BlockRowShape> rows;
   ChunkSchedule schedule;

@@ -315,8 +315,6 @@ class ServingEngine {
 
   /// Host-tier KV tokens held by swapped-out (preempted) branches.
   int64_t HostKvTokensInUse() const noexcept { return host_kv_tokens_in_use_; }
-  /// Host-tier KV token capacity (0 when preemption is disabled).
-  int64_t HostKvTokenBudget() const noexcept { return host_kv_token_budget_; }
   /// Bytes the host tier holds for swapped-out branches, metered per page of
   /// one layer's per-shard KV from the host page table. A branch's bytes stay
   /// held until its swap-in transfer lands.

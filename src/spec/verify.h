@@ -42,8 +42,6 @@ class VerifyPricer {
   /// plan-cache reuse does for vanilla steps.
   gpusim::SimReport Price(const std::vector<int64_t>& context_lens) const;
 
-  int TreeSize() const noexcept { return tree_size_; }
-
  private:
   gpusim::DeviceSpec dev_;
   serving::BackendConfig backend_;

@@ -143,10 +143,14 @@ struct Parser {
     return Fail("unterminated string");
   }
 
-  bool ParseValue(JsonValue* out) {
+  /// `depth` counts the arrays and objects enclosing this value.
+  bool ParseValue(JsonValue* out, int depth) {
     SkipWs();
     if (pos >= text.size()) return Fail("unexpected end of input");
     const char c = text[pos];
+    if ((c == '{' || c == '[') && depth == kJsonMaxDepth) {
+      return Fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+    }
     if (c == '{') {
       ++pos;
       out->type = JsonValue::Type::kObject;
@@ -162,7 +166,7 @@ struct Parser {
         SkipWs();
         if (!Consume(':')) return false;
         JsonValue member;
-        if (!ParseValue(&member)) return false;
+        if (!ParseValue(&member, depth + 1)) return false;
         out->obj.emplace_back(std::move(key), std::move(member));
         SkipWs();
         if (pos < text.size() && text[pos] == ',') {
@@ -182,7 +186,7 @@ struct Parser {
       }
       while (true) {
         JsonValue elem;
-        if (!ParseValue(&elem)) return false;
+        if (!ParseValue(&elem, depth + 1)) return false;
         out->arr.push_back(std::move(elem));
         SkipWs();
         if (pos < text.size() && text[pos] == ',') {
@@ -228,7 +232,7 @@ struct Parser {
 bool JsonParse(const std::string& text, JsonValue* out, std::string* err) {
   Parser p{text, 0, {}};
   *out = JsonValue{};
-  if (!p.ParseValue(out)) {
+  if (!p.ParseValue(out, 0)) {
     if (err != nullptr) *err = p.err;
     return false;
   }

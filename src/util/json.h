@@ -44,9 +44,14 @@ struct JsonValue {
   std::string StringOr(const std::string& key, const std::string& dflt) const;
 };
 
+/// Deepest array/object nesting JsonParse accepts. The in-repo writers emit
+/// at most 4 levels; the cap bounds the parser's recursion on hostile input.
+inline constexpr int kJsonMaxDepth = 256;
+
 /// Parses `text` into `*out`. Returns false with a positioned message in
-/// `*err` (when non-null) on malformed input. Accepts exactly one top-level
-/// value; trailing whitespace is allowed, trailing garbage is not.
+/// `*err` (when non-null) on malformed input, including nesting deeper than
+/// kJsonMaxDepth. Accepts exactly one top-level value; trailing whitespace is
+/// allowed, trailing garbage is not.
 bool JsonParse(const std::string& text, JsonValue* out, std::string* err = nullptr);
 
 }  // namespace flashinfer::util

@@ -1,7 +1,6 @@
-// A small fixed-size thread pool used to execute simulated CTAs in parallel
-// and to drive cluster replicas concurrently.
+// A small fixed-size thread pool used to execute simulated CTAs in parallel.
 //
-// The pool only provides what those callers need: `ParallelFor` over an index
+// The pool only provides what that caller needs: `ParallelFor` over an index
 // range with dynamic work stealing. Determinism of *results* never depends on
 // the pool: each index owns disjoint output state, and all simulated-cost
 // accounting is computed from the plan, not from wall-clock interleaving.

@@ -2,14 +2,15 @@
 // exactness (KV charges and structural pages balance to zero across a
 // migration), the NextEventTime/StepTo idle-wake contract when all pending
 // work is transfer-gated, retain-fallback equivalence to the unified engine,
-// and the cluster driver's pool routing, rejection fallback, and
-// determinism (serial twin == threaded twin, run-to-run identical).
+// the cluster driver's pool routing, rejection fallback, and run-to-run
+// determinism, and trace attribution of every migration wait.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
 #include "cluster/cluster.h"
+#include "obs/query.h"
 #include "serving/engine.h"
 
 namespace flashinfer {
@@ -401,12 +402,14 @@ std::vector<Request> DisaggWorkload(uint64_t seed, int n = 60) {
 }
 
 // End-to-end disaggregated cluster: prompts route to the prefill pool only,
-// units migrate to the decode pool, conservation holds across pools, and
-// both pools drain clean.
+// units migrate to the decode pool, conservation holds across pools, both
+// pools drain clean, and the trace attributes every migration wait.
 TEST(DisaggCluster, MigratesCompletesAndAccountsExactly) {
   const auto workload = DisaggWorkload(17);
-  const ClusterConfig cfg = DisaggConfig();
-  const ClusterMetrics m = ClusterEngine(cfg).Run(workload);
+  ClusterConfig cfg = DisaggConfig();
+  cfg.engine.trace.enabled = true;
+  ClusterEngine eng(cfg);
+  const ClusterMetrics m = eng.Run(workload);
 
   // Pool labeling.
   ASSERT_EQ(m.replica_pool.size(), 4u);
@@ -444,6 +447,21 @@ TEST(DisaggCluster, MigratesCompletesAndAccountsExactly) {
             m.decode_pool.total_migration_ms + 1e-9);
   EXPECT_GE(m.decode_pool.MigrationOverlapEfficiency().value_or(0.0), 0.0);
   EXPECT_LE(m.decode_pool.MigrationOverlapEfficiency().value_or(0.0), 1.0 + 1e-9);
+
+  // Each decode replica records one migrate-in span per imported unit, and
+  // a same-request link transfer explains every one.
+  const auto& tracks = eng.LastTrace();
+  ASSERT_EQ(tracks.size(), m.per_replica.size() + 1);  // + the router track.
+  for (size_t i = static_cast<size_t>(cfg.prefill_replicas); i < m.per_replica.size(); ++i) {
+    SCOPED_TRACE(tracks[i].name);
+    // Below capacity, the ring has dropped nothing.
+    ASSERT_LT(static_cast<int64_t>(tracks[i].events.size()), cfg.engine.trace.capacity);
+    const obs::TraceQuery query(tracks[i].events);
+    EXPECT_GT(m.per_replica[i].num_migrations_in, 0);
+    EXPECT_EQ(query.CountName(obs::TraceName::kReqMigrateIn),
+              m.per_replica[i].num_migrations_in);
+    EXPECT_TRUE(query.UnexplainedMigrationWaits().empty());
+  }
 }
 
 // Decode-pool rejection fallback: when no decode replica has KV headroom
@@ -473,10 +491,8 @@ TEST(DisaggCluster, RetainsWhenDecodePoolFull) {
   }
 }
 
-// Determinism: back-to-back runs are identical, and the threaded driver
-// reproduces the serial one bit-for-bit (migration processing only happens
-// on the driver thread between fan-out barriers).
-TEST(DisaggCluster, DeterministicAndThreadedTwinIdentical) {
+// Determinism: back-to-back runs on one ClusterEngine are identical.
+TEST(DisaggCluster, BackToBackRunsIdentical) {
   const auto workload = DisaggWorkload(53);
   ClusterConfig cfg = DisaggConfig();
   cfg.engine.telemetry.enabled = true;
@@ -484,29 +500,19 @@ TEST(DisaggCluster, DeterministicAndThreadedTwinIdentical) {
   const ClusterMetrics a = eng.Run(workload);
   const ClusterMetrics b = eng.Run(workload);
 
-  ClusterConfig tcfg = cfg;
-  tcfg.step_threads = 3;
-  const ClusterMetrics c = ClusterEngine(tcfg).Run(workload);
-
-  for (const ClusterMetrics* other : {&b, &c}) {
-    EXPECT_DOUBLE_EQ(other->makespan_s, a.makespan_s);
-    EXPECT_EQ(other->migrations, a.migrations);
-    EXPECT_EQ(other->migrations_retained, a.migrations_retained);
-    EXPECT_EQ(other->aggregate.num_steps, a.aggregate.num_steps);
-    EXPECT_EQ(other->aggregate.total_output_tokens,
-              a.aggregate.total_output_tokens);
-    EXPECT_DOUBLE_EQ(other->aggregate.total_migration_ms,
-                     a.aggregate.total_migration_ms);
-    EXPECT_DOUBLE_EQ(other->aggregate.migration_hidden_ms,
-                     a.aggregate.migration_hidden_ms);
-    EXPECT_DOUBLE_EQ(other->aggregate.migration_stall_ms,
-                     a.aggregate.migration_stall_ms);
-    ASSERT_EQ(other->aggregate.itl_ms.size(), a.aggregate.itl_ms.size());
-    for (size_t i = 0; i < a.aggregate.itl_ms.size(); ++i) {
-      EXPECT_DOUBLE_EQ(other->aggregate.itl_ms[i], a.aggregate.itl_ms[i]);
-    }
-    EXPECT_EQ(other->replica_requests, a.replica_requests);
+  EXPECT_DOUBLE_EQ(b.makespan_s, a.makespan_s);
+  EXPECT_EQ(b.migrations, a.migrations);
+  EXPECT_EQ(b.migrations_retained, a.migrations_retained);
+  EXPECT_EQ(b.aggregate.num_steps, a.aggregate.num_steps);
+  EXPECT_EQ(b.aggregate.total_output_tokens, a.aggregate.total_output_tokens);
+  EXPECT_DOUBLE_EQ(b.aggregate.total_migration_ms, a.aggregate.total_migration_ms);
+  EXPECT_DOUBLE_EQ(b.aggregate.migration_hidden_ms, a.aggregate.migration_hidden_ms);
+  EXPECT_DOUBLE_EQ(b.aggregate.migration_stall_ms, a.aggregate.migration_stall_ms);
+  ASSERT_EQ(b.aggregate.itl_ms.size(), a.aggregate.itl_ms.size());
+  for (size_t i = 0; i < a.aggregate.itl_ms.size(); ++i) {
+    EXPECT_DOUBLE_EQ(b.aggregate.itl_ms[i], a.aggregate.itl_ms[i]);
   }
+  EXPECT_EQ(b.replica_requests, a.replica_requests);
 }
 
 // Unified mode must be untouched by the disaggregated driver: the refactored

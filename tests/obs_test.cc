@@ -1,6 +1,6 @@
 // Unit tests for the observability layer: trace recorder ring semantics,
-// time-series/histogram statistics, the shared JSON escape/parse helpers,
-// exporter output shape, and the TraceQuery accounting primitives.
+// histogram statistics, the shared JSON escape/parse helpers, exporter
+// output shape, and the TraceQuery accounting primitives.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,7 +21,6 @@ namespace flashinfer {
 namespace {
 
 using obs::Histogram;
-using obs::TimeSeries;
 using obs::TraceEvent;
 using obs::TraceKind;
 using obs::TraceName;
@@ -80,24 +79,6 @@ TEST(TraceNames, KindPartitionAndStableStrings) {
   EXPECT_STREQ(TraceNameStr(TraceName::kStep), "step");
   EXPECT_STREQ(TraceNameStr(TraceName::kReqPreempted), "preempted");
   EXPECT_STREQ(TraceNameStr(TraceName::kCtrKvDevice), "kv_device_tokens");
-}
-
-// --- TimeSeries --------------------------------------------------------------
-
-TEST(TimeSeries, BucketsSamplesByTime) {
-  TimeSeries ts(1.0);
-  ts.Add(0.1, 2.0);
-  ts.Add(0.9, 4.0);
-  ts.Add(2.5, 10.0);
-  EXPECT_EQ(ts.NumBuckets(), 3);
-  EXPECT_EQ(ts.Count(0), 2);
-  EXPECT_DOUBLE_EQ(ts.Sum(0), 6.0);
-  EXPECT_DOUBLE_EQ(ts.Mean(0), 3.0);
-  EXPECT_DOUBLE_EQ(ts.Max(0), 4.0);
-  EXPECT_EQ(ts.Count(1), 0);  // Empty gap bucket exists.
-  EXPECT_DOUBLE_EQ(ts.Mean(1), 0.0);
-  EXPECT_EQ(ts.Count(2), 1);
-  EXPECT_DOUBLE_EQ(ts.RatePerS(2), 10.0);  // Sum per second of bucket.
 }
 
 // --- Histogram ---------------------------------------------------------------
@@ -279,6 +260,24 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(util::JsonParse("[1, 2] trailing", &v, &err));
   EXPECT_FALSE(util::JsonParse("", &v, &err));
+  // Nesting past the cap fails at its first bracket instead of overflowing
+  // the stack; a document exactly at the cap still parses.
+  for (const size_t depth : {size_t{100000}, size_t{1000000}}) {
+    EXPECT_FALSE(util::JsonParse(std::string(depth, '['), &v, &err));
+    EXPECT_EQ(err, "nesting deeper than 256 at offset 256");
+  }
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  EXPECT_TRUE(util::JsonParse(arrays(util::kJsonMaxDepth), &v, &err)) << err;
+  EXPECT_FALSE(util::JsonParse(arrays(util::kJsonMaxDepth + 1), &v, &err));
+  std::string objects;
+  for (int i = 0; i < util::kJsonMaxDepth; ++i) objects += "{\"k\":";
+  EXPECT_TRUE(util::JsonParse(objects + "1" + std::string(util::kJsonMaxDepth, '}'), &v, &err))
+      << err;
+  EXPECT_FALSE(util::JsonParse("[" + objects + "1" + std::string(util::kJsonMaxDepth, '}') + "]",
+                               &v, &err));
 }
 
 // --- Exporters ---------------------------------------------------------------
@@ -415,6 +414,22 @@ TEST(TraceQuery, PreemptStallCoverage) {
   events.push_back(Ev(TraceName::kReqPreempted, 5.0, 30.0, 3));
   EXPECT_TRUE(obs::TraceQuery(events).UnexplainedPreemptStalls().empty());
   EXPECT_EQ(obs::TraceQuery(events).TotalPreemptStallSteps(), 1);
+}
+
+TEST(TraceQuery, MigrationWaitCoverage) {
+  std::vector<TraceEvent> events;
+  events.push_back(Ev(TraceName::kReqMigrateIn, 10.0, 20.0, /*req=*/4));
+  // A migrate-in span with no link transfer is unexplained.
+  EXPECT_EQ(obs::TraceQuery(events).UnexplainedMigrationWaits().size(), 1u);
+  // Neither a transfer for another request nor one that starts after the
+  // wait ended explains it.
+  events.push_back(Ev(TraceName::kCopyMigrate, 5.0, 25.0, /*req=*/5));
+  events.push_back(Ev(TraceName::kCopyMigrate, 40.0, 5.0, /*req=*/4));
+  ASSERT_EQ(obs::TraceQuery(events).UnexplainedMigrationWaits().size(), 1u);
+  EXPECT_EQ(obs::TraceQuery(events).UnexplainedMigrationWaits()[0].req, 4);
+  // The same request's transfer, landing as the wait ends, explains it.
+  events.push_back(Ev(TraceName::kCopyMigrate, 5.0, 25.0, /*req=*/4));
+  EXPECT_TRUE(obs::TraceQuery(events).UnexplainedMigrationWaits().empty());
 }
 
 }  // namespace

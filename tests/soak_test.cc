@@ -522,32 +522,6 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
 
-  // Threaded twin: the identical config and workload driven over a worker
-  // pool must reproduce the serial run bit-for-bit (replica state is
-  // disjoint; the router barrier is the only sync point). The whole random
-  // config space soaks through the parallel driver this way.
-  {
-    cluster::ClusterConfig tcfg2 = cfg;
-    tcfg2.step_threads = 2 + static_cast<int>(seed % 3);
-    cluster::ClusterEngine threaded(tcfg2);
-    const auto tm = threaded.Run(reqs);
-    EXPECT_DOUBLE_EQ(tm.makespan_s, m.makespan_s);
-    EXPECT_EQ(tm.aggregate.num_steps, m.aggregate.num_steps);
-    EXPECT_EQ(tm.aggregate.total_output_tokens, m.aggregate.total_output_tokens);
-    EXPECT_EQ(tm.aggregate.num_preemptions, m.aggregate.num_preemptions);
-    EXPECT_DOUBLE_EQ(tm.aggregate.total_swap_ms, m.aggregate.total_swap_ms);
-    EXPECT_DOUBLE_EQ(tm.aggregate.swap_hidden_ms, m.aggregate.swap_hidden_ms);
-    EXPECT_DOUBLE_EQ(tm.aggregate.swap_stall_ms, m.aggregate.swap_stall_ms);
-    EXPECT_EQ(tm.replica_requests, m.replica_requests);
-    ASSERT_EQ(tm.aggregate.ttft_ms.size(), m.aggregate.ttft_ms.size());
-    for (size_t i = 0; i < tm.aggregate.ttft_ms.size(); ++i) {
-      EXPECT_DOUBLE_EQ(tm.aggregate.ttft_ms[i], m.aggregate.ttft_ms[i]);
-    }
-    const obs::MetricsRegistry* treg = threaded.Telemetry();
-    ASSERT_NE(treg, nullptr);
-    EXPECT_EQ(treg->JsonSnapshot(tm.makespan_s), reg->JsonSnapshot(m.makespan_s));
-  }
-
   if (FailedPartCount() > failed_before) {
     DumpTrialTrace(cluster.LastTrace(), seed);
   }
@@ -610,34 +584,6 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   const obs::MetricsRegistry* reg = cluster.Telemetry();
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
-
-  // Threaded twin: the disaggregated driver's fine-grained prefill stepping
-  // still only syncs at barriers, so any thread count is bit-identical.
-  {
-    cluster::ClusterConfig tcfg2 = cfg;
-    tcfg2.step_threads = 2 + static_cast<int>(seed % 3);
-    cluster::ClusterEngine threaded(tcfg2);
-    const auto tm = threaded.Run(reqs);
-    EXPECT_DOUBLE_EQ(tm.makespan_s, m.makespan_s);
-    EXPECT_EQ(tm.migrations, m.migrations);
-    EXPECT_EQ(tm.migrations_retained, m.migrations_retained);
-    EXPECT_EQ(tm.aggregate.num_steps, m.aggregate.num_steps);
-    EXPECT_EQ(tm.aggregate.total_output_tokens, m.aggregate.total_output_tokens);
-    EXPECT_DOUBLE_EQ(tm.aggregate.total_migration_ms,
-                     m.aggregate.total_migration_ms);
-    EXPECT_DOUBLE_EQ(tm.aggregate.migration_hidden_ms,
-                     m.aggregate.migration_hidden_ms);
-    EXPECT_DOUBLE_EQ(tm.aggregate.migration_stall_ms,
-                     m.aggregate.migration_stall_ms);
-    EXPECT_EQ(tm.replica_requests, m.replica_requests);
-    ASSERT_EQ(tm.aggregate.itl_ms.size(), m.aggregate.itl_ms.size());
-    for (size_t i = 0; i < tm.aggregate.itl_ms.size(); ++i) {
-      EXPECT_DOUBLE_EQ(tm.aggregate.itl_ms[i], m.aggregate.itl_ms[i]);
-    }
-    const obs::MetricsRegistry* treg = threaded.Telemetry();
-    ASSERT_NE(treg, nullptr);
-    EXPECT_EQ(treg->JsonSnapshot(tm.makespan_s), reg->JsonSnapshot(m.makespan_s));
-  }
 
   if (FailedPartCount() > failed_before) {
     DumpTrialTrace(cluster.LastTrace(), seed);
