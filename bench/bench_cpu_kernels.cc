@@ -7,11 +7,12 @@
 // the CPU analog of the FlashInfer-vs-FlexAttention gap of Tables 1-4 —
 // plus the cost of the supporting machinery: sparse gather, state merging,
 // scheduling (plan time), per-step attention pricing, per-token telemetry
-// samples, and radix-tree matching and eviction.
+// samples, KV storage conversions, and radix-tree matching and eviction.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "core/attention_state.h"
 #include "core/kernel_dispatch.h"
@@ -23,6 +24,7 @@
 #include "serving/backends.h"
 #include "serving/workload.h"
 #include "sparse/gather.h"
+#include "util/float_types.h"
 #include "util/rng.h"
 
 // The shared problem fixture lives with the tests; reuse it here.
@@ -285,6 +287,40 @@ void BM_SketchObserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SketchObserve);
+
+/// 4096 KV-like values, N(0, 2): one page's worth of keys to convert.
+std::vector<float> KvValues() {
+  Rng rng(23);
+  std::vector<float> values(4096);
+  for (float& v : values) v = static_cast<float>(rng.Normal(0.0, 2.0));
+  return values;
+}
+
+/// Converts 4096 KV-like values into storage type T (arg 0, encode) or
+/// back to float (arg 1, decode), the KV cache's store and load.
+template <typename T>
+void BM_Convert(benchmark::State& state) {
+  const auto values = KvValues();
+  std::vector<T> stored(values.size());
+  for (size_t i = 0; i < values.size(); ++i) stored[i] = T(values[i]);
+  std::vector<float> loaded(values.size());
+  const bool decode = state.range(0) == 1;
+  for (auto _ : state) {
+    if (decode) {
+      for (size_t i = 0; i < stored.size(); ++i) loaded[i] = static_cast<float>(stored[i]);
+      benchmark::DoNotOptimize(loaded.data());
+    } else {
+      for (size_t i = 0; i < values.size(); ++i) stored[i] = T(values[i]);
+      benchmark::DoNotOptimize(stored.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(values.size()));
+}
+BENCHMARK_TEMPLATE(BM_Convert, half_t)->ArgName("decode")->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_Convert, bf16_t)->ArgName("decode")->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_Convert, fp8_e4m3_t)->ArgName("decode")->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_Convert, fp8_e5m2_t)->ArgName("decode")->Arg(0)->Arg(1);
 
 void BM_RadixMatch(benchmark::State& state) {
   RadixTree tree(16);

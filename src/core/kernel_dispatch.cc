@@ -8,20 +8,9 @@ namespace {
 
 template <typename Variant>
 WorkItemFn SelectForDtype(DType kv_dtype) {
-  switch (kv_dtype) {
-    case DType::kF32:
-      return &RunWorkItem<float, Variant>;
-    case DType::kF16:
-      return &RunWorkItem<half_t, Variant>;
-    case DType::kBF16:
-      return &RunWorkItem<bf16_t, Variant>;
-    case DType::kFP8_E4M3:
-      return &RunWorkItem<fp8_e4m3_t, Variant>;
-    case DType::kFP8_E5M2:
-      return &RunWorkItem<fp8_e5m2_t, Variant>;
-  }
-  FI_CHECK(false);
-  return nullptr;
+  return VisitDType(kv_dtype, []<typename T>(StorageFormat<T>) -> WorkItemFn {
+    return &RunWorkItem<T, Variant>;
+  });
 }
 
 }  // namespace

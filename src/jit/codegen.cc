@@ -6,22 +6,6 @@ namespace flashinfer::jit {
 
 namespace {
 
-const char* KvTypeName(DType dt) {
-  switch (dt) {
-    case DType::kF32:
-      return "float";
-    case DType::kF16:
-      return "::flashinfer::half_t";
-    case DType::kBF16:
-      return "::flashinfer::bf16_t";
-    case DType::kFP8_E4M3:
-      return "::flashinfer::fp8_e4m3_t";
-    case DType::kFP8_E5M2:
-      return "::flashinfer::fp8_e5m2_t";
-  }
-  return "float";
-}
-
 /// Emits `const float <name> = p.extra[i];` bindings for the spec's extra
 /// parameters (Fig. 5: generated "additional vars" copied into registers).
 std::string ExtraBindings(const AttentionSpecDesc& spec) {
@@ -95,7 +79,9 @@ std::string GenerateSource(const AttentionSpecDesc& spec) {
      << "(const fi::AttentionParams& p, const fi::KernelConfig& cfg,\n"
      << "     const fi::WorkItem& item, const fi::PartialSink& sink,\n"
      << "     fi::gpusim::CtaCost* cost, const fi::CostContext* cc) {\n"
-     << "  fi::RunWorkItem<" << KvTypeName(spec.kv_dtype) << ", " << spec.name
+     << "  fi::RunWorkItem<"
+     << VisitDType(spec.kv_dtype, []<typename T>(StorageFormat<T> fmt) { return fmt.cpp_type; })
+     << ", " << spec.name
      << ">(p, cfg, item, sink, cost, cc);\n"
      << "}\n\n"
      << "extern \"C\" uint32_t " << kFlagsSymbol << "() {\n"

@@ -48,20 +48,9 @@ struct InterpretedVariant {
 
 template <bool UseSoftmax, bool HasQK>
 WorkItemFn SelectDtype(DType dt) {
-  switch (dt) {
-    case DType::kF32:
-      return &RunWorkItem<float, InterpretedVariant<UseSoftmax, HasQK>>;
-    case DType::kF16:
-      return &RunWorkItem<half_t, InterpretedVariant<UseSoftmax, HasQK>>;
-    case DType::kBF16:
-      return &RunWorkItem<bf16_t, InterpretedVariant<UseSoftmax, HasQK>>;
-    case DType::kFP8_E4M3:
-      return &RunWorkItem<fp8_e4m3_t, InterpretedVariant<UseSoftmax, HasQK>>;
-    case DType::kFP8_E5M2:
-      return &RunWorkItem<fp8_e5m2_t, InterpretedVariant<UseSoftmax, HasQK>>;
-  }
-  FI_CHECK(false);
-  return nullptr;
+  return VisitDType(dt, []<typename T>(StorageFormat<T>) -> WorkItemFn {
+    return &RunWorkItem<T, InterpretedVariant<UseSoftmax, HasQK>>;
+  });
 }
 
 }  // namespace

@@ -187,48 +187,12 @@ sparse::RequestKv PagedKVCache::ExportKv(int seq, int64_t pos_offset) const {
   return kv;
 }
 
-float PagedKVCache::LoadElem(int64_t elem_offset) const noexcept {
-  switch (dtype_) {
-    case DType::kF32:
-      return reinterpret_cast<const float*>(data_.data())[elem_offset];
-    case DType::kF16:
-      return ToFloat(reinterpret_cast<const half_t*>(data_.data())[elem_offset]);
-    case DType::kBF16:
-      return ToFloat(reinterpret_cast<const bf16_t*>(data_.data())[elem_offset]);
-    case DType::kFP8_E4M3:
-      return ToFloat(reinterpret_cast<const fp8_e4m3_t*>(data_.data())[elem_offset]);
-    case DType::kFP8_E5M2:
-      return ToFloat(reinterpret_cast<const fp8_e5m2_t*>(data_.data())[elem_offset]);
-  }
-  return 0.0f;
-}
-
-void PagedKVCache::StoreElem(int64_t elem_offset, float v) noexcept {
-  switch (dtype_) {
-    case DType::kF32:
-      reinterpret_cast<float*>(data_.data())[elem_offset] = v;
-      return;
-    case DType::kF16:
-      reinterpret_cast<half_t*>(data_.data())[elem_offset] = half_t(v);
-      return;
-    case DType::kBF16:
-      reinterpret_cast<bf16_t*>(data_.data())[elem_offset] = bf16_t(v);
-      return;
-    case DType::kFP8_E4M3:
-      reinterpret_cast<fp8_e4m3_t*>(data_.data())[elem_offset] = fp8_e4m3_t(v);
-      return;
-    case DType::kFP8_E5M2:
-      reinterpret_cast<fp8_e5m2_t*>(data_.data())[elem_offset] = fp8_e5m2_t(v);
-      return;
-  }
-}
-
 float PagedKVCache::KAt(int64_t page, int head, int slot, int d) const noexcept {
-  return LoadElem(KOffset(page, head, slot) + d);
+  return LoadElem(dtype_, data_.data(), static_cast<size_t>(KOffset(page, head, slot) + d));
 }
 
 float PagedKVCache::VAt(int64_t page, int head, int slot, int d) const noexcept {
-  return LoadElem(VOffset(page, head, slot) + d);
+  return LoadElem(dtype_, data_.data(), static_cast<size_t>(VOffset(page, head, slot) + d));
 }
 
 void PagedKVCache::SetToken(int64_t page, int slot, const float* k, const float* v) {
@@ -240,8 +204,8 @@ void PagedKVCache::SetToken(int64_t page, int slot, const float* k, const float*
     const int64_t koff = KOffset(page, h, slot);
     const int64_t voff = VOffset(page, h, slot);
     for (int d = 0; d < head_dim_; ++d) {
-      StoreElem(koff + d, k[h * head_dim_ + d]);
-      StoreElem(voff + d, v[h * head_dim_ + d]);
+      StoreElem(dtype_, data_.data(), static_cast<size_t>(koff + d), k[h * head_dim_ + d]);
+      StoreElem(dtype_, data_.data(), static_cast<size_t>(voff + d), v[h * head_dim_ + d]);
     }
   }
 }

@@ -131,8 +131,6 @@ class PagedKVCache {
                head_dim_ +
            static_cast<int64_t>(slot) * head_dim_;
   }
-  float LoadElem(int64_t elem_offset) const noexcept;
-  void StoreElem(int64_t elem_offset, float v) noexcept;
 
   DType dtype_;
   int num_kv_heads_;

@@ -359,7 +359,7 @@ double ServingEngine::NextEventTime() const noexcept {
 int64_t ServingEngine::StepTo(double deadline_s) {
   int64_t work_steps = 0;
   while (!Finished() && NextEventTime() <= deadline_s) {
-    const StepKind kind = StepOnce();
+    const StepKind kind = StepOnce(deadline_s);
     if (kind == StepKind::kNone) break;
     if (kind == StepKind::kWork) ++work_steps;
   }
@@ -930,7 +930,7 @@ ServingEngine::StepPlan ServingEngine::FormStepPlan() const {
   return plan;
 }
 
-ServingEngine::StepKind ServingEngine::StepOnce() {
+ServingEngine::StepKind ServingEngine::StepOnce(double deadline_s) {
   if (Finished()) return StepKind::kNone;
 
   AdmitArrived();
@@ -941,8 +941,10 @@ ServingEngine::StepKind ServingEngine::StepOnce() {
 
   if (plan.chunks.empty() && !plan.decode) {
     // Idle: jump to the next event. The wake candidates MUST mirror
-    // NextEventTime's (computed on the same post-admission state), so an
-    // idle skip never jumps past the deadline StepTo admitted us under.
+    // NextEventTime's, computed on the post-admission state. That wake can
+    // lie past the deadline StepTo admitted us under (this step's admission
+    // may have started swap-ins that land later), and a request the caller
+    // admits at the deadline may need us sooner: then hand control back.
     //
     // Overlap-swap mode can idle with in-flight H2D transfers: every
     // prefilling entry has ready_s in the future (eligible entries would
@@ -986,6 +988,7 @@ ServingEngine::StepKind ServingEngine::StepOnce() {
     }
     FI_CHECK(std::isfinite(wake_s));
     FI_CHECK_GT(wake_s, now_s_);
+    if (wake_s > deadline_s) return StepKind::kNone;
     const double skip_s = wake_s - now_s_;
     if (copy_wait && ready_min <= wake_s) {
       // The engine is genuinely stalled on a transfer link: nothing runnable

@@ -309,10 +309,6 @@ class ServingEngine {
   /// KV token capacity implied by the memory budget.
   int64_t KvTokenBudget() const noexcept { return kv_token_budget_; }
 
-  /// Per-direction copy streams (overlap-swap mode; idle/empty otherwise).
-  const gpusim::CopyStream& CopyD2H() const noexcept { return copy_d2h_; }
-  const gpusim::CopyStream& CopyH2D() const noexcept { return copy_h2d_; }
-
   /// Host-tier KV tokens held by swapped-out (preempted) branches.
   int64_t HostKvTokensInUse() const noexcept { return host_kv_tokens_in_use_; }
   /// Bytes the host tier holds for swapped-out branches, metered per page of
@@ -369,9 +365,6 @@ class ServingEngine {
   /// migration_hidden_ms (overlapped) vs migration_stall_ms (exposed).
   void AdmitMigratedUnit(const MigrationUnit& u,
                          const gpusim::CopyStream::Transfer& xfer);
-  /// Accounting stream holding recorded inter-replica transfer intervals
-  /// (destination side); idle/empty when no migrations were admitted.
-  const gpusim::CopyStream& CopyMigrate() const noexcept { return copy_migrate_; }
 
   // --- Tracing --------------------------------------------------------------
 
@@ -467,8 +460,9 @@ class ServingEngine {
   enum class StepKind { kNone, kIdle, kWork };
 
   /// Executes one engine iteration: admission, plan formation, execution —
-  /// or an idle skip. kNone when there is nothing left to do.
-  StepKind StepOnce();
+  /// or an idle skip that wakes no later than `deadline_s`. kNone when there
+  /// is nothing left to do before the deadline.
+  StepKind StepOnce(double deadline_s);
 
   /// Moves arrived pending requests into prefilling_ under the KV and
   /// max_running gates. Legacy mode (prefill_chunk_tokens == 0) additionally

@@ -141,43 +141,17 @@ size_t Lz4Decompress(const uint8_t* src, size_t n, uint8_t* dst, size_t dst_cap)
 
 namespace {
 
-// Defined non-finite handling (see header): NaN -> 0, +/-inf saturates.
-constexpr float kSaturate = 65504.0f;
-
+// Defined non-finite handling (see header): NaN -> 0, and values clamp to
+// binary16's max finite, so +/-inf saturates.
 inline float Sanitize(float v) {
+  constexpr float kSaturate = MaxFinite(DType::kF16);
   if (std::isnan(v)) return 0.0f;
   return std::min(kSaturate, std::max(-kSaturate, v));
 }
 
-inline float ReadElem(const std::byte* page, size_t i, DType dtype) {
-  switch (dtype) {
-    case DType::kF32: return reinterpret_cast<const float*>(page)[i];
-    case DType::kF16: return ToFloat(reinterpret_cast<const half_t*>(page)[i]);
-    case DType::kBF16: return ToFloat(reinterpret_cast<const bf16_t*>(page)[i]);
-    case DType::kFP8_E4M3:
-      return ToFloat(reinterpret_cast<const fp8_e4m3_t*>(page)[i]);
-    case DType::kFP8_E5M2:
-      return ToFloat(reinterpret_cast<const fp8_e5m2_t*>(page)[i]);
-  }
-  return 0.0f;
-}
-
-inline void WriteElem(std::byte* page, size_t i, DType dtype, float v) {
-  switch (dtype) {
-    case DType::kF32: reinterpret_cast<float*>(page)[i] = v; return;
-    case DType::kF16: reinterpret_cast<half_t*>(page)[i] = half_t(v); return;
-    case DType::kBF16: reinterpret_cast<bf16_t*>(page)[i] = bf16_t(v); return;
-    case DType::kFP8_E4M3:
-      reinterpret_cast<fp8_e4m3_t*>(page)[i] = fp8_e4m3_t(v);
-      return;
-    case DType::kFP8_E5M2:
-      reinterpret_cast<fp8_e5m2_t*>(page)[i] = fp8_e5m2_t(v);
-      return;
-  }
-}
-
-inline double Fp8Max(KvQuantFormat f) {
-  return f == KvQuantFormat::kFp8E4M3 ? 448.0 : 57344.0;
+// The storage format an fp8 KvQuantFormat quantizes to.
+constexpr DType Fp8Of(KvQuantFormat f) {
+  return f == KvQuantFormat::kFp8E4M3 ? DType::kFP8_E4M3 : DType::kFP8_E5M2;
 }
 
 // Blob header (little-endian):
@@ -219,17 +193,18 @@ std::vector<uint8_t> EncodePage(const std::byte* page, size_t elems, DType dtype
     std::memcpy(payload.data(), page, logical);
   } else {
     payload.resize(elems);
+    std::vector<float> vals(elems);
+    for (size_t i = 0; i < elems; ++i) vals[i] = Sanitize(LoadElem(dtype, page, i));
     if (cfg.quant == KvQuantFormat::kInt8) {
       float lo = 0.0f, hi = 0.0f;
       for (size_t i = 0; i < elems; ++i) {
-        const float v = Sanitize(ReadElem(page, i, dtype));
-        lo = i == 0 ? v : std::min(lo, v);
-        hi = i == 0 ? v : std::max(hi, v);
+        lo = i == 0 ? vals[i] : std::min(lo, vals[i]);
+        hi = i == 0 ? vals[i] : std::max(hi, vals[i]);
       }
       scale = (hi - lo) / 255.0f;
       zero = lo;
       for (size_t i = 0; i < elems; ++i) {
-        const float v = Sanitize(ReadElem(page, i, dtype));
+        const float v = vals[i];
         const float q = scale > 0.0f ? std::round((v - zero) / scale) : 0.0f;
         const uint8_t u =
             static_cast<uint8_t>(std::min(255.0f, std::max(0.0f, q)));
@@ -238,24 +213,14 @@ std::vector<uint8_t> EncodePage(const std::byte* page, size_t elems, DType dtype
         mse += err * err;
       }
     } else {
+      const DType fp8 = Fp8Of(cfg.quant);
+      auto* out = reinterpret_cast<std::byte*>(payload.data());
       float amax = 0.0f;
+      for (const float v : vals) amax = std::max(amax, std::abs(v));
+      scale = amax > 0.0f ? amax / MaxFinite(fp8) : 1.0f;
       for (size_t i = 0; i < elems; ++i) {
-        amax = std::max(amax, std::abs(Sanitize(ReadElem(page, i, dtype))));
-      }
-      scale = amax > 0.0f ? amax / static_cast<float>(Fp8Max(cfg.quant)) : 1.0f;
-      for (size_t i = 0; i < elems; ++i) {
-        const float v = Sanitize(ReadElem(page, i, dtype));
-        float back;
-        if (cfg.quant == KvQuantFormat::kFp8E4M3) {
-          const fp8_e4m3_t q(v / scale);
-          payload[i] = q.bits;
-          back = ToFloat(q) * scale;
-        } else {
-          const fp8_e5m2_t q(v / scale);
-          payload[i] = q.bits;
-          back = ToFloat(q) * scale;
-        }
-        const double err = static_cast<double>(v) - back;
+        StoreElem(fp8, out, i, vals[i] / scale);
+        const double err = static_cast<double>(vals[i]) - LoadElem(fp8, out, i) * scale;
         mse += err * err;
       }
     }
@@ -318,18 +283,13 @@ void DecodePage(const uint8_t* blob, size_t blob_size, std::byte* page, size_t e
       std::memcpy(page, payload, raw_size);
       return;
     case KvQuantFormat::kInt8:
-      for (size_t i = 0; i < elems; ++i) {
-        WriteElem(page, i, dtype, zero + payload[i] * scale);
-      }
+      for (size_t i = 0; i < elems; ++i) StoreElem(dtype, page, i, zero + payload[i] * scale);
       return;
     case KvQuantFormat::kFp8E4M3:
-      for (size_t i = 0; i < elems; ++i) {
-        WriteElem(page, i, dtype, ToFloat(fp8_e4m3_t::FromBits(payload[i])) * scale);
-      }
-      return;
     case KvQuantFormat::kFp8E5M2:
       for (size_t i = 0; i < elems; ++i) {
-        WriteElem(page, i, dtype, ToFloat(fp8_e5m2_t::FromBits(payload[i])) * scale);
+        StoreElem(dtype, page, i,
+                  LoadElem(Fp8Of(quant), reinterpret_cast<const std::byte*>(payload), i) * scale);
       }
       return;
   }

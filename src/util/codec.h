@@ -13,9 +13,12 @@
 //     decode is bit-exact. Incompressible payloads fall back to raw storage,
 //     so an encoded page never exceeds EncodedPageBound() — worst-case
 //     admission gating stays sound.
-//   * Non-finite inputs have defined behavior: NaN maps to 0, +/-inf
-//     saturates to +/-65504 (half max) before quantization, so a poisoned
-//     page cannot blow up the page scale or the MSE series.
+//   * Non-finite inputs have defined behavior: before quantization NaN maps
+//     to 0 and values clamp to binary16's max finite (MaxFinite(kF16),
+//     65504), so +/-inf saturates and a poisoned page cannot blow up the
+//     page scale or the MSE series. FP8 pages scale amax to the target
+//     format's max finite (MaxFinite of its DType: 448 for e4m3, 57344 for
+//     e5m2).
 #pragma once
 
 #include <cstddef>

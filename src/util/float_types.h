@@ -1,18 +1,35 @@
 // Software implementations of the reduced-precision storage types used by the
 // attention engine: IEEE binary16 (`half_t`), bfloat16 (`bf16_t`) and the two
-// OCP FP8 formats (`fp8_e4m3_t`, `fp8_e5m2_t`, per Micikevicius et al. 2022).
+// OCP FP8 formats (`fp8_e4m3_t`, `fp8_e5m2_t`, per Micikevicius et al. 2022),
+// and the one list of storage formats (`DType`, `VisitDType`).
 //
 // All types are pure storage formats: arithmetic always happens in float
-// (mirroring fp32 accumulation on tensor cores); conversion to the storage
-// type rounds to nearest-even and saturates to the largest finite value
-// (matching the CUDA __nv_fp8 saturating conversions used for KV-caches).
+// (mirroring fp32 accumulation on tensor cores). Every conversion is exact
+// integer arithmetic on the float's bits, with no libm call and no
+// tolerance: encoding rounds to nearest-even, decoding is exact.
+//
+// binary16, e4m3 and e5m2 are three instantiations of one codec,
+// `detail::MiniFloat<exponent bits, mantissa bits, no-inf, sat-finite>`:
+//   * kNoInf: the top exponent holds finite values and only the all-ones
+//     magnitude is NaN (OCP e4m3); infinity encodes to the max finite value.
+//   * kSatFinite: a finite input beyond the max finite value encodes to it
+//     instead of to infinity (CUDA __NV_SATFINITE, the fp8 KV-cache
+//     conversion). binary16 overflows to infinity.
+// NaN keeps its sign and encodes to the all-ones magnitude under kSatFinite
+// (fp8) and to the canonical quiet NaN (0x7E00) otherwise; NaN codes decode
+// to a NaN. bfloat16 is float's top half: round-to-nearest-even on the low
+// 16 bits, NaN quieted.
 #pragma once
 
-#include <cmath>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string_view>
+#include <type_traits>
+
+#include "util/check.h"
 
 namespace flashinfer {
 
@@ -21,235 +38,108 @@ namespace detail {
 // Conversion implementations are inline so JIT-compiled kernels need
 // no library linkage (and so they inline into hot loops).
 
-
-inline uint32_t FloatBits(float f) noexcept {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return u;
+/// x >> s rounded to nearest, ties to even (s in [1, 31]).
+constexpr uint32_t RoundShiftRne(uint32_t x, uint32_t s) noexcept {
+  return (x + (1u << (s - 1)) - 1 + ((x >> s) & 1)) >> s;
 }
 
-inline float BitsToFloat(uint32_t u) noexcept {
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
+/// Round-to-nearest-even codec between float and a sign / kExp-bit exponent
+/// (bias 2^(kExp-1) - 1, subnormals at exponent 0) / kMan-bit mantissa
+/// format. See the file comment for the policy flags.
+template <int kExp, int kMan, bool kNoInf, bool kSatFinite>
+struct MiniFloat {
+  static_assert(kSatFinite || !kNoInf, "a format without infinity must saturate");
+  using Bits = std::conditional_t<(1 + kExp + kMan > 8), uint16_t, uint8_t>;
 
+  static constexpr int kShift = 23 - kMan;               // Float mantissa bits dropped.
+  static constexpr int kSignShift = 31 - kExp - kMan;    // Float sign bit -> format's.
+  static constexpr uint32_t kSign = 1u << (kExp + kMan);
+  static constexpr uint32_t kInf = ((1u << kExp) - 1) << kMan;
+  static constexpr uint32_t kMaxFiniteBits = kNoInf ? kSign - 2 : kInf - 1;
+  static constexpr uint32_t kNaN = kSatFinite ? kSign - 1 : kInf | (1u << (kMan - 1));
+  // Float exponent bias minus the format's, in float exponent position.
+  static constexpr uint32_t kRebias = (127u - ((1u << (kExp - 1)) - 1)) << 23;
+  // Least subnormal, 2^(1 - bias - kMan), as a float.
+  static constexpr float kSubnormalUnit = std::bit_cast<float>(((kRebias >> 23) + 1 - kMan) << 23);
 
-inline uint16_t FloatToHalfBits(float f) noexcept {
-  const uint32_t x = FloatBits(f);
-  const uint32_t sign = (x >> 16) & 0x8000u;
-  const int32_t exp = static_cast<int32_t>((x >> 23) & 0xFF) - 127 + 15;
-  uint32_t man = x & 0x7FFFFFu;
-
-  if (((x >> 23) & 0xFF) == 0xFF) {
-    // Inf / NaN: preserve NaN-ness.
-    return static_cast<uint16_t>(sign | 0x7C00u | (man ? 0x200u : 0u));
-  }
-  if (exp >= 0x1F) {
-    // Overflow -> inf (binary16 has inf, unlike e4m3).
-    return static_cast<uint16_t>(sign | 0x7C00u);
-  }
-  if (exp <= 0) {
-    if (exp < -10) return static_cast<uint16_t>(sign);  // Underflow to zero.
-    // Subnormal: shift mantissa (with implicit bit) right, round-nearest-even.
-    man |= 0x800000u;
-    const int shift = 14 - exp;
-    uint32_t half_man = man >> shift;
-    const uint32_t rem = man & ((1u << shift) - 1);
-    const uint32_t halfway = 1u << (shift - 1);
-    if (rem > halfway || (rem == halfway && (half_man & 1))) half_man++;
-    return static_cast<uint16_t>(sign | half_man);
-  }
-  // Normal: round mantissa from 23 to 10 bits, round-nearest-even.
-  uint32_t half_man = man >> 13;
-  const uint32_t rem = man & 0x1FFFu;
-  uint16_t out = static_cast<uint16_t>(sign | (static_cast<uint32_t>(exp) << 10) | half_man);
-  if (rem > 0x1000u || (rem == 0x1000u && (half_man & 1))) out++;  // May carry into exp: correct.
-  return out;
-}
-
-inline float HalfBitsToFloat(uint16_t bits) noexcept {
-  const uint32_t sign = static_cast<uint32_t>(bits & 0x8000u) << 16;
-  const uint32_t exp = (bits >> 10) & 0x1F;
-  const uint32_t man = bits & 0x3FFu;
-  if (exp == 0) {
-    if (man == 0) return BitsToFloat(sign);  // Signed zero.
-    const float v = std::ldexp(static_cast<float>(man), -24);  // Subnormal.
-    return sign ? -v : v;
-  }
-  if (exp == 0x1F) {
-    return BitsToFloat(sign | 0x7F800000u | (man << 13));
-  }
-  return BitsToFloat(sign | ((exp + 127 - 15) << 23) | (man << 13));
-}
-
-inline uint16_t FloatToBf16Bits(float f) noexcept {
-  uint32_t x = FloatBits(f);
-  if (((x >> 23) & 0xFF) == 0xFF && (x & 0x7FFFFFu)) {
-    return static_cast<uint16_t>((x >> 16) | 0x40u);  // Quiet the NaN.
-  }
-  // Round-to-nearest-even on the low 16 bits.
-  const uint32_t rounding = 0x7FFFu + ((x >> 16) & 1);
-  return static_cast<uint16_t>((x + rounding) >> 16);
-}
-
-inline float Bf16BitsToFloat(uint16_t bits) noexcept {
-  return BitsToFloat(static_cast<uint32_t>(bits) << 16);
-}
-
-inline uint8_t FloatToFp8Bits(float f, int exp_bits, int man_bits) noexcept {
-  const int bias = (1 << (exp_bits - 1)) - 1;
-  const bool e4m3 = (exp_bits == 4);
-  // Max finite value: e4m3 reserves only mantissa-all-ones of the top exponent
-  // for NaN (no inf); e5m2 is IEEE-like with inf.
-  const float max_finite =
-      e4m3 ? 448.0f : 57344.0f;
-
-  const uint32_t x = FloatBits(f);
-  const uint8_t sign = static_cast<uint8_t>((x >> 24) & 0x80u);
-  if (std::isnan(f)) {
-    return static_cast<uint8_t>(sign | ((1u << (exp_bits + man_bits)) - 1));  // All ones = NaN.
-  }
-  float af = std::fabs(f);
-  if (af > max_finite) {
-    if (!e4m3 && std::isinf(f)) {
-      return static_cast<uint8_t>(sign | (0x1Fu << man_bits));  // e5m2 inf.
+  static constexpr Bits Encode(float f) noexcept {
+    const uint32_t x = std::bit_cast<uint32_t>(f);
+    const uint32_t sign = (x >> kSignShift) & kSign;
+    const uint32_t a = x & 0x7FFFFFFFu;
+    if (a > 0x7F800000u) return static_cast<Bits>(sign | kNaN);
+    if (a < kRebias + (1u << 23)) {
+      // Subnormal (or zero) in the format: round the full significand by
+      // the exponent deficit; below half the least subnormal is zero.
+      const uint32_t s = kShift + 1 + (kRebias >> 23) - (a >> 23);
+      if (s > 24) return static_cast<Bits>(sign);
+      return static_cast<Bits>(sign | RoundShiftRne((a & 0x7FFFFFu) | 0x800000u, s));
     }
-    // Saturate to max finite (CUDA __NV_SATFINITE behaviour).
-    const uint8_t max_bits =
-        e4m3 ? 0x7Eu : 0x7Bu;  // e4m3: S.1111.110 = 448; e5m2: S.11110.11 = 57344.
-    return static_cast<uint8_t>(sign | max_bits);
+    // Normal: rebias the exponent in place; a mantissa carry rounds into it.
+    const uint32_t mag = RoundShiftRne(a - kRebias, kShift);
+    if (mag <= kMaxFiniteBits) return static_cast<Bits>(sign | mag);
+    const bool saturate = kNoInf || (kSatFinite && a != 0x7F800000u);
+    return static_cast<Bits>(sign | (saturate ? kMaxFiniteBits : kInf));
   }
-  if (af == 0.0f) return sign;
 
-  int e;
-  float m = std::frexp(af, &e);  // af = m * 2^e, m in [0.5, 1).
-  // Normalize to 1.xxx * 2^(e-1).
-  e -= 1;
-  m *= 2.0f;
-  int biased = e + bias;
-  int shift = man_bits;
-  if (biased <= 0) {
-    // Subnormal: scale mantissa down.
-    shift = man_bits + biased - 1;
-    biased = 0;
-    if (shift < -1) return sign;  // Underflow to zero (beyond rounding reach).
-  }
-  // Quantize mantissa with round-nearest-even using integer math.
-  // value = m * 2^shift (for normals m in [1,2), giving [2^man, 2^(man+1))).
-  const float scaled = std::ldexp(m, shift);
-  float rounded = std::nearbyint(scaled);
-  if (std::fabs(scaled - std::floor(scaled) - 0.5f) < 1e-7f) {
-    // Tie: round to even.
-    const float lo = std::floor(scaled);
-    rounded = (static_cast<int64_t>(lo) % 2 == 0) ? lo : lo + 1.0f;
-  }
-  uint32_t q = static_cast<uint32_t>(rounded);
-  if (biased == 0) {
-    // Subnormal result; mantissa may round up into the normal range.
-    if (q >= (1u << man_bits)) {
-      biased = 1;
-      q -= (1u << man_bits);
+  static constexpr float Decode(Bits b) noexcept {
+    const uint32_t sign = static_cast<uint32_t>(b & kSign) << kSignShift;
+    const uint32_t mag = b & (kSign - 1);
+    if (mag < (1u << kMan)) {  // Zero or subnormal: an exact float product.
+      return std::bit_cast<float>(
+          sign | std::bit_cast<uint32_t>(static_cast<float>(mag) * kSubnormalUnit));
     }
-    return static_cast<uint8_t>(sign | (static_cast<uint32_t>(biased) << man_bits) | q);
-  }
-  // Normal: remove implicit leading bit, handle carry.
-  if (q >= (2u << man_bits)) {
-    q >>= 1;
-    biased += 1;
-  }
-  q -= (1u << man_bits);
-  const uint32_t max_exp = e4m3 ? 0xFu : 0x1Eu;
-  if (static_cast<uint32_t>(biased) > max_exp ||
-      (e4m3 && static_cast<uint32_t>(biased) == max_exp && q == 0x7u)) {
-    const uint8_t max_bits = e4m3 ? 0x7Eu : 0x7Bu;
-    return static_cast<uint8_t>(sign | max_bits);
-  }
-  return static_cast<uint8_t>(sign | (static_cast<uint32_t>(biased) << man_bits) | q);
-}
-
-inline float Fp8BitsToFloat(uint8_t bits, int exp_bits, int man_bits) noexcept {
-  const int bias = (1 << (exp_bits - 1)) - 1;
-  const bool e4m3 = (exp_bits == 4);
-  const uint8_t sign = bits & 0x80u;
-  const uint32_t exp = (bits >> man_bits) & ((1u << exp_bits) - 1);
-  const uint32_t man = bits & ((1u << man_bits) - 1);
-  const float s = sign ? -1.0f : 1.0f;
-
-  if (e4m3) {
-    if (exp == 0xFu && man == 0x7u) return std::numeric_limits<float>::quiet_NaN();
-  } else {
-    if (exp == 0x1Fu) {
-      if (man == 0) return s * std::numeric_limits<float>::infinity();
-      return std::numeric_limits<float>::quiet_NaN();
+    if (kNoInf ? mag == kNaN : mag >= kInf) {  // Inf or NaN, payload kept.
+      return std::bit_cast<float>(sign | 0x7F800000u | (mag & ((1u << kMan) - 1)) << kShift);
     }
+    return std::bit_cast<float>(sign | ((mag << kShift) + kRebias));
   }
-  if (exp == 0) {
-    return s * std::ldexp(static_cast<float>(man), 1 - bias - man_bits);
+};
+
+/// bfloat16: float's top 16 bits.
+struct Bf16 {
+  using Bits = uint16_t;
+  static constexpr uint32_t kMaxFiniteBits = 0x7F7Fu;
+
+  static constexpr Bits Encode(float f) noexcept {
+    const uint32_t x = std::bit_cast<uint32_t>(f);
+    if ((x & 0x7FFFFFFFu) > 0x7F800000u) return static_cast<Bits>((x >> 16) | 0x40u);
+    return static_cast<Bits>((x + 0x7FFFu + ((x >> 16) & 1)) >> 16);
   }
-  return s * std::ldexp(1.0f + std::ldexp(static_cast<float>(man), -man_bits),
-                        static_cast<int>(exp) - bias);
-}
+  static constexpr float Decode(Bits b) noexcept {
+    return std::bit_cast<float>(static_cast<uint32_t>(b) << 16);
+  }
+};
 
+/// A storage type over `Codec`: the raw bits, an explicit rounding
+/// conversion from float and an exact one back.
+template <typename Codec>
+struct StorageFloat {
+  using Bits = typename Codec::Bits;
+  /// Largest finite value.
+  static constexpr float kMaxFinite = Codec::Decode(Codec::kMaxFiniteBits);
 
+  Bits bits = 0;
+
+  StorageFloat() = default;
+  explicit constexpr StorageFloat(float f) noexcept : bits(Codec::Encode(f)) {}
+  explicit constexpr operator float() const noexcept { return Codec::Decode(bits); }
+  static constexpr StorageFloat FromBits(Bits b) noexcept {
+    StorageFloat s;
+    s.bits = b;
+    return s;
+  }
+};
 
 }  // namespace detail
 
-/// IEEE 754 binary16 storage type.
-struct half_t {
-  uint16_t bits = 0;
-
-  half_t() = default;
-  explicit half_t(float f) noexcept : bits(detail::FloatToHalfBits(f)) {}
-  explicit operator float() const noexcept { return detail::HalfBitsToFloat(bits); }
-  static half_t FromBits(uint16_t b) noexcept {
-    half_t h;
-    h.bits = b;
-    return h;
-  }
-};
-
+/// IEEE 754 binary16 storage type (max finite 65504, overflows to inf).
+using half_t = detail::StorageFloat<detail::MiniFloat<5, 10, false, false>>;
 /// bfloat16 storage type (truncated-exponent-range float32).
-struct bf16_t {
-  uint16_t bits = 0;
-
-  bf16_t() = default;
-  explicit bf16_t(float f) noexcept : bits(detail::FloatToBf16Bits(f)) {}
-  explicit operator float() const noexcept { return detail::Bf16BitsToFloat(bits); }
-  static bf16_t FromBits(uint16_t b) noexcept {
-    bf16_t h;
-    h.bits = b;
-    return h;
-  }
-};
-
-/// OCP FP8 E4M3 storage type (no inf, max finite 448).
-struct fp8_e4m3_t {
-  uint8_t bits = 0;
-
-  fp8_e4m3_t() = default;
-  explicit fp8_e4m3_t(float f) noexcept : bits(detail::FloatToFp8Bits(f, 4, 3)) {}
-  explicit operator float() const noexcept { return detail::Fp8BitsToFloat(bits, 4, 3); }
-  static fp8_e4m3_t FromBits(uint8_t b) noexcept {
-    fp8_e4m3_t h;
-    h.bits = b;
-    return h;
-  }
-};
-
-/// OCP FP8 E5M2 storage type (IEEE-like, max finite 57344).
-struct fp8_e5m2_t {
-  uint8_t bits = 0;
-
-  fp8_e5m2_t() = default;
-  explicit fp8_e5m2_t(float f) noexcept : bits(detail::FloatToFp8Bits(f, 5, 2)) {}
-  explicit operator float() const noexcept { return detail::Fp8BitsToFloat(bits, 5, 2); }
-  static fp8_e5m2_t FromBits(uint8_t b) noexcept {
-    fp8_e5m2_t h;
-    h.bits = b;
-    return h;
-  }
-};
+using bf16_t = detail::StorageFloat<detail::Bf16>;
+/// OCP FP8 E4M3 storage type (no inf, max finite 448, saturating).
+using fp8_e4m3_t = detail::StorageFloat<detail::MiniFloat<4, 3, true, true>>;
+/// OCP FP8 E5M2 storage type (IEEE-like, max finite 57344, saturating).
+using fp8_e5m2_t = detail::StorageFloat<detail::MiniFloat<5, 2, false, true>>;
 
 /// Runtime tag for the storage precision of a tensor.
 enum class DType : uint8_t {
@@ -260,45 +150,68 @@ enum class DType : uint8_t {
   kFP8_E5M2,
 };
 
-/// Size in bytes of one element of `dt`.
-constexpr int DTypeBytes(DType dt) noexcept {
+/// What VisitDType hands its callback: the storage type `T` of one DType,
+/// the tag's short name and `T`'s fully qualified C++ spelling (what
+/// generated kernel sources name).
+template <typename T>
+struct StorageFormat {
+  std::string_view name;
+  std::string_view cpp_type;
+};
+
+/// The one list of storage formats: calls `f(StorageFormat<T>{...})` for the
+/// storage type `T` that `dt` tags and returns its result. Element size,
+/// names, DTypeOf, element load/store and every per-dtype kernel
+/// instantiation derive from this switch.
+template <typename F>
+constexpr decltype(auto) VisitDType(DType dt, F&& f) {
   switch (dt) {
     case DType::kF32:
-      return 4;
+      return f(StorageFormat<float>{"f32", "float"});
     case DType::kF16:
+      return f(StorageFormat<half_t>{"f16", "::flashinfer::half_t"});
     case DType::kBF16:
-      return 2;
+      return f(StorageFormat<bf16_t>{"bf16", "::flashinfer::bf16_t"});
     case DType::kFP8_E4M3:
+      return f(StorageFormat<fp8_e4m3_t>{"e4m3", "::flashinfer::fp8_e4m3_t"});
     case DType::kFP8_E5M2:
-      return 1;
+      return f(StorageFormat<fp8_e5m2_t>{"e5m2", "::flashinfer::fp8_e5m2_t"});
   }
-  return 0;
+  detail::CheckFail(__FILE__, __LINE__, "not a DType");
 }
 
-std::string_view DTypeName(DType dt) noexcept;
+/// Size in bytes of one element of `dt`.
+constexpr int DTypeBytes(DType dt) noexcept {
+  return VisitDType(dt, []<typename T>(StorageFormat<T>) {
+    return static_cast<int>(sizeof(T));
+  });
+}
+
+/// Short name of `dt` ("f16", "e4m3", ...).
+constexpr std::string_view DTypeName(DType dt) noexcept {
+  return VisitDType(dt, []<typename T>(StorageFormat<T> fmt) { return fmt.name; });
+}
+
+/// Largest finite value of `dt`.
+constexpr float MaxFinite(DType dt) noexcept {
+  return VisitDType(dt, []<typename T>(StorageFormat<T>) {
+    if constexpr (std::is_same_v<T, float>) {
+      return std::numeric_limits<float>::max();
+    } else {
+      return T::kMaxFinite;
+    }
+  });
+}
 
 /// Maps a storage type to its DType tag.
 template <typename T>
-struct DTypeOf;
-template <>
-struct DTypeOf<float> {
-  static constexpr DType value = DType::kF32;
-};
-template <>
-struct DTypeOf<half_t> {
-  static constexpr DType value = DType::kF16;
-};
-template <>
-struct DTypeOf<bf16_t> {
-  static constexpr DType value = DType::kBF16;
-};
-template <>
-struct DTypeOf<fp8_e4m3_t> {
-  static constexpr DType value = DType::kFP8_E4M3;
-};
-template <>
-struct DTypeOf<fp8_e5m2_t> {
-  static constexpr DType value = DType::kFP8_E5M2;
+struct DTypeOf {
+  static constexpr DType value = [] {
+    uint8_t i = 0;
+    const auto is_t = []<typename U>(StorageFormat<U>) { return std::is_same_v<U, T>; };
+    while (!VisitDType(DType{i}, is_t)) ++i;
+    return DType{i};
+  }();
 };
 
 /// Lossless-from-storage load: converts any storage type to float.
@@ -306,14 +219,22 @@ template <typename T>
 inline float ToFloat(T v) noexcept {
   return static_cast<float>(v);
 }
-/// Rounding store: converts float to the storage type.
-template <typename T>
-inline T FromFloat(float f) noexcept {
-  return T(f);
+
+/// Element `i` of a `dt` array at `base`, converted to float.
+inline float LoadElem(DType dt, const std::byte* base, size_t i) noexcept {
+  return VisitDType(dt, [&]<typename T>(StorageFormat<T>) {
+    T v;
+    std::memcpy(&v, base + i * sizeof(T), sizeof(T));
+    return static_cast<float>(v);
+  });
 }
-template <>
-inline float FromFloat<float>(float f) noexcept {
-  return f;
+
+/// Rounds `v` into element `i` of a `dt` array at `base`.
+inline void StoreElem(DType dt, std::byte* base, size_t i, float v) noexcept {
+  VisitDType(dt, [&]<typename T>(StorageFormat<T>) {
+    const T e(v);
+    std::memcpy(base + i * sizeof(T), &e, sizeof(T));
+  });
 }
 
 }  // namespace flashinfer

@@ -33,8 +33,6 @@ struct JsonValue {
 
   bool IsObject() const { return type == Type::kObject; }
   bool IsArray() const { return type == Type::kArray; }
-  bool IsString() const { return type == Type::kString; }
-  bool IsNumber() const { return type == Type::kNumber; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;

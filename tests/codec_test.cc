@@ -107,30 +107,8 @@ constexpr size_t kElems = 2 * 2 * 16 * 8;  // 2 (K/V) x 2 heads x 16 slots x 8 d
 std::vector<std::byte> MakePage(DType dtype, size_t elems,
                                 const std::vector<float>& vals) {
   std::vector<std::byte> page(elems * DTypeBytes(dtype));
-  for (size_t i = 0; i < elems; ++i) {
-    const float v = vals[i % vals.size()];
-    std::byte* p = page.data() + i * DTypeBytes(dtype);
-    switch (dtype) {
-      case DType::kF32: std::memcpy(p, &v, 4); break;
-      case DType::kF16: { half_t h(v); std::memcpy(p, &h.bits, 2); break; }
-      case DType::kBF16: { bf16_t h(v); std::memcpy(p, &h.bits, 2); break; }
-      case DType::kFP8_E4M3: { fp8_e4m3_t h(v); std::memcpy(p, &h.bits, 1); break; }
-      case DType::kFP8_E5M2: { fp8_e5m2_t h(v); std::memcpy(p, &h.bits, 1); break; }
-    }
-  }
+  for (size_t i = 0; i < elems; ++i) StoreElem(dtype, page.data(), i, vals[i % vals.size()]);
   return page;
-}
-
-float ReadElem(const std::vector<std::byte>& page, DType dtype, size_t i) {
-  const std::byte* p = page.data() + i * DTypeBytes(dtype);
-  switch (dtype) {
-    case DType::kF32: { float v; std::memcpy(&v, p, 4); return v; }
-    case DType::kF16: { uint16_t b; std::memcpy(&b, p, 2); return float(half_t::FromBits(b)); }
-    case DType::kBF16: { uint16_t b; std::memcpy(&b, p, 2); return float(bf16_t::FromBits(b)); }
-    case DType::kFP8_E4M3: { return float(fp8_e4m3_t::FromBits(uint8_t(p[0]))); }
-    case DType::kFP8_E5M2: { return float(fp8_e5m2_t::FromBits(uint8_t(p[0]))); }
-  }
-  return 0.0f;
 }
 
 std::vector<float> SmoothVals() {
@@ -173,8 +151,8 @@ TEST(PageCodec, Int8ErrorBoundedByHalfStep) {
   const float step = (hi - lo) / 255.0f;
   double mse = 0.0;
   for (size_t i = 0; i < kElems; ++i) {
-    const float orig = ReadElem(page, DType::kF32, i);
-    const float back = ReadElem(out, DType::kF32, i);
+    const float orig = LoadElem(DType::kF32, page.data(), i);
+    const float back = LoadElem(DType::kF32, out.data(), i);
     EXPECT_LE(std::abs(orig - back), step * 0.5f + 1e-6f) << "i=" << i;
     mse += double(orig - back) * double(orig - back);
   }
@@ -195,8 +173,8 @@ TEST(PageCodec, Fp8RelativeErrorBounded) {
     // fp8 keeps >= 2 mantissa bits: relative error under amax scaling stays
     // within ~12.5% (e5m2: 2 bits -> 1/8 ulp relative bound) of amax.
     for (size_t i = 0; i < kElems; ++i) {
-      const float orig = ReadElem(page, DType::kF16, i);
-      const float back = ReadElem(out, DType::kF16, i);
+      const float orig = LoadElem(DType::kF16, page.data(), i);
+      const float back = LoadElem(DType::kF16, out.data(), i);
       EXPECT_LE(std::abs(orig - back), 3.0f * 0.15f) << "i=" << i;
     }
     EXPECT_GE(st.mse, 0.0);
@@ -229,7 +207,7 @@ TEST(PageCodec, Bf16EdgeValuesSanitizeAndStayFinite) {
     std::vector<std::byte> out(page.size());
     DecodePage(blob.data(), blob.size(), out.data(), kElems, DType::kBF16);
     for (size_t i = 0; i < kElems; ++i) {
-      const float back = ReadElem(out, DType::kBF16, i);
+      const float back = LoadElem(DType::kBF16, out.data(), i);
       EXPECT_TRUE(std::isfinite(back)) << "i=" << i;
       EXPECT_LE(std::abs(back), 65504.0f * 1.01f);
     }
@@ -256,8 +234,8 @@ TEST(PageCodec, RandomizedRoundTripsStayWithinBound) {
       EXPECT_EQ(std::memcmp(out.data(), page.data(), page.size()), 0);
     } else {
       for (size_t i = 0; i < kElems; i += 97) {
-        EXPECT_LE(std::abs(ReadElem(page, DType::kF16, i) -
-                           ReadElem(out, DType::kF16, i)),
+        EXPECT_LE(std::abs(LoadElem(DType::kF16, page.data(), i) -
+                           LoadElem(DType::kF16, out.data(), i)),
                   1.0f)
             << "trial=" << trial << " i=" << i;
       }

@@ -338,6 +338,50 @@ TEST(Preemption, OverlapSwapRunEqualsStepTo) {
   EXPECT_DOUBLE_EQ(st.swap_stall_ms, run.swap_stall_ms);
 }
 
+// Admitting each request at its arrival, as the cluster driver does
+// (StepTo(arrival); Admit), must match Run(). Request 2 preempts both
+// long requests; when it finishes (0.6549 s) the next step restores them as
+// swap-ins that land at 0.6953 s. With nothing runnable the engine idles,
+// and that idle skip must stop at request 3's arrival (0.6555 s) instead of
+// sleeping to the transfers' end, which delayed request 3's first token
+// from 5.7 ms to 45.5 ms.
+TEST(Preemption, OverlapSwapIdleStopsAtStepToDeadline) {
+  auto cfg = BaseConfig();
+  cfg.preemption.enabled = true;
+  cfg.preemption.restore = RestorePolicy::kSwap;
+  cfg.preemption.overlap_swap = true;
+  cfg.hbm_capacity_gb = HbmForBudget(cfg, 13000);
+  const std::vector<Request> reqs = {MakeReq(0, 0.0, 6000, 400, 0),
+                                     MakeReq(1, 0.0, 6000, 400, 0),
+                                     MakeReq(2, 0.02, 12400, 4, 1),
+                                     MakeReq(3, 0.6555, 100, 20, 2)};
+  const auto ttft_of_priority2 = [](const ServingMetrics& m) {
+    const auto it = std::find(m.ttft_priority.begin(), m.ttft_priority.end(), 2);
+    return it == m.ttft_priority.end() ? -1.0 : m.ttft_ms[it - m.ttft_priority.begin()];
+  };
+
+  ServingEngine reference(cfg);
+  const auto run = reference.Run(reqs);
+  ASSERT_EQ(run.num_preemptions, 2);
+  EXPECT_LT(ttft_of_priority2(run), 10.0);
+
+  ServingEngine stepped(cfg);
+  stepped.Reset();
+  for (const auto& r : reqs) {
+    stepped.StepTo(r.arrival_s);
+    stepped.Admit(r);
+  }
+  stepped.Drain();
+  const auto& st = stepped.Metrics();
+  EXPECT_DOUBLE_EQ(ttft_of_priority2(st), ttft_of_priority2(run));
+  EXPECT_DOUBLE_EQ(st.makespan_s, run.makespan_s);
+  EXPECT_EQ(st.num_steps, run.num_steps);
+  EXPECT_EQ(st.num_swap_restores, run.num_swap_restores);
+  EXPECT_DOUBLE_EQ(st.swap_stall_ms, run.swap_stall_ms);
+  EXPECT_EQ(st.ttft_ms, run.ttft_ms);
+  EXPECT_EQ(st.itl_ms, run.itl_ms);
+}
+
 TEST(Preemption, SpecDecodeCoexistsAndDrainsClean) {
   Rng rng(17);
   auto reqs = serving::UniformWorkload(rng, 40, 40.0, 256, 768, 96);

@@ -14,6 +14,7 @@
 //      emits exactly its expected tokens (randomized trials end a few
 //      requests at their first token, so every mode crosses that finish),
 //   4. on a fixed-seed subset, Run() ≡ an external Admit/StepTo loop,
+//      and ≡ admitting requests as they arrive (StepTo, then Admit),
 //   5. the step attention pricer is bit-identical to the plan-walking
 //      reference (test_util.h) on random batches over the trial's backend
 //      and head geometry,
@@ -445,6 +446,22 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
   // Run() ≡ external Admit/StepTo loop with rng-jittered deadlines.
   ServingEngine reference(cfg);
   const auto run = reference.Run(reqs);
+  const auto expect_matches_run = [&](const ServingMetrics& st, const char* driver) {
+    SCOPED_TRACE(driver);
+    EXPECT_DOUBLE_EQ(st.makespan_s, run.makespan_s);
+    EXPECT_EQ(st.num_steps, run.num_steps);
+    EXPECT_EQ(st.total_output_tokens, run.total_output_tokens);
+    EXPECT_EQ(st.num_preemptions, run.num_preemptions);
+    EXPECT_EQ(st.rejected_requests, run.rejected_requests);
+    ASSERT_EQ(st.ttft_ms.size(), run.ttft_ms.size());
+    for (size_t i = 0; i < st.ttft_ms.size(); ++i) {
+      EXPECT_DOUBLE_EQ(st.ttft_ms[i], run.ttft_ms[i]) << "ttft " << i;
+    }
+    ASSERT_EQ(st.itl_ms.size(), run.itl_ms.size());
+    for (size_t i = 0; i < st.itl_ms.size(); ++i) {
+      EXPECT_DOUBLE_EQ(st.itl_ms[i], run.itl_ms[i]) << "itl " << i;
+    }
+  };
   ServingEngine stepped(cfg);
   stepped.Reset();
   for (const auto& r : shuffled) stepped.Admit(r);
@@ -452,20 +469,26 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
     stepped.StepTo(stepped.NextEventTime() + rng.Uniform(0.0, 0.05));
   }
   ASSERT_TRUE(stepped.Finished());
-  const ServingMetrics& st = stepped.Metrics();
-  EXPECT_DOUBLE_EQ(st.makespan_s, run.makespan_s);
-  EXPECT_EQ(st.num_steps, run.num_steps);
-  EXPECT_EQ(st.total_output_tokens, run.total_output_tokens);
-  EXPECT_EQ(st.num_preemptions, run.num_preemptions);
-  EXPECT_EQ(st.rejected_requests, run.rejected_requests);
-  ASSERT_EQ(st.ttft_ms.size(), run.ttft_ms.size());
-  for (size_t i = 0; i < st.ttft_ms.size(); ++i) {
-    EXPECT_DOUBLE_EQ(st.ttft_ms[i], run.ttft_ms[i]) << "ttft " << i;
+  expect_matches_run(stepped.Metrics(), "StepTo with all requests admitted up front");
+
+  // ... and so does admitting requests as they arrive, the way the cluster
+  // driver does: StepTo(arrival), then Admit. Requests that arrive together
+  // are admitted together, because Run()'s step at that instant admits them
+  // all.
+  std::vector<Request> by_arrival = reqs;
+  std::stable_sort(by_arrival.begin(), by_arrival.end(), [](const Request& a, const Request& b) {
+    return a.arrival_s < b.arrival_s;
+  });
+  ServingEngine incremental(cfg);
+  incremental.Reset();
+  for (size_t i = 0; i < by_arrival.size(); ++i) {
+    if (i == 0 || by_arrival[i].arrival_s != by_arrival[i - 1].arrival_s) {
+      incremental.StepTo(by_arrival[i].arrival_s);
+    }
+    incremental.Admit(by_arrival[i]);
   }
-  ASSERT_EQ(st.itl_ms.size(), run.itl_ms.size());
-  for (size_t i = 0; i < st.itl_ms.size(); ++i) {
-    EXPECT_DOUBLE_EQ(st.itl_ms[i], run.itl_ms[i]) << "itl " << i;
-  }
+  incremental.Drain();
+  expect_matches_run(incremental.Metrics(), "StepTo(arrival) then Admit");
   if (FailedPartCount() > failed_before) {
     DumpTrialTrace({{"engine", engine.TraceEvents()}}, seed);
   }
