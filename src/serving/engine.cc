@@ -316,10 +316,7 @@ void ServingEngine::Admit(const Request& r) {
 }
 
 double ServingEngine::NextEventTime() const noexcept {
-  // Preempted branches are runnable now: the next step's admission pass
-  // restores them as soon as budget frees (and if nothing else is live, the
-  // budget IS free).
-  if (!running_.empty() || !preempted_.empty()) return now_s_;
+  if (!running_.empty()) return now_s_;
   // Prefilling entries are runnable now — except overlap-swap transfers
   // whose KV is still on the PCIe link (ready_s in the future).
   double ready_min = std::numeric_limits<double>::infinity();
@@ -327,30 +324,32 @@ double ServingEngine::NextEventTime() const noexcept {
     if (p.ready_s <= now_s_) return now_s_;
     ready_min = std::min(ready_min, p.ready_s);
   }
+  // Admission at `now` is an event only when it would actually do something:
+  // restore the preempted head, reject the pending head (its need exceeds
+  // the total budget) or admit it. These tests must mirror RestorePreempted
+  // and AdmitArrived exactly. Missing a wake lets StepTo sleep to a transfer
+  // completion while Run() admits and works at now, diverging the two.
+  // Reporting `now` for a head that is blocked breaks StepTo(NextEventTime())
+  // instead: the step finds nothing to do before the deadline and returns
+  // without moving. Then the only events are a transfer completion
+  // (ready_min), a later arrival or, in disaggregated mode, the cluster
+  // driver extracting an exportable unit (external: +inf here).
+  const bool slot =
+      static_cast<int>(running_.size() + prefilling_.size()) < cfg_.max_running;
+  if (slot && !preempted_.empty() &&
+      kv_tokens_in_use_ + preempted_.front().reserve <= kv_token_budget_) {
+    return now_s_;
+  }
   if (!pending_.empty()) {
-    const double arrival = pending_.front().arrival_s;
-    if (arrival > now_s_) {
-      ready_min = std::min(ready_min, arrival);
-    } else {
-      // An already-arrived head that is still pending: admission at `now` is
-      // an event only when it would actually do something — reject the
-      // request (its need exceeds the total budget) or admit it (a run slot
-      // and KV headroom exist). This must mirror AdmitArrived exactly: the
-      // old unconditional "blocked on the transfers' reserve" assumption
-      // missed the wake where a completed step freed enough KV for the head
-      // while every prefilling entry was still transfer-gated — StepTo slept
-      // to the transfer completion while Run() admitted and worked at now,
-      // diverging the two. Conversely, returning `now` for a head that is
-      // genuinely blocked would busy-spin StepTo; then the only events are a
-      // transfer completion (ready_min) or, in disaggregated mode, the
-      // cluster driver extracting an exportable unit (external: +inf here).
-      const int64_t need = KvNeed(pending_.front());
-      const bool slot =
-          static_cast<int>(running_.size() + prefilling_.size()) < cfg_.max_running;
-      if (need > kv_token_budget_ ||
-          (slot && kv_tokens_in_use_ + need <= kv_token_budget_)) {
-        return now_s_;
-      }
+    const Request& head = pending_.front();
+    if (head.arrival_s > now_s_) return std::min(ready_min, head.arrival_s);
+    const int64_t need = KvNeed(head);
+    // A blocked restore holds back every arrival it outranks or ties.
+    const bool outranks_restore =
+        preempted_.empty() || head.priority > preempted_.front().branch.priority;
+    if (slot && (need > kv_token_budget_ ||
+                 (outranks_restore && kv_tokens_in_use_ + need <= kv_token_budget_))) {
+      return now_s_;
     }
   }
   return ready_min;  // +inf when fully drained.

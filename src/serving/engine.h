@@ -257,10 +257,12 @@ class ServingEngine {
   /// simultaneous arrivals schedule independently of the Admit() call order.
   void Admit(const Request& r);
 
-  /// Simulated time at which the next step would start: the current clock if
-  /// work is runnable (running branches or partially prefilled requests),
-  /// the earliest pending arrival if the engine is idle, +infinity when
-  /// fully drained.
+  /// Simulated time at which the next step would change state: the current
+  /// clock if work is runnable (running branches or resident prefilling
+  /// entries) or admission would restore, admit or reject a request now;
+  /// otherwise the earliest in-flight transfer completion or pending
+  /// arrival; +infinity when fully drained or blocked on the cluster driver.
+  /// StepTo(NextEventTime()) therefore always makes progress when finite.
   double NextEventTime() const noexcept;
 
   /// Executes every step whose start time is <= `deadline_s`; returns the

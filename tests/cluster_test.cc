@@ -119,6 +119,30 @@ TEST(Cluster, SingleReplicaMatchesServingEngine) {
   EXPECT_DOUBLE_EQ(cluster_metrics.load_imbalance, 1.0);
 }
 
+// Known divergence, disabled until the driver changes: it steps every
+// replica to a request's arrival before routing that request, so of two
+// requests that arrive together the first is prefilled alone in the step
+// starting at their arrival, while Run() admits both into that step. Enable
+// this case when the driver routes all same-time arrivals before stepping.
+TEST(Cluster, DISABLED_SameTimeArrivalsShareOneStepLikeRun) {
+  std::vector<Request> workload(2);
+  for (int i = 0; i < 2; ++i) {
+    workload[i].id = i;
+    workload[i].arrival_s = 0.5;
+    workload[i].input_len = 512;
+    workload[i].output_len = 8;
+  }
+  ServingEngine engine(BaseConfig());
+  const auto engine_metrics = engine.Run(workload);
+
+  ClusterConfig cfg;
+  cfg.engine = BaseConfig();
+  cfg.num_replicas = 1;
+  const auto cluster_metrics = ClusterEngine(cfg).Run(workload);
+  ASSERT_EQ(cluster_metrics.per_replica.size(), 1u);
+  ExpectMetricsIdentical(engine_metrics, cluster_metrics.per_replica[0]);
+}
+
 // (b) PrefixAffinity sends same-prefix requests to the same replica and
 // beats RoundRobin on prefix-hit rate.
 TEST(Cluster, PrefixAffinityCoLocatesTenants) {

@@ -491,6 +491,47 @@ TEST(DisaggCluster, RetainsWhenDecodePoolFull) {
   }
 }
 
+// The driver steps the prefill pool to its NextEventTime() in an unbounded
+// loop, so every such step must make progress. F fills the decode replica
+// and every later unit is retained on the prefill replica, where P1 evicts
+// A, B (which outranks A) takes A's room and P2 evicts B. When P2 finishes,
+// B restores as a swap-in and A stays blocked behind B's reserve with
+// nothing running; the prefill replica's next event is B's transfer end.
+TEST(DisaggCluster, BlockedRestoreOnPrefillReplicaStillDrains) {
+  ClusterConfig cfg = DisaggConfig();
+  cfg.num_replicas = 2;
+  cfg.prefill_replicas = 1;
+  cfg.engine.preemption.enabled = true;
+  cfg.engine.preemption.restore = serving::RestorePolicy::kSwap;
+  cfg.engine.preemption.overlap_swap = true;
+  cfg.engine.hbm_capacity_gb = HbmForBudget(cfg.engine, 10000);
+  const auto req = [](int id, double arrival, int64_t in, int64_t out, int priority) {
+    Request r;
+    r.id = id;
+    r.arrival_s = arrival;
+    r.input_len = in;
+    r.output_len = out;
+    r.priority = priority;
+    return r;
+  };
+  const std::vector<Request> workload = {req(0, 0.0, 8000, 1000, 0),    // F
+                                         req(1, 0.5, 8500, 400, 0),     // A
+                                         req(2, 1.5, 2000, 20, 2),      // P1
+                                         req(3, 1.55, 4500, 300, 1),    // B
+                                         req(4, 2.0, 5500, 30, 3)};     // P2
+  const ClusterMetrics m = ClusterEngine(cfg).Run(workload);
+
+  EXPECT_EQ(m.migrations, 1);
+  EXPECT_EQ(m.migrations_retained, 4);
+  EXPECT_EQ(m.prefill_pool.num_preemptions, 2);
+  EXPECT_EQ(m.prefill_pool.num_swap_restores, 2);
+  EXPECT_GT(m.prefill_pool.swap_stall_ms, 0.0);  // Idled on B's swap-in.
+  EXPECT_EQ(m.aggregate.ttft_ms.size(), workload.size());
+  int64_t expected = 0;
+  for (const auto& r : workload) expected += r.output_len;
+  EXPECT_EQ(m.aggregate.total_output_tokens, expected);
+}
+
 // Determinism: back-to-back runs on one ClusterEngine are identical.
 TEST(DisaggCluster, BackToBackRunsIdentical) {
   const auto workload = DisaggWorkload(53);

@@ -382,6 +382,49 @@ TEST(Preemption, OverlapSwapIdleStopsAtStepToDeadline) {
   EXPECT_EQ(st.itl_ms, run.itl_ms);
 }
 
+// Stepping to NextEventTime() must always make progress. P1 evicts A; B
+// outranks A, so it is admitted into A's room, and P2 evicts B in turn. When
+// P2 finishes nothing is running: B restores as an H2D swap-in and A stays
+// blocked behind B's reserve (4808 + 8908 > 10,000 tokens). The next event
+// is then the swap-in landing, not `now`: reporting `now` made
+// StepTo(NextEventTime()) return without moving, forever.
+TEST(Preemption, BlockedRestoreHeadWakesAtTransferEnd) {
+  auto cfg = BaseConfig();
+  cfg.preemption.enabled = true;
+  cfg.preemption.restore = RestorePolicy::kSwap;
+  cfg.preemption.overlap_swap = true;
+  cfg.hbm_capacity_gb = HbmForBudget(cfg, 10000);
+  const std::vector<Request> reqs = {MakeReq(0, 0.0, 8500, 400, 0),    // A
+                                     MakeReq(1, 1.0, 2000, 20, 2),     // P1
+                                     MakeReq(2, 1.05, 4500, 300, 1),   // B
+                                     MakeReq(3, 1.5, 5500, 30, 3)};    // P2
+
+  ServingEngine reference(cfg);
+  const auto run = reference.Run(reqs);
+  ASSERT_EQ(run.num_preemptions, 2);
+  ASSERT_EQ(run.num_swap_restores, 2);
+  EXPECT_GT(run.swap_stall_ms, 0.0);  // The engine idled on B's swap-in.
+
+  // Every round runs a step, an idle skip, an admission or a restore.
+  const int64_t max_rounds = run.num_steps + run.num_idle_skips +
+                             static_cast<int64_t>(reqs.size()) + run.num_swap_restores;
+  ServingEngine stepped(cfg);
+  stepped.Reset();
+  for (const auto& r : reqs) stepped.Admit(r);
+  int64_t rounds = 0;
+  for (; rounds < max_rounds && !stepped.Finished(); ++rounds) {
+    stepped.StepTo(stepped.NextEventTime());
+  }
+  ASSERT_TRUE(stepped.Finished()) << "no progress after " << rounds << " rounds";
+  const auto& st = stepped.Metrics();
+  EXPECT_DOUBLE_EQ(st.makespan_s, run.makespan_s);
+  EXPECT_EQ(st.num_steps, run.num_steps);
+  EXPECT_EQ(st.num_idle_skips, run.num_idle_skips);
+  EXPECT_DOUBLE_EQ(st.swap_stall_ms, run.swap_stall_ms);
+  EXPECT_EQ(st.ttft_ms, run.ttft_ms);
+  EXPECT_EQ(st.itl_ms, run.itl_ms);
+}
+
 TEST(Preemption, SpecDecodeCoexistsAndDrainsClean) {
   Rng rng(17);
   auto reqs = serving::UniformWorkload(rng, 40, 40.0, 256, 768, 96);

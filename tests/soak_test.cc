@@ -13,8 +13,9 @@
 //   3. every admitted (non-rejected) request completes exactly once and
 //      emits exactly its expected tokens (randomized trials end a few
 //      requests at their first token, so every mode crosses that finish),
-//   4. on a fixed-seed subset, Run() ≡ an external Admit/StepTo loop,
-//      and ≡ admitting requests as they arrive (StepTo, then Admit),
+//   4. on a fixed-seed subset, Run() ≡ the drain loop above (StepTo to
+//      exactly NextEventTime()), ≡ an external Admit/StepTo loop with
+//      jittered deadlines and ≡ admitting requests as they arrive,
 //   5. the step attention pricer is bit-identical to the plan-walking
 //      reference (test_util.h) on random batches over the trial's backend
 //      and head geometry,
@@ -471,10 +472,16 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
   ASSERT_TRUE(stepped.Finished());
   expect_matches_run(stepped.Metrics(), "StepTo with all requests admitted up front");
 
-  // ... and so does admitting requests as they arrive, the way the cluster
-  // driver does: StepTo(arrival), then Admit. Requests that arrive together
-  // are admitted together, because Run()'s step at that instant admits them
-  // all.
+  // ... and so does the trial's own bounded drain, which stepped to exactly
+  // NextEventTime() the way the disaggregated driver steps its prefill pool.
+  expect_matches_run(m, "StepTo(NextEventTime())");
+
+  // ... and so does admitting requests as they arrive: StepTo(arrival), then
+  // Admit. This replay differs from the cluster driver, which steps before
+  // each request: requests that arrive together are admitted together here,
+  // because Run()'s step at that instant admits them all, and stepping
+  // between them runs that step with only the first. cluster_test's
+  // DISABLED_SameTimeArrivalsShareOneStepLikeRun pins the driver's case.
   std::vector<Request> by_arrival = reqs;
   std::stable_sort(by_arrival.begin(), by_arrival.end(), [](const Request& a, const Request& b) {
     return a.arrival_s < b.arrival_s;
@@ -574,7 +581,9 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   tcfg.num_tenants = static_cast<int>(rng.UniformInt(4, 12));
   auto reqs = serving::MultiTenantWorkload(
       rng, static_cast<int>(rng.UniformInt(30, 60)), rng.Uniform(20.0, 60.0), tcfg);
-  serving::AssignPriorities(rng, reqs, {0.7, 0.3});
+  // Three levels, so that retained units can form eviction chains (a
+  // victim's room taken by a request that is evicted in turn).
+  serving::AssignPriorities(rng, reqs, {0.6, 0.3, 0.1});
   serving::AssignAcceptance(rng, reqs, 0.3, 0.95);
   if (one_token_requests) SetOneTokenRequests(seed, reqs);
 
