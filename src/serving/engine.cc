@@ -342,7 +342,13 @@ double ServingEngine::NextEventTime() const noexcept {
   }
   if (!pending_.empty()) {
     const Request& head = pending_.front();
-    if (head.arrival_s > now_s_) return std::min(ready_min, head.arrival_s);
+    if (head.arrival_s > now_s_) {
+      // A blocked restore with no transfer in flight waits for parked units
+      // to free its KV, which only the cluster driver can do.
+      const bool driver_bound =
+          prefilling_.empty() && !preempted_.empty() && !exportable_.empty();
+      return driver_bound ? ready_min : std::min(ready_min, head.arrival_s);
+    }
     const int64_t need = KvNeed(head);
     // A blocked restore holds back every arrival it outranks or ties.
     const bool outranks_restore =
@@ -937,80 +943,45 @@ ServingEngine::StepKind ServingEngine::StepOnce(double deadline_s) {
   // KV need exceeds the total budget): the engine can finish right here.
   if (Finished()) return StepKind::kNone;
   const StepPlan plan = FormStepPlan();
-
-  if (plan.chunks.empty() && !plan.decode) {
-    // Idle: jump to the next event. The wake candidates MUST mirror
-    // NextEventTime's, computed on the post-admission state. That wake can
-    // lie past the deadline StepTo admitted us under (this step's admission
-    // may have started swap-ins that land later), and a request the caller
-    // admits at the deadline may need us sooner: then hand control back.
-    //
-    // Overlap-swap mode can idle with in-flight H2D transfers: every
-    // prefilling entry has ready_s in the future (eligible entries would
-    // have formed chunks), and the earliest completion is a wake candidate.
-    // An already-arrived pending head is NOT one — it is blocked on the
-    // transfers' reserve, and waking "now" would spin forever.
-    double ready_min = std::numeric_limits<double>::infinity();
-    bool migrate_wait = false;
-    for (const auto& p : prefilling_) {
-      if (p.ready_s < ready_min) {
-        ready_min = p.ready_s;
-        migrate_wait = p.resume == Resume::kMigrateIn;
-      }
-    }
-    const bool copy_wait = !prefilling_.empty();
-    if (!copy_wait && !exportable_.empty()) {
-      // Disaggregated mode: exportable units hold the only KV (and possibly
-      // block an arrived head or a preempted restore). No internal event can
-      // unblock this engine — the cluster driver's extract/retain will; hand
-      // control back instead of idling or tripping the checks below.
-      const bool arrived_head =
-          !pending_.empty() && pending_.front().arrival_s <= now_s_;
-      if (pending_.empty() || arrived_head || !preempted_.empty()) {
-        return StepKind::kNone;
-      }
-    }
-    double wake_s = ready_min;
-    if (!pending_.empty() &&
-        (pending_.front().arrival_s > now_s_ || !copy_wait)) {
-      wake_s = std::min(wake_s, std::max(now_s_, pending_.front().arrival_s));
-    }
-    if (!copy_wait) {
-      // Without transfers the only idle cause is a future arrival: an
-      // arrived head can no longer strand us here — AdmitArrived rejects
-      // requests whose KV need exceeds the total budget (the old wedge this
-      // FI_CHECK used to trip on) and preempts or queues the rest, and
-      // preempted branches restore whenever the budget is free.
-      FI_CHECK(preempted_.empty());
-      FI_CHECK(!pending_.empty());
-      FI_CHECK_GT(pending_.front().arrival_s, now_s_);
-    }
-    FI_CHECK(std::isfinite(wake_s));
-    FI_CHECK_GT(wake_s, now_s_);
-    if (wake_s > deadline_s) return StepKind::kNone;
-    const double skip_s = wake_s - now_s_;
-    if (copy_wait && ready_min <= wake_s) {
-      // The engine is genuinely stalled on a transfer link: nothing runnable
-      // until the earliest in-flight KV lands. Attributed to the link that
-      // gates the earliest entry — the inter-replica migration link or the
-      // PCIe swap link (the overlap-mode analogue of the legacy serialized
-      // swap stall).
-      if (migrate_wait) {
-        metrics_.migration_stall_ms += skip_s * 1e3;
-      } else {
-        metrics_.swap_stall_ms += skip_s * 1e3;
-      }
-    }
-    FlushTelemetry();  // Stamp this instant's increments before the jump.
-    now_s_ = wake_s;
-    metrics_.total_idle_s += skip_s;
-    ++metrics_.num_idle_skips;
-    metrics_.makespan_s = std::max(metrics_.makespan_s, now_s_);
-    return StepKind::kIdle;
+  if (!plan.chunks.empty() || plan.decode) {
+    ExecuteStepPlan(plan);
+    return StepKind::kWork;
   }
 
-  ExecuteStepPlan(plan);
-  return StepKind::kWork;
+  // Idle: jump to the next event of the post-admission state. It can lie
+  // past the deadline StepTo admitted us under (this admission may have
+  // started transfers that land later), and a request the caller admits at
+  // the deadline may need us sooner: then hand control back.
+  const double wake_s = NextEventTime();
+  if (std::isinf(wake_s)) {
+    // Parked units hold the KV that everything else waits for: only the
+    // cluster driver's extract or retain can unblock this engine.
+    FI_CHECK(!exportable_.empty());
+    return StepKind::kNone;
+  }
+  FI_CHECK_GT(wake_s, now_s_);
+  if (prefilling_.empty() && exportable_.empty()) {
+    // With no transfer in flight and no parked unit holding KV, the budget
+    // is free for every victim, so none can still be waiting.
+    FI_CHECK(preempted_.empty());
+  }
+  if (wake_s > deadline_s) return StepKind::kNone;
+  const double skip_s = wake_s - now_s_;
+  // Waking on a transfer's landing stalls on that transfer's link (the
+  // earliest entry's, when several land at once).
+  const auto landing =
+      std::find_if(prefilling_.begin(), prefilling_.end(),
+                   [wake_s](const PrefillProgress& p) { return p.ready_s == wake_s; });
+  if (landing != prefilling_.end()) {
+    (landing->resume == Resume::kMigrateIn ? metrics_.migration_stall_ms
+                                           : metrics_.swap_stall_ms) += skip_s * 1e3;
+  }
+  FlushTelemetry();  // Stamp this instant's increments before the jump.
+  now_s_ = wake_s;
+  metrics_.total_idle_s += skip_s;
+  ++metrics_.num_idle_skips;
+  metrics_.makespan_s = std::max(metrics_.makespan_s, now_s_);
+  return StepKind::kIdle;
 }
 
 void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {

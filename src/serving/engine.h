@@ -462,8 +462,9 @@ class ServingEngine {
   enum class StepKind { kNone, kIdle, kWork };
 
   /// Executes one engine iteration: admission, plan formation, execution —
-  /// or an idle skip that wakes no later than `deadline_s`. kNone when there
-  /// is nothing left to do before the deadline.
+  /// or, with nothing to run, an idle skip to the post-admission
+  /// NextEventTime() when that is no later than `deadline_s`. kNone when
+  /// there is nothing left to do before the deadline.
   StepKind StepOnce(double deadline_s);
 
   /// Moves arrived pending requests into prefilling_ under the KV and
