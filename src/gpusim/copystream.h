@@ -1,15 +1,16 @@
 // Async copy-stream model: a FIFO DMA engine (one per PCIe direction) that
-// serializes transfers against its own busy window instead of stalling the
-// compute timeline. The serving engine enqueues swap-out (D2H) and swap-in
-// (H2D) traffic here when overlap mode is on; a transfer's completion time
-// gates when the restored sequence becomes runnable, and BusyWithin() meters
-// how much copy time was hidden under executed compute steps.
+// serializes transfers against its own busy window. The serving engine
+// enqueues every swap-out (D2H) and swap-in (H2D) here; a transfer's
+// completion time gates when the restored sequence becomes runnable, and
+// BusyWithin() meters how much copy time was hidden under executed compute
+// steps. With PreemptionConfig::overlap_swap off, the engine also runs no
+// step while either stream is busy, so the same transfers are all stall.
 //
 // The model is deliberately simple — simulated time only, no threads:
 //   begin = max(now, stream busy-until), end = begin + duration.
-// Duration is priced by the caller (latency + per-page overhead + bytes/BW,
-// same formula as the serialized swap path), so the two modes move identical
-// byte counts and differ only in WHERE the time lands.
+// Duration is priced by the caller (latency + per-page overhead + bytes/BW),
+// so both swap modes move identical byte counts and differ only in whether
+// compute runs under the transfer.
 #pragma once
 
 #include <cstdint>

@@ -32,7 +32,6 @@ std::string ArgsFor(const TraceEvent& e) {
       add("stalled_branches", static_cast<double>(e.c));
       add("preempted_waiting", static_cast<double>(e.d));
       add("spec", (e.flags & kStepFlagSpec) != 0 ? 1 : 0);
-      add("swap", (e.flags & kStepFlagSwap) != 0 ? 1 : 0);
       break;
     case TraceName::kChunk:
       add("tokens", static_cast<double>(e.a));

@@ -6,7 +6,7 @@
 //   pid = track index; each TraceTrack becomes one "process" named after the
 //   track ("replica 0", "router", ...).
 //     tid 0 "steps"   — step slices with their phase slices (attention/gemm/
-//                       comm/draft/swap/host) nested inside, plus chunk
+//                       comm/draft/host) nested inside, plus chunk
 //                       instants.
 //     tid 1 "kv"      — KV evict/restore instants.
 //     async "request" — one row per request id (legacy async b/e events):

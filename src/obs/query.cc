@@ -65,8 +65,7 @@ std::vector<TraceEvent> TraceQuery::UnexplainedItlStalls() const {
   for (const TraceEvent& e : events_) {
     if (e.name != TraceName::kStep || e.c == 0) continue;
     const bool prefill_alone = e.a > 0 && e.b == 0;
-    const bool swap = (e.flags & kStepFlagSwap) != 0;
-    if (!prefill_alone && !swap) out.push_back(e);
+    if (!prefill_alone) out.push_back(e);
   }
   return out;
 }

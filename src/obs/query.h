@@ -11,8 +11,8 @@
 //
 //  * Unexplained*Stalls(): every stall counter increment in ServingMetrics
 //    must be *attributable* to a concrete event in the same step — an ITL
-//    stall to a prefill-alone batch or a serialized swap transfer, a
-//    preemption stall to an enclosing eviction span. A non-empty result
+//    stall to a prefill-alone batch, a preemption stall to an enclosing
+//    eviction span. A non-empty result
 //    means the trace failed to explain a stall, which the trace-invariant
 //    tests treat as a bug.
 #pragma once
@@ -59,8 +59,8 @@ class TraceQuery {
   std::vector<RequestBreakdown> PerRequest() const;
 
   /// Step spans whose stalled-branch count (payload c) is not explained by a
-  /// concurrent cause: a prefill-alone batch (prefill tokens with no decode)
-  /// or a serialized swap transfer. Empty == every ITL stall attributed.
+  /// prefill-alone batch (prefill tokens with no decode). Empty == every ITL
+  /// stall attributed.
   std::vector<TraceEvent> UnexplainedItlStalls() const;
 
   /// Step spans with preempted branches waiting (payload d) that are not

@@ -11,7 +11,6 @@ const char* TraceNameStr(TraceName n) {
     case TraceName::kPhaseAttn: return "attention";
     case TraceName::kPhaseGemm: return "gemm";
     case TraceName::kPhaseComm: return "comm";
-    case TraceName::kPhaseSwap: return "swap";
     case TraceName::kPhaseHost: return "host";
     case TraceName::kReqQueued: return "queued";
     case TraceName::kReqPrefill: return "prefill";

@@ -17,8 +17,8 @@
 //   Step track (per replica; spans never overlap, phases tile their step):
 //     kStep         span   a=prefill_tokens b=decode_branches
 //                          c=stalled_branches d=preempted_waiting
-//                          flags: kStepFlagSpec | kStepFlagSwap
-//     kPhaseDraft/Attn/Gemm/Comm/Swap/Host
+//                          flags: kStepFlagSpec
+//     kPhaseDraft/Attn/Gemm/Comm/Host
 //                   span   component times laid end-to-end inside the step
 //                          (they sum exactly to the step duration).
 //     kChunk        inst   req a=tokens b=completes c=the entry's Resume
@@ -49,8 +49,9 @@
 //     kKvDecode     inst  host-codec decode priced into the swap-in;
 //                         req a=kv_len b=decode_us
 //
-//   Copy streams (overlap-swap mode; "copy" track, spans may trail the last
-//   step — DMA completion is asynchronous):
+//   Copy streams ("copy" track; every swap's PCIe time lands here, never in
+//   a step. With overlap_swap they run under steps and may trail the last
+//   one; without it no step overlaps them):
 //     kCopyD2H / kCopyH2D  span  req a=kv_len b=pages
 //                          c=queue_delay_us (issue -> stream start)
 //     kCopyMigrate  span   inter-replica KV migration transfer (recorded on
@@ -80,6 +81,8 @@ namespace flashinfer::obs {
 
 enum class TraceKind : uint8_t { kSpan, kInstant, kCounter };
 
+/// Event names. The numeric values are stable (golden digests hash them):
+/// 5 is unused, and a new name takes the next free value of its kind.
 enum class TraceName : uint8_t {
   // Step track spans.
   kStep,
@@ -87,8 +90,7 @@ enum class TraceName : uint8_t {
   kPhaseAttn,
   kPhaseGemm,
   kPhaseComm,
-  kPhaseSwap,
-  kPhaseHost,
+  kPhaseHost = 6,
   // Request lifecycle spans.
   kReqQueued,
   kReqPrefill,
@@ -97,7 +99,7 @@ enum class TraceName : uint8_t {
   kReqSwapIn,
   kReqRecompute,
   kReqMigrateIn,
-  // Copy-stream spans (overlap-swap mode; one Perfetto track per engine).
+  // Copy-stream spans (one Perfetto track per engine).
   kCopyD2H,
   kCopyH2D,
   kCopyMigrate,
@@ -135,7 +137,6 @@ TraceKind KindOf(TraceName n) noexcept;
 
 /// kStep flag bits.
 inline constexpr uint16_t kStepFlagSpec = 1;  // Verify (spec-decode) step.
-inline constexpr uint16_t kStepFlagSwap = 2;  // A swap transfer serialized in.
 
 /// One recorded event. POD; payload field meanings are per-name (see the
 /// header comment). Timestamps are simulated microseconds.

@@ -256,7 +256,6 @@ void ServingEngine::Reset() {
   kv_tokens_in_use_ = 0;
   host_kv_tokens_in_use_ = 0;
   host_stored_bytes_ = 0;
-  pending_swap_us_ = 0.0;
   copy_d2h_.Reset();
   copy_h2d_.Reset();
   copy_migrate_.Reset();
@@ -315,10 +314,18 @@ void ServingEngine::Admit(const Request& r) {
   pending_.insert(it, r);
 }
 
+double ServingEngine::SwapGateEnd() const noexcept {
+  return cfg_.preemption.overlap_swap
+             ? 0.0
+             : std::max(copy_d2h_.busy_until_s(), copy_h2d_.busy_until_s());
+}
+
 double ServingEngine::NextEventTime() const noexcept {
+  const double gate_s = SwapGateEnd();
+  if (gate_s > now_s_) return gate_s;
   if (!running_.empty()) return now_s_;
-  // Prefilling entries are runnable now — except overlap-swap transfers
-  // whose KV is still on the PCIe link (ready_s in the future).
+  // Prefilling entries are runnable now — except transfers whose KV is
+  // still on a link (ready_s in the future).
   double ready_min = std::numeric_limits<double>::infinity();
   for (const auto& p : prefilling_) {
     if (p.ready_s <= now_s_) return now_s_;
@@ -693,17 +700,13 @@ void ServingEngine::RestorePreempted() {
                  b.request_id, b.kv_len);
     double ready_s = 0.0;
     if (p.swapped) {
-      // Swap-in: the branch rides a step as a zero-token transfer chunk —
-      // it cannot decode while its KV is still in flight. Legacy mode
-      // serializes the PCIe transfer into the next executed step; overlap
-      // mode enqueues it on the async H2D stream and gates the entry's step
-      // eligibility on the transfer completion time instead, so other work
-      // keeps stepping under the DMA. The host copy frees, and the
-      // structural sequence is rebuilt, when the transfer completes.
+      // Swap-in: the branch rides a step as a zero-token transfer chunk once
+      // its KV has landed on the H2D stream, which cannot start before the
+      // host copy fully exists. The host copy frees, and the structural
+      // sequence is rebuilt, when the transfer completes.
       host_kv_tokens_in_use_ -= b.kv_len;
       // Swap-in moves the branch's *stored* bytes (realized ratio captured
-      // at eviction) and pays the decode pass to re-materialize the pages;
-      // both ride inside t_us so the legacy and overlap paths price alike.
+      // at eviction) and pays the decode pass to re-materialize the pages.
       const double t_us = SwapInUs(b.kv_len, p.stored_ratio);
       const double decode_ms =
           CodecUs(b.kv_len, cfg_.preemption.codec_decode_gbps) * 1e-3;
@@ -712,18 +715,11 @@ void ServingEngine::RestorePreempted() {
         TraceInstant(obs::TraceName::kKvDecode, b.request_id, b.kv_len,
                      static_cast<int64_t>(decode_ms * 1e3));
       }
-      if (cfg_.preemption.overlap_swap) {
-        // The host copy must fully exist before it can stream back.
-        const double issue_s = std::max(now_s_, p.swapout_done_s);
-        const auto xfer = copy_h2d_.Enqueue(issue_s, t_us);
-        ready_s = xfer.end_s;
-        TraceSpan(obs::TraceName::kCopyH2D, xfer.begin_s, xfer.end_s,
-                  b.request_id, b.kv_len,
-                  (b.kv_len + cfg_.page_size - 1) / cfg_.page_size,
-                  static_cast<int64_t>((xfer.begin_s - now_s_) * 1e6));
-      } else {
-        pending_swap_us_ += t_us;
-      }
+      const auto xfer = copy_h2d_.Enqueue(std::max(now_s_, p.swapout_done_s), t_us);
+      ready_s = xfer.end_s;
+      TraceSpan(obs::TraceName::kCopyH2D, xfer.begin_s, xfer.end_s, b.request_id,
+                b.kv_len, (b.kv_len + cfg_.page_size - 1) / cfg_.page_size,
+                static_cast<int64_t>((xfer.begin_s - now_s_) * 1e6));
       metrics_.total_swap_ms += t_us * 1e-3;
       ++metrics_.num_swap_restores;
     } else {
@@ -870,19 +866,13 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
                    static_cast<int64_t>(logical_bytes), static_cast<int64_t>(stored_bytes));
     }
     p.stored_ratio = stored_ratio;
+    // The freed budget is usable at once (the victim's pages are a snapshot
+    // in flight); only a swap-in of this branch waits for the host copy.
     const double t_us = SwapOutUs(b.kv_len, stored_ratio);
-    if (cfg_.preemption.overlap_swap) {
-      // Async D2H: the eviction itself blocks nothing — the freed budget is
-      // usable immediately (the victim's pages are a snapshot in flight),
-      // and only a later swap-in of this branch must wait for the host copy.
-      const auto xfer = copy_d2h_.Enqueue(now_s_, t_us);
-      p.swapout_done_s = xfer.end_s;
-      TraceSpan(obs::TraceName::kCopyD2H, xfer.begin_s, xfer.end_s,
-                b.request_id, b.kv_len, evicted_pages,
-                static_cast<int64_t>((xfer.begin_s - now_s_) * 1e6));
-    } else {
-      pending_swap_us_ += t_us;  // Swap-out serializes into the next step.
-    }
+    const auto xfer = copy_d2h_.Enqueue(now_s_, t_us);
+    p.swapout_done_s = xfer.end_s;
+    TraceSpan(obs::TraceName::kCopyD2H, xfer.begin_s, xfer.end_s, b.request_id, b.kv_len,
+              evicted_pages, static_cast<int64_t>((xfer.begin_s - now_s_) * 1e6));
     metrics_.total_swap_ms += t_us * 1e-3;
   }
   // Either way the structural pages free now; the restore rebuilds them.
@@ -901,17 +891,15 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
 
 ServingEngine::StepPlan ServingEngine::FormStepPlan() const {
   StepPlan plan;
+  if (SwapGateEnd() > now_s_) return plan;  // Serialized swaps stall the batch.
   if (cfg_.prefill_chunk_tokens == 0) {
     // Legacy prefill-alone: every admitted request prefills its whole prompt
-    // this step, and decodes run only in steps with no prefill (running
-    // branches stall behind it — the head-of-line blocking mixed batching
-    // removes).
+    // this step.
     for (size_t i = 0; i < prefilling_.size(); ++i) {
       if (prefilling_[i].ready_s > now_s_) continue;  // Transfer in flight.
       plan.chunks.push_back(
           {i, prefilling_[i].to_compute - prefilling_[i].computed, true});
     }
-    plan.decode = plan.chunks.empty() && !running_.empty();
   } else {
     // Mixed batch: chunks ride along with every running branch's decode
     // token. Decode-priority spends at most one chunk's worth of prefill per
@@ -929,16 +917,22 @@ ServingEngine::StepPlan ServingEngine::FormStepPlan() const {
       plan.chunks.push_back({i, take, take == remaining});
       budget -= take;
     }
-    plan.decode = !running_.empty();
   }
   for (const auto& c : plan.chunks) plan.prefill_tokens += c.tokens;
+  // Prefill-alone decodes only in steps whose chunks carry no prompt tokens:
+  // running branches stall behind a prefill (the head-of-line blocking mixed
+  // batching removes), never behind a landed transfer.
+  plan.decode = !running_.empty() &&
+                (cfg_.prefill_chunk_tokens > 0 || plan.prefill_tokens == 0);
   return plan;
 }
 
 ServingEngine::StepKind ServingEngine::StepOnce(double deadline_s) {
   if (Finished()) return StepKind::kNone;
 
-  AdmitArrived();
+  // Serialized swaps stall admission too: admitting again at this instant
+  // could restore a victim whose swap-out has not landed.
+  if (SwapGateEnd() <= now_s_) AdmitArrived();
   // Admission may have *rejected* the only remaining work (a request whose
   // KV need exceeds the total budget): the engine can finish right here.
   if (Finished()) return StepKind::kNone;
@@ -960,21 +954,24 @@ ServingEngine::StepKind ServingEngine::StepOnce(double deadline_s) {
     return StepKind::kNone;
   }
   FI_CHECK_GT(wake_s, now_s_);
-  if (prefilling_.empty() && exportable_.empty()) {
+  const bool gated = SwapGateEnd() > now_s_;
+  if (!gated && prefilling_.empty() && exportable_.empty()) {
     // With no transfer in flight and no parked unit holding KV, the budget
     // is free for every victim, so none can still be waiting.
     FI_CHECK(preempted_.empty());
   }
   if (wake_s > deadline_s) return StepKind::kNone;
   const double skip_s = wake_s - now_s_;
-  // Waking on a transfer's landing stalls on that transfer's link (the
-  // earliest entry's, when several land at once).
+  // The skip stalls on a link when the wake is a transfer landing: the swap
+  // gate lifting, or an in-flight entry (the earliest one when several land
+  // at once).
   const auto landing =
-      std::find_if(prefilling_.begin(), prefilling_.end(),
-                   [wake_s](const PrefillProgress& p) { return p.ready_s == wake_s; });
-  if (landing != prefilling_.end()) {
-    (landing->resume == Resume::kMigrateIn ? metrics_.migration_stall_ms
-                                           : metrics_.swap_stall_ms) += skip_s * 1e3;
+      gated ? prefilling_.end()
+            : std::find_if(prefilling_.begin(), prefilling_.end(),
+                           [wake_s](const PrefillProgress& p) { return p.ready_s == wake_s; });
+  if (gated || landing != prefilling_.end()) {
+    (!gated && landing->resume == Resume::kMigrateIn ? metrics_.migration_stall_ms
+                                                     : metrics_.swap_stall_ms) += skip_s * 1e3;
   }
   FlushTelemetry();  // Stamp this instant's increments before the jump.
   now_s_ = wake_s;
@@ -1078,26 +1075,14 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
            : cfg_.model.num_layers * 2.0);
   const double gemm_us = GemmUs(cfg_.model, step_tokens);
   const double comm_us = CommStepUs(step_tokens);
-  // Swap transfers (preemption evictions/restores decided at admission)
-  // serialize into this step in legacy mode: conservative — the PCIe time
-  // is charged where it was incurred and every running branch pays it.
-  // Overlap-swap mode never accumulates pending_swap_us_ (transfers ride
-  // the copy streams), so swap_us is 0 and the stall shows up only as
-  // copy-wait idle time.
-  const double swap_us = pending_swap_us_;
-  pending_swap_us_ = 0.0;
-  if (swap_us > 0.0) metrics_.swap_stall_ms += swap_us * 1e-3;
-  const double step_s =
-      (draft_us + host_us + gemm_us + attn_us + comm_us + swap_us) * 1e-6;
+  const double step_s = (draft_us + host_us + gemm_us + attn_us + comm_us) * 1e-6;
   FlushTelemetry();  // Stamp this instant's increments before the clock moves.
   now_s_ += step_s;
-  // Overlap accounting: copy-stream busy time inside this step's window was
-  // hidden under compute (the step would have run regardless).
-  if (cfg_.preemption.overlap_swap) {
-    const double hidden_s =
-        copy_d2h_.BusyWithin(t0_s, now_s_) + copy_h2d_.BusyWithin(t0_s, now_s_);
-    if (hidden_s > 0.0) metrics_.swap_hidden_ms += hidden_s * 1e3;
-  }
+  // Copy-stream busy time inside this step's window was hidden under compute
+  // (none with serialized swaps: no step starts while a stream is busy).
+  const double hidden_s =
+      copy_d2h_.BusyWithin(t0_s, now_s_) + copy_h2d_.BusyWithin(t0_s, now_s_);
+  if (hidden_s > 0.0) metrics_.swap_hidden_ms += hidden_s * 1e3;
   // Inbound-migration transfer time inside this step's window was hidden
   // under compute the destination ran anyway (conservative: link time before
   // the first post-admission step is neither hidden nor stalled here).
@@ -1142,8 +1127,7 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     step.ts_us = t0_s * 1e6;
     step.dur_us = step_s * 1e6;
     step.name = obs::TraceName::kStep;
-    step.flags = static_cast<uint16_t>((spec_step ? obs::kStepFlagSpec : 0) |
-                                       (swap_us > 0.0 ? obs::kStepFlagSwap : 0));
+    step.flags = spec_step ? obs::kStepFlagSpec : 0;
     step.a = plan.prefill_tokens;
     step.b = static_cast<int64_t>(decode_branches);
     step.c = stalled;
@@ -1166,7 +1150,6 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     phase(obs::TraceName::kPhaseAttn, attn_us);
     phase(obs::TraceName::kPhaseGemm, gemm_us);
     phase(obs::TraceName::kPhaseComm, comm_us);
-    phase(obs::TraceName::kPhaseSwap, swap_us);
     phase(obs::TraceName::kPhaseHost, host_us);
     for (const auto& c : plan.chunks) {
       const auto& p = prefilling_[c.prefill_idx];

@@ -15,8 +15,8 @@
 // progress in per-request state across steps and emits its first token only
 // when its last chunk lands, so a long prompt never head-of-line-blocks the
 // running decodes. Chunking defaults on; `prefill_chunk_tokens = 0` restores
-// the legacy prefill-alone loop (whole prompts, prefill steps run with no
-// decode tokens, as in early SGLang) — pinned by equivalence tests and kept
+// the legacy prefill-alone loop (whole prompts; steps with prompt tokens run
+// no decode tokens, as in early SGLang) — pinned by equivalence tests and kept
 // as the baseline the chunked-prefill bench ablates against.
 //
 // Parallel generation (the OpenAI "n" parameter, Sec. 4.4) forks n branches
@@ -35,8 +35,8 @@
 // KV pressure: with PreemptionConfig enabled, an arrived request that does
 // not fit the device KV budget preempts running branches of strictly lower
 // priority (lowest first, then youngest) instead of queuing behind them. A
-// victim's KV either swaps to a host-memory tier (PCIe transfer charged
-// into the steps it serializes with) or is dropped and later *recomputed*
+// victim's KV either swaps to a host-memory tier (a transfer on one of the
+// two PCIe copy streams) or is dropped and later *recomputed*
 // through the chunked-prefill path — chosen per victim by a cost estimate
 // whose crossover the kv-pressure bench sweeps: short contexts recompute
 // nearly free under the weight-streaming floor, long contexts are
@@ -130,14 +130,14 @@ struct PreemptionConfig {
   /// than to swap.
   double swap_page_overhead_us = 20.0;
   RestorePolicy restore = RestorePolicy::kAuto;
-  /// Route swap traffic through per-direction async copy streams
-  /// (gpusim::CopyStream) instead of serializing each transfer into the next
-  /// executed step. A swap-out stops blocking anything; a swap-in gates only
-  /// its own branch, which re-enters once the H2D transfer completes while
-  /// other work keeps stepping — the DMA time overlaps compute and is
-  /// metered by ServingMetrics::swap_hidden_ms / SwapOverlapEfficiency().
-  /// Off by default: the legacy serialize-into-step model stays
-  /// bit-identical.
+  /// Every swap rides a per-direction copy stream (gpusim::CopyStream): a
+  /// swap-out on D2H, a swap-in on H2D. With overlap_swap, a swap-out blocks
+  /// nothing and a swap-in gates only its own branch, which re-enters once
+  /// the H2D transfer completes while other work keeps stepping — the DMA
+  /// time overlaps compute and is metered by ServingMetrics::swap_hidden_ms /
+  /// SwapOverlapEfficiency(). Off by default (the serialized ablation): no
+  /// admission and no step while either stream is busy, so every transfer
+  /// is stall and only the two directions overlap each other.
   bool overlap_swap = false;
   /// Host-tier page codec: quantize (INT8/FP8, per-page scale/zero) and/or
   /// LZ4-compress pages on eviction so `host_capacity_gb` measures *stored*
@@ -257,12 +257,14 @@ class ServingEngine {
   /// simultaneous arrivals schedule independently of the Admit() call order.
   void Admit(const Request& r);
 
-  /// Simulated time at which the next step would change state: the current
+  /// Simulated time at which the next step would change state: while
+  /// serialized swaps are in flight, the time they land; else the current
   /// clock if work is runnable (running branches or resident prefilling
   /// entries) or admission would restore, admit or reject a request now;
   /// otherwise the earliest in-flight transfer completion or pending
   /// arrival; +infinity when fully drained or blocked on the cluster driver.
-  /// StepTo(NextEventTime()) therefore always makes progress when finite.
+  /// StepTo(NextEventTime()) therefore always makes progress when finite,
+  /// and an idle step wakes exactly here.
   double NextEventTime() const noexcept;
 
   /// Executes every step whose start time is <= `deadline_s`; returns the
@@ -342,7 +344,7 @@ class ServingEngine {
   // decode loop, charge untouched). Destination side: CanAcceptMigration()
   // gates on KV headroom + run slots; AdmitMigratedUnit() charges the KV and
   // queues the unit as a resume entry that becomes runnable at the link
-  // transfer's end time, exactly like an overlap-swap restore.
+  // transfer's end time, exactly like a swap-in restore.
 
   /// Units parked in the exportable pool (cheap emptiness probe).
   int64_t MigratableUnitCount() const noexcept {
@@ -422,8 +424,8 @@ class ServingEngine {
     Resume resume = Resume::kNone;
     std::vector<Branch> branches;  // What a resume puts back.
     double phase_start_s = 0.0;    // Trace: admission / resume-start time.
-    /// Completion time of the entry's in-flight transfer (overlap-swap H2D
-    /// or migration link). The entry is ineligible for the step plan until
+    /// Completion time of the entry's in-flight transfer (swap-in H2D or
+    /// migration link). The entry is ineligible for the step plan until
     /// now >= ready_s (its KV is still on the link); 0 for everything else.
     double ready_s = 0.0;
   };
@@ -435,9 +437,8 @@ class ServingEngine {
     int64_t reserve = 0;    // Device KV charge to re-acquire on restore.
     int64_t order = 0;      // FIFO tie-break within a priority level.
     double evicted_s = 0.0;  // Trace: eviction time (preempted-span begin).
-    /// Overlap-swap mode: when the D2H swap-out finishes on the copy stream.
-    /// A swap-in of this branch cannot be issued before its host copy
-    /// exists; 0 in legacy mode (the swap-out already serialized).
+    /// When the D2H swap-out finishes on its copy stream: a swap-in of this
+    /// branch cannot be issued before its host copy exists (0 for a drop).
     double swapout_done_s = 0.0;
     /// Realized stored/logical byte ratio of this branch's encoded host
     /// pages, captured at evict time — the swap-in prices the *stored*
@@ -482,9 +483,8 @@ class ServingEngine {
   /// Restores preempted branches (priority desc, then eviction order) while
   /// the device budget and a run slot allow. Both kinds queue a resume entry
   /// in prefilling_: a swap-in rides a step as a zero-token transfer chunk
-  /// (its PCIe time serialized into the next step, or gating the entry on
-  /// the H2D stream with overlap_swap); a recompute rebuilds the context as
-  /// prompt chunks.
+  /// once its transfer on the H2D stream lands; a recompute rebuilds the
+  /// context as prompt chunks.
   void RestorePreempted();
 
   /// Queues an entry in prefilling_ that resumes `branches` when it
@@ -526,6 +526,12 @@ class ServingEngine {
   /// chunked prefill (GEMM above the weight-streaming floor the ride-along
   /// steps already pay, plus one attention pass over the rebuilt KV).
   double RecomputeEstimateUs(int64_t kv_len) const;
+
+  /// When serialized swaps stop stalling the engine: the later of the two
+  /// copy streams' ends. With overlap_swap off nothing is admitted and no
+  /// step starts before it; 0 with overlap_swap on, where a transfer gates
+  /// only its own branch. The one reader of overlap_swap.
+  double SwapGateEnd() const noexcept;
 
   /// Whether admission reserves each branch's full output KV up front (spec
   /// decode and preemption both require it: neither multi-token verify
@@ -675,10 +681,7 @@ class ServingEngine {
   int64_t kv_tokens_in_use_ = 0;
   int64_t host_kv_tokens_in_use_ = 0;
   int64_t host_stored_bytes_ = 0;  // Metered by host_table_.
-  /// Swap transfer time waiting to serialize into the next executed step
-  /// (legacy mode only; overlap-swap routes through the copy streams).
-  double pending_swap_us_ = 0.0;
-  /// Async DMA engines for overlap-swap mode, one per PCIe direction.
+  /// The PCIe DMA engines every swap rides, one per direction.
   gpusim::CopyStream copy_d2h_;
   gpusim::CopyStream copy_h2d_;
   /// Inbound-migration accounting stream: externally-timed inter-replica

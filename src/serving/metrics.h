@@ -87,18 +87,18 @@ struct ServingMetrics {
   int64_t evicted_pages = 0;
   /// Pages swapped back in from the host tier by restores.
   int64_t restored_pages = 0;
-  /// PCIe transfer time for swap-outs + swap-ins, milliseconds. Legacy mode
-  /// charges it into the steps the transfers serialize with; overlap-swap
-  /// mode routes it through the async copy streams instead (see
-  /// swap_hidden_ms / swap_stall_ms for where the time actually landed).
+  /// PCIe transfer time for swap-outs + swap-ins, milliseconds: the summed
+  /// durations of every transfer on the two copy streams. It never lands in
+  /// a step (see swap_hidden_ms / swap_stall_ms for where it went).
   double total_swap_ms = 0.0;
   /// Copy-stream busy time that overlapped executed compute steps,
-  /// milliseconds (overlap-swap mode only; always <= total_swap_ms).
+  /// milliseconds (0 with serialized swaps; always <= total_swap_ms).
   double swap_hidden_ms = 0.0;
-  /// Swap time the request path actually waited on: in legacy mode every
-  /// transfer serializes into a step (swap_stall_ms == total_swap_ms); in
-  /// overlap mode only the idle time spent waiting for an in-flight swap-in
-  /// with nothing else runnable counts.
+  /// Swap time the request path actually waited on. Serialized swaps stall
+  /// the whole engine while either stream is busy, so this is the streams'
+  /// busy time: total_swap_ms less the time the two directions overlapped.
+  /// With overlap_swap, only the idle time spent waiting for an in-flight
+  /// swap-in with nothing else runnable counts.
   double swap_stall_ms = 0.0;
   /// Context tokens re-prefilled by recompute restores (not counted in
   /// total_prefill_tokens: this is restore work, not prompt work).
@@ -119,8 +119,8 @@ struct ServingMetrics {
   double evicted_stored_bytes = 0.0;
   /// Time spent encoding pages on eviction, ms (priced into swap-out).
   double codec_encode_ms = 0.0;
-  /// Time spent decoding pages on restore, ms (priced into the restore
-  /// transfer, overlap-swap CopyStream path included).
+  /// Time spent decoding pages on restore, ms (priced into the restore's
+  /// H2D transfer).
   double codec_decode_ms = 0.0;
   /// Accuracy proxy: sum of per-page quantization MSE over every page the
   /// codec quantized on eviction, and the page count it sums over.
@@ -229,7 +229,7 @@ struct ServingMetrics {
   // --- Preemption derived metrics ------------------------------------------
   /// Fraction of swap transfer time hidden under executed compute steps.
   /// nullopt when no swap traffic occurred at all — distinct from 0.0, which
-  /// means transfers happened and NONE overlapped (legacy serialization).
+  /// means transfers happened and NONE overlapped (serialized swaps).
   /// Callers that conflated the two read a perfect-looking 0 "efficiency"
   /// out of runs that never swapped; use value_or(0.0) only where that is
   /// actually the right collapse (e.g. summing stall budgets).

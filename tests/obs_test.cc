@@ -383,24 +383,24 @@ TEST(TraceQuery, StallAttribution) {
   s1.a = 64;
   s1.c = 2;
   events.push_back(s1);
-  // Step with stalls explained by a swap transfer.
-  TraceEvent s2 = Ev(TraceName::kStep, 10.0, 10.0);
-  s2.flags = obs::kStepFlagSwap;
-  s2.c = 1;
-  events.push_back(s2);
   obs::TraceQuery ok(events);
   EXPECT_TRUE(ok.UnexplainedItlStalls().empty());
-  EXPECT_EQ(ok.TotalItlStallSteps(), 3);
+  EXPECT_EQ(ok.TotalItlStallSteps(), 2);
 
-  // A stalled step with decode tokens and no swap is unexplained.
+  // A stalled step with decode tokens is unexplained, and so is one with no
+  // prompt tokens: a step that only lands a transfer decodes.
   TraceEvent bad = Ev(TraceName::kStep, 20.0, 10.0);
   bad.a = 64;
   bad.b = 2;
   bad.c = 2;
   events.push_back(bad);
+  TraceEvent transfer_only = Ev(TraceName::kStep, 30.0, 10.0);
+  transfer_only.c = 1;
+  events.push_back(transfer_only);
   obs::TraceQuery broken(events);
-  ASSERT_EQ(broken.UnexplainedItlStalls().size(), 1u);
+  ASSERT_EQ(broken.UnexplainedItlStalls().size(), 2u);
   EXPECT_DOUBLE_EQ(broken.UnexplainedItlStalls()[0].ts_us, 20.0);
+  EXPECT_DOUBLE_EQ(broken.UnexplainedItlStalls()[1].ts_us, 30.0);
 }
 
 TEST(TraceQuery, PreemptStallCoverage) {

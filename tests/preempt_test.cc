@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "cluster/router.h"
 #include "serving/engine.h"
@@ -243,11 +245,11 @@ TEST(Preemption, RunEqualsStepToUnderPressure) {
   EXPECT_DOUBLE_EQ(st.total_swap_ms, run.total_swap_ms);
 }
 
-// --- Overlapped swap transfers (PreemptionConfig::overlap_swap) --------------
+// --- Swap transfers on the copy streams (PreemptionConfig::overlap_swap) ----
 
-// Overlap mode routes swap traffic through per-direction copy streams instead
-// of serializing it into the next step: transfer time hides behind compute
-// (swap_hidden_ms), and only genuine copy-waits surface as swap_stall_ms.
+// Overlap mode lets steps run while the per-direction copy streams move KV:
+// transfer time hides behind compute (swap_hidden_ms), and only genuine
+// copy-waits surface as swap_stall_ms.
 TEST(Preemption, OverlapSwapHidesTransferTimeAndDrainsClean) {
   Rng rng(13);
   auto reqs = serving::UniformWorkload(rng, 40, 25.0, 512, 1024, 96);
@@ -278,10 +280,10 @@ TEST(Preemption, OverlapSwapHidesTransferTimeAndDrainsClean) {
   EXPECT_TRUE(engine.Finished());
 }
 
-// Legacy mode stalls for every transferred byte (swap_stall == total_swap);
-// overlap mode must stall strictly less on the same pressured workload while
-// completing the same tokens.
-TEST(Preemption, OverlapSwapStallsLessThanLegacy) {
+// Serialized swaps stall the engine for every transfer (here one direction
+// at a time, so stall == total); overlap mode must stall strictly less on the
+// same pressured workload while completing the same tokens.
+TEST(Preemption, OverlapSwapStallsLessThanSerialized) {
   Rng rng(13);
   auto reqs = serving::UniformWorkload(rng, 40, 25.0, 512, 1024, 96);
   serving::AssignPriorities(rng, reqs, {0.7, 0.3});
@@ -290,18 +292,98 @@ TEST(Preemption, OverlapSwapStallsLessThanLegacy) {
   cfg.preemption.restore = RestorePolicy::kSwap;
   cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
 
-  const auto legacy = ServingEngine(cfg).Run(reqs);
-  ASSERT_GT(legacy.num_preemptions, 0);
-  EXPECT_NEAR(legacy.swap_stall_ms, legacy.total_swap_ms,
-              1e-9 * std::max(1.0, legacy.total_swap_ms));
-  EXPECT_DOUBLE_EQ(legacy.swap_hidden_ms, 0.0);
+  const auto serial = ServingEngine(cfg).Run(reqs);
+  ASSERT_GT(serial.num_preemptions, 0);
+  EXPECT_NEAR(serial.swap_stall_ms, serial.total_swap_ms,
+              1e-9 * std::max(1.0, serial.total_swap_ms));
+  EXPECT_DOUBLE_EQ(serial.swap_hidden_ms, 0.0);
 
   cfg.preemption.overlap_swap = true;
   const auto overlap = ServingEngine(cfg).Run(reqs);
   ASSERT_GT(overlap.num_preemptions, 0);
-  EXPECT_LT(overlap.swap_stall_ms, legacy.swap_stall_ms);
-  EXPECT_EQ(overlap.total_output_tokens, legacy.total_output_tokens);
-  EXPECT_LE(overlap.makespan_s, legacy.makespan_s * 1.001);
+  EXPECT_LT(overlap.swap_stall_ms, serial.swap_stall_ms);
+  EXPECT_EQ(overlap.total_output_tokens, serial.total_output_tokens);
+  EXPECT_LE(overlap.makespan_s, serial.makespan_s * 1.001);
+}
+
+// Serialized swaps gate admission, not only the step. Request 2 evicts both
+// residents (the younger, smaller one first, which alone does not make room)
+// and is admitted in the same admission. The younger victim's reserve then
+// fits again, but it must not restore before the gate lifts: a second
+// admission at that instant would re-admit a branch whose swap-out is still
+// on the D2H stream. Stepping to just past each next event lands a deadline
+// inside every gate, and must still match Run().
+TEST(Preemption, SerializedSwapGatesAdmissionLikeRun) {
+  auto cfg = BaseConfig();
+  cfg.preemption.enabled = true;
+  cfg.preemption.restore = RestorePolicy::kSwap;
+  cfg.hbm_capacity_gb = HbmForBudget(cfg, 10000);
+  const std::vector<Request> reqs = {MakeReq(0, 0.0, 5000, 400, 0),
+                                     MakeReq(1, 0.01, 1000, 400, 0),
+                                     MakeReq(2, 0.5, 6000, 8, 1)};
+
+  ServingEngine reference(cfg);
+  const auto run = reference.Run(reqs);
+  ASSERT_EQ(run.num_preemptions, 2);
+  ASSERT_EQ(run.num_swap_restores, 2);
+  EXPECT_DOUBLE_EQ(run.swap_hidden_ms, 0.0);
+
+  ServingEngine stepped(cfg);
+  stepped.Reset();
+  for (const auto& r : reqs) stepped.Admit(r);
+  for (int64_t i = 0; i < 100000 && !stepped.Finished(); ++i) {
+    stepped.StepTo(stepped.NextEventTime() + 1e-6);  // Under any transfer.
+  }
+  ASSERT_TRUE(stepped.Finished());
+  const auto& st = stepped.Metrics();
+  EXPECT_DOUBLE_EQ(st.makespan_s, run.makespan_s);
+  EXPECT_EQ(st.num_steps, run.num_steps);
+  EXPECT_EQ(st.num_idle_skips, run.num_idle_skips);
+  EXPECT_DOUBLE_EQ(st.swap_stall_ms, run.swap_stall_ms);
+  EXPECT_DOUBLE_EQ(st.total_swap_ms, run.total_swap_ms);
+  EXPECT_EQ(st.ttft_ms, run.ttft_ms);
+  EXPECT_EQ(st.itl_ms, run.itl_ms);
+}
+
+// The two PCIe directions run concurrently even when serialized. When P1
+// finishes, one admission restores C (H2D) and evicts A for P2 (D2H): the
+// engine stalls for the longer of the two, so the stall is the union of the
+// copy-stream spans, strictly below the summed transfer time.
+TEST(Preemption, SerializedSwapStallIsTheUnionOfTransfers) {
+  auto cfg = BaseConfig();
+  cfg.preemption.enabled = true;
+  cfg.preemption.restore = RestorePolicy::kSwap;
+  cfg.trace.enabled = true;
+  cfg.hbm_capacity_gb = HbmForBudget(cfg, 10000);
+  const std::vector<Request> reqs = {MakeReq(0, 0.0, 3000, 400, 0),    // A
+                                     MakeReq(1, 0.0, 2000, 400, 0),    // C
+                                     MakeReq(2, 0.3, 6000, 8, 2),      // P1
+                                     MakeReq(3, 0.31, 5000, 8, 2)};    // P2
+  ServingEngine engine(cfg);
+  const auto m = engine.Run(reqs);
+  ASSERT_EQ(m.num_preemptions, 2);
+  ASSERT_EQ(m.num_swap_restores, 2);
+
+  std::vector<std::pair<double, double>> copies;  // (begin, end), ms.
+  double summed_ms = 0.0;
+  for (const auto& e : engine.TraceEvents()) {
+    if (e.name != obs::TraceName::kCopyD2H && e.name != obs::TraceName::kCopyH2D) continue;
+    copies.emplace_back(e.ts_us * 1e-3, (e.ts_us + e.dur_us) * 1e-3);
+    summed_ms += e.dur_us * 1e-3;
+  }
+  ASSERT_EQ(copies.size(), 4u);
+  std::sort(copies.begin(), copies.end());
+  double union_ms = 0.0, covered_to = 0.0;
+  for (const auto& [begin, end] : copies) {
+    union_ms += std::max(0.0, end - std::max(begin, covered_to));
+    covered_to = std::max(covered_to, end);
+  }
+  EXPECT_NEAR(summed_ms, m.total_swap_ms, 1e-9 * m.total_swap_ms);
+  EXPECT_NEAR(m.swap_stall_ms, union_ms, 1e-9 * union_ms);
+  EXPECT_LT(m.swap_stall_ms, m.total_swap_ms * 0.9);  // One pair overlapped.
+  EXPECT_DOUBLE_EQ(m.swap_hidden_ms, 0.0);
+  EXPECT_EQ(engine.KvTokensInUse(), 0);
+  EXPECT_EQ(engine.HostKvTokensInUse(), 0);
 }
 
 // Run() ≡ StepTo with overlapped transfers in flight: NextEventTime and the

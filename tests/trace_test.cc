@@ -10,9 +10,10 @@
 //  * Per-request phase spans tile arrival -> finish exactly for
 //    single-branch requests — the wall decomposition has no gaps.
 //  * Every stall counter increment is explained: each ITL-stall step is a
-//    prefill-alone or swap-transfer step, each preempt-stall step is covered
-//    by a concrete eviction's preempted span, and the trace's stall totals
-//    equal ServingMetrics' counters.
+//    prefill-alone step (swap time never lands in a step, in either swap
+//    mode), each preempt-stall step is covered by a concrete eviction's
+//    preempted span, and the trace's stall totals equal ServingMetrics'
+//    counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -198,17 +199,22 @@ TEST(Trace, RequestPhasesTileArrivalToFinish) {
   EXPECT_GT(preempted_total, 0.0);
 }
 
-TEST(Trace, EveryStallIsExplained) {
+class TraceStalls : public ::testing::TestWithParam<bool> {};
+
+TEST_P(TraceStalls, EveryStallIsExplained) {
   // Legacy prefill-alone mode maximizes ITL stalls; a tight budget with
-  // preemption adds preempt stalls and swap transfers on top.
+  // preemption adds preempt stalls and swap transfers on top. A step that
+  // only lands a transfer decodes, so it stalls nobody.
   auto cfg = BaseConfig();
   cfg.prefill_chunk_tokens = 0;
   cfg.preemption.enabled = true;
+  cfg.preemption.overlap_swap = GetParam();
   cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
   ServingEngine engine(cfg);
   const ServingMetrics m = engine.Run(MixedWorkload(24));
   ASSERT_GT(m.itl_stall_steps, 0);
   ASSERT_GT(m.num_preemptions, 0);
+  ASSERT_GT(m.num_swap_restores, 0);
 
   const obs::TraceQuery query(engine.TraceEvents());
   ASSERT_EQ(engine.Trace()->dropped(), 0);  // Totals require the full trace.
@@ -219,6 +225,11 @@ TEST(Trace, EveryStallIsExplained) {
   EXPECT_EQ(query.TotalItlStallSteps(), m.itl_stall_steps);
   EXPECT_EQ(query.TotalPreemptStallSteps(), m.preempt_stall_steps);
 }
+
+INSTANTIATE_TEST_SUITE_P(SwapModes, TraceStalls, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "overlap" : "serialized";
+                         });
 
 TEST(Trace, LifecycleEventCountsMatchMetrics) {
   auto cfg = BaseConfig();
