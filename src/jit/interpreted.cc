@@ -61,8 +61,6 @@ InterpretedHooks SetInterpretedHooks(InterpretedHooks hooks) {
   return old;
 }
 
-const InterpretedHooks& CurrentInterpretedHooks() { return GlobalHooks(); }
-
 WorkItemFn GetInterpretedKernel(bool use_softmax, bool has_qk_transform, DType kv_dtype) {
   if (use_softmax) {
     return has_qk_transform ? SelectDtype<true, true>(kv_dtype)

@@ -30,7 +30,6 @@ struct InterpretedHooks {
 /// the previous hooks. Not thread-safe against concurrently *running*
 /// interpreted kernels — set hooks before launching.
 InterpretedHooks SetInterpretedHooks(InterpretedHooks hooks);
-const InterpretedHooks& CurrentInterpretedHooks();
 
 /// Returns the interpreted kernel matching the hook flags and KV dtype.
 WorkItemFn GetInterpretedKernel(bool use_softmax, bool has_qk_transform, DType kv_dtype);

@@ -47,8 +47,6 @@ class DraftTree {
   /// This is the per-request tree-attention mask over the speculative tail.
   std::vector<std::vector<bool>> AncestorMask() const;
 
-  const TreeConfig& Config() const noexcept { return cfg_; }
-
  private:
   TreeConfig cfg_;
   std::vector<int> parent_;

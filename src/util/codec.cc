@@ -6,19 +6,7 @@
 
 #include "util/check.h"
 
-namespace flashinfer {
-
-const char* KvQuantFormatStr(KvQuantFormat f) {
-  switch (f) {
-    case KvQuantFormat::kNone: return "none";
-    case KvQuantFormat::kInt8: return "int8";
-    case KvQuantFormat::kFp8E4M3: return "fp8_e4m3";
-    case KvQuantFormat::kFp8E5M2: return "fp8_e5m2";
-  }
-  return "?";
-}
-
-namespace util {
+namespace flashinfer::util {
 namespace {
 
 constexpr size_t kMinMatch = 4;
@@ -296,5 +284,4 @@ void DecodePage(const uint8_t* blob, size_t blob_size, std::byte* page, size_t e
   FI_CHECK(false);  // Unknown format byte: not one of ours.
 }
 
-}  // namespace util
-}  // namespace flashinfer
+}  // namespace flashinfer::util

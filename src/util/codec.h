@@ -37,8 +37,6 @@ enum class KvQuantFormat : uint8_t {
   kFp8E5M2 = 3,  ///< Per-page amax-scaled fp8 e5m2 (max 57344).
 };
 
-const char* KvQuantFormatStr(KvQuantFormat f);
-
 /// Host KV-tier codec selection. Default-constructed = disabled: the host
 /// tier stores raw pages, byte-for-byte identical to the pre-codec cache.
 struct KvCodecConfig {
