@@ -29,7 +29,8 @@
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
-// CI's sanitizer jobs run only the pinned cases, which are always on).
+// CI's sanitizer jobs run only the pinned cases, which are always on; its
+// Release bench job runs 2000).
 #include <gtest/gtest.h>
 
 #include <algorithm>
