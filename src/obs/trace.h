@@ -81,8 +81,8 @@ namespace flashinfer::obs {
 
 enum class TraceKind : uint8_t { kSpan, kInstant, kCounter };
 
-/// Event names. The numeric values are stable (golden digests hash them):
-/// 5 is unused, and a new name takes the next free value of its kind.
+/// Event names. golden_test hashes each event's numeric name, so no value
+/// shifts when a name goes: 5 is unused.
 enum class TraceName : uint8_t {
   // Step track spans.
   kStep,

@@ -963,15 +963,16 @@ ServingEngine::StepKind ServingEngine::StepOnce(double deadline_s) {
   if (wake_s > deadline_s) return StepKind::kNone;
   const double skip_s = wake_s - now_s_;
   // The skip stalls on a link when the wake is a transfer landing: the swap
-  // gate lifting, or an in-flight entry (the earliest one when several land
-  // at once).
+  // gate lifting, or else an in-flight entry (the earliest one when several
+  // land at once).
   const auto landing =
-      gated ? prefilling_.end()
-            : std::find_if(prefilling_.begin(), prefilling_.end(),
-                           [wake_s](const PrefillProgress& p) { return p.ready_s == wake_s; });
-  if (gated || landing != prefilling_.end()) {
-    (!gated && landing->resume == Resume::kMigrateIn ? metrics_.migration_stall_ms
-                                                     : metrics_.swap_stall_ms) += skip_s * 1e3;
+      std::find_if(prefilling_.begin(), prefilling_.end(),
+                   [wake_s](const PrefillProgress& p) { return p.ready_s == wake_s; });
+  if (gated) {
+    metrics_.swap_stall_ms += skip_s * 1e3;
+  } else if (landing != prefilling_.end()) {
+    (landing->resume == Resume::kMigrateIn ? metrics_.migration_stall_ms
+                                           : metrics_.swap_stall_ms) += skip_s * 1e3;
   }
   FlushTelemetry();  // Stamp this instant's increments before the jump.
   now_s_ = wake_s;
