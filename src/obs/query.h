@@ -12,9 +12,8 @@
 //  * Unexplained*Stalls(): every stall counter increment in ServingMetrics
 //    must be *attributable* to a concrete event in the same step — an ITL
 //    stall to a prefill-alone batch, a preemption stall to an enclosing
-//    eviction span. A non-empty result
-//    means the trace failed to explain a stall, which the trace-invariant
-//    tests treat as a bug.
+//    eviction span. A non-empty result means the trace failed to explain a
+//    stall, which the trace-invariant tests treat as a bug.
 #pragma once
 
 #include <cstdint>
