@@ -1,9 +1,10 @@
 // Disaggregated prefill/decode serving tests: engine-side export/import
 // exactness (KV charges and structural pages balance to zero across a
 // migration), the NextEventTime/StepTo idle-wake contract when all pending
-// work is transfer-gated, retain-fallback equivalence to the unified engine,
-// the cluster driver's pool routing, rejection fallback, and run-to-run
-// determinism, and trace attribution of every migration wait.
+// work is transfer-gated or blocked on parked units, retain-fallback
+// equivalence to the unified engine, the cluster driver's pool routing,
+// rejection fallback, and run-to-run determinism, and trace attribution of
+// every migration wait.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -185,6 +186,57 @@ TEST(DisaggEngine, NextEventTimeTransferGatedIdleWake) {
   EXPECT_TRUE(dst2.Finished());
   EXPECT_EQ(dst2.KvTokensInUse(), 0);
   EXPECT_EQ(dst2.Metrics().total_output_tokens, /*import*/ 63 + /*blocked*/ 8);
+}
+
+// A parked unit that holds the KV a blocked restore needs leaves only the
+// cluster driver able to unblock the engine: B evicts A and parks at its
+// first token, and A's reserve does not fit beside B's. With nothing in
+// flight, the next event is +inf, not C's later arrival, and stepping past
+// that arrival does nothing until the driver extracts B.
+TEST(DisaggEngine, ParkedUnitBlockingARestoreWaitsForTheDriver) {
+  EngineConfig cfg = BaseConfig();
+  cfg.export_at_first_token = true;
+  cfg.preemption.enabled = true;
+  cfg.preemption.restore = serving::RestorePolicy::kSwap;
+  cfg.preemption.overlap_swap = true;
+  cfg.hbm_capacity_gb = HbmForBudget(cfg, 10000);
+  const auto req = [](int id, double arrival, int64_t in, int64_t out, int priority) {
+    Request r;
+    r.id = id;
+    r.arrival_s = arrival;
+    r.input_len = in;
+    r.output_len = out;
+    r.priority = priority;
+    return r;
+  };
+  ServingEngine e(cfg);
+  e.Reset();
+  e.Admit(req(0, 0.0, 6000, 400, 0));  // A
+  StepUntilExportable(e);
+  ASSERT_EQ(e.MigratableUnitCount(), 1);
+  e.RetainMigratable(e.MigratableUnits()[0].unit_id);
+  e.Admit(req(1, 1.0, 5000, 100, 1));  // B: evicts A, then parks.
+  e.Admit(req(2, 5.0, 100, 4, 2));     // C
+  StepUntilExportable(e);
+  ASSERT_EQ(e.MigratableUnitCount(), 1);
+  ASSERT_EQ(e.PreemptedBranches(), 1);
+  ASSERT_LT(e.Now(), 5.0);
+
+  EXPECT_EQ(e.NextEventTime(), std::numeric_limits<double>::infinity());
+  const double parked_s = e.Now();
+  EXPECT_EQ(e.StepTo(10.0), 0);
+  EXPECT_EQ(e.Now(), parked_s);
+
+  e.ExtractMigratable(e.MigratableUnits()[0].unit_id);
+  EXPECT_EQ(e.NextEventTime(), parked_s);  // A restores now.
+  for (int i = 0; i < 10000 && !e.Finished(); ++i) {
+    if (e.MigratableUnitCount() > 0) e.RetainMigratable(e.MigratableUnits()[0].unit_id);
+    e.StepTo(e.NextEventTime());
+  }
+  ASSERT_TRUE(e.Finished());
+  EXPECT_EQ(e.Metrics().num_swap_restores, 1);
+  EXPECT_EQ(e.KvTokensInUse(), 0);
+  EXPECT_EQ(e.HostKvTokensInUse(), 0);
 }
 
 // Parallel-n fork mid-migration: the group ships as one unit, the shared
