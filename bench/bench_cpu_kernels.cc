@@ -192,12 +192,12 @@ std::vector<std::vector<int64_t>> ShareGptDecodeKvLens(int rows) {
 }
 
 void BM_ScheduleBalanced(benchmark::State& state) {
-  // Algorithm 1 alone, as the serving pricer runs it every step: block rows
-  // straight from a skewed decode batch of range(0) rows, range(1) fused kv
-  // heads (8: Llama-3.1-8B; 2: one Llama-3.1-70B shard at TP=4), a 132-CTA
-  // grid. The chunk costs mostly differ, unlike BM_BalancedPlan's uniform
-  // KV, and each chunk is charged once per kv head. The iterations cycle
-  // through 16 such batches: repeating a single one lets the branch
+  // Algorithm 1 alone, listing its assignments as Make*Plan does: block
+  // rows straight from a skewed decode batch of range(0) rows, range(1)
+  // fused kv heads (8: Llama-3.1-8B; 2: one Llama-3.1-70B shard at TP=4), a
+  // 132-CTA grid. The chunk costs mostly differ, unlike BM_BalancedPlan's
+  // uniform KV, and each chunk is placed once per kv head. The iterations
+  // cycle through 16 such batches: repeating a single one lets the branch
   // predictor learn its comparisons, which a serving run never repeats.
   const std::vector<int64_t> qo_lens(static_cast<size_t>(state.range(0)), 1);
   const int num_heads = static_cast<int>(state.range(1));
@@ -220,10 +220,10 @@ BENCHMARK(BM_ScheduleBalanced)->ArgsProduct({{64, 256, 1024}, {2, 8}});
 
 void BM_PriceStep(benchmark::State& state) {
   // The serving engine's whole per-step attention price (the time-only
-  // entry: block rows, Algorithm 1, the CTA walk, the makespan and the
-  // merge kernel) over BM_ScheduleBalanced's 16 cycled decode batches:
-  // range(0) rows, range(1) kv heads with 4 qo heads each (its 4 fused
-  // rows per request), on the H100.
+  // entry: block rows, Algorithm 1 charging each chunk to its CTA as it is
+  // placed, the makespan and the merge kernel) over BM_ScheduleBalanced's
+  // 16 cycled decode batches: range(0) rows, range(1) kv heads with 4 qo
+  // heads each (its 4 fused rows per request), on the H100.
   const auto dev = gpusim::H100Sxm80GB();
   const auto backend = serving::FlashInferBackend();
   std::vector<serving::AttnSimInput> batches;
@@ -242,6 +242,35 @@ void BM_PriceStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PriceStep)->ArgsProduct({{64, 256}, {2, 8}});
+
+void BM_PriceDecodeRun(benchmark::State& state) {
+  // The same time-only price over one decode batch stepped as the engine
+  // steps it: each iteration prices the batch, then grows every row's KV by
+  // one token, for 512 steps before the batch starts over. Most steps keep
+  // the previous step's chunk counts, so Algorithm 1 re-sorts the previous
+  // key order instead of sorting afresh, which BM_PriceStep's unrelated
+  // batches never do. range(0) rows of BM_PriceStep's first batch,
+  // range(1) kv heads with 4 qo heads each, on the H100.
+  const auto dev = gpusim::H100Sxm80GB();
+  const auto backend = serving::FlashInferBackend();
+  serving::AttnSimInput in;
+  in.num_kv_heads = static_cast<int>(state.range(1));
+  in.num_qo_heads = 4 * in.num_kv_heads;
+  in.kv_lens = ShareGptDecodeKvLens(static_cast<int>(state.range(0)))[0];
+  in.qo_lens.assign(in.kv_lens.size(), 1);
+  const std::vector<int64_t> first = in.kv_lens;
+  int step = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serving::BatchAttentionTimeUs(dev, backend, in));
+    if (++step == 512) {
+      in.kv_lens = first;
+      step = 0;
+    } else {
+      for (auto& kv : in.kv_lens) ++kv;
+    }
+  }
+}
+BENCHMARK(BM_PriceDecodeRun)->ArgsProduct({{64, 256}, {2, 8}});
 
 /// 4096 ITL-like samples in ms, log-uniform from 1 ms (a decode step's gap)
 /// to 1 s (a preemption stall).

@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
   // stalls the whole engine while a stream is busy (stall == the streams'
   // busy time); overlap mode lets steps run under the transfers, so they
   // hide behind attention and only genuine copy-waits stall.
-  std::printf("\n--- overlapped swap transfers vs legacy serialization ---\n");
+  std::printf("\n--- overlapped swap transfers vs serialized swaps ---\n");
   AsciiTable ot({"scenario", "mode", "makespan s", "tok/s", "swap ms",
                  "stall ms", "hidden ms", "overlap eff"});
   bool gate_overlap_stall = true, gate_overlap_tput = true;
@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
   ot.Print();
   bench::Note("\nexpected shape: identical swap bytes move in both modes, but the");
   bench::Note("overlap rows hide most of them behind compute (high overlap eff,");
-  bench::Note("stall ms near zero) while legacy stalls for every byte.");
+  bench::Note("stall ms near zero) while serialized swaps stall for every byte.");
 
   // --- Gates. ---------------------------------------------------------------
   const double goodput_frac = loose_tok_s > 0.0 ? tight_tok_s / loose_tok_s : 0.0;
@@ -420,7 +420,7 @@ int main(int argc, char** argv) {
   json.Add("gate_long_swap_wins", gate_long ? 1.0 : 0.0);
   json.Add("gate_auto_tracks_winner", gate_auto ? 1.0 : 0.0);
   std::printf("overlap-swap: stall strictly reduced in every scenario: %s; "
-              "throughput held (>= 99.9%% of legacy): %s\n",
+              "throughput held (>= 99.9%% of serialized): %s\n",
               gate_overlap_stall ? "yes" : "NO", gate_overlap_tput ? "yes" : "NO");
   json.Add("gate_overlap_stall_reduced", gate_overlap_stall ? 1.0 : 0.0);
   json.Add("gate_overlap_throughput_held", gate_overlap_tput ? 1.0 : 0.0);

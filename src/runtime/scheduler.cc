@@ -53,68 +53,95 @@ int64_t RoundUpToTile(int64_t len, int64_t tile) noexcept {
   return std::max<int64_t>(((len + tile - 1) / tile) * tile, tile);
 }
 
+/// Bits [lo, hi) of one 64-bit word, clamped to it.
+uint64_t WordRange(int32_t lo, int32_t hi) noexcept {
+  lo = std::clamp(lo, 0, 64);
+  hi = std::clamp(hi, 0, 64);
+  if (lo >= hi) return 0;
+  const uint64_t below_hi = hi == 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
+  return below_hi & ~((uint64_t{1} << lo) - 1);
+}
+
 /// Algorithm 1's CTA choice (lines 7-9) for a run of equal-cost chunks:
-/// Place(cost, run) puts each chunk of `run`, in order, on the CTA that
-/// minimizes (accumulated load, index), adds `cost` to that CTA's load and
-/// records the CTA in the chunk. Costs are finite and non-negative, and
-/// runs come in non-increasing cost order.
+/// Place(cost, count, out) puts each of the run's `count` chunks, in order,
+/// on the CTA that minimizes (accumulated load, index), adds `cost` to that
+/// CTA's load and appends the CTA to `out`. Costs are finite and
+/// non-negative, and runs come in decreasing cost order.
 ///
-/// While the first chunks have positive cost, chunk i lands on CTA i: CTAs
-/// 0..i-1 already hold positive loads and i is the lowest-indexed empty
-/// one. The first zero-cost chunk, or the first chunk after every CTA is
-/// loaded, groups the CTAs into classes: CTAs with bit-identical loads
-/// share one class, a bitset of their indices. The direct round's loads
-/// never increase with the index, so each class starts as an index range.
+/// CTAs with bit-identical loads share a class, a bitset of their indices.
 /// Classes are kept in load order; non-negative doubles order like their
-/// bit patterns read as integers. A chunk goes to the least class's lowest
-/// index and moves it to the class at load + cost, so a run takes the
-/// least class's lowest indices in order and moves them together; when the
-/// least class empties, the run continues in the next one. If load + cost
-/// rounds back to the load, the lowest index takes the whole run.
+/// bit patterns read as integers. While the first runs have positive cost,
+/// chunk i lands on CTA i: CTAs 0..i-1 already hold positive loads and i is
+/// the lowest-indexed empty one, so each such run's CTAs form one class, an
+/// index range at load 0.0 + cost == cost. The first zero-cost chunk, or
+/// the first chunk after every CTA is loaded, adds the still-empty CTAs as
+/// the least class. From then on a chunk goes to the least class's lowest
+/// index and moves it to the class at load + cost, so a run takes the least
+/// class's lowest indices in order and moves them together; when the least
+/// class empties, the run continues in the next one. If load + cost rounds
+/// back to the load, the lowest index takes the whole run.
 class LeastLoadedCtas {
  public:
   void Reset(int num_ctas) {
+    // A move creates its target class before it releases the emptied one,
+    // so up to num_ctas + 1 classes are live at once. Their bitsets take
+    // (num_ctas + 1) * ceil(num_ctas / 64) words: 3.1 KiB for 132 CTAs.
+    // Ids are taken as classes appear, so a call writes only the bitsets
+    // of the classes it creates.
     num_ctas_ = num_ctas;
+    words_ = (num_ctas + 63) / 64;
+    const size_t pool = static_cast<size_t>(num_ctas) + 1;
+    if (members_.size() < pool * static_cast<size_t>(words_)) {
+      members_.resize(pool * static_cast<size_t>(words_));
+    }
+    if (size_.size() < pool) size_.resize(pool);
+    next_id_ = 0;
+    free_.clear();
+    order_.clear();
     first_empty_ = 0;
-    loads_.resize(static_cast<size_t>(num_ctas));
   }
 
-  void Place(double cost, std::span<ChunkSchedule::Assignment> run) {
-    size_t i = 0;
+  void Place(double cost, size_t count, std::vector<CtaWord>& out) {
     if (first_empty_ >= 0) {
       if (cost > 0.0) {
-        for (; i < run.size() && first_empty_ < num_ctas_; ++i) {
-          loads_[static_cast<size_t>(first_empty_)] = cost;  // == 0.0 + cost.
-          run[i].cta = first_empty_++;
+        const int32_t lo = first_empty_;
+        const int32_t hi = static_cast<int32_t>(
+            std::min<size_t>(static_cast<size_t>(num_ctas_), static_cast<size_t>(lo) + count));
+        AddRange(lo, hi, std::bit_cast<uint64_t>(cost));
+        for (int32_t w = lo / 64; 64 * w < hi; ++w) {
+          out.push_back({w, WordRange(lo - 64 * w, hi - 64 * w)});
         }
-        if (i == run.size()) return;
+        first_empty_ = hi;
+        count -= static_cast<size_t>(hi - lo);
+        if (count == 0) return;
       }
-      BuildClasses();
+      if (first_empty_ < num_ctas_) AddRange(first_empty_, num_ctas_, 0);
+      first_empty_ = -1;
     }
-    while (i < run.size()) {
+    while (count > 0) {
       const Class least = order_.back();
       const uint64_t load = std::bit_cast<uint64_t>(std::bit_cast<double>(least.load) + cost);
       uint64_t* from = Members(least.id);
       if (load == least.load) {  // The cost rounds away: the lowest index stays least.
         int32_t w = 0;
         while (from[w] == 0) ++w;
-        const int32_t cta = 64 * w + std::countr_zero(from[w]);
-        for (; i < run.size(); ++i) run[i].cta = cta;
+        out.insert(out.end(), count, CtaWord{w, from[w] & (~from[w] + 1)});
         return;
       }
       // The least class's lowest indices, in order, move to the class at `load`.
       const int32_t target = FindOrInsert(load);
       uint64_t* to = Members(target);
-      const int32_t moved = static_cast<int32_t>(
-          std::min<size_t>(run.size() - i, static_cast<size_t>(size_[least.id])));
+      const int32_t moved =
+          static_cast<int32_t>(std::min<size_t>(count, static_cast<size_t>(size_[least.id])));
       size_[least.id] -= moved;
       size_[target] += moved;
+      count -= static_cast<size_t>(moved);
       for (int32_t w = 0, left = moved; left > 0; ++w) {
         uint64_t rest = from[w];
-        for (; rest != 0 && left > 0; --left, rest &= rest - 1) {
-          run[i++].cta = 64 * w + std::countr_zero(rest);
-        }
-        to[w] |= from[w] ^ rest;
+        for (; rest != 0 && left > 0; --left) rest &= rest - 1;
+        const uint64_t taken = from[w] ^ rest;
+        if (taken != 0) out.push_back({w, taken});
+        to[w] |= taken;
         from[w] = rest;
       }
       if (size_[least.id] == 0) {  // Every member moved: its bitset is empty again.
@@ -134,46 +161,13 @@ class LeastLoadedCtas {
     return members_.data() + static_cast<size_t>(id) * static_cast<size_t>(words_);
   }
 
-  void BuildClasses() {
-    // A move creates its target class before it releases the emptied one,
-    // so up to num_ctas + 1 classes are live at once. Their bitsets take
-    // (num_ctas + 1) * ceil(num_ctas / 64) words: 3.1 KiB for 132 CTAs.
-    // Ids are taken as classes appear, so a call writes only the bitsets
-    // of the classes it creates.
-    const size_t pool = static_cast<size_t>(num_ctas_) + 1;
-    words_ = (num_ctas_ + 63) / 64;
-    if (members_.size() < pool * static_cast<size_t>(words_)) {
-      members_.resize(pool * static_cast<size_t>(words_));
-    }
-    if (size_.size() < pool) size_.resize(pool);
-    next_id_ = 0;
-    free_.clear();
-    order_.clear();
-    auto load_of = [this](int32_t c) {
-      return c < first_empty_ ? std::bit_cast<uint64_t>(loads_[static_cast<size_t>(c)])
-                              : uint64_t{0};
-    };
-    // Highest load first, so the least class sits at the back. Each class
-    // is an index range, written a whole word at a time.
-    for (int32_t lo = 0, hi; lo < num_ctas_; lo = hi) {
-      const uint64_t load = load_of(lo);
-      for (hi = lo + 1; hi < num_ctas_ && load_of(hi) == load;) ++hi;
-      const int32_t id = next_id_++;
-      uint64_t* members = Members(id);
-      for (int32_t w = 0; w < words_; ++w) members[w] = WordRange(lo - 64 * w, hi - 64 * w);
-      size_[id] = hi - lo;
-      order_.push_back({load, id});
-    }
-    first_empty_ = -1;
-  }
-
-  /// Bits [lo, hi) of one 64-bit word, clamped to it.
-  static uint64_t WordRange(int32_t lo, int32_t hi) noexcept {
-    lo = std::clamp(lo, 0, 64);
-    hi = std::clamp(hi, 0, 64);
-    if (lo >= hi) return 0;
-    const uint64_t below_hi = hi == 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
-    return below_hi & ~((uint64_t{1} << lo) - 1);
+  /// A new class of the CTAs [lo, hi), below every class so far.
+  void AddRange(int32_t lo, int32_t hi, uint64_t load) {
+    const int32_t id = next_id_++;
+    uint64_t* members = Members(id);
+    for (int32_t w = 0; w < words_; ++w) members[w] = WordRange(lo - 64 * w, hi - 64 * w);
+    size_[id] = hi - lo;
+    order_.push_back({load, id});
   }
 
   /// The class at `load`, which is above the least class's load; created in
@@ -197,10 +191,10 @@ class LeastLoadedCtas {
   }
 
   int32_t num_ctas_ = 0;
-  // Direct round: the next CTA, all later ones empty; -1 once classes are up.
+  // The lowest empty CTA, all later ones empty too; -1 once every CTA is in
+  // a class.
   int32_t first_empty_ = 0;
-  std::vector<double> loads_;  // Direct round: per-CTA loads.
-  int32_t words_ = 0;          // Bitset words per class.
+  int32_t words_ = 0;              // Bitset words per class.
   std::vector<uint64_t> members_;  // Class id -> bitset of member CTAs.
   std::vector<int32_t> size_;      // Class id -> member count.
   int32_t next_id_ = 0;            // Ids below it have been taken.
@@ -208,12 +202,13 @@ class LeastLoadedCtas {
   std::vector<Class> order_;       // Live classes, highest load first.
 };
 
-/// One (block_row, chunk) key of Algorithm 1's line 5.
-struct ChunkKey {
-  double cost;
-  int32_t block_row;
-  int32_t chunk;
-};
+/// Algorithm 1's line-5 order: descending cost, then block_row, then chunk.
+/// A strict total order, since no two keys share (block_row, chunk).
+bool SortsBefore(const ChunkKey& a, const ChunkKey& b) noexcept {
+  if (a.cost != b.cost) return a.cost > b.cost;
+  if (a.block_row != b.block_row) return a.block_row < b.block_row;
+  return a.chunk < b.chunk;
+}
 
 /// Sorts keys generated in (block_row, chunk) order by descending cost,
 /// ties in generation order. From kRadixSortMinKeys keys on this is a
@@ -222,11 +217,7 @@ struct ChunkKey {
 /// shares take no pass. Fewer keys do not pay for its passes.
 void SortByDescendingCost(std::vector<ChunkKey>& keys, std::vector<ChunkKey>& spare) {
   if (keys.size() < kRadixSortMinKeys) {
-    std::sort(keys.begin(), keys.end(), [](const ChunkKey& a, const ChunkKey& b) {
-      if (a.cost != b.cost) return a.cost > b.cost;
-      if (a.block_row != b.block_row) return a.block_row < b.block_row;
-      return a.chunk < b.chunk;
-    });
+    std::sort(keys.begin(), keys.end(), SortsBefore);
     return;
   }
   auto bits = [](const ChunkKey& k) { return std::bit_cast<uint64_t>(k.cost); };
@@ -244,6 +235,125 @@ void SortByDescendingCost(std::vector<ChunkKey>& keys, std::vector<ChunkKey>& sp
     for (const auto& k : keys) spare[start[digit(k)]++] = k;
     keys.swap(spare);
   }
+}
+
+/// Insertion-sorts `keys` into SortsBefore order with at most keys.size()
+/// element moves. Returns false, leaving `keys` unusable, when it needs more.
+bool InsertionSortWithinBudget(std::vector<ChunkKey>& keys) {
+  size_t budget = keys.size();
+  for (size_t i = 1; i < keys.size(); ++i) {
+    const ChunkKey key = keys[i];
+    size_t j = i;
+    for (; j > 0 && SortsBefore(key, keys[j - 1]); --j) {
+      if (budget-- == 0) return false;
+      keys[j] = keys[j - 1];
+    }
+    keys[j] = key;
+  }
+  return true;
+}
+
+/// The schedulers' buffers, reused across calls. Thread-local, like the
+/// pricer's: each thread keeps its own, and its sorted keys carry the last
+/// order to the thread's next call.
+struct ScheduleScratch {
+  std::vector<ChunkKey> keys, spare;  // Line 5's sorted order, and the sort's spare.
+  std::vector<int32_t> key_chunks;    // Chunks per row of the order in `keys`.
+  LeastLoadedCtas ctas;
+  std::vector<CtaWord> run_ctas;      // The current run's CTAs.
+  std::vector<ChunkKey> in_order;     // The baselines' one run.
+  std::vector<CtaWord> in_order_ctas;
+};
+thread_local ScheduleScratch t_scratch;
+
+/// Line 5: every (block_row, chunk) key of the split rows in SortsBefore
+/// order. The order stays in the thread's scratch, valid until its next
+/// call. When this call's per-row chunk counts equal the
+/// previous call's, its keys are that call's order with new costs,
+/// insertion-sorted: a decode step whose rows each grew by a token mostly
+/// keeps its order. Past the move budget, the keys are sorted afresh.
+std::span<const ChunkKey> SortedKeys(const std::vector<BlockRowShape>& rows,
+                                     const std::vector<ChunkSchedule::RowSplit>& splits,
+                                     double alpha, double beta) {
+  ScheduleScratch& scratch = t_scratch;
+  std::vector<ChunkKey>& keys = scratch.keys;
+  std::vector<int32_t>& key_chunks = scratch.key_chunks;
+  auto cost = [&](int32_t br, int32_t k) {
+    const auto& split = splits[static_cast<size_t>(br)];
+    const auto& row = rows[static_cast<size_t>(br)];
+    const int64_t tokens = split.ChunkEnd(k, row.kv_len) - split.ChunkBegin(k);
+    return alpha * static_cast<double>(row.rows) + beta * static_cast<double>(tokens);
+  };
+  bool same_chunks = key_chunks.size() == rows.size();
+  for (size_t i = 0; same_chunks && i < rows.size(); ++i) {
+    same_chunks = key_chunks[i] == splits[i].num_chunks;
+  }
+  if (same_chunks) {
+    for (auto& k : keys) k.cost = cost(k.block_row, k.chunk);
+    if (InsertionSortWithinBudget(keys)) return keys;
+  }
+  keys.clear();
+  key_chunks.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    key_chunks[i] = splits[i].num_chunks;
+    for (int32_t k = 0; k < splits[i].num_chunks; ++k) {
+      keys.push_back({cost(static_cast<int32_t>(i), k), static_cast<int32_t>(i), k});
+    }
+  }
+  SortByDescendingCost(keys, scratch.spare);
+  return keys;
+}
+
+/// Lists every placement in ChunkSchedule::assignments: what a scheduler
+/// without a sink reports to.
+class AssignmentWriter final : public PlacementSink {
+ public:
+  AssignmentWriter(int num_heads, std::vector<ChunkSchedule::Assignment>* out)
+      : num_heads_(num_heads), out_(out) {}
+
+  void Split(const ChunkSchedule& s) override {
+    size_t chunks = 0;
+    for (const auto& split : s.splits) chunks += static_cast<size_t>(split.num_chunks);
+    out_->clear();
+    out_->reserve(chunks * static_cast<size_t>(num_heads_));
+  }
+  void Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) override {
+    RunChunks chunk(run, num_heads_);
+    for (const CtaWord& w : ctas) {
+      for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1, chunk.Next()) {
+        out_->push_back({chunk.key().block_row, chunk.head(), chunk.key().chunk,
+                         64 * w.word + std::countr_zero(bits)});
+      }
+    }
+  }
+
+ private:
+  int num_heads_;
+  std::vector<ChunkSchedule::Assignment>* out_;
+};
+
+/// The baselines' placement: every chunk in generation order (block_row,
+/// head, chunk) as one run, round-robin over the grid from CTA 0.
+void PlaceRoundRobin(const std::vector<BlockRowShape>& rows, int num_heads,
+                     const ChunkSchedule& s, PlacementSink& sink) {
+  ScheduleScratch& scratch = t_scratch;
+  std::vector<ChunkKey>& keys = scratch.in_order;
+  std::vector<CtaWord>& ctas = scratch.in_order_ctas;
+  keys.clear();
+  ctas.clear();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (int32_t k = 0; k < s.splits[i].num_chunks; ++k) {
+      keys.push_back({0.0, static_cast<int32_t>(i), k});
+    }
+  }
+  if (keys.empty()) return;
+  for (int64_t left = static_cast<int64_t>(keys.size()) * num_heads; left > 0;) {
+    // One lap of the grid from CTA 0, or what is left of the chunks.
+    const int32_t hi = static_cast<int32_t>(std::min<int64_t>(left, s.num_ctas));
+    for (int32_t w = 0; 64 * w < hi; ++w) ctas.push_back({w, WordRange(-64 * w, hi - 64 * w)});
+    left -= hi;
+  }
+  sink.Place(keys, ctas);
 }
 
 /// Builds the reduction map rows for one split work unit, mirroring the
@@ -426,11 +536,14 @@ double IntraBatchKvReuseFraction(const AttentionParams& p) {
 }
 
 void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
-                      int num_ctas, double alpha, double beta, ChunkSchedule* out) {
+                      int num_ctas, double alpha, double beta, ChunkSchedule* out,
+                      PlacementSink* sink) {
   FI_CHECK_GE(num_ctas, 1);
   FI_CHECK(std::isfinite(alpha) && alpha >= 0.0);
   FI_CHECK(std::isfinite(beta) && beta >= 0.0);
   out->num_ctas = num_ctas;
+  AssignmentWriter writer(num_heads, &out->assignments);
+  PlacementSink& to = sink != nullptr ? *sink : writer;
 
   // Line 3: maximum KV chunk size, rounded up to the KV tile.
   int64_t total_kv = 0;
@@ -441,86 +554,56 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
 
   // Line 4.
   SplitRows(rows, num_heads, [lkv](int64_t) { return lkv; }, out);
+  to.Split(*out);
 
   // Line 5: descending cost, ties in generation order (block_row, head,
   // chunk). Every head of a block row has the same chunks, so the sort runs
   // over (block_row, chunk) and heads are expanded afterwards: within a run
   // of equal cost from one block row, generation order is head-major.
-  thread_local std::vector<ChunkKey> keys, spare;
-  keys.clear();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& split = out->splits[i];
-    for (int32_t k = 0; k < split.num_chunks; ++k) {
-      const int64_t tokens = split.ChunkEnd(k, rows[i].kv_len) - split.ChunkBegin(k);
-      keys.push_back({alpha * static_cast<double>(rows[i].rows) +
-                          beta * static_cast<double>(tokens),
-                      static_cast<int32_t>(i), k});
-    }
-  }
-  SortByDescendingCost(keys, spare);
+  const std::span<const ChunkKey> keys = SortedKeys(rows, out->splits, alpha, beta);
 
   // Lines 6-13: longest-processing-time-first, each chunk onto the CTA
   // with the least accumulated cost (lowest index on ties). Each maximal
-  // run of equal cost is placed at once; within it, each block row's keys
-  // expand head-major.
-  thread_local LeastLoadedCtas ctas;
+  // run of equal cost is placed at once.
+  ScheduleScratch& scratch = t_scratch;
+  LeastLoadedCtas& ctas = scratch.ctas;
+  std::vector<CtaWord>& run_ctas = scratch.run_ctas;
   ctas.Reset(num_ctas);
-  out->assignments.resize(keys.size() * static_cast<size_t>(num_heads));
-  ChunkSchedule::Assignment* next = out->assignments.data();
-  for (size_t a = 0; a < keys.size();) {
-    const double cost = keys[a].cost;
-    ChunkSchedule::Assignment* const run = next;
-    while (a < keys.size() && keys[a].cost == cost) {
-      size_t b = a + 1;
-      while (b < keys.size() && keys[b].cost == cost && keys[b].block_row == keys[a].block_row) {
-        ++b;
-      }
-      for (int32_t h = 0; h < num_heads; ++h) {
-        for (size_t j = a; j < b; ++j) *next++ = {keys[j].block_row, h, keys[j].chunk, -1};
-      }
-      a = b;
-    }
-    ctas.Place(cost, std::span(run, next));
+  for (size_t a = 0, b; a < keys.size(); a = b) {
+    for (b = a + 1; b < keys.size() && keys[b].cost == keys[a].cost;) ++b;
+    run_ctas.clear();
+    ctas.Place(keys[a].cost, (b - a) * static_cast<size_t>(num_heads), run_ctas);
+    to.Place(keys.subspan(a, b - a), run_ctas);
   }
 }
 
-void ScheduleNaive(const std::vector<BlockRowShape>& rows, int num_heads, ChunkSchedule* out) {
+void ScheduleNaive(const std::vector<BlockRowShape>& rows, int num_heads, ChunkSchedule* out,
+                   PlacementSink* sink) {
   out->num_ctas = static_cast<int>(rows.size()) * num_heads;
   out->lkv_chunk = 0;
-  out->num_partial_rows = 0;
-  out->splits.resize(rows.size());
-  out->assignments.clear();
-  out->assignments.reserve(static_cast<size_t>(out->num_ctas));
-  int32_t cta = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out->splits[i] = {rows[i].kv_len, 1, -1};
-    for (int32_t h = 0; h < num_heads; ++h) {
-      out->assignments.push_back({static_cast<int32_t>(i), h, 0, cta++});
-    }
-  }
+  AssignmentWriter writer(num_heads, &out->assignments);
+  PlacementSink& to = sink != nullptr ? *sink : writer;
+  SplitRows(rows, num_heads, [](int64_t kv) { return kv; }, out);
+  to.Split(*out);
+  PlaceRoundRobin(rows, num_heads, *out, to);
 }
 
 void ScheduleFixedSplit(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
-                        int num_ctas, int num_splits, ChunkSchedule* out) {
+                        int num_ctas, int num_splits, ChunkSchedule* out,
+                        PlacementSink* sink) {
   FI_CHECK_GE(num_ctas, 1);
   FI_CHECK_GE(num_splits, 1);
   out->num_ctas = num_ctas;
   out->lkv_chunk = 0;
-  out->assignments.clear();
+  AssignmentWriter writer(num_heads, &out->assignments);
+  PlacementSink& to = sink != nullptr ? *sink : writer;
   const int64_t tkv = std::max(1, tile_kv);
   SplitRows(
       rows, num_heads,
       [&](int64_t kv) { return RoundUpToTile((kv + num_splits - 1) / num_splits, tkv); },
       out);
-  int32_t cta = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (int32_t h = 0; h < num_heads; ++h) {
-      for (int32_t k = 0; k < out->splits[i].num_chunks; ++k) {
-        out->assignments.push_back({static_cast<int32_t>(i), h, k, cta});
-        cta = (cta + 1) % num_ctas;
-      }
-    }
-  }
+  to.Split(*out);
+  PlaceRoundRobin(rows, num_heads, *out, to);
 }
 
 Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,

@@ -19,27 +19,33 @@
 //   2. Equal-load classes. CTAs whose loads are bit-identical share a
 //      class, a bitset of their indices; classes are ordered by load, which
 //      for non-negative doubles is the order of their bit patterns read as
-//      integers. The first round's loads never increase with the index, so
-//      each class starts as an index range. A run of m chunks of cost c
-//      takes the least class's lowest indices in order and moves them to
-//      the class at load + c; when the least class empties, the run
-//      continues in the next least one. (When load + c rounds back to
-//      load, the least class's lowest index takes the whole run.) Every
-//      head of a chunk costs the same, so with 8 kv heads the 132 CTAs of
-//      a serving step hold only about 20 distinct loads, and a run of 8
-//      chunks mostly costs one or two class lookups rather than one search
-//      per chunk.
+//      integers. Each run of the first round loads an index range to its
+//      cost, one class, and the round leaves the empty CTAs as the least
+//      class. A run of m chunks of cost c takes the least class's lowest
+//      indices in order and moves them to the class at load + c; when the
+//      least class empties, the run continues in the next least one. (When
+//      load + c rounds back to load, the least class's lowest index takes
+//      the whole run.) Every head of a chunk costs the same, so with 8 kv
+//      heads the 132 CTAs of a serving step hold only about 20 distinct
+//      loads, and a run of 8 chunks mostly costs one or two class lookups
+//      rather than one search per chunk.
 // Both phases accumulate each CTA's load chunk by chunk in assignment
 // order (in the direct round, 0.0 + cost == cost), so the loads, and with
 // them every choice, are bit-exact rather than approximately balanced.
 //
 // The longest-first order comes from one sort key per (block_row, chunk),
-// since every head of a block row has the same chunks. Keys are generated
-// in (block_row, chunk) order, so any stable sort by descending cost keeps
-// the tie-break. From kRadixSortMinKeys keys on that is an LSD radix sort
-// over the bytes of the costs' bit patterns, skipping the bytes every key
-// shares (decode costs differ only in a few high bytes); below it,
-// std::sort with the same order is cheaper.
+// since every head of a block row has the same chunks. The order is
+// (cost desc, block_row asc, chunk asc), a strict total order, so every
+// correct sort yields it. Keys are generated in (block_row, chunk) order,
+// so a stable sort by descending cost does: from kRadixSortMinKeys keys on
+// that is an LSD radix sort over the bytes of the costs' bit patterns,
+// skipping the bytes every key shares (decode costs differ only in a few
+// high bytes); below it, std::sort with the same order is cheaper. A
+// serving step usually has the previous step's chunk structure: each thread
+// keeps its last order, and when a call's per-row chunk counts equal that
+// order's, its keys get their new costs in the old order and are
+// insertion-sorted, falling back to the full sort after keys.size() element
+// moves.
 //
 // Algorithm 1 needs only each query tile's shape — its rows and the KV
 // tokens it reads — never the page indices. So scheduling runs in two
@@ -48,16 +54,20 @@
 //      BlockRowsFromLengths derives them straight from (qo_lens, kv_lens)
 //      for the paged layout BuildBatchBsr would build, without building it.
 //      Both apply the same causal trim.
-//   2. ScheduleBalanced / ScheduleNaive / ScheduleFixedSplit turn block rows
-//      into a ChunkSchedule: every KV chunk and its CTA, in assignment
-//      order, plus each row's split.
-// The serving cost model prices a ChunkSchedule directly from the lengths
-// at every generation step (serving/backends.cc: BatchAttentionTimeUs for
-// the engine, SimulateBatchAttention for the full report), so the per-step
-// path builds no BSR and no Plan. The Make*Plan functions materialize the same
-// schedule into a Plan — WorkItem queues and the ReductionMap — because
-// BatchAttentionHandle executes real kernel math over it and caches it
-// across layers, exactly like FlashInfer's plan/run split.
+//   2. ScheduleBalanced / ScheduleNaive / ScheduleFixedSplit split the block
+//      rows into KV chunks and place every chunk on a CTA. They report the
+//      split in a ChunkSchedule and each placement, in assignment order, to
+//      a PlacementSink; without a sink they list the placements in
+//      ChunkSchedule::assignments.
+// The serving cost model prices a step straight from its lengths with a
+// sink that charges each chunk's time to its CTA as it is placed
+// (serving/backends.cc: BatchAttentionTimeUs for the engine,
+// SimulateBatchAttention for the full report), so the per-step path builds
+// no BSR, no Plan and no assignment list. The Make*Plan functions
+// materialize the same schedule into a Plan — WorkItem queues and the
+// ReductionMap — because BatchAttentionHandle executes real kernel math
+// over it and caches it across layers, exactly like FlashInfer's plan/run
+// split.
 //
 // Two baselines used by the evaluation ablations:
 //   naive       — one CTA per (tile, head), no splitting (the
@@ -68,6 +78,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/contraction.h"
@@ -183,7 +194,75 @@ struct ChunkSchedule {
   int64_t lkv_chunk = 0;  // Algorithm 1 line 3 (0 for the baselines).
   int64_t num_partial_rows = 0;
   std::vector<RowSplit> splits;  // Per block row.
+  /// Written only by a scheduler that runs without a PlacementSink.
   std::vector<Assignment> assignments;
+};
+
+/// One (block_row, chunk) key: the chunk of every head of the block row.
+struct ChunkKey {
+  double cost;  // Algorithm 1's sort key; 0 for the baselines.
+  int32_t block_row;
+  int32_t chunk;
+};
+
+/// Some CTAs of one 64-CTA word of the grid: 64 * word + b for each set
+/// bit b of `ctas`, lowest first. `ctas` is never 0.
+struct CtaWord {
+  int32_t word;
+  uint64_t ctas;
+};
+
+/// Receives a schedule as the scheduler makes it: the split, then every
+/// placement in assignment order, a run of keys at a time. A run's chunks
+/// expand head-major per block row: each block row's keys in the run are
+/// adjacent, and keys [a, b) of block row r stand for the chunks
+/// (r, h, keys[j].chunk) for h = 0 .. num_heads - 1, each over j = a .. b - 1.
+class PlacementSink {
+ public:
+  /// Every row is split: `s` holds all but the assignments. Called once,
+  /// before the first run.
+  virtual void Split(const ChunkSchedule& s) = 0;
+  /// One run, never empty: its chunks, in order, go to the CTAs listed in
+  /// `ctas`, one CTA per chunk.
+  virtual void Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) = 0;
+
+ protected:
+  ~PlacementSink() = default;
+};
+
+/// Follows a run's chunks in assignment order (see PlacementSink): key()
+/// and head() name the current chunk, Next() steps to the following one.
+class RunChunks {
+ public:
+  RunChunks(std::span<const ChunkKey> run, int num_heads) noexcept
+      : run_(run), num_heads_(num_heads) {
+    FindRowEnd();
+  }
+  const ChunkKey& key() const noexcept { return run_[j_]; }
+  int32_t head() const noexcept { return head_; }
+  void Next() noexcept {
+    if (++j_ < end_) return;
+    if (++head_ < num_heads_) {
+      j_ = begin_;
+      return;
+    }
+    head_ = 0;
+    begin_ = end_;
+    FindRowEnd();
+  }
+
+ private:
+  void FindRowEnd() noexcept {
+    end_ = begin_;
+    while (end_ < run_.size() && run_[end_].block_row == run_[begin_].block_row) ++end_;
+  }
+
+  std::span<const ChunkKey> run_;
+  int num_heads_ = 1;
+  size_t begin_ = 0;  // The current block row's keys are [begin_, end_).
+  size_t end_ = 0;
+  size_t j_ = 0;
+  int32_t head_ = 0;
 };
 
 /// ScheduleBalanced sorts its (block_row, chunk) keys with a stable radix
@@ -192,18 +271,27 @@ struct ChunkSchedule {
 /// benchmark's captured steps, where the two sorts break even at ~40 keys.
 inline constexpr size_t kRadixSortMinKeys = 40;
 
+/// The schedulers below overwrite `out` with the split and report each
+/// placement to `sink`, leaving `out->assignments` untouched; without a
+/// sink they list the placements there. Thread-safe: their scratch is
+/// thread-local.
+///
 /// Algorithm 1 over `rows` x `num_heads` work units, `num_ctas` persistent
-/// CTAs and chunk cost alpha * rows + beta * kv_tokens. Overwrites `out`.
-/// Thread-safe: its scratch is thread-local. alpha and beta must be finite
-/// and non-negative (checked): CTA loads are then non-negative, and the
-/// equal-load classes order them by their bit patterns.
+/// CTAs and chunk cost alpha * rows + beta * kv_tokens. alpha and beta must
+/// be finite and non-negative (checked): CTA loads are then non-negative,
+/// and the equal-load classes order them by their bit patterns. Each run is
+/// a maximal run of equal-cost keys in sorted order.
 void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
-                      int num_ctas, double alpha, double beta, ChunkSchedule* out);
-/// One CTA per work unit, unsplit.
-void ScheduleNaive(const std::vector<BlockRowShape>& rows, int num_heads, ChunkSchedule* out);
-/// `num_splits` tile-aligned chunks per unit, round-robin over `num_ctas`.
+                      int num_ctas, double alpha, double beta, ChunkSchedule* out,
+                      PlacementSink* sink = nullptr);
+/// One CTA per work unit, unsplit: one run over every block row.
+void ScheduleNaive(const std::vector<BlockRowShape>& rows, int num_heads, ChunkSchedule* out,
+                   PlacementSink* sink = nullptr);
+/// `num_splits` tile-aligned chunks per unit, round-robin over `num_ctas`
+/// in generation order: one run over every block row.
 void ScheduleFixedSplit(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
-                        int num_ctas, int num_splits, ChunkSchedule* out);
+                        int num_ctas, int num_splits, ChunkSchedule* out,
+                        PlacementSink* sink = nullptr);
 
 /// Fraction of the launch's KV reads served by L2 rather than HBM due to
 /// intra-batch reuse: every query tile of a request re-reads the request's

@@ -1,8 +1,10 @@
 #include "serving/backends.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <optional>
+#include <span>
 
 #include "core/tile_heuristics.h"
 #include "kvcache/ragged.h"
@@ -78,160 +80,226 @@ struct PricingScratch {
   std::vector<gpusim::CtaCost> ctas;  // Full report only.
   std::vector<double> cta_us;         // Time only: per-CTA times.
   std::vector<double> merge_times;
+  std::vector<int64_t> combined_qo, combined_kv;  // Composable launches.
 };
 thread_local PricingScratch t_scratch;
 
-/// Prices a schedule without executing any math: charges every chunk's
-/// roofline cost to its CTA in assignment order (so each CTA sums its queue
-/// in queue order), list-schedules the CTA times, then prices the
-/// contraction kernel's merge tasks from the split counts alone. With
-/// kReport the report carries every CTA's time and the byte/flop totals;
-/// without, only time_us and num_ctas, computed identically.
+/// Prices a schedule as the scheduler makes it, without executing any math.
+/// Once the rows are split, each row's two chunk shapes convert to roofline
+/// costs; each placed chunk then charges its cost to its CTA, so each CTA
+/// sums its queue in queue order. Report() list-schedules the CTA times and
+/// prices the contraction kernel's merge tasks from the split counts alone.
+/// With kReport the report carries every CTA's time and the byte/flop
+/// totals; without, only time_us and num_ctas, computed identically, and a
+/// run whose chunks all take the same time looks that time up once.
 template <bool kReport>
-gpusim::SimReport PriceSchedule(const gpusim::DeviceSpec& dev, const KernelConfig& cfg,
-                                int head_dim, DType kv_dtype, double kv_l2_fraction,
-                                const std::vector<BlockRowShape>& rows, int num_heads,
-                                const ChunkSchedule& s) {
-  const int kvb = DTypeBytes(kv_dtype);
-  auto eff = EfficiencyModel(dev, cfg, head_dim, kvb);
-  const auto occ = OccupancyModel(dev, cfg, head_dim, kvb);
-  const auto shape = ResidencyModel(dev, occ, s.num_ctas);
-  eff.mem *= shape.mem_scale;
+class SchedulePricer final : public PlacementSink {
+ public:
+  SchedulePricer(const gpusim::DeviceSpec& dev, const KernelConfig& cfg, int head_dim,
+                 DType kv_dtype, double kv_l2_fraction, const std::vector<BlockRowShape>& rows,
+                 int num_heads)
+      : dev_(dev), cfg_(cfg), head_dim_(head_dim), kvb_(DTypeBytes(kv_dtype)),
+        kv_l2_fraction_(kv_l2_fraction), rows_(rows), num_heads_(num_heads) {}
 
-  // Each row's two chunk shapes convert once; a shape equal to the one
-  // converted before it (every full chunk of a balanced schedule, rows of
-  // equal length) reuses that conversion.
-  struct Converted {
-    int rows = -1;
-    int64_t tokens = -1;
-    bool partial = false;
-    gpusim::WorkCost wc;
-    double us = 0.0;
-  };
-  auto convert = [&](Converted& c, int rows_in_tile, int64_t tokens, bool partial) {
-    if (rows_in_tile == c.rows && tokens == c.tokens && partial == c.partial) return;
-    c.rows = rows_in_tile;
-    c.tokens = tokens;
-    c.partial = partial;
-    c.wc = AttentionWorkItemCost(rows_in_tile, tokens, head_dim, kvb, false, partial);
-    if (kv_l2_fraction > 0.0) {
-      const double kv_bytes = static_cast<double>(tokens) * 2.0 * head_dim * kvb;
-      const double to_l2 = kv_bytes * kv_l2_fraction;
-      c.wc.hbm_bytes -= to_l2;
-      c.wc.l2_bytes += to_l2;
+  void Split(const ChunkSchedule& s) override {
+    eff_ = EfficiencyModel(dev_, cfg_, head_dim_, kvb_);
+    shape_ = ResidencyModel(dev_, OccupancyModel(dev_, cfg_, head_dim_, kvb_), s.num_ctas);
+    eff_.mem *= shape_.mem_scale;
+
+    // Each row's two chunk shapes convert once; a shape equal to the one
+    // converted before it (every full chunk of a balanced schedule, rows of
+    // equal length) reuses that conversion.
+    struct Converted {
+      int rows = -1;
+      int64_t tokens = -1;
+      bool partial = false;
+      gpusim::WorkCost wc;
+      double us = 0.0;
+    };
+    auto convert = [&](Converted& c, int rows_in_tile, int64_t tokens, bool partial) {
+      if (rows_in_tile == c.rows && tokens == c.tokens && partial == c.partial) return;
+      c.rows = rows_in_tile;
+      c.tokens = tokens;
+      c.partial = partial;
+      c.wc = AttentionWorkItemCost(rows_in_tile, tokens, head_dim_, kvb_, false, partial);
+      if (kv_l2_fraction_ > 0.0) {
+        const double kv_bytes = static_cast<double>(tokens) * 2.0 * head_dim_ * kvb_;
+        const double to_l2 = kv_bytes * kv_l2_fraction_;
+        c.wc.hbm_bytes -= to_l2;
+        c.wc.l2_bytes += to_l2;
+      }
+      c.us = gpusim::WorkItemTimeUs(dev_, eff_, c.wc, kvb_, shape_.slots);
+    };
+    prices_.resize(rows_.size());
+    if constexpr (kReport) costs_.resize(rows_.size());
+    Converted full, last;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      const auto& split = s.splits[i];
+      const int32_t k = split.num_chunks - 1;
+      const bool partial = k > 0;
+      convert(last, rows_[i].rows, split.ChunkEnd(k, rows_[i].kv_len) - split.ChunkBegin(k),
+              partial);
+      if (partial) convert(full, rows_[i].rows, split.chunk_len, true);
+      const Converted& first = partial ? full : last;
+      prices_[i] = {{first.us, last.us}, k};
+      if constexpr (kReport) costs_[i] = {{first.wc, last.wc}};
     }
-    c.us = gpusim::WorkItemTimeUs(dev, eff, c.wc, kvb, shape.slots);
-  };
-  auto& prices = t_scratch.row_prices;
-  auto& costs = t_scratch.row_costs;
-  prices.resize(rows.size());
-  if constexpr (kReport) costs.resize(rows.size());
-  Converted full, last;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& split = s.splits[i];
-    const int32_t k = split.num_chunks - 1;
-    const bool partial = k > 0;
-    convert(last, rows[i].rows, split.ChunkEnd(k, rows[i].kv_len) - split.ChunkBegin(k),
-            partial);
-    if (partial) convert(full, rows[i].rows, split.chunk_len, true);
-    const Converted& first = partial ? full : last;
-    prices[i] = {{first.us, last.us}, k};
-    if constexpr (kReport) costs[i] = {{first.wc, last.wc}};
-  }
-
-  auto& ctas = t_scratch.ctas;
-  auto& times = t_scratch.cta_us;
-  if constexpr (kReport) {
-    ctas.assign(static_cast<size_t>(s.num_ctas), gpusim::CtaCost{});
-  } else {
-    times.assign(static_cast<size_t>(s.num_ctas), 0.0);
-  }
-  for (const auto& a : s.assignments) {
-    const auto row = static_cast<size_t>(a.block_row);
-    const int is_last = a.chunk == prices[row].last_chunk;
     if constexpr (kReport) {
-      ctas[static_cast<size_t>(a.cta)].Add(prices[row].us[is_last], costs[row].wc[is_last]);
+      ctas_.assign(static_cast<size_t>(s.num_ctas), gpusim::CtaCost{});
     } else {
-      times[static_cast<size_t>(a.cta)] += prices[row].us[is_last];
+      times_.assign(static_cast<size_t>(s.num_ctas), 0.0);
     }
   }
 
-  gpusim::SimReport report;
-  report.num_ctas = s.num_ctas;
-  if constexpr (kReport) {
-    report.cta_time_us.reserve(ctas.size());
-    for (const auto& cost : ctas) {
-      report.cta_time_us.push_back(cost.time_us);
-      report.total_hbm_bytes += cost.total.hbm_bytes;
-      report.total_l2_bytes += cost.total.l2_bytes;
-      report.total_tensor_flops += cost.total.tensor_flops;
-      report.total_cuda_flops += cost.total.cuda_flops;
+  void Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) override {
+    if constexpr (!kReport) {
+      const double us = ChunkUs(run[0]);
+      if (std::all_of(run.begin() + 1, run.end(), [&](const ChunkKey& k) {
+            return std::bit_cast<uint64_t>(ChunkUs(k)) == std::bit_cast<uint64_t>(us);
+          })) {
+        for (const CtaWord& w : ctas) {
+          double* times = times_.data() + 64 * static_cast<size_t>(w.word);
+          // A word's CTAs are mostly one index range: add over it as such.
+          const int lo = std::countr_zero(w.ctas);
+          const uint64_t from_lo = w.ctas >> lo;
+          if ((from_lo & (from_lo + 1)) == 0) {
+            for (int c = lo, hi = lo + std::countr_one(from_lo); c < hi; ++c) times[c] += us;
+            continue;
+          }
+          for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1) {
+            times[std::countr_zero(bits)] += us;
+          }
+        }
+        return;
+      }
     }
-  }
-  report.time_us =
-      gpusim::SimExecutor::Makespan(kReport ? report.cta_time_us : times, shape.slots) +
-      dev.kernel_launch_us;
-
-  // Contraction kernel: one merge task per fused row of every split unit,
-  // folding as many partial states as the unit has chunks, strided over SMs.
-  int64_t num_tasks = 0;
-  for (size_t br = 0; br < rows.size(); ++br) {
-    if (s.splits[br].num_chunks > 1) num_tasks += int64_t{num_heads} * rows[br].rows;
-  }
-  if (num_tasks > 0) {
-    const int64_t merge_ctas = std::min<int64_t>(num_tasks, dev.num_sms);
-    auto& merge_times = t_scratch.merge_times;
-    merge_times.assign(static_cast<size_t>(merge_ctas), 0.0);
-    size_t cta = 0;  // Task t runs on CTA t % merge_ctas.
-    for (size_t br = 0; br < rows.size(); ++br) {
-      const int count = s.splits[br].num_chunks;
-      if (count == 1) continue;
-      gpusim::WorkCost merge;
-      merge.hbm_bytes = static_cast<double>(count) * (head_dim + 1) * 4.0 +
-                        static_cast<double>(head_dim) * 2.0;
-      merge.cuda_flops = static_cast<double>(count) * (2.0 * head_dim + 8.0);
-      const double merge_us = gpusim::WorkItemTimeUs(dev, eff, merge, kvb, dev.num_sms,
-                                                     gpusim::kMergeRowOverheadUs);
-      for (int64_t k = int64_t{num_heads} * rows[br].rows; k > 0; --k) {
-        merge_times[cta] += merge_us;
-        if (++cta == merge_times.size()) cta = 0;
+    RunChunks chunk(run, num_heads_);
+    for (const CtaWord& w : ctas) {
+      const size_t base = 64 * static_cast<size_t>(w.word);
+      for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1, chunk.Next()) {
+        const size_t cta = base + static_cast<size_t>(std::countr_zero(bits));
         if constexpr (kReport) {
-          report.total_hbm_bytes += merge.hbm_bytes;
-          report.total_cuda_flops += merge.cuda_flops;
+          const auto row = static_cast<size_t>(chunk.key().block_row);
+          const int last = chunk.key().chunk == prices_[row].last_chunk;
+          ctas_[cta].Add(prices_[row].us[last], costs_[row].wc[last]);
+        } else {
+          times_[cta] += ChunkUs(chunk.key());
         }
       }
     }
-    report.time_us += gpusim::SimExecutor::Makespan(merge_times, dev.num_sms) +
-                      dev.kernel_launch_us;
   }
-  return report;
-}
 
-/// Schedules `rows` with the backend's policy and prices the schedule,
-/// composing the caller's cross-request L2 reuse fraction with intra-batch
-/// tile reuse.
+  /// The launch once every chunk of `s` is placed.
+  gpusim::SimReport Report(const ChunkSchedule& s) {
+    gpusim::SimReport report;
+    report.num_ctas = s.num_ctas;
+    if constexpr (kReport) {
+      report.cta_time_us.reserve(ctas_.size());
+      for (const auto& cost : ctas_) {
+        report.cta_time_us.push_back(cost.time_us);
+        report.total_hbm_bytes += cost.total.hbm_bytes;
+        report.total_l2_bytes += cost.total.l2_bytes;
+        report.total_tensor_flops += cost.total.tensor_flops;
+        report.total_cuda_flops += cost.total.cuda_flops;
+      }
+    }
+    report.time_us =
+        gpusim::SimExecutor::Makespan(kReport ? report.cta_time_us : times_, shape_.slots) +
+        dev_.kernel_launch_us;
+
+    // Contraction kernel: one merge task per fused row of every split unit,
+    // folding as many partial states as the unit has chunks, strided over SMs.
+    int64_t num_tasks = 0;
+    for (size_t br = 0; br < rows_.size(); ++br) {
+      if (s.splits[br].num_chunks > 1) num_tasks += int64_t{num_heads_} * rows_[br].rows;
+    }
+    if (num_tasks > 0) {
+      const int64_t merge_ctas = std::min<int64_t>(num_tasks, dev_.num_sms);
+      auto& merge_times = t_scratch.merge_times;
+      merge_times.assign(static_cast<size_t>(merge_ctas), 0.0);
+      size_t cta = 0;  // Task t runs on CTA t % merge_ctas.
+      int count = 0;     // The chunk count `merge` and `merge_us` were priced for.
+      gpusim::WorkCost merge;
+      double merge_us = 0.0;
+      for (size_t br = 0; br < rows_.size(); ++br) {
+        if (s.splits[br].num_chunks == 1) continue;
+        if (s.splits[br].num_chunks != count) {
+          count = s.splits[br].num_chunks;
+          merge.hbm_bytes = static_cast<double>(count) * (head_dim_ + 1) * 4.0 +
+                            static_cast<double>(head_dim_) * 2.0;
+          merge.cuda_flops = static_cast<double>(count) * (2.0 * head_dim_ + 8.0);
+          merge_us = gpusim::WorkItemTimeUs(dev_, eff_, merge, kvb_, dev_.num_sms,
+                                            gpusim::kMergeRowOverheadUs);
+        }
+        const int64_t tasks = int64_t{num_heads_} * rows_[br].rows;
+        // The row's tasks take the next CTAs in turn, a lap of the grid at a
+        // time, so each CTA still adds its tasks in task order.
+        for (int64_t left = tasks; left > 0;) {
+          const size_t end = std::min(merge_times.size(), cta + static_cast<size_t>(left));
+          for (size_t c = cta; c < end; ++c) merge_times[c] += merge_us;
+          left -= static_cast<int64_t>(end - cta);
+          cta = end == merge_times.size() ? 0 : end;
+        }
+        if constexpr (kReport) {
+          for (int64_t k = tasks; k > 0; --k) {
+            report.total_hbm_bytes += merge.hbm_bytes;
+            report.total_cuda_flops += merge.cuda_flops;
+          }
+        }
+      }
+      report.time_us += gpusim::SimExecutor::Makespan(merge_times, dev_.num_sms) +
+                        dev_.kernel_launch_us;
+    }
+    return report;
+  }
+
+ private:
+  double ChunkUs(const ChunkKey& k) const noexcept {
+    const RowPrice& row = prices_[static_cast<size_t>(k.block_row)];
+    return row.us[k.chunk == row.last_chunk];
+  }
+
+  const gpusim::DeviceSpec& dev_;
+  const KernelConfig& cfg_;
+  const int head_dim_;
+  const int kvb_;
+  const double kv_l2_fraction_;
+  const std::vector<BlockRowShape>& rows_;
+  const int num_heads_;
+  gpusim::KernelEfficiency eff_;
+  LaunchShape shape_;
+  std::vector<RowPrice>& prices_ = t_scratch.row_prices;
+  std::vector<RowCost>& costs_ = t_scratch.row_costs;
+  std::vector<gpusim::CtaCost>& ctas_ = t_scratch.ctas;
+  std::vector<double>& times_ = t_scratch.cta_us;
+};
+
+/// Schedules `rows` with the backend's policy and prices the schedule as it
+/// is placed, composing the caller's cross-request L2 reuse fraction with
+/// intra-batch tile reuse.
 template <bool kReport>
 gpusim::SimReport ScheduleAndPrice(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
                                    const AttnSimInput& in, const KernelConfig& cfg,
                                    const std::vector<BlockRowShape>& rows) {
   const int num_heads = backend.head_fusion ? in.num_kv_heads : in.num_qo_heads;
   const int num_ctas = dev.num_sms;  // Persistent grid, k = 1.
+  const double auto_l2 = KvReuseFraction(rows, num_heads, in.num_kv_heads);
+  const double l2_fraction = 1.0 - (1.0 - in.kv_l2_fraction) * (1.0 - auto_l2);
+  SchedulePricer<kReport> pricer(dev, cfg, in.head_dim, backend.kv_dtype, l2_fraction, rows,
+                                 num_heads);
   ChunkSchedule& schedule = t_scratch.schedule;
   switch (backend.scheduler) {
     case SchedulerKind::kBalanced:
-      ScheduleBalanced(rows, num_heads, cfg.tile_kv, num_ctas, 1.0, 1.0, &schedule);
+      ScheduleBalanced(rows, num_heads, cfg.tile_kv, num_ctas, 1.0, 1.0, &schedule, &pricer);
       break;
     case SchedulerKind::kNaive:
-      ScheduleNaive(rows, num_heads, &schedule);
+      ScheduleNaive(rows, num_heads, &schedule, &pricer);
       break;
     case SchedulerKind::kFixedSplit:
-      ScheduleFixedSplit(rows, num_heads, cfg.tile_kv, num_ctas, 4, &schedule);
+      ScheduleFixedSplit(rows, num_heads, cfg.tile_kv, num_ctas, 4, &schedule, &pricer);
       break;
   }
-  const double auto_l2 = KvReuseFraction(rows, num_heads, in.num_kv_heads);
-  const double l2_fraction = 1.0 - (1.0 - in.kv_l2_fraction) * (1.0 - auto_l2);
-  auto report = PriceSchedule<kReport>(dev, cfg, in.head_dim, backend.kv_dtype, l2_fraction,
-                                       rows, num_heads, schedule);
+  auto report = pricer.Report(schedule);
   report.time_us *= backend.kernel_time_scale;
   return report;
 }
@@ -415,7 +483,10 @@ gpusim::SimReport SimulateBatch(const gpusim::DeviceSpec& dev, const BackendConf
   // group (prefix KV, concatenated member rows) plus one per real request
   // (suffix KV only).
   const int g = in.num_qo_heads / in.num_kv_heads;
-  std::vector<int64_t> combined_qo, combined_kv;
+  auto& combined_qo = t_scratch.combined_qo;
+  auto& combined_kv = t_scratch.combined_kv;
+  combined_qo.clear();
+  combined_kv.clear();
   int max_group_rows = 1;
   for (const auto& group : in.groups) {
     int64_t rows = 0;

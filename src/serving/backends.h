@@ -89,19 +89,25 @@ struct AttnSimInput {
 
 /// Simulates one attention launch (per layer) for the step: derives the
 /// query tiles from the lengths, runs the backend's scheduler, charges each
-/// chunk's roofline cost to its CTA in assignment order, and returns the
-/// full launch report: launch time, every CTA's time and the byte/flop
-/// totals, bit-identical to materializing the Plan and walking it. With
-/// `backend.composable` and non-empty groups, prefix KV is processed once
-/// per group at large Br (level 0) and suffixes at small Br (level 1), plus
-/// the extra contraction.
+/// chunk's roofline cost to its CTA as the scheduler places it (so in
+/// assignment order), and returns the full launch report: launch time,
+/// every CTA's time and the byte/flop totals, bit-identical to
+/// materializing the Plan and walking it. With `backend.composable` and
+/// non-empty groups, prefix KV is processed once per group at large Br
+/// (level 0) and suffixes at small Br (level 1), plus the extra
+/// contraction.
 gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
                                          const BackendConfig& backend, const AttnSimInput& in);
 
 /// The launch time alone: exactly SimulateBatchAttention(dev, backend,
 /// in).time_us, bit for bit, for every backend and input. Both share one
 /// pricer; this one skips what only the report needs (per-CTA times in the
-/// report, byte/flop totals). The serving engine prices every step here.
+/// report, byte/flop totals) and charges a run of equal-cost chunks that
+/// all take the same time with one lookup. The serving engine prices every
+/// step here: one pass over Algorithm 1 that lists no assignments, and
+/// whose key sort starts from the thread's previous order when the step
+/// has the previous step's chunk counts (a decode step that grew every
+/// row by a token mostly does).
 double BatchAttentionTimeUs(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
                             const AttnSimInput& in);
 

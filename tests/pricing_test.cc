@@ -6,11 +6,15 @@
 // The reference (test_util.h) builds fake page tables and the batch BSR,
 // materializes the backend's Plan and walks it. Over thousands of seeded
 // batches both must agree to the last bit on the launch time, every
-// byte/flop total, the grid and each CTA's time.
+// byte/flop total, the grid and each CTA's time. Stepped decode batches
+// also exercise the key order each thread reuses from its previous call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <map>
+#include <numeric>
 #include <optional>
 
 #include "serving/backends.h"
@@ -319,6 +323,140 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   EXPECT_GT(radix_sorted, 350);
   EXPECT_GT(radix_low_bytes_only, 10);
   EXPECT_GT(radix_cross_row_ties, 300);
+}
+
+TEST(Pricing, DecodeStepsMatchReferenceWhileReusingKeyOrder) {
+  // One decode batch stepped as the engine steps it: every row gains a KV
+  // token per step. A call whose per-row chunk counts equal the previous
+  // call's insertion-sorts that call's key order with the new costs. Over
+  // 300 steps Lkv grows from 1536 in 64-token tile steps while the rows keep
+  // their chunk counts, so reuse must reorder keys, and rows cross chunk
+  // boundaries, so it must also fall back to sorting afresh. On every step
+  // the engine's time-only price must equal the full report, which must
+  // equal the plan walk, and the balanced queues must equal the unit-by-unit
+  // Algorithm 1.
+  const auto dev = gpusim::H100Sxm80GB();
+  const BackendConfig backend = serving::FlashInferBackend();
+  AttnSimInput in;
+  in.kv_lens = {9000, 770, 2000, 1850, 1400, 1360, 2330, 300, 2890, 1820, 1520, 1040};
+  in.qo_lens.assign(in.kv_lens.size(), 1);
+  const int num_heads = in.num_kv_heads;  // Head fusion.
+  int64_t last_lkv = 0;
+  std::vector<int32_t> last_chunks;
+  int lkv_moves_keeping_chunks = 0, chunk_count_changes = 0;
+  for (int step = 0; step < 300; ++step) {
+    const double time_us = serving::BatchAttentionTimeUs(dev, backend, in);
+    const auto report = serving::SimulateBatchAttention(dev, backend, in);
+    ASSERT_EQ(test::TimeOnlyDiff(time_us, report), "") << "step " << step;
+    ASSERT_EQ(test::ReportDiff(report, test::ReferenceSimulateBatchAttention(dev, backend, in)),
+              "")
+        << "step " << step;
+    const test::ReferenceLaunch launch(dev, backend, in, in.qo_lens, in.kv_lens);
+    ASSERT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, dev.num_sms, 1.0, 1.0), "")
+        << "step " << step;
+
+    ChunkSchedule s;
+    ScheduleBalanced(BlockRowsFromBsr(launch.p), num_heads, launch.cfg.tile_kv, dev.num_sms,
+                     1.0, 1.0, &s);
+    std::vector<int32_t> chunks;
+    for (const auto& split : s.splits) chunks.push_back(split.num_chunks);
+    if (step > 0) {
+      lkv_moves_keeping_chunks += s.lkv_chunk != last_lkv && chunks == last_chunks;
+      chunk_count_changes += chunks != last_chunks;
+    }
+    last_lkv = s.lkv_chunk;
+    last_chunks = chunks;
+    for (auto& kv : in.kv_lens) ++kv;
+  }
+  EXPECT_EQ(lkv_moves_keeping_chunks, 3);
+  EXPECT_EQ(chunk_count_changes, 3);
+}
+
+TEST(Pricing, ReversedKeyOrderFallsBackToTheFullSort) {
+  // Rows with the previous call's chunk counts but reversed costs: the
+  // reused key order is exactly backwards, and insertion-sorting it would
+  // take ~n^2/2 element moves. Past n moves the scheduler sorts afresh, so
+  // the call costs about what a fresh sort costs; with n = 8192 an unbounded
+  // insertion sort takes over 100x longer. One CTA keeps every row unsplit
+  // and lists the chunks in sorted order.
+  constexpr int kRows = 8192;
+  std::vector<BlockRowShape> ascending, descending;
+  for (int32_t i = 0; i < kRows; ++i) {
+    ascending.push_back({i, 1, 100 + i});
+    descending.push_back({i, 1, 100 + kRows - i});
+  }
+  const std::vector<BlockRowShape> fewer(ascending.begin(), ascending.end() - 1);
+  ChunkSchedule s;
+  auto schedule = [&](const std::vector<BlockRowShape>& rows) {
+    ScheduleBalanced(rows, /*num_heads=*/1, /*tile_kv=*/16, /*num_ctas=*/1, 1.0, 1.0, &s);
+  };
+  auto sorted_rows = [&] {
+    std::vector<int32_t> order;
+    for (const auto& a : s.assignments) order.push_back(a.block_row);
+    return order;
+  };
+  std::vector<int32_t> forward(kRows), backward(kRows);
+  std::iota(forward.begin(), forward.end(), 0);
+  std::iota(backward.rbegin(), backward.rend(), 0);
+
+  schedule(ascending);
+  ASSERT_EQ(sorted_rows(), backward);
+  schedule(descending);
+  ASSERT_EQ(sorted_rows(), forward);
+  schedule(ascending);
+  ASSERT_EQ(sorted_rows(), backward);
+
+  // Shortest of 5 timings each, after a call with the same chunk counts
+  // (reversed) or with one row fewer (a fresh sort).
+  auto shortest_s = [&](const std::vector<BlockRowShape>& before) {
+    double best = 1e9;
+    for (int rep = 0; rep < 5; ++rep) {
+      schedule(before);
+      const auto t0 = std::chrono::steady_clock::now();
+      schedule(descending);
+      best = std::min(best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                                .count());
+    }
+    return best;
+  };
+  const double reversed = shortest_s(ascending);
+  const double fresh = shortest_s(fewer);
+  EXPECT_LT(reversed, 8.0 * fresh) << "reversed " << reversed << " s, fresh " << fresh << " s";
+}
+
+TEST(Pricing, EqualCostRunChargesEachChunksOwnTime) {
+  // Row 0 reads exactly Lkv = 1024 tokens and stays unsplit; row 1 reads
+  // 2 * Lkv and splits into two 1024-token chunks, its last one included.
+  // The three keys share a cost (4 fused rows + 1024 tokens) and form the
+  // first run, but an unsplit chunk writes its output through while a split
+  // one writes a partial state, so their times differ. Every chunk lands
+  // on its own CTA, and the split row's partial chunks set the makespan:
+  // charging the whole run with its first chunk's time would lower it.
+  const auto dev = gpusim::H100Sxm80GB();
+  const BackendConfig backend = serving::FlashInferBackend();
+  AttnSimInput in;
+  in.kv_lens = {1024, 2048};
+  for (int i = 0; i < 13; ++i) in.kv_lens.push_back(990 + i);
+  in.qo_lens.assign(in.kv_lens.size(), 1);
+
+  const test::ReferenceLaunch launch(dev, backend, in, in.qo_lens, in.kv_lens);
+  ChunkSchedule s;
+  ScheduleBalanced(BlockRowsFromBsr(launch.p), in.num_kv_heads, launch.cfg.tile_kv, dev.num_sms,
+                   1.0, 1.0, &s);
+  ASSERT_EQ(s.lkv_chunk, 1024);
+  ASSERT_EQ(s.splits[0].num_chunks, 1);
+  ASSERT_EQ(s.splits[1].num_chunks, 2);
+  // Row 0's 8 heads on CTAs 0-7, row 1's chunks on CTAs 8-23.
+  ASSERT_EQ(s.assignments[0].cta, 0);
+  ASSERT_EQ(s.assignments[8].block_row, 1);
+  ASSERT_EQ(s.assignments[8].cta, 8);
+
+  const auto report = serving::SimulateBatchAttention(dev, backend, in);
+  ASSERT_EQ(test::ReportDiff(report, test::ReferenceSimulateBatchAttention(dev, backend, in)), "");
+  EXPECT_LT(report.cta_time_us[0], report.cta_time_us[8]);
+  EXPECT_EQ(*std::max_element(report.cta_time_us.begin(), report.cta_time_us.end()),
+            report.cta_time_us[8]);
+  EXPECT_EQ(test::TimeOnlyDiff(serving::BatchAttentionTimeUs(dev, backend, in), report), "");
 }
 
 TEST(Pricing, LengthRowsMatchPagedBsrRows) {

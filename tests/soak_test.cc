@@ -212,7 +212,10 @@ int64_t ExpectedOutputTokens(const Request& r) {
 /// plan-walking reference bit for bit. The plan walk schedules with the same
 /// ScheduleBalanced, so each batch's balanced schedule is also checked
 /// against Algorithm 1 stated unit by unit, as is one more batch's over a
-/// random head geometry and grid.
+/// random head geometry and grid. Last, one random decode batch steps like
+/// the engine's, every row a KV token longer per step, so the time-only
+/// price reuses the previous step's key order; it must equal the report's
+/// time on every step.
 void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
   Rng rng(seed ^ 0x9121CEull);
   serving::AttnSimInput geometry;
@@ -253,6 +256,20 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
       << "balanced schedule over " << heads.num_kv_heads << " kv heads ("
       << heads.num_qo_heads << " qo, fused " << backend.head_fusion << ") and " << num_ctas
       << " CTAs";
+
+  serving::AttnSimInput decode = geometry;
+  for (int64_t n = rng.UniformInt(1, 48); n > 0; --n) {
+    decode.kv_lens.push_back(rng.UniformInt(1, 4000));
+  }
+  decode.qo_lens.assign(decode.kv_lens.size(), 1);
+  for (int step = 0; step < 32; ++step) {
+    const double time_us = serving::BatchAttentionTimeUs(cfg.device, cfg.backend, decode);
+    EXPECT_EQ(test::TimeOnlyDiff(
+                  time_us, serving::SimulateBatchAttention(cfg.device, cfg.backend, decode)),
+              "")
+        << "decode step " << step << " of " << decode.kv_lens.size() << " rows";
+    for (auto& kv : decode.kv_lens) ++kv;
+  }
 }
 
 /// Drains with a step bound so a future admission wedge fails with the
