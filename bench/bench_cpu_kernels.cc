@@ -204,14 +204,16 @@ void BM_ScheduleBalanced(benchmark::State& state) {
   const auto kv_lens = ShareGptDecodeKvLens(static_cast<int>(state.range(0)));
   std::vector<BlockRowShape> rows;
   ChunkSchedule schedule;
+  AssignmentList list(num_heads);
   int64_t items = 0;
   size_t next = 0;
   for (auto _ : state) {
     BlockRowsFromLengths(qo_lens, kv_lens[next], /*fuse=*/4, /*tile_q=*/16, /*causal=*/true,
                          &rows);
-    ScheduleBalanced(rows, num_heads, /*tile_kv=*/64, /*num_ctas=*/132, 1.0, 1.0, &schedule);
-    benchmark::DoNotOptimize(schedule.assignments.data());
-    items += static_cast<int64_t>(schedule.assignments.size());
+    ScheduleBalanced(rows, num_heads, /*tile_kv=*/64, /*num_ctas=*/132, 1.0, 1.0, &schedule,
+                     list);
+    benchmark::DoNotOptimize(list.assignments().data());
+    items += static_cast<int64_t>(list.assignments().size());
     next = (next + 1) % kv_lens.size();
   }
   state.SetItemsProcessed(items);

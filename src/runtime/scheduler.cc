@@ -103,7 +103,7 @@ class LeastLoadedCtas {
 
   void Place(double cost, size_t count, std::vector<CtaWord>& out) {
     if (first_empty_ >= 0) {
-      if (cost > 0.0) {
+      if (cost > 0.0 && first_empty_ < num_ctas_) {
         const int32_t lo = first_empty_;
         const int32_t hi = static_cast<int32_t>(
             std::min<size_t>(static_cast<size_t>(num_ctas_), static_cast<size_t>(lo) + count));
@@ -191,8 +191,8 @@ class LeastLoadedCtas {
   }
 
   int32_t num_ctas_ = 0;
-  // The lowest empty CTA, all later ones empty too; -1 once every CTA is in
-  // a class.
+  // The lowest empty CTA, all later ones empty too (num_ctas_ once the
+  // first round has loaded every CTA); -1 once every CTA is in a class.
   int32_t first_empty_ = 0;
   int32_t words_ = 0;              // Bitset words per class.
   std::vector<uint64_t> members_;  // Class id -> bitset of member CTAs.
@@ -304,34 +304,6 @@ std::span<const ChunkKey> SortedKeys(const std::vector<BlockRowShape>& rows,
   return keys;
 }
 
-/// Lists every placement in ChunkSchedule::assignments: what a scheduler
-/// without a sink reports to.
-class AssignmentWriter final : public PlacementSink {
- public:
-  AssignmentWriter(int num_heads, std::vector<ChunkSchedule::Assignment>* out)
-      : num_heads_(num_heads), out_(out) {}
-
-  void Split(const ChunkSchedule& s) override {
-    size_t chunks = 0;
-    for (const auto& split : s.splits) chunks += static_cast<size_t>(split.num_chunks);
-    out_->clear();
-    out_->reserve(chunks * static_cast<size_t>(num_heads_));
-  }
-  void Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) override {
-    RunChunks chunk(run, num_heads_);
-    for (const CtaWord& w : ctas) {
-      for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1, chunk.Next()) {
-        out_->push_back({chunk.key().block_row, chunk.head(), chunk.key().chunk,
-                         64 * w.word + std::countr_zero(bits)});
-      }
-    }
-  }
-
- private:
-  int num_heads_;
-  std::vector<ChunkSchedule::Assignment>* out_;
-};
-
 /// The baselines' placement: every chunk in generation order (block_row,
 /// head, chunk) as one run, round-robin over the grid from CTA 0.
 void PlaceRoundRobin(const std::vector<BlockRowShape>& rows, int num_heads,
@@ -381,7 +353,7 @@ void AppendMergeTasks(const AttentionParams& p, int32_t block_row, const BlockRo
 
 /// Turns a schedule into WorkItem queues and the reduction map.
 Plan Materialize(const AttentionParams& p, const std::vector<BlockRowShape>& rows,
-                 const ChunkSchedule& s) {
+                 const ChunkSchedule& s, const std::vector<ChunkAssignment>& assignments) {
   const int g = p.GroupSize();
   auto kv_head_of = [&](int h) { return p.head_fusion ? h : h / g; };
   auto qo_head_of = [&](int h) { return p.head_fusion ? -1 : h; };
@@ -395,7 +367,7 @@ Plan Materialize(const AttentionParams& p, const std::vector<BlockRowShape>& row
   plan.lkv_chunk = s.lkv_chunk;
   plan.num_partial_rows = s.num_partial_rows;
   plan.cta_queues.resize(static_cast<size_t>(s.num_ctas));
-  for (const auto& a : s.assignments) {
+  for (const auto& a : assignments) {
     const auto& row = rows[static_cast<size_t>(a.block_row)];
     const auto& split = s.splits[static_cast<size_t>(a.block_row)];
     const int64_t dest =
@@ -419,6 +391,23 @@ Plan Materialize(const AttentionParams& p, const std::vector<BlockRowShape>& row
 }
 
 }  // namespace
+
+void AssignmentList::Split(const ChunkSchedule& s) {
+  size_t chunks = 0;
+  for (const auto& split : s.splits) chunks += static_cast<size_t>(split.num_chunks);
+  assignments_.clear();
+  assignments_.reserve(chunks * static_cast<size_t>(num_heads_));
+}
+
+void AssignmentList::Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) {
+  RunChunks chunk(run, num_heads_);
+  for (const CtaWord& w : ctas) {
+    for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1, chunk.Next()) {
+      assignments_.push_back({chunk.key().block_row, chunk.head(), chunk.key().chunk,
+                              64 * w.word + std::countr_zero(bits)});
+    }
+  }
+}
 
 double Plan::MaxCtaCost(int tile_q) const noexcept {
   double worst = 0.0;
@@ -537,13 +526,11 @@ double IntraBatchKvReuseFraction(const AttentionParams& p) {
 
 void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
                       int num_ctas, double alpha, double beta, ChunkSchedule* out,
-                      PlacementSink* sink) {
+                      PlacementSink& sink) {
   FI_CHECK_GE(num_ctas, 1);
   FI_CHECK(std::isfinite(alpha) && alpha >= 0.0);
   FI_CHECK(std::isfinite(beta) && beta >= 0.0);
   out->num_ctas = num_ctas;
-  AssignmentWriter writer(num_heads, &out->assignments);
-  PlacementSink& to = sink != nullptr ? *sink : writer;
 
   // Line 3: maximum KV chunk size, rounded up to the KV tile.
   int64_t total_kv = 0;
@@ -554,7 +541,7 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
 
   // Line 4.
   SplitRows(rows, num_heads, [lkv](int64_t) { return lkv; }, out);
-  to.Split(*out);
+  sink.Split(*out);
 
   // Line 5: descending cost, ties in generation order (block_row, head,
   // chunk). Every head of a block row has the same chunks, so the sort runs
@@ -573,46 +560,43 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
     for (b = a + 1; b < keys.size() && keys[b].cost == keys[a].cost;) ++b;
     run_ctas.clear();
     ctas.Place(keys[a].cost, (b - a) * static_cast<size_t>(num_heads), run_ctas);
-    to.Place(keys.subspan(a, b - a), run_ctas);
+    sink.Place(keys.subspan(a, b - a), run_ctas);
   }
 }
 
 void ScheduleNaive(const std::vector<BlockRowShape>& rows, int num_heads, ChunkSchedule* out,
-                   PlacementSink* sink) {
+                   PlacementSink& sink) {
   out->num_ctas = static_cast<int>(rows.size()) * num_heads;
   out->lkv_chunk = 0;
-  AssignmentWriter writer(num_heads, &out->assignments);
-  PlacementSink& to = sink != nullptr ? *sink : writer;
   SplitRows(rows, num_heads, [](int64_t kv) { return kv; }, out);
-  to.Split(*out);
-  PlaceRoundRobin(rows, num_heads, *out, to);
+  sink.Split(*out);
+  PlaceRoundRobin(rows, num_heads, *out, sink);
 }
 
 void ScheduleFixedSplit(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
                         int num_ctas, int num_splits, ChunkSchedule* out,
-                        PlacementSink* sink) {
+                        PlacementSink& sink) {
   FI_CHECK_GE(num_ctas, 1);
   FI_CHECK_GE(num_splits, 1);
   out->num_ctas = num_ctas;
   out->lkv_chunk = 0;
-  AssignmentWriter writer(num_heads, &out->assignments);
-  PlacementSink& to = sink != nullptr ? *sink : writer;
   const int64_t tkv = std::max(1, tile_kv);
   SplitRows(
       rows, num_heads,
       [&](int64_t kv) { return RoundUpToTile((kv + num_splits - 1) / num_splits, tkv); },
       out);
-  to.Split(*out);
-  PlaceRoundRobin(rows, num_heads, *out, to);
+  sink.Split(*out);
+  PlaceRoundRobin(rows, num_heads, *out, sink);
 }
 
 Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
                       int64_t max_partial_rows, double alpha, double beta) {
   const auto rows = BlockRowsFromBsr(p);
   ChunkSchedule s;
-  ScheduleBalanced(rows, NumUnitHeads(p), cfg.tile_kv, num_ctas, alpha, beta, &s);
+  AssignmentList list(NumUnitHeads(p));
+  ScheduleBalanced(rows, NumUnitHeads(p), cfg.tile_kv, num_ctas, alpha, beta, &s, list);
   FI_CHECK_LE(s.num_partial_rows, max_partial_rows);
-  Plan plan = Materialize(p, rows, s);
+  Plan plan = Materialize(p, rows, s, list.assignments());
   plan.alpha = alpha;
   plan.beta = beta;
   return plan;
@@ -621,17 +605,19 @@ Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num
 Plan MakeNaivePlan(const AttentionParams& p, const KernelConfig&) {
   const auto rows = BlockRowsFromBsr(p);
   ChunkSchedule s;
-  ScheduleNaive(rows, NumUnitHeads(p), &s);
-  return Materialize(p, rows, s);
+  AssignmentList list(NumUnitHeads(p));
+  ScheduleNaive(rows, NumUnitHeads(p), &s, list);
+  return Materialize(p, rows, s, list.assignments());
 }
 
 Plan MakeFixedSplitPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
                         int num_splits, int64_t max_partial_rows) {
   const auto rows = BlockRowsFromBsr(p);
   ChunkSchedule s;
-  ScheduleFixedSplit(rows, NumUnitHeads(p), cfg.tile_kv, num_ctas, num_splits, &s);
+  AssignmentList list(NumUnitHeads(p));
+  ScheduleFixedSplit(rows, NumUnitHeads(p), cfg.tile_kv, num_ctas, num_splits, &s, list);
   FI_CHECK_LE(s.num_partial_rows, max_partial_rows);
-  return Materialize(p, rows, s);
+  return Materialize(p, rows, s, list.assignments());
 }
 
 }  // namespace flashinfer

@@ -57,8 +57,8 @@
 //   2. ScheduleBalanced / ScheduleNaive / ScheduleFixedSplit split the block
 //      rows into KV chunks and place every chunk on a CTA. They report the
 //      split in a ChunkSchedule and each placement, in assignment order, to
-//      a PlacementSink; without a sink they list the placements in
-//      ChunkSchedule::assignments.
+//      a PlacementSink. AssignmentList is the sink that lists the
+//      placements, for the callers that need them.
 // The serving cost model prices a step straight from its lengths with a
 // sink that charges each chunk's time to its CTA as it is placed
 // (serving/backends.cc: BatchAttentionTimeUs for the engine,
@@ -182,20 +182,10 @@ struct ChunkSchedule {
       return std::min(kv_len, ChunkBegin(k) + chunk_len);
     }
   };
-  /// One chunk and the CTA it runs on. Listed in assignment order, so each
-  /// CTA's queue is the subsequence of its assignments.
-  struct Assignment {
-    int32_t block_row;
-    int32_t head;
-    int32_t chunk;  // k, see RowSplit::ChunkBegin.
-    int32_t cta;
-  };
   int num_ctas = 0;
   int64_t lkv_chunk = 0;  // Algorithm 1 line 3 (0 for the baselines).
   int64_t num_partial_rows = 0;
   std::vector<RowSplit> splits;  // Per block row.
-  /// Written only by a scheduler that runs without a PlacementSink.
-  std::vector<Assignment> assignments;
 };
 
 /// One (block_row, chunk) key: the chunk of every head of the block row.
@@ -219,8 +209,7 @@ struct CtaWord {
 /// (r, h, keys[j].chunk) for h = 0 .. num_heads - 1, each over j = a .. b - 1.
 class PlacementSink {
  public:
-  /// Every row is split: `s` holds all but the assignments. Called once,
-  /// before the first run.
+  /// Every row is split as `s` says. Called once, before the first run.
   virtual void Split(const ChunkSchedule& s) = 0;
   /// One run, never empty: its chunks, in order, go to the CTAs listed in
   /// `ctas`, one CTA per chunk.
@@ -265,16 +254,38 @@ class RunChunks {
   int32_t head_ = 0;
 };
 
+/// One chunk and the CTA it runs on.
+struct ChunkAssignment {
+  int32_t block_row;
+  int32_t head;
+  int32_t chunk;  // k, see ChunkSchedule::RowSplit::ChunkBegin.
+  int32_t cta;
+};
+
+/// The sink that lists every placement in assignment order, so each CTA's
+/// queue is the subsequence of its assignments: what Make*Plan
+/// materializes, and what tests and benches inspect. `num_heads` is the
+/// scheduler's. Each schedule written through it replaces the list.
+class AssignmentList final : public PlacementSink {
+ public:
+  explicit AssignmentList(int num_heads) noexcept : num_heads_(num_heads) {}
+  void Split(const ChunkSchedule& s) override;
+  void Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) override;
+  const std::vector<ChunkAssignment>& assignments() const noexcept { return assignments_; }
+
+ private:
+  int num_heads_;
+  std::vector<ChunkAssignment> assignments_;
+};
+
 /// ScheduleBalanced sorts its (block_row, chunk) keys with a stable radix
 /// sort from this many keys on, and with std::sort below it: fewer keys do
 /// not pay for the radix passes. Set by measurement on the serving
 /// benchmark's captured steps, where the two sorts break even at ~40 keys.
 inline constexpr size_t kRadixSortMinKeys = 40;
 
-/// The schedulers below overwrite `out` with the split and report each
-/// placement to `sink`, leaving `out->assignments` untouched; without a
-/// sink they list the placements there. Thread-safe: their scratch is
-/// thread-local.
+/// The schedulers below overwrite `out` with the split and report it and
+/// each placement to `sink`. Thread-safe: their scratch is thread-local.
 ///
 /// Algorithm 1 over `rows` x `num_heads` work units, `num_ctas` persistent
 /// CTAs and chunk cost alpha * rows + beta * kv_tokens. alpha and beta must
@@ -283,15 +294,15 @@ inline constexpr size_t kRadixSortMinKeys = 40;
 /// a maximal run of equal-cost keys in sorted order.
 void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
                       int num_ctas, double alpha, double beta, ChunkSchedule* out,
-                      PlacementSink* sink = nullptr);
+                      PlacementSink& sink);
 /// One CTA per work unit, unsplit: one run over every block row.
 void ScheduleNaive(const std::vector<BlockRowShape>& rows, int num_heads, ChunkSchedule* out,
-                   PlacementSink* sink = nullptr);
+                   PlacementSink& sink);
 /// `num_splits` tile-aligned chunks per unit, round-robin over `num_ctas`
 /// in generation order: one run over every block row.
 void ScheduleFixedSplit(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
                         int num_ctas, int num_splits, ChunkSchedule* out,
-                        PlacementSink* sink = nullptr);
+                        PlacementSink& sink);
 
 /// Fraction of the launch's KV reads served by L2 rather than HBM due to
 /// intra-batch reuse: every query tile of a request re-reads the request's

@@ -159,13 +159,6 @@ class SchedulePricer final : public PlacementSink {
           })) {
         for (const CtaWord& w : ctas) {
           double* times = times_.data() + 64 * static_cast<size_t>(w.word);
-          // A word's CTAs are mostly one index range: add over it as such.
-          const int lo = std::countr_zero(w.ctas);
-          const uint64_t from_lo = w.ctas >> lo;
-          if ((from_lo & (from_lo + 1)) == 0) {
-            for (int c = lo, hi = lo + std::countr_one(from_lo); c < hi; ++c) times[c] += us;
-            continue;
-          }
           for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1) {
             times[std::countr_zero(bits)] += us;
           }
@@ -290,13 +283,13 @@ gpusim::SimReport ScheduleAndPrice(const gpusim::DeviceSpec& dev, const BackendC
   ChunkSchedule& schedule = t_scratch.schedule;
   switch (backend.scheduler) {
     case SchedulerKind::kBalanced:
-      ScheduleBalanced(rows, num_heads, cfg.tile_kv, num_ctas, 1.0, 1.0, &schedule, &pricer);
+      ScheduleBalanced(rows, num_heads, cfg.tile_kv, num_ctas, 1.0, 1.0, &schedule, pricer);
       break;
     case SchedulerKind::kNaive:
-      ScheduleNaive(rows, num_heads, &schedule, &pricer);
+      ScheduleNaive(rows, num_heads, &schedule, pricer);
       break;
     case SchedulerKind::kFixedSplit:
-      ScheduleFixedSplit(rows, num_heads, cfg.tile_kv, num_ctas, 4, &schedule, &pricer);
+      ScheduleFixedSplit(rows, num_heads, cfg.tile_kv, num_ctas, 4, &schedule, pricer);
       break;
   }
   auto report = pricer.Report(schedule);

@@ -356,8 +356,9 @@ TEST(Pricing, DecodeStepsMatchReferenceWhileReusingKeyOrder) {
         << "step " << step;
 
     ChunkSchedule s;
+    AssignmentList list(num_heads);
     ScheduleBalanced(BlockRowsFromBsr(launch.p), num_heads, launch.cfg.tile_kv, dev.num_sms,
-                     1.0, 1.0, &s);
+                     1.0, 1.0, &s, list);
     std::vector<int32_t> chunks;
     for (const auto& split : s.splits) chunks.push_back(split.num_chunks);
     if (step > 0) {
@@ -387,12 +388,13 @@ TEST(Pricing, ReversedKeyOrderFallsBackToTheFullSort) {
   }
   const std::vector<BlockRowShape> fewer(ascending.begin(), ascending.end() - 1);
   ChunkSchedule s;
+  AssignmentList list(/*num_heads=*/1);
   auto schedule = [&](const std::vector<BlockRowShape>& rows) {
-    ScheduleBalanced(rows, /*num_heads=*/1, /*tile_kv=*/16, /*num_ctas=*/1, 1.0, 1.0, &s);
+    ScheduleBalanced(rows, /*num_heads=*/1, /*tile_kv=*/16, /*num_ctas=*/1, 1.0, 1.0, &s, list);
   };
   auto sorted_rows = [&] {
     std::vector<int32_t> order;
-    for (const auto& a : s.assignments) order.push_back(a.block_row);
+    for (const auto& a : list.assignments()) order.push_back(a.block_row);
     return order;
   };
   std::vector<int32_t> forward(kRows), backward(kRows);
@@ -441,15 +443,17 @@ TEST(Pricing, EqualCostRunChargesEachChunksOwnTime) {
 
   const test::ReferenceLaunch launch(dev, backend, in, in.qo_lens, in.kv_lens);
   ChunkSchedule s;
+  AssignmentList list(in.num_kv_heads);
   ScheduleBalanced(BlockRowsFromBsr(launch.p), in.num_kv_heads, launch.cfg.tile_kv, dev.num_sms,
-                   1.0, 1.0, &s);
+                   1.0, 1.0, &s, list);
   ASSERT_EQ(s.lkv_chunk, 1024);
   ASSERT_EQ(s.splits[0].num_chunks, 1);
   ASSERT_EQ(s.splits[1].num_chunks, 2);
   // Row 0's 8 heads on CTAs 0-7, row 1's chunks on CTAs 8-23.
-  ASSERT_EQ(s.assignments[0].cta, 0);
-  ASSERT_EQ(s.assignments[8].block_row, 1);
-  ASSERT_EQ(s.assignments[8].cta, 8);
+  const auto& assignments = list.assignments();
+  ASSERT_EQ(assignments[0].cta, 0);
+  ASSERT_EQ(assignments[8].block_row, 1);
+  ASSERT_EQ(assignments[8].cta, 8);
 
   const auto report = serving::SimulateBatchAttention(dev, backend, in);
   ASSERT_EQ(test::ReportDiff(report, test::ReferenceSimulateBatchAttention(dev, backend, in)), "");

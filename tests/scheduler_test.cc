@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
+#include <thread>
 
 #include "runtime/scheduler.h"
 #include "test_util.h"
@@ -257,19 +262,111 @@ TEST(BalancedPlan, ZeroLengthKvHandled) {
   EXPECT_EQ(plan.NumWorkItems(), 2);
 }
 
+/// Lists the placements like AssignmentList, and counts the CTA words that
+/// break PlacementSink's contract: an empty word, or a run whose words do
+/// not hold exactly one CTA per chunk.
+class CheckedAssignmentList final : public PlacementSink {
+ public:
+  explicit CheckedAssignmentList(int num_heads) : num_heads_(num_heads), list_(num_heads) {}
+  void Split(const ChunkSchedule& s) override { list_.Split(s); }
+  void Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) override {
+    size_t placed = 0;
+    for (const CtaWord& w : ctas) {
+      empty_words += w.ctas == 0;
+      placed += static_cast<size_t>(std::popcount(w.ctas));
+    }
+    miscounted_runs += placed != run.size() * static_cast<size_t>(num_heads_);
+    list_.Place(run, ctas);
+  }
+  const std::vector<ChunkAssignment>& assignments() const { return list_.assignments(); }
+
+  int empty_words = 0;
+  int miscounted_runs = 0;
+
+ private:
+  int num_heads_;
+  AssignmentList list_;
+};
+
+/// (block_row, head, chunk, cta) of every placement.
+std::vector<std::array<int32_t, 4>> Placements(const std::vector<ChunkAssignment>& list) {
+  std::vector<std::array<int32_t, 4>> out;
+  for (const auto& a : list) out.push_back({a.block_row, a.head, a.chunk, a.cta});
+  return out;
+}
+
+TEST(BalancedSchedule, RunsAfterAnExactlyFullFirstRoundJoinTheClasses) {
+  // 132 / num_heads rows of distinct cost take one run each, and together
+  // their chunks load every CTA of a 132-CTA grid (132 is not a multiple of
+  // 64, so the grid's last word is partial). The next run of positive cost
+  // must start placing over the equal-load classes rather than open a
+  // first-round class of no CTAs. Its rows cost less than half the first
+  // round's, so that run's first move creates the class of a new load.
+  // Zero-cost rows (alpha = 0, no KV) end the batch. A 4096-token KV tile
+  // keeps every row unsplit, so Algorithm 1 is
+  // a least-loaded scan over (cost desc, block_row, head). Each schedule
+  // runs on a fresh thread, whose scheduler scratch this call alone sizes,
+  // so a sanitizer build sees any write past the class pool.
+  constexpr int kCtas = 132;
+  for (int num_heads : {1, 2, 4}) {
+    for (double alpha : {1.0, 0.0}) {
+      std::vector<BlockRowShape> rows;
+      const int full_round = kCtas / num_heads;
+      for (int i = 0; i < full_round; ++i) rows.push_back({0, 1, 1000 + i});
+      for (int i = 0; i < 40; ++i) rows.push_back({0, 1, 300 + i % 20});
+      for (int i = 0; i < 6; ++i) rows.push_back({0, 1, 0});
+      for (int32_t i = 0; i < static_cast<int32_t>(rows.size()); ++i) rows[i].request = i;
+
+      std::vector<std::array<int32_t, 4>> expected;  // Unit by unit.
+      {
+        struct Unit {
+          double cost;
+          int32_t row, head;
+        };
+        std::vector<Unit> units;
+        for (int32_t r = 0; r < static_cast<int32_t>(rows.size()); ++r) {
+          const double cost = alpha * rows[r].rows + static_cast<double>(rows[r].kv_len);
+          for (int32_t h = 0; h < num_heads; ++h) units.push_back({cost, r, h});
+        }
+        std::stable_sort(units.begin(), units.end(),
+                         [](const Unit& a, const Unit& b) { return a.cost > b.cost; });
+        std::vector<double> load(kCtas, 0.0);
+        for (const Unit& u : units) {
+          const auto cta = std::min_element(load.begin(), load.end()) - load.begin();
+          load[static_cast<size_t>(cta)] += u.cost;
+          expected.push_back({u.row, u.head, 0, static_cast<int32_t>(cta)});
+        }
+      }
+      // The first round fills the grid exactly: chunk i on CTA i.
+      for (int32_t i = 0; i < kCtas; ++i) ASSERT_EQ(expected[static_cast<size_t>(i)][3], i);
+
+      CheckedAssignmentList sink(num_heads);
+      std::thread([&] {
+        ChunkSchedule s;
+        ScheduleBalanced(rows, num_heads, /*tile_kv=*/4096, kCtas, alpha, 1.0, &s, sink);
+      }).join();
+      EXPECT_EQ(sink.empty_words, 0) << num_heads << " heads, alpha " << alpha;
+      EXPECT_EQ(sink.miscounted_runs, 0) << num_heads << " heads, alpha " << alpha;
+      EXPECT_EQ(Placements(sink.assignments()), expected)
+          << num_heads << " heads, alpha " << alpha;
+    }
+  }
+}
+
 TEST(BalancedScheduleDeathTest, RejectsNegativeOrNonFiniteCostWeights) {
   // The equal-load CTA classes order loads by their bit patterns, which
   // needs non-negative loads, so the cost weights are checked.
   const std::vector<BlockRowShape> rows = {{0, 4, 300}, {1, 4, 70}};
   ChunkSchedule s;
-  ScheduleBalanced(rows, 2, 64, 3, 0.0, 1.0, &s);  // Fine.
-  EXPECT_EQ(s.assignments.size(), 6u);  // Row 0 splits in two at Lkv = 256.
-  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, -1.0, 1.0, &s), "FI_CHECK");
-  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, 1.0, -0.25, &s), "FI_CHECK");
+  AssignmentList list(2);
+  ScheduleBalanced(rows, 2, 64, 3, 0.0, 1.0, &s, list);  // Fine.
+  EXPECT_EQ(list.assignments().size(), 6u);  // Row 0 splits in two at Lkv = 256.
+  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, -1.0, 1.0, &s, list), "FI_CHECK");
+  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, 1.0, -0.25, &s, list), "FI_CHECK");
   EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, std::numeric_limits<double>::infinity(),
-                                1.0, &s),
+                                1.0, &s, list),
                "FI_CHECK");
-  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, 1.0, std::nan(""), &s), "FI_CHECK");
+  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, 1.0, std::nan(""), &s, list), "FI_CHECK");
 }
 
 }  // namespace
