@@ -1,6 +1,6 @@
 // Chunked prefill + mixed batching bench: P99 inter-token latency vs
-// throughput on a bursty long-prompt mix, against the legacy prefill-alone
-// engine (`prefill_chunk_tokens = 0`).
+// throughput on a bursty long-prompt mix, against the prefill-alone batch
+// policy (`BatchPolicy::kPrefillAlone`).
 //
 // Under prefill-alone, every burst of long prompts head-of-line-blocks the
 // running decodes: branches stall through the burst's prefill steps and the
@@ -47,6 +47,10 @@ ServingMetrics RunWith(const std::vector<Request>& w, int64_t chunk,
   return ServingEngine(cfg).Run(w);
 }
 
+ServingMetrics RunAlone(const std::vector<Request>& w, SchedulerKind sched) {
+  return RunWith(w, BaseConfig().prefill_chunk_tokens, BatchPolicy::kPrefillAlone, sched);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -57,8 +61,9 @@ int main(int argc, char** argv) {
   bench::Banner("Chunked prefill",
                 "mixed prefill/decode batching through a unified StepPlan");
   bench::Note("Llama 3.1 8B on H100; steady short-prompt decode traffic overlaid");
-  bench::Note("with bursts of 4k-8k-token prompts. chunk=0 is the legacy");
-  bench::Note("prefill-alone loop (decodes stall behind each burst's prefill).");
+  bench::Note("with bursts of 4k-8k-token prompts. prefill-alone runs whole");
+  bench::Note("prompts in steps that decode nothing (decodes stall behind each");
+  bench::Note("burst's prefill).");
 
   const int scale = quick ? 2 : 1;
   BurstyPrefillConfig wcfg;
@@ -105,8 +110,7 @@ int main(int argc, char** argv) {
     c.burst_period_s = ba.period_s;
     Rng rng(2027);
     const auto w = BurstyLongPrefillWorkload(rng, c);
-    const auto alone =
-        RunWith(w, 0, BatchPolicy::kDecodePriority, SchedulerKind::kBalanced);
+    const auto alone = RunAlone(w, SchedulerKind::kBalanced);
     const auto chunked = RunWith(w, headline_chunk, BatchPolicy::kDecodePriority,
                                  SchedulerKind::kBalanced);
     for (const auto* p : {&alone, &chunked}) {
@@ -129,8 +133,7 @@ int main(int argc, char** argv) {
   // --- Chunk size x policy sweep on the bursty mix. ------------------------
   Rng rng(2027);
   const auto w = BurstyLongPrefillWorkload(rng, wcfg);
-  const auto alone =
-      RunWith(w, 0, BatchPolicy::kDecodePriority, SchedulerKind::kBalanced);
+  const auto alone = RunAlone(w, SchedulerKind::kBalanced);
   std::printf("\nprefill-alone baseline: %.0f tok/s, P99 ITL %.1f ms, max ITL"
               " %.1f ms, %lld stalled branch-steps\n",
               alone.ThroughputTokS(), alone.P99ItlMs(), alone.MaxItlMs(),
@@ -183,8 +186,7 @@ int main(int argc, char** argv) {
   // splitting, so one long-KV work unit dominates each launch. ------------
   std::printf("\n--- scheduler ablation @ chunk %lld (decode-priority) ---\n",
               static_cast<long long>(headline_chunk));
-  const auto naive_alone =
-      RunWith(w, 0, BatchPolicy::kDecodePriority, SchedulerKind::kNaive);
+  const auto naive_alone = RunAlone(w, SchedulerKind::kNaive);
   const auto naive_chunked = RunWith(w, headline_chunk, BatchPolicy::kDecodePriority,
                                      SchedulerKind::kNaive);
   const auto bal_chunked = RunWith(w, headline_chunk, BatchPolicy::kDecodePriority,

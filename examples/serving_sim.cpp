@@ -1,9 +1,9 @@
 // End-to-end serving simulation: Llama-3.1-8B on a simulated H100 under a
 // ShareGPT-like workload, comparing the FlashInfer backend against the
 // Triton backend (the Fig. 7 setting at example scale), plus the chunked
-// prefill / mixed-batching knob: prefill_chunk_tokens = 0 restores the
-// legacy prefill-alone loop, whose decode stalls show up in the ITL tail
-// and the stall counters.
+// prefill / mixed-batching knob: BatchPolicy::kPrefillAlone runs whole
+// prompts in steps that decode nothing, and its decode stalls show up in the
+// ITL tail and the stall counters.
 // The final section turns on engine tracing AND the live telemetry plane,
 // re-runs the workload under KV pressure with three tenants and per-class
 // SLOs, prints the per-request wall-clock decomposition recovered from the
@@ -45,17 +45,17 @@ int main() {
   std::printf("Llama 3.1 8B, simulated 1xH100, 120 ShareGPT-like requests @ 20 req/s\n");
   table.Print();
 
-  // Chunked prefill vs the legacy prefill-alone loop: same workload, same
-  // backend, only the batch former changes.
+  // Chunked prefill vs prefill-alone: same workload, same backend, only the
+  // batch policy changes.
   std::printf("\nchunked prefill (StepPlan mixed batches) vs prefill-alone:\n");
   AsciiTable chunked({"mode", "P99 ITL (ms)", "max ITL (ms)", "mixed steps %",
                       "stalled branch-steps", "mean stalls/branch"});
   cfg.backend = FlashInferBackend();
-  for (const int64_t chunk : {int64_t{0}, int64_t{2048}}) {
-    cfg.prefill_chunk_tokens = chunk;
+  for (const BatchPolicy policy : {BatchPolicy::kPrefillAlone, BatchPolicy::kDecodePriority}) {
+    cfg.batch_policy = policy;
     ServingEngine engine(cfg);
     const auto m = engine.Run(workload);
-    chunked.AddRow({chunk == 0 ? "prefill-alone (chunk=0)" : "chunked (2048)",
+    chunked.AddRow({policy == BatchPolicy::kPrefillAlone ? "prefill-alone" : "chunked (2048)",
                     AsciiTable::Num(m.P99ItlMs(), 2), AsciiTable::Num(m.MaxItlMs(), 2),
                     AsciiTable::Num(100.0 * m.MixedStepFrac(), 1),
                     AsciiTable::Num(static_cast<double>(m.itl_stall_steps), 0),
@@ -73,7 +73,6 @@ int main() {
     pressured[i].priority = i % 5 == 0 ? 1 : 0;
     pressured[i].tenant = static_cast<int>(i % 3);  // Three tenant classes.
   }
-  cfg.prefill_chunk_tokens = 2048;
   cfg.preemption.enabled = true;
   cfg.trace.enabled = true;
   // Live telemetry plane: windowed per-(tenant, priority) series plus

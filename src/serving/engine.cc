@@ -38,6 +38,8 @@ constexpr size_t kDeviceKvSeries = 0;  // fi_kv_device_tokens.
 
 ServingEngine::ServingEngine(EngineConfig cfg)
     : cfg_(std::move(cfg)), rng_(cfg_.spec.seed) {
+  FI_CHECK_GE(cfg_.prefill_chunk_tokens, 1);
+  FI_CHECK_GE(cfg_.max_running, 1);
   const double hbm_bytes = cfg_.hbm_capacity_gb * 1e9;
   const double weights = cfg_.model.WeightBytesPerGpu();
   const double kv_budget_bytes = (hbm_bytes - weights) * 0.9;  // Activation slack.
@@ -302,6 +304,7 @@ void ServingEngine::Reset() {
 }
 
 void ServingEngine::Admit(const Request& r) {
+  FI_CHECK_GE(r.parallel_n, 1);
   // Keep the queue sorted by (arrival, id) so the admission loop below never
   // stalls behind a later arrival. The id tie-break makes simultaneous
   // arrivals (bursts) order-independent of the Admit() call order: an
@@ -331,41 +334,21 @@ double ServingEngine::NextEventTime() const noexcept {
     if (p.ready_s <= now_s_) return now_s_;
     ready_min = std::min(ready_min, p.ready_s);
   }
-  // Admission at `now` is an event only when it would actually do something:
-  // restore the preempted head, reject the pending head (its need exceeds
-  // the total budget) or admit it. These tests must mirror RestorePreempted
-  // and AdmitArrived exactly. Missing a wake lets StepTo sleep to a transfer
-  // completion while Run() admits and works at now, diverging the two.
-  // Reporting `now` for a head that is blocked breaks StepTo(NextEventTime())
-  // instead: the step finds nothing to do before the deadline and returns
-  // without moving. Then the only events are a transfer completion
-  // (ready_min), a later arrival or, in disaggregated mode, the cluster
-  // driver extracting an exportable unit (external: +inf here).
-  const bool slot =
-      static_cast<int>(running_.size() + prefilling_.size()) < cfg_.max_running;
-  if (slot && !preempted_.empty() &&
-      kv_tokens_in_use_ + preempted_.front().reserve <= kv_token_budget_) {
-    return now_s_;
+  // Admission at `now` is an event exactly when the predicates that drive it
+  // would restore, reject or admit: a missed wake lets StepTo sleep past
+  // work Run() does at now, and a wake for a blocked head makes
+  // StepTo(NextEventTime()) spin. Otherwise the only events are a transfer
+  // completion (ready_min), a later arrival or, in disaggregated mode, the
+  // cluster driver extracting an exportable unit (external: +inf here).
+  if (CanRestoreHead() || PendingHeadAction() != HeadAction::kWait) return now_s_;
+  // A blocked restore with no transfer in flight waits for parked units to
+  // free its KV, which only the cluster driver can do.
+  const bool driver_bound =
+      prefilling_.empty() && !preempted_.empty() && !exportable_.empty();
+  if (pending_.empty() || driver_bound || pending_.front().arrival_s <= now_s_) {
+    return ready_min;  // +inf when fully drained.
   }
-  if (!pending_.empty()) {
-    const Request& head = pending_.front();
-    if (head.arrival_s > now_s_) {
-      // A blocked restore with no transfer in flight waits for parked units
-      // to free its KV, which only the cluster driver can do.
-      const bool driver_bound =
-          prefilling_.empty() && !preempted_.empty() && !exportable_.empty();
-      return driver_bound ? ready_min : std::min(ready_min, head.arrival_s);
-    }
-    const int64_t need = KvNeed(head);
-    // A blocked restore holds back every arrival it outranks or ties.
-    const bool outranks_restore =
-        preempted_.empty() || head.priority > preempted_.front().branch.priority;
-    if (slot && (need > kv_token_budget_ ||
-                 (outranks_restore && kv_tokens_in_use_ + need <= kv_token_budget_))) {
-      return now_s_;
-    }
-  }
-  return ready_min;  // +inf when fully drained.
+  return std::min(ready_min, pending_.front().arrival_s);
 }
 
 int64_t ServingEngine::StepTo(double deadline_s) {
@@ -383,16 +366,13 @@ void ServingEngine::Drain() { StepTo(std::numeric_limits<double>::infinity()); }
 
 int64_t ServingEngine::QueuedTokens() const noexcept {
   int64_t total = 0;
-  for (const auto& r : pending_) {
-    total += r.input_len + r.output_len * std::max(1, r.parallel_n);
-  }
+  for (const auto& r : pending_) total += r.input_len + r.output_len * r.parallel_n;
   // Partially prefilled requests still owe their un-prefilled remainder and
   // their whole output — a router must see that backlog, not just pending_.
   // (Restore entries count the same way: their synthetic req carries the
   // context left to rebuild and the branch's remaining output.)
   for (const auto& p : prefilling_) {
-    total += (p.to_compute - p.computed) +
-             p.req.output_len * std::max(1, p.req.parallel_n);
+    total += (p.to_compute - p.computed) + p.req.output_len * p.req.parallel_n;
   }
   // Preempted branches owe their remaining output plus, for recompute
   // restores, the whole context rebuild.
@@ -417,11 +397,9 @@ void ServingEngine::FinishBranch(const Branch& b) {
 }
 
 void ServingEngine::ReleaseKv(const Branch& b) {
-  // The branch's pages plus its admission slack (charged as parallel_n *
-  // slack_tokens_ at admission; leaking it would shrink effective capacity
-  // forever and can wedge admission on long-lived engines). A grouped branch
-  // releases its unique suffix; the shared prefix goes with the last sibling.
-  kv_tokens_in_use_ -= b.kv_len - (b.group < 0 ? 0 : b.prefix_len) + slack_tokens_;
+  // A grouped branch releases its unique suffix; the shared prefix goes with
+  // the last sibling.
+  kv_tokens_in_use_ -= BranchKvCharge(b, b.group >= 0);
   if (b.group >= 0) {
     auto& [refs, prefix] = group_refs_[b.group];
     if (--refs == 0) {
@@ -429,7 +407,6 @@ void ServingEngine::ReleaseKv(const Branch& b) {
       group_refs_.erase(b.group);
     }
   }
-  if (FullKvReserve()) kv_tokens_in_use_ -= b.remaining;
   if (b.kv_seq >= 0) structural_kv_->DropSequence(b.kv_seq);
 }
 
@@ -445,16 +422,18 @@ int64_t ServingEngine::KvNeed(const Request& r) const noexcept {
   return r.input_len + r.parallel_n * slack_tokens_ + full_out;
 }
 
+int64_t ServingEngine::BranchKvCharge(const MigratedBranch& b, bool grouped) const noexcept {
+  // The slack was charged as parallel_n * slack_tokens_ at admission;
+  // leaking it would shrink effective capacity forever.
+  return b.kv_len - (grouped ? b.prefix_len : 0) + slack_tokens_ +
+         (FullKvReserve() ? b.remaining : 0);
+}
+
 int64_t ServingEngine::UnitKvCharge(const MigrationUnit& u) const noexcept {
-  // Mirrors the charge the branches hold mid-decode: unique suffix + slack
-  // per branch (+ the remaining-output reservation on full-reserve engines),
-  // shared prefix once. Extraction releases exactly this; admission on the
+  // Extraction releases exactly what the branches hold; admission on the
   // destination re-acquires it.
   int64_t total = u.grouped ? u.prefix_tokens : 0;
-  for (const auto& b : u.branches) {
-    total += b.kv_len - (u.grouped ? b.prefix_len : 0) + slack_tokens_;
-    if (FullKvReserve()) total += b.remaining;
-  }
+  for (const auto& b : u.branches) total += BranchKvCharge(b, u.grouped);
   return total;
 }
 
@@ -610,9 +589,10 @@ double ServingEngine::RecomputeEstimateUs(int64_t kv_len) const {
   // Marginal GEMM: the chunks ride along steps that stream the weights
   // anyway, so each chunk's free allowance is the weight-streaming floor
   // (GemmUs(0) tokens) it shares. Above that, prefill is compute-bound.
-  const int64_t chunk = cfg_.prefill_chunk_tokens > 0
-                            ? std::min(cfg_.prefill_chunk_tokens, cfg_.max_prefill_tokens)
-                            : kv_len;
+  // Prefill-alone rebuilds the whole context as one chunk.
+  const int64_t chunk = cfg_.batch_policy == BatchPolicy::kPrefillAlone
+                            ? kv_len
+                            : std::min(cfg_.prefill_chunk_tokens, cfg_.max_prefill_tokens);
   const int64_t nchunks = std::max<int64_t>(1, (kv_len + chunk - 1) / std::max<int64_t>(chunk, 1));
   const double compute_us =
       cfg_.model.GemmFlopsPerToken() * static_cast<double>(kv_len) /
@@ -626,58 +606,63 @@ double ServingEngine::RecomputeEstimateUs(int64_t kv_len) const {
   return std::max(0.0, compute_us - floor_us) + attn_us;
 }
 
+bool ServingEngine::CanRestoreHead() const noexcept {
+  return !preempted_.empty() &&
+         static_cast<int>(running_.size() + prefilling_.size()) < cfg_.max_running &&
+         kv_tokens_in_use_ + preempted_.front().reserve <= kv_token_budget_;
+}
+
+ServingEngine::HeadAction ServingEngine::PendingHeadAction() const noexcept {
+  if (pending_.empty() || pending_.front().arrival_s > now_s_ ||
+      static_cast<int>(running_.size() + prefilling_.size()) >= cfg_.max_running) {
+    return HeadAction::kWait;
+  }
+  const Request& r = pending_.front();
+  const int64_t need = KvNeed(r);
+  // A request that could never run, even on an empty engine, would wedge
+  // the queue forever.
+  if (need > kv_token_budget_) return HeadAction::kReject;
+  // Anti-starvation: admitting arrivals into every freed increment would
+  // starve an evicted branch that outranks or ties them, so freed capacity
+  // drains to the restore queue first; only a strictly higher-priority
+  // arrival may jump it (and preempt for room).
+  if (!preempted_.empty() && r.priority <= preempted_.front().branch.priority) {
+    return HeadAction::kWait;
+  }
+  int64_t short_by = kv_tokens_in_use_ + need - kv_token_budget_;
+  if (short_by > 0 && cfg_.preemption.enabled) {
+    // Preempt-or-queue: count the KV that evicting every eligible victim
+    // would reclaim. Parallel-n siblings share prefix KV and are never
+    // evicted.
+    for (const Branch& b : running_) {
+      if (b.priority < r.priority && b.group < 0) short_by -= BranchKvCharge(b, false);
+    }
+  }
+  return short_by <= 0 ? HeadAction::kAdmit : HeadAction::kWait;
+}
+
 void ServingEngine::AdmitArrived() {
   RestorePreempted();
-  const bool legacy = cfg_.prefill_chunk_tokens == 0;
-  // Legacy prefill-alone fuses admission with prefill-step formation: this
-  // step prefills exactly what it admits, so the per-step token budget gates
-  // admission (an oversized request still admits alone — otherwise it would
-  // starve forever). Chunked admission is budget-free: pacing is
-  // FormStepPlan's job, and an admitted request waits in prefilling_ with
-  // its KV already reserved.
-  int64_t step_tokens = 0;
-  int admitted = 0;
-  while (!pending_.empty() && pending_.front().arrival_s <= now_s_ &&
-         static_cast<int>(running_.size() + prefilling_.size()) < cfg_.max_running) {
+  // An admitted request waits in prefilling_ with its KV reserved; pacing
+  // its prompt is FormStepPlan's job.
+  for (HeadAction action; (action = PendingHeadAction()) != HeadAction::kWait;) {
     const Request& r = pending_.front();
-    const int64_t new_tokens = r.input_len - CachedTokens(r);
-    if (legacy && admitted > 0 &&
-        step_tokens + new_tokens > cfg_.max_prefill_tokens) {
-      break;
-    }
     const int64_t need = KvNeed(r);
-    if (need > kv_token_budget_) {
-      // This request could never run, even on an empty engine: admitting it
-      // would wedge the queue forever (the pre-preemption engine aborted on
-      // an FI_CHECK when this state was reached). Refuse it and move on.
+    if (action == HeadAction::kReject) {
       ++metrics_.rejected_requests;
       TraceInstant(obs::TraceName::kReqReject, r.id, need, kv_token_budget_);
-      pending_.pop_front();
-      continue;
+    } else {
+      PreemptFor(r.priority, need);
+      kv_tokens_in_use_ += need;
+      const int64_t new_tokens = r.input_len - CachedTokens(r);
+      TraceSpan(obs::TraceName::kReqQueued, r.arrival_s, now_s_, r.id);
+      TraceInstant(obs::TraceName::kReqAdmit, r.id, new_tokens, need);
+      PrefillProgress p;
+      p.req = r;
+      p.to_compute = new_tokens;
+      p.phase_start_s = now_s_;
+      prefilling_.push_back(std::move(p));
     }
-    if (!preempted_.empty() && r.priority <= preempted_.front().branch.priority) {
-      // Anti-starvation: an evicted branch outranks (or ties) this arrival
-      // and is still waiting for capacity. Admitting the newcomer into every
-      // freed increment would starve the victim forever — freed capacity
-      // drains to the restore queue first; only a strictly higher-priority
-      // arrival may jump it (and preempt for room).
-      break;
-    }
-    if (kv_tokens_in_use_ + need > kv_token_budget_) {
-      // Preempt-or-queue: evict strictly-lower-priority running branches if
-      // that makes room; otherwise the request waits (FIFO) for capacity.
-      if (!cfg_.preemption.enabled || !TryPreemptFor(r, need)) break;
-    }
-    kv_tokens_in_use_ += need;
-    step_tokens += new_tokens;
-    ++admitted;
-    TraceSpan(obs::TraceName::kReqQueued, r.arrival_s, now_s_, r.id);
-    TraceInstant(obs::TraceName::kReqAdmit, r.id, new_tokens, need);
-    PrefillProgress p;
-    p.req = r;
-    p.to_compute = new_tokens;
-    p.phase_start_s = now_s_;
-    prefilling_.push_back(std::move(p));
     pending_.pop_front();
   }
 }
@@ -687,10 +672,8 @@ void ServingEngine::RestorePreempted() {
   // important victim re-enters first. Head-blocking within the deque is
   // deliberate — restoring a cheaper, lower-priority victim over a blocked
   // higher-priority one would invert the policy the evictions enforced.
-  while (!preempted_.empty() &&
-         static_cast<int>(running_.size() + prefilling_.size()) < cfg_.max_running) {
+  while (CanRestoreHead()) {
     Preempted& p = preempted_.front();
-    if (kv_tokens_in_use_ + p.reserve > kv_token_budget_) break;
     kv_tokens_in_use_ += p.reserve;
     Branch b = p.branch;
     TraceSpan(obs::TraceName::kReqPreempted, p.evicted_s, now_s_, b.request_id,
@@ -752,23 +735,14 @@ void ServingEngine::QueueResume(Resume kind, std::vector<Branch> branches, doubl
   prefilling_.push_back(std::move(p));
 }
 
-bool ServingEngine::TryPreemptFor(const Request& r, int64_t need) {
-  // Reclaimable KV across eligible victims: strictly lower priority,
-  // non-grouped (parallel-n siblings share prefix KV and are never evicted).
-  int64_t reclaimable = 0;
-  for (const auto& b : running_) {
-    if (b.priority < r.priority && b.group < 0) {
-      reclaimable += b.kv_len + b.remaining + slack_tokens_;
-    }
-  }
-  if (kv_tokens_in_use_ - reclaimable + need > kv_token_budget_) return false;
+void ServingEngine::PreemptFor(int priority, int64_t need) {
   while (kv_tokens_in_use_ + need > kv_token_budget_) {
     // Victim: lowest priority, then youngest (latest arrival, then highest
     // id — the branch that has the least sunk service time to protect).
     int victim = -1;
     for (size_t i = 0; i < running_.size(); ++i) {
       const Branch& b = running_[i];
-      if (b.priority >= r.priority || b.group >= 0) continue;
+      if (b.priority >= priority || b.group >= 0) continue;
       if (victim < 0) {
         victim = static_cast<int>(i);
         continue;
@@ -780,18 +754,15 @@ bool ServingEngine::TryPreemptFor(const Request& r, int64_t need) {
         victim = static_cast<int>(i);
       }
     }
-    FI_CHECK_GE(victim, 0);  // Guaranteed by the reclaimable pre-check.
+    FI_CHECK_GE(victim, 0);  // PendingHeadAction counted enough reclaimable KV.
     PreemptBranch(static_cast<size_t>(victim));
   }
-  return true;
 }
 
 void ServingEngine::PreemptBranch(size_t running_idx) {
   Branch b = running_[running_idx];
   running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(running_idx));
-  // Full-reservation invariant: the branch holds its admission charge
-  // input + slack + output == kv_len + remaining + slack.
-  const int64_t reserve = b.kv_len + b.remaining + slack_tokens_;
+  const int64_t reserve = BranchKvCharge(b, /*grouped=*/false);  // Victims never are.
   kv_tokens_in_use_ -= reserve;
   ++metrics_.num_preemptions;
   const int64_t evicted_pages = (b.kv_len + cfg_.page_size - 1) / cfg_.page_size;
@@ -810,8 +781,7 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
     case RestorePolicy::kAuto: {
       // Price the round trip on the bytes that will actually move: stored
       // bytes for both transfers (via the cache's observed ratio) plus the
-      // encode/decode passes over the logical bytes. Codec-off this reduces
-      // exactly to the historical 2*SwapUs(kv_len) crossover.
+      // encode/decode passes over the logical bytes.
       const double est = CodecRatioEstimate();
       swap = SwapOutUs(b.kv_len, est) + SwapInUs(b.kv_len, est) <
              RecomputeEstimateUs(b.kv_len);
@@ -892,38 +862,30 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
 ServingEngine::StepPlan ServingEngine::FormStepPlan() const {
   StepPlan plan;
   if (SwapGateEnd() > now_s_) return plan;  // Serialized swaps stall the batch.
-  if (cfg_.prefill_chunk_tokens == 0) {
-    // Legacy prefill-alone: every admitted request prefills its whole prompt
-    // this step.
-    for (size_t i = 0; i < prefilling_.size(); ++i) {
-      if (prefilling_[i].ready_s > now_s_) continue;  // Transfer in flight.
-      plan.chunks.push_back(
-          {i, prefilling_[i].to_compute - prefilling_[i].computed, true});
-    }
-  } else {
-    // Mixed batch: chunks ride along with every running branch's decode
-    // token. Decode-priority spends at most one chunk's worth of prefill per
-    // step; throughput-priority packs chunks up to the per-step budget. The
-    // max(1, ...) guarantees the head request always advances even under a
-    // degenerate budget.
-    int64_t budget = std::max<int64_t>(
-        1, cfg_.batch_policy == BatchPolicy::kDecodePriority
-               ? std::min(cfg_.prefill_chunk_tokens, cfg_.max_prefill_tokens)
-               : cfg_.max_prefill_tokens);
-    for (size_t i = 0; i < prefilling_.size() && budget > 0; ++i) {
-      if (prefilling_[i].ready_s > now_s_) continue;  // Transfer in flight.
-      const int64_t remaining = prefilling_[i].to_compute - prefilling_[i].computed;
-      const int64_t take = std::min({remaining, cfg_.prefill_chunk_tokens, budget});
-      plan.chunks.push_back({i, take, take == remaining});
-      budget -= take;
-    }
+  // Decode-priority spends at most one chunk's worth of prefill per step;
+  // throughput-priority packs chunks, and prefill-alone whole prompts, up to
+  // the per-step budget. The max(1, ...) guarantees the head request always
+  // advances even under a degenerate budget.
+  const bool alone = cfg_.batch_policy == BatchPolicy::kPrefillAlone;
+  int64_t budget = std::max<int64_t>(
+      1, cfg_.batch_policy == BatchPolicy::kDecodePriority
+             ? std::min(cfg_.prefill_chunk_tokens, cfg_.max_prefill_tokens)
+             : cfg_.max_prefill_tokens);
+  for (size_t i = 0; i < prefilling_.size() && budget > 0; ++i) {
+    if (prefilling_[i].ready_s > now_s_) continue;  // Transfer in flight.
+    const int64_t remaining = prefilling_[i].to_compute - prefilling_[i].computed;
+    // A whole prompt over the budget runs only as the step's first prompt.
+    if (alone && remaining > budget && plan.prefill_tokens > 0) break;
+    const int64_t take =
+        alone ? remaining : std::min({remaining, cfg_.prefill_chunk_tokens, budget});
+    plan.chunks.push_back({i, take, take == remaining});
+    plan.prefill_tokens += take;
+    budget -= take;
   }
-  for (const auto& c : plan.chunks) plan.prefill_tokens += c.tokens;
   // Prefill-alone decodes only in steps whose chunks carry no prompt tokens:
   // running branches stall behind a prefill (the head-of-line blocking mixed
   // batching removes), never behind a landed transfer.
-  plan.decode = !running_.empty() &&
-                (cfg_.prefill_chunk_tokens > 0 || plan.prefill_tokens == 0);
+  plan.decode = !running_.empty() && !(alone && plan.prefill_tokens > 0);
   return plan;
 }
 
@@ -1159,14 +1121,7 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     }
   }
 
-  // --- Decode commit. ------------------------------------------------------
-  if (plan.decode) {
-    if (spec_step) {
-      CommitSpecDecode();
-    } else {
-      CommitDecode();
-    }
-  }
+  if (plan.decode) CommitDecode();
 
   // --- Prefill progress and completions (FIFO order). ----------------------
   for (const auto& c : plan.chunks) {
@@ -1242,7 +1197,7 @@ void ServingEngine::CompletePrefill(const Request& r) {
   metrics_.cached_prefix_tokens += CachedTokens(r);
   const int group = r.parallel_n > 1 ? next_group_++ : -1;
   if (group >= 0) group_refs_[group] = {r.parallel_n, r.input_len};
-  std::vector<Branch> branches(static_cast<size_t>(std::max(r.parallel_n, 0)));
+  std::vector<Branch> branches(static_cast<size_t>(r.parallel_n));
   for (Branch& b : branches) {
     b.request_id = r.id;
     b.group = group;
@@ -1305,52 +1260,36 @@ void ServingEngine::AttachKv(std::vector<Branch>& branches) {
 }
 
 void ServingEngine::CommitDecode() {
+  const bool spec = cfg_.spec.enabled;
   // Survivors compact to the front in order; FinishBranch never touches
   // running_.
   size_t keep = 0;
   for (Branch& b : running_) {
-    const double gap_ms = (now_s_ - b.last_emit_s) * 1e3;
-    metrics_.AddItl(gap_ms);
-    ObserveTokens(b, /*tokens=*/1, gap_ms);
-    b.last_emit_s = now_s_;
-    // Preemption-enabled engines track the decode structurally too, so the
-    // structural pool holds exactly the pages every branch's KV occupies.
-    if (b.kv_seq >= 0) structural_kv_->ExtendSequence(b.kv_seq, 1);
-    b.kv_len += 1;
-    if (!FullKvReserve()) kv_tokens_in_use_ += 1;
-    ++metrics_.total_output_tokens;
-    b.remaining -= 1;
-    if (b.remaining > 0) {
-      running_[keep++] = b;
-    } else {
-      FinishBranch(b);
+    int64_t commit = 1;
+    if (spec) {
+      const int accepted = spec::SampleAcceptedLen(rng_, *tree_, b.accept_prob);
+      ++metrics_.accepted_len_hist[static_cast<size_t>(accepted)];
+      // Accepted draft prefix + the target's bonus/correction token, capped
+      // by the branch's output budget.
+      commit = std::min<int64_t>(accepted + 1, b.remaining);
+      SpecCommitKv(b, accepted, commit);
+      metrics_.spec_committed_tokens += commit;
+    } else if (b.kv_seq >= 0) {
+      // Preemption-enabled engines track the decode structurally too, so the
+      // structural pool holds exactly the pages every branch's KV occupies.
+      structural_kv_->ExtendSequence(b.kv_seq, 1);
     }
-  }
-  running_.resize(keep);
-}
-
-void ServingEngine::CommitSpecDecode() {
-  const spec::DraftTree& tree = *tree_;
-  size_t keep = 0;  // In-place compaction, as in CommitDecode.
-  for (Branch& b : running_) {
-    const int accepted = spec::SampleAcceptedLen(rng_, tree, b.accept_prob);
-    ++metrics_.accepted_len_hist[static_cast<size_t>(accepted)];
-    // Accepted draft prefix + the target's bonus/correction token, capped by
-    // the branch's output budget.
-    const int64_t commit = std::min<int64_t>(accepted + 1, b.remaining);
-    SpecCommitKv(b, accepted, commit);
     // Tokens of one verify step surface together: the first closes the gap
     // since the last emission, the rest arrive at (simulated) zero ITL —
     // exactly the burst delivery real spec decoding produces.
     const double gap_ms = (now_s_ - b.last_emit_s) * 1e3;
-    for (int64_t t = 0; t < commit; ++t) {
-      metrics_.AddItl(t == 0 ? gap_ms : 0.0);
-    }
+    metrics_.AddItl(gap_ms);
+    for (int64_t t = 1; t < commit; ++t) metrics_.AddItl(0.0);
     ObserveTokens(b, commit, gap_ms);
     b.last_emit_s = now_s_;
-    b.kv_len += commit;  // Budget-wise already reserved at admission.
+    b.kv_len += commit;
+    if (!FullKvReserve()) kv_tokens_in_use_ += commit;  // Else reserved at admission.
     metrics_.total_output_tokens += commit;
-    metrics_.spec_committed_tokens += commit;
     b.remaining -= commit;
     if (b.remaining > 0) {
       running_[keep++] = b;

@@ -1,9 +1,10 @@
 // Continuous-batching LLM serving engine over simulated time (Sec. 4.1).
 //
-// Every engine iteration is a *StepPlan*: a batch former assembles one
-// unified batch — each running branch contributes its decode token (or, with
-// spec decode enabled, its draft-tree verify tokens) and each in-flight
-// prefill contributes a prompt *chunk* of at most
+// Every engine iteration is a *StepPlan*: admission reserves KV for arrived
+// requests, then one batch former (FormStepPlan, driven by BatchPolicy)
+// assembles one unified batch — each running branch contributes its decode
+// token (or, with spec decode enabled, its draft-tree verify tokens) and each
+// in-flight prefill contributes a prompt *chunk* of at most
 // EngineConfig::prefill_chunk_tokens — and an executor prices that plan as a
 // single step. The resulting heterogeneous qo_lens go through ONE
 // BatchAttentionTimeUs call per step (the balanced scheduler absorbs the
@@ -14,10 +15,9 @@
 // paper's plan cache allows. A chunked request keeps partial-prefill
 // progress in per-request state across steps and emits its first token only
 // when its last chunk lands, so a long prompt never head-of-line-blocks the
-// running decodes. Chunking defaults on; `prefill_chunk_tokens = 0` restores
-// the legacy prefill-alone loop (whole prompts; steps with prompt tokens run
-// no decode tokens, as in early SGLang) — pinned by equivalence tests and kept
-// as the baseline the chunked-prefill bench ablates against.
+// running decodes. Chunking defaults on; BatchPolicy::kPrefillAlone runs
+// whole prompts in steps that decode nothing (as in early SGLang), the
+// baseline the chunked-prefill bench ablates against.
 //
 // Parallel generation (the OpenAI "n" parameter, Sec. 4.4) forks n branches
 // sharing the prompt KV through the paged cache; composable backends decode
@@ -40,20 +40,19 @@
 // through the chunked-prefill path — chosen per victim by a cost estimate
 // whose crossover the kv-pressure bench sweeps: short contexts recompute
 // nearly free under the weight-streaming floor, long contexts are
-// compute-bound and swap wins. Admission reserves each
-// branch's full output KV up front under preemption, so the device budget
-// is never violated; a request whose KV need exceeds the *total* budget is
-// rejected with a metric (the pre-preemption engine aborted on a loud
-// FI_CHECK when such a request wedged the arrival queue). The engine meters
-// the host tier itself, per page of the model's real head layout: table
-// bytes (kvcache/paged.h PageCodecTableFor) with the host codec on, raw page
-// bytes with it off.
+// compute-bound and swap wins. Admission reserves each branch's full output
+// KV up front under preemption, so the device budget is never violated; a
+// request whose KV need exceeds the *total* budget is rejected with a metric
+// instead of wedging the arrival queue. The engine meters the host tier
+// itself, per page of the model's real head layout: table bytes
+// (kvcache/paged.h PageCodecTableFor) with the host codec on, raw page bytes
+// with it off.
 //
 // The engine is *steppable*: a cluster driver (src/cluster/) owns N replicas
 // and interleaves event-driven time across them with Admit()/StepTo(), so
 // routing decisions can observe each replica's live load — including the
 // un-prefilled remainder of partially chunked requests (QueuedTokens()).
-// Run() remains a thin Reset+Admit+Drain wrapper, step-for-step identical on
+// Run() is a thin Reset+Admit+Drain wrapper, step-for-step identical on
 // arrival-sorted workloads (every in-repo generator); Admit() keeps the
 // queue sorted by arrival, so unsorted admission orders behave identically.
 #pragma once
@@ -81,8 +80,7 @@
 
 namespace flashinfer::serving {
 
-/// How the batch former spends each step's prefill budget when chunking is
-/// on (`prefill_chunk_tokens > 0`).
+/// How the batch former spends each step's prefill budget.
 enum class BatchPolicy {
   /// Cap each step's total prefill work at one chunk's worth
   /// (min(prefill_chunk_tokens, max_prefill_tokens)): every mixed step stays
@@ -92,6 +90,11 @@ enum class BatchPolicy {
   /// max_prefill_tokens per step: faster TTFT drain under prefill backlogs
   /// at the cost of longer mixed steps (worse ITL tail).
   kThroughputPriority,
+  /// No chunking: whole prompts in queue order while they fit
+  /// max_prefill_tokens (the head prompt always runs, alone when it is
+  /// larger), and a step with prompt tokens decodes nothing, so running
+  /// branches stall behind every prefill.
+  kPrefillAlone,
 };
 
 /// How a preempted branch's KV context is rebuilt when it re-enters.
@@ -144,8 +147,7 @@ struct PreemptionConfig {
   /// bytes and the tier's effective capacity multiplies. Restores decode the
   /// pages; decode time is priced into the restore transfer (CopyStream path
   /// included) and the per-page quantization MSE lands in ServingMetrics as
-  /// the accuracy proxy. Default-disabled: the raw host tier is
-  /// bit-identical to the pre-codec engine.
+  /// the accuracy proxy. Default-disabled: the host tier stores raw pages.
   KvCodecConfig host_codec;
   /// Codec throughput for pricing encode (evict) / decode (restore) time,
   /// GB/s over the page's *logical* bytes. Decode is cheaper than encode
@@ -161,16 +163,15 @@ struct EngineConfig {
   int page_size = 16;
   /// HBM per GPU, GB (weights + KV must fit).
   double hbm_capacity_gb = 80.0;
-  /// Max concurrently running branches.
+  /// Max concurrently running branches (>= 1).
   int max_running = 512;
   /// Per-step prefill token budget.
   int64_t max_prefill_tokens = 8192;
-  /// Max prompt tokens one request contributes to a single step. A longer
-  /// prompt is split into chunks that ride along with running decodes in
-  /// mixed batches. 0 restores the legacy prefill-alone loop: whole prompts,
-  /// prefill steps with no decode tokens, decodes stalling behind them.
+  /// Max prompt tokens one request contributes to a single step (>= 1). A
+  /// longer prompt is split into chunks that ride along with running decodes
+  /// in mixed batches. kPrefillAlone ignores it.
   int64_t prefill_chunk_tokens = 2048;
-  /// Mixed-batch formation policy (ignored when prefill_chunk_tokens == 0).
+  /// Batch formation policy.
   BatchPolicy batch_policy = BatchPolicy::kDecodePriority;
   /// NVLink all-reduce bandwidth per GPU, GB/s (tensor parallel).
   double nvlink_gbps = 450.0;
@@ -468,24 +469,31 @@ class ServingEngine {
   /// there is nothing left to do before the deadline.
   StepKind StepOnce(double deadline_s);
 
-  /// Moves arrived pending requests into prefilling_ under the KV and
-  /// max_running gates. Legacy mode (prefill_chunk_tokens == 0) additionally
-  /// applies the per-step prefill token budget here, because admission and
-  /// prefill-step formation are fused in the prefill-alone loop.
-  ///
-  /// Preemption hooks: preempted branches restore first (priority order,
-  /// re-reserving their KV charge); an arrived request that cannot ever fit
-  /// (need > total budget) is *rejected* with a metric instead of wedging
-  /// the queue; an arrived request blocked by running branches of strictly
-  /// lower priority preempts them (preempt-or-queue).
+  /// Restores preempted branches first, then moves arrived pending requests
+  /// into prefilling_ (reserving their KV) while PendingHeadAction() rejects
+  /// or admits the head. The per-step prefill token budget is
+  /// FormStepPlan's alone.
   void AdmitArrived();
 
   /// Restores preempted branches (priority desc, then eviction order) while
-  /// the device budget and a run slot allow. Both kinds queue a resume entry
-  /// in prefilling_: a swap-in rides a step as a zero-token transfer chunk
-  /// once its transfer on the H2D stream lands; a recompute rebuilds the
-  /// context as prompt chunks.
+  /// CanRestoreHead(). Both kinds queue a resume entry in prefilling_: a
+  /// swap-in rides a step as a zero-token transfer chunk once its transfer
+  /// on the H2D stream lands; a recompute rebuilds the context as prompt
+  /// chunks.
   void RestorePreempted();
+
+  /// Whether the preempted head can be restored now: a run slot is free and
+  /// its KV reserve fits the device budget.
+  bool CanRestoreHead() const noexcept;
+
+  /// What admission at now_s_ does with the pending head.
+  enum class HeadAction { kWait, kReject, kAdmit };
+  /// kWait without a free run slot or before the head's arrival. Else
+  /// kReject when its KV need exceeds the total budget (it could never run);
+  /// kWait behind a blocked restore it does not outrank (anti-starvation);
+  /// kAdmit when it fits, or when evicting running branches of strictly
+  /// lower priority that are not grouped makes room; kWait otherwise.
+  HeadAction PendingHeadAction() const noexcept;
 
   /// Queues an entry in prefilling_ that resumes `branches` when it
   /// completes (see PrefillProgress), runnable from `ready_s` on.
@@ -496,11 +504,10 @@ class ServingEngine {
   void CompleteResume(PrefillProgress& p);
 
   /// Evicts lowest-priority-then-youngest running branches of priority
-  /// strictly below `r.priority` until `need` fits the device budget.
-  /// Returns false (evicting nothing) when even evicting every eligible
-  /// victim would not make room. Grouped (parallel-n) branches share prefix
-  /// KV across siblings and are never chosen.
-  bool TryPreemptFor(const Request& r, int64_t need);
+  /// strictly below `priority` until `need` fits the device budget, for a
+  /// head PendingHeadAction() admitted. Grouped (parallel-n) branches share
+  /// prefix KV across siblings and are never chosen.
+  void PreemptFor(int priority, int64_t need);
 
   /// Evicts one running branch: releases its device KV charge and either
   /// swaps its KV to the host tier or drops it for recompute, per the
@@ -543,9 +550,13 @@ class ServingEngine {
   /// Admission KV charge for `r` under the active reservation policy.
   int64_t KvNeed(const Request& r) const noexcept;
 
+  /// Device KV charge one decoding branch holds: its own KV (less the shared
+  /// prefix when `grouped`), decode slack and, on full-reserve engines, its
+  /// remaining output.
+  int64_t BranchKvCharge(const MigratedBranch& b, bool grouped) const noexcept;
+
   /// Device KV charge a migration unit holds (source) or requires
-  /// (destination): per branch its unique KV + decode slack + (full-reserve
-  /// engines) the remaining-output reservation, plus the shared prefix once.
+  /// (destination): each branch's BranchKvCharge plus the shared prefix once.
   int64_t UnitKvCharge(const MigrationUnit& u) const noexcept;
 
   // --- Trace emission (no-ops when tracing is disabled: one branch each). ---
@@ -603,18 +614,16 @@ class ServingEngine {
   /// branch with nothing left to emit.
   void AttachKv(std::vector<Branch>& branches);
 
-  /// Vanilla decode commit: one token per running branch.
+  /// Commits one step's decode for every running branch: one token each, or
+  /// under spec decode its sampled accepted prefix plus the bonus token,
+  /// with the rejected KV rolled back.
   void CommitDecode();
-  /// Spec decode commit: sample acceptance, commit accepted+bonus tokens,
-  /// roll rejected KV back.
-  void CommitSpecDecode();
   /// KV fork/extend/rollback for one branch's verification outcome.
   void SpecCommitKv(Branch& b, int accepted, int64_t commit);
   /// Releases a finished branch's KV and records its stall count.
   void FinishBranch(const Branch& b);
-  /// Releases a branch's device KV charge (own tokens, slack and
-  /// remaining-output reserve; the group's shared prefix with the last
-  /// sibling) and its structural sequence.
+  /// Releases a branch's device KV charge (its BranchKvCharge; the group's
+  /// shared prefix with the last sibling) and its structural sequence.
   void ReleaseKv(const Branch& b);
 
   /// Roofline GEMM time for one forward pass of `m` over `tokens` rows

@@ -56,12 +56,12 @@ struct ServingMetrics {
   /// verify) tokens — the unified batches the balanced scheduler absorbs.
   int64_t mixed_steps = 0;
   /// Steps that ran prefill chunks with no decode tokens: either no branch
-  /// was running, or (legacy `prefill_chunk_tokens = 0`) prefill ran alone
-  /// and every running branch stalled.
+  /// was running, or (BatchPolicy::kPrefillAlone) prefill ran alone and
+  /// every running branch stalled.
   int64_t prefill_only_steps = 0;
   /// Steps with decode/spec-verify tokens only (no prefill in flight).
   int64_t decode_only_steps = 0;
-  /// Prefill chunk launches (== prefill steps when chunking is off).
+  /// Prefill chunk launches (one per whole prompt under kPrefillAlone).
   int64_t prefill_chunks = 0;
   /// Requests whose prompt spanned more than one chunk.
   int64_t chunked_requests = 0;
@@ -80,8 +80,7 @@ struct ServingMetrics {
   /// Running branches evicted to relieve KV pressure.
   int64_t num_preemptions = 0;
   /// Requests refused admission because their KV need exceeds the *total*
-  /// device budget — they could never run, even on an empty engine. The
-  /// pre-preemption engine aborted (FI_CHECK) on this condition.
+  /// device budget — they could never run, even on an empty engine.
   int64_t rejected_requests = 0;
   /// Device KV pages released by evictions (swapped out or dropped).
   int64_t evicted_pages = 0;
@@ -212,7 +211,7 @@ struct ServingMetrics {
 
   // --- Chunked-prefill derived metrics -------------------------------------
   /// Fraction of work steps that batched prefill chunks with decode tokens
-  /// (mixed-batch occupancy; 0 under the legacy prefill-alone loop).
+  /// (mixed-batch occupancy; 0 under BatchPolicy::kPrefillAlone).
   double MixedStepFrac() const {
     return num_steps > 0
                ? static_cast<double>(mixed_steps) / static_cast<double>(num_steps)

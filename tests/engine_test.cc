@@ -29,6 +29,28 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
+// Malformed configs and requests stop at the engine's edge. Unchecked, a
+// negative chunk size stepped forever without emitting a token, a zero run
+// limit aborted on an unrelated check in the idle path, and a request with
+// parallel_n < 1 left its prompt's KV charged after the drain.
+TEST(EngineDeathTest, RejectsInvalidInput) {
+  for (const int64_t chunk : {int64_t{0}, int64_t{-16}}) {
+    for (const BatchPolicy policy : {BatchPolicy::kDecodePriority, BatchPolicy::kPrefillAlone}) {
+      auto cfg = BaseConfig();
+      cfg.prefill_chunk_tokens = chunk;
+      cfg.batch_policy = policy;
+      EXPECT_DEATH(ServingEngine{cfg}, "prefill_chunk_tokens");
+    }
+  }
+  auto cfg = BaseConfig();
+  cfg.max_running = 0;
+  EXPECT_DEATH(ServingEngine{cfg}, "max_running");
+  for (const int n : {0, -2}) {
+    ServingEngine engine(BaseConfig());
+    EXPECT_DEATH(engine.Admit(MakeReq(0, 0.0, 512, 4, n)), "parallel_n");
+  }
+}
+
 TEST(Engine, OversizedPromptStillAdmits) {
   // Regression: a prompt longer than max_prefill_tokens must admit alone
   // rather than starving forever (previously an infinite loop).
@@ -111,7 +133,7 @@ TEST(Engine, OneTokenRequestsFinishAtTheirFirstToken) {
   const std::vector<Request> reqs = {MakeReq(0, 0.0, 64, 1), MakeReq(1, 0.0, 128, 1, 2),
                                      MakeReq(2, 0.01, 32, 1)};
   EngineConfig prefill_alone = BaseConfig();
-  prefill_alone.prefill_chunk_tokens = 0;
+  prefill_alone.batch_policy = BatchPolicy::kPrefillAlone;
   EngineConfig spec = BaseConfig();
   spec.spec.enabled = true;
   EngineConfig preempting = BaseConfig();
@@ -178,6 +200,51 @@ TEST(Engine, TensorParallelReducesItl) {
   EXPECT_LT(tp4.MedianItlMs(), tp1.MedianItlMs());
 }
 
+// Prefill-alone takes whole prompts in queue order while they fit the
+// per-step budget: here 600 + 300 share a step, the 1,500-token prompt
+// behind them runs alone in the next, and the 200-token one in the third.
+// Admission does not wait for the step that prefills a prompt: every
+// request reserves its KV at its arrival.
+TEST(PrefillAlone, WholePromptsFillEachStepInQueueOrder) {
+  auto cfg = BaseConfig();
+  cfg.batch_policy = BatchPolicy::kPrefillAlone;
+  cfg.max_prefill_tokens = 1000;
+  cfg.trace.enabled = true;
+  ServingEngine engine(cfg);
+  const auto m = engine.Run({MakeReq(0, 0.0, 600, 4), MakeReq(1, 0.0, 300, 4),
+                             MakeReq(2, 0.0, 1500, 4), MakeReq(3, 0.0, 200, 4)});
+  EXPECT_EQ(m.total_output_tokens, 16);
+  // Per recorded step: its decode rows and the (request, tokens) of each
+  // prompt chunk, whose kChunk instants follow the step's kStep span.
+  using Chunks = std::vector<std::pair<int, int64_t>>;
+  std::vector<std::pair<int64_t, Chunks>> steps;
+  int admits = 0;
+  for (const auto& e : engine.TraceEvents()) {
+    if (e.name == obs::TraceName::kStep) {
+      steps.push_back({e.b, {}});
+    } else if (e.name == obs::TraceName::kChunk) {
+      EXPECT_EQ(e.b, 1) << "request " << e.req << "'s chunk completes its prompt";
+      steps.back().second.emplace_back(e.req, e.a);
+    } else if (e.name == obs::TraceName::kReqAdmit) {
+      ++admits;
+      EXPECT_EQ(e.ts_us, 0.0) << "request " << e.req;
+    }
+  }
+  EXPECT_EQ(admits, 4);
+  ASSERT_GE(steps.size(), 3u);
+  EXPECT_EQ(steps[0].second, (Chunks{{0, 600}, {1, 300}}));
+  EXPECT_EQ(steps[1].second, (Chunks{{2, 1500}}));
+  EXPECT_EQ(steps[2].second, (Chunks{{3, 200}}));
+  for (size_t i = 0; i < steps.size(); ++i) {
+    if (i < 3) {
+      // Requests 0 and 1 stall through the two steps that prefill behind them.
+      EXPECT_EQ(steps[i].first, 0) << "step " << i;
+    } else {
+      EXPECT_TRUE(steps[i].second.empty()) << "step " << i;
+    }
+  }
+}
+
 // --- Chunked prefill / mixed batching (StepPlan) -----------------------------
 
 void ExpectSameMetrics(const ServingMetrics& a, const ServingMetrics& b) {
@@ -200,8 +267,8 @@ void ExpectSameMetrics(const ServingMetrics& a, const ServingMetrics& b) {
 
 // With prefill and decode never overlapping (sparse arrivals: each request
 // drains before the next arrives), a chunk that covers the whole prompt
-// must reproduce the legacy prefill-alone engine step-for-step — same
-// steps, same clocks, same per-request TTFT/ITL.
+// must reproduce the prefill-alone policy step-for-step — same steps, same
+// clocks, same per-request TTFT/ITL.
 TEST(ChunkedPrefill, ChunkCoveringPromptMatchesPrefillAlone) {
   std::vector<Request> reqs(4);
   for (int i = 0; i < 4; ++i) {
@@ -210,15 +277,15 @@ TEST(ChunkedPrefill, ChunkCoveringPromptMatchesPrefillAlone) {
     reqs[i].input_len = 700 + 100 * i;
     reqs[i].output_len = 6;
   }
-  auto legacy_cfg = BaseConfig();
-  legacy_cfg.prefill_chunk_tokens = 0;
-  const auto legacy = ServingEngine(legacy_cfg).Run(reqs);
+  auto alone_cfg = BaseConfig();
+  alone_cfg.batch_policy = BatchPolicy::kPrefillAlone;
+  const auto alone = ServingEngine(alone_cfg).Run(reqs);
 
   for (const int64_t chunk : {int64_t{1024}, int64_t{1 << 20}}) {
     auto cfg = BaseConfig();
     cfg.prefill_chunk_tokens = chunk;  // >= longest prompt: one chunk each.
     const auto chunked = ServingEngine(cfg).Run(reqs);
-    ExpectSameMetrics(legacy, chunked);
+    ExpectSameMetrics(alone, chunked);
     EXPECT_EQ(chunked.chunked_requests, 0);
   }
 }
@@ -244,32 +311,32 @@ TEST(ChunkedPrefill, LongPromptSpansChunksAndEmitsOnLastChunk) {
 }
 
 TEST(ChunkedPrefill, MixedBatchingRemovesDecodeStalls) {
-  // Running decodes + a long prompt arriving mid-flight: the legacy loop
+  // Running decodes + a long prompt arriving mid-flight: prefill-alone
   // stalls every branch behind the prefill; mixed batching does not, and
   // both deliver the same tokens.
   std::vector<Request> reqs(2);
   reqs[0] = MakeReq(0, 0.0, 64, 64, 1);
   reqs[1] = MakeReq(1, 0.05, 6000, 8, 1);  // Long prompt lands mid-decode.
 
-  auto legacy_cfg = BaseConfig();
-  legacy_cfg.prefill_chunk_tokens = 0;
-  const auto legacy = ServingEngine(legacy_cfg).Run(reqs);
-  EXPECT_GT(legacy.itl_stall_steps, 0);
-  EXPECT_GT(legacy.steps_with_stalls, 0);
-  EXPECT_EQ(legacy.mixed_steps, 0);
+  auto alone_cfg = BaseConfig();
+  alone_cfg.batch_policy = BatchPolicy::kPrefillAlone;
+  const auto alone = ServingEngine(alone_cfg).Run(reqs);
+  EXPECT_GT(alone.itl_stall_steps, 0);
+  EXPECT_GT(alone.steps_with_stalls, 0);
+  EXPECT_EQ(alone.mixed_steps, 0);
 
   auto cfg = BaseConfig();
   cfg.prefill_chunk_tokens = 512;
   const auto chunked = ServingEngine(cfg).Run(reqs);
   EXPECT_EQ(chunked.itl_stall_steps, 0);
   EXPECT_GT(chunked.mixed_steps, 0);
-  EXPECT_EQ(chunked.total_output_tokens, legacy.total_output_tokens);
+  EXPECT_EQ(chunked.total_output_tokens, alone.total_output_tokens);
   // The worst inter-token gap shrinks by at least the prefill-stall factor.
-  EXPECT_LT(chunked.MaxItlMs() * 2.0, legacy.MaxItlMs());
+  EXPECT_LT(chunked.MaxItlMs() * 2.0, alone.MaxItlMs());
   // Per-branch stall counters surface through branch_stalls.
-  int64_t legacy_stalls = 0;
-  for (int64_t s : legacy.branch_stalls) legacy_stalls += s;
-  EXPECT_EQ(legacy_stalls, legacy.itl_stall_steps);
+  int64_t alone_stalls = 0;
+  for (int64_t s : alone.branch_stalls) alone_stalls += s;
+  EXPECT_EQ(alone_stalls, alone.itl_stall_steps);
   for (int64_t s : chunked.branch_stalls) EXPECT_EQ(s, 0);
 }
 

@@ -320,7 +320,7 @@ std::vector<Case> Matrix() {
     engine("chunked_decode_priority", cfg, Bursty(1));
     cfg.batch_policy = BatchPolicy::kThroughputPriority;
     engine("chunked_throughput_priority", cfg, Bursty(1));
-    cfg.prefill_chunk_tokens = 0;
+    cfg.batch_policy = BatchPolicy::kPrefillAlone;
     engine("prefill_alone", cfg, Bursty(1));
   }
   // Backend presets: Triton and FlashAttention schedule without Algorithm 1
@@ -374,7 +374,7 @@ std::vector<Case> Matrix() {
     cfg.spec.tree = {/*depth=*/2, /*branching=*/2};
     engine("preempt_spec", cfg, Pressure(14));
     cfg = Preempting(RestorePolicy::kRecompute, /*overlap=*/false, /*codec=*/false);
-    cfg.prefill_chunk_tokens = 0;
+    cfg.batch_policy = BatchPolicy::kPrefillAlone;
     engine("preempt_prefill_alone", cfg, Pressure(15));
   }
   // Routers over token-id prompts.

@@ -1,10 +1,11 @@
 // Randomized cross-subsystem soak/property harness.
 //
-// Every trial draws a random config point — chunking on/off, speculative
+// Every trial draws a random config point — batch policy (prefill-alone or
+// chunked, with random chunk size and per-step prefill budget), speculative
 // decoding on/off, preemption on/off (random restore policy), tight vs loose
-// KV budget, batch policy — and a random bursty workload admitted in
-// *shuffled* order, then asserts the whole-engine invariants that every
-// subsystem must preserve when composed with the others:
+// KV budget — and a random bursty workload admitted in *shuffled* order,
+// then asserts the whole-engine invariants that every subsystem must
+// preserve when composed with the others:
 //
 //   1. the drain loop terminates (bounded step count, so a wedge prints the
 //      reproducing seed instead of hanging the test runner),
@@ -25,7 +26,11 @@
 //      step, drains to 0, and on codec trials meters a stored/logical ratio
 //      inside the host page table's range,
 //   8. without bounded_itl, every engine's ITL sketch equals its per-token
-//      samples rebuilt in order through the log formula (test_util.h).
+//      samples rebuilt in order through the log formula (test_util.h),
+//   9. every recorded step has its batch policy's shape: a prefill-alone
+//      step with prompt tokens decodes no branch, a chunked step stalls no
+//      branch, and a step's prompt tokens exceed the policy's per-step
+//      budget only when a single prompt chunk carries them.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -107,7 +112,7 @@ double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
   return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
 }
 
-EngineConfig RandomConfig(Rng& rng) {
+EngineConfig RandomConfig(Rng& rng, uint64_t seed) {
   EngineConfig cfg;
   cfg.model = serving::Llama31_8B();
   cfg.device = gpusim::H100Sxm80GB();
@@ -124,11 +129,17 @@ EngineConfig RandomConfig(Rng& rng) {
   cfg.telemetry.window.window_s = rng.Uniform(2.0, 20.0);
   cfg.telemetry.window.slots = static_cast<int>(rng.UniformInt(2, 8));
   cfg.telemetry.bounded_itl = rng.NextDouble() < 0.25;
-  // Chunking on/off; when on, vary the chunk size.
-  cfg.prefill_chunk_tokens =
-      rng.NextDouble() < 0.25 ? 0 : rng.UniformInt(256, 2048);
-  cfg.batch_policy = rng.NextDouble() < 0.5 ? BatchPolicy::kDecodePriority
-                                            : BatchPolicy::kThroughputPriority;
+  // Batch policy: a quarter prefill-alone, else chunked with a random chunk
+  // size and either chunked policy.
+  const bool alone = rng.NextDouble() < 0.25;
+  if (!alone) cfg.prefill_chunk_tokens = rng.UniformInt(256, 2048);
+  const bool decode_priority = rng.NextDouble() < 0.5;
+  cfg.batch_policy = alone             ? BatchPolicy::kPrefillAlone
+                     : decode_priority ? BatchPolicy::kDecodePriority
+                                       : BatchPolicy::kThroughputPriority;
+  // A per-step prefill budget that binds on the drawn workloads. A separate
+  // stream keeps the trial's other draws as they were.
+  cfg.max_prefill_tokens = Rng(seed ^ 0xB0D6E7ull).UniformInt(1024, 8192);
   // Spec decode on/off.
   if (rng.NextDouble() < 0.4) {
     cfg.spec.enabled = true;
@@ -324,6 +335,33 @@ std::string StepOverlappingCopy(const std::vector<obs::TraceEvent>& events) {
   return "";
 }
 
+/// The first recorded step whose shape its batch policy rules out, or ""
+/// (invariant 9). A step's kChunk instants follow its kStep span.
+std::string StepShapeDiff(const EngineConfig& cfg, const std::vector<obs::TraceEvent>& events) {
+  const bool alone = cfg.batch_policy == BatchPolicy::kPrefillAlone;
+  const int64_t budget = std::max<int64_t>(
+      1, cfg.batch_policy == BatchPolicy::kDecodePriority
+             ? std::min(cfg.prefill_chunk_tokens, cfg.max_prefill_tokens)
+             : cfg.max_prefill_tokens);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const obs::TraceEvent& step = events[i];
+    if (step.name != obs::TraceName::kStep) continue;
+    int64_t prompt_chunks = 0;
+    for (size_t j = i + 1; j < events.size() && events[j].name != obs::TraceName::kStep; ++j) {
+      if (events[j].name == obs::TraceName::kChunk && events[j].a > 0) ++prompt_chunks;
+    }
+    const std::string at = "step at " + std::to_string(step.ts_us) + " us ";
+    if (alone && step.a > 0 && step.b > 0) return at + "decodes beside prompt tokens";
+    if (!alone && step.c > 0) return at + "stalls " + std::to_string(step.c) + " branches";
+    if (step.a > budget && prompt_chunks != 1) {
+      return at + "carries " + std::to_string(step.a) + " prompt tokens in " +
+             std::to_string(prompt_chunks) + " chunks over a budget of " +
+             std::to_string(budget);
+    }
+  }
+  return "";
+}
+
 /// Every admitted request emitted its expected tokens (exact when none was
 /// rejected).
 void ExpectOutputTokens(const ServingMetrics& m, const std::vector<Request>& reqs) {
@@ -355,7 +393,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
   g_current_seed = seed;
   const int failed_before = FailedPartCount();
   Rng rng(seed);
-  EngineConfig cfg = RandomConfig(rng);
+  EngineConfig cfg = RandomConfig(rng, seed);
   if (pin != nullptr) pin(cfg);
   std::vector<Request> reqs = RandomWorkload(rng);
   if (one_token_requests) SetOneTokenRequests(seed, reqs);
@@ -397,6 +435,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
   EXPECT_EQ(m.ttft_ms.size(), m.ttft_priority.size());
   ExpectOutputTokens(m, reqs);
   ExpectItlSketchRebuilds(cfg, m);
+  EXPECT_EQ(StepShapeDiff(cfg, engine.TraceEvents()), "");
   // Restores must balance preemptions: nothing stays evicted.
   EXPECT_EQ(m.num_swap_restores + m.num_recompute_restores, m.num_preemptions);
   EXPECT_EQ(m.restored_pages == 0, m.num_swap_restores == 0);
@@ -560,7 +599,7 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
   const int failed_before = FailedPartCount();
   Rng rng(seed);
   cluster::ClusterConfig cfg;
-  cfg.engine = RandomConfig(rng);
+  cfg.engine = RandomConfig(rng, seed);
   cfg.num_replicas = 4;
   const double u = rng.NextDouble();
   cfg.policy = u < 0.34   ? cluster::RouterPolicy::kRoundRobin
@@ -593,6 +632,9 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
             reqs.size());
   ExpectOutputTokens(m.aggregate, reqs);
   for (const ServingMetrics& r : m.per_replica) ExpectItlSketchRebuilds(cfg.engine, r);
+  for (const obs::TraceTrack& t : cluster.LastTrace()) {
+    EXPECT_EQ(StepShapeDiff(cfg.engine, t.events), "") << t.name;
+  }
   EXPECT_EQ(m.aggregate.ttft_ms.size(), m.aggregate.ttft_priority.size());
   EXPECT_EQ(m.aggregate.num_swap_restores + m.aggregate.num_recompute_restores,
             m.aggregate.num_preemptions);
@@ -619,7 +661,7 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   // The whole random engine config space (chunking, spec, preemption, tight
   // budgets) soaks through the disaggregated driver: export/import must
   // compose with every subsystem.
-  cfg.engine = RandomConfig(rng);
+  cfg.engine = RandomConfig(rng, seed);
   cfg.num_replicas = 4;
   cfg.disaggregated = true;
   cfg.prefill_replicas = 1 + static_cast<int>(rng.UniformInt(0, 2));
@@ -650,6 +692,9 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
             reqs.size());
   ExpectOutputTokens(m.aggregate, reqs);
   for (const ServingMetrics& r : m.per_replica) ExpectItlSketchRebuilds(cfg.engine, r);
+  for (const obs::TraceTrack& t : cluster.LastTrace()) {
+    EXPECT_EQ(StepShapeDiff(cfg.engine, t.events), "") << t.name;
+  }
   EXPECT_EQ(m.decode_pool.ttft_ms.size(), 0u);
   EXPECT_EQ(m.prefill_pool.num_migrations_out, m.migrations);
   EXPECT_EQ(m.decode_pool.num_migrations_in, m.migrations);

@@ -31,6 +31,7 @@ namespace {
 using obs::TraceEvent;
 using obs::TraceKind;
 using obs::TraceName;
+using serving::BatchPolicy;
 using serving::EngineConfig;
 using serving::Request;
 using serving::RestorePolicy;
@@ -202,11 +203,11 @@ TEST(Trace, RequestPhasesTileArrivalToFinish) {
 class TraceStalls : public ::testing::TestWithParam<bool> {};
 
 TEST_P(TraceStalls, EveryStallIsExplained) {
-  // Legacy prefill-alone mode maximizes ITL stalls; a tight budget with
+  // The prefill-alone policy maximizes ITL stalls; a tight budget with
   // preemption adds preempt stalls and swap transfers on top. A step that
   // only lands a transfer decodes, so it stalls nobody.
   auto cfg = BaseConfig();
-  cfg.prefill_chunk_tokens = 0;
+  cfg.batch_policy = BatchPolicy::kPrefillAlone;
   cfg.preemption.enabled = true;
   cfg.preemption.overlap_swap = GetParam();
   cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
