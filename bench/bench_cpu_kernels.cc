@@ -6,8 +6,9 @@
 // (std::function hooks) variant dispatch over the identical micro-kernel —
 // the CPU analog of the FlashInfer-vs-FlexAttention gap of Tables 1-4 —
 // plus the cost of the supporting machinery: sparse gather, state merging,
-// scheduling (plan time), per-step attention pricing, per-token telemetry
-// samples, KV storage conversions, and radix-tree matching and eviction.
+// scheduling (plan time), per-step attention and spec-verify pricing,
+// per-token telemetry samples, KV storage conversions, and radix-tree
+// matching and eviction.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -24,6 +25,7 @@
 #include "serving/backends.h"
 #include "serving/workload.h"
 #include "sparse/gather.h"
+#include "spec/verify.h"
 #include "util/float_types.h"
 #include "util/rng.h"
 
@@ -273,6 +275,29 @@ void BM_PriceDecodeRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PriceDecodeRun)->ArgsProduct({{64, 256}, {2, 8}});
+
+void BM_PriceVerifyStep(benchmark::State& state) {
+  // The serving engine's per-step verify price under speculative decoding
+  // (the time-only entry: level 0 over every branch's context, the draft
+  // tree's mask rows, lowered once, repeated per branch through Algorithm 1,
+  // and the merge) at Llama-3.1-8B geometry on the H100: range(0) branches
+  // whose contexts cycle through BM_ScheduleBalanced's 16 decode batches,
+  // over a chain-4 tree (range(1) = 0) or a depth-2 x branching-2 tree (1).
+  const auto dev = gpusim::H100Sxm80GB();
+  const auto backend = serving::FlashInferBackend();
+  const serving::AttnSimInput geometry;  // 32 qo heads, 8 kv heads, head dim 128.
+  const spec::DraftTree tree(state.range(1) == 0 ? spec::TreeConfig{4, 1}
+                                                 : spec::TreeConfig{2, 2});
+  const auto mask = spec::LowerVerifyMask(tree, backend, geometry);
+  const auto contexts = ShareGptDecodeKvLens(static_cast<int>(state.range(0)));
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serving::VerifyAttentionTimeUs(dev, backend, geometry, mask, contexts[next]));
+    next = (next + 1) % contexts.size();
+  }
+}
+BENCHMARK(BM_PriceVerifyStep)->ArgsProduct({{16, 64}, {0, 1}});
 
 /// 4096 ITL-like samples in ms, log-uniform from 1 ms (a decode step's gap)
 /// to 1 s (a preemption stall).

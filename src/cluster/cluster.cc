@@ -14,6 +14,10 @@ using serving::ServingMetrics;
 
 namespace {
 
+/// Per-page migration overhead, microseconds: paged KV crosses the link as
+/// block-granular gather/scatter copies, like the PCIe swap path.
+constexpr double kMigrationPageOverheadUs = 10.0;
+
 /// Merges one replica's metrics into a running aggregate: sample vectors
 /// concatenate, every kMetricFields counter sums, the ITL sketch and the
 /// acceptance histogram merge. The caller owns makespan (max over replicas,
@@ -100,7 +104,7 @@ void ClusterEngine::ProcessMigrations() {
       // not from when the driver got around to processing it.
       const double t_us =
           cfg_.migration_latency_us +
-          static_cast<double>(u.pages) * cfg_.migration_page_overhead_us +
+          static_cast<double>(u.pages) * kMigrationPageOverheadUs +
           static_cast<double>(u.kv_tokens) * kv_bytes_per_token /
               (cfg_.migration_gbps * 1e3);
       gpusim::CopyStream& link =

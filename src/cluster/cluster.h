@@ -53,9 +53,6 @@ struct ClusterConfig {
   /// Inter-replica KV migration link (NVLink/RDMA-class, per replica pair).
   double migration_gbps = 64.0;
   double migration_latency_us = 150.0;
-  /// Per-page overhead: paged KV crosses the link as block-granular
-  /// gather/scatter copies, like the PCIe swap path.
-  double migration_page_overhead_us = 10.0;
 };
 
 /// Per-replica aggregation of ServingMetrics plus router-level signals.

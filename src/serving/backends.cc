@@ -7,7 +7,6 @@
 #include <span>
 
 #include "core/tile_heuristics.h"
-#include "kvcache/ragged.h"
 #include "runtime/scheduler.h"
 #include "util/check.h"
 
@@ -81,6 +80,7 @@ struct PricingScratch {
   std::vector<double> cta_us;         // Time only: per-CTA times.
   std::vector<double> merge_times;
   std::vector<int64_t> combined_qo, combined_kv;  // Composable launches.
+  AttnSimInput verify_level0;                     // Verify launches.
 };
 thread_local PricingScratch t_scratch;
 
@@ -297,6 +297,21 @@ gpusim::SimReport ScheduleAndPrice(const gpusim::DeviceSpec& dev, const BackendC
   return report;
 }
 
+/// The kernel a launch runs: the heuristic's config for `avg_fused` fused
+/// query rows per request on the sparse-gather or dense KV path, at query
+/// tile `tile_q` when positive, with the backend's head fusion and the
+/// template `in` forces.
+KernelConfig LaunchConfig(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
+                          const AttnSimInput& in, double avg_fused, bool sparse, int tile_q) {
+  KernelConfig cfg = SelectKernelConfig(dev, avg_fused, in.head_dim,
+                                        DTypeBytes(backend.kv_dtype), sparse);
+  cfg.head_fusion = backend.head_fusion;
+  if (tile_q > 0) cfg.tile_q = tile_q;
+  if (in.force_template == 2) cfg.tmpl = gpusim::TemplateGen::kFA2;
+  if (in.force_template == 3) cfg.tmpl = gpusim::TemplateGen::kFA3;
+  return cfg;
+}
+
 /// Prices one single-format attention launch over (qo_lens, kv_lens): the
 /// paged batch's block rows come straight from the lengths. Reads only the
 /// geometry of `in` (heads, head dim, causal, L2 fraction, overrides).
@@ -313,15 +328,9 @@ gpusim::SimReport PriceSingleFormat(const gpusim::DeviceSpec& dev,
   const int64_t total_q = std::accumulate(qo_lens.begin(), qo_lens.end(), int64_t{0});
   const double avg_fused =
       static_cast<double>(total_q) / static_cast<double>(qo_lens.size()) * fuse;
-
-  KernelConfig cfg = SelectKernelConfig(dev, avg_fused, in.head_dim,
-                                        DTypeBytes(backend.kv_dtype),
-                                        /*sparse=*/!in.force_dense);
-  cfg.head_fusion = backend.head_fusion;
-  if (tile_q_override > 0) cfg.tile_q = tile_q_override;
-  if (in.tile_q_override > 0) cfg.tile_q = in.tile_q_override;
-  if (in.force_template == 2) cfg.tmpl = gpusim::TemplateGen::kFA2;
-  if (in.force_template == 3) cfg.tmpl = gpusim::TemplateGen::kFA3;
+  const KernelConfig cfg =
+      LaunchConfig(dev, backend, in, avg_fused, /*sparse=*/!in.force_dense,
+                   in.tile_q_override > 0 ? in.tile_q_override : tile_q_override);
 
   // Causal trimming on: planning skips the KV each tile's mask hides.
   BlockRowsFromLengths(qo_lens, kv_lens, fuse, cfg.tile_q, in.causal, &t_scratch.rows);
@@ -414,36 +423,23 @@ std::optional<gpusim::SimReport> TryPricePackedTiles(const gpusim::DeviceSpec& d
   return out;
 }
 
-}  // namespace
-
-gpusim::SimReport SimulateMaskedAttention(const gpusim::DeviceSpec& dev,
-                                          const BackendConfig& backend,
-                                          const AttnSimInput& in,
-                                          const sparse::BsrMatrix& bsr,
-                                          const std::vector<int64_t>& qo_lens,
-                                          const std::vector<int64_t>& kv_lens) {
-  FI_CHECK_EQ(qo_lens.size(), kv_lens.size());
-  // The mask dictates the tile geometry: Br must match how it was lowered.
-  KernelConfig cfg = SelectKernelConfig(dev, /*avg_fused_rows=*/bsr.br, in.head_dim,
-                                        DTypeBytes(backend.kv_dtype), /*sparse=*/true);
-  cfg.head_fusion = backend.head_fusion;
-  cfg.tile_q = bsr.br;
-  if (in.force_template == 2) cfg.tmpl = gpusim::TemplateGen::kFA2;
-  if (in.force_template == 3) cfg.tmpl = gpusim::TemplateGen::kFA3;
-
-  AttentionParams p;
-  p.bsr = &bsr;
-  p.qo_indptr = BuildIndptr(qo_lens);
-  p.kv_len = kv_lens;
-  p.num_qo_heads = in.num_qo_heads;
-  p.num_kv_heads = in.num_kv_heads;
-  p.head_fusion = backend.head_fusion;
-  p.variant.causal = false;  // The mask IS the structure; nothing to trim.
-
-  return ScheduleAndPrice<true>(dev, backend, in, cfg, BlockRowsFromBsr(p));
+/// The contraction kernel merging two levels' partial states per fused row
+/// (composable shared-prefix launches, verify launches): a bandwidth-bound
+/// pass over `fused_rows` rows, added after the attention launch.
+template <bool kReport>
+void AddLevelMerge(const gpusim::DeviceSpec& dev, int64_t fused_rows, int head_dim,
+                   gpusim::SimReport& report) {
+  const double rows = static_cast<double>(fused_rows);
+  gpusim::WorkCost wc;
+  wc.hbm_bytes = rows * (head_dim + 1) * 4.0 * 2.0 + rows * head_dim * 2.0;
+  wc.cuda_flops = rows * (2.0 * head_dim + 8.0);
+  gpusim::KernelEfficiency eff;  // Bandwidth-bound merge kernel.
+  report.time_us += wc.hbm_bytes / (dev.hbm_gbps * eff.mem * 1e3);
+  if constexpr (kReport) {
+    report.total_hbm_bytes += wc.hbm_bytes;
+    report.total_cuda_flops += wc.cuda_flops;
+  }
 }
-
-namespace {
 
 /// SimulateBatchAttention with kReport, BatchAttentionTimeUs without.
 template <bool kReport>
@@ -504,25 +500,48 @@ gpusim::SimReport SimulateBatch(const gpusim::DeviceSpec& dev, const BackendConf
                                            std::min(max_group_rows, 128));
 
   // --- Extra contraction: merge level-0 and level-1 states per fused row. --
-  {
-    int64_t fused_rows = 0;
-    for (const auto& group : in.groups) {
-      for (int m : group.members) {
-        fused_rows += in.qo_lens[static_cast<size_t>(m)] * g;
-      }
-    }
-    fused_rows *= in.num_kv_heads;
-    gpusim::WorkCost wc;
-    wc.hbm_bytes = static_cast<double>(fused_rows) * (in.head_dim + 1) * 4.0 * 2.0 +
-                   static_cast<double>(fused_rows) * in.head_dim * 2.0;
-    wc.cuda_flops = static_cast<double>(fused_rows) * (2.0 * in.head_dim + 8.0);
-    gpusim::KernelEfficiency eff;  // Bandwidth-bound merge kernel.
-    report.time_us += wc.hbm_bytes / (dev.hbm_gbps * eff.mem * 1e3);
-    if constexpr (kReport) {
-      report.total_hbm_bytes += wc.hbm_bytes;
-      report.total_cuda_flops += wc.cuda_flops;
+  int64_t fused_rows = 0;
+  for (const auto& group : in.groups) {
+    for (int m : group.members) fused_rows += in.qo_lens[static_cast<size_t>(m)] * g;
+  }
+  AddLevelMerge<kReport>(dev, fused_rows * in.num_kv_heads, in.head_dim, report);
+  return report;
+}
+
+/// SimulateVerifyAttention with kReport, VerifyAttentionTimeUs without.
+template <bool kReport>
+gpusim::SimReport SimulateVerify(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
+                                 const AttnSimInput& in, const MaskRows& mask,
+                                 const std::vector<int64_t>& context_lens) {
+  const size_t batch = context_lens.size();
+
+  // --- Level 0: every mask token attends its branch's whole committed
+  // context (paged, dense blocks, no causal trimming).
+  AttnSimInput& level0 = t_scratch.verify_level0;
+  level0 = in;
+  level0.qo_lens.assign(batch, mask.qo_len);
+  level0.kv_lens.assign(context_lens.begin(), context_lens.end());
+  level0.groups.clear();
+  level0.causal = false;
+  auto report = SimulateBatch<kReport>(dev, backend, level0);
+
+  // --- Level 1: the mask's block rows once per branch (request = branch),
+  // at the tile they were lowered at.
+  auto& rows = t_scratch.rows;
+  rows.clear();
+  for (size_t b = 0; b < batch; ++b) {
+    for (BlockRowShape row : mask.rows) {
+      row.request = static_cast<int32_t>(b);
+      rows.push_back(row);
     }
   }
+  const KernelConfig cfg =
+      LaunchConfig(dev, backend, in, mask.tile_q, /*sparse=*/true, mask.tile_q);
+  report.Append(ScheduleAndPrice<kReport>(dev, backend, in, cfg, rows));
+
+  const int g = backend.head_fusion ? in.num_qo_heads / in.num_kv_heads : 1;
+  AddLevelMerge<kReport>(dev, static_cast<int64_t>(batch) * mask.qo_len * g * in.num_kv_heads,
+                         in.head_dim, report);
   return report;
 }
 
@@ -537,6 +556,27 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
 double BatchAttentionTimeUs(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
                             const AttnSimInput& in) {
   return SimulateBatch<false>(dev, backend, in).time_us;
+}
+
+MaskRows MaskRowsFromBsr(const sparse::BsrMatrix& bsr, int64_t qo_len) {
+  AttentionParams p;  // One request; causal trimming off.
+  p.bsr = &bsr;
+  p.qo_indptr = {0, qo_len};
+  p.kv_len = {qo_len};
+  return {qo_len, bsr.br, BlockRowsFromBsr(p)};
+}
+
+gpusim::SimReport SimulateVerifyAttention(const gpusim::DeviceSpec& dev,
+                                          const BackendConfig& backend,
+                                          const AttnSimInput& in, const MaskRows& mask,
+                                          const std::vector<int64_t>& context_lens) {
+  return SimulateVerify<true>(dev, backend, in, mask, context_lens);
+}
+
+double VerifyAttentionTimeUs(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
+                             const AttnSimInput& in, const MaskRows& mask,
+                             const std::vector<int64_t>& context_lens) {
+  return SimulateVerify<false>(dev, backend, in, mask, context_lens).time_us;
 }
 
 }  // namespace flashinfer::serving

@@ -24,15 +24,11 @@ struct BackendConfig {
   DType kv_dtype = DType::kF16;
   /// Multiplier on attention kernel time (1.0 = CUDA/CUTLASS templates).
   double kernel_time_scale = 1.0;
-  /// Achieved fraction of peak for dense GEMMs.
-  double gemm_eff = 0.72;
   /// Host CPU time per engine step, microseconds (scheduling, batching).
   double host_us_per_step = 150.0;
   /// Host CPU time per batched request per step (Python array ops in the
   /// integration layer; the vLLM-default backend sets this high).
   double host_us_per_req = 2.0;
-  /// CUDA-graph replay for decode steps (cuts per-layer launch overhead).
-  bool use_cuda_graph = true;
   /// RoPE fused into the attention kernel (vs a separate pass over Q/K).
   bool fused_rope = true;
   /// Shared-prefix composable formats (Sec. 3.1.2) for parallel generation.
@@ -111,19 +107,39 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
 double BatchAttentionTimeUs(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
                             const AttnSimInput& in);
 
-/// Prices one attention launch over an *explicit* BSR — masks that qo/kv
-/// lengths cannot describe (tree-attention verification for speculative
-/// decoding). The BSR must already live in the fused-row space (rows
-/// expanded by the GQA group size when `backend.head_fusion`) with
-/// `bsr.br` equal to the query tile it was built at; the backend's scheduler
-/// runs over exactly the mask's non-zero blocks (causal trimming is off: the
-/// mask IS the structure). `qo_lens`/`kv_lens` are per-request token rows
-/// and KV extents, used for request attribution and pricing context only.
-gpusim::SimReport SimulateMaskedAttention(const gpusim::DeviceSpec& dev,
+/// One request's attention mask, lowered once for launches that repeat it
+/// for every request of the batch (speculative verification's draft-tree
+/// tail, spec/verify.h): the mask's block rows in the fused-row space, all
+/// owned by request 0, and the query tile they were lowered at.
+struct MaskRows {
+  int64_t qo_len = 0;  // Query tokens per request.
+  int tile_q = 1;
+  std::vector<BlockRowShape> rows;
+};
+
+/// Reads the block rows off one request's mask BSR: its `qo_len` tokens'
+/// rows already expanded by the GQA group size under head fusion, tiled at
+/// `bsr.br`. The mask IS the structure: no causal trimming.
+MaskRows MaskRowsFromBsr(const sparse::BsrMatrix& bsr, int64_t qo_len);
+
+/// Simulates one per-layer verify launch over branches with committed KV
+/// lengths `context_lens`, in two levels merged like the composable
+/// formats': level 0, each branch's mask.qo_len tokens attend its whole
+/// context (SimulateBatchAttention's pricer, causal trimming off); level 1,
+/// `mask` repeated once per branch through the same scheduler and cost
+/// model at mask.tile_q; then the contraction merging both levels per
+/// fused row. Reads only the geometry of `in`. The report's per-CTA times
+/// are level 0's.
+gpusim::SimReport SimulateVerifyAttention(const gpusim::DeviceSpec& dev,
                                           const BackendConfig& backend,
-                                          const AttnSimInput& in,
-                                          const sparse::BsrMatrix& bsr,
-                                          const std::vector<int64_t>& qo_lens,
-                                          const std::vector<int64_t>& kv_lens);
+                                          const AttnSimInput& in, const MaskRows& mask,
+                                          const std::vector<int64_t>& context_lens);
+
+/// The verify launch time alone: exactly SimulateVerifyAttention(...)
+/// .time_us, bit for bit, as BatchAttentionTimeUs is to
+/// SimulateBatchAttention. The serving engine prices every spec step here.
+double VerifyAttentionTimeUs(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
+                             const AttnSimInput& in, const MaskRows& mask,
+                             const std::vector<int64_t>& context_lens);
 
 }  // namespace flashinfer::serving

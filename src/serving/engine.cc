@@ -34,6 +34,24 @@ constexpr OccupancySeries kOccupancy[] = {
 };
 constexpr size_t kDeviceKvSeries = 0;  // fi_kv_device_tokens.
 
+/// Achieved fraction of peak for dense GEMMs.
+constexpr double kGemmEff = 0.72;
+/// NVLink all-reduce bandwidth per GPU, GB/s (tensor parallel).
+constexpr double kNvlinkGbps = 450.0;
+/// Host launch overhead of a step or draft pass that replays a CUDA graph,
+/// microseconds: graph replay cuts the per-layer launch overhead of decode
+/// steps (steps with prefill chunks change shape and launch every layer).
+constexpr double kGraphLaunchUs = 10.0;
+/// Device<->host swap bandwidth, GB/s (PCIe-class link).
+constexpr double kSwapGbps = 24.0;
+/// Fixed per-transfer swap latency, microseconds (DMA setup, pinning).
+constexpr double kSwapLatencyUs = 100.0;
+/// Per-page swap overhead, microseconds: paged KV is scattered, so a
+/// transfer is block-granular gather/scatter copies (vLLM's swap_blocks),
+/// not one contiguous DMA. This is what makes short contexts cheaper to
+/// recompute than to swap.
+constexpr double kSwapPageOverheadUs = 20.0;
+
 }  // namespace
 
 ServingEngine::ServingEngine(EngineConfig cfg)
@@ -47,7 +65,6 @@ ServingEngine::ServingEngine(EngineConfig cfg)
   kv_token_budget_ = static_cast<int64_t>(
       kv_budget_bytes / cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype));
   if (cfg_.preemption.enabled) {
-    FI_CHECK_GT(cfg_.preemption.swap_gbps, 0.0);
     host_kv_token_budget_ = static_cast<int64_t>(
         cfg_.preemption.host_capacity_gb * 1e9 /
         cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype));
@@ -66,8 +83,7 @@ ServingEngine::ServingEngine(EngineConfig cfg)
     // Reserve one tree of transient verify KV per branch on top of the
     // decode slack, so a verify step can never blow the budget mid-flight.
     slack_tokens_ = 8 + tree_->Size();
-    verify_pricer_ = std::make_unique<spec::VerifyPricer>(cfg_.device, cfg_.backend,
-                                                          HeadGeometry(), *tree_);
+    verify_mask_ = spec::LowerVerifyMask(*tree_, cfg_.backend, HeadGeometry());
   }
   step_in_ = HeadGeometry();
   Reset();
@@ -77,7 +93,7 @@ double ServingEngine::GemmUs(const ModelSpec& m, int64_t tokens) const {
   const auto& dev = cfg_.device;
   const double flops = m.GemmFlopsPerToken() * static_cast<double>(tokens) /
                        m.tensor_parallel;
-  const double t_compute = flops / (dev.fp16_tflops * cfg_.backend.gemm_eff * 1e6);
+  const double t_compute = flops / (dev.fp16_tflops * kGemmEff * 1e6);
   // Every step streams the weights once; small-batch decode is bound by it,
   // large prefills by compute.
   const double t_mem = m.WeightBytesPerGpu() / (dev.hbm_gbps * 0.9 * 1e3);
@@ -91,7 +107,7 @@ double ServingEngine::CommStepUs(int64_t tokens) const {
   const double bytes_per_layer =
       2.0 * static_cast<double>(tokens) * cfg_.model.d_model * 2.0;
   const double ring = 2.0 * (tp - 1) / tp;
-  return cfg_.model.num_layers * bytes_per_layer * ring / (cfg_.nvlink_gbps * 1e3) +
+  return cfg_.model.num_layers * bytes_per_layer * ring / (kNvlinkGbps * 1e3) +
          cfg_.model.num_layers * 4.0;  // Per-layer collective launch latency.
 }
 
@@ -129,7 +145,9 @@ double ServingEngine::SpecVerifyAttnUs() const {
   context_lens.reserve(running_.size());
   for (const auto& b : running_) context_lens.push_back(b.kv_len);
   // Plan reuse across layers, exactly like AttnLaunchUs.
-  return verify_pricer_->Price(context_lens).time_us * cfg_.model.num_layers +
+  return VerifyAttentionTimeUs(cfg_.device, cfg_.backend, HeadGeometry(), verify_mask_,
+                               context_lens) *
+             cfg_.model.num_layers +
          UnfusedRopeUs(static_cast<int64_t>(running_.size()) * tree_->Size());
 }
 
@@ -551,9 +569,7 @@ double ServingEngine::SwapXferUs(int64_t tokens, double stored_ratio) const {
                        cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) *
                        stored_ratio;
   const double pages = std::ceil(static_cast<double>(tokens) / cfg_.page_size);
-  return cfg_.preemption.swap_latency_us +
-         pages * cfg_.preemption.swap_page_overhead_us +
-         bytes / (cfg_.preemption.swap_gbps * 1e3);
+  return kSwapLatencyUs + pages * kSwapPageOverheadUs + bytes / (kSwapGbps * 1e3);
 }
 
 double ServingEngine::CodecUs(int64_t tokens, double gbps) const {
@@ -597,7 +613,7 @@ double ServingEngine::RecomputeEstimateUs(int64_t kv_len) const {
   const double compute_us =
       cfg_.model.GemmFlopsPerToken() * static_cast<double>(kv_len) /
       cfg_.model.tensor_parallel /
-      (cfg_.device.fp16_tflops * cfg_.backend.gemm_eff * 1e6);
+      (cfg_.device.fp16_tflops * kGemmEff * 1e6);
   const double floor_us = GemmUs(cfg_.model, 0) * static_cast<double>(nchunks);
   // One pass over the rebuilt KV for the chunks' attention reads.
   const double attn_us =
@@ -1021,9 +1037,7 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
       draft_us += GemmUs(cfg_.spec.draft_model,
                          static_cast<int64_t>(decode_branches) * tree.LevelWidth(level));
     }
-    draft_us += tree.Depth() * (cfg_.backend.use_cuda_graph
-                                    ? 10.0
-                                    : cfg_.spec.draft_model.num_layers * 2.0);
+    draft_us += tree.Depth() * kGraphLaunchUs;
   }
 
   // --- GEMM, comm, host: charged once over the whole mixed step. Steps with
@@ -1033,9 +1047,7 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
       cfg_.backend.host_us_per_step +
       cfg_.backend.host_us_per_req *
           static_cast<double>(decode_branches + plan.chunks.size()) +
-      (plan.chunks.empty() && cfg_.backend.use_cuda_graph
-           ? 10.0
-           : cfg_.model.num_layers * 2.0);
+      (plan.chunks.empty() ? kGraphLaunchUs : cfg_.model.num_layers * 2.0);
   const double gemm_us = GemmUs(cfg_.model, step_tokens);
   const double comm_us = CommStepUs(step_tokens);
   const double step_s = (draft_us + host_us + gemm_us + attn_us + comm_us) * 1e-6;

@@ -26,10 +26,12 @@
 // Speculative decoding (src/spec/): with SpecDecodeConfig enabled, the
 // decode half of each plan becomes draft + verify — the draft model proposes
 // a token tree per branch, the target verifies every tree token in the same
-// step (attention priced through the real tree-attention kernel path:
-// ancestor mask -> BsrFromDenseMask -> scheduler -> cost model), accepted
-// prefixes commit, and rejected tree branches roll their KV back through
-// PagedKVCache refcounts. Verify tokens coexist with in-flight prefill
+// step, accepted prefixes commit, and rejected tree branches roll their KV
+// back through PagedKVCache refcounts. Verify attention goes through the
+// real tree-attention kernel path: the ancestor mask is lowered to one
+// branch's block rows once, at construction (spec/verify.h), and every step
+// repeats them per branch into the one scheduler + cost model pricer
+// (VerifyAttentionTimeUs). Verify tokens coexist with in-flight prefill
 // chunks in one mixed step instead of alternating exclusively.
 //
 // KV pressure: with PreemptionConfig enabled, an arrived request that does
@@ -75,7 +77,6 @@
 #include "serving/model.h"
 #include "serving/workload.h"
 #include "spec/spec.h"
-#include "spec/verify.h"
 #include "util/rng.h"
 
 namespace flashinfer::serving {
@@ -123,15 +124,6 @@ struct PreemptionConfig {
   bool enabled = false;
   /// Host (offload tier) KV capacity, GB.
   double host_capacity_gb = 16.0;
-  /// Device<->host swap bandwidth, GB/s (PCIe-class link).
-  double swap_gbps = 24.0;
-  /// Fixed per-transfer latency, microseconds (DMA setup, pinning).
-  double swap_latency_us = 100.0;
-  /// Per-page overhead, microseconds: paged KV is scattered, so a transfer
-  /// is block-granular gather/scatter copies (vLLM's swap_blocks), not one
-  /// contiguous DMA. This is what makes short contexts cheaper to recompute
-  /// than to swap.
-  double swap_page_overhead_us = 20.0;
   RestorePolicy restore = RestorePolicy::kAuto;
   /// Every swap rides a per-direction copy stream (gpusim::CopyStream): a
   /// swap-out on D2H, a swap-in on H2D. With overlap_swap, a swap-out blocks
@@ -173,8 +165,6 @@ struct EngineConfig {
   int64_t prefill_chunk_tokens = 2048;
   /// Batch formation policy.
   BatchPolicy batch_policy = BatchPolicy::kDecodePriority;
-  /// NVLink all-reduce bandwidth per GPU, GB/s (tensor parallel).
-  double nvlink_gbps = 450.0;
   /// Speculative decoding (off by default: vanilla one-token decode steps).
   spec::SpecDecodeConfig spec;
   /// Priority preemption + host KV tier (off by default).
@@ -653,9 +643,10 @@ class ServingEngine {
   /// one tree of transient verification KV.
   int64_t slack_tokens_ = 8;
   std::unique_ptr<spec::DraftTree> tree_;  // Null when spec decode is off.
-  /// Caches the lowered tree-mask BSR and tile choice across verify steps
-  /// (tree shape and head geometry never change after construction).
-  std::unique_ptr<spec::VerifyPricer> verify_pricer_;
+  /// The tree's ancestor mask as one branch's block rows at the heuristic's
+  /// tile, lowered once at construction (tree shape and head geometry never
+  /// change); SpecVerifyAttnUs repeats it per branch every verify step.
+  MaskRows verify_mask_;
   /// The step's attention input at the engine's head geometry;
   /// ExecuteStepPlan rebuilds its lengths and groups in place every step.
   AttnSimInput step_in_;

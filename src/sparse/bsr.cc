@@ -178,39 +178,4 @@ std::vector<std::vector<bool>> ExpandMaskRows(const std::vector<std::vector<bool
   return out;
 }
 
-BsrMatrix TileBsrDiagonal(const BsrMatrix& unit, int copies) {
-  FI_CHECK_GE(copies, 1);
-  unit.Validate();
-  BsrMatrix out;
-  out.br = unit.br;
-  out.bc = unit.bc;
-  out.num_rows = unit.num_rows * copies;
-  out.num_col_blocks = unit.num_col_blocks * copies;
-  const int64_t nnz = unit.Nnz();
-  const int64_t block_rows = unit.NumBlockRows();
-  out.indices.reserve(static_cast<size_t>(nnz * copies));
-  out.block_pos.reserve(static_cast<size_t>(nnz * copies));
-  out.block_valid.reserve(static_cast<size_t>(nnz * copies));
-  out.indptr.reserve(static_cast<size_t>(block_rows * copies) + 1);
-  out.row_start.reserve(static_cast<size_t>(block_rows * copies) + 1);
-  out.indptr.push_back(0);
-  out.row_start.push_back(0);
-  for (int c = 0; c < copies; ++c) {
-    const int64_t col_base = static_cast<int64_t>(c) * unit.num_col_blocks;
-    const int64_t row_base = static_cast<int64_t>(c) * unit.num_rows;
-    for (int64_t e = 0; e < nnz; ++e) {
-      out.indices.push_back(unit.indices[static_cast<size_t>(e)] + col_base);
-      out.block_pos.push_back(unit.block_pos[static_cast<size_t>(e)]);
-      out.block_valid.push_back(unit.block_valid[static_cast<size_t>(e)]);
-    }
-    for (int64_t b = 0; b < block_rows; ++b) {
-      out.indptr.push_back(static_cast<int64_t>(c) * nnz +
-                           unit.indptr[static_cast<size_t>(b) + 1]);
-      out.row_start.push_back(row_base + unit.row_start[static_cast<size_t>(b) + 1]);
-    }
-  }
-  out.Validate();
-  return out;
-}
-
 }  // namespace flashinfer::sparse

@@ -98,11 +98,4 @@ BsrMatrix BuildPrunedBsr(const std::vector<int64_t>& qo_indptr,
 std::vector<std::vector<bool>> ExpandMaskRows(const std::vector<std::vector<bool>>& mask,
                                               int group);
 
-/// Stacks `copies` copies of `unit` block-diagonally: copy c's block rows
-/// follow copy c-1's, its column ids are offset by c * unit.num_col_blocks,
-/// and its logical positions restart at each copy's own coordinate system
-/// (block_pos is per-request in batch BSRs). Used to replicate one request's
-/// tree-mask BSR across a verification batch.
-BsrMatrix TileBsrDiagonal(const BsrMatrix& unit, int copies);
-
 }  // namespace flashinfer::sparse

@@ -1,72 +1,14 @@
 #include "spec/verify.h"
 
-#include <algorithm>
-
 #include "core/tile_heuristics.h"
-#include "util/check.h"
 
 namespace flashinfer::spec {
 
-VerifyPricer::VerifyPricer(const gpusim::DeviceSpec& dev,
-                           const serving::BackendConfig& backend,
-                           const serving::AttnSimInput& geometry, const DraftTree& tree)
-    : dev_(dev), backend_(backend), geometry_(geometry), tree_size_(tree.Size()) {
-  const int g =
-      backend.head_fusion ? geometry.num_qo_heads / geometry.num_kv_heads : 1;
-  // One request's mask is lowered once; Price() replicates it
-  // block-diagonally (the batch shares a single tree shape, only physical
-  // tail slots differ).
-  const KernelConfig tail_cfg = SelectKernelConfig(
-      dev, /*avg_fused_qlen=*/static_cast<double>(tree_size_) * g, geometry.head_dim,
-      DTypeBytes(backend.kv_dtype), /*sparse=*/true);
-  unit_bsr_ = TreeMaskBsr(tree, tail_cfg.tile_q, g);
-}
-
-gpusim::SimReport VerifyPricer::Price(const std::vector<int64_t>& context_lens) const {
-  FI_CHECK(!context_lens.empty());
-  const int batch = static_cast<int>(context_lens.size());
-  const int n = tree_size_;
-  const int g =
-      backend_.head_fusion ? geometry_.num_qo_heads / geometry_.num_kv_heads : 1;
-
-  // --- Level 0: tree tokens vs committed context (paged, dense blocks). ----
-  serving::AttnSimInput l0 = geometry_;
-  l0.qo_lens.assign(static_cast<size_t>(batch), n);
-  l0.kv_lens = context_lens;
-  l0.groups.clear();
-  l0.causal = false;  // Every tree token sees the whole context.
-  auto report = SimulateBatchAttention(dev_, backend_, l0);
-
-  // --- Level 1: ancestor mask over the speculative tail (vector sparse). --
-  const auto tail_bsr = sparse::TileBsrDiagonal(unit_bsr_, batch);
-  const std::vector<int64_t> tail_qo(static_cast<size_t>(batch), n);
-  const std::vector<int64_t> tail_kv(static_cast<size_t>(batch), n);
-  report.Append(
-      SimulateMaskedAttention(dev_, backend_, geometry_, tail_bsr, tail_qo, tail_kv));
-
-  // --- Contraction: merge level-0 and level-1 partial states per fused row
-  // (same bandwidth-bound merge the composable shared-prefix path charges).
-  {
-    const double fused_rows =
-        static_cast<double>(batch) * n * g * geometry_.num_kv_heads;
-    gpusim::WorkCost wc;
-    wc.hbm_bytes = fused_rows * (geometry_.head_dim + 1) * 4.0 * 2.0 +
-                   fused_rows * geometry_.head_dim * 2.0;
-    wc.cuda_flops = fused_rows * (2.0 * geometry_.head_dim + 8.0);
-    gpusim::KernelEfficiency eff;  // Bandwidth-bound merge kernel.
-    report.time_us += wc.hbm_bytes / (dev_.hbm_gbps * eff.mem * 1e3);
-    report.total_hbm_bytes += wc.hbm_bytes;
-    report.total_cuda_flops += wc.cuda_flops;
-  }
-  return report;
-}
-
-gpusim::SimReport PriceVerifyAttention(const gpusim::DeviceSpec& dev,
-                                       const serving::BackendConfig& backend,
-                                       const serving::AttnSimInput& in,
-                                       const std::vector<int64_t>& context_lens,
-                                       const DraftTree& tree) {
-  return VerifyPricer(dev, backend, in, tree).Price(context_lens);
+serving::MaskRows LowerVerifyMask(const DraftTree& tree, const serving::BackendConfig& backend,
+                                  const serving::AttnSimInput& geometry) {
+  const int g = backend.head_fusion ? geometry.num_qo_heads / geometry.num_kv_heads : 1;
+  const int tile_q = SelectQueryTileSize(static_cast<double>(tree.Size()) * g);
+  return serving::MaskRowsFromBsr(TreeMaskBsr(tree, tile_q, g), tree.Size());
 }
 
 }  // namespace flashinfer::spec

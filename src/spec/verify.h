@@ -8,55 +8,29 @@
 //             (paged KV, dense blocks, no causal trimming: all tree tokens
 //             see all of it);
 //   level 1 — tree tokens attend their ancestors among the draft tokens: the
-//             ancestor mask lowered through sparse::BsrFromDenseMask at
-//             bc = 1 (vector sparse), replicated block-diagonally across the
-//             batch;
+//             ancestor mask, lowered once through TreeMaskBsr at bc = 1
+//             (vector sparse) to one branch's block rows, repeated once per
+//             branch;
 //   merge   — the contraction kernel combines both levels' partial states.
 //
-// Both levels run through the backend's REAL scheduler and the kernel cost
-// model (SimulateBatchAttention / SimulateMaskedAttention), so verify cost
-// reflects actual tree-attention kernel work — batch mix, KV lengths and
-// mask sparsity all move the number — rather than a flat per-token estimate.
+// serving::VerifyAttentionTimeUs (the engine's per-step price) and
+// serving::SimulateVerifyAttention (its full report) run both levels through
+// the backend's REAL scheduler and the kernel cost model, the one pricer
+// every other launch takes, so verify cost reflects actual tree-attention
+// kernel work — batch mix, KV lengths and mask sparsity all move the number
+// — rather than a flat per-token estimate. No BSR is built per step.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "serving/backends.h"
 #include "spec/tree.h"
 
 namespace flashinfer::spec {
 
-/// Prices tree-verification attention launches for a fixed (device, backend,
-/// head geometry, tree) tuple — everything that is invariant across engine
-/// steps, notably the lowered tree-mask BSR, is computed once at
-/// construction; only the batch replication and scheduling run per call.
-class VerifyPricer {
- public:
-  VerifyPricer(const gpusim::DeviceSpec& dev, const serving::BackendConfig& backend,
-               const serving::AttnSimInput& geometry, const DraftTree& tree);
-
-  /// Prices ONE per-layer verify launch for a batch of branches with
-  /// committed KV lengths `context_lens` (tree tokens excluded). The caller
-  /// multiplies by the layer count, exactly as the serving engine's
-  /// plan-cache reuse does for vanilla steps.
-  gpusim::SimReport Price(const std::vector<int64_t>& context_lens) const;
-
- private:
-  gpusim::DeviceSpec dev_;
-  serving::BackendConfig backend_;
-  serving::AttnSimInput geometry_;
-  int tree_size_;
-  /// One request's fused-row ancestor-mask BSR at the selected tile.
-  sparse::BsrMatrix unit_bsr_;
-};
-
-/// Convenience one-shot wrapper around VerifyPricer (tests, exploratory
-/// pricing); engines should hold a VerifyPricer instead.
-gpusim::SimReport PriceVerifyAttention(const gpusim::DeviceSpec& dev,
-                                       const serving::BackendConfig& backend,
-                                       const serving::AttnSimInput& in,
-                                       const std::vector<int64_t>& context_lens,
-                                       const DraftTree& tree);
+/// Lowers `tree`'s ancestor mask to one branch's verify block rows, in the
+/// fused-row space of `backend` and the head geometry of `geometry`: each
+/// token's row repeated by the GQA group under head fusion, tiled at the
+/// query tile the kernel heuristic picks for Size() x group fused rows.
+serving::MaskRows LowerVerifyMask(const DraftTree& tree, const serving::BackendConfig& backend,
+                                  const serving::AttnSimInput& geometry);
 
 }  // namespace flashinfer::spec

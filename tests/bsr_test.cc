@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sparse/bsr.h"
 #include "sparse/gather.h"
+#include "spec/tree.h"
+#include "test_util.h"
 
 namespace flashinfer::sparse {
 namespace {
@@ -164,30 +168,36 @@ TEST(MaskHelpers, ExpandMaskRowsRepeatsPerGroup) {
   EXPECT_EQ(ExpandMaskRows(mask, 1).size(), 2u);
 }
 
-TEST(MaskHelpers, TileBsrDiagonalPreservesStructurePerCopy) {
-  // Lower a small mask, replicate it, and check each copy's block rows are
-  // bitwise-identical modulo the column/row offsets.
+TEST(MaskHelpers, TileBsrDiagonalRepeatsUnitPerCopy) {
+  // Lower a small mask and a draft tree's mask, replicate each, and check
+  // each copy's blocks and block rows are the unit's, modulo the column and
+  // row offsets, with logical positions restarting per copy.
   const std::vector<std::vector<bool>> mask = {
       {true, false, false}, {true, true, false}, {false, true, true}};
-  const auto unit = BsrFromDenseMask(mask, /*br=*/2, /*bc=*/1);
-  const auto tiled = TileBsrDiagonal(unit, 4);
-  tiled.Validate();
-  EXPECT_EQ(tiled.NumBlockRows(), unit.NumBlockRows() * 4);
-  EXPECT_EQ(tiled.num_rows, unit.num_rows * 4);
-  for (int c = 0; c < 4; ++c) {
-    for (int64_t e = 0; e < unit.Nnz(); ++e) {
-      const size_t te = static_cast<size_t>(c * unit.Nnz() + e);
-      EXPECT_EQ(tiled.indices[te],
-                unit.indices[static_cast<size_t>(e)] + c * unit.num_col_blocks);
-      EXPECT_EQ(tiled.block_pos[te], unit.block_pos[static_cast<size_t>(e)]);
-      EXPECT_EQ(tiled.block_valid[te], unit.block_valid[static_cast<size_t>(e)]);
-    }
-  }
-  // Row extents repeat with the per-copy row offset.
-  for (int c = 0; c < 4; ++c) {
-    for (int64_t b = 0; b < unit.NumBlockRows(); ++b) {
-      EXPECT_EQ(tiled.row_start[static_cast<size_t>(c * unit.NumBlockRows() + b + 1)],
-                unit.row_start[static_cast<size_t>(b + 1)] + c * unit.num_rows);
+  const std::pair<BsrMatrix, int> cases[] = {
+      {BsrFromDenseMask(mask, /*br=*/2, /*bc=*/1), 4},
+      {spec::TreeMaskBsr(spec::DraftTree(spec::TreeConfig{2, 2}), 1, 1), 3}};
+  for (const auto& [unit, copies] : cases) {
+    const auto tiled = test::TileBsrDiagonal(unit, copies);
+    tiled.Validate();
+    EXPECT_EQ(tiled.NumBlockRows(), unit.NumBlockRows() * copies);
+    EXPECT_EQ(tiled.num_rows, unit.num_rows * copies);
+    EXPECT_EQ(tiled.num_col_blocks, unit.num_col_blocks * copies);
+    EXPECT_EQ(tiled.Nnz(), unit.Nnz() * copies);
+    for (int c = 0; c < copies; ++c) {
+      for (int64_t e = 0; e < unit.Nnz(); ++e) {
+        const size_t te = static_cast<size_t>(c * unit.Nnz() + e);
+        EXPECT_EQ(tiled.indices[te],
+                  unit.indices[static_cast<size_t>(e)] + c * unit.num_col_blocks);
+        EXPECT_EQ(tiled.block_pos[te], unit.block_pos[static_cast<size_t>(e)]);
+        EXPECT_EQ(tiled.block_valid[te], unit.block_valid[static_cast<size_t>(e)]);
+      }
+      for (int64_t b = 0; b < unit.NumBlockRows(); ++b) {
+        const size_t tb = static_cast<size_t>(c * unit.NumBlockRows() + b + 1);
+        EXPECT_EQ(tiled.row_start[tb],
+                  unit.row_start[static_cast<size_t>(b + 1)] + c * unit.num_rows);
+        EXPECT_EQ(tiled.indptr[tb], unit.indptr[static_cast<size_t>(b + 1)] + c * unit.Nnz());
+      }
     }
   }
 }

@@ -507,6 +507,49 @@ TEST(Preemption, BlockedRestoreHeadWakesAtTransferEnd) {
   EXPECT_EQ(st.itl_ms, run.itl_ms);
 }
 
+// Known divergence, disabled until batch formation changes: a swap-in whose
+// transfer has landed should ride the next step, but FormStepPlan stops
+// scanning once the step's prefill budget is spent, so a landed swap-in
+// queued behind a prompt still being chunked waits for the prompt's last
+// chunk, its KV back on the device. P evicts A; when B finishes, A's
+// restore fits and queues behind P's 8,000-token prompt (16 chunks of 512),
+// and A's transfer lands 11 steps before A resumes. Enable this case when
+// zero-token transfer chunks pass a spent budget.
+TEST(Preemption, DISABLED_LandedSwapInRidesTheNextStepBehindPrompts) {
+  auto cfg = BaseConfig();
+  cfg.preemption.enabled = true;
+  cfg.preemption.restore = RestorePolicy::kSwap;
+  cfg.preemption.overlap_swap = true;
+  cfg.prefill_chunk_tokens = 512;
+  cfg.trace.enabled = true;
+  cfg.hbm_capacity_gb = HbmForBudget(cfg, 14000);
+  const std::vector<Request> reqs = {MakeReq(0, 0.0, 4000, 100, 0),    // A
+                                     MakeReq(1, 0.0, 4000, 3, 1),      // B
+                                     MakeReq(2, 0.19, 8000, 20, 2)};   // P
+  ServingEngine engine(cfg);
+  const auto m = engine.Run(reqs);
+  ASSERT_EQ(m.num_preemptions, 1);
+  ASSERT_EQ(m.num_swap_restores, 1);
+  const auto events = engine.TraceEvents();
+  double landed_us = -1.0, resumed_us = -1.0;
+  for (const auto& e : events) {
+    if (e.req != 0) continue;
+    if (e.name == obs::TraceName::kCopyH2D) landed_us = e.ts_us + e.dur_us;
+    if (e.name == obs::TraceName::kReqSwapIn) resumed_us = e.ts_us + e.dur_us;
+  }
+  ASSERT_GT(landed_us, 0.0);
+  ASSERT_GT(resumed_us, landed_us);
+  // Steps that start once the transfer has landed, up to the one carrying
+  // A's chunk, which ends at the resume. Span ends are sums of rounded
+  // microseconds: compare to the ns.
+  int steps = 0;
+  for (const auto& e : events) {
+    steps += e.name == obs::TraceName::kStep && e.ts_us > landed_us - 1e-3 &&
+             e.ts_us < resumed_us - 1e-3;
+  }
+  EXPECT_EQ(steps, 1);
+}
+
 TEST(Preemption, SpecDecodeCoexistsAndDrainsClean) {
   Rng rng(17);
   auto reqs = serving::UniformWorkload(rng, 40, 40.0, 256, 768, 96);

@@ -7,7 +7,8 @@
 // materializes the backend's Plan and walks it. Over thousands of seeded
 // batches both must agree to the last bit on the launch time, every
 // byte/flop total, the grid and each CTA's time. Stepped decode batches
-// also exercise the key order each thread reuses from its previous call.
+// also exercise the key order each thread reuses from its previous call,
+// and verify launches the mask rows lowered once and repeated per branch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -127,7 +128,10 @@ std::vector<std::vector<bool>> RandomTreeMask(Rng& rng, int n) {
   return mask;
 }
 
-TEST(Pricing, MaskedMatchesPlanWalkOnRandomMasks) {
+TEST(Pricing, VerifyMatchesPlanWalkOnRandomMasks) {
+  // Verify launches over random masks lowered once to one request's block
+  // rows and repeated per branch; the reference tiles the mask's BSR over
+  // the batch and walks the plans of both levels.
   const auto dev = gpusim::H100Sxm80GB();
   Rng rng(0x51CE0002);
   for (int trial = 0; trial < 500; ++trial) {
@@ -141,13 +145,18 @@ TEST(Pricing, MaskedMatchesPlanWalkOnRandomMasks) {
         sparse::ExpandMaskRows(RandomTreeMask(rng, n), g), tile_q,
         static_cast<int>(rng.UniformInt(1, 4)));
     const int batch = static_cast<int>(rng.UniformInt(1, 16));
-    const auto bsr = sparse::TileBsrDiagonal(unit, batch);
-    const std::vector<int64_t> lens(static_cast<size_t>(batch), n);
+    std::vector<int64_t> context_lens(static_cast<size_t>(batch));
+    for (auto& len : context_lens) len = rng.UniformInt(1, 1024);
 
-    const auto got = serving::SimulateMaskedAttention(dev, backend, in, bsr, lens, lens);
+    const auto mask = serving::MaskRowsFromBsr(unit, n);
+    const auto got = serving::SimulateVerifyAttention(dev, backend, in, mask, context_lens);
     const auto want =
-        test::ReferenceSimulateMaskedAttention(dev, backend, in, bsr, lens, lens);
+        test::ReferenceSimulateVerifyAttention(dev, backend, in, unit, n, context_lens);
     ASSERT_EQ(test::ReportDiff(got, want), "") << "trial " << trial;
+    ASSERT_EQ(test::TimeOnlyDiff(
+                  serving::VerifyAttentionTimeUs(dev, backend, in, mask, context_lens), got),
+              "")
+        << "trial " << trial;
   }
 }
 

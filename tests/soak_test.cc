@@ -19,7 +19,9 @@
 //      jittered deadlines and ≡ admitting requests as they arrive,
 //   5. the step attention pricer is bit-identical to the plan-walking
 //      reference (test_util.h) on random batches over the trial's backend
-//      and head geometry,
+//      and head geometry, and on spec trials so is the verify pricer on a
+//      random batch of the trial's draft tree (the reference tiles the
+//      tree's mask BSR over the batch),
 //   6. on cluster trials, the indexed RadixTree matches the scanning
 //      reference tree (test_util.h) on a random mirror-op sequence,
 //   7. the engine's host byte meter never exceeds its capacity after any
@@ -52,6 +54,7 @@
 #include "cluster/cluster.h"
 #include "obs/export.h"
 #include "serving/engine.h"
+#include "spec/verify.h"
 #include "test_util.h"
 
 namespace flashinfer {
@@ -281,6 +284,32 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
         << "decode step " << step << " of " << decode.kv_lens.size() << " rows";
     for (auto& kv : decode.kv_lens) ++kv;
   }
+
+  if (!cfg.spec.enabled) return;
+  // One verify batch of the trial's tree, as the engine prices it: the mask
+  // lowered once, at the tile the kernel heuristic picks for its fused rows.
+  const spec::DraftTree tree(cfg.spec.tree);
+  std::vector<int64_t> context_lens(static_cast<size_t>(rng.UniformInt(1, 48)));
+  for (auto& len : context_lens) len = rng.UniformInt(1, 4000);
+  const auto mask = spec::LowerVerifyMask(tree, cfg.backend, geometry);
+  const auto verify =
+      serving::SimulateVerifyAttention(cfg.device, cfg.backend, geometry, mask, context_lens);
+  const int g = cfg.backend.head_fusion ? geometry.num_qo_heads / geometry.num_kv_heads : 1;
+  const int tile_q = SelectKernelConfig(cfg.device, static_cast<double>(tree.Size()) * g,
+                                        geometry.head_dim, DTypeBytes(cfg.backend.kv_dtype),
+                                        /*sparse=*/true)
+                         .tile_q;
+  EXPECT_EQ(test::ReportDiff(verify, test::ReferenceSimulateVerifyAttention(
+                                         cfg.device, cfg.backend, geometry,
+                                         spec::TreeMaskBsr(tree, tile_q, g), tree.Size(),
+                                         context_lens)),
+            "")
+      << "verify batch of " << context_lens.size() << " branches";
+  EXPECT_EQ(test::TimeOnlyDiff(serving::VerifyAttentionTimeUs(cfg.device, cfg.backend, geometry,
+                                                              mask, context_lens),
+                               verify),
+            "")
+      << "time-only verify price of " << context_lens.size() << " branches";
 }
 
 /// Drains with a step bound so a future admission wedge fails with the

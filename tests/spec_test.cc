@@ -106,22 +106,6 @@ TEST(DraftTree, FusedMaskExpandsRows) {
   EXPECT_EQ(bsr.num_rows, tree.Size() * 4);
 }
 
-TEST(SparseHelpers, TileBsrDiagonalOffsetsColumns) {
-  DraftTree tree(TreeConfig{2, 2});
-  const auto unit = TreeMaskBsr(tree, 1, 1);
-  const auto batch = sparse::TileBsrDiagonal(unit, 3);
-  batch.Validate();
-  EXPECT_EQ(batch.num_rows, unit.num_rows * 3);
-  EXPECT_EQ(batch.num_col_blocks, unit.num_col_blocks * 3);
-  EXPECT_EQ(batch.Nnz(), unit.Nnz() * 3);
-  // Copy 2's first block points at the offset column space.
-  const int64_t nnz = unit.Nnz();
-  EXPECT_EQ(batch.indices[static_cast<size_t>(2 * nnz)],
-            unit.indices[0] + 2 * unit.num_col_blocks);
-  // Logical positions restart per copy (per-request coordinates).
-  EXPECT_EQ(batch.block_pos[static_cast<size_t>(2 * nnz)], unit.block_pos[0]);
-}
-
 // --- Acceptance sampling ----------------------------------------------------
 
 TEST(Acceptance, SampleBoundsAndDeterminism) {
@@ -167,8 +151,10 @@ TEST(VerifyPricing, CostsMoreThanVanillaDecodeAndScalesWithTree) {
 
   DraftTree small(TreeConfig{2, 1});
   DraftTree big(TreeConfig{4, 2});
-  const auto r_small = PriceVerifyAttention(dev, backend, in, ctx, small);
-  const auto r_big = PriceVerifyAttention(dev, backend, in, ctx, big);
+  const auto r_small =
+      SimulateVerifyAttention(dev, backend, in, LowerVerifyMask(small, backend, in), ctx);
+  const auto r_big =
+      SimulateVerifyAttention(dev, backend, in, LowerVerifyMask(big, backend, in), ctx);
   EXPECT_GT(r_small.time_us, 0.0);
   // More tree tokens -> strictly more attention work.
   EXPECT_GT(r_big.time_us, r_small.time_us);
@@ -184,9 +170,11 @@ TEST(VerifyPricing, CostsMoreThanVanillaDecodeAndScalesWithTree) {
 }
 
 TEST(VerifyPricing, MaskedAttentionHonorsSparsity) {
-  // A chain tail (dense causal-ish mask) must cost at least as much as a
+  // A chain tail (dense causal-ish mask) must cost more than a
   // maximally-branched tree of the same size, whose mask is sparser (each
-  // leaf sees only its own path).
+  // leaf sees only its own path). Both are lowered at tile 16: at the
+  // heuristic's tile all 32 fused rows of either tree share one block row,
+  // which reads every column, so their bytes would tie.
   const auto dev = gpusim::H100Sxm80GB();
   const auto backend = serving::FlashInferBackend();
   serving::AttnSimInput in;
@@ -196,12 +184,12 @@ TEST(VerifyPricing, MaskedAttentionHonorsSparsity) {
   const auto chain_bsr = TreeMaskBsr(chain, 16, g);
   const auto bushy_bsr = TreeMaskBsr(bushy, 16, g);
   EXPECT_GT(chain_bsr.Nnz(), bushy_bsr.Nnz());
-  const std::vector<int64_t> qo(4, 8), kv(4, 8);
-  const auto chain_cost = SimulateMaskedAttention(
-      dev, backend, in, sparse::TileBsrDiagonal(chain_bsr, 4), qo, kv);
-  const auto bushy_cost = SimulateMaskedAttention(
-      dev, backend, in, sparse::TileBsrDiagonal(bushy_bsr, 4), qo, kv);
-  EXPECT_GE(chain_cost.total_hbm_bytes, bushy_cost.total_hbm_bytes);
+  const std::vector<int64_t> ctx(4, 512);
+  const auto chain_cost = SimulateVerifyAttention(
+      dev, backend, in, serving::MaskRowsFromBsr(chain_bsr, chain.Size()), ctx);
+  const auto bushy_cost = SimulateVerifyAttention(
+      dev, backend, in, serving::MaskRowsFromBsr(bushy_bsr, bushy.Size()), ctx);
+  EXPECT_GT(chain_cost.total_hbm_bytes, bushy_cost.total_hbm_bytes);
 }
 
 // --- Engine integration ------------------------------------------------------

@@ -303,6 +303,19 @@ inline gpusim::SimReport ReferencePriceSingleFormat(const gpusim::DeviceSpec& de
   return ReferencePlanAndPrice(dev, backend, launch.p, launch.cfg, in.kv_l2_fraction);
 }
 
+/// The contraction that merges two levels' partial states (composable and
+/// verify launches): one bandwidth-bound pass over `fused_rows` rows.
+inline void ReferenceAddLevelMerge(const gpusim::DeviceSpec& dev, double fused_rows,
+                                   int head_dim, gpusim::SimReport& report) {
+  gpusim::WorkCost wc;
+  wc.hbm_bytes = fused_rows * (head_dim + 1) * 4.0 * 2.0 + fused_rows * head_dim * 2.0;
+  wc.cuda_flops = fused_rows * (2.0 * head_dim + 8.0);
+  gpusim::KernelEfficiency eff;
+  report.time_us += wc.hbm_bytes / (dev.hbm_gbps * eff.mem * 1e3);
+  report.total_hbm_bytes += wc.hbm_bytes;
+  report.total_cuda_flops += wc.cuda_flops;
+}
+
 /// serving::SimulateBatchAttention over the reference single-format pricer:
 /// the same packed-tile and composable compositions.
 inline gpusim::SimReport ReferenceSimulateBatchAttention(const gpusim::DeviceSpec& dev,
@@ -374,18 +387,45 @@ inline gpusim::SimReport ReferenceSimulateBatchAttention(const gpusim::DeviceSpe
     for (int m : group.members) fused_rows += in.qo_lens[static_cast<size_t>(m)] * g;
   }
   fused_rows *= in.num_kv_heads;
-  gpusim::WorkCost wc;
-  wc.hbm_bytes = static_cast<double>(fused_rows) * (in.head_dim + 1) * 4.0 * 2.0 +
-                 static_cast<double>(fused_rows) * in.head_dim * 2.0;
-  wc.cuda_flops = static_cast<double>(fused_rows) * (2.0 * in.head_dim + 8.0);
-  gpusim::KernelEfficiency eff;
-  report.time_us += wc.hbm_bytes / (dev.hbm_gbps * eff.mem * 1e3);
-  report.total_hbm_bytes += wc.hbm_bytes;
-  report.total_cuda_flops += wc.cuda_flops;
+  ReferenceAddLevelMerge(dev, static_cast<double>(fused_rows), in.head_dim, report);
   return report;
 }
 
-/// serving::SimulateMaskedAttention over the reference plan walk.
+/// Stacks `copies` copies of `unit` block-diagonally: copy c's block rows
+/// follow copy c-1's, its column ids are offset by c * unit.num_col_blocks,
+/// and its logical positions restart at each copy's own coordinate system
+/// (block_pos is per-request in batch BSRs). The verify reference replicates
+/// one branch's tree-mask BSR across the batch with it.
+inline sparse::BsrMatrix TileBsrDiagonal(const sparse::BsrMatrix& unit, int copies) {
+  FI_CHECK_GE(copies, 1);
+  unit.Validate();
+  sparse::BsrMatrix out;
+  out.br = unit.br;
+  out.bc = unit.bc;
+  out.num_rows = unit.num_rows * copies;
+  out.num_col_blocks = unit.num_col_blocks * copies;
+  out.indptr.push_back(0);
+  out.row_start.push_back(0);
+  for (int c = 0; c < copies; ++c) {
+    for (int64_t e = 0; e < unit.Nnz(); ++e) {
+      const auto i = static_cast<size_t>(e);
+      out.indices.push_back(unit.indices[i] + c * unit.num_col_blocks);
+      out.block_pos.push_back(unit.block_pos[i]);
+      out.block_valid.push_back(unit.block_valid[i]);
+    }
+    for (int64_t b = 1; b <= unit.NumBlockRows(); ++b) {
+      const auto i = static_cast<size_t>(b);
+      out.indptr.push_back(c * unit.Nnz() + unit.indptr[i]);
+      out.row_start.push_back(c * unit.num_rows + unit.row_start[i]);
+    }
+  }
+  out.Validate();
+  return out;
+}
+
+/// One launch over an explicit mask BSR in the fused-row space, at the tile
+/// it was lowered at (`bsr.br`), through the reference plan walk; qo_lens
+/// and kv_lens attribute its rows to requests. No causal trimming.
 inline gpusim::SimReport ReferenceSimulateMaskedAttention(
     const gpusim::DeviceSpec& dev, const serving::BackendConfig& backend,
     const serving::AttnSimInput& in, const sparse::BsrMatrix& bsr,
@@ -405,6 +445,31 @@ inline gpusim::SimReport ReferenceSimulateMaskedAttention(
   p.head_dim = in.head_dim;
   p.head_fusion = backend.head_fusion;
   return ReferencePlanAndPrice(dev, backend, p, cfg, in.kv_l2_fraction);
+}
+
+/// serving::SimulateVerifyAttention through the reference pricers, over a
+/// real batch BSR: level 0 through the single-format reference over
+/// (`qo_len` tokens, context) per branch with causal trimming off, level 1
+/// over `unit` (one branch's fused-row mask of `qo_len` tokens) tiled
+/// block-diagonally once per branch, then the merge of both levels' states.
+inline gpusim::SimReport ReferenceSimulateVerifyAttention(
+    const gpusim::DeviceSpec& dev, const serving::BackendConfig& backend,
+    const serving::AttnSimInput& in, const sparse::BsrMatrix& unit, int64_t qo_len,
+    const std::vector<int64_t>& context_lens) {
+  const int batch = static_cast<int>(context_lens.size());
+  serving::AttnSimInput level0 = in;
+  level0.qo_lens.assign(context_lens.size(), qo_len);
+  level0.kv_lens = context_lens;
+  level0.groups.clear();
+  level0.causal = false;
+  auto report = ReferenceSimulateBatchAttention(dev, backend, level0);
+  const std::vector<int64_t> tail(context_lens.size(), qo_len);
+  report.Append(ReferenceSimulateMaskedAttention(dev, backend, in,
+                                                 TileBsrDiagonal(unit, batch), tail, tail));
+  const int g = backend.head_fusion ? in.num_qo_heads / in.num_kv_heads : 1;
+  ReferenceAddLevelMerge(dev, static_cast<double>(batch) * qo_len * g * in.num_kv_heads,
+                         in.head_dim, report);
+  return report;
 }
 
 /// Empty when the reports are bit-identical; otherwise names the first
@@ -510,8 +575,9 @@ inline std::string SketchRebuildDiff(const obs::Histogram& sketch,
   return "";
 }
 
-/// Empty when the time-only price `time_us` (BatchAttentionTimeUs) is bit
-/// for bit the full report's launch time; otherwise names both.
+/// Empty when the time-only price `time_us` (BatchAttentionTimeUs,
+/// VerifyAttentionTimeUs) is bit for bit the full report's launch time;
+/// otherwise names both.
 inline std::string TimeOnlyDiff(double time_us, const gpusim::SimReport& report) {
   if (std::bit_cast<uint64_t>(time_us) == std::bit_cast<uint64_t>(report.time_us)) return {};
   char buf[96];
