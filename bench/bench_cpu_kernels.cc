@@ -11,6 +11,7 @@
 // matching and eviction.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -196,11 +197,13 @@ std::vector<std::vector<int64_t>> ShareGptDecodeKvLens(int rows) {
 void BM_ScheduleBalanced(benchmark::State& state) {
   // Algorithm 1 alone, listing its assignments as Make*Plan does: block
   // rows straight from a skewed decode batch of range(0) rows, range(1)
-  // fused kv heads (8: Llama-3.1-8B; 2: one Llama-3.1-70B shard at TP=4), a
-  // 132-CTA grid. The chunk costs mostly differ, unlike BM_BalancedPlan's
-  // uniform KV, and each chunk is placed once per kv head. The iterations
-  // cycle through 16 such batches: repeating a single one lets the branch
-  // predictor learn its comparisons, which a serving run never repeats.
+  // fused kv heads (8: Llama-3.1-8B; 2: one Llama-3.1-70B shard at TP=4;
+  // 1: a single head, so CTAs are placed one by one rather than in groups
+  // of gcd(132, heads)), a 132-CTA grid. The chunk costs mostly differ,
+  // unlike BM_BalancedPlan's uniform KV, and each chunk is placed once per
+  // kv head. The iterations cycle through 16 such batches: repeating a
+  // single one lets the branch predictor learn its comparisons, which a
+  // serving run never repeats.
   const std::vector<int64_t> qo_lens(static_cast<size_t>(state.range(0)), 1);
   const int num_heads = static_cast<int>(state.range(1));
   const auto kv_lens = ShareGptDecodeKvLens(static_cast<int>(state.range(0)));
@@ -220,7 +223,7 @@ void BM_ScheduleBalanced(benchmark::State& state) {
   }
   state.SetItemsProcessed(items);
 }
-BENCHMARK(BM_ScheduleBalanced)->ArgsProduct({{64, 256, 1024}, {2, 8}});
+BENCHMARK(BM_ScheduleBalanced)->ArgsProduct({{64, 256, 1024}, {1, 2, 8}});
 
 void BM_PriceStep(benchmark::State& state) {
   // The serving engine's whole per-step attention price (the time-only
@@ -275,6 +278,40 @@ void BM_PriceDecodeRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PriceDecodeRun)->ArgsProduct({{64, 256}, {2, 8}});
+
+void BM_PriceComposableStep(benchmark::State& state) {
+  // The same time-only price of a parallel-generation decode step (Fig. 10,
+  // n = 4) with composable formats, shaped like the parallel_n4 workload's:
+  // range(0) ShareGPT-like prompts, each decoded by 4 branches that share
+  // its KV as one prefix group and have generated equally many tokens, so
+  // the combined batch repeats each suffix length 4 times. Llama-3.1-8B
+  // geometry (32 qo heads, 8 kv heads) on the H100; the iterations cycle
+  // through 16 such batches.
+  const auto dev = gpusim::H100Sxm80GB();
+  auto backend = serving::FlashInferBackend();
+  backend.composable = true;
+  Rng rng(23);
+  std::vector<serving::AttnSimInput> batches(16);
+  for (auto& in : batches) {
+    for (const auto& r : serving::ShareGptWorkload(rng, static_cast<int>(state.range(0)), 1.0)) {
+      const int64_t kv = r.input_len + rng.UniformInt(1, std::max<int64_t>(r.output_len, 1));
+      serving::AttnSimInput::Group group;
+      group.prefix_len = r.input_len;
+      for (int branch = 0; branch < 4; ++branch) {
+        group.members.push_back(static_cast<int>(in.qo_lens.size()));
+        in.qo_lens.push_back(1);
+        in.kv_lens.push_back(kv);
+      }
+      in.groups.push_back(std::move(group));
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serving::BatchAttentionTimeUs(dev, backend, batches[next]));
+    next = (next + 1) % batches.size();
+  }
+}
+BENCHMARK(BM_PriceComposableStep)->Arg(16)->Arg(64);
 
 void BM_PriceVerifyStep(benchmark::State& state) {
   // The serving engine's per-step verify price under speculative decoding

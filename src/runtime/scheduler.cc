@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -62,51 +63,60 @@ uint64_t WordRange(int32_t lo, int32_t hi) noexcept {
   return below_hi & ~((uint64_t{1} << lo) - 1);
 }
 
-/// Algorithm 1's CTA choice (lines 7-9) for a run of equal-cost chunks:
-/// Place(cost, count, out) puts each of the run's `count` chunks, in order,
-/// on the CTA that minimizes (accumulated load, index), adds `cost` to that
-/// CTA's load and appends the CTA to `out`. Costs are finite and
-/// non-negative, and runs come in decreasing cost order.
+/// Algorithm 1's CTA choice (lines 7-9) for a run of equal-cost chunks,
+/// over `n` placement units (ScheduleBalanced's CTA groups, which move
+/// together): Place(cost, count, out) puts each of the run's `count` units
+/// of chunks, in order, on the unit that minimizes (accumulated load,
+/// index), adds `cost` to that unit's load and appends the unit to `out`.
+/// Costs are finite and non-negative, and runs come in decreasing cost
+/// order.
 ///
-/// CTAs with bit-identical loads share a class, a bitset of their indices.
+/// Units with bit-identical loads share a class, a bitset of their indices.
 /// Classes are kept in load order; non-negative doubles order like their
 /// bit patterns read as integers. While the first runs have positive cost,
-/// chunk i lands on CTA i: CTAs 0..i-1 already hold positive loads and i is
-/// the lowest-indexed empty one, so each such run's CTAs form one class, an
-/// index range at load 0.0 + cost == cost. The first zero-cost chunk, or
-/// the first chunk after every CTA is loaded, adds the still-empty CTAs as
-/// the least class. From then on a chunk goes to the least class's lowest
-/// index and moves it to the class at load + cost, so a run takes the least
-/// class's lowest indices in order and moves them together; when the least
-/// class empties, the run continues in the next one. If load + cost rounds
-/// back to the load, the lowest index takes the whole run.
+/// chunk i lands on unit i: units 0..i-1 already hold positive loads and i
+/// is the lowest-indexed empty one, so each such run's units form one
+/// class, an index range at load 0.0 + cost == cost. The first zero-cost
+/// chunk, or the first chunk after every unit is loaded, adds the
+/// still-empty units as the least class. From then on a chunk goes to the
+/// least class's lowest index and moves it to the class at load + cost, so
+/// a run takes the least class's lowest indices in order and moves them
+/// together; when the least class empties, the run continues in the next
+/// one. A run that takes the whole least class relabels it at load + cost,
+/// or ORs it into the class already there. If load + cost rounds back to
+/// the load, the lowest index takes the whole run.
 class LeastLoadedCtas {
  public:
-  void Reset(int num_ctas) {
-    // A move creates its target class before it releases the emptied one,
-    // so up to num_ctas + 1 classes are live at once. Their bitsets take
-    // (num_ctas + 1) * ceil(num_ctas / 64) words: 3.1 KiB for 132 CTAs.
-    // Ids are taken as classes appear, so a call writes only the bitsets
-    // of the classes it creates.
-    num_ctas_ = num_ctas;
-    words_ = (num_ctas + 63) / 64;
-    const size_t pool = static_cast<size_t>(num_ctas) + 1;
+  void Reset(int n) {
+    // Every live class holds a unit (a move of a whole class relabels or
+    // releases it, and a partial move leaves the least class members), so
+    // at most n are live and n ids suffice. Their bitsets take
+    // n * ceil(n / 64) words: 264 bytes for 33 groups of 4 CTAs. Ids are
+    // taken as classes appear, so a call writes only the bitsets of the
+    // classes it creates.
+    n_ = n;
+    words_ = (n + 63) / 64;
+    const size_t pool = static_cast<size_t>(n);
     if (members_.size() < pool * static_cast<size_t>(words_)) {
       members_.resize(pool * static_cast<size_t>(words_));
     }
-    if (size_.size() < pool) size_.resize(pool);
+    if (size_.size() < pool) {
+      size_.resize(pool);
+      free_.resize(pool);
+      order_.resize(pool);
+    }
     next_id_ = 0;
-    free_.clear();
-    order_.clear();
+    num_free_ = 0;
+    live_ = 0;
     first_empty_ = 0;
   }
 
   void Place(double cost, size_t count, std::vector<CtaWord>& out) {
     if (first_empty_ >= 0) {
-      if (cost > 0.0 && first_empty_ < num_ctas_) {
+      if (cost > 0.0 && first_empty_ < n_) {
         const int32_t lo = first_empty_;
         const int32_t hi = static_cast<int32_t>(
-            std::min<size_t>(static_cast<size_t>(num_ctas_), static_cast<size_t>(lo) + count));
+            std::min<size_t>(static_cast<size_t>(n_), static_cast<size_t>(lo) + count));
         AddRange(lo, hi, std::bit_cast<uint64_t>(cost));
         for (int32_t w = lo / 64; 64 * w < hi; ++w) {
           out.push_back({w, WordRange(lo - 64 * w, hi - 64 * w)});
@@ -115,11 +125,11 @@ class LeastLoadedCtas {
         count -= static_cast<size_t>(hi - lo);
         if (count == 0) return;
       }
-      if (first_empty_ < num_ctas_) AddRange(first_empty_, num_ctas_, 0);
+      if (first_empty_ < n_) AddRange(first_empty_, n_, 0);
       first_empty_ = -1;
     }
     while (count > 0) {
-      const Class least = order_.back();
+      const Class least = order_[static_cast<size_t>(live_ - 1)];
       const uint64_t load = std::bit_cast<uint64_t>(std::bit_cast<double>(least.load) + cost);
       uint64_t* from = Members(least.id);
       if (load == least.load) {  // The cost rounds away: the lowest index stays least.
@@ -128,25 +138,44 @@ class LeastLoadedCtas {
         out.insert(out.end(), count, CtaWord{w, from[w] & (~from[w] + 1)});
         return;
       }
-      // The least class's lowest indices, in order, move to the class at `load`.
-      const int32_t target = FindOrInsert(load);
-      uint64_t* to = Members(target);
-      const int32_t moved =
-          static_cast<int32_t>(std::min<size_t>(count, static_cast<size_t>(size_[least.id])));
-      size_[least.id] -= moved;
-      size_[target] += moved;
+      // The least class's lowest indices, in order: every word of a whole
+      // class, and the lowest members one by one otherwise.
+      const size_t first_word = out.size();
+      const int32_t size = size_[least.id];
+      const auto moved = static_cast<int32_t>(std::min<size_t>(count, static_cast<size_t>(size)));
       count -= static_cast<size_t>(moved);
-      for (int32_t w = 0, left = moved; left > 0; ++w) {
-        uint64_t rest = from[w];
-        for (; rest != 0 && left > 0; --left) rest &= rest - 1;
-        const uint64_t taken = from[w] ^ rest;
-        if (taken != 0) out.push_back({w, taken});
-        to[w] |= taken;
-        from[w] = rest;
+      if (moved == size) {
+        for (int32_t w = 0; w < words_; ++w) {
+          if (from[w] != 0) out.push_back({w, from[w]});
+        }
+      } else {
+        for (int32_t w = 0, left = moved; left > 0; ++w) {
+          uint64_t rest = from[w];
+          for (; rest != 0 && left > 0; --left) rest &= rest - 1;
+          if (rest != from[w]) out.push_back({w, from[w] ^ rest});
+        }
       }
-      if (size_[least.id] == 0) {  // Every member moved: its bitset is empty again.
-        order_.pop_back();
-        free_.push_back(least.id);
+      // They join the class at `load`. A whole class with no class there
+      // is relabeled, taking its place in the order; no bit moves.
+      const size_t j = FindAbove(load);
+      if (moved == size && order_[j].load != load) {
+        std::copy_backward(order_.begin() + static_cast<std::ptrdiff_t>(j),
+                           order_.begin() + live_ - 1, order_.begin() + live_);
+        order_[j] = {load, least.id};
+        continue;
+      }
+      const int32_t target = order_[j].load == load ? order_[j].id : Insert(j, load);
+      uint64_t* to = Members(target);
+      for (auto it = out.begin() + static_cast<std::ptrdiff_t>(first_word); it != out.end();
+           ++it) {
+        to[it->word] |= it->ctas;
+        from[it->word] ^= it->ctas;
+      }
+      size_[target] += moved;
+      size_[least.id] -= moved;
+      if (moved == size) {  // Emptied: released with an empty bitset.
+        free_[static_cast<size_t>(num_free_++)] = least.id;
+        --live_;
       }
     }
   }
@@ -161,45 +190,56 @@ class LeastLoadedCtas {
     return members_.data() + static_cast<size_t>(id) * static_cast<size_t>(words_);
   }
 
-  /// A new class of the CTAs [lo, hi), below every class so far.
+  /// A new class of the units [lo, hi), below every class so far.
   void AddRange(int32_t lo, int32_t hi, uint64_t load) {
     const int32_t id = next_id_++;
     uint64_t* members = Members(id);
     for (int32_t w = 0; w < words_; ++w) members[w] = WordRange(lo - 64 * w, hi - 64 * w);
     size_[id] = hi - lo;
-    order_.push_back({load, id});
+    order_[static_cast<size_t>(live_++)] = {load, id};
   }
 
-  /// The class at `load`, which is above the least class's load; created in
-  /// order if no CTA holds that load yet. A new load tends to land among the
-  /// highest, so the search starts there.
-  int32_t FindOrInsert(uint64_t load) {
+  /// The position of the highest class at or below `load`, which is above
+  /// the least class's load. A new load tends to land among the highest,
+  /// so the search starts there.
+  size_t FindAbove(uint64_t load) const noexcept {
     size_t j = 0;
     while (order_[j].load > load) ++j;
-    if (order_[j].load == load) return order_[j].id;
+    return j;
+  }
+
+  /// A new class at `load`, at position j of the order.
+  int32_t Insert(size_t j, uint64_t load) {
     int32_t id;
-    if (free_.empty()) {
+    if (num_free_ == 0) {
       id = next_id_++;
       std::fill_n(Members(id), words_, uint64_t{0});
       size_[id] = 0;
     } else {  // A released class: no members, and an empty bitset.
-      id = free_.back();
-      free_.pop_back();
+      id = free_[static_cast<size_t>(--num_free_)];
     }
-    order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(j), Class{load, id});
+    std::copy_backward(order_.begin() + static_cast<std::ptrdiff_t>(j),
+                       order_.begin() + live_, order_.begin() + live_ + 1);
+    order_[j] = {load, id};
+    ++live_;
     return id;
   }
 
-  int32_t num_ctas_ = 0;
-  // The lowest empty CTA, all later ones empty too (num_ctas_ once the
-  // first round has loaded every CTA); -1 once every CTA is in a class.
+  int32_t n_ = 0;
+  // The lowest empty unit, all later ones empty too (n_ once the first
+  // round has loaded every unit); -1 once every unit is in a class.
   int32_t first_empty_ = 0;
   int32_t words_ = 0;              // Bitset words per class.
-  std::vector<uint64_t> members_;  // Class id -> bitset of member CTAs.
+  std::vector<uint64_t> members_;  // Class id -> bitset of member units.
   std::vector<int32_t> size_;      // Class id -> member count.
   int32_t next_id_ = 0;            // Ids below it have been taken.
-  std::vector<int32_t> free_;      // Released class ids.
-  std::vector<Class> order_;       // Live classes, highest load first.
+  // Fixed capacity n, sized by Reset: released class ids, the first
+  // num_free_ of free_, and the live classes, highest load first, the
+  // first live_ of order_.
+  std::vector<int32_t> free_;
+  int32_t num_free_ = 0;
+  std::vector<Class> order_;
+  int32_t live_ = 0;
 };
 
 /// Algorithm 1's line-5 order: descending cost, then block_row, then chunk.
@@ -237,12 +277,20 @@ void SortByDescendingCost(std::vector<ChunkKey>& keys, std::vector<ChunkKey>& sp
   }
 }
 
-/// Insertion-sorts `keys` into SortsBefore order with at most keys.size()
-/// element moves. Returns false, leaving `keys` unusable, when it needs more.
-bool InsertionSortWithinBudget(std::vector<ChunkKey>& keys) {
-  size_t budget = keys.size();
-  for (size_t i = 1; i < keys.size(); ++i) {
-    const ChunkKey key = keys[i];
+/// Gives each of `keys`, in order, its new cost(block_row, chunk) and
+/// insertion-sorts it into SortsBefore order among the keys before it, with
+/// at most keys.size() / 4 element moves in all. Returns false, leaving
+/// `keys` unusable, once it needs more. Keys in an order unrelated to their
+/// new costs spend the budget within about sqrt(keys.size()) keys, before
+/// most of them are re-costed. A step that kept its order mostly needs no
+/// move: on the serving benchmark's seed-1 steps, about 1% of the reused
+/// orders of parallel_n4 and fewer elsewhere need more than the budget.
+template <typename Cost>
+bool ResortWithinBudget(std::vector<ChunkKey>& keys, const Cost& cost) {
+  size_t budget = keys.size() / 4;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ChunkKey key = keys[i];
+    key.cost = cost(key.block_row, key.chunk);
     size_t j = i;
     for (; j > 0 && SortsBefore(key, keys[j - 1]); --j) {
       if (budget-- == 0) return false;
@@ -269,9 +317,11 @@ thread_local ScheduleScratch t_scratch;
 /// Line 5: every (block_row, chunk) key of the split rows in SortsBefore
 /// order. The order stays in the thread's scratch, valid until its next
 /// call. When this call's per-row chunk counts equal the
-/// previous call's, its keys are that call's order with new costs,
-/// insertion-sorted: a decode step whose rows each grew by a token mostly
-/// keeps its order. Past the move budget, the keys are sorted afresh.
+/// previous call's, its keys are that call's order re-costed and
+/// insertion-sorted as they go: a decode step whose rows each grew by a
+/// token mostly keeps its order. Past the move budget, which unrelated
+/// rows with the same chunk counts reach within a few keys, the keys are
+/// sorted afresh.
 std::span<const ChunkKey> SortedKeys(const std::vector<BlockRowShape>& rows,
                                      const std::vector<ChunkSchedule::RowSplit>& splits,
                                      double alpha, double beta) {
@@ -288,10 +338,7 @@ std::span<const ChunkKey> SortedKeys(const std::vector<BlockRowShape>& rows,
   for (size_t i = 0; same_chunks && i < rows.size(); ++i) {
     same_chunks = key_chunks[i] == splits[i].num_chunks;
   }
-  if (same_chunks) {
-    for (auto& k : keys) k.cost = cost(k.block_row, k.chunk);
-    if (InsertionSortWithinBudget(keys)) return keys;
-  }
+  if (same_chunks && ResortWithinBudget(keys, cost)) return keys;
   keys.clear();
   key_chunks.resize(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -395,6 +442,7 @@ Plan Materialize(const AttentionParams& p, const std::vector<BlockRowShape>& row
 void AssignmentList::Split(const ChunkSchedule& s) {
   size_t chunks = 0;
   for (const auto& split : s.splits) chunks += static_cast<size_t>(split.num_chunks);
+  group_ = s.cta_group;
   assignments_.clear();
   assignments_.reserve(chunks * static_cast<size_t>(num_heads_));
 }
@@ -402,9 +450,11 @@ void AssignmentList::Split(const ChunkSchedule& s) {
 void AssignmentList::Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) {
   RunChunks chunk(run, num_heads_);
   for (const CtaWord& w : ctas) {
-    for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1, chunk.Next()) {
-      assignments_.push_back({chunk.key().block_row, chunk.head(), chunk.key().chunk,
-                              64 * w.word + std::countr_zero(bits)});
+    for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1) {
+      const int32_t first = (64 * w.word + std::countr_zero(bits)) * group_;
+      for (int32_t cta = first; cta < first + group_; ++cta, chunk.Next()) {
+        assignments_.push_back({chunk.key().block_row, chunk.head(), chunk.key().chunk, cta});
+      }
     }
   }
 }
@@ -541,7 +591,6 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
 
   // Line 4.
   SplitRows(rows, num_heads, [lkv](int64_t) { return lkv; }, out);
-  sink.Split(*out);
 
   // Line 5: descending cost, ties in generation order (block_row, head,
   // chunk). Every head of a block row has the same chunks, so the sort runs
@@ -549,17 +598,30 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
   // of equal cost from one block row, generation order is head-major.
   const std::span<const ChunkKey> keys = SortedKeys(rows, out->splits, alpha, beta);
 
+  // CTA groups (header comment): no CTA's load exceeds the sum of every
+  // chunk's cost, at most (#chunks) x the largest, and a cost above 2^-50 of
+  // that cannot round away against any load (2^-53 would do, before the
+  // sum's own rounding).
+  const size_t chunks = keys.size() * static_cast<size_t>(num_heads);
+  const bool no_round_away =
+      !keys.empty() &&
+      keys.back().cost > keys.front().cost * static_cast<double>(chunks) * 0x1p-50;
+  const int g = no_round_away ? std::gcd(num_ctas, num_heads) : 1;
+  out->cta_group = g;
+  sink.Split(*out);
+
   // Lines 6-13: longest-processing-time-first, each chunk onto the CTA
   // with the least accumulated cost (lowest index on ties). Each maximal
-  // run of equal cost is placed at once.
+  // run of equal cost is placed at once, a group of g chunks per group of
+  // g CTAs.
   ScheduleScratch& scratch = t_scratch;
   LeastLoadedCtas& ctas = scratch.ctas;
   std::vector<CtaWord>& run_ctas = scratch.run_ctas;
-  ctas.Reset(num_ctas);
+  ctas.Reset(num_ctas / g);
   for (size_t a = 0, b; a < keys.size(); a = b) {
     for (b = a + 1; b < keys.size() && keys[b].cost == keys[a].cost;) ++b;
     run_ctas.clear();
-    ctas.Place(keys[a].cost, (b - a) * static_cast<size_t>(num_heads), run_ctas);
+    ctas.Place(keys[a].cost, (b - a) * static_cast<size_t>(num_heads / g), run_ctas);
     sink.Place(keys.subspan(a, b - a), run_ctas);
   }
 }
@@ -567,6 +629,7 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
 void ScheduleNaive(const std::vector<BlockRowShape>& rows, int num_heads, ChunkSchedule* out,
                    PlacementSink& sink) {
   out->num_ctas = static_cast<int>(rows.size()) * num_heads;
+  out->cta_group = 1;
   out->lkv_chunk = 0;
   SplitRows(rows, num_heads, [](int64_t kv) { return kv; }, out);
   sink.Split(*out);
@@ -579,6 +642,7 @@ void ScheduleFixedSplit(const std::vector<BlockRowShape>& rows, int num_heads, i
   FI_CHECK_GE(num_ctas, 1);
   FI_CHECK_GE(num_splits, 1);
   out->num_ctas = num_ctas;
+  out->cta_group = 1;
   out->lkv_chunk = 0;
   const int64_t tkv = std::max(1, tile_kv);
   SplitRows(

@@ -23,15 +23,25 @@
 //      cost, one class, and the round leaves the empty CTAs as the least
 //      class. A run of m chunks of cost c takes the least class's lowest
 //      indices in order and moves them to the class at load + c; when the
-//      least class empties, the run continues in the next least one. (When
-//      load + c rounds back to load, the least class's lowest index takes
-//      the whole run.) Every head of a chunk costs the same, so with 8 kv
-//      heads the 132 CTAs of a serving step hold only about 20 distinct
-//      loads, and a run of 8 chunks mostly costs one or two class lookups
-//      rather than one search per chunk.
-// Both phases accumulate each CTA's load chunk by chunk in assignment
-// order (in the direct round, 0.0 + cost == cost), so the loads, and with
-// them every choice, are bit-exact rather than approximately balanced.
+//      least class empties, the run continues in the next least one. A run
+//      that takes a whole class relabels it (or joins it to the class
+//      already at load + c) without moving a bit. (When load + c rounds
+//      back to load, the least class's lowest index takes the whole run.)
+//   3. CTA groups. Every head of a chunk costs the same, so each run holds
+//      a multiple of num_heads chunks, and CTAs only ever move in aligned
+//      groups of g = gcd(#CTAs, num_heads): the direct round starts at CTA 0
+//      and advances by such counts, and by induction every class is a
+//      union of groups whose CTAs hold bit-identical loads. So the classes
+//      track groups, not CTAs: with 8 kv heads a 132-CTA grid is 33 groups
+//      of 4, a run of one key moves two groups, and the grid holds at
+//      most 33 distinct loads. Round-away runs break the groups
+//      (the lowest single CTA takes the run), so a schedule whose smallest
+//      cost is zero, or small enough against the largest possible load to
+//      round away, uses g = 1.
+// The direct round and the classes accumulate each CTA's load chunk by
+// chunk in assignment order (in the direct round, 0.0 + cost == cost), so
+// the loads, and with them every choice, are bit-exact rather than
+// approximately balanced.
 //
 // The longest-first order comes from one sort key per (block_row, chunk),
 // since every head of a block row has the same chunks. The order is
@@ -43,9 +53,10 @@
 // high bytes); below it, std::sort with the same order is cheaper. A
 // serving step usually has the previous step's chunk structure: each thread
 // keeps its last order, and when a call's per-row chunk counts equal that
-// order's, its keys get their new costs in the old order and are
-// insertion-sorted, falling back to the full sort after keys.size() element
-// moves.
+// order's, each key in the old order gets its new cost and is
+// insertion-sorted among those before it, falling back to the full sort
+// after keys.size() / 4 element moves, which rows unrelated to the last
+// call's spend within a few keys.
 //
 // Algorithm 1 needs only each query tile's shape — its rows and the KV
 // tokens it reads — never the page indices. So scheduling runs in two
@@ -60,7 +71,7 @@
 //      a PlacementSink. AssignmentList is the sink that lists the
 //      placements, for the callers that need them.
 // The serving cost model prices a step straight from its lengths with a
-// sink that charges each chunk's time to its CTA as it is placed
+// sink that charges each chunk's time to its CTA group as it is placed
 // (serving/backends.cc: BatchAttentionTimeUs for the engine,
 // SimulateBatchAttention for the full report), so the per-step path builds
 // no BSR, no Plan and no assignment list. The Make*Plan functions
@@ -183,6 +194,11 @@ struct ChunkSchedule {
     }
   };
   int num_ctas = 0;
+  /// CTAs per placed group, g: a divisor of num_ctas and of the head count,
+  /// set before the sink's Split. Group i is CTAs [i * g, i * g + g). Its
+  /// CTAs take g consecutive chunks of a run, from one block row and of
+  /// one cost, so they hold bit-identical loads. 1 for the baselines.
+  int cta_group = 1;
   int64_t lkv_chunk = 0;  // Algorithm 1 line 3 (0 for the baselines).
   int64_t num_partial_rows = 0;
   std::vector<RowSplit> splits;  // Per block row.
@@ -195,8 +211,9 @@ struct ChunkKey {
   int32_t chunk;
 };
 
-/// Some CTAs of one 64-CTA word of the grid: 64 * word + b for each set
-/// bit b of `ctas`, lowest first. `ctas` is never 0.
+/// Some CTA groups (ChunkSchedule::cta_group) of one 64-group word of the
+/// grid: group 64 * word + b for each set bit b of `ctas`, lowest first.
+/// `ctas` is never 0.
 struct CtaWord {
   int32_t word;
   uint64_t ctas;
@@ -209,10 +226,13 @@ struct CtaWord {
 /// (r, h, keys[j].chunk) for h = 0 .. num_heads - 1, each over j = a .. b - 1.
 class PlacementSink {
  public:
-  /// Every row is split as `s` says. Called once, before the first run.
+  /// Every row is split as `s` says, and s.cta_group is the group size g
+  /// of every placement to come. Called once, before the first run.
   virtual void Split(const ChunkSchedule& s) = 0;
-  /// One run, never empty: its chunks, in order, go to the CTAs listed in
-  /// `ctas`, one CTA per chunk.
+  /// One run, never empty: its chunks, in order, go to the groups listed
+  /// in `ctas`, g chunks per group. Group i takes the run's next g chunks,
+  /// one per CTA i * g, ..., i * g + g - 1 in that order; they come from
+  /// one block row and have one cost.
   virtual void Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) = 0;
 
  protected:
@@ -262,10 +282,11 @@ struct ChunkAssignment {
   int32_t cta;
 };
 
-/// The sink that lists every placement in assignment order, so each CTA's
-/// queue is the subsequence of its assignments: what Make*Plan
-/// materializes, and what tests and benches inspect. `num_heads` is the
-/// scheduler's. Each schedule written through it replaces the list.
+/// The sink that lists every placement in assignment order, one CTA per
+/// chunk (each group expanded to its CTAs), so each CTA's queue is the
+/// subsequence of its assignments: what Make*Plan materializes, and what
+/// tests and benches inspect. `num_heads` is the scheduler's. Each schedule
+/// written through it replaces the list.
 class AssignmentList final : public PlacementSink {
  public:
   explicit AssignmentList(int num_heads) noexcept : num_heads_(num_heads) {}
@@ -275,6 +296,7 @@ class AssignmentList final : public PlacementSink {
 
  private:
   int num_heads_;
+  int group_ = 1;
   std::vector<ChunkAssignment> assignments_;
 };
 
@@ -291,7 +313,9 @@ inline constexpr size_t kRadixSortMinKeys = 40;
 /// CTAs and chunk cost alpha * rows + beta * kv_tokens. alpha and beta must
 /// be finite and non-negative (checked): CTA loads are then non-negative,
 /// and the equal-load classes order them by their bit patterns. Each run is
-/// a maximal run of equal-cost keys in sorted order.
+/// a maximal run of equal-cost keys in sorted order. Places groups of
+/// gcd(num_ctas, num_heads) CTAs unless a cost could round away (see the
+/// header comment).
 void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
                       int num_ctas, double alpha, double beta, ChunkSchedule* out,
                       PlacementSink& sink);

@@ -76,8 +76,8 @@ struct PricingScratch {
   ChunkSchedule schedule;
   std::vector<RowPrice> row_prices;
   std::vector<RowCost> row_costs;     // Full report only.
-  std::vector<gpusim::CtaCost> ctas;  // Full report only.
-  std::vector<double> cta_us;         // Time only: per-CTA times.
+  std::vector<gpusim::CtaCost> ctas;  // Full report only: per CTA group.
+  std::vector<double> cta_us;         // Time only: per-CTA-group times.
   std::vector<double> merge_times;
   std::vector<int64_t> combined_qo, combined_kv;  // Composable launches.
   AttnSimInput verify_level0;                     // Verify launches.
@@ -92,6 +92,12 @@ thread_local PricingScratch t_scratch;
 /// With kReport the report carries every CTA's time and the byte/flop
 /// totals; without, only time_us and num_ctas, computed identically, and a
 /// run whose chunks all take the same time looks that time up once.
+///
+/// Charges go to CTA groups (ChunkSchedule::cta_group), one time or CtaCost
+/// per group. The pricer schedules with alpha = beta = 1, so chunks of one
+/// block row that cost the same read the same tokens, and the same rows
+/// and partial flag: a group's g chunks take bit-identical times and
+/// WorkCosts, so each member CTA's sum is the group's.
 template <bool kReport>
 class SchedulePricer final : public PlacementSink {
  public:
@@ -144,10 +150,12 @@ class SchedulePricer final : public PlacementSink {
       prices_[i] = {{first.us, last.us}, k};
       if constexpr (kReport) costs_[i] = {{first.wc, last.wc}};
     }
+    group_ = s.cta_group;
+    const auto groups = static_cast<size_t>(s.num_ctas / group_);
     if constexpr (kReport) {
-      ctas_.assign(static_cast<size_t>(s.num_ctas), gpusim::CtaCost{});
+      ctas_.assign(groups, gpusim::CtaCost{});
     } else {
-      times_.assign(static_cast<size_t>(s.num_ctas), 0.0);
+      times_.assign(groups, 0.0);
     }
   }
 
@@ -169,15 +177,16 @@ class SchedulePricer final : public PlacementSink {
     RunChunks chunk(run, num_heads_);
     for (const CtaWord& w : ctas) {
       const size_t base = 64 * static_cast<size_t>(w.word);
-      for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1, chunk.Next()) {
-        const size_t cta = base + static_cast<size_t>(std::countr_zero(bits));
+      for (uint64_t bits = w.ctas; bits != 0; bits &= bits - 1) {
+        const size_t group = base + static_cast<size_t>(std::countr_zero(bits));
         if constexpr (kReport) {
           const auto row = static_cast<size_t>(chunk.key().block_row);
           const int last = chunk.key().chunk == prices_[row].last_chunk;
-          ctas_[cta].Add(prices_[row].us[last], costs_[row].wc[last]);
+          ctas_[group].Add(prices_[row].us[last], costs_[row].wc[last]);
         } else {
-          times_[cta] += ChunkUs(chunk.key());
+          times_[group] += ChunkUs(chunk.key());
         }
+        for (int i = 0; i < group_; ++i) chunk.Next();
       }
     }
   }
@@ -187,8 +196,10 @@ class SchedulePricer final : public PlacementSink {
     gpusim::SimReport report;
     report.num_ctas = s.num_ctas;
     if constexpr (kReport) {
-      report.cta_time_us.reserve(ctas_.size());
-      for (const auto& cost : ctas_) {
+      // Every CTA in grid order, each its group's.
+      report.cta_time_us.reserve(static_cast<size_t>(s.num_ctas));
+      for (int cta = 0; cta < s.num_ctas; ++cta) {
+        const gpusim::CtaCost& cost = ctas_[static_cast<size_t>(cta / group_)];
         report.cta_time_us.push_back(cost.time_us);
         report.total_hbm_bytes += cost.total.hbm_bytes;
         report.total_l2_bytes += cost.total.l2_bytes;
@@ -196,6 +207,9 @@ class SchedulePricer final : public PlacementSink {
         report.total_cuda_flops += cost.total.cuda_flops;
       }
     }
+    // Groups come only from the balanced grid, one CTA per SM, which fits
+    // its slots: its makespan is the largest CTA time, the largest group's.
+    FI_CHECK(group_ == 1 || s.num_ctas <= shape_.slots);
     report.time_us =
         gpusim::SimExecutor::Makespan(kReport ? report.cta_time_us : times_, shape_.slots) +
         dev_.kernel_launch_us;
@@ -259,6 +273,7 @@ class SchedulePricer final : public PlacementSink {
   const double kv_l2_fraction_;
   const std::vector<BlockRowShape>& rows_;
   const int num_heads_;
+  int group_ = 1;  // CTAs per charged group.
   gpusim::KernelEfficiency eff_;
   LaunchShape shape_;
   std::vector<RowPrice>& prices_ = t_scratch.row_prices;

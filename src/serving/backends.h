@@ -100,10 +100,11 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
 /// pricer; this one skips what only the report needs (per-CTA times in the
 /// report, byte/flop totals) and charges a run of equal-cost chunks that
 /// all take the same time with one lookup. The serving engine prices every
-/// step here: one pass over Algorithm 1 that lists no assignments, and
-/// whose key sort starts from the thread's previous order when the step
-/// has the previous step's chunk counts (a decode step that grew every
-/// row by a token mostly does).
+/// step here: one pass over Algorithm 1 that lists no assignments, places
+/// and charges groups of gcd(#SMs, heads) CTAs (4 for 8 kv heads on 132
+/// SMs), whose CTAs take identical times, and whose key sort starts from
+/// the thread's previous order when the step has the previous step's chunk
+/// counts (a decode step that grew every row by a token mostly does).
 double BatchAttentionTimeUs(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
                             const AttnSimInput& in);
 

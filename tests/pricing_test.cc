@@ -230,7 +230,9 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   // key count where the sort switches from std::sort to the radix sort; on
   // the radix side the 2^-60 weight makes costs that differ only in their
   // low mantissa bytes, and equal costs from different block rows check
-  // that the sort is stable.
+  // that the sort is stable. The schedule places groups of gcd(#CTAs,
+  // heads) CTAs, and single CTAs where that gcd is 1 or a cost could round
+  // away (the zero and 2^-60 weights); trials reach all three.
   Rng rng(0x51CE0005);
   const double weights[] = {1.0, 0.0, 0.25, 8.0, 0x1p-60};
   const int boundary_ctas[] = {1, 2, 127, 128, 129, 255, 256, 257};
@@ -242,6 +244,9 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   // costs differ only in their low four bytes (beta = 2^-60 over tiles of
   // equal rows) or that tie keys from different block rows.
   int std_sorted = 0, radix_sorted = 0, radix_low_bytes_only = 0, radix_cross_row_ties = 0;
+  // Trials placing groups of g > 1 CTAs, single CTAs because the grid
+  // shares no factor with the heads, and single CTAs the guard forced.
+  int grouped = 0, coprime = 0, guarded = 0;
   for (int trial = 0; trial < 1000; ++trial) {
     AttentionParams p;
     p.num_kv_heads = static_cast<int>(1 << rng.UniformInt(0, 3));
@@ -284,6 +289,17 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
         << "trial " << trial << " ctas " << num_ctas << " alpha " << alpha << " beta "
         << beta;
 
+    const int num_heads = p.head_fusion ? p.num_kv_heads : p.num_qo_heads;
+    const int gcd = std::gcd(num_ctas, num_heads);
+    ChunkSchedule schedule;
+    AssignmentList list(num_heads);
+    ScheduleBalanced(BlockRowsFromBsr(p), num_heads, cfg.tile_kv, num_ctas, alpha, beta,
+                     &schedule, list);
+    ASSERT_TRUE(schedule.cta_group == gcd || schedule.cta_group == 1) << "trial " << trial;
+    grouped += schedule.cta_group > 1;
+    coprime += gcd == 1;
+    guarded += gcd > 1 && schedule.cta_group == 1;
+
     outlast_least += trial_runs.outlast_least > 0;
     land_on_held_load += trial_runs.land_on_held_load > 0;
     keep_load += trial_runs.keep_load > 0;
@@ -296,7 +312,7 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
     past_first_round += items > num_ctas;
     within_first_round += items < num_ctas;
     // Every head of a block row has the same chunks: one sort key each.
-    const int64_t keys = items / (p.head_fusion ? p.num_kv_heads : p.num_qo_heads);
+    const int64_t keys = items / num_heads;
     if (keys < static_cast<int64_t>(kRadixSortMinKeys)) {
       ++std_sorted;
     } else {
@@ -332,6 +348,9 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   EXPECT_GT(radix_sorted, 350);
   EXPECT_GT(radix_low_bytes_only, 10);
   EXPECT_GT(radix_cross_row_ties, 300);
+  EXPECT_GT(grouped, 200);
+  EXPECT_GT(coprime, 400);
+  EXPECT_GT(guarded, 30);
 }
 
 TEST(Pricing, DecodeStepsMatchReferenceWhileReusingKeyOrder) {

@@ -264,22 +264,26 @@ TEST(BalancedPlan, ZeroLengthKvHandled) {
 
 /// Lists the placements like AssignmentList, and counts the CTA words that
 /// break PlacementSink's contract: an empty word, or a run whose words do
-/// not hold exactly one CTA per chunk.
+/// not hold exactly one group of g CTAs per g chunks.
 class CheckedAssignmentList final : public PlacementSink {
  public:
   explicit CheckedAssignmentList(int num_heads) : num_heads_(num_heads), list_(num_heads) {}
-  void Split(const ChunkSchedule& s) override { list_.Split(s); }
+  void Split(const ChunkSchedule& s) override {
+    group = s.cta_group;
+    list_.Split(s);
+  }
   void Place(std::span<const ChunkKey> run, std::span<const CtaWord> ctas) override {
     size_t placed = 0;
     for (const CtaWord& w : ctas) {
       empty_words += w.ctas == 0;
-      placed += static_cast<size_t>(std::popcount(w.ctas));
+      placed += static_cast<size_t>(std::popcount(w.ctas)) * static_cast<size_t>(group);
     }
     miscounted_runs += placed != run.size() * static_cast<size_t>(num_heads_);
     list_.Place(run, ctas);
   }
   const std::vector<ChunkAssignment>& assignments() const { return list_.assignments(); }
 
+  int group = 0;  // The schedule's CTA group size.
   int empty_words = 0;
   int miscounted_runs = 0;
 
@@ -302,11 +306,13 @@ TEST(BalancedSchedule, RunsAfterAnExactlyFullFirstRoundJoinTheClasses) {
   // must start placing over the equal-load classes rather than open a
   // first-round class of no CTAs. Its rows cost less than half the first
   // round's, so that run's first move creates the class of a new load.
-  // Zero-cost rows (alpha = 0, no KV) end the batch. A 4096-token KV tile
-  // keeps every row unsplit, so Algorithm 1 is
-  // a least-loaded scan over (cost desc, block_row, head). Each schedule
-  // runs on a fresh thread, whose scheduler scratch this call alone sizes,
-  // so a sanitizer build sees any write past the class pool.
+  // Zero-cost rows (alpha = 0, no KV) end the batch; they would round away,
+  // so that schedule places single CTAs, and the alpha = 1 one places
+  // groups of gcd(132, num_heads) = num_heads. A 4096-token KV tile keeps
+  // every row unsplit, so Algorithm 1 is a least-loaded scan over (cost
+  // desc, block_row, head). Each schedule runs on a fresh thread, whose
+  // scheduler scratch this call alone sizes, so a sanitizer build sees any
+  // write past the class pool.
   constexpr int kCtas = 132;
   for (int num_heads : {1, 2, 4}) {
     for (double alpha : {1.0, 0.0}) {
@@ -345,6 +351,7 @@ TEST(BalancedSchedule, RunsAfterAnExactlyFullFirstRoundJoinTheClasses) {
         ChunkSchedule s;
         ScheduleBalanced(rows, num_heads, /*tile_kv=*/4096, kCtas, alpha, 1.0, &s, sink);
       }).join();
+      EXPECT_EQ(sink.group, alpha > 0.0 ? num_heads : 1) << num_heads << " heads, alpha " << alpha;
       EXPECT_EQ(sink.empty_words, 0) << num_heads << " heads, alpha " << alpha;
       EXPECT_EQ(sink.miscounted_runs, 0) << num_heads << " heads, alpha " << alpha;
       EXPECT_EQ(Placements(sink.assignments()), expected)

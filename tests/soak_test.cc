@@ -41,12 +41,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <csignal>
 #include <unistd.h>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -226,10 +228,13 @@ int64_t ExpectedOutputTokens(const Request& r) {
 /// plan-walking reference bit for bit. The plan walk schedules with the same
 /// ScheduleBalanced, so each batch's balanced schedule is also checked
 /// against Algorithm 1 stated unit by unit, as is one more batch's over a
-/// random head geometry and grid. Last, one random decode batch steps like
+/// random head geometry and grid. Then one random decode batch steps like
 /// the engine's, every row a KV token longer per step, so the time-only
 /// price reuses the previous step's key order; it must equal the report's
-/// time on every step.
+/// time on every step. Last, one batch on a grid of 7, 108, 128, 129 or 132
+/// SMs, so the pricer charges CTA groups of 1, 2, 4 or 8 CTAs (or more);
+/// under the balanced scheduler every CTA of a group of gcd(#SMs, heads)
+/// must take the same time.
 void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
   Rng rng(seed ^ 0x9121CEull);
   serving::AttnSimInput geometry;
@@ -283,6 +288,31 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
               "")
         << "decode step " << step << " of " << decode.kv_lens.size() << " rows";
     for (auto& kv : decode.kv_lens) ++kv;
+  }
+
+  Rng grid_rng(seed ^ 0x6C1D5ull);  // Its own stream: the draws above stay.
+  gpusim::DeviceSpec grid = cfg.device;
+  const int sms[] = {7, 108, 128, 129, 132};
+  grid.num_sms = sms[grid_rng.UniformInt(0, 4)];
+  const auto grid_in = test::RandomAttnBatch(grid_rng, geometry, cfg.backend.composable);
+  const auto grid_report = serving::SimulateBatchAttention(grid, cfg.backend, grid_in);
+  EXPECT_EQ(test::ReportDiff(grid_report,
+                             test::ReferenceSimulateBatchAttention(grid, cfg.backend, grid_in)),
+            "")
+      << grid.num_sms << " SMs";
+  EXPECT_EQ(test::TimeOnlyDiff(serving::BatchAttentionTimeUs(grid, cfg.backend, grid_in),
+                               grid_report),
+            "")
+      << grid.num_sms << " SMs";
+  if (cfg.backend.scheduler == SchedulerKind::kBalanced) {
+    const int heads =
+        cfg.backend.head_fusion ? geometry.num_kv_heads : geometry.num_qo_heads;
+    const size_t group = static_cast<size_t>(std::gcd(grid.num_sms, heads));
+    const auto& times = grid_report.cta_time_us;
+    for (size_t c = 0; c < times.size(); ++c) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(times[c]), std::bit_cast<uint64_t>(times[c - c % group]))
+          << "CTA " << c << " of " << grid.num_sms << " SMs, groups of " << group;
+    }
   }
 
   if (!cfg.spec.enabled) return;
