@@ -11,6 +11,7 @@
 #include "cluster/cluster.h"
 #include "obs/metrics.h"
 #include "serving/engine.h"
+#include "test_util.h"
 #include "util/json.h"
 
 namespace flashinfer {
@@ -233,6 +234,50 @@ TEST(Exposition, JsonSnapshotParsesWithSchema) {
   EXPECT_EQ(counters, 1);
   EXPECT_EQ(gauges, 1);
   EXPECT_EQ(sketches, 1);
+}
+
+// Both expositions of a registry holding every instrument type after two
+// merges write exactly the bytes pinned in tests/golden/, and each Find
+// answers only for its own type.
+TEST(Exposition, MergedRegistryMatchesPinnedOutput) {
+  MetricsRegistry r0, r1, merged;
+  r0.GetCounter("fi_tokens_total", ClassLabels(0, 1))->Inc(1.0, 128.0);
+  r0.GetCounter("fi_tokens_total", ClassLabels(-1, 2))->Inc(7.0, 7.0);
+  r0.GetGauge("fi_queue_depth")->Set(2.0, 3.0);
+  r0.GetGauge("fi_queue_depth")->Set(8.0, 1.0);
+  Sketch* ttft = r0.GetSketch("fi_ttft_ms", ClassLabels(0, 1));
+  for (int i = 1; i <= 20; ++i) ttft->Observe(i < 10 ? 1.0 : 9.0, 3.0 * i);
+  r1.GetCounter("fi_steps_total")->SetTotal(4.0, 40.0);
+  r1.GetCounter("fi_steps_total")->SetTotal(12.0, 46.0);
+  r1.GetGauge("fi_queue_depth", LabelSet{{"pool", "de\"code"}})->Set(12.5, 2.0);
+  Sketch* itl = r1.GetSketch("fi_itl_ms");
+  for (const double v : {0.0, 0.004, 6.5, 6.5, 250.0, 2e6}) itl->Observe(11.0, v);
+  merged.GetCounter("fi_routed_total")->Inc(0.5, 9.0);
+  merged.MergeFrom(r0, "replica", "0");
+  merged.MergeFrom(r1, "replica", "1");
+
+  EXPECT_EQ(test::FirstLineDiff(merged.PrometheusText(14.0),
+                                test::ReadGolden("merged_registry.prom")),
+            "");
+  EXPECT_EQ(test::FirstLineDiff(merged.JsonSnapshot(14.0),
+                                test::ReadGolden("merged_registry.json")),
+            "");
+
+  const LabelSet tokens = ClassLabels(0, 1).With("replica", "0");
+  EXPECT_NE(merged.FindCounter("fi_tokens_total", tokens), nullptr);
+  EXPECT_EQ(merged.FindGauge("fi_tokens_total", tokens), nullptr);
+  EXPECT_EQ(merged.FindSketch("fi_tokens_total", tokens), nullptr);
+  const LabelSet depth{{"replica", "0"}};
+  EXPECT_NE(merged.FindGauge("fi_queue_depth", depth), nullptr);
+  EXPECT_EQ(merged.FindCounter("fi_queue_depth", depth), nullptr);
+  EXPECT_EQ(merged.FindSketch("fi_queue_depth", depth), nullptr);
+  EXPECT_NE(merged.FindSketch("fi_ttft_ms", tokens), nullptr);
+  EXPECT_EQ(merged.FindCounter("fi_ttft_ms", tokens), nullptr);
+  EXPECT_EQ(merged.FindGauge("fi_ttft_ms", tokens), nullptr);
+  EXPECT_EQ(merged.FindCounter("fi_missing_total"), nullptr);
+  EXPECT_DOUBLE_EQ(merged.CounterFamilyTotal("fi_tokens_total"), 135.0);
+  EXPECT_DOUBLE_EQ(merged.CounterFamilyTotal("fi_queue_depth"), 0.0);  // A gauge family.
+  EXPECT_EQ(merged.InstanceNames().size(), 8u);
 }
 
 // --- Cluster merge -----------------------------------------------------------

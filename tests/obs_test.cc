@@ -349,6 +349,38 @@ TEST(Export, JsonlOneValidObjectPerEvent) {
   EXPECT_EQ(lines, 5);
 }
 
+// One event of every TraceName value (5, the retired swap phase, included),
+// once with no request id and no flags and once with both, every payload
+// field distinct, so a key bound to the wrong field, row, kind or name shows.
+std::vector<TraceTrack> EveryNameTracks() {
+  TraceTrack t;
+  t.name = "replica 0";
+  for (int n = 0; n <= static_cast<int>(TraceName::kCtrHostStoredBytes); ++n) {
+    for (const int scoped : {0, 1}) {
+      TraceEvent e = Ev(static_cast<TraceName>(n), 10.0 * n + 5.0 * scoped, 2.5,
+                        scoped ? 100 + n : -1);
+      e.flags = static_cast<uint16_t>(scoped ? 3 : 0);
+      e.a = 1 + 10 * scoped;
+      e.b = 2 + 10 * scoped;
+      e.c = 3 + 10 * scoped;
+      e.d = 4 + 10 * scoped;
+      e.v = 0.5 + scoped;
+      t.events.push_back(e);
+    }
+  }
+  return {t};
+}
+
+// Both exporters write exactly the bytes pinned in tests/golden/ for every
+// name: its display name, kind, Perfetto row and payload keys.
+TEST(Export, EveryNameMatchesPinnedOutput) {
+  std::ostringstream perfetto, jsonl;
+  obs::WritePerfettoJson(perfetto, EveryNameTracks());
+  obs::WriteJsonl(jsonl, EveryNameTracks());
+  EXPECT_EQ(test::FirstLineDiff(perfetto.str(), test::ReadGolden("every_name.trace.json")), "");
+  EXPECT_EQ(test::FirstLineDiff(jsonl.str(), test::ReadGolden("every_name.trace.jsonl")), "");
+}
+
 // --- TraceQuery --------------------------------------------------------------
 
 TEST(TraceQuery, PerRequestAccumulatesPhases) {

@@ -2,8 +2,9 @@
 // serial (scheduler-free) kernel driver used to isolate kernel math, the
 // plan-walking reference the serving attention pricer must match bit for bit,
 // Algorithm 1 stated unit by unit, the scanning prefix cache the indexed
-// RadixTree must match, the registry-vs-ServingMetrics reconciliation, and
-// the log formula the histogram's bucket table encodes.
+// RadixTree must match, the registry-vs-ServingMetrics reconciliation, the
+// log formula the histogram's bucket table encodes, and the pinned exporter
+// outputs under tests/golden/.
 #pragma once
 
 #include <algorithm>
@@ -11,11 +12,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -976,6 +979,36 @@ inline float MaxAbsDiff(const std::vector<float>& a, const std::vector<float>& b
   float m = 0.0f;
   for (size_t i = 0; i < a.size(); ++i) m = std::max(m, std::fabs(a[i] - b[i]));
   return m;
+}
+
+// --------------------------------------------------------------------------
+// Pinned exporter outputs (tests/golden/*): the exact bytes an exporter
+// wrote for a fixed input, compared line by line.
+
+/// Contents of tests/golden/<name>; empty when the file is missing.
+inline std::string ReadGolden(const std::string& name) {
+  const std::string here = __FILE__;
+  std::ifstream f(here.substr(0, here.find_last_of('/')) + "/golden/" + name,
+                  std::ios::binary);
+  std::ostringstream out;
+  out << f.rdbuf();
+  return out.str();
+}
+
+/// Empty when `got` == `want`; otherwise the first differing line of each.
+inline std::string FirstLineDiff(const std::string& got, const std::string& want) {
+  if (got == want) return {};
+  std::istringstream g(got), w(want);
+  std::string gl, wl;
+  for (int line = 1;; ++line) {
+    const bool more_g = static_cast<bool>(std::getline(g, gl));
+    const bool more_w = static_cast<bool>(std::getline(w, wl));
+    if (more_g != more_w || gl != wl) {
+      return "line " + std::to_string(line) + ":\n  got:  " + (more_g ? gl : "<end>") +
+             "\n  want: " + (more_w ? wl : "<end>");
+    }
+    if (!more_g) return "outputs differ only in a trailing newline";
+  }
 }
 
 }  // namespace flashinfer::test
