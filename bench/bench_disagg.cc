@@ -150,8 +150,8 @@ int main(int argc, char** argv) {
   const double overlap_eff = dm.decode_pool.MigrationOverlapEfficiency().value_or(0.0);
   std::printf("\nmigrations: %lld shipped, %lld retained (decode pool full), "
               "%.1f Mtok KV moved\n",
-              static_cast<long long>(dm.migrations),
-              static_cast<long long>(dm.migrations_retained),
+              static_cast<long long>(dm.aggregate.num_migrations_out),
+              static_cast<long long>(dm.aggregate.num_migrations_retained),
               static_cast<double>(dm.aggregate.migrated_kv_tokens) * 1e-6);
   std::printf("migration transfer time: %.1f ms total, %.1f ms hidden under "
               "decode steps, %.1f ms exposed as stalls (overlap efficiency "
@@ -163,8 +163,8 @@ int main(int argc, char** argv) {
   json.Add("disagg_decode_median_itl_ms", dm.decode_pool.MedianItlMs());
   json.Add("disagg_p99_ttft_ms", dm.prefill_pool.TtftPercentileMs(0.99));
   json.Add("disagg_tok_s", dm.ThroughputTokS());
-  json.Add("migrations", static_cast<double>(dm.migrations));
-  json.Add("migrations_retained", static_cast<double>(dm.migrations_retained));
+  json.Add("migrations", static_cast<double>(dm.aggregate.num_migrations_out));
+  json.Add("migrations_retained", static_cast<double>(dm.aggregate.num_migrations_retained));
   json.Add("migration_overlap_eff", overlap_eff);
   json.Add("migration_total_ms", dm.decode_pool.total_migration_ms);
   json.Add("migration_stall_ms", dm.decode_pool.migration_stall_ms);
@@ -174,8 +174,7 @@ int main(int argc, char** argv) {
       dm.aggregate.rejected_requests == 0 &&
       dm.aggregate.ttft_ms.size() == workload.size() &&
       dm.aggregate.total_output_tokens == expected_tokens &&
-      dm.prefill_pool.num_migrations_out == dm.migrations &&
-      dm.decode_pool.num_migrations_in == dm.migrations;
+      dm.prefill_pool.num_migrations_out == dm.decode_pool.num_migrations_in;
   const obs::MetricsRegistry* reg = dce.Telemetry();
   for (int i = 0; reg != nullptr && i < replicas; ++i) {
     const obs::Gauge* g = reg->FindGauge(
@@ -189,7 +188,7 @@ int main(int argc, char** argv) {
   // --- Gates. ---------------------------------------------------------------
   const double isolation = decode_p99 > 0.0 ? best_unified_p99 / decode_p99 : 0.0;
   const bool gate_isolated = decode_p99 > 0.0 && decode_p99 < best_unified_p99;
-  const bool gate_overlap = dm.migrations > 0 && overlap_eff > 0.5;
+  const bool gate_overlap = dm.aggregate.num_migrations_out > 0 && overlap_eff > 0.5;
   std::printf("\ndecode P99 ITL: %.2f ms disaggregated vs %.2f ms best unified "
               "(%.2fx, acceptance: strictly better)\n",
               decode_p99, best_unified_p99, isolation);

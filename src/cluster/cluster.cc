@@ -81,21 +81,12 @@ void ClusterEngine::ProcessMigrations() {
       // PickByKvHeadroom then prefers the emptiest device.
       std::vector<ReplicaView> dviews;
       for (size_t d = prefill_n; d < replicas_.size(); ++d) {
-        const ServingEngine& de = replicas_[d]->engine;
-        if (!de.CanAcceptMigration(u)) continue;
-        ReplicaView v;
-        v.replica = static_cast<int>(d);
-        v.queued_tokens = de.QueuedTokens();
-        v.running_tokens = de.RunningTokens();
-        v.kv_tokens_in_use = de.KvTokensInUse();
-        v.kv_token_budget = de.KvTokenBudget();
-        dviews.push_back(v);
+        if (replicas_[d]->engine.CanAcceptMigration(u)) dviews.push_back(ViewOf(d));
       }
       const int dst = dviews.empty() ? -1 : PickByKvHeadroom(dviews, u.kv_charge);
       if (dst < 0) {
         // No decode replica fits: the unit decodes where it prefilled.
         se.RetainMigratable(u.unit_id);
-        ++migrations_retained_;
         continue;
       }
       // Transfer priced like the swap path (latency + per-page scatter
@@ -112,9 +103,20 @@ void ClusterEngine::ProcessMigrations() {
       const gpusim::CopyStream::Transfer xfer = link.Enqueue(u.export_s, t_us);
       const serving::MigrationUnit m = se.ExtractMigratable(u.unit_id);
       replicas_[static_cast<size_t>(dst)]->engine.AdmitMigratedUnit(m, xfer);
-      ++migrations_;
     }
   }
+}
+
+ReplicaView ClusterEngine::ViewOf(size_t i) const {
+  const Replica& rep = *replicas_[i];
+  ReplicaView v;
+  v.replica = static_cast<int>(i);
+  v.queued_tokens = rep.engine.QueuedTokens();
+  v.running_tokens = rep.engine.RunningTokens();
+  v.kv_tokens_in_use = rep.engine.KvTokensInUse();
+  v.kv_token_budget = rep.engine.KvTokenBudget();
+  v.prefix_cache = &rep.prefix_cache;
+  return v;
 }
 
 ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
@@ -133,8 +135,6 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
   // disaggregated mode (decode replicas never see raw prompts).
   const size_t prefill_n =
       cfg_.disaggregated ? static_cast<size_t>(cfg_.prefill_replicas) : replicas_.size();
-  migrations_ = 0;
-  migrations_retained_ = 0;
   pair_streams_.clear();
   if (cfg_.disaggregated) {
     pair_streams_.resize(prefill_n * (replicas_.size() - prefill_n));
@@ -161,16 +161,7 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
   auto route_and_admit = [&](const Request& r) {
     std::vector<ReplicaView> views;
     views.reserve(prefill_n);
-    for (size_t i = 0; i < prefill_n; ++i) {
-      ReplicaView v;
-      v.replica = static_cast<int>(i);
-      v.queued_tokens = replicas_[i]->engine.QueuedTokens();
-      v.running_tokens = replicas_[i]->engine.RunningTokens();
-      v.kv_tokens_in_use = replicas_[i]->engine.KvTokensInUse();
-      v.kv_token_budget = replicas_[i]->engine.KvTokenBudget();
-      v.prefix_cache = &replicas_[i]->prefix_cache;
-      views.push_back(v);
-    }
+    for (size_t i = 0; i < prefill_n; ++i) views.push_back(ViewOf(i));
     const int target = router_->Route(r, views);
     FI_CHECK_GE(target, 0);
     FI_CHECK_LT(target, static_cast<int>(prefill_n));
@@ -208,45 +199,35 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
     ++rep.requests;
   };
 
-  if (!cfg_.disaggregated) {
-    for (const Request& r : sorted) {
-      // Advance every replica to this arrival: each executes the steps it
-      // would have started by now, so the router sees live load.
-      for (auto& rep : replicas_) rep->engine.StepTo(r.arrival_s);
-      route_and_admit(r);
-    }
-    for (auto& rep : replicas_) rep->engine.Drain();
-  } else {
-    // Disaggregated driver. The prefill pool must be stepped event-by-event:
-    // each fine step can park exportable units, and processing them while
-    // the destination clocks still trail the transfer end keeps the decode
-    // side's ready_s gating exact. The decode pool needs no fine stepping —
-    // its admissions carry absolute ready times, so batch-advancing it at
-    // arrival barriers reproduces the same step sequence. ProcessMigrations
-    // always empties the exportable pools (extract or retain), so every
-    // round makes progress and no engine is left blocked on the driver.
-    const double inf = std::numeric_limits<double>::infinity();
-    size_t k = 0;
-    while (true) {
-      const double t_arrival = k < sorted.size() ? sorted[k].arrival_s : inf;
-      while (true) {
-        ProcessMigrations();
-        double t_prefill = inf;
-        for (size_t i = 0; i < prefill_n; ++i) {
-          t_prefill = std::min(t_prefill, replicas_[i]->engine.NextEventTime());
-        }
-        if (t_prefill == inf || t_prefill > t_arrival) break;
-        for (size_t i = 0; i < prefill_n; ++i) replicas_[i]->engine.StepTo(t_prefill);
+  // Each arrival first advances every replica to its time (each executes the
+  // steps it would have started by now, so the router sees live load), then
+  // is routed. Disaggregated mode also steps the prefill pool event by event:
+  // each fine step can park exportable units, and processing them while the
+  // destination clocks still trail the transfer end keeps the decode side's
+  // ready_s gating exact. The decode pool needs no fine stepping — its
+  // admissions carry absolute ready times, so batch-advancing it at arrival
+  // barriers reproduces the same step sequence. ProcessMigrations always
+  // empties the exportable pools (extract or retain), so every round makes
+  // progress and no engine is left blocked on the driver.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (size_t k = 0;; ++k) {
+    const double t_arrival = k < sorted.size() ? sorted[k].arrival_s : inf;
+    while (cfg_.disaggregated) {
+      ProcessMigrations();
+      double t_prefill = inf;
+      for (size_t i = 0; i < prefill_n; ++i) {
+        t_prefill = std::min(t_prefill, replicas_[i]->engine.NextEventTime());
       }
-      if (k >= sorted.size()) break;
-      for (auto& rep : replicas_) rep->engine.StepTo(t_arrival);
-      route_and_admit(sorted[k]);
-      ++k;
+      if (t_prefill == inf || t_prefill > t_arrival) break;
+      for (size_t i = 0; i < prefill_n; ++i) replicas_[i]->engine.StepTo(t_prefill);
     }
-    // The prefill pool is fully drained (incl. retained fallbacks) by the
-    // final inner loop; this Drain finishes the decode pool's in-flight work.
-    for (auto& rep : replicas_) rep->engine.Drain();
+    if (k == sorted.size()) break;
+    for (auto& rep : replicas_) rep->engine.StepTo(t_arrival);
+    route_and_admit(sorted[k]);
   }
+  // The prefill pool is fully drained (incl. retained fallbacks) by the final
+  // fine-stepping loop; this Drain finishes every other replica's work.
+  for (auto& rep : replicas_) rep->engine.Drain();
 
   // --- Merged telemetry: every replica's registry under replica="i". -------
   telemetry_.reset();
@@ -292,8 +273,6 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
       MergeInto(pool, out.per_replica[i]);
       pool.makespan_s = std::max(pool.makespan_s, out.per_replica[i].makespan_s);
     }
-    out.migrations = migrations_;
-    out.migrations_retained = migrations_retained_;
   }
 
   for (const auto& m : out.per_replica) {

@@ -80,13 +80,11 @@ struct ClusterMetrics {
   std::vector<int> replica_pool;
   /// Pool-level metric aggregates (same merge as `aggregate`, split by
   /// pool): decode_pool's ITL distribution is the isolation headline.
+  /// Units shipped prefill -> decode over the migration links are
+  /// `aggregate.num_migrations_out`; units no decode replica could take (they
+  /// decode on their prefill replica) are `aggregate.num_migrations_retained`.
   serving::ServingMetrics prefill_pool;
   serving::ServingMetrics decode_pool;
-  /// Units shipped prefill -> decode over the migration links.
-  int64_t migrations = 0;
-  /// Units no decode replica could take (fell back to the prefill replica's
-  /// local decode loop).
-  int64_t migrations_retained = 0;
 
   double ThroughputTokS() const {
     return makespan_s > 0.0
@@ -127,6 +125,8 @@ class ClusterEngine {
   /// pools, so no unit waits more than one processing round and no engine
   /// stays blocked on the cluster.
   void ProcessMigrations();
+  /// Replica i's load as routers and migration-target selection see it.
+  ReplicaView ViewOf(size_t i) const;
 
   ClusterConfig cfg_;
   std::unique_ptr<Router> router_;
@@ -135,8 +135,6 @@ class ClusterEngine {
   std::unique_ptr<obs::MetricsRegistry> telemetry_;
 
   // --- Disaggregated mode state (rebuilt per Run) ---------------------------
-  int64_t migrations_ = 0;
-  int64_t migrations_retained_ = 0;
   /// One migration link per (prefill, decode) replica pair, indexed
   /// src * decode_replicas + (dst - prefill_replicas). FIFO per pair: a
   /// unit's transfer queues behind earlier units on the same link, and the

@@ -4,18 +4,18 @@
 // or chrome://tracing):
 //
 //   pid = track index; each TraceTrack becomes one "process" named after the
-//   track ("replica 0", "router", ...).
+//   track ("replica 0", "router", ...). An event's row is its name's TraceRow
+//   (kTraceNames in obs/trace.h):
 //     tid 0 "steps"   — step slices with their phase slices (attention/gemm/
-//                       comm/draft/host) nested inside, plus chunk
-//                       instants.
-//     tid 1 "kv"      — KV evict/restore instants.
+//                       comm/draft/host) nested inside; chunk, route and SLO
+//                       instants; one counter track per counter name.
+//     tid 1 "kv"      — KV evict/restore/encode/decode instants.
+//     tid 2 "copy"    — copy-stream spans (D2H, H2D, migration link), which
+//                       overlap the steps they run under.
 //     async "request" — one row per request id (legacy async b/e events):
-//                       the queued → prefill → decode / preempted /
-//                       swap-in-flight phases as stacked spans, with
-//                       admit/first-token/finish/reject instants.
-//     counters        — kv_device_tokens, kv_host_tokens, queue_depth,
-//                       running_branches, preempted_branches, tokens_per_s
-//                       (one counter track each, per process).
+//                       the lifecycle phases as stacked spans, with the
+//                       request's instants (admit, first token, finish,
+//                       reject, migrate-out).
 //
 // All timestamps are simulated microseconds (the engine's clock), which the
 // trace viewers display as-is.

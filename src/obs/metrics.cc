@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "util/check.h"
 #include "util/json.h"
@@ -183,95 +184,52 @@ MetricsRegistry::MetricsRegistry(WindowConfig window) : window_(window) {
   FI_CHECK_GT(window_.slots, 0);
 }
 
-MetricsRegistry::Family& MetricsRegistry::FamilyOf(const std::string& name, Type type) {
-  auto [it, inserted] = families_.try_emplace(name);
-  if (inserted) {
-    it->second.type = type;
-  } else {
-    FI_CHECK(it->second.type == type);  // A name binds to one metric type.
+template <class T>
+T* MetricsRegistry::Get(const std::string& name, const LabelSet& labels) {
+  Family& fam = families_[name];
+  // A name binds to one metric type.
+  FI_CHECK(fam.empty() || std::holds_alternative<T>(fam.begin()->second.metric));
+  const std::string key = labels.Key();
+  auto it = fam.lower_bound(key);
+  if (it == fam.end() || it->first != key) {
+    it = fam.emplace_hint(it, key, Instance{labels, T(window_)});
   }
-  return it->second;
+  return &std::get<T>(it->second.metric);
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name, const LabelSet& labels) {
-  Family& fam = FamilyOf(name, Type::kCounter);
-  auto [it, inserted] = fam.instances.try_emplace(labels.Key());
-  if (inserted) {
-    it->second.labels = labels;
-    it->second.counter = std::make_unique<Counter>(window_);
-  }
-  return it->second.counter.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name, const LabelSet& labels) {
-  Family& fam = FamilyOf(name, Type::kGauge);
-  auto [it, inserted] = fam.instances.try_emplace(labels.Key());
-  if (inserted) {
-    it->second.labels = labels;
-    it->second.gauge = std::make_unique<Gauge>(window_);
-  }
-  return it->second.gauge.get();
-}
-
-Sketch* MetricsRegistry::GetSketch(const std::string& name, const LabelSet& labels) {
-  Family& fam = FamilyOf(name, Type::kSketch);
-  auto [it, inserted] = fam.instances.try_emplace(labels.Key());
-  if (inserted) {
-    it->second.labels = labels;
-    it->second.sketch = std::make_unique<Sketch>(window_);
-  }
-  return it->second.sketch.get();
-}
-
-const MetricsRegistry::Instance* MetricsRegistry::Find(const std::string& name, Type type,
-                                                       const LabelSet& labels) const {
+template <class T>
+const T* MetricsRegistry::Find(const std::string& name, const LabelSet& labels) const {
   const auto fit = families_.find(name);
-  if (fit == families_.end() || fit->second.type != type) return nullptr;
-  const auto iit = fit->second.instances.find(labels.Key());
-  return iit == fit->second.instances.end() ? nullptr : &iit->second;
+  if (fit == families_.end()) return nullptr;
+  const auto it = fit->second.find(labels.Key());
+  return it == fit->second.end() ? nullptr : std::get_if<T>(&it->second.metric);
 }
 
-const Counter* MetricsRegistry::FindCounter(const std::string& name,
-                                            const LabelSet& labels) const {
-  const Instance* inst = Find(name, Type::kCounter, labels);
-  return inst ? inst->counter.get() : nullptr;
-}
-
-const Gauge* MetricsRegistry::FindGauge(const std::string& name, const LabelSet& labels) const {
-  const Instance* inst = Find(name, Type::kGauge, labels);
-  return inst ? inst->gauge.get() : nullptr;
-}
-
-const Sketch* MetricsRegistry::FindSketch(const std::string& name,
-                                          const LabelSet& labels) const {
-  const Instance* inst = Find(name, Type::kSketch, labels);
-  return inst ? inst->sketch.get() : nullptr;
-}
+template Counter* MetricsRegistry::Get<Counter>(const std::string&, const LabelSet&);
+template Gauge* MetricsRegistry::Get<Gauge>(const std::string&, const LabelSet&);
+template Sketch* MetricsRegistry::Get<Sketch>(const std::string&, const LabelSet&);
+template const Counter* MetricsRegistry::Find<Counter>(const std::string&,
+                                                       const LabelSet&) const;
+template const Gauge* MetricsRegistry::Find<Gauge>(const std::string&, const LabelSet&) const;
+template const Sketch* MetricsRegistry::Find<Sketch>(const std::string&, const LabelSet&) const;
 
 double MetricsRegistry::CounterFamilyTotal(const std::string& name) const {
-  const auto fit = families_.find(name);
-  if (fit == families_.end() || fit->second.type != Type::kCounter) return 0.0;
   double sum = 0.0;
-  for (const auto& [key, inst] : fit->second.instances) sum += inst.counter->total();
+  const auto fit = families_.find(name);
+  if (fit == families_.end()) return sum;
+  for (const auto& [key, inst] : fit->second) {
+    if (const auto* c = std::get_if<Counter>(&inst.metric)) sum += c->total();
+  }
   return sum;
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other, const std::string& label_key,
                                 const std::string& label_value) {
   for (const auto& [name, fam] : other.families_) {
-    for (const auto& [key, inst] : fam.instances) {
+    for (const auto& [key, inst] : fam) {
       const LabelSet labels = inst.labels.With(label_key, label_value);
-      switch (fam.type) {
-        case Type::kCounter:
-          *GetCounter(name, labels) = *inst.counter;
-          break;
-        case Type::kGauge:
-          *GetGauge(name, labels) = *inst.gauge;
-          break;
-        case Type::kSketch:
-          *GetSketch(name, labels) = *inst.sketch;
-          break;
-      }
+      std::visit([&](const auto& m) { *Get<std::decay_t<decltype(m)>>(name, labels) = m; },
+                 inst.metric);
     }
   }
 }
@@ -279,7 +237,7 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other, const std::string&
 std::vector<std::pair<std::string, std::string>> MetricsRegistry::InstanceNames() const {
   std::vector<std::pair<std::string, std::string>> out;
   for (const auto& [name, fam] : families_) {
-    for (const auto& [key, inst] : fam.instances) out.emplace_back(name, key);
+    for (const auto& [key, inst] : fam) out.emplace_back(name, key);
   }
   return out;
 }
@@ -306,54 +264,34 @@ void AppendPromSample(std::string& out, const std::string& name, const LabelSet&
   out += '\n';
 }
 
-}  // namespace
-
-std::string MetricsRegistry::PrometheusText(double now_s) const {
-  (void)now_s;  // Prometheus exposes cumulative state; rates derive server-side.
-  std::string out;
-  for (const auto& [name, fam] : families_) {
-    out += "# TYPE " + name;
-    switch (fam.type) {
-      case Type::kCounter:
-        out += " counter\n";
-        for (const auto& [key, inst] : fam.instances) {
-          AppendPromSample(out, name, inst.labels, inst.counter->total());
-        }
-        break;
-      case Type::kGauge:
-        out += " gauge\n";
-        for (const auto& [key, inst] : fam.instances) {
-          AppendPromSample(out, name, inst.labels, inst.gauge->value());
-        }
-        break;
-      case Type::kSketch: {
-        out += " histogram\n";
-        for (const auto& [key, inst] : fam.instances) {
-          const Histogram& h = inst.sketch->Cumulative();
-          int64_t cum = 0;
-          for (int64_t i = 0; i < h.NumBuckets(); ++i) {
-            if (h.BucketCount(i) == 0) continue;
-            cum += h.BucketCount(i);
-            // Upper edge of bucket i is the lower edge of bucket i+1; the
-            // overflow bucket's is +Inf, emitted below.
-            if (i == h.NumBuckets() - 1) continue;
-            AppendPromSample(out, name, inst.labels, static_cast<double>(cum), "_bucket",
-                             "le=\"" + util::JsonNum(h.BucketLowerEdge(i + 1)) + "\"");
-          }
-          AppendPromSample(out, name, inst.labels, static_cast<double>(h.Count()), "_bucket",
-                           "le=\"+Inf\"");
-          AppendPromSample(out, name, inst.labels,
-                           h.Mean() * static_cast<double>(h.Count()), "_sum");
-          AppendPromSample(out, name, inst.labels, static_cast<double>(h.Count()), "_count");
-        }
-        break;
-      }
-    }
-  }
-  return out;
+// One instance's Prometheus samples, per metric type.
+void AppendProm(std::string& out, const std::string& name, const LabelSet& labels,
+                const Counter& c) {
+  AppendPromSample(out, name, labels, c.total());
 }
 
-namespace {
+void AppendProm(std::string& out, const std::string& name, const LabelSet& labels,
+                const Gauge& g) {
+  AppendPromSample(out, name, labels, g.value());
+}
+
+void AppendProm(std::string& out, const std::string& name, const LabelSet& labels,
+                const Sketch& s) {
+  const Histogram& h = s.Cumulative();
+  int64_t cum = 0;
+  for (int64_t i = 0; i < h.NumBuckets(); ++i) {
+    if (h.BucketCount(i) == 0) continue;
+    cum += h.BucketCount(i);
+    // Upper edge of bucket i is the lower edge of bucket i+1; the overflow
+    // bucket's is +Inf, emitted below.
+    if (i == h.NumBuckets() - 1) continue;
+    AppendPromSample(out, name, labels, static_cast<double>(cum), "_bucket",
+                     "le=\"" + util::JsonNum(h.BucketLowerEdge(i + 1)) + "\"");
+  }
+  AppendPromSample(out, name, labels, static_cast<double>(h.Count()), "_bucket", "le=\"+Inf\"");
+  AppendPromSample(out, name, labels, h.Mean() * static_cast<double>(h.Count()), "_sum");
+  AppendPromSample(out, name, labels, static_cast<double>(h.Count()), "_count");
+}
 
 void AppendJsonKv(std::string& out, const char* key, double v, bool last = false) {
   out += '"';
@@ -379,51 +317,63 @@ std::string LabelsJson(const LabelSet& labels) {
   return out;
 }
 
-std::string SketchJson(const Histogram& h, const char* p50, const char* p90, const char* p99) {
-  std::string out;
+void AppendHistogramJson(std::string& out, const Histogram& h) {
   AppendJsonKv(out, "count", static_cast<double>(h.Count()));
   AppendJsonKv(out, "sum", h.Mean() * static_cast<double>(h.Count()));
   AppendJsonKv(out, "min", h.MinValue());
   AppendJsonKv(out, "max", h.MaxValue());
-  AppendJsonKv(out, p50, h.Quantile(0.5));
-  AppendJsonKv(out, p90, h.Quantile(0.9));
-  AppendJsonKv(out, p99, h.Quantile(0.99), /*last=*/true);
-  return out;
+  AppendJsonKv(out, "p50", h.Quantile(0.5));
+  AppendJsonKv(out, "p90", h.Quantile(0.9));
+  AppendJsonKv(out, "p99", h.Quantile(0.99), /*last=*/true);
+}
+
+// One instance's JSON members after its name and labels, per metric type.
+void AppendJson(std::string& out, const Counter& c, double now_s) {
+  out += ",\"type\":\"counter\",";
+  AppendJsonKv(out, "total", c.total());
+  AppendJsonKv(out, "window_sum", c.WindowSum(now_s));
+  AppendJsonKv(out, "window_rate_per_s", c.WindowRatePerS(now_s), /*last=*/true);
+}
+
+void AppendJson(std::string& out, const Gauge& g, double now_s) {
+  out += ",\"type\":\"gauge\",";
+  AppendJsonKv(out, "value", g.value());
+  AppendJsonKv(out, "window_max", g.WindowMax(now_s), /*last=*/true);
+}
+
+void AppendJson(std::string& out, const Sketch& s, double now_s) {
+  out += ",\"type\":\"sketch\",";
+  AppendHistogramJson(out, s.Cumulative());
+  out += ",\"window\":{";
+  AppendHistogramJson(out, s.WindowSnapshot(now_s));
+  out += '}';
 }
 
 }  // namespace
+
+std::string MetricsRegistry::PrometheusText(double now_s) const {
+  (void)now_s;  // Prometheus exposes cumulative state; rates derive server-side.
+  constexpr const char* kTypes[] = {"counter", "gauge", "histogram"};  // By alternative.
+  std::string out;
+  for (const auto& [name, fam] : families_) {
+    out += "# TYPE " + name + ' ' + kTypes[fam.begin()->second.metric.index()] + '\n';
+    for (const auto& [key, inst] : fam) {
+      std::visit([&](const auto& m) { AppendProm(out, name, inst.labels, m); }, inst.metric);
+    }
+  }
+  return out;
+}
 
 std::string MetricsRegistry::JsonSnapshot(double now_s) const {
   std::string out = "{\"now_s\":" + util::JsonNum(now_s) +
                     ",\"window_s\":" + util::JsonNum(window_.window_s) + ",\"metrics\":[";
   bool first = true;
   for (const auto& [name, fam] : families_) {
-    for (const auto& [key, inst] : fam.instances) {
+    for (const auto& [key, inst] : fam) {
       if (!first) out += ',';
       first = false;
       out += "{\"name\":\"" + util::JsonEscape(name) + "\",\"labels\":" + LabelsJson(inst.labels);
-      switch (fam.type) {
-        case Type::kCounter:
-          out += ",\"type\":\"counter\",";
-          AppendJsonKv(out, "total", inst.counter->total());
-          AppendJsonKv(out, "window_sum", inst.counter->WindowSum(now_s));
-          AppendJsonKv(out, "window_rate_per_s", inst.counter->WindowRatePerS(now_s),
-                       /*last=*/true);
-          break;
-        case Type::kGauge:
-          out += ",\"type\":\"gauge\",";
-          AppendJsonKv(out, "value", inst.gauge->value());
-          AppendJsonKv(out, "window_max", inst.gauge->WindowMax(now_s), /*last=*/true);
-          break;
-        case Type::kSketch: {
-          out += ",\"type\":\"sketch\",";
-          out += SketchJson(inst.sketch->Cumulative(), "p50", "p90", "p99");
-          out += ",\"window\":{";
-          out += SketchJson(inst.sketch->WindowSnapshot(now_s), "p50", "p90", "p99");
-          out += '}';
-          break;
-        }
-      }
+      std::visit([&](const auto& m) { AppendJson(out, m, now_s); }, inst.metric);
       out += '}';
     }
   }

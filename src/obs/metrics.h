@@ -19,8 +19,9 @@
 // distributions cost O(1) memory instead of one double per emitted token.
 //
 // Labels are a small sorted key=value set (tenant, priority, replica, ...).
-// The registry hands out stable pointers, so a hot emission site resolves its
-// instance once and publishes with a single function call per sample.
+// The registry stores each instance by value in one typed slot and hands out
+// stable pointers, so a hot emission site resolves its instance once and
+// publishes with a single function call per sample.
 //
 // Exposition:
 //   * PrometheusText(now): the standard text scrape format — counters,
@@ -34,9 +35,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/stats.h"
@@ -199,7 +200,7 @@ class Sketch {
   WindowedSketch window_;
 };
 
-/// Registry of metric families. Get* registers on first use and returns a
+/// Registry of metric families. Get registers on first use and returns a
 /// stable pointer (instances are never destroyed while the registry lives),
 /// so emission sites resolve once and publish lock-free ever after (the
 /// engine is single-threaded per replica; cross-replica merge copies).
@@ -207,14 +208,33 @@ class MetricsRegistry {
  public:
   explicit MetricsRegistry(WindowConfig window = {});
 
-  Counter* GetCounter(const std::string& name, const LabelSet& labels = {});
-  Gauge* GetGauge(const std::string& name, const LabelSet& labels = {});
-  Sketch* GetSketch(const std::string& name, const LabelSet& labels = {});
+  /// The `T` (Counter, Gauge or Sketch) instance of `name` with `labels`,
+  /// registered on first use. A name binds to one type (checked).
+  template <class T>
+  T* Get(const std::string& name, const LabelSet& labels = {});
+  /// Lookup without registration; nullptr when the instance does not exist
+  /// or has another type.
+  template <class T>
+  const T* Find(const std::string& name, const LabelSet& labels = {}) const;
 
-  /// Lookup without registration; nullptr when the instance does not exist.
-  const Counter* FindCounter(const std::string& name, const LabelSet& labels = {}) const;
-  const Gauge* FindGauge(const std::string& name, const LabelSet& labels = {}) const;
-  const Sketch* FindSketch(const std::string& name, const LabelSet& labels = {}) const;
+  Counter* GetCounter(const std::string& name, const LabelSet& labels = {}) {
+    return Get<Counter>(name, labels);
+  }
+  Gauge* GetGauge(const std::string& name, const LabelSet& labels = {}) {
+    return Get<Gauge>(name, labels);
+  }
+  Sketch* GetSketch(const std::string& name, const LabelSet& labels = {}) {
+    return Get<Sketch>(name, labels);
+  }
+  const Counter* FindCounter(const std::string& name, const LabelSet& labels = {}) const {
+    return Find<Counter>(name, labels);
+  }
+  const Gauge* FindGauge(const std::string& name, const LabelSet& labels = {}) const {
+    return Find<Gauge>(name, labels);
+  }
+  const Sketch* FindSketch(const std::string& name, const LabelSet& labels = {}) const {
+    return Find<Sketch>(name, labels);
+  }
 
   /// Sum of `total()` across every instance of a counter family (all labels).
   double CounterFamilyTotal(const std::string& name) const;
@@ -243,21 +263,13 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, std::string>> InstanceNames() const;
 
  private:
-  enum class Type { kCounter, kGauge, kSketch };
   struct Instance {
     LabelSet labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Sketch> sketch;
+    std::variant<Counter, Gauge, Sketch> metric;
   };
-  struct Family {
-    Type type{};
-    // Keyed by LabelSet::Key(); map keeps exposition order deterministic.
-    std::map<std::string, Instance> instances;
-  };
-
-  Family& FamilyOf(const std::string& name, Type type);
-  const Instance* Find(const std::string& name, Type type, const LabelSet& labels) const;
+  /// A family's instances keyed by LabelSet::Key(): the map keeps exposition
+  /// order deterministic, and its nodes keep the addresses Get hands out.
+  using Family = std::map<std::string, Instance>;
 
   WindowConfig window_;
   std::map<std::string, Family> families_;

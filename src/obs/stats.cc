@@ -5,10 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
-#include <mutex>
-
-#include "util/check.h"
 
 namespace flashinfer::obs {
 
@@ -16,10 +12,14 @@ namespace {
 
 // IndexOf's start-bucket lookup is keyed by a sample's bit pattern shifted
 // right by this much: its binary exponent and top six mantissa bits. One key
-// spans a value ratio of at most 1 + 2^-6, so at the default ~19% growth a
-// lookup steps over an edge for ~1 sample in 16 (64 keys per binade, 1.5k
-// keys over the default geometry's range).
+// spans a value ratio of at most 1 + 2^-6, so at ~19% growth a lookup steps
+// over an edge for ~1 sample in 16 (64 keys per binade, 1.5k keys over the
+// geometry's range).
 constexpr int kKeyShift = 46;
+
+/// The geometry every histogram shares: regular buckets from kLo up to kHi,
+/// each kGrowth = 2^(1/4) times the last.
+constexpr double kLo = 1e-2, kHi = 1e5, kGrowth = 1.1892071150027210667;
 
 }  // namespace
 
@@ -70,31 +70,12 @@ struct Histogram::Table {
   }
 };
 
-const Histogram::Table* Histogram::TableFor(double lo, double hi, double growth) {
-  FI_CHECK_GT(lo, 0.0);
-  FI_CHECK_GT(hi, lo);
-  FI_CHECK_GT(growth, 1.0);
-  const auto regular = static_cast<int64_t>(std::ceil(std::log(hi / lo) / std::log(growth)));
-  static std::mutex mu;
-  static std::vector<std::unique_ptr<const Table>> tables;  // Guarded by mu.
-  const std::lock_guard<std::mutex> lock(mu);
-  for (const auto& t : tables) {
-    if (t->lo == lo && t->growth == growth && t->regular == regular) return t.get();
-  }
-  tables.push_back(std::make_unique<const Table>(lo, growth, regular));
-  return tables.back().get();
+Histogram::Histogram() {
+  static const Table kTable(
+      kLo, kGrowth, static_cast<int64_t>(std::ceil(std::log(kHi / kLo) / std::log(kGrowth))));
+  table_ = &kTable;
+  counts_.assign(static_cast<size_t>(kTable.regular) + 2, 0);
 }
-
-Histogram::Histogram(const Table* table)
-    : table_(table), counts_(static_cast<size_t>(table->regular) + 2, 0) {}
-
-Histogram::Histogram() : Histogram([] {
-  static const Table* const kDefault = TableFor(1e-2, 1e5, 1.1892071150027210667);
-  return kDefault;
-}()) {}
-
-Histogram::Histogram(double lo, double hi, double growth)
-    : Histogram(TableFor(lo, hi, growth)) {}
 
 Histogram Histogram::FromSamples(const std::vector<double>& samples) {
   Histogram h;
@@ -120,7 +101,6 @@ void Histogram::Clear() {
 }
 
 void Histogram::MergeFrom(const Histogram& other) {
-  FI_CHECK(table_ == other.table_);  // Same geometry: tables are shared.
   if (other.count_ == 0) return;
   for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);

@@ -3,10 +3,13 @@
 // Histogram is log-bucketed (geometric bucket edges), the right shape for
 // latency distributions whose tails span orders of magnitude: TTFT/ITL
 // histograms stay a few dozen buckets whether the tail is 10 ms or 10 s, so
-// CI can diff the printed form across PRs without quantile jitter.
+// CI can diff the printed form across PRs without quantile jitter. Every
+// histogram shares one geometry: regular buckets from lo = 0.01 to 1e5 at
+// growth 2^(1/4) (~19% relative resolution), 94 of them, plus underflow and
+// overflow.
 //
 // A sample's bucket is the one `floor(log(v / lo) / log(growth))` names, but
-// Add calls no libm function: each geometry's table holds the least double
+// Add calls no libm function: the geometry's table holds the least double
 // that formula puts in every bucket (found once by bisecting the bit
 // patterns of positive doubles), and IndexOf reads a start bucket off the
 // sample's top bit-pattern bits (its binary exponent and six mantissa bits)
@@ -26,14 +29,10 @@ namespace flashinfer::obs {
 /// geometric interpolation for quantiles.
 class Histogram {
  public:
-  /// The default geometry resolves latencies from 10 us to ~100 s at ~19%
-  /// relative resolution. (Non-explicit so structs can hold a Histogram
-  /// member and still aggregate-initialize with {}.)
+  /// Empty, at the shared geometry: latencies from 10 us to ~100 s in ms.
+  /// (Non-explicit so structs can hold a Histogram member and still
+  /// aggregate-initialize with {}.)
   Histogram();
-  /// `lo` > 0 is the lower edge of the first regular bucket, `hi` the upper
-  /// edge of the last, `growth` > 1 the bucket ratio. The first histogram of
-  /// a geometry builds its bucket table (thread-safe); later ones share it.
-  explicit Histogram(double lo, double hi, double growth = 1.1892071150027210667);
 
   static Histogram FromSamples(const std::vector<double>& samples);
 
@@ -56,10 +55,9 @@ class Histogram {
   /// Empties the histogram in place, keeping its geometry.
   void Clear();
 
-  /// Folds `other` into this histogram. Both must share the same bucket
-  /// geometry (lo/growth/bucket count) — checked. Exact min/max/sum/count
-  /// merge exactly, so the merged sketch answers quantiles as if every
-  /// sample had been Add()ed here directly.
+  /// Folds `other` into this histogram. Exact min/max/sum/count merge
+  /// exactly, so the merged sketch answers quantiles as if every sample had
+  /// been Add()ed here directly.
   void MergeFrom(const Histogram& other);
 
   int64_t Count() const noexcept { return count_; }
@@ -87,10 +85,7 @@ class Histogram {
   std::string ToString(const std::string& label) const;
 
  private:
-  struct Table;  // One per geometry, built once and shared by every copy.
-  /// The table of a geometry: found, or built under a lock on first use.
-  static const Table* TableFor(double lo, double hi, double growth);
-  explicit Histogram(const Table* table);
+  struct Table;  // The geometry's bucket table, built once and shared.
 
   const Table* table_ = nullptr;
   std::vector<int64_t> counts_;

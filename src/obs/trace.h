@@ -12,74 +12,45 @@
 // no dangling "open" markers), so a ring overwrite can never orphan half a
 // span and exporters never need matching state.
 //
-// Event vocabulary (TraceName) and payload conventions:
+// Event vocabulary. kTraceNames gives each TraceName its display name, kind,
+// Perfetto row and payload export keys; what a row cannot say:
 //
-//   Step track (per replica; spans never overlap, phases tile their step):
-//     kStep         span   a=prefill_tokens b=decode_branches
-//                          c=stalled_branches d=preempted_waiting
-//                          flags: kStepFlagSpec
-//     kPhaseDraft/Attn/Gemm/Comm/Host
-//                   span   component times laid end-to-end inside the step
-//                          (they sum exactly to the step duration).
-//     kChunk        inst   req a=tokens b=completes c=the entry's Resume
-//                          kind (serving/engine.h): 0 a new request's
-//                          prompt, 1 recompute, 2 swap-in transfer,
-//                          3 migration transfer (migrate-in)
-//
-//   Request lifecycle (async per request id; phases tile arrival→finish):
-//     kReqQueued    span   arrival -> admission
-//     kReqPrefill   span   admission -> first token; a=computed_tokens
-//                          b=cached_tokens c=chunks
-//     kReqDecode    span   decode segment (split by preemption); a=kv_len
-//     kReqPreempted span   eviction -> restore start; a=kv_len b=swapped
-//     kReqSwapIn    span   swap-in transfer in flight; a=kv_len
-//     kReqRecompute span   recompute restore rebuild; a=kv_len
-//     kReqMigrateIn span   migration import in flight on the decode replica
-//                          (admit -> branches resume); a=kv_tokens b=branches
-//     kReqAdmit     inst   a=new_prompt_tokens b=kv_need
-//     kReqFirstToken inst
-//     kReqFinish    inst   per finished branch
-//     kReqReject    inst   a=kv_need b=kv_token_budget
-//
-//   KV events (device <-> host tier traffic):
-//     kKvEvictSwap / kKvEvictDrop        inst  req a=kv_len b=pages
-//     kKvRestoreSwap / kKvRestoreRecompute inst req a=kv_len
-//     kKvEncode     inst  host-codec encode at eviction (codec-on only);
-//                         req a=logical_bytes b=stored_bytes
-//     kKvDecode     inst  host-codec decode priced into the swap-in;
-//                         req a=kv_len b=decode_us
-//
-//   Copy streams ("copy" track; every swap's PCIe time lands here, never in
-//   a step. With overlap_swap they run under steps and may trail the last
-//   one; without it no step overlaps them):
-//     kCopyD2H / kCopyH2D  span  req a=kv_len b=pages
-//                          c=queue_delay_us (issue -> stream start)
-//     kCopyMigrate  span   inter-replica KV migration transfer (recorded on
-//                          the destination replica); req a=kv_tokens b=pages
-//                          c=queue_delay_us on the replica-pair link
-//
-//   Migration (disaggregated prefill/decode mode):
-//     kReqMigrateOut inst  branch extracted from the prefill replica at first
-//                          token; a=kv_tokens b=pages c=branches
-//
-//   Router (cluster track):
-//     kRouteDecision inst  req a=replica b=matched_prefix_tokens
-//
-//   SLO burn-rate monitor (obs/slo.h; edge-triggered per spec):
-//     kSloAlert / kSloRecover inst  a=spec_index v=fast-window burn rate
-//
-//   Counters (sampled after every executed step):
-//     kCtrKvDevice kCtrKvHost kCtrQueueDepth kCtrRunning kCtrPreempted
-//     kCtrTokPerS kCtrHostStoredBytes   v=value
+//   * Times are simulated microseconds: ts/dur and every *_us payload.
+//     kv_len / kv_tokens / *_tokens payloads count tokens, *_bytes bytes.
+//   * Step track: a replica's step spans never overlap, and its phase spans
+//     (draft/attention/gemm/comm/host) lie end to end inside their step and
+//     sum exactly to its duration. kChunk's c is the entry's Resume kind
+//     (serving/engine.h): 0 a new request's prompt, 1 recompute, 2 swap-in
+//     transfer, 3 migration transfer (migrate-in).
+//   * Request lifecycle: a request's queued -> prefill -> decode (split by
+//     preemption) / preempted / swap-in / recompute / migrate-in spans tile
+//     arrival -> finish. kReqPreempted's b is 1 when the victim swapped out;
+//     kReqFinish is recorded per finished branch.
+//   * Copy streams: every swap's PCIe time lands on the copy row, never in a
+//     step. With overlap_swap the transfers run under steps and may trail the
+//     last one; without it no step overlaps them. kCopyMigrate is recorded on
+//     the destination replica, and queue_delay_us runs from issue to stream
+//     start (the replica-pair link's for a migration).
+//   * kKvEncode is recorded at eviction with the host codec on only;
+//     kKvDecode's decode_us is priced into the swap-in.
+//   * kReqMigrateOut is recorded on the prefill replica at first token
+//     (disaggregated mode), kRouteDecision on the cluster's router track.
+//   * kSloAlert / kSloRecover are edge-triggered per SLO spec (obs/slo.h).
+//   * Counters are sampled after every executed step; v is the value.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 namespace flashinfer::obs {
 
 enum class TraceKind : uint8_t { kSpan, kInstant, kCounter };
+
+/// Where the Perfetto export draws an event: a thread row of its track's
+/// process (the value is the tid), or the request's async row.
+enum class TraceRow : uint8_t { kSteps, kKv, kCopy, kRequest };
 
 /// Event names. golden_test hashes each event's numeric name, so no value
 /// shifts when a name goes: 5 is unused.
@@ -99,7 +70,7 @@ enum class TraceName : uint8_t {
   kReqSwapIn,
   kReqRecompute,
   kReqMigrateIn,
-  // Copy-stream spans (one Perfetto track per engine).
+  // Copy-stream spans.
   kCopyD2H,
   kCopyH2D,
   kCopyMigrate,
@@ -129,17 +100,77 @@ enum class TraceName : uint8_t {
   kCtrHostStoredBytes,
 };
 
-/// Stable display name (also the Perfetto slice / counter-track name).
-const char* TraceNameStr(TraceName n);
-
-/// Span vs instant vs counter is a property of the name, not per-event state.
-TraceKind KindOf(TraceName n) noexcept;
-
 /// kStep flag bits.
 inline constexpr uint16_t kStepFlagSpec = 1;  // Verify (spec-decode) step.
 
-/// One recorded event. POD; payload field meanings are per-name (see the
-/// header comment). Timestamps are simulated microseconds.
+/// What the exporters know of one TraceName. `keys` name payloads a..d
+/// (nullptr: not exported), `flag` the kStepFlagSpec bit and `v` the value
+/// field; the request id is exported as "req" whenever it is set.
+struct TraceNameInfo {
+  const char* name;  // Display name: the Perfetto slice / counter-track name.
+  TraceKind kind;    // Span vs instant vs counter is a property of the name.
+  TraceRow row;
+  const char* keys[4] = {};
+  const char* flag = nullptr;
+  const char* v = nullptr;
+};
+
+/// One row per TraceName value, in value order.
+inline constexpr TraceNameInfo kTraceNames[] = {
+    {"step", TraceKind::kSpan, TraceRow::kSteps,
+     {"prefill_tokens", "decode_branches", "stalled_branches", "preempted_waiting"}, "spec"},
+    {"draft", TraceKind::kSpan, TraceRow::kSteps},
+    {"attention", TraceKind::kSpan, TraceRow::kSteps},
+    {"gemm", TraceKind::kSpan, TraceRow::kSteps},
+    {"comm", TraceKind::kSpan, TraceRow::kSteps},
+    {"?", TraceKind::kSpan, TraceRow::kSteps},  // 5: unused.
+    {"host", TraceKind::kSpan, TraceRow::kSteps},
+    {"queued", TraceKind::kSpan, TraceRow::kRequest},
+    {"prefill", TraceKind::kSpan, TraceRow::kRequest,
+     {"computed_tokens", "cached_tokens", "chunks"}},
+    {"decode", TraceKind::kSpan, TraceRow::kRequest, {"kv_len"}},
+    {"preempted", TraceKind::kSpan, TraceRow::kRequest, {"kv_len", "swapped"}},
+    {"swap_in_flight", TraceKind::kSpan, TraceRow::kRequest, {"kv_len"}},
+    {"recompute_restore", TraceKind::kSpan, TraceRow::kRequest, {"kv_len"}},
+    {"migrate_in_flight", TraceKind::kSpan, TraceRow::kRequest, {"kv_tokens", "branches"}},
+    {"copy_d2h", TraceKind::kSpan, TraceRow::kCopy, {"kv_len", "pages", "queue_delay_us"}},
+    {"copy_h2d", TraceKind::kSpan, TraceRow::kCopy, {"kv_len", "pages", "queue_delay_us"}},
+    {"copy_migrate", TraceKind::kSpan, TraceRow::kCopy, {"kv_tokens", "pages", "queue_delay_us"}},
+    {"chunk", TraceKind::kInstant, TraceRow::kSteps, {"tokens", "completes", "restore"}},
+    {"admit", TraceKind::kInstant, TraceRow::kRequest, {"new_prompt_tokens", "kv_need"}},
+    {"first_token", TraceKind::kInstant, TraceRow::kRequest},
+    {"finish", TraceKind::kInstant, TraceRow::kRequest},
+    {"reject", TraceKind::kInstant, TraceRow::kRequest, {"kv_need", "kv_token_budget"}},
+    {"kv_evict_swap", TraceKind::kInstant, TraceRow::kKv, {"kv_len", "pages"}},
+    {"kv_evict_drop", TraceKind::kInstant, TraceRow::kKv, {"kv_len", "pages"}},
+    {"kv_restore_swap", TraceKind::kInstant, TraceRow::kKv, {"kv_len"}},
+    {"kv_restore_recompute", TraceKind::kInstant, TraceRow::kKv, {"kv_len"}},
+    {"kv_encode", TraceKind::kInstant, TraceRow::kKv, {"logical_bytes", "stored_bytes"}},
+    {"kv_decode", TraceKind::kInstant, TraceRow::kKv, {"kv_len", "decode_us"}},
+    {"migrate_out", TraceKind::kInstant, TraceRow::kRequest, {"kv_tokens", "pages", "branches"}},
+    {"route", TraceKind::kInstant, TraceRow::kSteps, {"replica", "matched_prefix_tokens"}},
+    {"slo_alert", TraceKind::kInstant, TraceRow::kSteps, {"spec"}, nullptr, "fast_burn"},
+    {"slo_recover", TraceKind::kInstant, TraceRow::kSteps, {"spec"}, nullptr, "fast_burn"},
+    {"kv_device_tokens", TraceKind::kCounter, TraceRow::kSteps},
+    {"kv_host_tokens", TraceKind::kCounter, TraceRow::kSteps},
+    {"queue_depth", TraceKind::kCounter, TraceRow::kSteps},
+    {"running_branches", TraceKind::kCounter, TraceRow::kSteps},
+    {"preempted_branches", TraceKind::kCounter, TraceRow::kSteps},
+    {"tokens_per_s", TraceKind::kCounter, TraceRow::kSteps},
+    {"kv_host_stored_bytes", TraceKind::kCounter, TraceRow::kSteps},
+};
+static_assert(std::size(kTraceNames) == static_cast<size_t>(TraceName::kCtrHostStoredBytes) + 1,
+              "one kTraceNames row per TraceName value");
+
+/// The row of `n`; TraceNameStr and KindOf read its name and kind.
+constexpr const TraceNameInfo& InfoOf(TraceName n) noexcept {
+  return kTraceNames[static_cast<size_t>(n)];
+}
+constexpr const char* TraceNameStr(TraceName n) noexcept { return InfoOf(n).name; }
+constexpr TraceKind KindOf(TraceName n) noexcept { return InfoOf(n).kind; }
+
+/// One recorded event. POD; payload field meanings are per-name (see
+/// kTraceNames and the header comment). Timestamps are simulated microseconds.
 struct TraceEvent {
   double ts_us = 0.0;
   double dur_us = 0.0;  // Spans only; 0 for instants/counters.
@@ -147,7 +178,7 @@ struct TraceEvent {
   uint16_t flags = 0;
   int32_t req = -1;  // Request id, or -1 when not request-scoped.
   int64_t a = 0, b = 0, c = 0, d = 0;
-  double v = 0.0;  // Counter value.
+  double v = 0.0;  // Counter value; an SLO event's burn rate.
 };
 
 /// Tracing knob carried by EngineConfig. Off by default: a disabled trace

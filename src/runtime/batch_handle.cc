@@ -81,7 +81,7 @@ void BatchAttentionHandle::Plan(const sparse::BsrMatrix* bsr, std::vector<int64_
       plan_ = MakeNaivePlan(p, cfg_);
       break;
     case SchedulerKind::kFixedSplit:
-      plan_ = MakeFixedSplitPlan(p, cfg_, num_ctas_, info_.fixed_splits,
+      plan_ = MakeFixedSplitPlan(p, cfg_, num_ctas_, kFixedSplits,
                                  workspace_->MaxPartialRows());
       break;
   }

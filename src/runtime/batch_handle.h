@@ -41,7 +41,6 @@ class BatchAttentionHandle {
     /// init time (decode: group size; prefill: typical chunk length x group).
     double avg_qlen_hint = 1.0;
     SchedulerKind scheduler = SchedulerKind::kBalanced;
-    int fixed_splits = 4;
   };
 
   BatchAttentionHandle(gpusim::DeviceSpec dev, TaskInfo info, Workspace* workspace);

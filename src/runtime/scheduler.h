@@ -104,6 +104,10 @@ enum class SchedulerKind : uint8_t {
   kFixedSplit,  // FlashDecoding-style constant split count.
 };
 
+/// kFixedSplit's split count: every work unit's KV is cut into this many
+/// chunks.
+inline constexpr int kFixedSplits = 4;
+
 /// A complete execution plan for one attention launch.
 struct Plan {
   /// Per-CTA work queues (persistent kernel: grid size == queues.size()).

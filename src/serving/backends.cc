@@ -304,7 +304,8 @@ gpusim::SimReport ScheduleAndPrice(const gpusim::DeviceSpec& dev, const BackendC
       ScheduleNaive(rows, num_heads, &schedule, pricer);
       break;
     case SchedulerKind::kFixedSplit:
-      ScheduleFixedSplit(rows, num_heads, cfg.tile_kv, num_ctas, 4, &schedule, pricer);
+      ScheduleFixedSplit(rows, num_heads, cfg.tile_kv, num_ctas, kFixedSplits, &schedule,
+                         pricer);
       break;
   }
   auto report = pricer.Report(schedule);

@@ -18,19 +18,13 @@ int64_t CachedTokens(const Request& r) {
   return std::min(std::max<int64_t>(r.cached_prefix_len, 0), max_cached);
 }
 
-/// Where each occupancy value PublishStepEnd samples goes, in the order it
-/// computes them: its trace counter and its registry gauge.
-struct OccupancySeries {
-  obs::TraceName trace;
-  const char* gauge;
-};
-constexpr OccupancySeries kOccupancy[] = {
-    {obs::TraceName::kCtrKvDevice, "fi_kv_device_tokens"},
-    {obs::TraceName::kCtrKvHost, "fi_kv_host_tokens"},
-    {obs::TraceName::kCtrHostStoredBytes, "fi_kv_host_stored_bytes"},
-    {obs::TraceName::kCtrQueueDepth, "fi_queue_depth"},
-    {obs::TraceName::kCtrRunning, "fi_running_branches"},
-    {obs::TraceName::kCtrPreempted, "fi_preempted_branches"},
+/// The trace counter of each occupancy value PublishStepEnd samples, in the
+/// order it computes them. Each also goes to the registry gauge "fi_" + the
+/// counter's display name.
+constexpr obs::TraceName kOccupancy[] = {
+    obs::TraceName::kCtrKvDevice,        obs::TraceName::kCtrKvHost,
+    obs::TraceName::kCtrHostStoredBytes, obs::TraceName::kCtrQueueDepth,
+    obs::TraceName::kCtrRunning,         obs::TraceName::kCtrPreempted,
 };
 constexpr size_t kDeviceKvSeries = 0;  // fi_kv_device_tokens.
 
@@ -51,6 +45,11 @@ constexpr double kSwapLatencyUs = 100.0;
 /// not one contiguous DMA. This is what makes short contexts cheaper to
 /// recompute than to swap.
 constexpr double kSwapPageOverheadUs = 20.0;
+/// Host-codec throughput pricing encode (evict) / decode (restore) time, GB/s
+/// over the page's *logical* bytes. Decode is cheaper than encode (no
+/// min/max scan, no match search).
+constexpr double kCodecEncodeGbps = 32.0;
+constexpr double kCodecDecodeGbps = 48.0;
 
 }  // namespace
 
@@ -233,7 +232,7 @@ void ServingEngine::FlushTelemetry() {
       if (f.family) field_counters_.emplace_back(&f, telemetry_->GetCounter(f.family));
     }
     for (size_t i = 0; i < kOccupancySeries; ++i) {
-      gauges_[i] = telemetry_->GetGauge(kOccupancy[i].gauge);
+      gauges_[i] = telemetry_->GetGauge(std::string("fi_") + obs::TraceNameStr(kOccupancy[i]));
     }
   }
   for (const auto& [field, counter] : field_counters_) {
@@ -258,7 +257,7 @@ void ServingEngine::PublishStepEnd(double tok_per_s) {
   static_assert(std::size(occupancy) == kOccupancySeries);
   static_assert(std::size(kOccupancy) == kOccupancySeries);
   for (size_t i = 0; i < kOccupancySeries; ++i) {
-    TraceCounter(kOccupancy[i].trace, occupancy[i]);
+    TraceCounter(kOccupancy[i], occupancy[i]);
     if (telemetry_) gauges_[i]->Set(now_s_, occupancy[i]);
   }
   TraceCounter(obs::TraceName::kCtrTokPerS, tok_per_s);
@@ -583,13 +582,11 @@ double ServingEngine::CodecUs(int64_t tokens, double gbps) const {
 }
 
 double ServingEngine::SwapOutUs(int64_t tokens, double stored_ratio) const {
-  return SwapXferUs(tokens, stored_ratio) +
-         CodecUs(tokens, cfg_.preemption.codec_encode_gbps);
+  return SwapXferUs(tokens, stored_ratio) + CodecUs(tokens, kCodecEncodeGbps);
 }
 
 double ServingEngine::SwapInUs(int64_t tokens, double stored_ratio) const {
-  return SwapXferUs(tokens, stored_ratio) +
-         CodecUs(tokens, cfg_.preemption.codec_decode_gbps);
+  return SwapXferUs(tokens, stored_ratio) + CodecUs(tokens, kCodecDecodeGbps);
 }
 
 double ServingEngine::CodecRatioEstimate() const {
@@ -707,8 +704,7 @@ void ServingEngine::RestorePreempted() {
       // Swap-in moves the branch's *stored* bytes (realized ratio captured
       // at eviction) and pays the decode pass to re-materialize the pages.
       const double t_us = SwapInUs(b.kv_len, p.stored_ratio);
-      const double decode_ms =
-          CodecUs(b.kv_len, cfg_.preemption.codec_decode_gbps) * 1e-3;
+      const double decode_ms = CodecUs(b.kv_len, kCodecDecodeGbps) * 1e-3;
       metrics_.codec_decode_ms += decode_ms;
       if (cfg_.preemption.host_codec.enabled()) {
         TraceInstant(obs::TraceName::kKvDecode, b.request_id, b.kv_len,
@@ -842,7 +838,7 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
     const double stored_bytes = logical_bytes * stored_ratio;
     metrics_.evicted_logical_bytes += logical_bytes;
     metrics_.evicted_stored_bytes += stored_bytes;
-    metrics_.codec_encode_ms += CodecUs(b.kv_len, cfg_.preemption.codec_encode_gbps) * 1e-3;
+    metrics_.codec_encode_ms += CodecUs(b.kv_len, kCodecEncodeGbps) * 1e-3;
     if (cfg_.preemption.host_codec.quant != KvQuantFormat::kNone) {
       metrics_.quant_mse_sum += host_table_->MseSum(b.kv_len);
       metrics_.quant_mse_pages += evicted_pages;
@@ -1032,10 +1028,11 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
   // overhead (the draft is ~100x smaller than the target).
   double draft_us = 0.0;
   if (spec_step) {
+    static const ModelSpec kDraft = spec::DraftLlama68M();
     const spec::DraftTree& tree = *tree_;
     for (int level = 1; level <= tree.Depth(); ++level) {
-      draft_us += GemmUs(cfg_.spec.draft_model,
-                         static_cast<int64_t>(decode_branches) * tree.LevelWidth(level));
+      draft_us +=
+          GemmUs(kDraft, static_cast<int64_t>(decode_branches) * tree.LevelWidth(level));
     }
     draft_us += tree.Depth() * kGraphLaunchUs;
   }

@@ -141,11 +141,6 @@ struct PreemptionConfig {
   /// included) and the per-page quantization MSE lands in ServingMetrics as
   /// the accuracy proxy. Default-disabled: the host tier stores raw pages.
   KvCodecConfig host_codec;
-  /// Codec throughput for pricing encode (evict) / decode (restore) time,
-  /// GB/s over the page's *logical* bytes. Decode is cheaper than encode
-  /// (no min/max scan, no match search).
-  double codec_encode_gbps = 32.0;
-  double codec_decode_gbps = 48.0;
 };
 
 struct EngineConfig {

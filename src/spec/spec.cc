@@ -2,8 +2,6 @@
 
 namespace flashinfer::spec {
 
-SpecDecodeConfig::SpecDecodeConfig() : draft_model(DraftLlama68M()) {}
-
 serving::ModelSpec DraftLlama68M() {
   serving::ModelSpec m;
   m.name = "Llama 68M (draft)";

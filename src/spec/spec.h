@@ -18,22 +18,19 @@ namespace flashinfer::spec {
 struct SpecDecodeConfig {
   bool enabled = false;
   TreeConfig tree;
-  /// Draft model (GEMM roofline only; its KV/attention cost is folded into
-  /// the per-pass host overhead — the draft is orders of magnitude smaller
-  /// than the target, so its attention time is noise at these scales).
-  serving::ModelSpec draft_model;
   /// Acceptance probability for requests that don't carry their own
   /// (Request::accept_prob < 0).
   double default_accept_prob = 0.7;
   /// Seed for the engine's acceptance sampling (reseeded on every Reset so
   /// Run() stays equivalent to an external Admit/StepTo loop).
   uint64_t seed = 0x5eedf00d;
-
-  SpecDecodeConfig();
 };
 
-/// Llama-68M-class draft model (the usual companion speculator for 7-8B
-/// targets): 2 layers, 768 hidden — weights stream in ~tens of microseconds.
+/// The draft model: Llama-68M-class (the usual companion speculator for 7-8B
+/// targets), 2 layers, 768 hidden — weights stream in ~tens of microseconds.
+/// Priced by its GEMM roofline only; its KV/attention cost is folded into the
+/// per-pass host overhead (the draft is orders of magnitude smaller than the
+/// target, so its attention time is noise at these scales).
 serving::ModelSpec DraftLlama68M();
 
 }  // namespace flashinfer::spec

@@ -473,11 +473,9 @@ TEST(DisaggCluster, MigratesCompletesAndAccountsExactly) {
   EXPECT_EQ(m.replica_requests[2], 0);
   EXPECT_EQ(m.replica_requests[3], 0);
 
-  EXPECT_GT(m.migrations, 0);
+  EXPECT_GT(m.prefill_pool.num_migrations_out, 0);
   // Every extraction was admitted somewhere; retained units stayed local.
-  EXPECT_EQ(m.prefill_pool.num_migrations_out, m.migrations);
-  EXPECT_EQ(m.decode_pool.num_migrations_in, m.migrations);
-  EXPECT_EQ(m.prefill_pool.num_migrations_retained, m.migrations_retained);
+  EXPECT_EQ(m.prefill_pool.num_migrations_out, m.decode_pool.num_migrations_in);
   EXPECT_EQ(m.aggregate.num_migrations_out, m.aggregate.num_migrations_in);
 
   // Conservation: every request completed exactly once, TTFT on the prefill
@@ -531,13 +529,13 @@ TEST(DisaggCluster, RetainsWhenDecodePoolFull) {
       serving::UniformWorkload(rng, 40, 60.0, 512, 2048, /*output_len=*/256);
   const ClusterMetrics m = ClusterEngine(cfg).Run(workload);
 
-  EXPECT_GT(m.migrations_retained, 0);
-  EXPECT_EQ(m.prefill_pool.num_migrations_retained, m.migrations_retained);
+  EXPECT_GT(m.prefill_pool.num_migrations_retained, 0);
+  EXPECT_EQ(m.decode_pool.num_migrations_retained, 0);
   EXPECT_EQ(m.aggregate.ttft_ms.size() +
                 static_cast<size_t>(m.aggregate.rejected_requests),
             workload.size());
   // Retained units emit their decode tokens on the prefill replica.
-  if (m.migrations_retained > 0) {
+  if (m.prefill_pool.num_migrations_retained > 0) {
     EXPECT_GT(m.prefill_pool.itl_ms.size() + m.prefill_pool.branch_stalls.size(),
               0u);
   }
@@ -573,8 +571,8 @@ TEST(DisaggCluster, BlockedRestoreOnPrefillReplicaStillDrains) {
                                          req(4, 2.0, 5500, 30, 3)};     // P2
   const ClusterMetrics m = ClusterEngine(cfg).Run(workload);
 
-  EXPECT_EQ(m.migrations, 1);
-  EXPECT_EQ(m.migrations_retained, 4);
+  EXPECT_EQ(m.aggregate.num_migrations_out, 1);
+  EXPECT_EQ(m.aggregate.num_migrations_retained, 4);
   EXPECT_EQ(m.prefill_pool.num_preemptions, 2);
   EXPECT_EQ(m.prefill_pool.num_swap_restores, 2);
   EXPECT_GT(m.prefill_pool.swap_stall_ms, 0.0);  // Idled on B's swap-in.
@@ -594,8 +592,8 @@ TEST(DisaggCluster, BackToBackRunsIdentical) {
   const ClusterMetrics b = eng.Run(workload);
 
   EXPECT_DOUBLE_EQ(b.makespan_s, a.makespan_s);
-  EXPECT_EQ(b.migrations, a.migrations);
-  EXPECT_EQ(b.migrations_retained, a.migrations_retained);
+  EXPECT_EQ(b.aggregate.num_migrations_out, a.aggregate.num_migrations_out);
+  EXPECT_EQ(b.aggregate.num_migrations_retained, a.aggregate.num_migrations_retained);
   EXPECT_EQ(b.aggregate.num_steps, a.aggregate.num_steps);
   EXPECT_EQ(b.aggregate.total_output_tokens, a.aggregate.total_output_tokens);
   EXPECT_DOUBLE_EQ(b.aggregate.total_migration_ms, a.aggregate.total_migration_ms);
@@ -625,7 +623,7 @@ TEST(DisaggCluster, UnifiedModeUnchangedBySplitDriver) {
   EXPECT_EQ(cm.aggregate.num_steps, em.num_steps);
   EXPECT_EQ(cm.aggregate.total_output_tokens, em.total_output_tokens);
   EXPECT_TRUE(cm.replica_pool.empty());  // Disagg fields stay zeroed.
-  EXPECT_EQ(cm.migrations, 0);
+  EXPECT_EQ(cm.aggregate.num_migrations_out, 0);
 }
 
 }  // namespace

@@ -158,7 +158,7 @@ TEST(Engine, OneTokenRequestsFinishAtTheirFirstToken) {
   const auto m = cluster::ClusterEngine(disagg).Run(reqs);
   EXPECT_EQ(m.aggregate.total_output_tokens, 3);
   EXPECT_EQ(m.aggregate.ItlCount(), 0);
-  EXPECT_EQ(m.migrations, 0);  // Nothing is left to decode elsewhere.
+  EXPECT_EQ(m.aggregate.num_migrations_out, 0);  // Nothing is left to decode elsewhere.
 }
 
 TEST(Engine, KvBudgetThrottlesAdmission) {

@@ -254,7 +254,8 @@ Digests RunCluster(const ClusterConfig& cfg, const std::vector<Request>& reqs) {
   Put(d, "router", std::vector<int64_t>{m.router.routed, m.router.affinity_hits,
                                         m.router.load_fallbacks, m.router.pressure_fallbacks});
   Put(d, "makespan_s", m.makespan_s);
-  Put(d, "migrations", std::vector<int64_t>{m.migrations, m.migrations_retained});
+  Put(d, "migrations", std::vector<int64_t>{m.aggregate.num_migrations_out,
+                                            m.aggregate.num_migrations_retained});
   const auto& tracks = engine.LastTrace();
   for (size_t i = 0; i < tracks.size(); ++i) {
     PutTrace(d, "trace" + std::to_string(i), tracks[i].name, tracks[i].events);

@@ -243,7 +243,7 @@ inline gpusim::SimReport ReferencePlanAndPrice(const gpusim::DeviceSpec& dev,
       plan = MakeNaivePlan(p, cfg);
       break;
     case SchedulerKind::kFixedSplit:
-      plan = MakeFixedSplitPlan(p, cfg, dev.num_sms, 4, int64_t{1} << 40);
+      plan = MakeFixedSplitPlan(p, cfg, dev.num_sms, kFixedSplits, int64_t{1} << 40);
       break;
   }
   const double auto_l2 = MapKvReuseFraction(p);
