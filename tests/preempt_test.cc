@@ -124,6 +124,47 @@ TEST(Preemption, VictimIsLowestPriorityThenYoungest) {
   EXPECT_EQ(engine.SpecKvLivePages(), 0);
 }
 
+// Restore order: highest priority first, then eviction order within a
+// priority. A priority-2 arrival evicts all four residents, youngest
+// priority-0 branch first and the priority-1 branch last; the victims
+// restore priority 1 first, then the priority-0 branches in the order they
+// were evicted, which is the reverse of their arrival and id order.
+TEST(Preemption, RestoresHighestPriorityFirstThenEvictionOrder) {
+  auto cfg = BaseConfig();
+  cfg.preemption.enabled = true;
+  cfg.preemption.restore = RestorePolicy::kRecompute;
+  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.trace.enabled = true;
+  ServingEngine engine(cfg);
+
+  std::vector<Request> reqs;
+  reqs.push_back(MakeReq(0, 0.00, 1000, 400, 0));
+  reqs.push_back(MakeReq(1, 0.01, 1000, 400, 0));
+  reqs.push_back(MakeReq(2, 0.02, 1000, 400, 0));
+  reqs.push_back(MakeReq(3, 0.03, 1000, 400, 1));
+  // Needs 5,058 of the 6,000 tokens: only evicting all four residents
+  // (1,408 each) makes room.
+  reqs.push_back(MakeReq(4, 0.50, 5000, 50, 2));
+  const auto m = engine.Run(reqs);
+
+  std::vector<int> evicted;
+  std::vector<int> restored;
+  for (const auto& e : engine.TraceEvents()) {
+    if (e.name == obs::TraceName::kKvEvictSwap || e.name == obs::TraceName::kKvEvictDrop) {
+      evicted.push_back(e.req);
+    } else if (e.name == obs::TraceName::kKvRestoreSwap ||
+               e.name == obs::TraceName::kKvRestoreRecompute) {
+      restored.push_back(e.req);
+    }
+  }
+  EXPECT_EQ(evicted, (std::vector<int>{2, 1, 0, 3}));
+  EXPECT_EQ(restored, (std::vector<int>{3, 2, 1, 0}));
+  EXPECT_EQ(m.num_preemptions, 4);
+  EXPECT_EQ(m.total_output_tokens, 4 * 400 + 50);
+  EXPECT_EQ(engine.KvTokensInUse(), 0);
+  EXPECT_EQ(engine.SpecKvLivePages(), 0);
+}
+
 TEST(Preemption, SwapRestoreRoundTripsPagesExactly) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
