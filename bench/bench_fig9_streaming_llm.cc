@@ -35,11 +35,11 @@ KernelUtil DecodeRopeUtil(const gpusim::DeviceSpec& dev, int64_t kv_len, int kv_
 
   auto fa = FlashAttentionBackend();
   auto attn = SimulateBatchAttention(dev, fa, in);
-  // Unfused RoPE: rewrite every cached key with new cache positions
-  // (read+write) plus rotate Q; elementwise kernels at ~45% of HBM peak.
+  // Unfused RoPE: one elementwise kernel rewrites every cached key with new
+  // cache positions (read+write) and rotates Q.
   const double rope_bytes =
       2.0 * (static_cast<double>(kv_len) * kv_heads + 32.0) * 128.0 * 2.0;
-  const double rope_us = rope_bytes / (dev.hbm_gbps * 0.45 * 1e3) + dev.kernel_launch_us;
+  const double rope_us = ElementwiseKernelUs(dev, rope_bytes);
   // Utilization counts useful attention bytes over the combined time.
   u.unfused = attn.total_hbm_bytes / ((attn.time_us + rope_us) * dev.hbm_gbps * 1e3);
   return u;

@@ -43,12 +43,6 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
-double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
-  const double kv_bytes = static_cast<double>(budget_tokens) *
-                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
-}
-
 /// The pre-preemption (seed) engine aborted when a request's admission need
 /// (input + decode slack) exceeded the total budget and the engine drained
 /// around it. Evaluated analytically — the abort would kill this process.
@@ -128,7 +122,7 @@ ServingMetrics RunPreempting(const std::vector<Request>& reqs, int64_t budget,
   cfg.preemption.enabled = true;
   cfg.preemption.restore = restore;
   cfg.preemption.overlap_swap = overlap_swap;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, budget);
+  cfg.hbm_capacity_gb = HbmGbForKvBudget(cfg, budget);
   return ServingEngine(cfg).Run(reqs);
 }
 
@@ -151,7 +145,7 @@ bool WriteTraceArtifact(const char* path, const char* metrics_path,
   cluster::ClusterConfig ccfg;
   ccfg.engine = BaseConfig();
   ccfg.engine.preemption.enabled = true;
-  ccfg.engine.hbm_capacity_gb = HbmForBudget(ccfg.engine, budget);
+  ccfg.engine.hbm_capacity_gb = HbmGbForKvBudget(ccfg.engine, budget);
   ccfg.engine.trace.enabled = true;
   // Telemetry rides along: the same run also produces the merged-registry
   // snapshot artifact (per-replica windowed counters/sketches under

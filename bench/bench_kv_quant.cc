@@ -44,12 +44,6 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
-double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
-  const double kv_bytes = static_cast<double>(budget_tokens) *
-                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
-}
-
 // Real per-GPU KV geometry of the engine's model: 8 KV heads (GQA), 128
 // head_dim, f16 storage, 16-token pages -> 64 KiB per page.
 constexpr int kHeads = 8;
@@ -146,7 +140,7 @@ ServingMetrics RunEngine(const std::vector<Request>& reqs, KvCodecConfig codec,
   cfg.preemption.restore = RestorePolicy::kSwap;
   cfg.preemption.host_capacity_gb = host_gb;
   cfg.preemption.host_codec = codec;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = HbmGbForKvBudget(cfg, 8000);
   return ServingEngine(cfg).Run(reqs);
 }
 
@@ -261,7 +255,7 @@ int main(int argc, char** argv) {
   base_cfg.preemption.enabled = true;
   base_cfg.preemption.restore = RestorePolicy::kSwap;
   base_cfg.preemption.host_capacity_gb = host_gb;
-  base_cfg.hbm_capacity_gb = HbmForBudget(base_cfg, 8000);
+  base_cfg.hbm_capacity_gb = HbmGbForKvBudget(base_cfg, 8000);
   const auto pin = ServingEngine(base_cfg).Run(reqs);
   const bool gate_identical = pin.makespan_s == raw.makespan_s &&
                               pin.total_swap_ms == raw.total_swap_ms &&

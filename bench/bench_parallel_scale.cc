@@ -39,9 +39,7 @@ EngineConfig ReplicaConfig() {
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kAuto;
   cfg.preemption.overlap_swap = true;
-  const double kv_bytes =
-      8000.0 * cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  cfg.hbm_capacity_gb = (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
+  cfg.hbm_capacity_gb = HbmGbForKvBudget(cfg, 8000);
   return cfg;
 }
 

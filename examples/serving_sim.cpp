@@ -105,9 +105,7 @@ int main() {
     slo.slow_burn = 2.0;
     cfg.telemetry.slos.push_back(slo);
   }
-  const double kv_bytes =
-      4000.0 * cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  cfg.hbm_capacity_gb = (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
+  cfg.hbm_capacity_gb = HbmGbForKvBudget(cfg, 4000);
   ServingEngine traced(cfg);
   const auto m = traced.Run(pressured);
   const obs::TraceQuery query(traced.TraceEvents());

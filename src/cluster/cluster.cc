@@ -73,9 +73,7 @@ void ClusterEngine::ProcessMigrations() {
   const double kv_bytes_per_token =
       cfg_.engine.model.KvBytesPerToken(cfg_.engine.backend.kv_dtype);
   for (size_t src = 0; src < prefill_n; ++src) {
-    ServingEngine& se = replicas_[src]->engine;
-    if (se.MigratableUnitCount() == 0) continue;
-    for (const serving::MigrationUnit& u : se.MigratableUnits()) {
+    replicas_[src]->engine.HandOffExportable([&](const serving::MigrationUnit& u) {
       // Destination candidates: decode replicas that can take the unit's
       // full reservation right now. CanAcceptMigration is the ground truth;
       // PickByKvHeadroom then prefers the emptiest device.
@@ -84,11 +82,8 @@ void ClusterEngine::ProcessMigrations() {
         if (replicas_[d]->engine.CanAcceptMigration(u)) dviews.push_back(ViewOf(d));
       }
       const int dst = dviews.empty() ? -1 : PickByKvHeadroom(dviews, u.kv_charge);
-      if (dst < 0) {
-        // No decode replica fits: the unit decodes where it prefilled.
-        se.RetainMigratable(u.unit_id);
-        continue;
-      }
+      // No decode replica fits: the unit decodes where it prefilled.
+      if (dst < 0) return false;
       // Transfer priced like the swap path (latency + per-page scatter
       // overhead + bytes over the link), issued at the unit's export time so
       // the pair link's FIFO backlog is measured from when the KV was ready,
@@ -100,10 +95,10 @@ void ClusterEngine::ProcessMigrations() {
               (cfg_.migration_gbps * 1e3);
       gpusim::CopyStream& link =
           pair_streams_[src * decode_n + (static_cast<size_t>(dst) - prefill_n)];
-      const gpusim::CopyStream::Transfer xfer = link.Enqueue(u.export_s, t_us);
-      const serving::MigrationUnit m = se.ExtractMigratable(u.unit_id);
-      replicas_[static_cast<size_t>(dst)]->engine.AdmitMigratedUnit(m, xfer);
-    }
+      replicas_[static_cast<size_t>(dst)]->engine.AdmitMigratedUnit(
+          u, link.Enqueue(u.export_s, t_us));
+      return true;
+    });
   }
 }
 
@@ -207,7 +202,7 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
   // ready_s gating exact. The decode pool needs no fine stepping — its
   // admissions carry absolute ready times, so batch-advancing it at arrival
   // barriers reproduces the same step sequence. ProcessMigrations always
-  // empties the exportable pools (extract or retain), so every round makes
+  // empties the exportable pools (ship or retain), so every round makes
   // progress and no engine is left blocked on the driver.
   const double inf = std::numeric_limits<double>::infinity();
   for (size_t k = 0;; ++k) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "serving/engine.h"
 #include "util/check.h"
 
 namespace flashinfer::cluster {
@@ -19,13 +20,14 @@ const char* RouterPolicyName(RouterPolicy policy) {
 namespace {
 
 /// KV tokens `r` will pin on whichever replica serves it: prompt + every
-/// parallel branch's output and per-branch decode slack (8, mirroring the
-/// engine's admission charge). Spec-enabled replicas additionally reserve a
+/// parallel branch's output and per-branch decode slack, mirroring the
+/// engine's admission charge. Spec-enabled replicas additionally reserve a
 /// draft tree per branch, which the router cannot see — the estimate is a
 /// slight lower bound there, so headroom shedding stays heuristic.
 int64_t RequestKvTokens(const serving::Request& r) {
   const int64_t branches = std::max(1, r.parallel_n);
-  return r.input_len + branches * (std::max<int64_t>(r.output_len, 1) + 8);
+  return r.input_len +
+         branches * (std::max<int64_t>(r.output_len, 1) + serving::kDecodeSlackTokens);
 }
 
 int LeastLoadedReplica(const std::vector<ReplicaView>& replicas) {

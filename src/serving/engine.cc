@@ -28,14 +28,11 @@ constexpr obs::TraceName kOccupancy[] = {
 };
 constexpr size_t kDeviceKvSeries = 0;  // fi_kv_device_tokens.
 
-/// Achieved fraction of peak for dense GEMMs.
-constexpr double kGemmEff = 0.72;
+/// Share of the HBM left after the weights that holds KV; the rest is
+/// activation slack.
+constexpr double kKvShareOfFreeHbm = 0.9;
 /// NVLink all-reduce bandwidth per GPU, GB/s (tensor parallel).
 constexpr double kNvlinkGbps = 450.0;
-/// Host launch overhead of a step or draft pass that replays a CUDA graph,
-/// microseconds: graph replay cuts the per-layer launch overhead of decode
-/// steps (steps with prefill chunks change shape and launch every layer).
-constexpr double kGraphLaunchUs = 10.0;
 /// Device<->host swap bandwidth, GB/s (PCIe-class link).
 constexpr double kSwapGbps = 24.0;
 /// Fixed per-transfer swap latency, microseconds (DMA setup, pinning).
@@ -53,13 +50,19 @@ constexpr double kCodecDecodeGbps = 48.0;
 
 }  // namespace
 
+double HbmGbForKvBudget(const EngineConfig& cfg, int64_t kv_tokens) {
+  const double kv_bytes = static_cast<double>(kv_tokens) *
+                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / kKvShareOfFreeHbm;
+  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
+}
+
 ServingEngine::ServingEngine(EngineConfig cfg)
-    : cfg_(std::move(cfg)), rng_(cfg_.spec.seed) {
+    : cfg_(std::move(cfg)), rng_(kAcceptSeed) {
   FI_CHECK_GE(cfg_.prefill_chunk_tokens, 1);
   FI_CHECK_GE(cfg_.max_running, 1);
   const double hbm_bytes = cfg_.hbm_capacity_gb * 1e9;
   const double weights = cfg_.model.WeightBytesPerGpu();
-  const double kv_budget_bytes = (hbm_bytes - weights) * 0.9;  // Activation slack.
+  const double kv_budget_bytes = (hbm_bytes - weights) * kKvShareOfFreeHbm;
   FI_CHECK_GT(kv_budget_bytes, 0.0);
   kv_token_budget_ = static_cast<int64_t>(
       kv_budget_bytes / cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype));
@@ -81,22 +84,11 @@ ServingEngine::ServingEngine(EngineConfig cfg)
     tree_ = std::make_unique<spec::DraftTree>(cfg_.spec.tree);
     // Reserve one tree of transient verify KV per branch on top of the
     // decode slack, so a verify step can never blow the budget mid-flight.
-    slack_tokens_ = 8 + tree_->Size();
+    slack_tokens_ = kDecodeSlackTokens + tree_->Size();
     verify_mask_ = spec::LowerVerifyMask(*tree_, cfg_.backend, HeadGeometry());
   }
   step_in_ = HeadGeometry();
   Reset();
-}
-
-double ServingEngine::GemmUs(const ModelSpec& m, int64_t tokens) const {
-  const auto& dev = cfg_.device;
-  const double flops = m.GemmFlopsPerToken() * static_cast<double>(tokens) /
-                       m.tensor_parallel;
-  const double t_compute = flops / (dev.fp16_tflops * kGemmEff * 1e6);
-  // Every step streams the weights once; small-batch decode is bound by it,
-  // large prefills by compute.
-  const double t_mem = m.WeightBytesPerGpu() / (dev.hbm_gbps * 0.9 * 1e3);
-  return std::max(t_compute, t_mem);
 }
 
 double ServingEngine::CommStepUs(int64_t tokens) const {
@@ -127,8 +119,7 @@ double ServingEngine::UnfusedRopeUs(int64_t tokens) const {
   const double bytes = 2.0 *  // Read + write.
                        static_cast<double>(tokens) *
                        (g.num_qo_heads + g.num_kv_heads) * g.head_dim * 2.0;
-  return cfg_.model.num_layers *
-         (bytes / (cfg_.device.hbm_gbps * 0.45 * 1e3) + cfg_.device.kernel_launch_us);
+  return cfg_.model.num_layers * ElementwiseKernelUs(cfg_.device, bytes);
 }
 
 double ServingEngine::AttnLaunchUs(const AttnSimInput& in) const {
@@ -279,10 +270,8 @@ void ServingEngine::Reset() {
   copy_h2d_.Reset();
   copy_migrate_.Reset();
   exportable_.clear();
-  next_unit_id_ = 0;
-  next_preempt_order_ = 0;
   next_group_ = 0;
-  rng_ = Rng(cfg_.spec.seed);
+  rng_ = Rng(kAcceptSeed);
   if (cfg_.trace.enabled) {
     if (trace_ && trace_->capacity() == cfg_.trace.capacity) {
       trace_->Clear();
@@ -356,7 +345,7 @@ double ServingEngine::NextEventTime() const noexcept {
   // work Run() does at now, and a wake for a blocked head makes
   // StepTo(NextEventTime()) spin. Otherwise the only events are a transfer
   // completion (ready_min), a later arrival or, in disaggregated mode, the
-  // cluster driver extracting an exportable unit (external: +inf here).
+  // cluster driver shipping an exportable unit (external: +inf here).
   if (CanRestoreHead() || PendingHeadAction() != HeadAction::kWait) return now_s_;
   // A blocked restore with no transfer in flight waits for parked units to
   // free its KV, which only the cluster driver can do.
@@ -447,7 +436,7 @@ int64_t ServingEngine::BranchKvCharge(const MigratedBranch& b, bool grouped) con
 }
 
 int64_t ServingEngine::UnitKvCharge(const MigrationUnit& u) const noexcept {
-  // Extraction releases exactly what the branches hold; admission on the
+  // Shipping releases exactly what the branches hold; admission on the
   // destination re-acquires it.
   int64_t total = u.grouped ? u.prefix_tokens : 0;
   for (const auto& b : u.branches) total += BranchKvCharge(b, u.grouped);
@@ -456,7 +445,6 @@ int64_t ServingEngine::UnitKvCharge(const MigrationUnit& u) const noexcept {
 
 MigrationUnit ServingEngine::BuildUnitView(const Exportable& u) const {
   MigrationUnit m;
-  m.unit_id = u.unit_id;
   // Siblings of one parallel-n group share the prompt as their prefix.
   m.grouped = u.branches.front().group >= 0;
   m.prefix_tokens = m.grouped ? u.branches.front().prefix_len : 0;
@@ -484,49 +472,35 @@ MigrationUnit ServingEngine::BuildUnitView(const Exportable& u) const {
   return m;
 }
 
-std::vector<MigrationUnit> ServingEngine::MigratableUnits() const {
-  std::vector<MigrationUnit> out;
-  out.reserve(exportable_.size());
-  for (const auto& u : exportable_) out.push_back(BuildUnitView(u));
-  return out;
-}
-
-MigrationUnit ServingEngine::ExtractMigratable(int64_t unit_id) {
-  auto it = std::find_if(exportable_.begin(), exportable_.end(),
-                         [unit_id](const Exportable& u) { return u.unit_id == unit_id; });
-  FI_CHECK(it != exportable_.end());
-  MigrationUnit m = BuildUnitView(*it);
-  for (const Branch& b : it->branches) ReleaseKv(b);
-  ++metrics_.num_migrations_out;
-  metrics_.migrated_kv_tokens += m.kv_tokens;
-  TraceInstant(obs::TraceName::kReqMigrateOut, m.branches.front().request_id,
-               m.kv_tokens, m.pages, static_cast<int64_t>(m.branches.size()));
-  FlushTelemetry();
-  // Extraction frees KV outside any step; without this the device-KV gauge
-  // stays stale at the pre-export value until the next executed step — on a
-  // fully-exported prefill replica, forever.
-  if (telemetry_) gauges_[kDeviceKvSeries]->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
-  exportable_.erase(it);
-  return m;
-}
-
-void ServingEngine::RetainMigratable(int64_t unit_id) {
-  auto it = std::find_if(exportable_.begin(), exportable_.end(),
-                         [unit_id](const Exportable& u) { return u.unit_id == unit_id; });
-  FI_CHECK(it != exportable_.end());
-  // Fallback: the branches re-enter the local decode loop. Their KV charge
-  // and structural sequences never left, and seg_start_s still points at the
-  // first token, so the decode span absorbs the parked time.
-  running_.insert(running_.end(), it->branches.begin(), it->branches.end());
-  ++metrics_.num_migrations_retained;
-  FlushTelemetry();
-  exportable_.erase(it);
+void ServingEngine::HandOffExportable(
+    const std::function<bool(const MigrationUnit&)>& ship) {
+  for (; !exportable_.empty(); exportable_.pop_front()) {
+    const Exportable& u = exportable_.front();
+    const MigrationUnit m = BuildUnitView(u);
+    if (ship(m)) {
+      for (const Branch& b : u.branches) ReleaseKv(b);
+      ++metrics_.num_migrations_out;
+      metrics_.migrated_kv_tokens += m.kv_tokens;
+      TraceInstant(obs::TraceName::kReqMigrateOut, m.branches.front().request_id,
+                   m.kv_tokens, m.pages, static_cast<int64_t>(m.branches.size()));
+      FlushTelemetry();
+      // Shipping frees KV outside any step; without this the device-KV gauge
+      // stays stale at the pre-export value until the next executed step — on
+      // a fully-exported prefill replica, forever.
+      if (telemetry_) gauges_[kDeviceKvSeries]->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
+    } else {
+      // Fallback: the branches re-enter the local decode loop. Their KV
+      // charge and structural sequences never left, and seg_start_s still
+      // points at the first token, so the decode span absorbs the parked time.
+      running_.insert(running_.end(), u.branches.begin(), u.branches.end());
+      ++metrics_.num_migrations_retained;
+      FlushTelemetry();
+    }
+  }
 }
 
 bool ServingEngine::CanAcceptMigration(const MigrationUnit& u) const noexcept {
-  const int64_t slots = static_cast<int64_t>(running_.size() + prefilling_.size()) +
-                        static_cast<int64_t>(u.branches.size());
-  return slots <= cfg_.max_running &&
+  return HasRunSlots(static_cast<int64_t>(u.branches.size())) &&
          kv_tokens_in_use_ + UnitKvCharge(u) <= kv_token_budget_;
 }
 
@@ -559,7 +533,7 @@ void ServingEngine::AdmitMigratedUnit(const MigrationUnit& u,
   QueueResume(Resume::kMigrateIn, std::move(branches), xfer.end_s);
 }
 
-double ServingEngine::SwapXferUs(int64_t tokens, double stored_ratio) const {
+double ServingEngine::SwapUs(int64_t tokens, double stored_ratio, double codec_gbps) const {
   // PCIe time for the bytes that actually cross the link: with the host
   // codec on, that is the *stored* (quantized/compressed) byte count, i.e.
   // the logical KV bytes scaled by stored_ratio. Latency and per-page
@@ -568,7 +542,8 @@ double ServingEngine::SwapXferUs(int64_t tokens, double stored_ratio) const {
                        cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) *
                        stored_ratio;
   const double pages = std::ceil(static_cast<double>(tokens) / cfg_.page_size);
-  return kSwapLatencyUs + pages * kSwapPageOverheadUs + bytes / (kSwapGbps * 1e3);
+  return kSwapLatencyUs + pages * kSwapPageOverheadUs + bytes / (kSwapGbps * 1e3) +
+         CodecUs(tokens, codec_gbps);
 }
 
 double ServingEngine::CodecUs(int64_t tokens, double gbps) const {
@@ -579,14 +554,6 @@ double ServingEngine::CodecUs(int64_t tokens, double gbps) const {
   const double bytes = static_cast<double>(tokens) *
                        cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype);
   return bytes / (gbps * 1e3);
-}
-
-double ServingEngine::SwapOutUs(int64_t tokens, double stored_ratio) const {
-  return SwapXferUs(tokens, stored_ratio) + CodecUs(tokens, kCodecEncodeGbps);
-}
-
-double ServingEngine::SwapInUs(int64_t tokens, double stored_ratio) const {
-  return SwapXferUs(tokens, stored_ratio) + CodecUs(tokens, kCodecDecodeGbps);
 }
 
 double ServingEngine::CodecRatioEstimate() const {
@@ -607,11 +574,8 @@ double ServingEngine::RecomputeEstimateUs(int64_t kv_len) const {
                             ? kv_len
                             : std::min(cfg_.prefill_chunk_tokens, cfg_.max_prefill_tokens);
   const int64_t nchunks = std::max<int64_t>(1, (kv_len + chunk - 1) / std::max<int64_t>(chunk, 1));
-  const double compute_us =
-      cfg_.model.GemmFlopsPerToken() * static_cast<double>(kv_len) /
-      cfg_.model.tensor_parallel /
-      (cfg_.device.fp16_tflops * kGemmEff * 1e6);
-  const double floor_us = GemmUs(cfg_.model, 0) * static_cast<double>(nchunks);
+  const double compute_us = GemmComputeUs(cfg_.device, cfg_.model, kv_len);
+  const double floor_us = GemmUs(cfg_.device, cfg_.model, 0) * static_cast<double>(nchunks);
   // One pass over the rebuilt KV for the chunks' attention reads.
   const double attn_us =
       static_cast<double>(kv_len) * cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) /
@@ -620,14 +584,13 @@ double ServingEngine::RecomputeEstimateUs(int64_t kv_len) const {
 }
 
 bool ServingEngine::CanRestoreHead() const noexcept {
-  return !preempted_.empty() &&
-         static_cast<int>(running_.size() + prefilling_.size()) < cfg_.max_running &&
-         kv_tokens_in_use_ + preempted_.front().reserve <= kv_token_budget_;
+  return !preempted_.empty() && HasRunSlots(1) &&
+         kv_tokens_in_use_ + BranchKvCharge(preempted_.front().branch, false) <=
+             kv_token_budget_;
 }
 
 ServingEngine::HeadAction ServingEngine::PendingHeadAction() const noexcept {
-  if (pending_.empty() || pending_.front().arrival_s > now_s_ ||
-      static_cast<int>(running_.size() + prefilling_.size()) >= cfg_.max_running) {
+  if (pending_.empty() || pending_.front().arrival_s > now_s_ || !HasRunSlots(1)) {
     return HeadAction::kWait;
   }
   const Request& r = pending_.front();
@@ -687,8 +650,8 @@ void ServingEngine::RestorePreempted() {
   // higher-priority one would invert the policy the evictions enforced.
   while (CanRestoreHead()) {
     Preempted& p = preempted_.front();
-    kv_tokens_in_use_ += p.reserve;
     Branch b = p.branch;
+    kv_tokens_in_use_ += BranchKvCharge(b, false);
     TraceSpan(obs::TraceName::kReqPreempted, p.evicted_s, now_s_, b.request_id,
               b.kv_len, p.swapped ? 1 : 0);
     TraceInstant(p.swapped ? obs::TraceName::kKvRestoreSwap
@@ -703,7 +666,7 @@ void ServingEngine::RestorePreempted() {
       host_kv_tokens_in_use_ -= b.kv_len;
       // Swap-in moves the branch's *stored* bytes (realized ratio captured
       // at eviction) and pays the decode pass to re-materialize the pages.
-      const double t_us = SwapInUs(b.kv_len, p.stored_ratio);
+      const double t_us = SwapUs(b.kv_len, p.stored_ratio, kCodecDecodeGbps);
       const double decode_ms = CodecUs(b.kv_len, kCodecDecodeGbps) * 1e-3;
       metrics_.codec_decode_ms += decode_ms;
       if (cfg_.preemption.host_codec.enabled()) {
@@ -734,15 +697,9 @@ void ServingEngine::QueueResume(Resume kind, std::vector<Branch> branches, doubl
   p.phase_start_s = now_s_;
   p.ready_s = ready_s;
   p.req.id = branches.front().request_id;
-  p.req.arrival_s = now_s_;
   // A recompute re-prefills the branch's context; transfers carry no tokens.
   p.to_compute = kind == Resume::kRecompute ? branches.front().kv_len : 0;
-  p.req.input_len = p.to_compute;
-  p.req.priority = branches.front().priority;
-  for (const Branch& b : branches) {
-    p.req.output_len += b.remaining;
-    p.req.priority = std::max(p.req.priority, b.priority);
-  }
+  for (const Branch& b : branches) p.req.output_len += b.remaining;
   p.branches = std::move(branches);
   prefilling_.push_back(std::move(p));
 }
@@ -774,8 +731,7 @@ void ServingEngine::PreemptFor(int priority, int64_t need) {
 void ServingEngine::PreemptBranch(size_t running_idx) {
   Branch b = running_[running_idx];
   running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(running_idx));
-  const int64_t reserve = BranchKvCharge(b, /*grouped=*/false);  // Victims never are.
-  kv_tokens_in_use_ -= reserve;
+  kv_tokens_in_use_ -= BranchKvCharge(b, /*grouped=*/false);  // Victims never are.
   ++metrics_.num_preemptions;
   const int64_t evicted_pages = (b.kv_len + cfg_.page_size - 1) / cfg_.page_size;
   metrics_.evicted_pages += evicted_pages;
@@ -795,7 +751,7 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
       // bytes for both transfers (via the cache's observed ratio) plus the
       // encode/decode passes over the logical bytes.
       const double est = CodecRatioEstimate();
-      swap = SwapOutUs(b.kv_len, est) + SwapInUs(b.kv_len, est) <
+      swap = SwapUs(b.kv_len, est, kCodecEncodeGbps) + SwapUs(b.kv_len, est, kCodecDecodeGbps) <
              RecomputeEstimateUs(b.kv_len);
       break;
     }
@@ -821,8 +777,6 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
 
   Preempted p;
   p.swapped = swap;
-  p.reserve = reserve;
-  p.order = next_preempt_order_++;
   p.evicted_s = now_s_;
   if (swap) {
     host_kv_tokens_in_use_ += b.kv_len;
@@ -850,7 +804,7 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
     p.stored_ratio = stored_ratio;
     // The freed budget is usable at once (the victim's pages are a snapshot
     // in flight); only a swap-in of this branch waits for the host copy.
-    const double t_us = SwapOutUs(b.kv_len, stored_ratio);
+    const double t_us = SwapUs(b.kv_len, stored_ratio, kCodecEncodeGbps);
     const auto xfer = copy_d2h_.Enqueue(now_s_, t_us);
     p.swapout_done_s = xfer.end_s;
     TraceSpan(obs::TraceName::kCopyD2H, xfer.begin_s, xfer.end_s, b.request_id, b.kv_len,
@@ -861,12 +815,11 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
   structural_kv_->DropSequence(b.kv_seq);
   b.kv_seq = -1;
   p.branch = b;
-  // Keep preempted_ sorted by (priority desc, eviction order asc).
+  // Keep preempted_ sorted by priority desc: inserting after every entry of
+  // equal priority keeps each level in eviction order.
   auto it = std::upper_bound(preempted_.begin(), preempted_.end(), p,
                              [](const Preempted& a, const Preempted& x) {
-                               return a.branch.priority != x.branch.priority
-                                          ? a.branch.priority > x.branch.priority
-                                          : a.order < x.order;
+                               return a.branch.priority > x.branch.priority;
                              });
   preempted_.insert(it, std::move(p));
 }
@@ -923,7 +876,7 @@ ServingEngine::StepKind ServingEngine::StepOnce(double deadline_s) {
   const double wake_s = NextEventTime();
   if (std::isinf(wake_s)) {
     // Parked units hold the KV that everything else waits for: only the
-    // cluster driver's extract or retain can unblock this engine.
+    // cluster driver's hand-off can unblock this engine.
     FI_CHECK(!exportable_.empty());
     return StepKind::kNone;
   }
@@ -1031,10 +984,10 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     static const ModelSpec kDraft = spec::DraftLlama68M();
     const spec::DraftTree& tree = *tree_;
     for (int level = 1; level <= tree.Depth(); ++level) {
-      draft_us +=
-          GemmUs(kDraft, static_cast<int64_t>(decode_branches) * tree.LevelWidth(level));
+      draft_us += GemmUs(cfg_.device, kDraft,
+                         static_cast<int64_t>(decode_branches) * tree.LevelWidth(level));
     }
-    draft_us += tree.Depth() * kGraphLaunchUs;
+    draft_us += tree.Depth() * ForwardLaunchUs(kDraft, /*graph=*/true);
   }
 
   // --- GEMM, comm, host: charged once over the whole mixed step. Steps with
@@ -1044,8 +997,8 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
       cfg_.backend.host_us_per_step +
       cfg_.backend.host_us_per_req *
           static_cast<double>(decode_branches + plan.chunks.size()) +
-      (plan.chunks.empty() ? kGraphLaunchUs : cfg_.model.num_layers * 2.0);
-  const double gemm_us = GemmUs(cfg_.model, step_tokens);
+      ForwardLaunchUs(cfg_.model, /*graph=*/plan.chunks.empty());
+  const double gemm_us = GemmUs(cfg_.device, cfg_.model, step_tokens);
   const double comm_us = CommStepUs(step_tokens);
   const double step_s = (draft_us + host_us + gemm_us + attn_us + comm_us) * 1e-6;
   FlushTelemetry();  // Stamp this instant's increments before the clock moves.
@@ -1233,7 +1186,7 @@ void ServingEngine::CompletePrefill(const Request& r) {
     // decode here — they park as one exportable unit (KV charge and
     // structural sequences intact) for the cluster driver to migrate to a
     // decode replica.
-    exportable_.push_back({next_unit_id_++, std::move(branches), now_s_});
+    exportable_.push_back({std::move(branches), now_s_});
   } else {
     running_.insert(running_.end(), branches.begin(), branches.end());
   }

@@ -62,6 +62,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -80,6 +81,11 @@
 #include "util/rng.h"
 
 namespace flashinfer::serving {
+
+/// KV tokens admission reserves per branch beyond its prompt and output, so
+/// a decode step never finds its next token's page missing. Routers size a
+/// request's KV need with the same value.
+inline constexpr int64_t kDecodeSlackTokens = 8;
 
 /// How the batch former spends each step's prefill budget.
 enum class BatchPolicy {
@@ -167,9 +173,9 @@ struct EngineConfig {
   /// Disaggregated prefill/decode serving (off by default: zero behavior
   /// change). When set, a branch that finishes prefill does NOT enter the
   /// local decode loop: it parks in an exportable pool that a cluster driver
-  /// drains with MigratableUnits()/ExtractMigratable(), shipping its KV to a
-  /// decode-pool replica over a per-replica-pair CopyStream. The first token
-  /// (TTFT) is still paid here — migration moves the *decode* phase only.
+  /// drains with HandOffExportable(), shipping its KV to a decode-pool
+  /// replica over a per-replica-pair CopyStream. The first token (TTFT) is
+  /// still paid here — migration moves the *decode* phase only.
   bool export_at_first_token = false;
   /// Event tracing (off by default: zero events, zero behavior change — the
   /// enabled/disabled metric equivalence is pinned by tests). When enabled,
@@ -207,7 +213,6 @@ struct MigratedBranch {
 /// migration granule: siblings share prefix KV pages, so they ship together
 /// and the shared prefix crosses the link once.
 struct MigrationUnit {
-  int64_t unit_id = 0;
   std::vector<MigratedBranch> branches;
   bool grouped = false;        // Parallel-n: branches share prefix KV.
   int64_t prefix_tokens = 0;   // Shared prompt tokens (grouped only).
@@ -218,6 +223,11 @@ struct MigrationUnit {
   int64_t kv_charge = 0;
   double export_s = 0.0;       // When the unit became exportable (source clock).
 };
+
+/// hbm_capacity_gb that leaves exactly `kv_tokens` of device KV budget after
+/// the weights and the engine's activation slack: the inverse of the budget
+/// formula in ServingEngine's constructor.
+double HbmGbForKvBudget(const EngineConfig& cfg, int64_t kv_tokens);
 
 class ServingEngine {
  public:
@@ -322,29 +332,26 @@ class ServingEngine {
 
   // --- Disaggregated migration (export_at_first_token mode) -----------------
   //
-  // Source-side protocol (prefill replica): the cluster driver polls
-  // MigratableUnits(), picks a destination per unit, then either
-  // ExtractMigratable() (the unit leaves this engine: KV charge and
-  // structural pages released, accounting exact) or RetainMigratable() (no
-  // decode-pool replica can take it: the unit falls back into the local
-  // decode loop, charge untouched). Destination side: CanAcceptMigration()
-  // gates on KV headroom + run slots; AdmitMigratedUnit() charges the KV and
-  // queues the unit as a resume entry that becomes runnable at the link
-  // transfer's end time, exactly like a swap-in restore.
+  // Source side (prefill replica): the cluster driver calls
+  // HandOffExportable() once, which offers every parked unit to `ship` in
+  // park order and empties the pool. A shipped unit leaves this engine (KV
+  // charge and structural pages released, accounting exact); a declined one
+  // (no decode-pool replica can take it) falls back into the local decode
+  // loop, charge untouched. Destination side: CanAcceptMigration() gates on
+  // KV headroom + run slots; AdmitMigratedUnit() charges the KV and queues
+  // the unit as a resume entry that becomes runnable at the link transfer's
+  // end time, exactly like a swap-in restore.
 
-  /// Units parked in the exportable pool (cheap emptiness probe).
+  /// Units parked in the exportable pool.
   int64_t MigratableUnitCount() const noexcept {
     return static_cast<int64_t>(exportable_.size());
   }
-  /// Snapshot of every exportable unit (ids stable until extract/retain).
-  std::vector<MigrationUnit> MigratableUnits() const;
-  /// Removes the unit from this engine, releasing its device KV charge and
-  /// structural pages (page count measured through PagedKVCache::ExportKv on
-  /// the way out). The returned unit is what crosses the wire.
-  MigrationUnit ExtractMigratable(int64_t unit_id);
-  /// Fallback when no decode replica can accept the unit: its branches
-  /// re-enter the local running set (KV charge was never released).
-  void RetainMigratable(int64_t unit_id);
+  /// Offers each parked unit, in park order, to `ship` as the view that
+  /// crosses the wire (page count measured through PagedKVCache::ExportKv).
+  /// When `ship` returns true the unit leaves this engine, releasing its
+  /// device KV charge and structural pages; when false its branches re-enter
+  /// the local running set. Leaves the pool empty.
+  void HandOffExportable(const std::function<bool(const MigrationUnit&)>& ship);
   /// Whether this engine can admit the unit right now (device KV headroom
   /// for the unit's full reservation + run slots for all its branches).
   bool CanAcceptMigration(const MigrationUnit& u) const noexcept;
@@ -416,12 +423,11 @@ class ServingEngine {
     double ready_s = 0.0;
   };
 
-  /// A branch evicted under KV pressure, waiting to re-enter.
+  /// A branch evicted under KV pressure, waiting to re-enter. It re-acquires
+  /// its ungrouped BranchKvCharge on restore (victims are never grouped).
   struct Preempted {
     Branch branch;
     bool swapped = false;   // Host copy exists: restore = swap-in transfer.
-    int64_t reserve = 0;    // Device KV charge to re-acquire on restore.
-    int64_t order = 0;      // FIFO tie-break within a priority level.
     double evicted_s = 0.0;  // Trace: eviction time (preempted-span begin).
     /// When the D2H swap-out finishes on its copy stream: a swap-in of this
     /// branch cannot be issued before its host copy exists (0 for a drop).
@@ -468,8 +474,15 @@ class ServingEngine {
   void RestorePreempted();
 
   /// Whether the preempted head can be restored now: a run slot is free and
-  /// its KV reserve fits the device budget.
+  /// its KV charge fits the device budget.
   bool CanRestoreHead() const noexcept;
+
+  /// Whether `branches` more branches fit beside the running and prefilling
+  /// entries under max_running.
+  bool HasRunSlots(int64_t branches) const noexcept {
+    return static_cast<int64_t>(running_.size() + prefilling_.size()) + branches <=
+           cfg_.max_running;
+  }
 
   /// What admission at now_s_ does with the pending head.
   enum class HeadAction { kWait, kReject, kAdmit };
@@ -499,16 +512,14 @@ class ServingEngine {
   /// restore policy's cost estimate.
   void PreemptBranch(size_t running_idx);
 
-  /// PCIe transfer time for `tokens` of KV scaled to `stored_ratio` of its
-  /// logical bytes (the codec tier moves encoded bytes), microseconds.
-  double SwapXferUs(int64_t tokens, double stored_ratio) const;
+  /// Price of one swap of `tokens` of KV, microseconds: the PCIe transfer of
+  /// `stored_ratio` of its logical bytes (the codec tier moves encoded
+  /// bytes) plus the codec pass at `codec_gbps` (encode on a swap-out,
+  /// decode on a swap-in).
+  double SwapUs(int64_t tokens, double stored_ratio, double codec_gbps) const;
   /// Codec time over `tokens`' logical KV bytes at `gbps`, microseconds
   /// (0 with the codec off).
   double CodecUs(int64_t tokens, double gbps) const;
-  /// Full swap-out price: D2H transfer of stored bytes + encode time.
-  double SwapOutUs(int64_t tokens, double stored_ratio) const;
-  /// Full swap-in price: H2D transfer of stored bytes + decode time.
-  double SwapInUs(int64_t tokens, double stored_ratio) const;
   /// Stored/logical ratio estimate for pricing decisions made *before* the
   /// encode happens (kAuto crossover): the ratio evictions realized so far,
   /// the worst-case page bound before any eviction, 1.0 with the codec off.
@@ -611,10 +622,6 @@ class ServingEngine {
   /// shared prefix with the last sibling) and its structural sequence.
   void ReleaseKv(const Branch& b);
 
-  /// Roofline GEMM time for one forward pass of `m` over `tokens` rows
-  /// (weight-streaming floor vs compute); used for target, prefill, verify,
-  /// and draft passes alike.
-  double GemmUs(const ModelSpec& m, int64_t tokens) const;
   double CommStepUs(int64_t tokens) const;
   /// Prices `in` through the backend's scheduler + cost model, one plan
   /// reused across layers, plus the unfused-RoPE pass when configured.
@@ -634,9 +641,9 @@ class ServingEngine {
   /// swapped branch of kv_len tokens holds StoredBytes(kv_len).
   const PageCodecTable* host_table_ = nullptr;
   int64_t host_byte_capacity_ = 0;
-  /// Per-branch admission reserve: decode slack (8) plus, under spec decode,
-  /// one tree of transient verification KV.
-  int64_t slack_tokens_ = 8;
+  /// Per-branch admission reserve: decode slack plus, under spec decode, one
+  /// tree of transient verification KV.
+  int64_t slack_tokens_ = kDecodeSlackTokens;
   std::unique_ptr<spec::DraftTree> tree_;  // Null when spec decode is off.
   /// The tree's ancestor mask as one branch's block rows at the heuristic's
   /// tile, lowered once at construction (tree shape and head geometry never
@@ -652,20 +659,19 @@ class ServingEngine {
   std::deque<Request> pending_;
   std::deque<PrefillProgress> prefilling_;
   std::vector<Branch> running_;
-  /// Evicted branches awaiting restore, sorted by (priority desc, order).
+  /// Evicted branches awaiting restore, sorted by priority desc, then
+  /// eviction order.
   std::deque<Preempted> preempted_;
   /// Finished-prefill units parked for migration (export_at_first_token
   /// mode). Branches here keep their KV charge and structural sequences
-  /// alive — extraction releases both exactly; retention re-runs them.
+  /// alive — shipping releases both exactly; declining re-runs them.
   /// A unit is grouped when its branches are siblings of a parallel-n group.
   struct Exportable {
-    int64_t unit_id = 0;
     std::vector<Branch> branches;
     double export_s = 0.0;
   };
   std::deque<Exportable> exportable_;
-  int64_t next_unit_id_ = 0;
-  /// Wire-format snapshot of one exportable unit: unique KV tokens (shared
+  /// Wire-format view of one exportable unit: unique KV tokens (shared
   /// prefix once) and the page count measured through ExportKv's real page
   /// lists when the structural cache exists (page-rounded arithmetic
   /// otherwise).
@@ -683,9 +689,11 @@ class ServingEngine {
   /// transfer intervals recorded at AdmitMigratedUnit, metered against step
   /// windows for migration_hidden_ms. Empty outside disaggregated runs.
   gpusim::CopyStream copy_migrate_;
-  int64_t next_preempt_order_ = 0;
   int next_group_ = 0;
-  Rng rng_;  // Acceptance sampling; reseeded by Reset().
+  /// The spec-decode acceptance sampler's seed. Reset() reseeds rng_ with it,
+  /// so Run() stays equivalent to an external Admit/StepTo loop.
+  static constexpr uint64_t kAcceptSeed = 0x5eedf00d;
+  Rng rng_;
   /// Structural paged KV (1 head x 1 dim: page accounting, not values).
   /// Spec decode forks/extends/truncates it, so rollback exercises the real
   /// refcount machinery; preemption drops a victim's sequence and rebuilds

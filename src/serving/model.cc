@@ -1,5 +1,7 @@
 #include "serving/model.h"
 
+#include <algorithm>
+
 namespace flashinfer::serving {
 
 ModelSpec Llama31_8B() {
@@ -43,5 +45,21 @@ ModelSpec Vicuna13B() {
   m.tensor_parallel = 1;
   return m;
 }
+
+double GemmComputeUs(const gpusim::DeviceSpec& dev, const ModelSpec& m, int64_t tokens) {
+  const double flops = m.GemmFlopsPerToken() * static_cast<double>(tokens) / m.tensor_parallel;
+  return flops / (dev.fp16_tflops * 0.72 * 1e6);
+}
+
+double GemmUs(const gpusim::DeviceSpec& dev, const ModelSpec& m, int64_t tokens) {
+  const double t_mem = m.WeightBytesPerGpu() / (dev.hbm_gbps * 0.9 * 1e3);
+  return std::max(GemmComputeUs(dev, m, tokens), t_mem);
+}
+
+double ElementwiseKernelUs(const gpusim::DeviceSpec& dev, double bytes) {
+  return bytes / (dev.hbm_gbps * 0.45 * 1e3) + dev.kernel_launch_us;
+}
+
+double ForwardLaunchUs(const ModelSpec& m, bool graph) { return graph ? 10.0 : m.num_layers * 2.0; }
 
 }  // namespace flashinfer::serving

@@ -3,12 +3,14 @@
 // The serving engine charges each step a GEMM cost (projections + MLP +
 // lm-head, roofline over the device) and an attention cost (from the real
 // scheduler plans); the model spec supplies the shapes. Presets match the
-// models used in the paper's evaluation.
+// models used in the paper's evaluation. The dense roofline below prices the
+// non-attention work of both the engine and the StreamingLLM loop.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "gpusim/device.h"
 #include "util/float_types.h"
 
 namespace flashinfer::serving {
@@ -58,5 +60,18 @@ ModelSpec Llama31_8B();
 ModelSpec Llama31_70B(int tensor_parallel = 4);
 /// Vicuna 13B (StreamingLLM experiments, Sec. 4.3).
 ModelSpec Vicuna13B();
+
+// --- Dense roofline, microseconds ---------------------------------------
+/// GEMM compute of `tokens` rows through `m`'s dense layers at 72% of fp16 peak.
+double GemmComputeUs(const gpusim::DeviceSpec& dev, const ModelSpec& m, int64_t tokens);
+/// One forward pass: the compute term or streaming the weights once at 90% of
+/// HBM bandwidth, whichever is longer (decode is weight-bound, prefill not).
+double GemmUs(const gpusim::DeviceSpec& dev, const ModelSpec& m, int64_t tokens);
+/// One small elementwise kernel over `bytes` (a RoPE rewrite, a cache copy)
+/// at 45% of HBM bandwidth, plus its launch.
+double ElementwiseKernelUs(const gpusim::DeviceSpec& dev, double bytes);
+/// Host launch cost of one forward pass: a CUDA-graph replay (10 us) when
+/// `graph`, else 2 us per layer (passes with prefill chunks change shape).
+double ForwardLaunchUs(const ModelSpec& m, bool graph);
 
 }  // namespace flashinfer::serving

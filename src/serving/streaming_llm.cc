@@ -1,7 +1,5 @@
 #include "serving/streaming_llm.h"
 
-#include <algorithm>
-
 namespace flashinfer::serving {
 
 double StreamingLlmItlMs(const StreamingLlmConfig& cfg, StreamingRopeMode mode) {
@@ -10,9 +8,7 @@ double StreamingLlmItlMs(const StreamingLlmConfig& cfg, StreamingRopeMode mode) 
   const int64_t kv_len = cfg.sink_tokens + cfg.recent_window;
 
   // --- Dense (GEMM) decode cost: weight streaming bound at batch 1. -------
-  const double gemm_us =
-      std::max(m.GemmFlopsPerToken() / (dev.fp16_tflops * 0.72 * 1e6),
-               m.WeightBytesPerGpu() / (dev.hbm_gbps * 0.9 * 1e3));
+  const double gemm_us = GemmUs(dev, m, 1);
 
   // --- Attention cost through the real scheduler. --------------------------
   BackendConfig backend = mode == StreamingRopeMode::kFusedFlashInfer
@@ -32,17 +28,16 @@ double StreamingLlmItlMs(const StreamingLlmConfig& cfg, StreamingRopeMode mode) 
   if (mode == StreamingRopeMode::kFusedFlashInfer) {
     // Fused: the kernel rotates Q and K on the fly; only the in-kernel
     // transform flops are extra (already cheap), plus nothing else.
-    host_us += 10.0;  // CUDA-graph replay.
+    host_us += ForwardLaunchUs(m, /*graph=*/true);
   } else {
     // Unfused: a separate kernel rewrites every cached key with the new
     // cache-relative positions each step (read + write the K cache), plus
-    // the Q rotation. Small elementwise kernels reach ~45% of HBM peak.
+    // the Q rotation.
     const double k_cache_bytes =
         2.0 * static_cast<double>(kv_len) * m.num_kv_heads * m.head_dim * 2.0;
     const double q_bytes = 2.0 * m.num_qo_heads * m.head_dim * 2.0;
-    rope_us = m.num_layers * ((k_cache_bytes + q_bytes) / (dev.hbm_gbps * 0.45 * 1e3) +
-                              dev.kernel_launch_us);
-    host_us += m.num_layers * 2.0;  // Per-layer launches (no graph).
+    rope_us = m.num_layers * ElementwiseKernelUs(dev, k_cache_bytes + q_bytes);
+    host_us += ForwardLaunchUs(m, /*graph=*/false);
   }
   if (mode == StreamingRopeMode::kOriginalImpl) {
     // The reference implementation additionally re-copies the rolling cache
@@ -50,8 +45,7 @@ double StreamingLlmItlMs(const StreamingLlmConfig& cfg, StreamingRopeMode mode) 
     // "sub-optimal with unnecessary overheads").
     const double cache_copy_bytes =
         2.0 * 2.0 * static_cast<double>(kv_len) * m.num_kv_heads * m.head_dim * 2.0;
-    rope_us += m.num_layers * (cache_copy_bytes / (dev.hbm_gbps * 0.45 * 1e3) +
-                               dev.kernel_launch_us);
+    rope_us += m.num_layers * ElementwiseKernelUs(dev, cache_copy_bytes);
     host_us += 2500.0;
   }
 

@@ -21,9 +21,6 @@ struct SpecDecodeConfig {
   /// Acceptance probability for requests that don't carry their own
   /// (Request::accept_prob < 0).
   double default_accept_prob = 0.7;
-  /// Seed for the engine's acceptance sampling (reseeded on every Reset so
-  /// Run() stays equivalent to an external Admit/StepTo loop).
-  uint64_t seed = 0x5eedf00d;
 };
 
 /// The draft model: Llama-68M-class (the usual companion speculator for 7-8B

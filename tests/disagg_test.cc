@@ -35,12 +35,6 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
-double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
-  const double kv_bytes = static_cast<double>(budget_tokens) *
-                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
-}
-
 /// Steps an export-mode engine until at least one unit parks in the
 /// exportable pool (or it runs out of internal events).
 void StepUntilExportable(ServingEngine& e) {
@@ -49,8 +43,23 @@ void StepUntilExportable(ServingEngine& e) {
   }
 }
 
+/// Ships every parked unit; returns the views that crossed the wire.
+std::vector<MigrationUnit> ShipAll(ServingEngine& e) {
+  std::vector<MigrationUnit> shipped;
+  e.HandOffExportable([&shipped](const MigrationUnit& u) {
+    shipped.push_back(u);
+    return true;
+  });
+  return shipped;
+}
+
+/// Declines every parked unit: its branches decode where they prefilled.
+void RetainAll(ServingEngine& e) {
+  e.HandOffExportable([](const MigrationUnit&) { return false; });
+}
+
 // A vanilla (no spec, no preemption) export engine: the unit carries the
-// prompt + first token, its extraction zeroes the source's KV charge, and
+// prompt + first token, shipping it zeroes the source's KV charge, and
 // the destination decodes exactly the remaining tokens.
 TEST(DisaggEngine, VanillaExportExtractImportExact) {
   EngineConfig scfg = BaseConfig();
@@ -66,8 +75,11 @@ TEST(DisaggEngine, VanillaExportExtractImportExact) {
   StepUntilExportable(src);
   ASSERT_EQ(src.MigratableUnitCount(), 1);
   EXPECT_FALSE(src.Finished());  // The parked unit keeps the engine alive.
+  // TTFT was paid on the prefill replica; only the first token was emitted.
+  EXPECT_EQ(src.Metrics().ttft_ms.size(), 1u);
+  EXPECT_EQ(src.Metrics().total_output_tokens, 1);
 
-  const auto units = src.MigratableUnits();
+  const auto units = ShipAll(src);
   ASSERT_EQ(units.size(), 1u);
   const MigrationUnit& u = units[0];
   EXPECT_FALSE(u.grouped);
@@ -79,12 +91,6 @@ TEST(DisaggEngine, VanillaExportExtractImportExact) {
   // No structural cache on a vanilla engine: page count is arithmetic.
   EXPECT_EQ(u.pages, (513 + scfg.page_size - 1) / scfg.page_size);
   EXPECT_GT(u.export_s, 0.0);
-
-  // TTFT was paid on the prefill replica; only the first token was emitted.
-  EXPECT_EQ(src.Metrics().ttft_ms.size(), 1u);
-  EXPECT_EQ(src.Metrics().total_output_tokens, 1);
-
-  const MigrationUnit m = src.ExtractMigratable(u.unit_id);
   EXPECT_EQ(src.KvTokensInUse(), 0);  // Charge released exactly.
   EXPECT_TRUE(src.Finished());
   EXPECT_EQ(src.Metrics().num_migrations_out, 1);
@@ -94,10 +100,10 @@ TEST(DisaggEngine, VanillaExportExtractImportExact) {
   ServingEngine dst(dcfg);
   dst.Reset();
   CopyStream::Transfer xfer;
-  xfer.begin_s = m.export_s;
-  xfer.end_s = m.export_s + 0.002;
-  ASSERT_TRUE(dst.CanAcceptMigration(m));
-  dst.AdmitMigratedUnit(m, xfer);
+  xfer.begin_s = u.export_s;
+  xfer.end_s = u.export_s + 0.002;
+  ASSERT_TRUE(dst.CanAcceptMigration(u));
+  dst.AdmitMigratedUnit(u, xfer);
   // Idle-wake contract: with only the in-flight import, the next event is
   // the transfer completion — never "now" (that would busy-spin StepTo).
   EXPECT_DOUBLE_EQ(dst.NextEventTime(), xfer.end_s);
@@ -113,6 +119,57 @@ TEST(DisaggEngine, VanillaExportExtractImportExact) {
   EXPECT_NEAR(dm.total_migration_ms, 2.0, 1e-9);
   EXPECT_LE(dm.migration_hidden_ms, dm.total_migration_ms + 1e-9);
   EXPECT_GE(dm.migration_stall_ms, 0.0);
+}
+
+// One hand-off offers every parked unit once, in park order, and ships or
+// retains each by the callback's answer. Three prompts finish prefill in one
+// step and park; the middle unit is declined. Source KV drops by exactly the
+// shipped units' charges, the declined unit decodes locally, and the engine
+// drains with no structural page left.
+TEST(DisaggEngine, HandOffShipsAcceptedAndRetainsDeclinedInParkOrder) {
+  EngineConfig cfg = BaseConfig();
+  cfg.export_at_first_token = true;
+  cfg.preemption.enabled = true;  // Structural KV: real page lists.
+  ServingEngine src(cfg);
+  src.Reset();
+  for (int id = 0; id < 3; ++id) {
+    Request r;
+    r.id = id;
+    r.input_len = 200 + 100 * id;
+    r.output_len = 16 + 8 * id;
+    src.Admit(r);
+  }
+  StepUntilExportable(src);
+  ASSERT_EQ(src.MigratableUnitCount(), 3);  // All three prompts fit one step.
+  const int64_t kv_before = src.KvTokensInUse();
+
+  std::vector<int> offered;
+  int64_t shipped_charge = 0;
+  MigrationUnit declined;
+  src.HandOffExportable([&](const MigrationUnit& u) {
+    offered.push_back(u.branches.front().request_id);
+    if (offered.size() == 2) {
+      declined = u;
+      return false;
+    }
+    shipped_charge += u.kv_charge;
+    return true;
+  });
+  EXPECT_EQ(offered, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(src.MigratableUnitCount(), 0);
+  EXPECT_EQ(src.KvTokensInUse(), kv_before - shipped_charge);
+  EXPECT_EQ(src.KvTokensInUse(), declined.kv_charge);
+  EXPECT_EQ(src.Metrics().num_migrations_out, 2);
+  EXPECT_EQ(src.Metrics().num_migrations_retained, 1);
+  ASSERT_EQ(declined.branches.size(), 1u);
+  EXPECT_EQ(src.RunningTokens(), declined.branches[0].remaining);
+
+  src.Drain();
+  EXPECT_TRUE(src.Finished());
+  // Three first tokens plus the declined unit's whole decode.
+  EXPECT_EQ(src.Metrics().total_output_tokens, 3 + declined.branches[0].remaining);
+  EXPECT_EQ(src.KvTokensInUse(), 0);
+  EXPECT_EQ(src.SpecKvLivePages(), 0);
 }
 
 // Satellite bugfix regression: NextEventTime when every in-flight entry is
@@ -134,13 +191,13 @@ TEST(DisaggEngine, NextEventTimeTransferGatedIdleWake) {
   src.Admit(big);
   StepUntilExportable(src);
   ASSERT_EQ(src.MigratableUnitCount(), 1);
-  const MigrationUnit m = src.ExtractMigratable(src.MigratableUnits()[0].unit_id);
+  const MigrationUnit m = ShipAll(src)[0];
 
   // Destination with a budget that fits the import plus a small request but
   // not the import plus a big one.
   EngineConfig dcfg = BaseConfig();
   const int64_t budget = m.kv_charge + 300;
-  dcfg.hbm_capacity_gb = HbmForBudget(dcfg, budget);
+  dcfg.hbm_capacity_gb = serving::HbmGbForKvBudget(dcfg, budget);
   ServingEngine dst(dcfg);
   dst.Reset();
   ASSERT_GE(dst.KvTokenBudget(), m.kv_charge);
@@ -199,7 +256,7 @@ TEST(DisaggEngine, ParkedUnitBlockingARestoreWaitsForTheDriver) {
   cfg.preemption.enabled = true;
   cfg.preemption.restore = serving::RestorePolicy::kSwap;
   cfg.preemption.overlap_swap = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 10000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 10000);
   const auto req = [](int id, double arrival, int64_t in, int64_t out, int priority) {
     Request r;
     r.id = id;
@@ -214,7 +271,7 @@ TEST(DisaggEngine, ParkedUnitBlockingARestoreWaitsForTheDriver) {
   e.Admit(req(0, 0.0, 6000, 400, 0));  // A
   StepUntilExportable(e);
   ASSERT_EQ(e.MigratableUnitCount(), 1);
-  e.RetainMigratable(e.MigratableUnits()[0].unit_id);
+  RetainAll(e);
   e.Admit(req(1, 1.0, 5000, 100, 1));  // B: evicts A, then parks.
   e.Admit(req(2, 5.0, 100, 4, 2));     // C
   StepUntilExportable(e);
@@ -227,10 +284,10 @@ TEST(DisaggEngine, ParkedUnitBlockingARestoreWaitsForTheDriver) {
   EXPECT_EQ(e.StepTo(10.0), 0);
   EXPECT_EQ(e.Now(), parked_s);
 
-  e.ExtractMigratable(e.MigratableUnits()[0].unit_id);
+  ShipAll(e);
   EXPECT_EQ(e.NextEventTime(), parked_s);  // A restores now.
   for (int i = 0; i < 10000 && !e.Finished(); ++i) {
-    if (e.MigratableUnitCount() > 0) e.RetainMigratable(e.MigratableUnits()[0].unit_id);
+    RetainAll(e);
     e.StepTo(e.NextEventTime());
   }
   ASSERT_TRUE(e.Finished());
@@ -257,7 +314,8 @@ TEST(DisaggEngine, GroupedUnitSharesPrefixOnceAndBalances) {
   src.Admit(r);
   StepUntilExportable(src);
   ASSERT_EQ(src.MigratableUnitCount(), 1);
-  const auto units = src.MigratableUnits();
+  const auto units = ShipAll(src);
+  ASSERT_EQ(units.size(), 1u);
   const MigrationUnit& u = units[0];
   EXPECT_TRUE(u.grouped);
   ASSERT_EQ(u.branches.size(), 3u);
@@ -271,8 +329,6 @@ TEST(DisaggEngine, GroupedUnitSharesPrefixOnceAndBalances) {
   EXPECT_EQ(u.kv_tokens, 256 + 3);
   // Real page union: 16 shared prefix pages + 1 forked page per branch.
   EXPECT_EQ(u.pages, 256 / scfg.page_size + 3);
-
-  const MigrationUnit m = src.ExtractMigratable(u.unit_id);
   EXPECT_EQ(src.KvTokensInUse(), 0);
   EXPECT_EQ(src.SpecKvLivePages(), 0);  // Fork refcounts fully unwound.
   EXPECT_TRUE(src.Finished());
@@ -282,9 +338,9 @@ TEST(DisaggEngine, GroupedUnitSharesPrefixOnceAndBalances) {
   ServingEngine dst(dcfg);
   dst.Reset();
   CopyStream::Transfer xfer;
-  xfer.begin_s = m.export_s;
-  xfer.end_s = m.export_s + 0.001;
-  dst.AdmitMigratedUnit(m, xfer);
+  xfer.begin_s = u.export_s;
+  xfer.end_s = u.export_s + 0.001;
+  dst.AdmitMigratedUnit(u, xfer);
   dst.Drain();
   EXPECT_TRUE(dst.Finished());
   EXPECT_EQ(dst.Metrics().total_output_tokens, 3 * 7);
@@ -312,7 +368,7 @@ TEST(DisaggEngine, SpecBranchesMigrateAndDrainClean) {
   src.Admit(r);
   StepUntilExportable(src);
   ASSERT_EQ(src.MigratableUnitCount(), 1);
-  const MigrationUnit m = src.ExtractMigratable(src.MigratableUnits()[0].unit_id);
+  const MigrationUnit m = ShipAll(src)[0];
   EXPECT_EQ(src.KvTokensInUse(), 0);
   EXPECT_EQ(src.SpecKvLivePages(), 0);
   EXPECT_TRUE(src.Finished());
@@ -351,13 +407,13 @@ TEST(DisaggEngine, MigratedBranchSurvivesPreemption) {
   src.Admit(r);
   StepUntilExportable(src);
   ASSERT_EQ(src.MigratableUnitCount(), 1);
-  const MigrationUnit m = src.ExtractMigratable(src.MigratableUnits()[0].unit_id);
+  const MigrationUnit m = ShipAll(src)[0];
 
   EngineConfig dcfg = BaseConfig();
   dcfg.preemption.enabled = true;
   // Budget fits the migrated unit, but not the unit plus the VIP request:
   // admission must preempt the (lower-priority) migrated branch.
-  dcfg.hbm_capacity_gb = HbmForBudget(dcfg, m.kv_charge + 300);
+  dcfg.hbm_capacity_gb = serving::HbmGbForKvBudget(dcfg, m.kv_charge + 300);
   ServingEngine dst(dcfg);
   dst.Reset();
   ASSERT_TRUE(dst.CanAcceptMigration(m));
@@ -404,9 +460,7 @@ TEST(DisaggEngine, RetainAllMatchesUnifiedEngine) {
   e.Reset();
   for (const auto& r : workload) e.Admit(r);
   for (int64_t guard = 0; guard < 500000 && !e.Finished(); ++guard) {
-    while (e.MigratableUnitCount() > 0) {
-      e.RetainMigratable(e.MigratableUnits().front().unit_id);
-    }
+    RetainAll(e);
     const double next = e.NextEventTime();
     if (!std::isfinite(next)) break;
     e.StepTo(next);
@@ -523,7 +577,7 @@ TEST(DisaggCluster, RetainsWhenDecodePoolFull) {
   cfg.prefill_replicas = 1;
   // Tiny per-replica KV: long-decode units overflow the single decode
   // replica, forcing retain fallbacks.
-  cfg.engine.hbm_capacity_gb = HbmForBudget(cfg.engine, 6000);
+  cfg.engine.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg.engine, 6000);
   Rng rng(29);
   auto workload =
       serving::UniformWorkload(rng, 40, 60.0, 512, 2048, /*output_len=*/256);
@@ -554,7 +608,7 @@ TEST(DisaggCluster, BlockedRestoreOnPrefillReplicaStillDrains) {
   cfg.engine.preemption.enabled = true;
   cfg.engine.preemption.restore = serving::RestorePolicy::kSwap;
   cfg.engine.preemption.overlap_swap = true;
-  cfg.engine.hbm_capacity_gb = HbmForBudget(cfg.engine, 10000);
+  cfg.engine.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg.engine, 10000);
   const auto req = [](int id, double arrival, int64_t in, int64_t out, int priority) {
     Request r;
     r.id = id;

@@ -164,12 +164,6 @@ void PutTrace(Digests& d, const std::string& track, const std::string& name,
 
 // --- The matrix ---------------------------------------------------------------
 
-double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
-  const double kv_bytes = static_cast<double>(budget_tokens) *
-                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
-}
-
 EngineConfig Base() {
   EngineConfig cfg;
   cfg.model = serving::Llama31_8B();
@@ -276,7 +270,7 @@ EngineConfig Preempting(RestorePolicy restore, bool overlap, bool codec) {
   // kAuto runs against a host tier small enough to fill, so its capacity
   // gate turns swaps into recomputes.
   if (restore == RestorePolicy::kAuto) cfg.preemption.host_capacity_gb = 0.3;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
   return cfg;
 }
 
@@ -398,7 +392,7 @@ std::vector<Case> Matrix() {
     cfg.num_replicas = 2;
     cfg.prefill_replicas = 1;
     cfg.engine.preemption.enabled = true;
-    cfg.engine.hbm_capacity_gb = HbmForBudget(cfg.engine, 6000);
+    cfg.engine.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg.engine, 6000);
     Rng rng(29);
     auto reqs = serving::UniformWorkload(rng, 30, 60.0, 512, 2048, /*output_len=*/128);
     serving::AssignPriorities(rng, reqs, {0.7, 0.3});

@@ -30,13 +30,6 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
-/// hbm_capacity_gb that yields a device KV budget of ~`budget_tokens`.
-double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
-  const double kv_bytes = static_cast<double>(budget_tokens) *
-                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
-}
-
 Request MakeReq(int id, double arrival, int64_t in, int64_t out, int priority) {
   Request r;
   r.id = id;
@@ -56,7 +49,7 @@ Request MakeReq(int id, double arrival, int64_t in, int64_t out, int priority) {
 TEST(Preemption, TightKvWedgeConfigNowCompletesWithPreemptions) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
   ServingEngine engine(cfg);
   ASSERT_LT(engine.KvTokenBudget(), 6100);
   ASSERT_GE(engine.KvTokenBudget(), 5900);
@@ -82,7 +75,7 @@ TEST(Preemption, TightKvWedgeConfigNowCompletesWithPreemptions) {
 // queues for capacity.
 TEST(Preemption, VanillaEngineRejectsInfeasibleInsteadOfWedging) {
   auto cfg = BaseConfig();
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
   ServingEngine engine(cfg);
   std::vector<Request> reqs;
   reqs.push_back(MakeReq(0, 0.0, 3000, 64, 0));
@@ -103,7 +96,7 @@ TEST(Preemption, VictimIsLowestPriorityThenYoungest) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kRecompute;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
   ServingEngine engine(cfg);
 
   std::vector<Request> reqs;
@@ -133,7 +126,7 @@ TEST(Preemption, RestoresHighestPriorityFirstThenEvictionOrder) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kRecompute;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
   cfg.trace.enabled = true;
   ServingEngine engine(cfg);
 
@@ -169,7 +162,7 @@ TEST(Preemption, SwapRestoreRoundTripsPagesExactly) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
   ServingEngine engine(cfg);
 
   std::vector<Request> reqs;
@@ -200,7 +193,7 @@ TEST(Preemption, SwapRestoreRoundTripsPagesExactly) {
 TEST(Preemption, RestoreOutranksEqualPriorityArrivals) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 2700);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 2700);
   ServingEngine engine(cfg);
 
   std::vector<Request> reqs;
@@ -245,7 +238,7 @@ TEST(Preemption, HighPriorityTtftProtectedUnderPressure) {
   for (size_t i = 0; i < reqs.size(); ++i) reqs[i].priority = i % 5 == 0 ? 1 : 0;
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
   ServingEngine engine(cfg);
   const auto m = engine.Run(reqs);
   EXPECT_GT(m.num_preemptions, 0);
@@ -264,7 +257,7 @@ TEST(Preemption, RunEqualsStepToUnderPressure) {
   serving::AssignPriorities(rng, reqs, {0.7, 0.3});
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
 
   ServingEngine reference(cfg);
   const auto run = reference.Run(reqs);
@@ -299,7 +292,7 @@ TEST(Preemption, OverlapSwapHidesTransferTimeAndDrainsClean) {
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
   cfg.preemption.overlap_swap = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
   ServingEngine engine(cfg);
   const auto m = engine.Run(reqs);
 
@@ -331,7 +324,7 @@ TEST(Preemption, OverlapSwapStallsLessThanSerialized) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
 
   const auto serial = ServingEngine(cfg).Run(reqs);
   ASSERT_GT(serial.num_preemptions, 0);
@@ -358,7 +351,7 @@ TEST(Preemption, SerializedSwapGatesAdmissionLikeRun) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 10000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 10000);
   const std::vector<Request> reqs = {MakeReq(0, 0.0, 5000, 400, 0),
                                      MakeReq(1, 0.01, 1000, 400, 0),
                                      MakeReq(2, 0.5, 6000, 8, 1)};
@@ -395,7 +388,7 @@ TEST(Preemption, SerializedSwapStallIsTheUnionOfTransfers) {
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
   cfg.trace.enabled = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 10000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 10000);
   const std::vector<Request> reqs = {MakeReq(0, 0.0, 3000, 400, 0),    // A
                                      MakeReq(1, 0.0, 2000, 400, 0),    // C
                                      MakeReq(2, 0.3, 6000, 8, 2),      // P1
@@ -438,7 +431,7 @@ TEST(Preemption, OverlapSwapRunEqualsStepTo) {
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
   cfg.preemption.overlap_swap = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
 
   ServingEngine reference(cfg);
   const auto run = reference.Run(reqs);
@@ -473,7 +466,7 @@ TEST(Preemption, OverlapSwapIdleStopsAtStepToDeadline) {
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
   cfg.preemption.overlap_swap = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 13000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 13000);
   const std::vector<Request> reqs = {MakeReq(0, 0.0, 6000, 400, 0),
                                      MakeReq(1, 0.0, 6000, 400, 0),
                                      MakeReq(2, 0.02, 12400, 4, 1),
@@ -516,7 +509,7 @@ TEST(Preemption, BlockedRestoreHeadWakesAtTransferEnd) {
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
   cfg.preemption.overlap_swap = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 10000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 10000);
   const std::vector<Request> reqs = {MakeReq(0, 0.0, 8500, 400, 0),    // A
                                      MakeReq(1, 1.0, 2000, 20, 2),     // P1
                                      MakeReq(2, 1.05, 4500, 300, 1),   // B
@@ -563,7 +556,7 @@ TEST(Preemption, DISABLED_LandedSwapInRidesTheNextStepBehindPrompts) {
   cfg.preemption.overlap_swap = true;
   cfg.prefill_chunk_tokens = 512;
   cfg.trace.enabled = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 14000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 14000);
   const std::vector<Request> reqs = {MakeReq(0, 0.0, 4000, 100, 0),    // A
                                      MakeReq(1, 0.0, 4000, 3, 1),      // B
                                      MakeReq(2, 0.19, 8000, 20, 2)};   // P
@@ -599,7 +592,7 @@ TEST(Preemption, SpecDecodeCoexistsAndDrainsClean) {
   auto cfg = BaseConfig();
   cfg.spec.enabled = true;
   cfg.preemption.enabled = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 4000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 4000);
   ServingEngine engine(cfg);
   const auto m = engine.Run(reqs);
   EXPECT_GT(m.num_preemptions, 0);
@@ -709,7 +702,7 @@ TEST(KvCodec, CodecOffPricesNoCodecTime) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
   const auto base = ServingEngine(cfg).Run(reqs);
   ASSERT_GT(base.num_preemptions, 0);
 
@@ -731,7 +724,7 @@ TEST(KvCodec, QuantizedSwapConservesTokensAndMetersCodecSeries) {
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kSwap;
   cfg.preemption.host_codec = {KvQuantFormat::kInt8, /*compress=*/true};
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
   ServingEngine engine(cfg);
   const auto m = engine.Run(reqs);
 
@@ -767,7 +760,7 @@ TEST(KvCodec, StoredByteMeteringMultipliesEffectiveHostCapacity) {
   // Tight host tier: the raw path must be forced to drop some victims to
   // recompute so codec headroom is observable.
   cfg.preemption.host_capacity_gb = 0.3;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 8000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
   const auto raw = ServingEngine(cfg).Run(reqs);
   ASSERT_GT(raw.num_preemptions, 0);
   ASSERT_GT(raw.num_recompute_restores, 0);  // Host tier actually binds.
@@ -789,7 +782,7 @@ bool AutoVictimSwapsAt(int64_t ctx, KvCodecConfig codec) {
   // Budget fits the victim's full reservation (ctx + 400 + slack) with
   // ~1600 free tokens: the 2000-token high-priority arrival cannot admit
   // without evicting the victim first.
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, ctx + 2000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, ctx + 2000);
   std::vector<Request> reqs;
   reqs.push_back(MakeReq(0, 0.0, ctx, 400, /*priority=*/0));  // Victim.
   reqs.push_back(MakeReq(1, 0.4, 2000, 16, /*priority=*/1));  // Forces eviction.

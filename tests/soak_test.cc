@@ -33,6 +33,9 @@
 //      step with prompt tokens decodes no branch, a chunked step stalls no
 //      branch, and a step's prompt tokens exceed the policy's per-step
 //      budget only when a single prompt chunk carries them.
+//  10. on disaggregated trials, every hand-off of an export-mode engine
+//      empties its parked pool and drops its KV by exactly the shipped
+//      units' charges, whichever units it ships or declines.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -111,12 +114,6 @@ using serving::RestorePolicy;
 using serving::ServingEngine;
 using serving::ServingMetrics;
 
-double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
-  const double kv_bytes = static_cast<double>(budget_tokens) *
-                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
-}
-
 EngineConfig RandomConfig(Rng& rng, uint64_t seed) {
   EngineConfig cfg;
   cfg.model = serving::Llama31_8B();
@@ -171,7 +168,7 @@ EngineConfig RandomConfig(Rng& rng, uint64_t seed) {
   }
   // Tight vs loose KV budget.
   cfg.hbm_capacity_gb = rng.NextDouble() < 0.55
-                            ? HbmForBudget(cfg, rng.UniformInt(2500, 9000))
+                            ? serving::HbmGbForKvBudget(cfg, rng.UniformInt(2500, 9000))
                             : 80.0;
   return cfg;
 }
@@ -710,6 +707,56 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
   }
 }
 
+/// Drives one export-mode engine over `reqs` the way the disaggregated
+/// driver drives a prefill replica, handing off after every step: a unit
+/// ships to a decode engine when it fits there and a coin says so, else it
+/// decodes locally. Every hand-off must empty the parked pool and drop the
+/// source's KV by exactly the shipped units' charges; both engines drain
+/// clean and together emit every expected token.
+void ExpectHandOffsEmptyThePool(const EngineConfig& cfg, const std::vector<Request>& reqs,
+                                uint64_t seed) {
+  EngineConfig scfg = cfg;
+  scfg.export_at_first_token = true;
+  ServingEngine src(scfg);
+  ServingEngine dst(cfg);
+  src.Reset();
+  dst.Reset();
+  for (const auto& r : reqs) src.Admit(r);
+  Rng coin(seed ^ 0x4A2D0FFull);
+  gpusim::CopyStream link;
+  for (int64_t i = 0; i < 500000 && !src.Finished(); ++i) {
+    const int64_t kv_before = src.KvTokensInUse();
+    int64_t shipped_charge = 0;
+    src.HandOffExportable([&](const serving::MigrationUnit& u) {
+      if (coin.NextDouble() < 0.3 || !dst.CanAcceptMigration(u)) return false;
+      dst.AdmitMigratedUnit(u, link.Enqueue(u.export_s, 200.0));
+      shipped_charge += u.kv_charge;
+      return true;
+    });
+    EXPECT_EQ(src.MigratableUnitCount(), 0);
+    EXPECT_EQ(src.KvTokensInUse(), kv_before - shipped_charge);
+    const double next = src.NextEventTime();
+    if (!std::isfinite(next)) break;
+    src.StepTo(next);
+    dst.StepTo(src.Now());
+  }
+  ASSERT_TRUE(src.Finished());
+  dst.Drain();
+  ASSERT_TRUE(dst.Finished());
+  for (const ServingEngine* e : {&src, &dst}) {
+    EXPECT_EQ(e->KvTokensInUse(), 0);
+    EXPECT_EQ(e->HostKvTokensInUse(), 0);
+    EXPECT_EQ(e->SpecKvLivePages(), 0);
+  }
+  const ServingMetrics& sm = src.Metrics();
+  EXPECT_EQ(sm.num_migrations_out, dst.Metrics().num_migrations_in);
+  if (sm.rejected_requests == 0) {
+    int64_t expected = 0;
+    for (const auto& r : reqs) expected += ExpectedOutputTokens(r);
+    EXPECT_EQ(sm.total_output_tokens + dst.Metrics().total_output_tokens, expected);
+  }
+}
+
 void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   g_current_seed = seed;
@@ -770,6 +817,7 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   const obs::MetricsRegistry* reg = cluster.Telemetry();
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
+  ExpectHandOffsEmptyThePool(cfg.engine, reqs, seed);
 
   if (FailedPartCount() > failed_before) {
     DumpTrialTrace(cluster.LastTrace(), seed);
@@ -805,7 +853,7 @@ void PinMeteredCodecSwap(EngineConfig& cfg) {
   cfg.preemption.host_codec = {KvQuantFormat::kInt8, /*compress=*/true};
   cfg.preemption.host_capacity_gb = 0.01;
   cfg.max_running = 8;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
 }
 
 TEST(Soak, PinnedMeteredCodecSwap) {

@@ -42,12 +42,6 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
-double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
-  const double kv_bytes = static_cast<double>(budget_tokens) *
-                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
-}
-
 /// Mixed multi-tenant workload: three tenants, two priorities, enough input
 /// spread to exercise chunking and (under a tight budget) preemption.
 std::vector<Request> MixedWorkload(int n) {
@@ -71,7 +65,7 @@ EngineConfig PressuredConfig() {
   EngineConfig cfg = BaseConfig();
   cfg.prefill_chunk_tokens = 512;
   cfg.preemption.enabled = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
   return cfg;
 }
 
@@ -217,7 +211,8 @@ TEST(Telemetry, FlushesBeforeEveryClockChange) {
 }
 
 // The migration calls run outside StepTo, so each flushes before returning:
-// both engines reconcile right after every call.
+// both engines reconcile right after every call, and the hand-off flushes
+// after each unit it ships or retains.
 TEST(Telemetry, MigrationCallsFlushBeforeReturning) {
   EngineConfig scfg = BaseConfig();
   scfg.telemetry.enabled = true;
@@ -233,21 +228,21 @@ TEST(Telemetry, MigrationCallsFlushBeforeReturning) {
   bool retained = false;
   for (int i = 0; i < 1000 && !src.Finished(); ++i) {
     src.StepTo(src.NextEventTime());
-    for (const serving::MigrationUnit& u : src.MigratableUnits()) {
-      if (!retained) {
-        src.RetainMigratable(u.unit_id);
-        EXPECT_EQ(test::CounterFieldDiff(*src.Telemetry(), src.Metrics()), "");
-        retained = true;
-        continue;
-      }
-      const serving::MigrationUnit m = src.ExtractMigratable(u.unit_id);
+    src.HandOffExportable([&](const serving::MigrationUnit& u) {
+      // The previous unit's ship or retain flushed before this offer.
       EXPECT_EQ(test::CounterFieldDiff(*src.Telemetry(), src.Metrics()), "");
+      if (!retained) {
+        retained = true;
+        return false;
+      }
       gpusim::CopyStream::Transfer xfer;
-      xfer.begin_s = m.export_s;
-      xfer.end_s = m.export_s + 0.002;
-      dst.AdmitMigratedUnit(m, xfer);
+      xfer.begin_s = u.export_s;
+      xfer.end_s = u.export_s + 0.002;
+      dst.AdmitMigratedUnit(u, xfer);
       EXPECT_EQ(test::CounterFieldDiff(*dst.Telemetry(), dst.Metrics()), "");
-    }
+      return true;
+    });
+    EXPECT_EQ(test::CounterFieldDiff(*src.Telemetry(), src.Metrics()), "");
   }
   ASSERT_TRUE(src.Finished());
   dst.Drain();

@@ -31,12 +31,6 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
-double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
-  const double kv_bytes = static_cast<double>(budget_tokens) *
-                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
-}
-
 Request MakeReq(int id, double arrival, int64_t in, int64_t out, int priority) {
   Request r;
   r.id = id;
@@ -53,7 +47,7 @@ ClusterConfig PressureClusterConfig() {
   ClusterConfig cfg;
   cfg.engine = BaseConfig();
   cfg.engine.preemption.enabled = true;
-  cfg.engine.hbm_capacity_gb = HbmForBudget(cfg.engine, 6000);
+  cfg.engine.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg.engine, 6000);
   cfg.num_replicas = 2;
   cfg.policy = cluster::RouterPolicy::kRoundRobin;
   return cfg;

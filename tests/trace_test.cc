@@ -47,13 +47,6 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
-/// hbm_capacity_gb that yields a device KV budget of ~`budget_tokens`.
-double HbmForBudget(const EngineConfig& cfg, int64_t budget_tokens) {
-  const double kv_bytes = static_cast<double>(budget_tokens) *
-                          cfg.model.KvBytesPerToken(cfg.backend.kv_dtype) / 0.9;
-  return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
-}
-
 Request MakeReq(int id, double arrival, int64_t in, int64_t out, int priority = 0) {
   Request r;
   r.id = id;
@@ -174,7 +167,7 @@ TEST(Trace, RequestPhasesTileArrivalToFinish) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
   cfg.preemption.restore = RestorePolicy::kAuto;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
   ServingEngine engine(cfg);
   std::vector<Request> reqs;
   reqs.push_back(MakeReq(0, 0.0, 2500, 300, 0));   // Long-lived victim.
@@ -210,7 +203,7 @@ TEST_P(TraceStalls, EveryStallIsExplained) {
   cfg.batch_policy = BatchPolicy::kPrefillAlone;
   cfg.preemption.enabled = true;
   cfg.preemption.overlap_swap = GetParam();
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
   ServingEngine engine(cfg);
   const ServingMetrics m = engine.Run(MixedWorkload(24));
   ASSERT_GT(m.itl_stall_steps, 0);
@@ -235,7 +228,7 @@ INSTANTIATE_TEST_SUITE_P(SwapModes, TraceStalls, ::testing::Bool(),
 TEST(Trace, LifecycleEventCountsMatchMetrics) {
   auto cfg = BaseConfig();
   cfg.preemption.enabled = true;
-  cfg.hbm_capacity_gb = HbmForBudget(cfg, 6000);
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 6000);
   ServingEngine engine(cfg);
   std::vector<Request> reqs = MixedWorkload(16);
   reqs.push_back(MakeReq(99, 0.1, 9000, 8, 1));  // Infeasible -> rejected.
