@@ -12,11 +12,15 @@
 //    sketch within its documented error, with exact count and max.
 //  * SLO burn-rate monitors classify, fire edge-triggered alerts into the
 //    trace, and recover when the burn subsides.
+//  * A kv_pressure-shaped engine and a 2-replica cluster of it expose
+//    exactly the registry bytes pinned in tests/golden/.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "serving/engine.h"
@@ -314,6 +318,86 @@ TEST(Telemetry, BoundedItlMatchesExactWithinSketchError) {
   }
   EXPECT_NEAR(bounded.MedianItlMs(), exact.MedianItlMs(),
               0.2 * std::max(exact.MedianItlMs(), 1e-9));
+}
+
+// --- Pinned exposition of engine-produced registries -------------------------
+
+/// kv_pressure's engine at test size: preemption with the int8+lz4 host tier
+/// under a tight KV budget, telemetry on, in a 1 s window of 0.2 s slots that
+/// the run wraps many times.
+EngineConfig KvPressureShapedConfig() {
+  EngineConfig cfg = BaseConfig();
+  cfg.preemption.enabled = true;
+  cfg.preemption.restore = serving::RestorePolicy::kAuto;
+  cfg.preemption.overlap_swap = true;
+  cfg.preemption.host_codec = {KvQuantFormat::kInt8, /*compress=*/true};
+  cfg.preemption.host_capacity_gb = 2.0;
+  cfg.hbm_capacity_gb = serving::HbmGbForKvBudget(cfg, 8000);
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.window = {1.0, 5};
+  return cfg;
+}
+
+/// Long prompts whose priority is their arrival order, so every request is
+/// its own (tenant, priority) class and outranks everything already running.
+/// Every seventh request emits one token (a TTFT sample and no ITL sample);
+/// every fifth carries a tenant, the rest are unassigned.
+std::vector<Request> KvPressureShapedRequests(int n) {
+  std::vector<Request> reqs;
+  for (int i = 0; i < n; ++i) {
+    Request r;
+    r.id = i;
+    r.arrival_s = 0.08 * i;
+    r.input_len = 1024 + (i * 797) % 3072;
+    r.output_len = i % 7 == 3 ? 1 : 24 + (i * 53) % 72;
+    r.priority = i;
+    r.tenant = i % 5 == 2 ? i % 3 : -1;
+    reqs.push_back(r);
+  }
+  return reqs;
+}
+
+/// One metric per line: a readable first differing line for JsonSnapshot's
+/// single-line document. Applied to both sides, so equal results mean equal
+/// bytes.
+std::string OneMetricPerLine(std::string json) {
+  const std::string sep = "},{\"name\":";
+  for (size_t pos = 0; (pos = json.find(sep, pos)) != std::string::npos; pos += sep.size()) {
+    json.insert(pos + 2, "\n");
+  }
+  return json;
+}
+
+void ExpectPinnedExposition(const obs::MetricsRegistry& reg, double now_s,
+                            const std::string& name) {
+  EXPECT_EQ(test::FirstLineDiff(reg.PrometheusText(now_s), test::ReadGolden(name + ".prom")),
+            "")
+      << name << ".prom";
+  EXPECT_EQ(test::FirstLineDiff(OneMetricPerLine(reg.JsonSnapshot(now_s)),
+                                OneMetricPerLine(test::ReadGolden(name + ".json"))),
+            "")
+      << name << ".json";
+}
+
+// Both expositions of an engine's registry and of a 2-replica cluster's
+// merged registry write exactly the bytes pinned in tests/golden/: every
+// class series (one-token classes hold a TTFT sample and no ITL sample),
+// every engine counter and gauge, windowed views after the ring has wrapped.
+TEST(Telemetry, KvPressureExpositionMatchesPinnedOutput) {
+  const std::vector<Request> reqs = KvPressureShapedRequests(28);
+  ServingEngine engine(KvPressureShapedConfig());
+  const ServingMetrics m = engine.Run(reqs);
+  EXPECT_GT(m.num_swap_restores, 0);
+  EXPECT_GT(m.makespan_s, 3.0);  // Several 1 s windows: every slot reused.
+  ExpectPinnedExposition(*engine.Telemetry(), m.makespan_s, "kv_pressure_engine");
+
+  cluster::ClusterConfig ccfg;
+  ccfg.engine = KvPressureShapedConfig();
+  ccfg.num_replicas = 2;
+  cluster::ClusterEngine cluster(ccfg);
+  const cluster::ClusterMetrics cm = cluster.Run(reqs);
+  EXPECT_GT(cm.aggregate.num_preemptions, 0);
+  ExpectPinnedExposition(*cluster.Telemetry(), cm.makespan_s, "kv_pressure_cluster");
 }
 
 // --- SloMonitor --------------------------------------------------------------
