@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "obs/metrics.h"
 #include "runtime/scheduler.h"
 #include "serving/backends.h"
+#include "serving/engine.h"
 #include "serving/workload.h"
 #include "sparse/gather.h"
 #include "spec/verify.h"
@@ -364,22 +366,70 @@ BENCHMARK(BM_HistogramAdd);
 void BM_SketchObserve(benchmark::State& state) {
   // One sample into a registry sketch (cumulative histogram plus a 10 s
   // window of 5 slots), as the engine's per-class ITL series takes them: 16
-  // samples per 6 ms step at one timestamp, so a window slot is reused and
-  // cleared every ~5k samples.
+  // samples per 6 ms step at one timestamp, whose ring position is worked
+  // out once, so a window slot is reused and cleared every ~5k samples.
   const auto samples = ItlSamples();
-  obs::Sketch sketch(obs::WindowConfig{});
+  const obs::WindowConfig window;
+  obs::Sketch sketch(window);
   benchmark::DoNotOptimize(&sketch);
   size_t next = 0;
   double t_s = 0.0;
+  obs::WindowPos at = window.PosAt(t_s);
   for (auto _ : state) {
-    sketch.Observe(t_s, samples[next]);
+    sketch.Observe(at, samples[next]);
     benchmark::ClobberMemory();
     next = (next + 1) % samples.size();
-    if (next % 16 == 0) t_s += 0.006;
+    if (next % 16 == 0) at = window.PosAt(t_s += 0.006);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SketchObserve);
+
+void BM_RegisterClassSeries(benchmark::State& state) {
+  // N (tenant, priority) classes registered into a fresh registry through
+  // the engine's class path: what a kv_pressure engine pays once per request
+  // (every request is its own priority class there). The registry's
+  // destruction is not timed; the engine's happens after its run.
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto reg = std::make_unique<obs::MetricsRegistry>();
+    for (int i = 0; i < n; ++i) {
+      benchmark::DoNotOptimize(serving::ClassSeries::Register(*reg, -1, i));
+    }
+    state.PauseTiming();
+    reg.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_RegisterClassSeries)->Arg(64)->Arg(400);
+
+void BM_ObserveClassTokens(benchmark::State& state) {
+  // One committed token per class for K classes at one instant (a decode
+  // step of K branches, each its own class), through the engine's class
+  // path; the instant advances one 6 ms step per iteration. Buckets are
+  // looked up outside the loop: CommitDecode has them from ServingMetrics.
+  const int k = static_cast<int>(state.range(0));
+  const auto samples = ItlSamples();
+  const obs::Histogram geometry;
+  std::vector<int64_t> buckets;
+  for (double v : samples) buckets.push_back(geometry.IndexOf(v));
+  obs::MetricsRegistry reg;
+  std::vector<serving::ClassSeries> series;
+  for (int i = 0; i < k; ++i) series.push_back(serving::ClassSeries::Register(reg, -1, i));
+  size_t next = 0;
+  double t_s = 0.0;
+  for (auto _ : state) {
+    const obs::WindowPos& at = reg.PosAt(t_s);
+    for (const serving::ClassSeries& s : series) {
+      s.ObserveTokens(at, 1, buckets[next], samples[next]);
+      if (++next == samples.size()) next = 0;
+    }
+    t_s += 0.006;
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+BENCHMARK(BM_ObserveClassTokens)->Arg(16)->Arg(256);
 
 /// 4096 KV-like values, N(0, 2): one page's worth of keys to convert.
 std::vector<float> KvValues() {

@@ -1,7 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <limits>
+#include <charconv>
+#include <cmath>
+#include <optional>
+#include <system_error>
 #include <type_traits>
 
 #include "util/check.h"
@@ -62,7 +65,7 @@ LabelSet ClassLabels(int tenant, int priority) {
 }
 
 // ---------------------------------------------------------------------------
-// WindowedSum / WindowedSketch
+// WindowConfig / WindowedSum / WindowedSketch
 
 namespace {
 
@@ -74,50 +77,35 @@ int64_t EpochAt(double t_s, double slot_s) {
   return static_cast<double>(epoch) > q ? epoch - 1 : epoch;
 }
 
-struct RingPos {
-  int64_t epoch = 0;  // EpochAt(t, slot_s).
-  size_t slot = 0;    // epoch mod the ring size.
-};
-
-/// The ring position of instant `t_s` in a ring of `slots` slots `slot_s`
-/// wide, memoized per thread: the engine publishes a whole step at one
-/// timestamp into many windows that share one geometry.
-RingPos PosOf(double t_s, double slot_s, size_t slots) {
-  constinit thread_local struct {
-    double t_s = std::numeric_limits<double>::quiet_NaN();
-    double slot_s = 0.0;
-    size_t slots = 0;
-    RingPos pos;
-  } last;
-  if (t_s != last.t_s || slot_s != last.slot_s || slots != last.slots) {
-    const int64_t epoch = EpochAt(t_s, slot_s);
-    last.t_s = t_s;
-    last.slot_s = slot_s;
-    last.slots = slots;
-    last.pos = {epoch, static_cast<size_t>(epoch % static_cast<int64_t>(slots))};
-  }
-  return last.pos;
-}
-
 }  // namespace
 
+WindowPos WindowConfig::PosAt(double t_s) const {
+  const int64_t epoch = EpochAt(t_s, window_s / slots);
+  return {epoch, static_cast<size_t>(epoch % slots)};
+}
+
+double WindowConfig::EpochStart(int64_t epoch) const {
+  // EpochAt is monotone in t: step from the rounded product to the exact
+  // boundary, a few ulps at most.
+  const double slot_s = window_s / slots;
+  double t = static_cast<double>(epoch) * slot_s;
+  while (EpochAt(t, slot_s) >= epoch) t = std::nextafter(t, -HUGE_VAL);
+  while (EpochAt(t, slot_s) < epoch) t = std::nextafter(t, HUGE_VAL);
+  return t;
+}
+
+int64_t WindowConfig::LiveFrom(double now_s) const {
+  return EpochAt(now_s, window_s / slots) - slots + 1;
+}
+
 WindowedSum::WindowedSum(double window_s, int slots)
-    : slot_s_(window_s / slots), window_s_(window_s), slots_(static_cast<size_t>(slots)) {
+    : geometry_{window_s, slots}, slots_(static_cast<size_t>(slots)) {
   FI_CHECK_GT(window_s, 0.0);
   FI_CHECK_GT(slots, 0);
 }
 
-void WindowedSum::Add(double t_s, double v) {
-  const RingPos pos = PosOf(t_s, slot_s_, slots_.size());
-  Slot& s = slots_[pos.slot];
-  if (s.epoch != pos.epoch) s = Slot{pos.epoch, 0.0, 0.0, 0};
-  s.sum += v;
-  s.max = s.count == 0 ? v : std::max(s.max, v);
-  ++s.count;
-}
-
 double WindowedSum::Sum(double now_s) const {
-  const int64_t lo = EpochAt(now_s, slot_s_) - static_cast<int64_t>(slots_.size()) + 1;
+  const int64_t lo = geometry_.LiveFrom(now_s);
   double sum = 0.0;
   for (const Slot& s : slots_) {
     if (s.epoch >= lo) sum += s.sum;
@@ -126,7 +114,7 @@ double WindowedSum::Sum(double now_s) const {
 }
 
 double WindowedSum::Max(double now_s) const {
-  const int64_t lo = EpochAt(now_s, slot_s_) - static_cast<int64_t>(slots_.size()) + 1;
+  const int64_t lo = geometry_.LiveFrom(now_s);
   double mx = 0.0;
   bool any = false;
   for (const Slot& s : slots_) {
@@ -139,7 +127,7 @@ double WindowedSum::Max(double now_s) const {
 }
 
 int64_t WindowedSum::Count(double now_s) const {
-  const int64_t lo = EpochAt(now_s, slot_s_) - static_cast<int64_t>(slots_.size()) + 1;
+  const int64_t lo = geometry_.LiveFrom(now_s);
   int64_t n = 0;
   for (const Slot& s : slots_) {
     if (s.epoch >= lo) n += s.count;
@@ -147,31 +135,27 @@ int64_t WindowedSum::Count(double now_s) const {
   return n;
 }
 
+void Counter::SetTotal(const WindowPos& at, double total) {
+  window_.Add(at, total - total_);
+  total_ = total;
+}
+
 WindowedSketch::WindowedSketch(double window_s, int slots)
-    : slot_s_(window_s / slots), window_s_(window_s), slots_(static_cast<size_t>(slots)) {
+    : geometry_{window_s, slots}, slots_(static_cast<size_t>(slots)) {
   FI_CHECK_GT(window_s, 0.0);
   FI_CHECK_GT(slots, 0);
 }
 
 void WindowedSketch::Observe(double t_s, double v) {
-  ObserveAt(t_s, slots_.front().hist.IndexOf(v), v);
-}
-
-void WindowedSketch::ObserveAt(double t_s, int64_t index, double v) {
-  const RingPos pos = PosOf(t_s, slot_s_, slots_.size());
-  Slot& s = slots_[pos.slot];
-  if (s.epoch != pos.epoch) {
-    s.epoch = pos.epoch;
-    s.hist.Clear();
-  }
-  s.hist.AddAt(index, v);
+  static const Histogram kGeometry;  // IndexOf reads only the shared geometry.
+  ObserveAt(geometry_.PosAt(t_s), kGeometry.IndexOf(v), v);
 }
 
 Histogram WindowedSketch::Merged(double now_s) const {
-  const int64_t lo = EpochAt(now_s, slot_s_) - static_cast<int64_t>(slots_.size()) + 1;
+  const int64_t lo = geometry_.LiveFrom(now_s);
   Histogram out;
   for (const Slot& s : slots_) {
-    if (s.epoch >= lo) out.MergeFrom(s.hist);
+    if (s.epoch >= lo && s.hist) out.MergeFrom(*s.hist);
   }
   return out;
 }
@@ -179,46 +163,114 @@ Histogram WindowedSketch::Merged(double now_s) const {
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 
+namespace {
+
+/// The packed id of class (tenant, priority); every negative tenant is the
+/// unassigned one, as in ClassLabels.
+int64_t ClassId(int tenant, int priority) {
+  return (static_cast<int64_t>(std::max(tenant, -1)) << 32) |
+         static_cast<int64_t>(static_cast<uint32_t>(priority));
+}
+
+LabelSet ClassIdLabels(int64_t id) {
+  return ClassLabels(static_cast<int>(id >> 32), static_cast<int>(static_cast<uint32_t>(id)));
+}
+
+/// `s` as an int when it is exactly std::to_string of that int.
+std::optional<int> CanonicalInt(const std::string& s) {
+  int v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || std::to_string(v) != s) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+}  // namespace
+
 MetricsRegistry::MetricsRegistry(WindowConfig window) : window_(window) {
   FI_CHECK_GT(window_.window_s, 0.0);
   FI_CHECK_GT(window_.slots, 0);
 }
 
+MetricsRegistry::Key MetricsRegistry::KeyOf(const LabelSet& labels) {
+  const auto& kv = labels.Pairs();
+  if (kv.size() == 2 && kv[0].first == "priority" && kv[1].first == "tenant") {
+    const std::string& t = kv[1].second;
+    const std::optional<int> priority = CanonicalInt(kv[0].second);
+    const std::optional<int> tenant = t == "-" ? std::optional<int>(-1) : CanonicalInt(t);
+    if (priority && tenant && (*tenant >= 0 || t == "-")) {
+      return {ClassId(*tenant, *priority), {}};
+    }
+  }
+  return {Key::kLabeled, labels.Key()};
+}
+
 template <class T>
-T* MetricsRegistry::Get(const std::string& name, const LabelSet& labels) {
+T* MetricsRegistry::GetKeyed(const std::string& name, Key key, const LabelSet& labels) {
   Family& fam = families_[name];
   // A name binds to one metric type.
   FI_CHECK(fam.empty() || std::holds_alternative<T>(fam.begin()->second.metric));
-  const std::string key = labels.Key();
-  auto it = fam.lower_bound(key);
-  if (it == fam.end() || it->first != key) {
-    it = fam.emplace_hint(it, key, Instance{labels, T(window_)});
+  auto it = fam.find(key);
+  if (it == fam.end()) {
+    const bool labeled = key.class_id == Key::kLabeled;
+    it = fam.emplace(std::move(key), Instance{labeled ? labels : LabelSet{}, T(window_)}).first;
   }
   return &std::get<T>(it->second.metric);
+}
+
+template <class T>
+T* MetricsRegistry::Get(const std::string& name, const LabelSet& labels) {
+  return GetKeyed<T>(name, KeyOf(labels), labels);
+}
+
+template <class T>
+T* MetricsRegistry::GetClass(const std::string& name, int tenant, int priority) {
+  return GetKeyed<T>(name, {ClassId(tenant, priority), {}}, {});
 }
 
 template <class T>
 const T* MetricsRegistry::Find(const std::string& name, const LabelSet& labels) const {
   const auto fit = families_.find(name);
   if (fit == families_.end()) return nullptr;
-  const auto it = fit->second.find(labels.Key());
+  const auto it = fit->second.find(KeyOf(labels));
   return it == fit->second.end() ? nullptr : std::get_if<T>(&it->second.metric);
 }
 
 template Counter* MetricsRegistry::Get<Counter>(const std::string&, const LabelSet&);
 template Gauge* MetricsRegistry::Get<Gauge>(const std::string&, const LabelSet&);
 template Sketch* MetricsRegistry::Get<Sketch>(const std::string&, const LabelSet&);
+template Counter* MetricsRegistry::GetClass<Counter>(const std::string&, int, int);
+template Gauge* MetricsRegistry::GetClass<Gauge>(const std::string&, int, int);
+template Sketch* MetricsRegistry::GetClass<Sketch>(const std::string&, int, int);
 template const Counter* MetricsRegistry::Find<Counter>(const std::string&,
                                                        const LabelSet&) const;
 template const Gauge* MetricsRegistry::Find<Gauge>(const std::string&, const LabelSet&) const;
 template const Sketch* MetricsRegistry::Find<Sketch>(const std::string&, const LabelSet&) const;
 
+std::vector<MetricsRegistry::Labeled> MetricsRegistry::Sorted(const Family& fam) {
+  std::vector<Labeled> out;
+  out.reserve(fam.size());
+  for (const auto& [key, inst] : fam) {
+    if (key.class_id == Key::kLabeled) {
+      out.push_back({key.labels, inst.labels, &inst});
+    } else {
+      LabelSet labels = ClassIdLabels(key.class_id);
+      std::string text = labels.Key();
+      out.push_back({std::move(text), std::move(labels), &inst});
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Labeled& a, const Labeled& b) { return a.key < b.key; });
+  return out;
+}
+
 double MetricsRegistry::CounterFamilyTotal(const std::string& name) const {
   double sum = 0.0;
   const auto fit = families_.find(name);
   if (fit == families_.end()) return sum;
-  for (const auto& [key, inst] : fit->second) {
-    if (const auto* c = std::get_if<Counter>(&inst.metric)) sum += c->total();
+  for (const Labeled& l : Sorted(fit->second)) {
+    if (const auto* c = std::get_if<Counter>(&l.inst->metric)) sum += c->total();
   }
   return sum;
 }
@@ -226,10 +278,10 @@ double MetricsRegistry::CounterFamilyTotal(const std::string& name) const {
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other, const std::string& label_key,
                                 const std::string& label_value) {
   for (const auto& [name, fam] : other.families_) {
-    for (const auto& [key, inst] : fam) {
-      const LabelSet labels = inst.labels.With(label_key, label_value);
+    for (const Labeled& l : Sorted(fam)) {
+      const LabelSet labels = l.labels.With(label_key, label_value);
       std::visit([&](const auto& m) { *Get<std::decay_t<decltype(m)>>(name, labels) = m; },
-                 inst.metric);
+                 l.inst->metric);
     }
   }
 }
@@ -237,7 +289,7 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other, const std::string&
 std::vector<std::pair<std::string, std::string>> MetricsRegistry::InstanceNames() const {
   std::vector<std::pair<std::string, std::string>> out;
   for (const auto& [name, fam] : families_) {
-    for (const auto& [key, inst] : fam) out.emplace_back(name, key);
+    for (const Labeled& l : Sorted(fam)) out.emplace_back(name, l.key);
   }
   return out;
 }
@@ -357,8 +409,8 @@ std::string MetricsRegistry::PrometheusText(double now_s) const {
   std::string out;
   for (const auto& [name, fam] : families_) {
     out += "# TYPE " + name + ' ' + kTypes[fam.begin()->second.metric.index()] + '\n';
-    for (const auto& [key, inst] : fam) {
-      std::visit([&](const auto& m) { AppendProm(out, name, inst.labels, m); }, inst.metric);
+    for (const Labeled& l : Sorted(fam)) {
+      std::visit([&](const auto& m) { AppendProm(out, name, l.labels, m); }, l.inst->metric);
     }
   }
   return out;
@@ -369,11 +421,11 @@ std::string MetricsRegistry::JsonSnapshot(double now_s) const {
                     ",\"window_s\":" + util::JsonNum(window_.window_s) + ",\"metrics\":[";
   bool first = true;
   for (const auto& [name, fam] : families_) {
-    for (const auto& [key, inst] : fam) {
+    for (const Labeled& l : Sorted(fam)) {
       if (!first) out += ',';
       first = false;
-      out += "{\"name\":\"" + util::JsonEscape(name) + "\",\"labels\":" + LabelsJson(inst.labels);
-      std::visit([&](const auto& m) { AppendJson(out, m, now_s); }, inst.metric);
+      out += "{\"name\":\"" + util::JsonEscape(name) + "\",\"labels\":" + LabelsJson(l.labels);
+      std::visit([&](const auto& m) { AppendJson(out, m, now_s); }, l.inst->metric);
       out += '}';
     }
   }

@@ -13,15 +13,24 @@
 //   Gauge    Set(t, v)      -> value(), WindowMax(now)
 //   Sketch   Observe(t, v)  -> cumulative Histogram + WindowSnapshot(now)
 //
+// Each call also takes a WindowPos in place of t: a publisher stamping many
+// samples at one instant asks the registry for the instant's ring position
+// once (MetricsRegistry::PosAt, which keeps it for the whole slot) instead
+// of dividing per sample.
+//
 // The Histogram reused here is the log-bucketed percentile sketch from
 // obs/stats.h: a few dozen buckets resolve latency tails spanning five orders
 // of magnitude at ~19% worst-case relative error, so per-token ITL
-// distributions cost O(1) memory instead of one double per emitted token.
+// distributions cost O(1) memory instead of one double per emitted token. A
+// sketch's window slot allocates its buckets on its first sample.
 //
 // Labels are a small sorted key=value set (tenant, priority, replica, ...).
 // The registry stores each instance by value in one typed slot and hands out
 // stable pointers, so a hot emission site resolves its instance once and
-// publishes with a single function call per sample.
+// publishes with a single function call per sample. Instances of a
+// (tenant, priority) class are keyed by the class's integer id: GetClass
+// registers one without building a label, and their label strings and key
+// order exist only inside Find, MergeFrom and the expositions.
 //
 // Exposition:
 //   * PrometheusText(now): the standard text scrape format — counters,
@@ -33,9 +42,15 @@
 //     registries into one cluster view by re-labeling every instance.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -73,67 +88,101 @@ class LabelSet {
 /// uses. tenant < 0 (single-tenant workloads) labels as tenant="-".
 LabelSet ClassLabels(int tenant, int priority);
 
-/// Sliding-window accumulator: a ring of `slots` sub-buckets, each
-/// `window_s / slots` of simulated time wide. A slot is lazily reset when its
-/// ring position is reused by a later epoch, so Add is O(1) and the window
-/// state is a fixed-size array regardless of run length. A timestamp's
-/// (epoch, slot) is worked out once per instant, not once per window: the
-/// engine publishes a whole step at one time into windows of one geometry,
-/// so each thread keeps the last answer.
+/// An instant's place in a window ring: its epoch, floor(t / slot width),
+/// and that epoch's slot, epoch mod the slot count.
+struct WindowPos {
+  int64_t epoch = 0;
+  size_t slot = 0;
+};
+
+/// Window geometry: a ring of `slots` slots, each `window_s / slots` of
+/// simulated time wide. A registry gives every instance it creates its own.
+struct WindowConfig {
+  double window_s = 10.0;
+  int slots = 5;
+
+  /// The ring position of instant `t_s`.
+  WindowPos PosAt(double t_s) const;
+  /// The least instant whose epoch is at least `epoch`: PosAt gives every
+  /// t in [EpochStart(e), EpochStart(e + 1)) epoch e.
+  double EpochStart(int64_t epoch) const;
+  /// The least epoch still inside the window ending at `now_s`.
+  int64_t LiveFrom(double now_s) const;
+};
+
+/// Sliding-window accumulator over a WindowConfig ring. A slot is lazily
+/// reset when its ring position is reused by a later epoch, so Add is O(1)
+/// and the window state is a fixed-size array regardless of run length.
 class WindowedSum {
  public:
   WindowedSum(double window_s, int slots);
 
-  void Add(double t_s, double v);
+  void Add(double t_s, double v) { Add(geometry_.PosAt(t_s), v); }
+  /// Add at a position this window's geometry gave.
+  void Add(const WindowPos& at, double v) {
+    Slot& s = slots_[at.slot];
+    if (s.epoch != at.epoch) s = Slot{at.epoch, 0.0, 0.0, 0};
+    s.sum += v;
+    s.max = s.count == 0 ? v : std::max(s.max, v);
+    ++s.count;
+  }
 
   /// Sum over slots still inside [now - window_s, now].
   double Sum(double now_s) const;
   /// Max of per-sample values inside the live window (0 when empty).
   double Max(double now_s) const;
   int64_t Count(double now_s) const;
-  double RatePerS(double now_s) const { return Sum(now_s) / window_s_; }
+  double RatePerS(double now_s) const { return Sum(now_s) / geometry_.window_s; }
 
-  double window_s() const noexcept { return window_s_; }
+  const WindowConfig& geometry() const noexcept { return geometry_; }
 
  private:
   struct Slot {
-    int64_t epoch = -1;  // floor(t / slot_s) when last written.
+    int64_t epoch = -1;  // floor(t / slot width) when last written.
     double sum = 0.0;
     double max = 0.0;
     int64_t count = 0;
   };
-  double slot_s_ = 1.0;
-  double window_s_ = 1.0;
+  WindowConfig geometry_;
   std::vector<Slot> slots_;
 };
 
 /// Sliding-window percentile sketch: a ring of default-geometry Histograms
-/// (same lazy-epoch scheme as WindowedSum, a reused slot cleared in place);
-/// Merged(now) folds the live slots into one Histogram for quantile queries
-/// over the trailing window.
+/// (same lazy-epoch scheme as WindowedSum, a reused slot cleared in place).
+/// A slot's buckets are allocated by its first sample, so a series that
+/// touches one slot holds one Histogram, not one per slot. Merged(now) folds
+/// the live slots into one Histogram for quantile queries over the trailing
+/// window.
 class WindowedSketch {
  public:
   WindowedSketch(double window_s, int slots);
 
   void Observe(double t_s, double v);
-  /// Observe(t_s, v) for a caller that knows v's default-geometry bucket.
-  void ObserveAt(double t_s, int64_t index, double v);
+  /// Observe for a caller that knows v's default-geometry bucket `index`
+  /// and the ring position `at` of its instant.
+  void ObserveAt(const WindowPos& at, int64_t index, double v) {
+    Slot& s = slots_[at.slot];
+    if (s.epoch != at.epoch) {
+      s.epoch = at.epoch;
+      if (s.hist) {
+        s.hist->Clear();
+      } else {
+        s.hist.emplace();
+      }
+    }
+    s.hist->AddAt(index, v);
+  }
   Histogram Merged(double now_s) const;
+
+  const WindowConfig& geometry() const noexcept { return geometry_; }
 
  private:
   struct Slot {
     int64_t epoch = -1;
-    Histogram hist;
+    std::optional<Histogram> hist;  // Engaged from the slot's first sample on.
   };
-  double slot_s_ = 1.0;
-  double window_s_ = 1.0;
+  WindowConfig geometry_;
   std::vector<Slot> slots_;
-};
-
-/// Window geometry shared by every instance a registry creates.
-struct WindowConfig {
-  double window_s = 10.0;
-  int slots = 5;
 };
 
 /// Monotone counter with a windowed rate view.
@@ -141,17 +190,18 @@ class Counter {
  public:
   explicit Counter(const WindowConfig& w) : window_(w.window_s, w.slots) {}
 
-  void Inc(double t_s, double v = 1.0) {
+  void Inc(double t_s, double v = 1.0) { Inc(window_.geometry().PosAt(t_s), v); }
+  void Inc(const WindowPos& at, double v = 1.0) {
     total_ += v;
-    window_.Add(t_s, v);
+    window_.Add(at, v);
   }
 
   /// Moves the total to `total` (a publisher's own running sum), adding the
   /// difference to the window at `t_s`.
   void SetTotal(double t_s, double total) {
-    window_.Add(t_s, total - total_);
-    total_ = total;
+    SetTotal(window_.geometry().PosAt(t_s), total);
   }
+  void SetTotal(const WindowPos& at, double total);
 
   double total() const noexcept { return total_; }
   double WindowSum(double now_s) const { return window_.Sum(now_s); }
@@ -167,9 +217,14 @@ class Gauge {
  public:
   explicit Gauge(const WindowConfig& w) : window_(w.window_s, w.slots) {}
 
-  void Set(double t_s, double v) {
+  void Set(double t_s, double v) { Set(window_.geometry().PosAt(t_s), v); }
+  /// A Set repeating the last value into the last Set's slot is skipped:
+  /// that slot's max already holds it.
+  void Set(const WindowPos& at, double v) {
+    if (v == value_ && at.epoch == last_epoch_) return;
     value_ = v;
-    window_.Add(t_s, v);
+    last_epoch_ = at.epoch;
+    window_.Add(at, v);
   }
 
   double value() const noexcept { return value_; }
@@ -177,6 +232,7 @@ class Gauge {
 
  private:
   double value_ = 0.0;
+  int64_t last_epoch_ = std::numeric_limits<int64_t>::min();  // Of the last Set.
   WindowedSum window_;
 };
 
@@ -186,10 +242,12 @@ class Sketch {
  public:
   explicit Sketch(const WindowConfig& w) : window_(w.window_s, w.slots) {}
 
-  void Observe(double t_s, double v) {
-    const int64_t index = cumulative_.IndexOf(v);
+  void Observe(double t_s, double v) { Observe(window_.geometry().PosAt(t_s), v); }
+  void Observe(const WindowPos& at, double v) { ObserveAt(at, cumulative_.IndexOf(v), v); }
+  /// Observe for a caller that knows v's default-geometry bucket.
+  void ObserveAt(const WindowPos& at, int64_t index, double v) {
     cumulative_.AddAt(index, v);
-    window_.ObserveAt(t_s, index, v);
+    window_.ObserveAt(at, index, v);
   }
 
   const Histogram& Cumulative() const noexcept { return cumulative_; }
@@ -204,6 +262,12 @@ class Sketch {
 /// stable pointer (instances are never destroyed while the registry lives),
 /// so emission sites resolve once and publish lock-free ever after (the
 /// engine is single-threaded per replica; cross-replica merge copies).
+///
+/// An instance whose labels are exactly a (tenant, priority) class's
+/// (ClassLabels) is keyed by the class's integer id, however it was
+/// registered: GetClass registers one without building a label, and label
+/// strings, key order and LabelSets of class instances are built only by
+/// Find, MergeFrom and the expositions.
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(WindowConfig window = {});
@@ -212,6 +276,9 @@ class MetricsRegistry {
   /// registered on first use. A name binds to one type (checked).
   template <class T>
   T* Get(const std::string& name, const LabelSet& labels = {});
+  /// Get(name, ClassLabels(tenant, priority)), without building labels.
+  template <class T>
+  T* GetClass(const std::string& name, int tenant, int priority);
   /// Lookup without registration; nullptr when the instance does not exist
   /// or has another type.
   template <class T>
@@ -236,7 +303,20 @@ class MetricsRegistry {
     return Find<Sketch>(name, labels);
   }
 
-  /// Sum of `total()` across every instance of a counter family (all labels).
+  /// The ring position of instant `t_s` in every window this registry
+  /// creates. The last answer's epoch is kept with the instants it spans,
+  /// so a publisher pays a division only when the clock enters a new slot.
+  const WindowPos& PosAt(double t_s) {
+    if (!(t_s >= pos_from_s_ && t_s < pos_until_s_)) {
+      pos_ = window_.PosAt(t_s);
+      pos_from_s_ = window_.EpochStart(pos_.epoch);
+      pos_until_s_ = window_.EpochStart(pos_.epoch + 1);
+    }
+    return pos_;
+  }
+
+  /// Sum of `total()` across every instance of a counter family (all labels),
+  /// in exposition order.
   double CounterFamilyTotal(const std::string& name) const;
 
   /// Copies every instance of `other` into this registry with
@@ -259,20 +339,49 @@ class MetricsRegistry {
 
   const WindowConfig& window() const noexcept { return window_; }
 
-  /// Every registered (family, label) pair, for iteration in tests.
+  /// Every registered (family, label key) pair, in exposition order.
   std::vector<std::pair<std::string, std::string>> InstanceNames() const;
 
  private:
+  /// An instance's identity in its family: a class's packed (tenant,
+  /// priority) id, or kLabeled and the canonical LabelSet::Key().
+  struct Key {
+    static constexpr int64_t kLabeled = std::numeric_limits<int64_t>::min();
+    int64_t class_id = kLabeled;
+    std::string labels;
+    bool operator==(const Key& o) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const noexcept {
+      return k.class_id == Key::kLabeled ? std::hash<std::string>()(k.labels)
+                                         : std::hash<int64_t>()(k.class_id);
+    }
+  };
   struct Instance {
-    LabelSet labels;
+    LabelSet labels;  // Empty for a class instance.
     std::variant<Counter, Gauge, Sketch> metric;
   };
-  /// A family's instances keyed by LabelSet::Key(): the map keeps exposition
-  /// order deterministic, and its nodes keep the addresses Get hands out.
-  using Family = std::map<std::string, Instance>;
+  /// A family's instances. The map's nodes keep the addresses Get hands
+  /// out; every reader that iterates sorts by label key (Sorted).
+  using Family = std::unordered_map<Key, Instance, KeyHash>;
+  /// One family's instances with their labels, sorted by label key.
+  struct Labeled {
+    std::string key;
+    LabelSet labels;
+    const Instance* inst;
+  };
+
+  /// The key `labels` has: a class id when they are a class's labels.
+  static Key KeyOf(const LabelSet& labels);
+  static std::vector<Labeled> Sorted(const Family& fam);
+  template <class T>
+  T* GetKeyed(const std::string& name, Key key, const LabelSet& labels);
 
   WindowConfig window_;
-  std::map<std::string, Family> families_;
+  WindowPos pos_;  // PosAt's last answer, for instants in [from, until).
+  double pos_from_s_ = 0.0;
+  double pos_until_s_ = 0.0;
+  std::map<std::string, Family> families_;  // By name: exposition order.
 };
 
 }  // namespace flashinfer::obs

@@ -56,6 +56,12 @@ double HbmGbForKvBudget(const EngineConfig& cfg, int64_t kv_tokens) {
   return (cfg.model.WeightBytesPerGpu() + kv_bytes) / 1e9;
 }
 
+ClassSeries ClassSeries::Register(obs::MetricsRegistry& reg, int tenant, int priority) {
+  return {reg.GetClass<obs::Counter>("fi_tokens_total", tenant, priority),
+          reg.GetClass<obs::Sketch>("fi_ttft_ms", tenant, priority),
+          reg.GetClass<obs::Sketch>("fi_itl_ms", tenant, priority)};
+}
+
 ServingEngine::ServingEngine(EngineConfig cfg)
     : cfg_(std::move(cfg)), rng_(kAcceptSeed) {
   FI_CHECK_GE(cfg_.prefill_chunk_tokens, 1);
@@ -130,9 +136,9 @@ double ServingEngine::AttnLaunchUs(const AttnSimInput& in) const {
          UnfusedRopeUs(tokens);
 }
 
-double ServingEngine::SpecVerifyAttnUs() const {
-  std::vector<int64_t> context_lens;
-  context_lens.reserve(running_.size());
+double ServingEngine::SpecVerifyAttnUs() {
+  std::vector<int64_t>& context_lens = verify_ctx_lens_;
+  context_lens.clear();
   for (const auto& b : running_) context_lens.push_back(b.kv_len);
   // Plan reuse across layers, exactly like AttnLaunchUs.
   return VerifyAttentionTimeUs(cfg_.device, cfg_.backend, HeadGeometry(), verify_mask_,
@@ -183,53 +189,77 @@ int ServingEngine::SeriesFor(int tenant, int priority) {
                       (static_cast<int64_t>(priority) & 0xffffffff);
   auto [it, inserted] =
       class_index_.try_emplace(key, static_cast<int>(class_series_.size()));
-  if (inserted) {
-    const obs::LabelSet labels = obs::ClassLabels(tenant, priority);
-    class_series_.push_back({telemetry_->GetCounter("fi_tokens_total", labels),
-                             telemetry_->GetSketch("fi_ttft_ms", labels),
-                             telemetry_->GetSketch("fi_itl_ms", labels)});
-  }
+  if (inserted) class_series_.push_back(ClassSeries::Register(*telemetry_, tenant, priority));
   return it->second;
 }
 
 void ServingEngine::ObserveTtft(int tenant, int priority, double ms) {
   if (!telemetry_) return;
   const ClassSeries& s = class_series_[static_cast<size_t>(SeriesFor(tenant, priority))];
-  s.ttft->Observe(now_s_, ms);
-  s.tokens->Inc(now_s_);  // The request's first token.
+  const obs::WindowPos& at = telemetry_->PosAt(now_s_);
+  s.ttft->Observe(at, ms);
+  s.tokens->Inc(at);  // The request's first token.
   if (slo_) slo_->Observe(obs::SloSignal::kTtft, tenant, priority, ms, now_s_);
 }
 
-void ServingEngine::ObserveTokens(Branch& b, int64_t tokens, double itl_ms) {
+void ServingEngine::ObserveTokens(Branch& b, int64_t tokens, int64_t itl_bucket,
+                                  double itl_ms) {
   if (!telemetry_) return;
   if (b.series < 0) b.series = SeriesFor(b.tenant, b.priority);
-  const ClassSeries& s = class_series_[static_cast<size_t>(b.series)];
-  s.tokens->Inc(now_s_, static_cast<double>(tokens));
-  // One ITL sample per committed token, mirroring ServingMetrics::AddItl:
-  // the first closes the gap since the last emission, the rest (spec-decode
-  // burst delivery) land at zero — so the registry's sample count reconciles
-  // exactly with the run-final metrics.
-  for (int64_t t = 0; t < tokens; ++t) {
-    const double gap = t == 0 ? itl_ms : 0.0;
-    s.itl->Observe(now_s_, gap);
-    if (slo_) slo_->Observe(obs::SloSignal::kItl, b.tenant, b.priority, gap, now_s_);
+  class_series_[static_cast<size_t>(b.series)].ObserveTokens(telemetry_->PosAt(now_s_), tokens,
+                                                             itl_bucket, itl_ms);
+  if (slo_) {
+    for (int64_t t = 0; t < tokens; ++t) {
+      slo_->Observe(obs::SloSignal::kItl, b.tenant, b.priority, t == 0 ? itl_ms : 0.0, now_s_);
+    }
   }
 }
 
-void ServingEngine::FlushTelemetry() {
-  if (!telemetry_) return;
-  if (field_counters_.empty()) {
-    for (const MetricField& f : kMetricFields) {
-      if (f.family) field_counters_.emplace_back(&f, telemetry_->GetCounter(f.family));
+template <size_t I>
+void ServingEngine::FlushField(const obs::WindowPos& at, bool slot_ends) {
+  constexpr MetricField f = kMetricFields[I];
+  if constexpr (f.family != nullptr) {
+    double v = 0.0;
+    if constexpr (f.i64 != nullptr) {
+      if (!slot_ends) return;
+      v = static_cast<double>(metrics_.*f.i64);
+    } else {
+      v = metrics_.*f.f64;
+    }
+    if (v == published_[I]) return;
+    published_[I] = v;
+    field_counters_[I]->SetTotal(at, v);
+  }
+}
+
+template <size_t... I>
+void ServingEngine::FlushFields(const obs::WindowPos& at, bool slot_ends,
+                                std::index_sequence<I...>) {
+  (FlushField<I>(at, slot_ends), ...);
+}
+
+void ServingEngine::PublishFields(const obs::WindowPos& at, bool slot_ends) {
+  if (gauges_[0] == nullptr) {
+    for (size_t i = 0; i < std::size(kMetricFields); ++i) {
+      if (const char* family = kMetricFields[i].family) {
+        field_counters_[i] = telemetry_->GetCounter(family);
+      }
     }
     for (size_t i = 0; i < kOccupancySeries; ++i) {
       gauges_[i] = telemetry_->GetGauge(std::string("fi_") + obs::TraceNameStr(kOccupancy[i]));
     }
   }
-  for (const auto& [field, counter] : field_counters_) {
-    const double v = field->Value(metrics_);
-    if (v != counter->total()) counter->SetTotal(now_s_, v);
-  }
+  FlushFields(at, slot_ends, std::make_index_sequence<std::size(kMetricFields)>());
+}
+
+void ServingEngine::FlushTelemetry() {
+  if (telemetry_) PublishFields(telemetry_->PosAt(now_s_), /*slot_ends=*/true);
+}
+
+void ServingEngine::FlushTelemetry(double next_s) {
+  if (!telemetry_) return;
+  const obs::WindowPos at = telemetry_->PosAt(now_s_);
+  PublishFields(at, telemetry_->PosAt(next_s).epoch != at.epoch);
 }
 
 void ServingEngine::PublishStepEnd(double tok_per_s) {
@@ -247,9 +277,10 @@ void ServingEngine::PublishStepEnd(double tok_per_s) {
       static_cast<double>(preempted_.size())};
   static_assert(std::size(occupancy) == kOccupancySeries);
   static_assert(std::size(kOccupancy) == kOccupancySeries);
+  const obs::WindowPos* at = telemetry_ ? &telemetry_->PosAt(now_s_) : nullptr;
   for (size_t i = 0; i < kOccupancySeries; ++i) {
     TraceCounter(kOccupancy[i], occupancy[i]);
-    if (telemetry_) gauges_[i]->Set(now_s_, occupancy[i]);
+    if (at != nullptr) gauges_[i]->Set(*at, occupancy[i]);
   }
   TraceCounter(obs::TraceName::kCtrTokPerS, tok_per_s);
   if (slo_) slo_->Evaluate(now_s_);
@@ -283,7 +314,8 @@ void ServingEngine::Reset() {
   }
   class_series_.clear();
   class_index_.clear();
-  field_counters_.clear();
+  field_counters_ = {};
+  published_ = {};
   gauges_ = {};
   if (cfg_.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::MetricsRegistry>(cfg_.telemetry.window);
@@ -487,7 +519,10 @@ void ServingEngine::HandOffExportable(
       // Shipping frees KV outside any step; without this the device-KV gauge
       // stays stale at the pre-export value until the next executed step — on
       // a fully-exported prefill replica, forever.
-      if (telemetry_) gauges_[kDeviceKvSeries]->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
+      if (telemetry_) {
+        gauges_[kDeviceKvSeries]->Set(telemetry_->PosAt(now_s_),
+                                      static_cast<double>(kv_tokens_in_use_));
+      }
     } else {
       // Fallback: the branches re-enter the local decode loop. Their KV
       // charge and structural sequences never left, and seg_start_s still
@@ -527,7 +562,10 @@ void ServingEngine::AdmitMigratedUnit(const MigrationUnit& u,
             static_cast<int64_t>((xfer.begin_s - u.export_s) * 1e6));
   FlushTelemetry();
   // Admission charges KV outside any step — keep the gauge current.
-  if (telemetry_) gauges_[kDeviceKvSeries]->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
+  if (telemetry_) {
+    gauges_[kDeviceKvSeries]->Set(telemetry_->PosAt(now_s_),
+                                  static_cast<double>(kv_tokens_in_use_));
+  }
   // The unit resumes once the link transfer lands (which may already have,
   // if this replica's clock ran ahead of the transfer end).
   QueueResume(Resume::kMigrateIn, std::move(branches), xfer.end_s);
@@ -901,7 +939,7 @@ ServingEngine::StepKind ServingEngine::StepOnce(double deadline_s) {
     (landing->resume == Resume::kMigrateIn ? metrics_.migration_stall_ms
                                            : metrics_.swap_stall_ms) += skip_s * 1e3;
   }
-  FlushTelemetry();  // Stamp this instant's increments before the jump.
+  FlushTelemetry(wake_s);  // Stamp this instant's increments before the jump.
   now_s_ = wake_s;
   metrics_.total_idle_s += skip_s;
   ++metrics_.num_idle_skips;
@@ -1001,7 +1039,7 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
   const double gemm_us = GemmUs(cfg_.device, cfg_.model, step_tokens);
   const double comm_us = CommStepUs(step_tokens);
   const double step_s = (draft_us + host_us + gemm_us + attn_us + comm_us) * 1e-6;
-  FlushTelemetry();  // Stamp this instant's increments before the clock moves.
+  FlushTelemetry(now_s_ + step_s);  // Stamp this instant's increments first.
   now_s_ += step_s;
   // Copy-stream busy time inside this step's window was hidden under compute
   // (none with serialized swaps: no step starts while a stream is busy).
@@ -1245,9 +1283,10 @@ void ServingEngine::CommitDecode() {
     // since the last emission, the rest arrive at (simulated) zero ITL —
     // exactly the burst delivery real spec decoding produces.
     const double gap_ms = (now_s_ - b.last_emit_s) * 1e3;
-    metrics_.AddItl(gap_ms);
+    const int64_t gap_bucket = metrics_.itl_sketch.IndexOf(gap_ms);
+    metrics_.AddItlAt(gap_bucket, gap_ms);
     for (int64_t t = 1; t < commit; ++t) metrics_.AddItl(0.0);
-    ObserveTokens(b, commit, gap_ms);
+    ObserveTokens(b, commit, gap_bucket, gap_ms);
     b.last_emit_s = now_s_;
     b.kv_len += commit;
     if (!FullKvReserve()) kv_tokens_in_use_ += commit;  // Else reserved at admission.

@@ -60,11 +60,14 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -186,8 +189,9 @@ struct EngineConfig {
   /// behavior change — pinned by the same bit-identical-metrics test
   /// pattern). When enabled, the engine publishes windowed counters, gauges,
   /// and (tenant, priority)-labeled latency sketches into a MetricsRegistry
-  /// every step, and evaluates telemetry.slos as burn-rate monitors whose
-  /// alerts land in the trace (when tracing is also on).
+  /// (each value that changed, in the window slot of the instant it changed
+  /// in), and evaluates telemetry.slos as burn-rate monitors whose alerts
+  /// land in the trace (when tracing is also on).
   obs::TelemetryConfig telemetry;
 };
 
@@ -228,6 +232,29 @@ struct MigrationUnit {
 /// the weights and the engine's activation slack: the inverse of the budget
 /// formula in ServingEngine's constructor.
 double HbmGbForKvBudget(const EngineConfig& cfg, int64_t kv_tokens);
+
+/// One (tenant, priority) class's telemetry instruments, resolved once per
+/// class: its output tokens, TTFT and ITL. The registry keys them by the
+/// class's integer id (MetricsRegistry::GetClass), so registering a class
+/// builds no label string.
+struct ClassSeries {
+  obs::Counter* tokens = nullptr;  // fi_tokens_total
+  obs::Sketch* ttft = nullptr;     // fi_ttft_ms
+  obs::Sketch* itl = nullptr;      // fi_itl_ms
+
+  /// The class's series in `reg`, registered on first use.
+  static ClassSeries Register(obs::MetricsRegistry& reg, int tenant, int priority);
+  /// One branch's commit of `tokens` tokens at `at`: one ITL sample per
+  /// token, mirroring ServingMetrics::AddItl — the first closes the gap
+  /// since the last emission (`itl_ms`, in sketch bucket `itl_bucket`), the
+  /// rest (spec-decode burst delivery) land at zero.
+  void ObserveTokens(const obs::WindowPos& at, int64_t tokens, int64_t itl_bucket,
+                     double itl_ms) const {
+    this->tokens->Inc(at, static_cast<double>(tokens));
+    itl->ObserveAt(at, itl_bucket, itl_ms);
+    for (int64_t t = 1; t < tokens; ++t) itl->Observe(at, 0.0);
+  }
+};
 
 class ServingEngine {
  public:
@@ -563,31 +590,37 @@ class ServingEngine {
   void TraceCounter(obs::TraceName n, double v) noexcept;
 
   // --- Telemetry (no-ops when disabled). The engine writes counters into
-  // metrics_ only and FlushTelemetry mirrors them into the registry; the
+  // metrics_ only and the flushes mirror them into the registry; the
   // per-class series and the SLO monitor are fed directly. ------------------
 
-  /// Cached per-(tenant, priority) instrument handles — registry lookups
-  /// happen once per class, not once per sample.
-  struct ClassSeries {
-    obs::Counter* tokens = nullptr;  // fi_tokens_total
-    obs::Sketch* ttft = nullptr;     // fi_ttft_ms
-    obs::Sketch* itl = nullptr;      // fi_itl_ms
-  };
   /// Index of the class's series in class_series_, registered on first use.
   int SeriesFor(int tenant, int priority);
   /// Records one TTFT sample: per-class sketch + SLO monitor.
   void ObserveTtft(int tenant, int priority, double ms);
-  /// Records committed output tokens + the ITL gap sample for one branch,
+  /// Records one branch's committed tokens and ITL samples (`itl_bucket` is
+  /// `itl_ms`'s sketch bucket, looked up once for ServingMetrics too),
   /// resolving its class series on the branch's first call.
-  void ObserveTokens(Branch& b, int64_t tokens, double itl_ms);
-  /// Moves each named field's counter that changed to the field's value,
-  /// stamped at now_s_. Runs right before every clock change and before
-  /// returning to the caller, so each increment lands in the window slot of
-  /// the instant it was made. The first flush after Reset resolves handles.
+  void ObserveTokens(Branch& b, int64_t tokens, int64_t itl_bucket, double itl_ms);
+  /// Publish before control returns to the caller: every named field's
+  /// counter that changed moves to the field's value, at now_s_.
   void FlushTelemetry();
+  /// Publish right before the clock moves from now_s_ to `next_s`, so each
+  /// increment lands in the window slot of the instant it was made. A double
+  /// field's counter gets every change, in order; integer fields, whose
+  /// window sums are exact in any grouping, wait until the clock leaves the
+  /// slot.
+  void FlushTelemetry(double next_s);
+  /// The flushes' body; the first call after Reset resolves the handles.
+  void PublishFields(const obs::WindowPos& at, bool slot_ends);
+  /// Each named field's compare, unrolled from kMetricFields at compile time.
+  template <size_t... I>
+  void FlushFields(const obs::WindowPos& at, bool slot_ends, std::index_sequence<I...>);
+  template <size_t I>
+  void FlushField(const obs::WindowPos& at, bool slot_ends);
   /// After an executed step: samples the occupancy (device/host KV tokens,
   /// host stored bytes, queue depth, running/preempted branches) into both
-  /// the trace counters and the gauges, adds the trace-only step
+  /// the trace counters and the gauges (a gauge skips a value it already
+  /// holds in the current window slot), adds the trace-only step
   /// throughput, and advances SLO alerting.
   void PublishStepEnd(double tok_per_s);
   static constexpr size_t kOccupancySeries = 6;
@@ -626,7 +659,7 @@ class ServingEngine {
   /// Prices `in` through the backend's scheduler + cost model, one plan
   /// reused across layers, plus the unfused-RoPE pass when configured.
   double AttnLaunchUs(const AttnSimInput& in) const;
-  double SpecVerifyAttnUs() const;
+  double SpecVerifyAttnUs();
   /// The separate RoPE kernel an unfused backend launches per layer over
   /// `tokens` query rows (bandwidth-bound, small-kernel efficiency); 0 with
   /// fused RoPE.
@@ -654,6 +687,9 @@ class ServingEngine {
   AttnSimInput step_in_;
   /// ExecuteStepPlan's (group id, decode row) pairs, kept for their buffer.
   std::vector<std::pair<int, int>> group_rows_;
+  /// SpecVerifyAttnUs's context lengths, one per running branch, kept for
+  /// their buffer.
+  std::vector<int64_t> verify_ctx_lens_;
 
   // Steppable state (reset by Reset()).
   std::deque<Request> pending_;
@@ -709,11 +745,16 @@ class ServingEngine {
   /// Cached instrument handles per (tenant, priority) class, in first-use
   /// order, and each packed class id's index into them.
   std::vector<ClassSeries> class_series_;
-  std::map<int64_t, int> class_index_;
-  /// Handles resolved by the first FlushTelemetry after Reset: one counter
-  /// per named kMetricFields entry, one gauge per occupancy series.
-  std::vector<std::pair<const MetricField*, obs::Counter*>> field_counters_;
+  std::unordered_map<int64_t, int> class_index_;
+  /// Handles resolved by the first flush after Reset: the counter
+  /// of each named kMetricFields entry (null for the unnamed ones) and one
+  /// gauge per occupancy series.
+  std::array<obs::Counter*, std::size(kMetricFields)> field_counters_{};
   std::array<obs::Gauge*, kOccupancySeries> gauges_{};
+  /// Each named field's value as its counter last received it (the
+  /// counter's total), compared by the flushes instead of the counters, so
+  /// a step touches only the counters whose fields changed.
+  std::array<double, std::size(kMetricFields)> published_{};
 };
 
 }  // namespace flashinfer::serving

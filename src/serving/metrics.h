@@ -173,8 +173,11 @@ struct ServingMetrics {
   /// The only sanctioned way to record an ITL sample: feeds the bounded
   /// sketch always, and the exact per-token vector unless `bounded_itl`
   /// dropped it.
-  void AddItl(double ms) {
-    itl_sketch.Add(ms);
+  void AddItl(double ms) { AddItlAt(itl_sketch.IndexOf(ms), ms); }
+  /// AddItl for a caller that already bucketed the sample:
+  /// `index` == itl_sketch.IndexOf(ms).
+  void AddItlAt(int64_t index, double ms) {
+    itl_sketch.AddAt(index, ms);
     if (!bounded_itl) itl_ms.push_back(ms);
   }
 

@@ -90,6 +90,95 @@ TEST(WindowedSketch, MergedCoversOnlyLiveSlots) {
   EXPECT_EQ(w.Merged(25.0).Count(), 0);
 }
 
+// A window slot's buckets are allocated by its first sample. Slots 3 and 4
+// are first written after the ring has wrapped (epochs 8 and 9 of a 5-slot
+// ring), and slot 0 is reused for epoch 10: each window counts only its own
+// epochs' samples.
+TEST(WindowedSketch, SlotFirstWrittenAfterWrapHoldsOnlyItsEpoch) {
+  Sketch s(WindowConfig{10.0, 5});  // 2 s per slot.
+  s.Observe(1.0, 4.0);    // Epoch 0, slot 0.
+  s.Observe(3.0, 8.0);    // Epoch 1, slot 1.
+  s.Observe(17.0, 30.0);  // Epoch 8, slot 3: its first sample.
+  Histogram w = s.WindowSnapshot(17.0);
+  EXPECT_EQ(w.Count(), 1);
+  EXPECT_DOUBLE_EQ(w.MinValue(), 30.0);
+  s.Observe(19.5, 2.0);  // Epoch 9, slot 4: its first sample.
+  w = s.WindowSnapshot(19.5);
+  EXPECT_EQ(w.Count(), 2);
+  EXPECT_DOUBLE_EQ(w.MinValue(), 2.0);
+  EXPECT_DOUBLE_EQ(w.MaxValue(), 30.0);
+  EXPECT_DOUBLE_EQ(w.Sum(), 32.0);
+  s.Observe(21.0, 5.0);  // Epoch 10 reuses slot 0, which held epoch 0.
+  w = s.WindowSnapshot(21.0);
+  EXPECT_EQ(w.Count(), 3);
+  EXPECT_DOUBLE_EQ(w.Sum(), 37.0);
+  EXPECT_DOUBLE_EQ(w.MinValue(), 2.0);
+  EXPECT_EQ(s.Cumulative().Count(), 5);
+  EXPECT_DOUBLE_EQ(s.Cumulative().Sum(), 49.0);
+}
+
+// Never-written slots hold no buckets: merging, copying and the registry
+// merge must treat them as empty, and a copy's first write to one must not
+// reach the original.
+TEST(WindowedSketch, NeverWrittenSlotsMergeCopyAndRegistryMerge) {
+  const WindowConfig window{10.0, 5};
+  Sketch empty(window);
+  EXPECT_EQ(empty.WindowSnapshot(1.0).Count(), 0);
+  Sketch s(window);
+  s.Observe(1.0, 7.0);  // Only slot 0 is ever written.
+  EXPECT_EQ(s.WindowSnapshot(1.0).Count(), 1);
+  EXPECT_EQ(s.WindowSnapshot(9.0).Count(), 1);
+
+  Sketch copy = s;
+  EXPECT_EQ(copy.WindowSnapshot(1.0).Count(), 1);
+  copy.Observe(3.0, 9.0);  // The copy's first write to slot 1.
+  EXPECT_EQ(copy.WindowSnapshot(3.0).Count(), 2);
+  EXPECT_EQ(s.WindowSnapshot(3.0).Count(), 1);
+  s.Observe(5.0, 11.0);  // The original's first write to slot 2.
+  EXPECT_EQ(copy.WindowSnapshot(5.0).Count(), 2);
+  EXPECT_DOUBLE_EQ(copy.WindowSnapshot(5.0).MaxValue(), 9.0);
+
+  MetricsRegistry r0, merged;
+  r0.GetSketch("fi_itl_ms", ClassLabels(-1, 3))->Observe(1.0, 7.0);
+  r0.GetSketch("fi_ttft_ms", ClassLabels(-1, 3));  // No sample at all.
+  merged.MergeFrom(r0, "replica", "0");
+  const Sketch* m = merged.FindSketch("fi_itl_ms", ClassLabels(-1, 3).With("replica", "0"));
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->WindowSnapshot(1.0).Count(), 1);
+  EXPECT_DOUBLE_EQ(m->WindowSnapshot(1.0).MaxValue(), 7.0);
+  const Sketch* none = merged.FindSketch("fi_ttft_ms", ClassLabels(-1, 3).With("replica", "0"));
+  ASSERT_NE(none, nullptr);
+  EXPECT_EQ(none->WindowSnapshot(1.0).Count(), 0);
+  EXPECT_EQ(none->Cumulative().Count(), 0);
+  util::JsonValue doc;
+  std::string err;
+  EXPECT_TRUE(util::JsonParse(merged.JsonSnapshot(1.0), &doc, &err)) << err;
+}
+
+// The registry's kept ring position answers exactly what the geometry
+// computes, at slot boundaries and their neighbours, going forward and back.
+TEST(WindowedSum, RegistryPositionMatchesGeometryAtBoundaries) {
+  const WindowConfig window{0.3, 7};  // A slot width that is no binary fraction.
+  MetricsRegistry reg(window);
+  std::vector<double> times;
+  for (int64_t e = 0; e < 40; ++e) {
+    const double start = window.EpochStart(e);
+    times.insert(times.end(), {start, std::nextafter(start, 0.0), std::nextafter(start, 1.0),
+                               start + 0.01});
+  }
+  times.insert(times.end(), {0.0, 1.0, 2.5, 0.7, 11.9, 0.2999999999999999});
+  for (const double t : times) {
+    const obs::WindowPos want = window.PosAt(t);
+    const obs::WindowPos& got = reg.PosAt(t);
+    EXPECT_EQ(got.epoch, want.epoch) << "t=" << t;
+    EXPECT_EQ(got.slot, want.slot) << "t=" << t;
+    EXPECT_EQ(window.PosAt(window.EpochStart(want.epoch)).epoch, want.epoch) << "t=" << t;
+    EXPECT_LT(window.PosAt(std::nextafter(window.EpochStart(want.epoch), -1.0)).epoch,
+              want.epoch)
+        << "t=" << t;
+  }
+}
+
 // --- Metric types ------------------------------------------------------------
 
 TEST(Metrics, CounterTotalsAndWindowRate) {
@@ -115,6 +204,23 @@ TEST(Metrics, GaugeLastWriteWinsWithWindowMax) {
   EXPECT_DOUBLE_EQ(g.value(), 7.0);
   EXPECT_DOUBLE_EQ(g.WindowMax(2.0), 42.0);
   EXPECT_DOUBLE_EQ(g.value(), 7.0);  // value() ignores window expiry.
+}
+
+// A Set repeating the gauge's value is skipped only inside the slot of the
+// last Set: set again in the next slot, the value must still show in the
+// window's max once the earlier slot has expired.
+TEST(Metrics, GaugeRepeatInNextSlotOutlivesEarlierSlot) {
+  Gauge g(WindowConfig{10.0, 5});  // 2 s per slot.
+  g.Set(1.0, 5.0);  // Epoch 0.
+  g.Set(1.5, 5.0);  // Same value, same slot: nothing to record.
+  g.Set(3.0, 5.0);  // Same value, epoch 1.
+  EXPECT_DOUBLE_EQ(g.WindowMax(3.0), 5.0);
+  // At t = 11 epoch 0 has left the window; epoch 1 is live.
+  EXPECT_DOUBLE_EQ(g.WindowMax(11.0), 5.0);
+  EXPECT_DOUBLE_EQ(g.WindowMax(13.0), 0.0);
+  g.Set(3.5, 2.0);  // A lower value in epoch 1: the slot keeps its max.
+  EXPECT_DOUBLE_EQ(g.value(), 2.0);
+  EXPECT_DOUBLE_EQ(g.WindowMax(11.0), 5.0);
 }
 
 TEST(Metrics, SketchCumulativeAndWindowDiverge) {

@@ -36,6 +36,9 @@
 //  10. on disaggregated trials, every hand-off of an export-mode engine
 //      empties its parked pool and drops its KV by exactly the shipped
 //      units' charges, whichever units it ships or declines.
+//  11. after every StepTo of an engine trial's drain, each occupancy gauge
+//      holds its trace counter's latest sample and each class's
+//      fi_tokens_total equals its TTFT plus ITL sample counts.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -107,6 +110,7 @@ struct InstallAbortReporter {
   InstallAbortReporter() { std::signal(SIGABRT, AbortSeedReporter); }
 } g_install_abort_reporter;
 
+using obs::TraceName;
 using serving::BatchPolicy;
 using serving::EngineConfig;
 using serving::Request;
@@ -341,10 +345,55 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
 
 /// Drains with a step bound so a future admission wedge fails with the
 /// reproducing seed instead of hanging the test binary until its timeout.
-void BoundedDrain(ServingEngine& engine) {
+/// The registry after a StepTo, against the trace and itself: each
+/// occupancy gauge holds its trace counter's latest sample (0 before the
+/// first executed step), and each of `classes`' (tenant, priority) token
+/// counters equals its TTFT plus ITL sample counts. "" when both hold.
+std::string TelemetryStepDiff(const ServingEngine& engine,
+                              const std::vector<std::pair<int, int>>& classes) {
+  static constexpr TraceName kOccupancy[] = {
+      TraceName::kCtrKvDevice, TraceName::kCtrKvHost,  TraceName::kCtrHostStoredBytes,
+      TraceName::kCtrQueueDepth, TraceName::kCtrRunning, TraceName::kCtrPreempted};
+  const obs::MetricsRegistry& reg = *engine.Telemetry();
+  const std::vector<obs::TraceEvent> events = engine.TraceEvents();
+  std::string out;
+  for (const TraceName n : kOccupancy) {
+    const auto latest = std::find_if(events.rbegin(), events.rend(),
+                                     [n](const obs::TraceEvent& e) { return e.name == n; });
+    const double want = latest == events.rend() ? 0.0 : latest->v;
+    const std::string name = std::string("fi_") + obs::TraceNameStr(n);
+    const obs::Gauge* g = reg.FindGauge(name);
+    if (g == nullptr || g->value() != want) {
+      out += name + " != trace " + std::to_string(want) + "; ";
+    }
+  }
+  for (const auto& [tenant, priority] : classes) {
+    const obs::LabelSet labels = obs::ClassLabels(tenant, priority);
+    const obs::Counter* tokens = reg.FindCounter("fi_tokens_total", labels);
+    if (tokens == nullptr) continue;  // Not registered yet.
+    const obs::Sketch* ttft = reg.FindSketch("fi_ttft_ms", labels);
+    const obs::Sketch* itl = reg.FindSketch("fi_itl_ms", labels);
+    if (ttft == nullptr || itl == nullptr ||
+        tokens->total() !=
+            static_cast<double>(ttft->Cumulative().Count() + itl->Cumulative().Count())) {
+      out += "fi_tokens_total{" + labels.Key() + "} != TTFT + ITL samples; ";
+    }
+  }
+  return out;
+}
+
+/// Steps `engine` to completion one event at a time, checking the host
+/// tier's capacity and the registry (TelemetryStepDiff over the classes of
+/// `reqs`) after every StepTo.
+void BoundedDrain(ServingEngine& engine, const std::vector<Request>& reqs) {
+  std::vector<std::pair<int, int>> classes;
+  for (const Request& r : reqs) classes.emplace_back(r.tenant, r.priority);
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
   for (int64_t i = 0; i < 500000 && !engine.Finished(); ++i) {
     engine.StepTo(engine.NextEventTime());
     ASSERT_LE(engine.HostStoredBytes(), engine.HostByteCapacity()) << "step " << i;
+    ASSERT_EQ(TelemetryStepDiff(engine, classes), "") << "step " << i;
   }
   ASSERT_TRUE(engine.Finished()) << "drain did not terminate";
 }
@@ -467,7 +516,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
   g_current_engine = &engine;
   engine.Reset();
   for (const auto& r : shuffled) engine.Admit(r);
-  BoundedDrain(engine);
+  BoundedDrain(engine, reqs);
   if (::testing::Test::HasFatalFailure()) {
     DumpTrialTrace({{"engine", engine.TraceEvents()}}, seed);
     g_current_engine = nullptr;
