@@ -420,12 +420,15 @@ void BM_ObserveClassTokens(benchmark::State& state) {
   size_t next = 0;
   double t_s = 0.0;
   for (auto _ : state) {
-    const obs::WindowPos& at = reg.PosAt(t_s);
-    for (const serving::ClassSeries& s : series) {
+    const obs::WindowPos at = reg.PosAt(t_s);
+    for (serving::ClassSeries& s : series) {
       s.ObserveTokens(at, 1, buckets[next], samples[next]);
       if (++next == samples.size()) next = 0;
     }
     t_s += 0.006;
+    if (reg.PosAt(t_s).epoch != at.epoch) {
+      for (serving::ClassSeries& s : series) s.PublishTokens(at);
+    }
   }
   state.SetItemsProcessed(state.iterations() * k);
 }

@@ -202,19 +202,6 @@ void ServingEngine::ObserveTtft(int tenant, int priority, double ms) {
   if (slo_) slo_->Observe(obs::SloSignal::kTtft, tenant, priority, ms, now_s_);
 }
 
-void ServingEngine::ObserveTokens(Branch& b, int64_t tokens, int64_t itl_bucket,
-                                  double itl_ms) {
-  if (!telemetry_) return;
-  if (b.series < 0) b.series = SeriesFor(b.tenant, b.priority);
-  class_series_[static_cast<size_t>(b.series)].ObserveTokens(telemetry_->PosAt(now_s_), tokens,
-                                                             itl_bucket, itl_ms);
-  if (slo_) {
-    for (int64_t t = 0; t < tokens; ++t) {
-      slo_->Observe(obs::SloSignal::kItl, b.tenant, b.priority, t == 0 ? itl_ms : 0.0, now_s_);
-    }
-  }
-}
-
 template <size_t I>
 void ServingEngine::FlushField(const obs::WindowPos& at, bool slot_ends) {
   constexpr MetricField f = kMetricFields[I];
@@ -250,6 +237,11 @@ void ServingEngine::PublishFields(const obs::WindowPos& at, bool slot_ends) {
     }
   }
   FlushFields(at, slot_ends, std::make_index_sequence<std::size(kMetricFields)>());
+  if (!slot_ends) return;
+  for (const int series : unpublished_classes_) {
+    class_series_[static_cast<size_t>(series)].PublishTokens(at);
+  }
+  unpublished_classes_.clear();
 }
 
 void ServingEngine::FlushTelemetry() {
@@ -314,6 +306,7 @@ void ServingEngine::Reset() {
   }
   class_series_.clear();
   class_index_.clear();
+  unpublished_classes_.clear();
   field_counters_ = {};
   published_ = {};
   gauges_ = {};
@@ -1261,6 +1254,8 @@ void ServingEngine::AttachKv(std::vector<Branch>& branches) {
 
 void ServingEngine::CommitDecode() {
   const bool spec = cfg_.spec.enabled;
+  // Every commit of the step lands at one instant: one ring position.
+  const obs::WindowPos at = telemetry_ ? telemetry_->PosAt(now_s_) : obs::WindowPos{};
   // Survivors compact to the front in order; FinishBranch never touches
   // running_.
   size_t keep = 0;
@@ -1286,7 +1281,17 @@ void ServingEngine::CommitDecode() {
     const int64_t gap_bucket = metrics_.itl_sketch.IndexOf(gap_ms);
     metrics_.AddItlAt(gap_bucket, gap_ms);
     for (int64_t t = 1; t < commit; ++t) metrics_.AddItl(0.0);
-    ObserveTokens(b, commit, gap_bucket, gap_ms);
+    if (telemetry_) {
+      if (b.series < 0) b.series = SeriesFor(b.tenant, b.priority);
+      ClassSeries& c = class_series_[static_cast<size_t>(b.series)];
+      if (c.unpublished_tokens == 0) unpublished_classes_.push_back(b.series);
+      c.ObserveTokens(at, commit, gap_bucket, gap_ms);
+      if (slo_) {
+        for (int64_t t = 0; t < commit; ++t) {
+          slo_->Observe(obs::SloSignal::kItl, b.tenant, b.priority, t == 0 ? gap_ms : 0.0, now_s_);
+        }
+      }
+    }
     b.last_emit_s = now_s_;
     b.kv_len += commit;
     if (!FullKvReserve()) kv_tokens_in_use_ += commit;  // Else reserved at admission.

@@ -241,18 +241,29 @@ struct ClassSeries {
   obs::Counter* tokens = nullptr;  // fi_tokens_total
   obs::Sketch* ttft = nullptr;     // fi_ttft_ms
   obs::Sketch* itl = nullptr;      // fi_itl_ms
+  /// Tokens ObserveTokens counted that `tokens` has not received yet.
+  int64_t unpublished_tokens = 0;
 
   /// The class's series in `reg`, registered on first use.
   static ClassSeries Register(obs::MetricsRegistry& reg, int tenant, int priority);
   /// One branch's commit of `tokens` tokens at `at`: one ITL sample per
   /// token, mirroring ServingMetrics::AddItl — the first closes the gap
   /// since the last emission (`itl_ms`, in sketch bucket `itl_bucket`), the
-  /// rest (spec-decode burst delivery) land at zero.
+  /// rest (spec-decode burst delivery) land at zero. The tokens wait in
+  /// unpublished_tokens for PublishTokens, which the caller runs before the
+  /// clock leaves `at`'s window slot: a counter's window sum of integers is
+  /// exact in any grouping, and the counter's cache lines stay untouched
+  /// per commit.
   void ObserveTokens(const obs::WindowPos& at, int64_t tokens, int64_t itl_bucket,
-                     double itl_ms) const {
-    this->tokens->Inc(at, static_cast<double>(tokens));
+                     double itl_ms) {
+    unpublished_tokens += tokens;
     itl->ObserveAt(at, itl_bucket, itl_ms);
     for (int64_t t = 1; t < tokens; ++t) itl->Observe(at, 0.0);
+  }
+  /// Adds the unpublished tokens to `tokens` at `at`.
+  void PublishTokens(const obs::WindowPos& at) {
+    this->tokens->Inc(at, static_cast<double>(unpublished_tokens));
+    unpublished_tokens = 0;
   }
 };
 
@@ -597,18 +608,15 @@ class ServingEngine {
   int SeriesFor(int tenant, int priority);
   /// Records one TTFT sample: per-class sketch + SLO monitor.
   void ObserveTtft(int tenant, int priority, double ms);
-  /// Records one branch's committed tokens and ITL samples (`itl_bucket` is
-  /// `itl_ms`'s sketch bucket, looked up once for ServingMetrics too),
-  /// resolving its class series on the branch's first call.
-  void ObserveTokens(Branch& b, int64_t tokens, int64_t itl_bucket, double itl_ms);
   /// Publish before control returns to the caller: every named field's
-  /// counter that changed moves to the field's value, at now_s_.
+  /// counter that changed moves to the field's value, and each class's
+  /// unpublished tokens land, at now_s_.
   void FlushTelemetry();
   /// Publish right before the clock moves from now_s_ to `next_s`, so each
   /// increment lands in the window slot of the instant it was made. A double
-  /// field's counter gets every change, in order; integer fields, whose
-  /// window sums are exact in any grouping, wait until the clock leaves the
-  /// slot.
+  /// field's counter gets every change, in order; integer fields and the
+  /// classes' unpublished tokens, whose window sums are exact in any
+  /// grouping, wait until the clock leaves the slot.
   void FlushTelemetry(double next_s);
   /// The flushes' body; the first call after Reset resolves the handles.
   void PublishFields(const obs::WindowPos& at, bool slot_ends);
@@ -746,6 +754,9 @@ class ServingEngine {
   /// order, and each packed class id's index into them.
   std::vector<ClassSeries> class_series_;
   std::unordered_map<int64_t, int> class_index_;
+  /// The classes holding unpublished tokens (ClassSeries::ObserveTokens),
+  /// published with the integer fields.
+  std::vector<int> unpublished_classes_;
   /// Handles resolved by the first flush after Reset: the counter
   /// of each named kMetricFields entry (null for the unnamed ones) and one
   /// gauge per occupancy series.
