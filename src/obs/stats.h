@@ -46,10 +46,13 @@ class Histogram {
   /// from another histogram of the same geometry.
   void AddAt(int64_t index, double v) {
     ++counts_[static_cast<size_t>(index)];
-    min_ = count_ == 0 ? v : std::min(min_, v);
-    max_ = count_ == 0 ? v : std::max(max_, v);
+    if (count_++ == 0) {
+      min_ = max_ = v;
+    } else {
+      min_ = std::min(min_, v);
+      max_ = std::max(max_, v);
+    }
     sum_ += v;
-    ++count_;
   }
 
   /// Empties the histogram in place, keeping its geometry.

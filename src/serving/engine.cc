@@ -261,9 +261,12 @@ void ServingEngine::PublishStepEnd(double tok_per_s) {
       static_cast<double>(host_kv_tokens_in_use_),
       // Estimated bytes the host tier actually stores for the resident
       // logical tokens (logical KV bytes scaled by the cache's observed codec
-      // ratio; exactly the logical bytes with the codec off).
-      static_cast<double>(host_kv_tokens_in_use_) *
-          cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) * CodecRatioEstimate(),
+      // ratio; exactly the logical bytes with the codec off). Both factors
+      // are finite, so an empty tier is exactly 0.
+      host_kv_tokens_in_use_ == 0 ? 0.0
+                                  : static_cast<double>(host_kv_tokens_in_use_) *
+                                        cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) *
+                                        CodecRatioEstimate(),
       static_cast<double>(pending_.size()),
       static_cast<double>(running_.size()),
       static_cast<double>(preempted_.size())};
