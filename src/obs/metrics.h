@@ -96,7 +96,8 @@ struct WindowPos {
 };
 
 /// Window geometry: a ring of `slots` slots, each `window_s / slots` of
-/// simulated time wide. A registry gives every instance it creates its own.
+/// simulated time wide. Every instance a registry creates has the
+/// registry's geometry, so one WindowPos serves all of them.
 struct WindowConfig {
   double window_s = 10.0;
   int slots = 5;
