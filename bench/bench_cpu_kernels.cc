@@ -407,8 +407,10 @@ BENCHMARK(BM_RegisterClassSeries)->Arg(64)->Arg(400);
 void BM_ObserveClassTokens(benchmark::State& state) {
   // One committed token per class for K classes at one instant (a decode
   // step of K branches, each its own class), through the engine's class
-  // path; the instant advances one 6 ms step per iteration. Buckets are
-  // looked up outside the loop: CommitDecode has them from ServingMetrics.
+  // path; the instant advances one 6 ms step per iteration, and the
+  // classes' tokens reach their counters when it leaves the window slot, as
+  // in the engine. Buckets are looked up outside the loop: CommitDecode has
+  // them from ServingMetrics.
   const int k = static_cast<int>(state.range(0));
   const auto samples = ItlSamples();
   const obs::Histogram geometry;
