@@ -407,10 +407,8 @@ BENCHMARK(BM_RegisterClassSeries)->Arg(64)->Arg(400);
 void BM_ObserveClassTokens(benchmark::State& state) {
   // One committed token per class for K classes at one instant (a decode
   // step of K branches, each its own class), through the engine's class
-  // path; the instant advances one 6 ms step per iteration, and the
-  // classes' tokens reach their counters when it leaves the window slot, as
-  // in the engine. Buckets are looked up outside the loop: CommitDecode has
-  // them from ServingMetrics.
+  // path; the instant advances one 6 ms step per iteration. Buckets are
+  // looked up outside the loop: CommitDecode has them from ServingMetrics.
   const int k = static_cast<int>(state.range(0));
   const auto samples = ItlSamples();
   const obs::Histogram geometry;
@@ -423,14 +421,11 @@ void BM_ObserveClassTokens(benchmark::State& state) {
   double t_s = 0.0;
   for (auto _ : state) {
     const obs::WindowPos at = reg.PosAt(t_s);
-    for (serving::ClassSeries& s : series) {
+    for (const serving::ClassSeries& s : series) {
       s.ObserveTokens(at, 1, buckets[next], samples[next]);
       if (++next == samples.size()) next = 0;
     }
     t_s += 0.006;
-    if (reg.PosAt(t_s).epoch != at.epoch) {
-      for (serving::ClassSeries& s : series) s.PublishTokens(at);
-    }
   }
   state.SetItemsProcessed(state.iterations() * k);
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <optional>
 #include <system_error>
 #include <type_traits>
@@ -84,16 +83,6 @@ WindowPos WindowConfig::PosAt(double t_s) const {
   return {epoch, static_cast<size_t>(epoch % slots)};
 }
 
-double WindowConfig::EpochStart(int64_t epoch) const {
-  // EpochAt is monotone in t: step from the rounded product to the exact
-  // boundary, a few ulps at most.
-  const double slot_s = window_s / slots;
-  double t = static_cast<double>(epoch) * slot_s;
-  while (EpochAt(t, slot_s) >= epoch) t = std::nextafter(t, -HUGE_VAL);
-  while (EpochAt(t, slot_s) < epoch) t = std::nextafter(t, HUGE_VAL);
-  return t;
-}
-
 int64_t WindowConfig::LiveFrom(double now_s) const {
   return EpochAt(now_s, window_s / slots) - slots + 1;
 }
@@ -164,13 +153,6 @@ Histogram WindowedSketch::Merged(double now_s) const {
 // MetricsRegistry
 
 namespace {
-
-/// The packed id of class (tenant, priority); every negative tenant is the
-/// unassigned one, as in ClassLabels.
-int64_t ClassId(int tenant, int priority) {
-  return (static_cast<int64_t>(std::max(tenant, -1)) << 32) |
-         static_cast<int64_t>(static_cast<uint32_t>(priority));
-}
 
 LabelSet ClassIdLabels(int64_t id) {
   return ClassLabels(static_cast<int>(id >> 32), static_cast<int>(static_cast<uint32_t>(id)));

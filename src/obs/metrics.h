@@ -15,8 +15,7 @@
 //
 // Each call also takes a WindowPos in place of t: a publisher stamping many
 // samples at one instant asks the registry for the instant's ring position
-// once (MetricsRegistry::PosAt, which keeps it for the whole slot) instead
-// of dividing per sample.
+// once (MetricsRegistry::PosAt) instead of dividing per sample.
 //
 // The Histogram reused here is the log-bucketed percentile sketch from
 // obs/stats.h: a few dozen buckets resolve latency tails spanning five orders
@@ -88,6 +87,14 @@ class LabelSet {
 /// uses. tenant < 0 (single-tenant workloads) labels as tenant="-".
 LabelSet ClassLabels(int tenant, int priority);
 
+/// The packed integer id of class (tenant, priority) that keys its
+/// instances in a registry. Every tenant < 0 is the unassigned one, as in
+/// ClassLabels.
+constexpr int64_t ClassId(int tenant, int priority) {
+  return (static_cast<int64_t>(std::max(tenant, -1)) << 32) |
+         static_cast<int64_t>(static_cast<uint32_t>(priority));
+}
+
 /// An instant's place in a window ring: its epoch, floor(t / slot width),
 /// and that epoch's slot, epoch mod the slot count.
 struct WindowPos {
@@ -104,9 +111,6 @@ struct WindowConfig {
 
   /// The ring position of instant `t_s`.
   WindowPos PosAt(double t_s) const;
-  /// The least instant whose epoch is at least `epoch`: PosAt gives every
-  /// t in [EpochStart(e), EpochStart(e + 1)) epoch e.
-  double EpochStart(int64_t epoch) const;
   /// The least epoch still inside the window ending at `now_s`.
   int64_t LiveFrom(double now_s) const;
 };
@@ -219,12 +223,8 @@ class Gauge {
   explicit Gauge(const WindowConfig& w) : window_(w.window_s, w.slots) {}
 
   void Set(double t_s, double v) { Set(window_.geometry().PosAt(t_s), v); }
-  /// A Set repeating the last value into the last Set's slot is skipped:
-  /// that slot's max already holds it.
   void Set(const WindowPos& at, double v) {
-    if (v == value_ && at.epoch == last_epoch_) return;
     value_ = v;
-    last_epoch_ = at.epoch;
     window_.Add(at, v);
   }
 
@@ -233,7 +233,6 @@ class Gauge {
 
  private:
   double value_ = 0.0;
-  int64_t last_epoch_ = std::numeric_limits<int64_t>::min();  // Of the last Set.
   WindowedSum window_;
 };
 
@@ -305,13 +304,12 @@ class MetricsRegistry {
   }
 
   /// The ring position of instant `t_s` in every window this registry
-  /// creates. The last answer's epoch is kept with the instants it spans,
-  /// so a publisher pays a division only when the clock enters a new slot.
-  const WindowPos& PosAt(double t_s) {
-    if (!(t_s >= pos_from_s_ && t_s < pos_until_s_)) {
+  /// creates. The last answer is kept: the engine asks at one instant
+  /// several times per step (commits, gauges, flush).
+  WindowPos PosAt(double t_s) {
+    if (t_s != pos_t_s_) {
       pos_ = window_.PosAt(t_s);
-      pos_from_s_ = window_.EpochStart(pos_.epoch);
-      pos_until_s_ = window_.EpochStart(pos_.epoch + 1);
+      pos_t_s_ = t_s;
     }
     return pos_;
   }
@@ -379,9 +377,8 @@ class MetricsRegistry {
   T* GetKeyed(const std::string& name, Key key, const LabelSet& labels);
 
   WindowConfig window_;
-  WindowPos pos_;  // PosAt's last answer, for instants in [from, until).
-  double pos_from_s_ = 0.0;
-  double pos_until_s_ = 0.0;
+  WindowPos pos_;  // PosAt's last answer, for instant pos_t_s_.
+  double pos_t_s_ = std::numeric_limits<double>::quiet_NaN();
   std::map<std::string, Family> families_;  // By name: exposition order.
 };
 

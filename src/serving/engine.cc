@@ -185,10 +185,8 @@ void ServingEngine::TraceCounter(obs::TraceName n, double v) noexcept {
 }
 
 int ServingEngine::SeriesFor(int tenant, int priority) {
-  const int64_t key = (static_cast<int64_t>(tenant) << 32) ^
-                      (static_cast<int64_t>(priority) & 0xffffffff);
-  auto [it, inserted] =
-      class_index_.try_emplace(key, static_cast<int>(class_series_.size()));
+  auto [it, inserted] = class_index_.try_emplace(obs::ClassId(tenant, priority),
+                                                 static_cast<int>(class_series_.size()));
   if (inserted) class_series_.push_back(ClassSeries::Register(*telemetry_, tenant, priority));
   return it->second;
 }
@@ -196,62 +194,27 @@ int ServingEngine::SeriesFor(int tenant, int priority) {
 void ServingEngine::ObserveTtft(int tenant, int priority, double ms) {
   if (!telemetry_) return;
   const ClassSeries& s = class_series_[static_cast<size_t>(SeriesFor(tenant, priority))];
-  const obs::WindowPos& at = telemetry_->PosAt(now_s_);
+  const obs::WindowPos at = telemetry_->PosAt(now_s_);
   s.ttft->Observe(at, ms);
   s.tokens->Inc(at);  // The request's first token.
   if (slo_) slo_->Observe(obs::SloSignal::kTtft, tenant, priority, ms, now_s_);
 }
 
-template <size_t I>
-void ServingEngine::FlushField(const obs::WindowPos& at, bool slot_ends) {
-  constexpr MetricField f = kMetricFields[I];
-  if constexpr (f.family != nullptr) {
-    double v = 0.0;
-    if constexpr (f.i64 != nullptr) {
-      if (!slot_ends) return;
-      v = static_cast<double>(metrics_.*f.i64);
-    } else {
-      v = metrics_.*f.f64;
-    }
-    if (v == published_[I]) return;
-    published_[I] = v;
-    field_counters_[I]->SetTotal(at, v);
-  }
-}
-
-template <size_t... I>
-void ServingEngine::FlushFields(const obs::WindowPos& at, bool slot_ends,
-                                std::index_sequence<I...>) {
-  (FlushField<I>(at, slot_ends), ...);
-}
-
-void ServingEngine::PublishFields(const obs::WindowPos& at, bool slot_ends) {
-  if (gauges_[0] == nullptr) {
-    for (size_t i = 0; i < std::size(kMetricFields); ++i) {
-      if (const char* family = kMetricFields[i].family) {
-        field_counters_[i] = telemetry_->GetCounter(family);
-      }
+void ServingEngine::FlushTelemetry() {
+  if (!telemetry_) return;
+  if (field_counters_.empty()) {
+    for (const MetricField& f : kMetricFields) {
+      if (f.family) field_counters_.emplace_back(&f, telemetry_->GetCounter(f.family));
     }
     for (size_t i = 0; i < kOccupancySeries; ++i) {
       gauges_[i] = telemetry_->GetGauge(std::string("fi_") + obs::TraceNameStr(kOccupancy[i]));
     }
   }
-  FlushFields(at, slot_ends, std::make_index_sequence<std::size(kMetricFields)>());
-  if (!slot_ends) return;
-  for (const int series : unpublished_classes_) {
-    class_series_[static_cast<size_t>(series)].PublishTokens(at);
-  }
-  unpublished_classes_.clear();
-}
-
-void ServingEngine::FlushTelemetry() {
-  if (telemetry_) PublishFields(telemetry_->PosAt(now_s_), /*slot_ends=*/true);
-}
-
-void ServingEngine::FlushTelemetry(double next_s) {
-  if (!telemetry_) return;
   const obs::WindowPos at = telemetry_->PosAt(now_s_);
-  PublishFields(at, telemetry_->PosAt(next_s).epoch != at.epoch);
+  for (const auto& [field, counter] : field_counters_) {
+    const double v = field->Value(metrics_);
+    if (v != counter->total()) counter->SetTotal(at, v);
+  }
 }
 
 void ServingEngine::PublishStepEnd(double tok_per_s) {
@@ -261,21 +224,18 @@ void ServingEngine::PublishStepEnd(double tok_per_s) {
       static_cast<double>(host_kv_tokens_in_use_),
       // Estimated bytes the host tier actually stores for the resident
       // logical tokens (logical KV bytes scaled by the cache's observed codec
-      // ratio; exactly the logical bytes with the codec off). Both factors
-      // are finite, so an empty tier is exactly 0.
-      host_kv_tokens_in_use_ == 0 ? 0.0
-                                  : static_cast<double>(host_kv_tokens_in_use_) *
-                                        cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) *
-                                        CodecRatioEstimate(),
+      // ratio; exactly the logical bytes with the codec off).
+      static_cast<double>(host_kv_tokens_in_use_) *
+          cfg_.model.KvBytesPerToken(cfg_.backend.kv_dtype) * CodecRatioEstimate(),
       static_cast<double>(pending_.size()),
       static_cast<double>(running_.size()),
       static_cast<double>(preempted_.size())};
   static_assert(std::size(occupancy) == kOccupancySeries);
   static_assert(std::size(kOccupancy) == kOccupancySeries);
-  const obs::WindowPos* at = telemetry_ ? &telemetry_->PosAt(now_s_) : nullptr;
+  const obs::WindowPos at = telemetry_ ? telemetry_->PosAt(now_s_) : obs::WindowPos{};
   for (size_t i = 0; i < kOccupancySeries; ++i) {
     TraceCounter(kOccupancy[i], occupancy[i]);
-    if (at != nullptr) gauges_[i]->Set(*at, occupancy[i]);
+    if (telemetry_) gauges_[i]->Set(at, occupancy[i]);
   }
   TraceCounter(obs::TraceName::kCtrTokPerS, tok_per_s);
   if (slo_) slo_->Evaluate(now_s_);
@@ -309,9 +269,7 @@ void ServingEngine::Reset() {
   }
   class_series_.clear();
   class_index_.clear();
-  unpublished_classes_.clear();
-  field_counters_ = {};
-  published_ = {};
+  field_counters_.clear();
   gauges_ = {};
   if (cfg_.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::MetricsRegistry>(cfg_.telemetry.window);
@@ -515,10 +473,7 @@ void ServingEngine::HandOffExportable(
       // Shipping frees KV outside any step; without this the device-KV gauge
       // stays stale at the pre-export value until the next executed step — on
       // a fully-exported prefill replica, forever.
-      if (telemetry_) {
-        gauges_[kDeviceKvSeries]->Set(telemetry_->PosAt(now_s_),
-                                      static_cast<double>(kv_tokens_in_use_));
-      }
+      if (telemetry_) gauges_[kDeviceKvSeries]->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
     } else {
       // Fallback: the branches re-enter the local decode loop. Their KV
       // charge and structural sequences never left, and seg_start_s still
@@ -558,10 +513,7 @@ void ServingEngine::AdmitMigratedUnit(const MigrationUnit& u,
             static_cast<int64_t>((xfer.begin_s - u.export_s) * 1e6));
   FlushTelemetry();
   // Admission charges KV outside any step — keep the gauge current.
-  if (telemetry_) {
-    gauges_[kDeviceKvSeries]->Set(telemetry_->PosAt(now_s_),
-                                  static_cast<double>(kv_tokens_in_use_));
-  }
+  if (telemetry_) gauges_[kDeviceKvSeries]->Set(now_s_, static_cast<double>(kv_tokens_in_use_));
   // The unit resumes once the link transfer lands (which may already have,
   // if this replica's clock ran ahead of the transfer end).
   QueueResume(Resume::kMigrateIn, std::move(branches), xfer.end_s);
@@ -935,7 +887,7 @@ ServingEngine::StepKind ServingEngine::StepOnce(double deadline_s) {
     (landing->resume == Resume::kMigrateIn ? metrics_.migration_stall_ms
                                            : metrics_.swap_stall_ms) += skip_s * 1e3;
   }
-  FlushTelemetry(wake_s);  // Stamp this instant's increments before the jump.
+  FlushTelemetry();  // Stamp this instant's increments before the jump.
   now_s_ = wake_s;
   metrics_.total_idle_s += skip_s;
   ++metrics_.num_idle_skips;
@@ -1035,7 +987,7 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
   const double gemm_us = GemmUs(cfg_.device, cfg_.model, step_tokens);
   const double comm_us = CommStepUs(step_tokens);
   const double step_s = (draft_us + host_us + gemm_us + attn_us + comm_us) * 1e-6;
-  FlushTelemetry(now_s_ + step_s);  // Stamp this instant's increments first.
+  FlushTelemetry();  // Stamp this instant's increments before the clock moves.
   now_s_ += step_s;
   // Copy-stream busy time inside this step's window was hidden under compute
   // (none with serialized swaps: no step starts while a stream is busy).
@@ -1286,9 +1238,7 @@ void ServingEngine::CommitDecode() {
     for (int64_t t = 1; t < commit; ++t) metrics_.AddItl(0.0);
     if (telemetry_) {
       if (b.series < 0) b.series = SeriesFor(b.tenant, b.priority);
-      ClassSeries& c = class_series_[static_cast<size_t>(b.series)];
-      if (c.unpublished_tokens == 0) unpublished_classes_.push_back(b.series);
-      c.ObserveTokens(at, commit, gap_bucket, gap_ms);
+      class_series_[static_cast<size_t>(b.series)].ObserveTokens(at, commit, gap_bucket, gap_ms);
       if (slo_) {
         for (int64_t t = 0; t < commit; ++t) {
           slo_->Observe(obs::SloSignal::kItl, b.tenant, b.priority, t == 0 ? gap_ms : 0.0, now_s_);

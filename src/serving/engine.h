@@ -60,11 +60,9 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -189,9 +187,8 @@ struct EngineConfig {
   /// behavior change — pinned by the same bit-identical-metrics test
   /// pattern). When enabled, the engine publishes windowed counters, gauges,
   /// and (tenant, priority)-labeled latency sketches into a MetricsRegistry
-  /// (each value that changed, in the window slot of the instant it changed
-  /// in), and evaluates telemetry.slos as burn-rate monitors whose alerts
-  /// land in the trace (when tracing is also on).
+  /// every step, and evaluates telemetry.slos as burn-rate monitors whose
+  /// alerts land in the trace (when tracing is also on).
   obs::TelemetryConfig telemetry;
 };
 
@@ -241,29 +238,19 @@ struct ClassSeries {
   obs::Counter* tokens = nullptr;  // fi_tokens_total
   obs::Sketch* ttft = nullptr;     // fi_ttft_ms
   obs::Sketch* itl = nullptr;      // fi_itl_ms
-  /// Tokens ObserveTokens counted that `tokens` has not received yet.
-  int64_t unpublished_tokens = 0;
 
   /// The class's series in `reg`, registered on first use.
   static ClassSeries Register(obs::MetricsRegistry& reg, int tenant, int priority);
   /// One branch's commit of `tokens` tokens at `at`: one ITL sample per
   /// token, mirroring ServingMetrics::AddItl — the first closes the gap
   /// since the last emission (`itl_ms`, in sketch bucket `itl_bucket`), the
-  /// rest (spec-decode burst delivery) land at zero. The tokens wait in
-  /// unpublished_tokens for PublishTokens, which the caller runs before the
-  /// clock leaves `at`'s window slot: a counter's window sum of integers is
-  /// exact in any grouping, and the counter's cache lines stay untouched
-  /// per commit.
+  /// rest (spec-decode burst delivery) land at zero — so the registry's
+  /// sample count reconciles exactly with the run-final metrics.
   void ObserveTokens(const obs::WindowPos& at, int64_t tokens, int64_t itl_bucket,
-                     double itl_ms) {
-    unpublished_tokens += tokens;
+                     double itl_ms) const {
+    this->tokens->Inc(at, static_cast<double>(tokens));
     itl->ObserveAt(at, itl_bucket, itl_ms);
     for (int64_t t = 1; t < tokens; ++t) itl->Observe(at, 0.0);
-  }
-  /// Adds the unpublished tokens to `tokens` at `at`.
-  void PublishTokens(const obs::WindowPos& at) {
-    this->tokens->Inc(at, static_cast<double>(unpublished_tokens));
-    unpublished_tokens = 0;
   }
 };
 
@@ -601,34 +588,21 @@ class ServingEngine {
   void TraceCounter(obs::TraceName n, double v) noexcept;
 
   // --- Telemetry (no-ops when disabled). The engine writes counters into
-  // metrics_ only and the flushes mirror them into the registry; the
+  // metrics_ only and FlushTelemetry mirrors them into the registry; the
   // per-class series and the SLO monitor are fed directly. ------------------
 
   /// Index of the class's series in class_series_, registered on first use.
   int SeriesFor(int tenant, int priority);
   /// Records one TTFT sample: per-class sketch + SLO monitor.
   void ObserveTtft(int tenant, int priority, double ms);
-  /// Publish before control returns to the caller: every named field's
-  /// counter that changed moves to the field's value, and each class's
-  /// unpublished tokens land, at now_s_.
+  /// Moves each named field's counter that changed to the field's value,
+  /// stamped at now_s_. Runs right before every clock change and before
+  /// returning to the caller, so each increment lands in the window slot of
+  /// the instant it was made. The first flush after Reset resolves handles.
   void FlushTelemetry();
-  /// Publish right before the clock moves from now_s_ to `next_s`, so each
-  /// increment lands in the window slot of the instant it was made. A double
-  /// field's counter gets every change, in order; integer fields and the
-  /// classes' unpublished tokens, whose window sums are exact in any
-  /// grouping, wait until the clock leaves the slot.
-  void FlushTelemetry(double next_s);
-  /// The flushes' body; the first call after Reset resolves the handles.
-  void PublishFields(const obs::WindowPos& at, bool slot_ends);
-  /// Each named field's compare, unrolled from kMetricFields at compile time.
-  template <size_t... I>
-  void FlushFields(const obs::WindowPos& at, bool slot_ends, std::index_sequence<I...>);
-  template <size_t I>
-  void FlushField(const obs::WindowPos& at, bool slot_ends);
   /// After an executed step: samples the occupancy (device/host KV tokens,
   /// host stored bytes, queue depth, running/preempted branches) into both
-  /// the trace counters and the gauges (a gauge skips a value it already
-  /// holds in the current window slot), adds the trace-only step
+  /// the trace counters and the gauges, adds the trace-only step
   /// throughput, and advances SLO alerting.
   void PublishStepEnd(double tok_per_s);
   static constexpr size_t kOccupancySeries = 6;
@@ -753,19 +727,11 @@ class ServingEngine {
   /// Cached instrument handles per (tenant, priority) class, in first-use
   /// order, and each packed class id's index into them.
   std::vector<ClassSeries> class_series_;
-  std::unordered_map<int64_t, int> class_index_;
-  /// The classes holding unpublished tokens (ClassSeries::ObserveTokens),
-  /// published with the integer fields.
-  std::vector<int> unpublished_classes_;
-  /// Handles resolved by the first flush after Reset: the counter
-  /// of each named kMetricFields entry (null for the unnamed ones) and one
-  /// gauge per occupancy series.
-  std::array<obs::Counter*, std::size(kMetricFields)> field_counters_{};
+  std::unordered_map<int64_t, int> class_index_;  // By obs::ClassId.
+  /// Handles resolved by the first FlushTelemetry after Reset: one counter
+  /// per named kMetricFields entry, one gauge per occupancy series.
+  std::vector<std::pair<const MetricField*, obs::Counter*>> field_counters_;
   std::array<obs::Gauge*, kOccupancySeries> gauges_{};
-  /// Each named field's value as its counter last received it (the
-  /// counter's total), compared by the flushes instead of the counters, so
-  /// a step touches only the counters whose fields changed.
-  std::array<double, std::size(kMetricFields)> published_{};
 };
 
 }  // namespace flashinfer::serving

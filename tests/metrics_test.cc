@@ -155,30 +155,6 @@ TEST(WindowedSketch, NeverWrittenSlotsMergeCopyAndRegistryMerge) {
   EXPECT_TRUE(util::JsonParse(merged.JsonSnapshot(1.0), &doc, &err)) << err;
 }
 
-// The registry's kept ring position answers exactly what the geometry
-// computes, at slot boundaries and their neighbours, going forward and back.
-TEST(WindowedSum, RegistryPositionMatchesGeometryAtBoundaries) {
-  const WindowConfig window{0.3, 7};  // A slot width that is no binary fraction.
-  MetricsRegistry reg(window);
-  std::vector<double> times;
-  for (int64_t e = 0; e < 40; ++e) {
-    const double start = window.EpochStart(e);
-    times.insert(times.end(), {start, std::nextafter(start, 0.0), std::nextafter(start, 1.0),
-                               start + 0.01});
-  }
-  times.insert(times.end(), {0.0, 1.0, 2.5, 0.7, 11.9, 0.2999999999999999});
-  for (const double t : times) {
-    const obs::WindowPos want = window.PosAt(t);
-    const obs::WindowPos& got = reg.PosAt(t);
-    EXPECT_EQ(got.epoch, want.epoch) << "t=" << t;
-    EXPECT_EQ(got.slot, want.slot) << "t=" << t;
-    EXPECT_EQ(window.PosAt(window.EpochStart(want.epoch)).epoch, want.epoch) << "t=" << t;
-    EXPECT_LT(window.PosAt(std::nextafter(window.EpochStart(want.epoch), -1.0)).epoch,
-              want.epoch)
-        << "t=" << t;
-  }
-}
-
 // --- Metric types ------------------------------------------------------------
 
 TEST(Metrics, CounterTotalsAndWindowRate) {
