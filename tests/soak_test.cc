@@ -39,6 +39,11 @@
 //  11. after every StepTo of an engine trial's drain, each occupancy gauge
 //      holds its trace counter's latest sample and each class's
 //      fi_tokens_total equals its TTFT plus ITL sample counts.
+//  12. on prefix-affinity cluster trials, replaying the router track's
+//      kRouteDecision events in order through one scanning reference tree
+//      per replica (MatchPrefix, Insert of the prompt's full pages, EvictLru
+//      back to the mirror capacity, as ClusterEngine::Run does) matches
+//      each decision's recorded prefix tokens.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -54,6 +59,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -697,6 +704,51 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
   }
 }
 
+/// Replays the router track of a prefix-affinity cluster run through one
+/// reference tree per replica, doing what ClusterEngine::Run does per routed
+/// request, and expects each kRouteDecision's `b` to equal the reference's
+/// matched tokens (invariant 12).
+void ExpectRouteDecisionsMatchReferenceMirrors(const cluster::ClusterConfig& cfg,
+                                               const std::vector<Request>& reqs,
+                                               const std::vector<obs::TraceTrack>& tracks) {
+  const int page = cfg.engine.page_size;
+  const int64_t capacity = cfg.prefix_cache_pages > 0
+                               ? cfg.prefix_cache_pages
+                               : ServingEngine(cfg.engine).KvTokenBudget() / page;
+  std::vector<std::unique_ptr<test::ReferenceRadixTree>> mirrors;
+  std::vector<int64_t> next_page(static_cast<size_t>(cfg.num_replicas), 0);
+  for (int i = 0; i < cfg.num_replicas; ++i) {
+    mirrors.push_back(std::make_unique<test::ReferenceRadixTree>(page));
+  }
+  std::map<int, const Request*> by_id;
+  for (const Request& r : reqs) by_id[r.id] = &r;
+  int64_t decisions = 0;
+  for (const obs::TraceTrack& t : tracks) {
+    if (t.name != "router") continue;
+    for (const obs::TraceEvent& e : t.events) {
+      if (e.name != TraceName::kRouteDecision) continue;
+      ++decisions;
+      const auto it = by_id.find(e.req);
+      ASSERT_NE(it, by_id.end()) << "route decision for unknown request " << e.req;
+      ASSERT_GE(e.a, 0);
+      ASSERT_LT(e.a, cfg.num_replicas);
+      const std::vector<int32_t>& prompt = it->second->prompt_tokens;
+      if (prompt.empty()) continue;
+      test::ReferenceRadixTree& mirror = *mirrors[static_cast<size_t>(e.a)];
+      EXPECT_EQ(e.b, mirror.MatchPrefix(prompt).matched_tokens) << "request " << e.req;
+      std::vector<int64_t> pages(prompt.size() / static_cast<size_t>(page));
+      int64_t& next = next_page[static_cast<size_t>(e.a)];
+      std::iota(pages.begin(), pages.end(), next);
+      next += static_cast<int64_t>(pages.size());
+      mirror.Insert(prompt, pages);
+      if (mirror.TotalCachedPages() > capacity) {
+        mirror.EvictLru(mirror.TotalCachedPages() - capacity);
+      }
+    }
+  }
+  EXPECT_EQ(decisions, static_cast<int64_t>(reqs.size()));
+}
+
 void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   g_current_seed = seed;
@@ -750,6 +802,9 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
   const obs::MetricsRegistry* reg = cluster.Telemetry();
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
+  if (cfg.policy == cluster::RouterPolicy::kPrefixAffinity) {
+    ExpectRouteDecisionsMatchReferenceMirrors(cfg, reqs, cluster.LastTrace());
+  }
 
   if (FailedPartCount() > failed_before) {
     DumpTrialTrace(cluster.LastTrace(), seed);
