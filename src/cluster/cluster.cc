@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/check.h"
 
@@ -135,9 +136,12 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
     pair_streams_.resize(prefill_n * (replicas_.size() - prefill_n));
   }
 
-  std::vector<Request> sorted(workload);
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Request& a, const Request& b) { return a.arrival_s < b.arrival_s; });
+  // Arrival order, by pointer: the prompts are copied once, into the engine.
+  std::vector<const Request*> sorted(workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) sorted[i] = &workload[i];
+  std::stable_sort(sorted.begin(), sorted.end(), [](const Request* a, const Request* b) {
+    return a->arrival_s < b->arrival_s;
+  });
 
   const int64_t cache_pages =
       cfg_.prefix_cache_pages > 0
@@ -190,7 +194,7 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
       e.b = routed.cached_prefix_len;
       router_events.push_back(e);
     }
-    rep.engine.Admit(routed);
+    rep.engine.Admit(std::move(routed));
     ++rep.requests;
   };
 
@@ -206,7 +210,7 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
   // progress and no engine is left blocked on the driver.
   const double inf = std::numeric_limits<double>::infinity();
   for (size_t k = 0;; ++k) {
-    const double t_arrival = k < sorted.size() ? sorted[k].arrival_s : inf;
+    const double t_arrival = k < sorted.size() ? sorted[k]->arrival_s : inf;
     while (cfg_.disaggregated) {
       ProcessMigrations();
       double t_prefill = inf;
@@ -218,7 +222,7 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
     }
     if (k == sorted.size()) break;
     for (auto& rep : replicas_) rep->engine.StepTo(t_arrival);
-    route_and_admit(sorted[k]);
+    route_and_admit(*sorted[k]);
   }
   // The prefill pool is fully drained (incl. retained fallbacks) by the final
   // fine-stepping loop; this Drain finishes every other replica's work.

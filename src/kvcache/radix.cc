@@ -23,81 +23,117 @@ void RadixTree::Touch(Node* n) {
   List(n);
 }
 
-RadixTree::MatchResult RadixTree::MatchPrefix(std::span<const int32_t> tokens) {
-  MatchResult result;
-  Node* node = &root_;
+int64_t RadixTree::RunMatch(const Node& n, std::span<const int32_t> tokens, int64_t p,
+                            int64_t full_pages) const {
+  const int64_t limit = std::min(static_cast<int64_t>(n.pages.size()), full_pages - p);
+  const int32_t* run = n.tokens.data();
+  const int32_t* prompt = tokens.data() + p * page_size_;
+  const int64_t equal =
+      std::mismatch(run + page_size_, run + limit * page_size_, prompt + page_size_).first - run;
+  return equal / page_size_;
+}
+
+RadixTree::Node* RadixTree::TouchPrefix(std::span<const int32_t> tokens, int64_t& pages,
+                                        std::vector<int64_t>* out) {
   const int64_t full_pages = static_cast<int64_t>(tokens.size()) / page_size_;
   ++clock_;
-  for (int64_t p = 0; p < full_pages; ++p) {
-    const auto it = node->children.find(PageChunk(tokens, p));
+  Node* node = &root_;
+  pages = 0;
+  while (pages < full_pages) {
+    const auto it = node->children.find(PageChunk(tokens, pages));
     if (it == node->children.end()) break;
-    node = it->second.get();
+    const int64_t m = RunMatch(*it->second, tokens, pages, full_pages);
+    const bool inside = m < static_cast<int64_t>(it->second->pages.size());
+    node = inside ? SplitAbove(it, m) : it->second.get();
     Touch(node);
-    result.pages.push_back(node->page);
-    result.matched_tokens += page_size_;
-    result.node_path.push_back(node);
+    if (out != nullptr) out->insert(out->end(), node->pages.begin(), node->pages.end());
+    pages += m;
+    if (inside) break;
   }
+  return node;
+}
+
+RadixTree::Node* RadixTree::SplitAbove(Children::iterator it, int64_t m) {
+  Node* lower = it->second.get();
+  auto upper = std::make_unique<Node>();
+  const auto cut = static_cast<std::ptrdiff_t>(m * page_size_);
+  // The upper node takes the run's buffers, so the parent's key keeps
+  // viewing live tokens; the lower node copies what is left.
+  upper->tokens = std::move(lower->tokens);
+  lower->tokens.assign(upper->tokens.begin() + cut, upper->tokens.end());
+  upper->tokens.resize(static_cast<size_t>(cut));
+  upper->pages = std::move(lower->pages);
+  lower->pages.assign(upper->pages.begin() + m, upper->pages.end());
+  upper->pages.resize(static_cast<size_t>(m));
+  // Every handle that pins the run pins its upper pages too.
+  upper->lock_count = lower->lock_count;
+  upper->last_access = lower->last_access;
+  upper->parent = lower->parent;
+  lower->parent = upper.get();
+  Node* node = upper.get();
+  std::swap(it->second, upper);  // The parent's entry now owns the new node.
+  node->children.emplace(Chunk(lower->tokens.data(), static_cast<size_t>(page_size_)),
+                         std::move(upper));
+  return node;
+}
+
+RadixTree::MatchResult RadixTree::MatchPrefix(std::span<const int32_t> tokens) {
+  MatchResult result;
+  int64_t pages = 0;
+  Node* node = TouchPrefix(tokens, pages, &result.pages);
+  result.matched_tokens = pages * page_size_;
+  if (node != &root_) result.node = node;
   return result;
 }
 
 int64_t RadixTree::PeekPrefixTokens(std::span<const int32_t> tokens) const {
   const Node* node = &root_;
   const int64_t full_pages = static_cast<int64_t>(tokens.size()) / page_size_;
-  int64_t matched = 0;
-  for (int64_t p = 0; p < full_pages; ++p) {
-    const auto it = node->children.find(PageChunk(tokens, p));
+  int64_t pages = 0;
+  while (pages < full_pages) {
+    const auto it = node->children.find(PageChunk(tokens, pages));
     if (it == node->children.end()) break;
     node = it->second.get();
-    matched += page_size_;
+    const int64_t m = RunMatch(*node, tokens, pages, full_pages);
+    pages += m;
+    if (m < static_cast<int64_t>(node->pages.size())) break;
   }
-  return matched;
+  return pages * page_size_;
 }
 
 int64_t RadixTree::Insert(std::span<const int32_t> tokens, std::span<const int64_t> pages) {
   const int64_t full_pages = static_cast<int64_t>(tokens.size()) / page_size_;
   FI_CHECK_LE(full_pages, static_cast<int64_t>(pages.size()));
-  Node* node = &root_;
-  ++clock_;
   int64_t p = 0;
-  for (; p < full_pages; ++p) {
-    const auto it = node->children.find(PageChunk(tokens, p));
-    if (it == node->children.end()) break;
-    node = it->second.get();
-    Touch(node);
-  }
+  Node* node = TouchPrefix(tokens, p, nullptr);
   const int64_t inserted = full_pages - p;
   if (inserted == 0) return 0;
   Unlist(node);  // Gains a child below, so it is no longer a leaf.
-  for (; p < full_pages; ++p) {
-    const Chunk chunk = PageChunk(tokens, p);
-    auto child = std::make_unique<Node>();
-    child->chunk.assign(chunk.begin(), chunk.end());
-    child->page = pages[static_cast<size_t>(p)];
-    child->parent = node;
-    child->last_access = clock_;
-    Node* next = child.get();
-    node->children.emplace(Chunk(next->chunk), std::move(child));
-    node = next;
-  }
-  List(node);  // Only the deepest new node is a leaf.
+  auto tail = std::make_unique<Node>();
+  tail->tokens.assign(tokens.begin() + p * page_size_, tokens.begin() + full_pages * page_size_);
+  tail->pages.assign(pages.begin() + p, pages.begin() + full_pages);
+  tail->parent = node;
+  tail->last_access = clock_;
+  Node* leaf = tail.get();
+  node->children.emplace(Chunk(leaf->tokens.data(), static_cast<size_t>(page_size_)),
+                         std::move(tail));
+  List(leaf);
   total_pages_ += inserted;
   return inserted;
 }
 
-void RadixTree::Lock(const std::vector<void*>& path) {
-  for (void* p : path) {
-    auto* node = static_cast<Node*>(p);
-    Unlist(node);
-    ++node->lock_count;
+void RadixTree::Lock(void* node) {
+  for (auto* n = static_cast<Node*>(node); n != nullptr && n != &root_; n = n->parent) {
+    Unlist(n);
+    ++n->lock_count;
   }
 }
 
-void RadixTree::Unlock(const std::vector<void*>& path) {
-  for (void* p : path) {
-    auto* node = static_cast<Node*>(p);
-    FI_CHECK_GT(node->lock_count, 0);
-    --node->lock_count;
-    List(node);
+void RadixTree::Unlock(void* node) {
+  for (auto* n = static_cast<Node*>(node); n != nullptr && n != &root_; n = n->parent) {
+    FI_CHECK_GT(n->lock_count, 0);
+    --n->lock_count;
+    List(n);
   }
 }
 
@@ -105,12 +141,20 @@ std::vector<int64_t> RadixTree::EvictLru(int64_t max_pages) {
   std::vector<int64_t> freed;
   while (static_cast<int64_t>(freed.size()) < max_pages && !lru_.empty()) {
     Node* victim = lru_.begin()->second;
+    // Tail-first: each page after the first is again the least leaf.
+    const int64_t run = static_cast<int64_t>(victim->pages.size());
+    const int64_t take = std::min(run, max_pages - static_cast<int64_t>(freed.size()));
+    freed.insert(freed.end(), victim->pages.rbegin(), victim->pages.rbegin() + take);
+    total_pages_ -= take;
+    if (take < run) {  // max_pages reached: the leaf keeps its upper pages.
+      victim->pages.resize(static_cast<size_t>(run - take));
+      victim->tokens.resize(static_cast<size_t>((run - take) * page_size_));
+      break;
+    }
     lru_.erase(lru_.begin());
-    freed.push_back(victim->page);
-    --total_pages_;
     Node* parent = victim->parent;
-    // Find first: the key views the chunk that the erase destroys.
-    parent->children.erase(parent->children.find(Chunk(victim->chunk)));
+    // Find first: the key views the run that the erase destroys.
+    parent->children.erase(parent->children.find(PageChunk(victim->tokens, 0)));
     List(parent);  // May have just become an evictable leaf.
   }
   return freed;

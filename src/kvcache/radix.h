@@ -3,21 +3,45 @@
 // Maps token-id prefixes to cached KV pages so that requests sharing a
 // prefix reuse pages instead of recomputing them, and so the serving engine
 // can discover shared-prefix groups for composable formats (Sec. 3.1.2).
-// Sharing granularity is one page: the tree stores one node per full page of
-// tokens. Nodes are reference-counted by in-flight requests.
+// Sharing granularity is one page: only full pages of tokens are cached.
+// Pages are reference-counted by in-flight requests.
+//
+// Run layout. The tree is path-compressed, as SGLang's RadixCache is: a node
+// holds a run of one or more pages (their tokens back to back, and their
+// page ids) that share one access stamp and one lock count, and a child is
+// keyed by the first page of its run. A walk compares the prompt against a
+// whole run at once; the keys view node-owned tokens, so a lookup by a span
+// of the prompt allocates nothing. Every page inside a run but the last has
+// exactly one child, the next page of the run.
+//
+// Split rule. When the range an operation touches (the path MatchPrefix or
+// Insert walks) ends inside a run, the run splits there: a new node takes
+// the upper pages and goes between the run and its parent; the existing
+// node keeps the lower pages, its children, its LRU entry, its stamp and
+// any lock handle that points at it. Only the upper node takes the
+// operation's fresh stamp, so pages with different stamps are never in one
+// run. Insert hangs the whole new tail as one node.
 //
 // Eviction is LRU over evictable leaves: non-root nodes with no children and
 // no lock. Every operation that changes the tree or its stamps keeps an index
 // of exactly those leaves, keyed by access stamp, so EvictLru pops the
-// minimum in O(log n) instead of walking the tree per page; when a victim's
-// parent becomes an evictable leaf it joins the index.
+// minimum in O(log n); when a victim's parent becomes an evictable leaf it
+// joins the index.
 //
-// Keying by stamp alone is exact. MatchPrefix and Insert give every node
-// they touch one fresh stamp, and all those nodes lie on one root path. Two
-// leaves are never ancestor and descendant, so no two leaves ever share a
-// stamp: the victim order is the strict stamp order, the same order the
-// earlier full-tree scan produced (its position tie-break could never fire).
-// The index checks this on every insertion.
+// Why this evicts exactly the pages a tree of one node per page would, in
+// the same order. MatchPrefix and Insert give every page they touch one
+// fresh stamp, and all those pages lie on one root path. Two leaves are
+// never ancestor and descendant, so no two leaves ever share a stamp and
+// the per-page victim order is the strict stamp order (the index checks
+// this on every insertion). EvictLru takes pages tail-first from the least
+// leaf run and stops mid-run once it has evicted `max_pages`: the run's
+// pages share its stamp, which no other leaf holds, so after each evicted
+// page the run's next page up is again the least leaf.
+//
+// Lock handle. MatchResult::node is the deepest matched node, or null when
+// nothing matched; Lock and Unlock walk from it to the root. A split never
+// invalidates a handle: the split node keeps its lower pages and the upper
+// pages move to the new node above it, so the walk covers the same pages.
 #pragma once
 
 #include <algorithm>
@@ -41,12 +65,13 @@ class RadixTree {
     std::vector<int64_t> pages;
     /// Matched token count (always a multiple of page_size).
     int64_t matched_tokens = 0;
-    /// Opaque handle for Lock/Unlock; empty when nothing matched.
-    std::vector<void*> node_path;
+    /// Opaque handle for Lock/Unlock: the deepest matched node; null when
+    /// nothing matched.
+    void* node = nullptr;
   };
 
   /// Finds the longest cached prefix of `tokens` (page-aligned) and bumps
-  /// the LRU stamp of every node on the path.
+  /// the LRU stamp of every page on the path.
   MatchResult MatchPrefix(std::span<const int32_t> tokens);
 
   /// Length of the longest cached prefix of `tokens` without touching LRU
@@ -60,12 +85,13 @@ class RadixTree {
   /// present pages are NOT adopted (caller keeps or frees its duplicates).
   int64_t Insert(std::span<const int32_t> tokens, std::span<const int64_t> pages);
 
-  /// Pins every node on `path` (from MatchPrefix/Insert) against eviction.
-  void Lock(const std::vector<void*>& path);
-  void Unlock(const std::vector<void*>& path);
+  /// Pins every page from the handle's node (MatchResult::node) up to the
+  /// root against eviction; a null handle pins nothing.
+  void Lock(void* node);
+  void Unlock(void* node);
 
-  /// Evicts up to `max_pages` unlocked LRU leaves; returns the freed pages
-  /// (caller releases them from the PagedKVCache).
+  /// Evicts up to `max_pages` unlocked LRU leaf pages; returns the freed
+  /// pages (caller releases them from the PagedKVCache).
   std::vector<int64_t> EvictLru(int64_t max_pages);
 
   int64_t TotalCachedPages() const noexcept { return total_pages_; }
@@ -77,20 +103,35 @@ class RadixTree {
       return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
     }
   };
+  struct Node;
+  // Each key views the first page of the run of the node its own entry
+  // owns. A run only shrinks in place or hands its buffer to the upper half
+  // of a split, so the viewed tokens never move.
+  using Children = std::map<Chunk, std::unique_ptr<Node>, ChunkLess>;
   struct Node {
-    std::vector<int32_t> chunk;  // Exactly page_size tokens.
-    int64_t page = -1;
+    std::vector<int32_t> tokens;  // pages.size() * page_size tokens.
+    std::vector<int64_t> pages;
     int lock_count = 0;
     uint64_t last_access = 0;
     Node* parent = nullptr;
-    // Each key views the chunk of the node its own entry owns, so lookups
-    // by a span of the prompt allocate nothing.
-    std::map<Chunk, std::unique_ptr<Node>, ChunkLess> children;
+    Children children;
   };
 
   Chunk PageChunk(std::span<const int32_t> tokens, int64_t p) const {
     return tokens.subspan(static_cast<size_t>(p * page_size_), static_cast<size_t>(page_size_));
   }
+  /// Pages of `n`'s run that equal the prompt's pages from page `p` on
+  /// (at least 1: the child key matched the first), capped at `full_pages`.
+  int64_t RunMatch(const Node& n, std::span<const int32_t> tokens, int64_t p,
+                   int64_t full_pages) const;
+  /// Stamps the longest cached prefix of `tokens` with a fresh clock,
+  /// splitting the run it ends inside. Returns the deepest touched node
+  /// (the root when nothing matched); `pages` is the matched page count.
+  /// Appends the matched page ids to `out` when it is not null.
+  Node* TouchPrefix(std::span<const int32_t> tokens, int64_t& pages, std::vector<int64_t>* out);
+  /// Moves the first `m` pages of the run `it` owns into a new node between
+  /// it and its parent; returns the new node.
+  Node* SplitAbove(Children::iterator it, int64_t m);
   bool Evictable(const Node* n) const {
     return n != &root_ && n->children.empty() && n->lock_count == 0;
   }

@@ -295,7 +295,7 @@ void ServingEngine::Reset() {
   }
 }
 
-void ServingEngine::Admit(const Request& r) {
+void ServingEngine::Admit(Request r) {
   FI_CHECK_GE(r.parallel_n, 1);
   // Keep the queue sorted by (arrival, id) so the admission loop below never
   // stalls behind a later arrival. The id tie-break makes simultaneous
@@ -306,7 +306,7 @@ void ServingEngine::Admit(const Request& r) {
       pending_.begin(), pending_.end(), r, [](const Request& a, const Request& b) {
         return a.arrival_s != b.arrival_s ? a.arrival_s < b.arrival_s : a.id < b.id;
       });
-  pending_.insert(it, r);
+  pending_.insert(it, std::move(r));
 }
 
 double ServingEngine::SwapGateEnd() const noexcept {
@@ -620,7 +620,7 @@ void ServingEngine::AdmitArrived() {
       TraceSpan(obs::TraceName::kReqQueued, r.arrival_s, now_s_, r.id);
       TraceInstant(obs::TraceName::kReqAdmit, r.id, new_tokens, need);
       PrefillProgress p;
-      p.req = r;
+      p.req = std::move(pending_.front());  // `r` is not read past here.
       p.to_compute = new_tokens;
       p.phase_start_s = now_s_;
       prefilling_.push_back(std::move(p));

@@ -276,7 +276,7 @@ class ServingEngine {
   /// admitted into a batch before its arrival time. Requests may be admitted
   /// in any order; the queue is kept sorted by (arrival, id), so even
   /// simultaneous arrivals schedule independently of the Admit() call order.
-  void Admit(const Request& r);
+  void Admit(Request r);
 
   /// Simulated time at which the next step would change state: while
   /// serialized swaps are in flight, the time they land; else the current

@@ -750,10 +750,10 @@ inline serving::AttnSimInput RandomAttnBatch(Rng& rng, const serving::AttnSimInp
 }
 
 // --------------------------------------------------------------------------
-// Reference prefix cache. RadixTree keeps an index of evictable leaves by
-// stamp; this is the tree it replaced, which finds each victim with a
-// full-tree scan (ties would go to the first leaf in reverse-lexicographic
-// preorder).
+// Reference prefix cache. RadixTree keeps runs of pages per node and an
+// index of evictable leaves by stamp; this is the tree it replaced, one node
+// per page, which finds each victim with a full-tree scan (ties would go to
+// the first leaf in reverse-lexicographic preorder).
 
 class ReferenceRadixTree {
  public:
@@ -773,7 +773,7 @@ class ReferenceRadixTree {
       node->last_access = clock_;
       result.pages.push_back(node->page);
       result.matched_tokens += page_size_;
-      result.node_path.push_back(node);
+      result.node = node;
     }
     return result;
   }
@@ -820,15 +820,17 @@ class ReferenceRadixTree {
     return inserted;
   }
 
-  void Lock(const std::vector<void*>& path) {
-    for (void* p : path) ++static_cast<Node*>(p)->lock_count;
+  // Locks every page node from the handle up to the root.
+  void Lock(void* node) {
+    for (auto* n = static_cast<Node*>(node); n != nullptr && n != &root_; n = n->parent) {
+      ++n->lock_count;
+    }
   }
 
-  void Unlock(const std::vector<void*>& path) {
-    for (void* p : path) {
-      auto* node = static_cast<Node*>(p);
-      FI_CHECK_GT(node->lock_count, 0);
-      --node->lock_count;
+  void Unlock(void* node) {
+    for (auto* n = static_cast<Node*>(node); n != nullptr && n != &root_; n = n->parent) {
+      FI_CHECK_GT(n->lock_count, 0);
+      --n->lock_count;
     }
   }
 
@@ -880,9 +882,12 @@ class ReferenceRadixTree {
 /// Runs `num_ops` seeded random prefix-cache operations through a RadixTree
 /// and the reference tree side by side: inserts, matches, peeks, locks and
 /// unlocks of matched paths, and evictions, over page sizes 1-4 and a tiny
-/// vocabulary so that prompts share prefixes and diverge. Empty when every
-/// result agreed; otherwise names the first operation that differed.
-inline std::string RadixOpsDiff(uint64_t seed, int num_ops) {
+/// vocabulary so that prompts share prefixes and diverge. Each prompt adds
+/// up to `extra_pages` pages (and a partial page) to a cut of an earlier
+/// one; long additions make multi-page runs, splits and partial evictions
+/// common. Empty when every result agreed; otherwise names the first
+/// operation that differed.
+inline std::string RadixOpsDiff(uint64_t seed, int num_ops, int extra_pages = 4) {
   Rng rng(seed);
   const int page = static_cast<int>(rng.UniformInt(1, 4));
   const int vocab = static_cast<int>(rng.UniformInt(2, 4));
@@ -890,7 +895,7 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops) {
   RadixTree tree(page);
   ReferenceRadixTree ref(page);
   std::vector<std::vector<int32_t>> prompts;
-  std::vector<std::pair<std::vector<void*>, std::vector<void*>>> held;  // Locked paths.
+  std::vector<std::pair<void*, void*>> held;  // Locked handles.
   int64_t next_page = 0;
 
   // Half the prompts extend a cut of an earlier prompt.
@@ -902,7 +907,7 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops) {
       t.assign(base.begin(),
                base.begin() + rng.UniformInt(0, static_cast<int64_t>(base.size())));
     }
-    const int64_t extra = rng.UniformInt(0, 4 * page + page - 1);
+    const int64_t extra = rng.UniformInt(0, extra_pages * page + page - 1);
     for (int64_t i = 0; i < extra; ++i) {
       t.push_back(static_cast<int32_t>(rng.UniformInt(0, vocab - 1)));
     }
@@ -915,7 +920,7 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops) {
     a = tree.MatchPrefix(t);
     b = ref.MatchPrefix(t);
     return a.pages == b.pages && a.matched_tokens == b.matched_tokens &&
-           a.node_path.size() == b.node_path.size();
+           (a.node == nullptr) == (b.node == nullptr);
   };
   auto evict = [&](int64_t k) { return tree.EvictLru(k) == ref.EvictLru(k); };
 
@@ -943,10 +948,10 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops) {
     } else if (u < 0.78) {
       RadixTree::MatchResult a, b;
       if (!match(random_prompt(), a, b)) return at + ": MatchPrefix (lock) differs";
-      if (!a.node_path.empty()) {
-        tree.Lock(a.node_path);
-        ref.Lock(b.node_path);
-        held.emplace_back(a.node_path, b.node_path);
+      if (a.node != nullptr) {
+        tree.Lock(a.node);
+        ref.Lock(b.node);
+        held.emplace_back(a.node, b.node);
       }
     } else if (u < 0.86) {
       if (!held.empty()) {
