@@ -3,6 +3,20 @@
 #include "util/check.h"
 
 namespace flashinfer {
+namespace {
+
+/// Whole pages at the front of `run` that equal the prompt's from page `p`
+/// on, the first of which is known to match: at least 1, at most the
+/// prompt's full pages from `p`.
+int64_t EqualPages(std::span<const int32_t> run, std::span<const int32_t> tokens, int64_t p,
+                   int page) {
+  const auto prompt = tokens.subspan(static_cast<size_t>(p * page));
+  const size_t len = std::min(run.size(), prompt.size() / page * page);
+  const auto equal = std::mismatch(run.begin() + page, run.begin() + len, prompt.begin() + page);
+  return (equal.first - run.begin()) / page;
+}
+
+}  // namespace
 
 RadixTree::RadixTree(int page_size) : page_size_(page_size) {
   FI_CHECK_GE(page_size, 1);
@@ -23,31 +37,21 @@ void RadixTree::Touch(Node* n) {
   List(n);
 }
 
-int64_t RadixTree::RunMatch(const Node& n, std::span<const int32_t> tokens, int64_t p,
-                            int64_t full_pages) const {
-  const int64_t limit = std::min(static_cast<int64_t>(n.pages.size()), full_pages - p);
-  const int32_t* run = n.tokens.data();
-  const int32_t* prompt = tokens.data() + p * page_size_;
-  const int64_t equal =
-      std::mismatch(run + page_size_, run + limit * page_size_, prompt + page_size_).first - run;
-  return equal / page_size_;
-}
-
-RadixTree::Node* RadixTree::TouchPrefix(std::span<const int32_t> tokens, int64_t& pages,
+RadixTree::Node* RadixTree::TouchPrefix(std::span<const int32_t> tokens, int64_t& matched,
                                         std::vector<int64_t>* out) {
   const int64_t full_pages = static_cast<int64_t>(tokens.size()) / page_size_;
   ++clock_;
   Node* node = &root_;
-  pages = 0;
-  while (pages < full_pages) {
-    const auto it = node->children.find(PageChunk(tokens, pages));
+  matched = 0;
+  while (matched < full_pages) {
+    const auto it = node->children.find(PageChunk(tokens, matched));
     if (it == node->children.end()) break;
-    const int64_t m = RunMatch(*it->second, tokens, pages, full_pages);
+    const int64_t m = EqualPages(it->second->tokens, tokens, matched, page_size_);
     const bool inside = m < static_cast<int64_t>(it->second->pages.size());
     node = inside ? SplitAbove(it, m) : it->second.get();
     Touch(node);
     if (out != nullptr) out->insert(out->end(), node->pages.begin(), node->pages.end());
-    pages += m;
+    matched += m;
     if (inside) break;
   }
   return node;
@@ -79,9 +83,9 @@ RadixTree::Node* RadixTree::SplitAbove(Children::iterator it, int64_t m) {
 
 RadixTree::MatchResult RadixTree::MatchPrefix(std::span<const int32_t> tokens) {
   MatchResult result;
-  int64_t pages = 0;
-  Node* node = TouchPrefix(tokens, pages, &result.pages);
-  result.matched_tokens = pages * page_size_;
+  int64_t matched = 0;
+  Node* node = TouchPrefix(tokens, matched, &result.pages);
+  result.matched_tokens = matched * page_size_;
   if (node != &root_) result.node = node;
   return result;
 }
@@ -94,7 +98,7 @@ int64_t RadixTree::PeekPrefixTokens(std::span<const int32_t> tokens) const {
     const auto it = node->children.find(PageChunk(tokens, pages));
     if (it == node->children.end()) break;
     node = it->second.get();
-    const int64_t m = RunMatch(*node, tokens, pages, full_pages);
+    const int64_t m = EqualPages(node->tokens, tokens, pages, page_size_);
     pages += m;
     if (m < static_cast<int64_t>(node->pages.size())) break;
   }
@@ -104,7 +108,7 @@ int64_t RadixTree::PeekPrefixTokens(std::span<const int32_t> tokens) const {
 int64_t RadixTree::Insert(std::span<const int32_t> tokens, std::span<const int64_t> pages) {
   const int64_t full_pages = static_cast<int64_t>(tokens.size()) / page_size_;
   FI_CHECK_LE(full_pages, static_cast<int64_t>(pages.size()));
-  int64_t p = 0;
+  int64_t p = 0;  // Pages already cached.
   Node* node = TouchPrefix(tokens, p, nullptr);
   const int64_t inserted = full_pages - p;
   if (inserted == 0) return 0;

@@ -120,15 +120,11 @@ class RadixTree {
   Chunk PageChunk(std::span<const int32_t> tokens, int64_t p) const {
     return tokens.subspan(static_cast<size_t>(p * page_size_), static_cast<size_t>(page_size_));
   }
-  /// Pages of `n`'s run that equal the prompt's pages from page `p` on
-  /// (at least 1: the child key matched the first), capped at `full_pages`.
-  int64_t RunMatch(const Node& n, std::span<const int32_t> tokens, int64_t p,
-                   int64_t full_pages) const;
   /// Stamps the longest cached prefix of `tokens` with a fresh clock,
   /// splitting the run it ends inside. Returns the deepest touched node
-  /// (the root when nothing matched); `pages` is the matched page count.
-  /// Appends the matched page ids to `out` when it is not null.
-  Node* TouchPrefix(std::span<const int32_t> tokens, int64_t& pages, std::vector<int64_t>* out);
+  /// (the root when nothing matched) and sets `matched` to its page count;
+  /// appends the matched page ids to `out` when it is not null.
+  Node* TouchPrefix(std::span<const int32_t> tokens, int64_t& matched, std::vector<int64_t>* out);
   /// Moves the first `m` pages of the run `it` owns into a new node between
   /// it and its parent; returns the new node.
   Node* SplitAbove(Children::iterator it, int64_t m);
