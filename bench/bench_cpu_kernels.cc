@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -514,6 +515,63 @@ void BM_RadixInsertEvict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kTailPages));
 }
 BENCHMARK(BM_RadixInsertEvict)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
+
+void BM_RadixRouteMix(benchmark::State& state) {
+  // fi_bench's tenant_prefix routing: four prefix mirrors, each holding an
+  // eighth of a replica's KV budget in pages, over prompts from 1,024 Zipf
+  // 1.0 tenants. One iteration routes one request: it peeks every mirror,
+  // then matches, inserts and evicts back to capacity on the mirror with
+  // the longest cached prefix (ties rotate with the request).
+  serving::EngineConfig cfg;
+  cfg.model = serving::Llama31_8B();
+  cfg.device = gpusim::H100Sxm80GB();
+  cfg.backend = serving::FlashInferBackend();
+  const int page = cfg.page_size;
+  const int64_t capacity = serving::ServingEngine(cfg).KvTokenBudget() / page / 8;
+  serving::TenantPoolConfig pool;
+  pool.num_tenants = 1024;
+  pool.zipf_s = 1.0;
+  Rng rng(17);
+  const auto requests = serving::MultiTenantWorkload(rng, 2048, 300.0, pool);
+  constexpr size_t kMirrors = 4;
+  std::deque<RadixTree> mirrors;  // A tree never moves.
+  for (size_t i = 0; i < kMirrors; ++i) mirrors.emplace_back(page);
+  std::vector<int64_t> next_page(kMirrors, 0);
+  std::vector<int64_t> pages;
+  size_t routed = 0;
+  auto route = [&] {
+    const auto& prompt = requests[routed % requests.size()].prompt_tokens;
+    size_t target = 0;
+    int64_t longest = -1;
+    for (size_t k = 0; k < kMirrors; ++k) {
+      const size_t i = (routed + k) % kMirrors;
+      const int64_t matched = mirrors[i].PeekPrefixTokens(prompt);
+      if (matched > longest) {
+        target = i;
+        longest = matched;
+      }
+    }
+    ++routed;
+    RadixTree& tree = mirrors[target];
+    benchmark::DoNotOptimize(tree.MatchPrefix(prompt).matched_tokens);
+    pages.resize(prompt.size() / static_cast<size_t>(page));
+    std::iota(pages.begin(), pages.end(), next_page[target]);
+    next_page[target] += static_cast<int64_t>(pages.size());
+    tree.Insert(prompt, pages);
+    if (tree.TotalCachedPages() > capacity) {
+      benchmark::DoNotOptimize(tree.EvictLru(tree.TotalCachedPages() - capacity).data());
+    }
+  };
+  // Start with every mirror full, as tenant_prefix runs most of its time.
+  while (std::any_of(mirrors.begin(), mirrors.end(), [&](const RadixTree& t) {
+    return t.TotalCachedPages() < capacity;
+  })) {
+    route();
+  }
+  for (auto _ : state) route();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RadixRouteMix);
 
 }  // namespace
 }  // namespace flashinfer
