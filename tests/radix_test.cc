@@ -121,6 +121,51 @@ TEST(Radix, MatchesScanningReferenceOnLongPrompts) {
   }
 }
 
+// Drives two trees with one seeded prompt stream, as the cluster driver
+// updates the mirror it routes to: one matches, inserts and evicts back to
+// capacity; the other only inserts and evicts, reading the cached prefix off
+// Insert's return. Empty when every prefix and freed page agreed; otherwise
+// names the first prompt that differed.
+std::string InsertAloneDiff(uint64_t seed, int num_prompts, int extra_pages) {
+  Rng rng(seed);
+  const int page = static_cast<int>(rng.UniformInt(1, 4));
+  const int vocab = static_cast<int>(rng.UniformInt(2, 4));
+  const int64_t cap = rng.UniformInt(4, 48);
+  test::RadixPromptStream prompts(rng, page, vocab, extra_pages);
+  RadixTree matched(page);
+  RadixTree inserted(page);
+  int64_t next_page = 0;
+  auto evict = [&](int64_t k) { return matched.EvictLru(k) == inserted.EvictLru(k); };
+  for (int i = 0; i < num_prompts; ++i) {
+    const std::string at = "seed " + std::to_string(seed) + " prompt " + std::to_string(i);
+    const auto t = prompts.Next();
+    const int64_t full_pages = static_cast<int64_t>(t.size()) / page;
+    std::vector<int64_t> pages(static_cast<size_t>(full_pages));
+    std::iota(pages.begin(), pages.end(), next_page);
+    next_page += full_pages;
+    const int64_t expected = matched.MatchPrefix(t).matched_tokens;
+    const int64_t added = matched.Insert(t, pages);
+    if (inserted.Insert(t, pages) != added) return at + ": Insert count differs";
+    if ((full_pages - added) * page != expected) return at + ": cached prefix differs";
+    if (matched.TotalCachedPages() > cap && !evict(matched.TotalCachedPages() - cap)) {
+      return at + ": capacity EvictLru differs";
+    }
+    if (matched.TotalCachedPages() != inserted.TotalCachedPages()) {
+      return at + ": TotalCachedPages differs";
+    }
+  }
+  if (!evict(INT64_MAX) || inserted.TotalCachedPages() != 0) {
+    return "seed " + std::to_string(seed) + ": final drain differs";
+  }
+  return {};
+}
+
+TEST(Radix, InsertAloneRoutesAndEvictsLikeMatchThenInsert) {
+  // RadixOpsDiff's short and long prompt shapes.
+  for (uint64_t seed = 0; seed < 1000; ++seed) ASSERT_EQ(InsertAloneDiff(seed, 200, 4), "");
+  for (uint64_t seed = 0; seed < 200; ++seed) ASSERT_EQ(InsertAloneDiff(seed, 200, 16), "");
+}
+
 // A RadixTree and the page-per-node reference, driven by the same calls;
 // every result must agree.
 struct TreeAndReference {

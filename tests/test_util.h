@@ -879,14 +879,45 @@ class ReferenceRadixTree {
   Node root_;
 };
 
+/// Seeded prompts for prefix-cache tests over a tiny vocabulary, so that
+/// prompts share prefixes and diverge: half extend a cut of one of the last
+/// 16 prompts, and each adds up to `extra_pages` pages (and a partial page);
+/// long additions make multi-page runs, splits and partial evictions common.
+class RadixPromptStream {
+ public:
+  RadixPromptStream(Rng& rng, int page, int vocab, int extra_pages)
+      : rng_(rng), page_(page), vocab_(vocab), extra_pages_(extra_pages) {}
+
+  std::vector<int32_t> Next() {
+    std::vector<int32_t> t;
+    if (!prompts_.empty() && rng_.NextDouble() < 0.5) {
+      const auto& base = prompts_[static_cast<size_t>(
+          rng_.UniformInt(0, static_cast<int64_t>(prompts_.size()) - 1))];
+      t.assign(base.begin(),
+               base.begin() + rng_.UniformInt(0, static_cast<int64_t>(base.size())));
+    }
+    const int64_t extra = rng_.UniformInt(0, extra_pages_ * page_ + page_ - 1);
+    for (int64_t i = 0; i < extra; ++i) {
+      t.push_back(static_cast<int32_t>(rng_.UniformInt(0, vocab_ - 1)));
+    }
+    prompts_.push_back(t);
+    if (prompts_.size() > 16) prompts_.erase(prompts_.begin());
+    return t;
+  }
+
+ private:
+  Rng& rng_;
+  int page_;
+  int vocab_;
+  int extra_pages_;
+  std::vector<std::vector<int32_t>> prompts_;
+};
+
 /// Runs `num_ops` seeded random prefix-cache operations through a RadixTree
 /// and the reference tree side by side: inserts, matches, peeks, locks and
-/// unlocks of matched paths, and evictions, over page sizes 1-4 and a tiny
-/// vocabulary so that prompts share prefixes and diverge. Each prompt adds
-/// up to `extra_pages` pages (and a partial page) to a cut of an earlier
-/// one; long additions make multi-page runs, splits and partial evictions
-/// common. Empty when every result agreed; otherwise names the first
-/// operation that differed.
+/// unlocks of matched paths, and evictions, over page sizes 1-4 and
+/// RadixPromptStream's prompts. Empty when every result agreed; otherwise
+/// names the first operation that differed.
 inline std::string RadixOpsDiff(uint64_t seed, int num_ops, int extra_pages = 4) {
   Rng rng(seed);
   const int page = static_cast<int>(rng.UniformInt(1, 4));
@@ -894,27 +925,11 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops, int extra_pages = 4)
   const int64_t cap = rng.UniformInt(4, 48);
   RadixTree tree(page);
   ReferenceRadixTree ref(page);
-  std::vector<std::vector<int32_t>> prompts;
+  RadixPromptStream prompts(rng, page, vocab, extra_pages);
   std::vector<std::pair<void*, void*>> held;  // Locked handles.
   int64_t next_page = 0;
 
-  // Half the prompts extend a cut of an earlier prompt.
-  auto random_prompt = [&] {
-    std::vector<int32_t> t;
-    if (!prompts.empty() && rng.NextDouble() < 0.5) {
-      const auto& base = prompts[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(prompts.size()) - 1))];
-      t.assign(base.begin(),
-               base.begin() + rng.UniformInt(0, static_cast<int64_t>(base.size())));
-    }
-    const int64_t extra = rng.UniformInt(0, extra_pages * page + page - 1);
-    for (int64_t i = 0; i < extra; ++i) {
-      t.push_back(static_cast<int32_t>(rng.UniformInt(0, vocab - 1)));
-    }
-    prompts.push_back(t);
-    if (prompts.size() > 16) prompts.erase(prompts.begin());
-    return t;
-  };
+  auto random_prompt = [&] { return prompts.Next(); };
   auto match = [&](const std::vector<int32_t>& t, RadixTree::MatchResult& a,
                    RadixTree::MatchResult& b) {
     a = tree.MatchPrefix(t);
