@@ -519,9 +519,10 @@ BENCHMARK(BM_RadixInsertEvict)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
 void BM_RadixRouteMix(benchmark::State& state) {
   // fi_bench's tenant_prefix routing: four prefix mirrors, each holding an
   // eighth of a replica's KV budget in pages, over prompts from 1,024 Zipf
-  // 1.0 tenants. One iteration routes one request: it peeks every mirror,
-  // then matches, inserts and evicts back to capacity on the mirror with
-  // the longest cached prefix (ties rotate with the request).
+  // 1.0 tenants. One iteration routes one request as the cluster driver
+  // does: it peeks every mirror, then on the mirror with the longest cached
+  // prefix (ties rotate with the request) inserts the prompt, reading the
+  // cached prefix off the return, and evicts back to capacity.
   serving::EngineConfig cfg;
   cfg.model = serving::Llama31_8B();
   cfg.device = gpusim::H100Sxm80GB();
@@ -536,8 +537,7 @@ void BM_RadixRouteMix(benchmark::State& state) {
   constexpr size_t kMirrors = 4;
   std::deque<RadixTree> mirrors;  // A tree never moves.
   for (size_t i = 0; i < kMirrors; ++i) mirrors.emplace_back(page);
-  std::vector<int64_t> next_page(kMirrors, 0);
-  std::vector<int64_t> pages;
+  std::vector<int64_t> no_page_ids;  // The mirrors never read page ids.
   size_t routed = 0;
   auto route = [&] {
     const auto& prompt = requests[routed % requests.size()].prompt_tokens;
@@ -553,11 +553,9 @@ void BM_RadixRouteMix(benchmark::State& state) {
     }
     ++routed;
     RadixTree& tree = mirrors[target];
-    benchmark::DoNotOptimize(tree.MatchPrefix(prompt).matched_tokens);
-    pages.resize(prompt.size() / static_cast<size_t>(page));
-    std::iota(pages.begin(), pages.end(), next_page[target]);
-    next_page[target] += static_cast<int64_t>(pages.size());
-    tree.Insert(prompt, pages);
+    const size_t full_pages = prompt.size() / static_cast<size_t>(page);
+    no_page_ids.resize(std::max(no_page_ids.size(), full_pages));
+    benchmark::DoNotOptimize(static_cast<int64_t>(full_pages) - tree.Insert(prompt, no_page_ids));
     if (tree.TotalCachedPages() > capacity) {
       benchmark::DoNotOptimize(tree.EvictLru(tree.TotalCachedPages() - capacity).data());
     }

@@ -52,7 +52,6 @@ struct ClusterEngine::Replica {
 
   ServingEngine engine;
   RadixTree prefix_cache;  // Router-side mirror keyed by prompt token ids.
-  int64_t next_page = 0;   // Synthetic page ids for the mirror.
   int64_t requests = 0;
 };
 
@@ -153,6 +152,9 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
   int64_t total_prompt_tokens = 0;
   const bool tracing = cfg_.engine.trace.enabled;
   std::vector<obs::TraceEvent> router_events;
+  // The mirrors never read page ids: one placeholder buffer backs every
+  // Insert.
+  std::vector<int64_t> no_page_ids;
 
   // Routes `r` to one of the first `prefill_n` replicas, applies the
   // prefix-cache mirror, and admits. Caller has already advanced every
@@ -168,19 +170,16 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
 
     Request routed = r;
     if (!routed.prompt_tokens.empty()) {
-      auto match = rep.prefix_cache.MatchPrefix(routed.prompt_tokens);
-      routed.cached_prefix_len = match.matched_tokens;
-      matched_prompt_tokens += match.matched_tokens;
-      total_prompt_tokens += routed.input_len;
-
-      // Mirror the prompt into the replica's cache (synthetic page ids; the
-      // tree only adopts pages beyond the already-cached path).
+      // One walk mirrors the prompt into the replica's cache; the pages it
+      // did not add are the cached prefix (Insert stamps and splits the path
+      // a MatchPrefix would).
       const int64_t full_pages =
           static_cast<int64_t>(routed.prompt_tokens.size()) / cfg_.engine.page_size;
-      std::vector<int64_t> pages(static_cast<size_t>(full_pages));
-      std::iota(pages.begin(), pages.end(), rep.next_page);
-      rep.next_page += full_pages;
-      rep.prefix_cache.Insert(routed.prompt_tokens, pages);
+      no_page_ids.resize(std::max(no_page_ids.size(), static_cast<size_t>(full_pages)));
+      const int64_t added = rep.prefix_cache.Insert(routed.prompt_tokens, no_page_ids);
+      routed.cached_prefix_len = (full_pages - added) * cfg_.engine.page_size;
+      matched_prompt_tokens += routed.cached_prefix_len;
+      total_prompt_tokens += routed.input_len;
       if (cache_pages > 0 && rep.prefix_cache.TotalCachedPages() > cache_pages) {
         rep.prefix_cache.EvictLru(rep.prefix_cache.TotalCachedPages() - cache_pages);
       }

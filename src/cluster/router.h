@@ -55,8 +55,9 @@ struct ReplicaView {
   int64_t kv_tokens_in_use = 0;
   int64_t kv_token_budget = 0;
   /// Router-side mirror of the replica's prefix cache (may be null). Routers
-  /// only peek (PeekPrefixTokens); the cluster driver performs the real
-  /// LRU-bumping MatchPrefix on the replica that wins the request.
+  /// only peek (PeekPrefixTokens); the cluster driver's Insert of the prompt,
+  /// which LRU-bumps the matched path, goes to the replica that wins the
+  /// request.
   const RadixTree* prefix_cache = nullptr;
 
   int64_t LoadTokens() const noexcept { return queued_tokens + running_tokens; }

@@ -69,8 +69,6 @@ RadixTree::Node* RadixTree::SplitAbove(Children::iterator it, int64_t m) {
   upper->pages = std::move(lower->pages);
   lower->pages.assign(upper->pages.begin() + m, upper->pages.end());
   upper->pages.resize(static_cast<size_t>(m));
-  // Every handle that pins the run pins its upper pages too.
-  upper->lock_count = lower->lock_count;
   upper->last_access = lower->last_access;
   upper->parent = lower->parent;
   lower->parent = upper.get();
@@ -84,9 +82,8 @@ RadixTree::Node* RadixTree::SplitAbove(Children::iterator it, int64_t m) {
 RadixTree::MatchResult RadixTree::MatchPrefix(std::span<const int32_t> tokens) {
   MatchResult result;
   int64_t matched = 0;
-  Node* node = TouchPrefix(tokens, matched, &result.pages);
+  TouchPrefix(tokens, matched, &result.pages);
   result.matched_tokens = matched * page_size_;
-  if (node != &root_) result.node = node;
   return result;
 }
 
@@ -124,21 +121,6 @@ int64_t RadixTree::Insert(std::span<const int32_t> tokens, std::span<const int64
   List(leaf);
   total_pages_ += inserted;
   return inserted;
-}
-
-void RadixTree::Lock(void* node) {
-  for (auto* n = static_cast<Node*>(node); n != nullptr && n != &root_; n = n->parent) {
-    Unlist(n);
-    ++n->lock_count;
-  }
-}
-
-void RadixTree::Unlock(void* node) {
-  for (auto* n = static_cast<Node*>(node); n != nullptr && n != &root_; n = n->parent) {
-    FI_CHECK_GT(n->lock_count, 0);
-    --n->lock_count;
-    List(n);
-  }
 }
 
 std::vector<int64_t> RadixTree::EvictLru(int64_t max_pages) {

@@ -4,29 +4,31 @@
 // prefix reuse pages instead of recomputing them, and so the serving engine
 // can discover shared-prefix groups for composable formats (Sec. 3.1.2).
 // Sharing granularity is one page: only full pages of tokens are cached.
-// Pages are reference-counted by in-flight requests.
+// The tree takes no locks. Pages are reference-counted in PagedKVCache: the
+// tree's owner holds one reference per cached page and each request that
+// adopts a cached prefix holds its own, so evicting a page releases only the
+// tree's reference and a page a request still reads stays live.
 //
 // Run layout. The tree is path-compressed, as SGLang's RadixCache is: a node
 // holds a run of one or more pages (their tokens back to back, and their
-// page ids) that share one access stamp and one lock count, and a child is
-// keyed by the first page of its run. A walk compares the prompt against a
-// whole run at once; the keys view node-owned tokens, so a lookup by a span
-// of the prompt allocates nothing. Every page inside a run but the last has
-// exactly one child, the next page of the run.
+// page ids) that share one access stamp, and a child is keyed by the first
+// page of its run. A walk compares the prompt against a whole run at once;
+// the keys view node-owned tokens, so a lookup by a span of the prompt
+// allocates nothing. Every page inside a run but the last has exactly one
+// child, the next page of the run.
 //
 // Split rule. When the range an operation touches (the path MatchPrefix or
 // Insert walks) ends inside a run, the run splits there: a new node takes
 // the upper pages and goes between the run and its parent; the existing
-// node keeps the lower pages, its children, its LRU entry, its stamp and
-// any lock handle that points at it. Only the upper node takes the
-// operation's fresh stamp, so pages with different stamps are never in one
-// run. Insert hangs the whole new tail as one node.
+// node keeps the lower pages, its children, its LRU entry and its stamp.
+// Only the upper node takes the operation's fresh stamp, so pages with
+// different stamps are never in one run. Insert hangs the whole new tail as
+// one node.
 //
-// Eviction is LRU over evictable leaves: non-root nodes with no children and
-// no lock. Every operation that changes the tree or its stamps keeps an index
-// of exactly those leaves, keyed by access stamp, so EvictLru pops the
-// minimum in O(log n); when a victim's parent becomes an evictable leaf it
-// joins the index.
+// Eviction is LRU over evictable leaves: non-root nodes with no children.
+// Every operation that changes the tree or its stamps keeps an index of
+// exactly those leaves, keyed by access stamp, so EvictLru pops the minimum
+// in O(log n); when a victim's parent becomes a leaf it joins the index.
 //
 // Why this evicts exactly the pages a tree of one node per page would, in
 // the same order. MatchPrefix and Insert give every page they touch one
@@ -38,10 +40,9 @@
 // pages share its stamp, which no other leaf holds, so after each evicted
 // page the run's next page up is again the least leaf.
 //
-// Lock handle. MatchResult::node is the deepest matched node, or null when
-// nothing matched; Lock and Unlock walk from it to the root. A split never
-// invalidates a handle: the split node keeps its lower pages and the upper
-// pages move to the new node above it, so the walk covers the same pages.
+// Insert stamps and splits the same path MatchPrefix does, so a caller that
+// mirrors every prompt (the cluster router) reads the cached prefix off
+// Insert's return, (full pages - inserted) * page_size, in one walk.
 #pragma once
 
 #include <algorithm>
@@ -65,9 +66,6 @@ class RadixTree {
     std::vector<int64_t> pages;
     /// Matched token count (always a multiple of page_size).
     int64_t matched_tokens = 0;
-    /// Opaque handle for Lock/Unlock: the deepest matched node; null when
-    /// nothing matched.
-    void* node = nullptr;
   };
 
   /// Finds the longest cached prefix of `tokens` (page-aligned) and bumps
@@ -85,13 +83,8 @@ class RadixTree {
   /// present pages are NOT adopted (caller keeps or frees its duplicates).
   int64_t Insert(std::span<const int32_t> tokens, std::span<const int64_t> pages);
 
-  /// Pins every page from the handle's node (MatchResult::node) up to the
-  /// root against eviction; a null handle pins nothing.
-  void Lock(void* node);
-  void Unlock(void* node);
-
-  /// Evicts up to `max_pages` unlocked LRU leaf pages; returns the freed
-  /// pages (caller releases them from the PagedKVCache).
+  /// Evicts up to `max_pages` LRU leaf pages; returns the freed pages
+  /// (caller releases them from the PagedKVCache).
   std::vector<int64_t> EvictLru(int64_t max_pages);
 
   int64_t TotalCachedPages() const noexcept { return total_pages_; }
@@ -111,7 +104,6 @@ class RadixTree {
   struct Node {
     std::vector<int32_t> tokens;  // pages.size() * page_size tokens.
     std::vector<int64_t> pages;
-    int lock_count = 0;
     uint64_t last_access = 0;
     Node* parent = nullptr;
     Children children;
@@ -128,11 +120,9 @@ class RadixTree {
   /// Moves the first `m` pages of the run `it` owns into a new node between
   /// it and its parent; returns the new node.
   Node* SplitAbove(Children::iterator it, int64_t m);
-  bool Evictable(const Node* n) const {
-    return n != &root_ && n->children.empty() && n->lock_count == 0;
-  }
+  bool Evictable(const Node* n) const { return n != &root_ && n->children.empty(); }
   // lru_ holds exactly the evictable nodes, keyed by stamp. Call Unlist
-  // before a change to a node's children, lock or stamp, and List after.
+  // before a change to a node's children or stamp, and List after.
   void Unlist(Node* n);
   void List(Node* n);
   void Touch(Node* n);

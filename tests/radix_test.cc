@@ -70,16 +70,6 @@ TEST(Radix, EvictLruFreesLeafFirst) {
   EXPECT_EQ(tree.TotalCachedPages(), 0);
 }
 
-TEST(Radix, LockPreventsEviction) {
-  RadixTree tree(2);
-  tree.Insert(Tokens({1, 2, 3, 4}), std::vector<int64_t>{1, 2});
-  auto m = tree.MatchPrefix(Tokens({1, 2, 3, 4}));
-  tree.Lock(m.node);
-  EXPECT_TRUE(tree.EvictLru(10).empty());
-  tree.Unlock(m.node);
-  EXPECT_EQ(tree.EvictLru(10).size(), 2u);
-}
-
 TEST(Radix, ParentBecomesLruLeafAfterChildEvicted) {
   RadixTree tree(2);
   tree.Insert(Tokens({1, 2, 3, 4}), std::vector<int64_t>{1, 2});
@@ -88,20 +78,6 @@ TEST(Radix, ParentBecomesLruLeafAfterChildEvicted) {
   // child is gone — within the same call.
   EXPECT_EQ(tree.EvictLru(3), (std::vector<int64_t>{2, 1, 3}));
   EXPECT_EQ(tree.TotalCachedPages(), 0);
-}
-
-TEST(Radix, UnlockMakesOldLeafEvictableAgain) {
-  RadixTree tree(2);
-  tree.Insert(Tokens({1, 2}), std::vector<int64_t>{1});
-  const auto m = tree.MatchPrefix(Tokens({1, 2}));
-  tree.Lock(m.node);
-  tree.Insert(Tokens({3, 4}), std::vector<int64_t>{2});
-  tree.Insert(Tokens({5, 6}), std::vector<int64_t>{3});
-  EXPECT_EQ(tree.EvictLru(1), (std::vector<int64_t>{2}));  // {1,2} is pinned.
-  tree.Unlock(m.node);
-  // Unpinned, {1,2} keeps its stamp from the match and is older than {5,6}.
-  EXPECT_EQ(tree.EvictLru(1), (std::vector<int64_t>{1}));
-  EXPECT_EQ(tree.EvictLru(1), (std::vector<int64_t>{3}));
 }
 
 TEST(Radix, MatchesScanningReferenceOnRandomOps) {
@@ -178,19 +154,12 @@ struct TreeAndReference {
     EXPECT_EQ(inserted, ref.Insert(t, pages));
     return inserted;
   }
-  // Returns the matched pages; `locked` (when given) takes both handles.
-  std::vector<int64_t> Match(const std::vector<int32_t>& t,
-                             std::pair<void*, void*>* locked = nullptr) {
+  // Returns the matched pages.
+  std::vector<int64_t> Match(const std::vector<int32_t>& t) {
     const auto a = tree.MatchPrefix(t);
     const auto b = ref.MatchPrefix(t);
     EXPECT_EQ(a.pages, b.pages);
     EXPECT_EQ(a.matched_tokens, b.matched_tokens);
-    EXPECT_EQ(a.node == nullptr, b.node == nullptr);
-    if (locked != nullptr) {
-      tree.Lock(a.node);
-      ref.Lock(b.node);
-      *locked = {a.node, b.node};
-    }
     return a.pages;
   }
   std::vector<int64_t> Evict(int64_t max_pages) {
@@ -205,22 +174,18 @@ struct TreeAndReference {
   test::ReferenceRadixTree ref;
 };
 
-TEST(Radix, LockedRunSplitAboveByDivergingInsert) {
+TEST(Radix, RunSplitAboveByDivergingInsert) {
   TreeAndReference t(2);
   t.Insert(Tokens({1, 2, 3, 4, 5, 6, 7, 8}), 0);  // One run of pages 0-3.
-  std::pair<void*, void*> held;
-  EXPECT_EQ(t.Match(Tokens({1, 2, 3, 4, 5, 6, 7, 8}), &held),
-            (std::vector<int64_t>{0, 1, 2, 3}));
-  // Diverges after two pages: pages 0-1 move to a new node above the locked
-  // one, which keeps pages 2-3 and the handle.
+  EXPECT_EQ(t.Match(Tokens({1, 2, 3, 4, 5, 6, 7, 8})), (std::vector<int64_t>{0, 1, 2, 3}));
+  // Diverges after two pages: pages 0-1 move to a new node above the run,
+  // which keeps pages 2-3.
   EXPECT_EQ(t.Insert(Tokens({1, 2, 3, 4, 9, 9}), 10), 1);
   t.Insert(Tokens({7, 7}), 20);
-  EXPECT_EQ(t.Evict(1), (std::vector<int64_t>{12}));  // Pages 0-3 stay pinned.
-  t.tree.Unlock(held.first);
-  t.ref.Unlock(held.second);
-  // Pages 2-3 kept the locking match's stamp, the oldest; pages 0-1 took the
-  // diverging insert's, older than page 20's.
-  EXPECT_EQ(t.Evict(INT64_MAX), (std::vector<int64_t>{3, 2, 1, 0, 20}));
+  // Pages 2-3 kept the match's stamp, the oldest; pages 0-1 took the
+  // diverging insert's, as its new page 12 did, older than page 20's.
+  EXPECT_EQ(t.Evict(2), (std::vector<int64_t>{3, 2}));
+  EXPECT_EQ(t.Evict(INT64_MAX), (std::vector<int64_t>{12, 1, 0, 20}));
 }
 
 TEST(Radix, EvictionStopsInsideARun) {

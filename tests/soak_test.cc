@@ -42,8 +42,9 @@
 //  12. on prefix-affinity cluster trials, replaying the router track's
 //      kRouteDecision events in order through one scanning reference tree
 //      per replica (MatchPrefix, Insert of the prompt's full pages, EvictLru
-//      back to the mirror capacity, as ClusterEngine::Run does) matches
-//      each decision's recorded prefix tokens.
+//      back to the mirror capacity) matches each decision's recorded prefix
+//      tokens. ClusterEngine::Run reads the prefix off its one Insert's
+//      return instead; the reference's MatchPrefix is the independent oracle.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -705,9 +706,9 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
 }
 
 /// Replays the router track of a prefix-affinity cluster run through one
-/// reference tree per replica, doing what ClusterEngine::Run does per routed
-/// request, and expects each kRouteDecision's `b` to equal the reference's
-/// matched tokens (invariant 12).
+/// reference tree per replica, updating it as ClusterEngine::Run updates its
+/// mirror per routed request, and expects each kRouteDecision's `b` to equal
+/// the reference's MatchPrefix (invariant 12).
 void ExpectRouteDecisionsMatchReferenceMirrors(const cluster::ClusterConfig& cfg,
                                                const std::vector<Request>& reqs,
                                                const std::vector<obs::TraceTrack>& tracks) {

@@ -773,7 +773,6 @@ class ReferenceRadixTree {
       node->last_access = clock_;
       result.pages.push_back(node->page);
       result.matched_tokens += page_size_;
-      result.node = node;
     }
     return result;
   }
@@ -820,24 +819,10 @@ class ReferenceRadixTree {
     return inserted;
   }
 
-  // Locks every page node from the handle up to the root.
-  void Lock(void* node) {
-    for (auto* n = static_cast<Node*>(node); n != nullptr && n != &root_; n = n->parent) {
-      ++n->lock_count;
-    }
-  }
-
-  void Unlock(void* node) {
-    for (auto* n = static_cast<Node*>(node); n != nullptr && n != &root_; n = n->parent) {
-      FI_CHECK_GT(n->lock_count, 0);
-      --n->lock_count;
-    }
-  }
-
   std::vector<int64_t> EvictLru(int64_t max_pages) {
     std::vector<int64_t> freed;
     while (static_cast<int64_t>(freed.size()) < max_pages) {
-      // Find the unlocked leaf with the oldest access stamp.
+      // Find the leaf with the oldest access stamp.
       Node* victim = nullptr;
       uint64_t best = UINT64_MAX;
       // Iterative DFS.
@@ -846,13 +831,12 @@ class ReferenceRadixTree {
         Node* n = stack.back();
         stack.pop_back();
         for (auto& [key, child] : n->children) stack.push_back(child.get());
-        if (n != &root_ && n->children.empty() && n->lock_count == 0 &&
-            n->last_access < best) {
+        if (n != &root_ && n->children.empty() && n->last_access < best) {
           best = n->last_access;
           victim = n;
         }
       }
-      if (victim == nullptr) break;  // Everything pinned or tree empty.
+      if (victim == nullptr) break;  // Tree empty.
       freed.push_back(victim->page);
       --total_pages_;
       Node* parent = victim->parent;
@@ -867,7 +851,6 @@ class ReferenceRadixTree {
   struct Node {
     std::vector<int32_t> chunk;
     int64_t page = -1;
-    int lock_count = 0;
     uint64_t last_access = 0;
     Node* parent = nullptr;
     std::map<std::vector<int32_t>, std::unique_ptr<Node>> children;
@@ -914,9 +897,8 @@ class RadixPromptStream {
 };
 
 /// Runs `num_ops` seeded random prefix-cache operations through a RadixTree
-/// and the reference tree side by side: inserts, matches, peeks, locks and
-/// unlocks of matched paths, and evictions, over page sizes 1-4 and
-/// RadixPromptStream's prompts. Empty when every result agreed; otherwise
+/// and the reference tree side by side: inserts, matches, peeks and
+/// evictions, over page sizes 1-4 and RadixPromptStream's prompts. Empty when every result agreed; otherwise
 /// names the first operation that differed.
 inline std::string RadixOpsDiff(uint64_t seed, int num_ops, int extra_pages = 4) {
   Rng rng(seed);
@@ -926,24 +908,15 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops, int extra_pages = 4)
   RadixTree tree(page);
   ReferenceRadixTree ref(page);
   RadixPromptStream prompts(rng, page, vocab, extra_pages);
-  std::vector<std::pair<void*, void*>> held;  // Locked handles.
   int64_t next_page = 0;
 
-  auto random_prompt = [&] { return prompts.Next(); };
-  auto match = [&](const std::vector<int32_t>& t, RadixTree::MatchResult& a,
-                   RadixTree::MatchResult& b) {
-    a = tree.MatchPrefix(t);
-    b = ref.MatchPrefix(t);
-    return a.pages == b.pages && a.matched_tokens == b.matched_tokens &&
-           (a.node == nullptr) == (b.node == nullptr);
-  };
   auto evict = [&](int64_t k) { return tree.EvictLru(k) == ref.EvictLru(k); };
 
   for (int op = 0; op < num_ops; ++op) {
     const std::string at = "seed " + std::to_string(seed) + " op " + std::to_string(op);
     const double u = rng.NextDouble();
-    if (u < 0.35) {
-      const auto t = random_prompt();
+    if (u < 0.4) {
+      const auto t = prompts.Next();
       std::vector<int64_t> pages(t.size() / static_cast<size_t>(page));
       std::iota(pages.begin(), pages.end(), next_page);
       next_page += static_cast<int64_t>(pages.size());
@@ -952,29 +925,17 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops, int extra_pages = 4)
       if (tree.TotalCachedPages() > cap && !evict(tree.TotalCachedPages() - cap)) {
         return at + ": capacity EvictLru differs";
       }
-    } else if (u < 0.55) {
-      RadixTree::MatchResult a, b;
-      if (!match(random_prompt(), a, b)) return at + ": MatchPrefix differs";
     } else if (u < 0.7) {
-      const auto t = random_prompt();
+      const auto t = prompts.Next();
+      const auto a = tree.MatchPrefix(t);
+      const auto b = ref.MatchPrefix(t);
+      if (a.pages != b.pages || a.matched_tokens != b.matched_tokens) {
+        return at + ": MatchPrefix differs";
+      }
+    } else if (u < 0.85) {
+      const auto t = prompts.Next();
       if (tree.PeekPrefixTokens(t) != ref.PeekPrefixTokens(t)) {
         return at + ": PeekPrefixTokens differs";
-      }
-    } else if (u < 0.78) {
-      RadixTree::MatchResult a, b;
-      if (!match(random_prompt(), a, b)) return at + ": MatchPrefix (lock) differs";
-      if (a.node != nullptr) {
-        tree.Lock(a.node);
-        ref.Lock(b.node);
-        held.emplace_back(a.node, b.node);
-      }
-    } else if (u < 0.86) {
-      if (!held.empty()) {
-        const auto i = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1));
-        tree.Unlock(held[i].first);
-        ref.Unlock(held[i].second);
-        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
       }
     } else if (!evict(rng.NextDouble() < 0.1 ? INT64_MAX : rng.UniformInt(0, 4))) {
       return at + ": EvictLru differs";
@@ -982,10 +943,6 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops, int extra_pages = 4)
     if (tree.TotalCachedPages() != ref.TotalCachedPages()) {
       return at + ": TotalCachedPages differs";
     }
-  }
-  for (const auto& [a, b] : held) {
-    tree.Unlock(a);
-    ref.Unlock(b);
   }
   if (!evict(INT64_MAX) || tree.TotalCachedPages() != 0 || ref.TotalCachedPages() != 0) {
     return "seed " + std::to_string(seed) + ": final drain differs";
