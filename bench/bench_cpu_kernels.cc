@@ -5,10 +5,9 @@
 // comparison is compiled (template-specialized) vs interpreted
 // (std::function hooks) variant dispatch over the identical micro-kernel —
 // the CPU analog of the FlashInfer-vs-FlexAttention gap of Tables 1-4 —
-// plus the cost of the supporting machinery: sparse gather, state merging,
-// scheduling (plan time), per-step attention and spec-verify pricing,
-// per-token telemetry samples, KV storage conversions, and radix-tree
-// matching and eviction.
+// plus the cost of the supporting machinery: state merging, scheduling (plan
+// time), per-step attention and spec-verify pricing, per-token telemetry
+// samples, KV storage conversions, and radix-tree matching and eviction.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,7 +27,6 @@
 #include "serving/backends.h"
 #include "serving/engine.h"
 #include "serving/workload.h"
-#include "sparse/gather.h"
 #include "spec/verify.h"
 #include "util/float_types.h"
 #include "util/rng.h"
@@ -134,23 +132,6 @@ void BM_FusedRopeVariant(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FusedRopeVariant);
-
-void BM_GatherRows(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  std::vector<float> src(static_cast<size_t>(n) * 64);
-  Rng rng(5);
-  std::vector<const float*> rows;
-  for (int i = 0; i < n; ++i) {
-    rows.push_back(src.data() + rng.UniformInt(0, n - 1) * 64);
-  }
-  std::vector<float> dst(static_cast<size_t>(n) * 64);
-  for (auto _ : state) {
-    sparse::GatherRows<float>(rows, 64, dst.data());
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(state.iterations() * int64_t{n} * 64 * sizeof(float));
-}
-BENCHMARK(BM_GatherRows)->Arg(128)->Arg(4096);
 
 void BM_MergeStates(benchmark::State& state) {
   Rng rng(7);

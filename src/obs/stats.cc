@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 namespace flashinfer::obs {
@@ -140,27 +139,6 @@ double Histogram::Quantile(double p) const {
     seen += n;
   }
   return max_;
-}
-
-std::string Histogram::ToString(const std::string& label) const {
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "%s: n=%lld min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g mean=%.4g\n",
-                label.c_str(), static_cast<long long>(count_), MinValue(), Quantile(0.5),
-                Quantile(0.9), Quantile(0.99), MaxValue(), Mean());
-  std::string out = line;
-  for (int64_t i = 0; i < NumBuckets(); ++i) {
-    const int64_t n = counts_[static_cast<size_t>(i)];
-    if (n == 0) continue;
-    const double e0 = BucketLowerEdge(i);
-    const double e1 = i >= table_->regular + 1
-                          ? std::numeric_limits<double>::infinity()
-                          : table_->lo * std::exp(static_cast<double>(i) * table_->log_growth);
-    std::snprintf(line, sizeof(line), "  [%10.4g,%10.4g) %lld\n", e0, e1,
-                  static_cast<long long>(n));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace flashinfer::obs

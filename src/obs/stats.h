@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace flashinfer::obs {
@@ -82,10 +81,6 @@ class Histogram {
   double BucketLowerEdge(int64_t i) const;
   double lo() const noexcept;
   double growth() const noexcept;
-
-  /// Compact printable form (one line per non-empty bucket plus summary
-  /// quantiles) — stable across runs with identical samples, so CI diffs it.
-  std::string ToString(const std::string& label) const;
 
  private:
   struct Table;  // The geometry's bucket table, built once and shared.

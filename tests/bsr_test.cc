@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "sparse/bsr.h"
-#include "sparse/gather.h"
 #include "spec/tree.h"
 #include "test_util.h"
 
@@ -200,19 +199,6 @@ TEST(MaskHelpers, TileBsrDiagonalRepeatsUnitPerCopy) {
       }
     }
   }
-}
-
-TEST(Gather, CopiesScatteredRows) {
-  std::vector<float> src(64);
-  for (size_t i = 0; i < src.size(); ++i) src[i] = static_cast<float>(i);
-  std::vector<const float*> rows = {&src[48], &src[0], &src[16]};
-  std::vector<float> dst(24, -1.0f);
-  const size_t bytes = GatherRows<float>(rows, 8, dst.data());
-  EXPECT_EQ(bytes, 3u * 8u * sizeof(float));
-  EXPECT_EQ(dst[0], 48.0f);
-  EXPECT_EQ(dst[8], 0.0f);
-  EXPECT_EQ(dst[16], 16.0f);
-  EXPECT_EQ(dst[23], 23.0f);
 }
 
 }  // namespace
