@@ -15,6 +15,10 @@ using serving::ServingMetrics;
 
 namespace {
 
+/// Inter-replica KV migration link (NVLink/RDMA-class, one per replica
+/// pair): bandwidth in GB/s and fixed latency per transfer.
+constexpr double kMigrationGbps = 64.0;
+constexpr double kMigrationLatencyUs = 150.0;
 /// Per-page migration overhead, microseconds: paged KV crosses the link as
 /// block-granular gather/scatter copies, like the PCIe swap path.
 constexpr double kMigrationPageOverheadUs = 10.0;
@@ -58,10 +62,9 @@ struct ClusterEngine::Replica {
 ClusterEngine::ClusterEngine(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   FI_CHECK_GE(cfg_.num_replicas, 1);
   if (cfg_.disaggregated) {
-    // At least one replica in each pool, and a link with real bandwidth.
+    // At least one replica in each pool.
     FI_CHECK_GE(cfg_.prefill_replicas, 1);
     FI_CHECK_LT(cfg_.prefill_replicas, cfg_.num_replicas);
-    FI_CHECK_GT(cfg_.migration_gbps, 0.0);
   }
 }
 
@@ -89,10 +92,8 @@ void ClusterEngine::ProcessMigrations() {
       // the pair link's FIFO backlog is measured from when the KV was ready,
       // not from when the driver got around to processing it.
       const double t_us =
-          cfg_.migration_latency_us +
-          static_cast<double>(u.pages) * kMigrationPageOverheadUs +
-          static_cast<double>(u.kv_tokens) * kv_bytes_per_token /
-              (cfg_.migration_gbps * 1e3);
+          kMigrationLatencyUs + static_cast<double>(u.pages) * kMigrationPageOverheadUs +
+          static_cast<double>(u.kv_tokens) * kv_bytes_per_token / (kMigrationGbps * 1e3);
       gpusim::CopyStream& link =
           pair_streams_[src * decode_n + (static_cast<size_t>(dst) - prefill_n)];
       replicas_[static_cast<size_t>(dst)]->engine.AdmitMigratedUnit(

@@ -50,9 +50,6 @@ struct ClusterConfig {
   /// can take it. Off by default: the unified driver is untouched.
   bool disaggregated = false;
   int prefill_replicas = 1;
-  /// Inter-replica KV migration link (NVLink/RDMA-class, per replica pair).
-  double migration_gbps = 64.0;
-  double migration_latency_us = 150.0;
 };
 
 /// Per-replica aggregation of ServingMetrics plus router-level signals.

@@ -876,8 +876,6 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   cfg.num_replicas = 4;
   cfg.disaggregated = true;
   cfg.prefill_replicas = 1 + static_cast<int>(rng.UniformInt(0, 2));
-  cfg.migration_gbps = rng.Uniform(16.0, 128.0);
-  cfg.migration_latency_us = rng.Uniform(50.0, 400.0);
   cfg.policy = rng.NextDouble() < 0.5 ? cluster::RouterPolicy::kRoundRobin
                                       : cluster::RouterPolicy::kLeastLoaded;
   ExpectPricerMatchesReference(cfg.engine, seed);
