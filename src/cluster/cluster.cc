@@ -171,9 +171,8 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
 
     Request routed = r;
     if (!routed.prompt_tokens.empty()) {
-      // One walk mirrors the prompt into the replica's cache; the pages it
-      // did not add are the cached prefix (Insert stamps and splits the path
-      // a MatchPrefix would).
+      // One walk mirrors the prompt into the replica's cache; the full pages
+      // it did not add are the cached prefix (see radix.h).
       const int64_t full_pages =
           static_cast<int64_t>(routed.prompt_tokens.size()) / cfg_.engine.page_size;
       no_page_ids.resize(std::max(no_page_ids.size(), static_cast<size_t>(full_pages)));

@@ -138,8 +138,8 @@ std::string InsertAloneDiff(uint64_t seed, int num_prompts, int extra_pages) {
 
 TEST(Radix, InsertAloneRoutesAndEvictsLikeMatchThenInsert) {
   // RadixOpsDiff's short and long prompt shapes.
-  for (uint64_t seed = 0; seed < 1000; ++seed) ASSERT_EQ(InsertAloneDiff(seed, 200, 4), "");
-  for (uint64_t seed = 0; seed < 200; ++seed) ASSERT_EQ(InsertAloneDiff(seed, 200, 16), "");
+  for (uint64_t seed = 0; seed < 500; ++seed) ASSERT_EQ(InsertAloneDiff(seed, 200, 4), "");
+  for (uint64_t seed = 0; seed < 100; ++seed) ASSERT_EQ(InsertAloneDiff(seed, 200, 16), "");
 }
 
 // A RadixTree and the page-per-node reference, driven by the same calls;
