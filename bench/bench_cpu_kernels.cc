@@ -500,7 +500,7 @@ BENCHMARK(BM_RadixInsertEvict)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
 void BM_RadixRouteMix(benchmark::State& state) {
   // fi_bench's tenant_prefix routing: four prefix mirrors, each holding an
   // eighth of a replica's KV budget in pages, over prompts from 1,024 Zipf
-  // 1.0 tenants. One iteration routes one request as the cluster driver
+  // 1.0 tenants. One iteration routes one request as ClusterEngine::Run
   // does: it peeks every mirror, then on the mirror with the longest cached
   // prefix (ties rotate with the request) inserts the prompt, reading the
   // cached prefix off the return, and evicts back to capacity.

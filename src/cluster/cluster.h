@@ -7,11 +7,11 @@
 // they would have started by then — so routing decisions observe live
 // queued/running load, exactly like a router polling engine metrics.
 //
-// Prefix-cache modeling: the driver inserts a routed request's full prompt
-// pages into the target replica's tree. The pages already there are its
-// cached (page-aligned) prefix, and its prefill computes only the uncached
-// suffix (Request::cached_prefix_len). The mirror is then LRU-evicted down
-// to a per-replica page budget. Matching happens at admission, not at
+// Prefix-cache modeling: Run() inserts a routed request's full prompt pages
+// into the target replica's tree. The pages already there are its cached
+// (page-aligned) prefix, and its prefill computes only the uncached suffix
+// (Request::cached_prefix_len). The mirror is then LRU-evicted down to a
+// per-replica page budget. Matching happens at admission, not at
 // prefill completion — an idealization that slightly favors bursts of
 // identical prefixes (real engines would stall or recompute in that window).
 #pragma once

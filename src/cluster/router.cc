@@ -107,7 +107,7 @@ class PrefixAffinityRouter final : public Router {
       total_load += v.LoadTokens();
       if (v.prefix_cache == nullptr || r.prompt_tokens.empty()) continue;
       // Read-only probe: scoring a replica must not refresh its LRU stamps
-      // (only the replica actually routed to takes the driver's Insert).
+      // (only the replica actually routed to takes ClusterEngine's Insert).
       const int64_t matched = v.prefix_cache->PeekPrefixTokens(r.prompt_tokens);
       if (matched > best_match ||
           (matched == best_match && matched > 0 && v.LoadTokens() < best_load)) {

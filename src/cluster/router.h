@@ -55,7 +55,7 @@ struct ReplicaView {
   int64_t kv_tokens_in_use = 0;
   int64_t kv_token_budget = 0;
   /// Router-side mirror of the replica's prefix cache (may be null). Routers
-  /// only peek (PeekPrefixTokens); the cluster driver's Insert of the prompt,
+  /// only peek (PeekPrefixTokens); ClusterEngine's Insert of the prompt,
   /// which LRU-bumps the matched path, goes to the replica that wins the
   /// request.
   const RadixTree* prefix_cache = nullptr;

@@ -41,7 +41,7 @@
 // page the run's next page up is again the least leaf.
 //
 // Insert stamps and splits the same path MatchPrefix does, so a caller that
-// mirrors every prompt (the cluster driver) reads the cached prefix off
+// mirrors every prompt (ClusterEngine::Run) reads the cached prefix off
 // Insert's return, (full pages - inserted) * page_size, in one walk.
 #pragma once
 

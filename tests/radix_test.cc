@@ -97,7 +97,7 @@ TEST(Radix, MatchesScanningReferenceOnLongPrompts) {
   }
 }
 
-// Drives two trees with one seeded prompt stream, as the cluster driver
+// Drives two trees with one seeded prompt stream, as ClusterEngine::Run
 // updates the mirror it routes to: one matches, inserts and evicts back to
 // capacity; the other only inserts and evicts, reading the cached prefix off
 // Insert's return. Empty when every prefix and freed page agreed; otherwise
