@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 
 #include "util/json.h"
 
@@ -16,8 +15,6 @@ using util::JsonNum;
 
 /// Thread-row names, indexed by TraceRow (the request row is async).
 constexpr const char* kThreadRows[] = {"steps", "kv", "copy"};
-/// JSONL kind names, indexed by TraceKind.
-constexpr const char* kKindNames[] = {"span", "instant", "counter"};
 
 /// The event's payload fields as JSON object members, under its row's keys:
 /// a..d, the flag, v, then the request id when set.
@@ -111,41 +108,14 @@ void WritePerfettoJson(std::ostream& os, const std::vector<TraceTrack>& tracks) 
   os << "\n]\n}\n";
 }
 
-void WriteJsonl(std::ostream& os, const std::vector<TraceTrack>& tracks) {
-  for (const auto& track : tracks) {
-    for (const TraceEvent& e : track.events) {
-      const char* kind = kKindNames[static_cast<size_t>(KindOf(e.name))];
-      os << "{\"track\": \"" << JsonEscape(track.name) << "\", \"name\": \""
-         << TraceNameStr(e.name) << "\", \"kind\": \"" << kind
-         << "\", \"ts_us\": " << JsonNum(e.ts_us) << ", \"dur_us\": " << JsonNum(e.dur_us)
-         << ", \"req\": " << e.req << ", \"flags\": " << e.flags << ", \"a\": " << e.a
-         << ", \"b\": " << e.b << ", \"c\": " << e.c << ", \"d\": " << e.d
-         << ", \"v\": " << JsonNum(e.v) << "}\n";
-    }
-  }
-}
-
-namespace {
-
-bool WriteFile(const std::string& path, const std::vector<TraceTrack>& tracks,
-               void (*writer)(std::ostream&, const std::vector<TraceTrack>&)) {
+bool WritePerfettoFile(const std::string& path, const std::vector<TraceTrack>& tracks) {
   std::ofstream f(path);
   if (!f) {
     std::fprintf(stderr, "cannot write trace to %s\n", path.c_str());
     return false;
   }
-  writer(f, tracks);
+  WritePerfettoJson(f, tracks);
   return f.good();
-}
-
-}  // namespace
-
-bool WritePerfettoFile(const std::string& path, const std::vector<TraceTrack>& tracks) {
-  return WriteFile(path, tracks, &WritePerfettoJson);
-}
-
-bool WriteJsonlFile(const std::string& path, const std::vector<TraceTrack>& tracks) {
-  return WriteFile(path, tracks, &WriteJsonl);
 }
 
 }  // namespace flashinfer::obs

@@ -1,4 +1,4 @@
-// Trace exporters: Chrome/Perfetto trace-event JSON and a compact JSONL dump.
+// Trace exporter: Chrome/Perfetto trace-event JSON.
 //
 // Track layout in the Perfetto export (open the file in https://ui.perfetto.dev
 // or chrome://tracing):
@@ -39,12 +39,8 @@ struct TraceTrack {
 /// Writes Chrome trace-event JSON ({"traceEvents": [...]}) for the tracks.
 void WritePerfettoJson(std::ostream& os, const std::vector<TraceTrack>& tracks);
 
-/// Writes one compact JSON object per line per event (machine-diffable dump;
-/// the soak harness's failure artifact format next to the Perfetto file).
-void WriteJsonl(std::ostream& os, const std::vector<TraceTrack>& tracks);
-
-/// File wrappers; return false (with a stderr message) on I/O error.
+/// WritePerfettoJson into the file at `path`; returns false (with a stderr
+/// message) on I/O error.
 bool WritePerfettoFile(const std::string& path, const std::vector<TraceTrack>& tracks);
-bool WriteJsonlFile(const std::string& path, const std::vector<TraceTrack>& tracks);
 
 }  // namespace flashinfer::obs

@@ -46,18 +46,6 @@ std::string LabelSet::Key() const {
   return out;
 }
 
-std::string LabelSet::Prometheus() const {
-  std::string out;
-  for (const auto& [k, v] : kv_) {
-    if (!out.empty()) out += ',';
-    out += k;
-    out += "=\"";
-    out += util::JsonEscape(v);  // Prometheus shares JSON string escaping.
-    out += '"';
-  }
-  return out;
-}
-
 LabelSet ClassLabels(int tenant, int priority) {
   return LabelSet{{"tenant", tenant >= 0 ? std::to_string(tenant) : std::string("-")},
                   {"priority", std::to_string(priority)}};
@@ -278,55 +266,6 @@ std::vector<std::pair<std::string, std::string>> MetricsRegistry::InstanceNames(
 
 namespace {
 
-void AppendPromSample(std::string& out, const std::string& name, const LabelSet& labels,
-                      double value, const char* suffix = "",
-                      const std::string& extra_label = {}) {
-  out += name;
-  out += suffix;
-  const std::string body = labels.Prometheus();
-  if (!body.empty() || !extra_label.empty()) {
-    out += '{';
-    out += body;
-    if (!extra_label.empty()) {
-      if (!body.empty()) out += ',';
-      out += extra_label;
-    }
-    out += '}';
-  }
-  out += ' ';
-  out += util::JsonNum(value);
-  out += '\n';
-}
-
-// One instance's Prometheus samples, per metric type.
-void AppendProm(std::string& out, const std::string& name, const LabelSet& labels,
-                const Counter& c) {
-  AppendPromSample(out, name, labels, c.total());
-}
-
-void AppendProm(std::string& out, const std::string& name, const LabelSet& labels,
-                const Gauge& g) {
-  AppendPromSample(out, name, labels, g.value());
-}
-
-void AppendProm(std::string& out, const std::string& name, const LabelSet& labels,
-                const Sketch& s) {
-  const Histogram& h = s.Cumulative();
-  int64_t cum = 0;
-  for (int64_t i = 0; i < h.NumBuckets(); ++i) {
-    if (h.BucketCount(i) == 0) continue;
-    cum += h.BucketCount(i);
-    // Upper edge of bucket i is the lower edge of bucket i+1; the overflow
-    // bucket's is +Inf, emitted below.
-    if (i == h.NumBuckets() - 1) continue;
-    AppendPromSample(out, name, labels, static_cast<double>(cum), "_bucket",
-                     "le=\"" + util::JsonNum(h.BucketLowerEdge(i + 1)) + "\"");
-  }
-  AppendPromSample(out, name, labels, static_cast<double>(h.Count()), "_bucket", "le=\"+Inf\"");
-  AppendPromSample(out, name, labels, h.Mean() * static_cast<double>(h.Count()), "_sum");
-  AppendPromSample(out, name, labels, static_cast<double>(h.Count()), "_count");
-}
-
 void AppendJsonKv(std::string& out, const char* key, double v, bool last = false) {
   out += '"';
   out += key;
@@ -384,19 +323,6 @@ void AppendJson(std::string& out, const Sketch& s, double now_s) {
 }
 
 }  // namespace
-
-std::string MetricsRegistry::PrometheusText(double now_s) const {
-  (void)now_s;  // Prometheus exposes cumulative state; rates derive server-side.
-  constexpr const char* kTypes[] = {"counter", "gauge", "histogram"};  // By alternative.
-  std::string out;
-  for (const auto& [name, fam] : families_) {
-    out += "# TYPE " + name + ' ' + kTypes[fam.begin()->second.metric.index()] + '\n';
-    for (const Labeled& l : Sorted(fam)) {
-      std::visit([&](const auto& m) { AppendProm(out, name, l.labels, m); }, l.inst->metric);
-    }
-  }
-  return out;
-}
 
 std::string MetricsRegistry::JsonSnapshot(double now_s) const {
   std::string out = "{\"now_s\":" + util::JsonNum(now_s) +

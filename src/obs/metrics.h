@@ -29,16 +29,14 @@
 // publishes with a single function call per sample. Instances of a
 // (tenant, priority) class are keyed by the class's integer id: GetClass
 // registers one without building a label, and their label strings and key
-// order exist only inside Find, MergeFrom and the expositions.
+// order exist only inside Find, MergeFrom and JsonSnapshot.
 //
-// Exposition:
-//   * PrometheusText(now): the standard text scrape format — counters,
-//     gauges, and cumulative histograms with `le` buckets.
-//   * JsonSnapshot(now): one JSON document (written/parsed with the shared
-//     src/util/json machinery) carrying both cumulative and windowed views —
-//     what a dashboard or the CI artifact uploader consumes.
-//   * MergeFrom(other, "replica", "3"): ClusterEngine folds per-replica
-//     registries into one cluster view by re-labeling every instance.
+// Exposition is one format: JsonSnapshot(now), a JSON document (written and
+// parsed with the shared src/util/json machinery) carrying both cumulative
+// and windowed views, which `bench_kv_pressure --metrics` and
+// example_serving_sim write. MergeFrom(other, "replica", "3") is how
+// ClusterEngine folds per-replica registries into one cluster view: it
+// re-labels every instance.
 #pragma once
 
 #include <algorithm>
@@ -76,8 +74,6 @@ class LabelSet {
 
   /// Canonical identity string: `k1=v1,k2=v2` (keys sorted).
   std::string Key() const;
-  /// Prometheus selector body: `k1="v1",k2="v2"` (values escaped).
-  std::string Prometheus() const;
 
  private:
   std::vector<std::pair<std::string, std::string>> kv_;  // Sorted by key.
@@ -267,7 +263,7 @@ class Sketch {
 /// (ClassLabels) is keyed by the class's integer id, however it was
 /// registered: GetClass registers one without building a label, and label
 /// strings, key order and LabelSets of class instances are built only by
-/// Find, MergeFrom and the expositions.
+/// Find, MergeFrom and JsonSnapshot.
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(WindowConfig window = {});
@@ -324,11 +320,6 @@ class MetricsRegistry {
   /// never collide and per-replica views survive in the merged exposition.
   void MergeFrom(const MetricsRegistry& other, const std::string& label_key,
                  const std::string& label_value);
-
-  /// Prometheus text exposition format (counters, gauges, and cumulative
-  /// histograms with `le` buckets; windowed views are JSON-only — Prometheus
-  /// derives rates server-side).
-  std::string PrometheusText(double now_s) const;
 
   /// Full JSON snapshot: cumulative totals/distributions plus the windowed
   /// aggregates (rate over the trailing window, windowed quantiles), one

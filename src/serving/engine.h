@@ -402,7 +402,7 @@ class ServingEngine {
   // --- Telemetry ------------------------------------------------------------
 
   /// The live metrics registry, or nullptr when EngineConfig::telemetry is
-  /// disabled. Scrape with PrometheusText(Now()) / JsonSnapshot(Now()).
+  /// disabled. Snapshot it with JsonSnapshot(Now()).
   const obs::MetricsRegistry* Telemetry() const noexcept { return telemetry_.get(); }
 
   /// The SLO burn-rate monitor, or nullptr when telemetry is disabled or no

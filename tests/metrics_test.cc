@@ -1,7 +1,7 @@
 // Telemetry-plane unit tests: label canonicalization, sliding-window
 // accumulators (epoch ring expiry), registry instance identity, exposition
-// schemas (Prometheus text + JSON snapshot, parsed with the shared JSON
-// machinery), and the cluster registry merge.
+// schema (the JSON snapshot, parsed with the shared JSON machinery), and the
+// cluster registry merge.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,7 +35,6 @@ TEST(LabelSet, CanonicalKeyIsSorted) {
   const LabelSet b{{"priority", "1"}, {"tenant", "3"}};
   EXPECT_EQ(a.Key(), "priority=1,tenant=3");
   EXPECT_EQ(a.Key(), b.Key());
-  EXPECT_EQ(a.Prometheus(), "priority=\"1\",tenant=\"3\"");
   EXPECT_TRUE(LabelSet{}.empty());
   EXPECT_EQ(LabelSet{}.Key(), "");
 }
@@ -238,39 +237,6 @@ TEST(Registry, FindDoesNotRegister) {
 
 // --- Exposition --------------------------------------------------------------
 
-TEST(Exposition, PrometheusTextShape) {
-  MetricsRegistry reg;
-  reg.GetCounter("fi_tokens_total", ClassLabels(0, 1))->Inc(1.0, 128.0);
-  reg.GetGauge("fi_queue_depth")->Set(1.0, 3.0);
-  Sketch* s = reg.GetSketch("fi_ttft_ms");
-  for (int i = 1; i <= 100; ++i) s->Observe(1.0, static_cast<double>(i));
-  const std::string text = reg.PrometheusText(1.0);
-
-  EXPECT_NE(text.find("# TYPE fi_tokens_total counter\n"), std::string::npos);
-  EXPECT_NE(text.find("fi_tokens_total{priority=\"1\",tenant=\"0\"} 128\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE fi_queue_depth gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("fi_queue_depth 3\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE fi_ttft_ms histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("fi_ttft_ms_bucket{le=\"+Inf\"} 100\n"), std::string::npos);
-  EXPECT_NE(text.find("fi_ttft_ms_count 100\n"), std::string::npos);
-  EXPECT_NE(text.find("fi_ttft_ms_sum 5050\n"), std::string::npos);
-  // `le` buckets are cumulative and nondecreasing.
-  int64_t prev = 0;
-  size_t pos = 0;
-  int buckets = 0;
-  while ((pos = text.find("fi_ttft_ms_bucket{le=\"", pos)) != std::string::npos) {
-    const size_t sp = text.find(' ', pos);
-    const int64_t cum = std::strtoll(text.c_str() + sp + 1, nullptr, 10);
-    EXPECT_GE(cum, prev);
-    prev = cum;
-    ++buckets;
-    pos = sp;
-  }
-  EXPECT_GT(buckets, 5);
-  EXPECT_EQ(prev, 100);  // The +Inf bucket carries the full count.
-}
-
 TEST(Exposition, JsonSnapshotParsesWithSchema) {
   MetricsRegistry reg(WindowConfig{10.0, 5});
   reg.GetCounter("fi_tokens_total", ClassLabels(2, 0))->Inc(1.0, 50.0);
@@ -318,8 +284,8 @@ TEST(Exposition, JsonSnapshotParsesWithSchema) {
   EXPECT_EQ(sketches, 1);
 }
 
-// Both expositions of a registry holding every instrument type after two
-// merges write exactly the bytes pinned in tests/golden/, and each Find
+// The JSON snapshot of a registry holding every instrument type after two
+// merges writes exactly the bytes pinned in tests/golden/, and each Find
 // answers only for its own type.
 TEST(Exposition, MergedRegistryMatchesPinnedOutput) {
   MetricsRegistry r0, r1, merged;
@@ -338,9 +304,6 @@ TEST(Exposition, MergedRegistryMatchesPinnedOutput) {
   merged.MergeFrom(r0, "replica", "0");
   merged.MergeFrom(r1, "replica", "1");
 
-  EXPECT_EQ(test::FirstLineDiff(merged.PrometheusText(14.0),
-                                test::ReadGolden("merged_registry.prom")),
-            "");
   EXPECT_EQ(test::FirstLineDiff(merged.JsonSnapshot(14.0),
                                 test::ReadGolden("merged_registry.json")),
             "");

@@ -329,23 +329,6 @@ TEST(Export, PerfettoJsonParsesAndHasSchema) {
   EXPECT_GE(meta, 3);      // process_name + 2 thread_names.
 }
 
-TEST(Export, JsonlOneValidObjectPerEvent) {
-  std::ostringstream os;
-  obs::WriteJsonl(os, SampleTracks());
-  std::istringstream is(os.str());
-  std::string line;
-  int lines = 0;
-  while (std::getline(is, line)) {
-    util::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(util::JsonParse(line, &v, &err)) << err << ": " << line;
-    EXPECT_EQ(v.StringOr("track", ""), "replica 0");
-    EXPECT_FALSE(v.StringOr("name", "").empty());
-    ++lines;
-  }
-  EXPECT_EQ(lines, 5);
-}
-
 // One event of every TraceName value (5, the retired swap phase, included),
 // once with no request id and no flags and once with both, every payload
 // field distinct, so a key bound to the wrong field, row, kind or name shows.
@@ -368,14 +351,12 @@ std::vector<TraceTrack> EveryNameTracks() {
   return {t};
 }
 
-// Both exporters write exactly the bytes pinned in tests/golden/ for every
-// name: its display name, kind, Perfetto row and payload keys.
+// The Perfetto exporter writes exactly the bytes pinned in tests/golden/ for
+// every name: its display name, kind, row and payload keys.
 TEST(Export, EveryNameMatchesPinnedOutput) {
-  std::ostringstream perfetto, jsonl;
+  std::ostringstream perfetto;
   obs::WritePerfettoJson(perfetto, EveryNameTracks());
-  obs::WriteJsonl(jsonl, EveryNameTracks());
   EXPECT_EQ(test::FirstLineDiff(perfetto.str(), test::ReadGolden("every_name.trace.json")), "");
-  EXPECT_EQ(test::FirstLineDiff(jsonl.str(), test::ReadGolden("every_name.trace.jsonl")), "");
 }
 
 // --- TraceQuery --------------------------------------------------------------

@@ -82,17 +82,15 @@ volatile uint64_t g_current_seed = 0;
 // Engine of the trial in flight, for the abort-path trace dump.
 const serving::ServingEngine* g_current_engine = nullptr;
 
-/// Writes the trial's trailing trace window (Perfetto + JSONL) next to the
+/// Writes the trial's trailing trace window as Perfetto JSON next to the
 /// reproducing seed, into $FI_SOAK_DUMP_DIR (default: cwd). Every trial runs
 /// with tracing on, so a failure ships the event history that led up to it.
 void DumpTrialTrace(const std::vector<obs::TraceTrack>& tracks, uint64_t seed) {
   const char* dir = std::getenv("FI_SOAK_DUMP_DIR");
-  const std::string base = std::string(dir != nullptr ? dir : ".") +
-                           "/soak_seed_" + std::to_string(seed);
-  obs::WritePerfettoFile(base + ".trace.json", tracks);
-  obs::WriteJsonlFile(base + ".trace.jsonl", tracks);
-  std::fprintf(stderr, "[soak] trailing trace dumped to %s.trace.json\n",
-               base.c_str());
+  const std::string path = std::string(dir != nullptr ? dir : ".") + "/soak_seed_" +
+                           std::to_string(seed) + ".trace.json";
+  obs::WritePerfettoFile(path, tracks);
+  std::fprintf(stderr, "[soak] trailing trace dumped to %s\n", path.c_str());
 }
 
 void AbortSeedReporter(int) {

@@ -158,11 +158,8 @@ TEST(TraceExport, PerfettoJsonSchemaValidates) {
 TEST(TraceExport, FileRoundTrip) {
   ClusterEngine engine(PressureClusterConfig());
   engine.Run(PressureWorkload());
-  const std::string dir = ::testing::TempDir();
-  const std::string perfetto = dir + "/trace_export_test.trace.json";
-  const std::string jsonl = dir + "/trace_export_test.trace.jsonl";
+  const std::string perfetto = ::testing::TempDir() + "/trace_export_test.trace.json";
   ASSERT_TRUE(obs::WritePerfettoFile(perfetto, engine.LastTrace()));
-  ASSERT_TRUE(obs::WriteJsonlFile(jsonl, engine.LastTrace()));
   EXPECT_FALSE(obs::WritePerfettoFile("/nonexistent-dir/x.json", engine.LastTrace()));
 }
 
