@@ -118,7 +118,7 @@ ReplicaView ClusterEngine::ViewOf(size_t i) const {
 ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
   // Full reset: fresh router stats and cold prefix-cache mirrors, so
   // back-to-back Run() calls on one ClusterEngine are independent.
-  router_ = CreateRouter(cfg_.policy, cfg_.imbalance_cap, cfg_.imbalance_floor_tokens);
+  router_ = CreateRouter(cfg_.policy);
   replicas_.clear();
   for (int i = 0; i < cfg_.num_replicas; ++i) {
     serving::EngineConfig ecfg = cfg_.engine;

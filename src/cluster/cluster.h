@@ -33,10 +33,6 @@ struct ClusterConfig {
   serving::EngineConfig engine;
   int num_replicas = 4;
   RouterPolicy policy = RouterPolicy::kRoundRobin;
-  /// PrefixAffinity only: shed to least-loaded when the affinity target's
-  /// load exceeds cap * max(mean load, floor).
-  double imbalance_cap = 1.5;
-  int64_t imbalance_floor_tokens = 2048;
   /// Per-replica prefix-cache capacity in pages; 0 derives it from the
   /// replica's KV token budget (the cache can hold what the HBM could).
   int64_t prefix_cache_pages = 0;

@@ -19,6 +19,12 @@ const char* RouterPolicyName(RouterPolicy policy) {
 
 namespace {
 
+/// PrefixAffinity's imbalance cap: the affinity target sheds to the
+/// least-loaded replica when its load exceeds
+/// kImbalanceCap * max(mean cluster load, kImbalanceFloorTokens).
+constexpr double kImbalanceCap = 1.5;
+constexpr int64_t kImbalanceFloorTokens = 2048;
+
 /// KV tokens `r` will pin on whichever replica serves it: prompt + every
 /// parallel branch's output and per-branch decode slack, mirroring the
 /// engine's admission charge. Spec-enabled replicas additionally reserve a
@@ -91,9 +97,6 @@ class LeastLoadedRouter final : public Router {
 
 class PrefixAffinityRouter final : public Router {
  public:
-  PrefixAffinityRouter(double imbalance_cap, int64_t floor_tokens)
-      : imbalance_cap_(imbalance_cap), floor_tokens_(floor_tokens) {}
-
   int Route(const serving::Request& r, const std::vector<ReplicaView>& replicas) override {
     ++stats_.routed;
     // Longest cached prefix wins; ties go to the lighter replica.
@@ -133,7 +136,7 @@ class PrefixAffinityRouter final : public Router {
     const double mean_load =
         static_cast<double>(total_load) / static_cast<double>(replicas.size());
     const double cap =
-        imbalance_cap_ * std::max(mean_load, static_cast<double>(floor_tokens_));
+        kImbalanceCap * std::max(mean_load, static_cast<double>(kImbalanceFloorTokens));
     if (static_cast<double>(best_load) > cap) {
       // Affinity target overloaded: shed to the least-loaded replica (whose
       // cache the subsequent insert seeds, replicating the hot prefix).
@@ -143,22 +146,15 @@ class PrefixAffinityRouter final : public Router {
     ++stats_.affinity_hits;
     return best;
   }
-
- private:
-  double imbalance_cap_;
-  int64_t floor_tokens_;
 };
 
 }  // namespace
 
-std::unique_ptr<Router> CreateRouter(RouterPolicy policy, double imbalance_cap,
-                                     int64_t imbalance_floor_tokens) {
-  FI_CHECK_GT(imbalance_cap, 0.0);
+std::unique_ptr<Router> CreateRouter(RouterPolicy policy) {
   switch (policy) {
     case RouterPolicy::kRoundRobin: return std::make_unique<RoundRobinRouter>();
     case RouterPolicy::kLeastLoaded: return std::make_unique<LeastLoadedRouter>();
-    case RouterPolicy::kPrefixAffinity:
-      return std::make_unique<PrefixAffinityRouter>(imbalance_cap, imbalance_floor_tokens);
+    case RouterPolicy::kPrefixAffinity: return std::make_unique<PrefixAffinityRouter>();
   }
   FI_CHECK(false);
   return nullptr;

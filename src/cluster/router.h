@@ -12,8 +12,8 @@
 // affinity piles the hottest system prompts onto a few replicas and P99 TTFT
 // collapses while other replicas idle. PrefixAffinity therefore carries a
 // load-imbalance cap: when the affinity target's queued+running tokens
-// exceed `imbalance_cap` times the cluster mean (with an absolute floor so
-// near-idle clusters never trigger it), the request falls back to the
+// exceed 1.5 times the cluster mean (with an absolute floor of 2,048 tokens
+// so near-idle clusters never trigger it), the request falls back to the
 // least-loaded replica. The fallback deliberately *replicates* a hot prefix
 // onto a second replica — its next insertion seeds that replica's cache, so
 // popular tenants end up cached on as many replicas as their traffic share
@@ -88,11 +88,10 @@ class Router {
   RouterStats stats_;
 };
 
-/// Factory. `imbalance_cap` and `imbalance_floor_tokens` only affect
-/// kPrefixAffinity: the fallback fires when the affinity target's load
-/// exceeds cap * max(mean cluster load, floor).
-std::unique_ptr<Router> CreateRouter(RouterPolicy policy, double imbalance_cap = 1.5,
-                                     int64_t imbalance_floor_tokens = 2048);
+/// Factory. kPrefixAffinity's load fallback fires when the affinity target's
+/// load exceeds 1.5 * max(mean cluster load, 2048 tokens) (kImbalanceCap and
+/// kImbalanceFloorTokens in router.cc).
+std::unique_ptr<Router> CreateRouter(RouterPolicy policy);
 
 /// Migration-target selection for the disaggregated decode pool: the replica
 /// with the most free device KV among those with headroom for `need`, -1

@@ -654,6 +654,35 @@ TEST(RouterHeadroom, PrefixAffinityShedsFromPressuredTarget) {
   EXPECT_EQ(router->Stats().pressure_fallbacks, 1);
 }
 
+// The load fallback fires above 1.5 x max(mean load, 2048 tokens). With one
+// of two replicas loaded, the mean stays under the floor up to 4,096 tokens,
+// so the cap is 3,072 queued tokens.
+TEST(RouterHeadroom, PrefixAffinityShedsAboveImbalanceCap) {
+  RadixTree cache0(16), cache1(16);
+  std::vector<int32_t> prompt(64);
+  for (int i = 0; i < 64; ++i) prompt[i] = 1000 + i;
+  const std::vector<int64_t> pages = {0, 1, 2, 3};
+  cache0.Insert(prompt, pages);  // Replica 0 holds the prefix.
+
+  std::vector<cluster::ReplicaView> views(2);
+  views[0].replica = 0;
+  views[0].prefix_cache = &cache0;
+  views[1].replica = 1;
+  views[1].prefix_cache = &cache1;
+
+  Request r = MakeReq(0, 0.0, 64, 64, 0);
+  r.prompt_tokens = prompt;
+
+  auto router = cluster::CreateRouter(cluster::RouterPolicy::kPrefixAffinity);
+  views[0].queued_tokens = 3072;  // Mean 1,536: at the cap, affinity holds.
+  EXPECT_EQ(router->Route(r, views), 0);
+  EXPECT_EQ(router->Stats().load_fallbacks, 0);
+
+  views[0].queued_tokens = 3073;  // One token over: shed to the idle replica.
+  EXPECT_EQ(router->Route(r, views), 1);
+  EXPECT_EQ(router->Stats().load_fallbacks, 1);
+}
+
 // --- Overlap-efficiency disambiguation ---------------------------------------
 
 // Regression: the accessors used to return 0.0 both when NO transfer occurred
