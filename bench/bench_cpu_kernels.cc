@@ -320,6 +320,34 @@ void BM_PriceVerifyStep(benchmark::State& state) {
 }
 BENCHMARK(BM_PriceVerifyStep)->ArgsProduct({{16, 64}, {0, 1}});
 
+void BM_EngineRun(benchmark::State& state) {
+  // One whole ServingEngine::Run over a fixed, seeded 200-request ShareGPT
+  // workload on one Llama-3.1-8B replica (H100), the engine's step loop
+  // end to end: admission, batch formation, the step price, the decode
+  // commit and its samples. range(0) = 0 is the FlashInfer backend at 60
+  // requests/s (fi_bench's sharegpt shape); 1 is parallel generation, n = 4
+  // per request, on the composable backend at 24 requests/s (parallel_n4's).
+  // The time is per run; per_step is the time per simulated step.
+  const bool n4 = state.range(0) == 1;
+  serving::EngineConfig cfg;
+  cfg.model = serving::Llama31_8B();
+  cfg.device = gpusim::H100Sxm80GB();
+  cfg.backend = serving::FlashInferBackend();
+  cfg.backend.composable = n4;
+  Rng rng(37);
+  const auto reqs = serving::ShareGptWorkload(rng, 200, n4 ? 24.0 : 60.0, n4 ? 4 : 1);
+  serving::ServingEngine engine(cfg);
+  int64_t steps = 0;
+  for (auto _ : state) {
+    const serving::ServingMetrics m = engine.Run(reqs);
+    steps += m.num_steps;
+    benchmark::DoNotOptimize(m.makespan_s);
+  }
+  state.counters["per_step"] = benchmark::Counter(
+      static_cast<double>(steps), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 /// 4096 ITL-like samples in ms, log-uniform from 1 ms (a decode step's gap)
 /// to 1 s (a preemption stall).
 std::vector<double> ItlSamples() {

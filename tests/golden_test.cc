@@ -397,6 +397,13 @@ std::vector<Case> Matrix() {
     auto reqs = serving::UniformWorkload(rng, 30, 60.0, 512, 2048, /*output_len=*/128);
     serving::AssignPriorities(rng, reqs, {0.7, 0.3});
     cluster("disagg_preemption", cfg, reqs);
+    // Three prefill replicas ship sibling groups to one decode replica over
+    // their own links, so units land out of admission order and the decode
+    // batch meets composable groups out of group-id order.
+    cfg = Disaggregated();
+    cfg.prefill_replicas = 3;
+    cfg.engine.backend.composable = true;
+    cluster("disagg_composable", cfg, WithPairs(Bursty(9)));
   }
   return cases;
 }
