@@ -247,7 +247,7 @@ void ServingEngine::Reset() {
   running_.clear();
   preempted_.clear();
   group_refs_.clear();
-  metrics_ = ServingMetrics{};
+  ResetMetrics();
   now_s_ = 0.0;
   kv_tokens_in_use_ = 0;
   host_kv_tokens_in_use_ = 0;
@@ -276,15 +276,11 @@ void ServingEngine::Reset() {
     slo_ = cfg_.telemetry.slos.empty()
                ? nullptr
                : std::make_unique<obs::SloMonitor>(cfg_.telemetry.slos, trace_.get());
-    metrics_.bounded_itl = cfg_.telemetry.bounded_itl;
   } else {
     telemetry_.reset();
     slo_.reset();
   }
   if (cfg_.spec.enabled || cfg_.preemption.enabled) {
-    if (cfg_.spec.enabled) {
-      metrics_.accepted_len_hist.assign(static_cast<size_t>(tree_->Depth()) + 1, 0);
-    }
     // Structural cache: 1 head x 1 dim (page accounting, not values). Sized
     // for the token budget plus page-rounding and transient-fork headroom.
     const int64_t branching = cfg_.spec.enabled ? cfg_.spec.tree.branching : 0;
@@ -292,6 +288,14 @@ void ServingEngine::Reset() {
                           static_cast<int64_t>(cfg_.max_running) * (2 + branching) + 64;
     structural_kv_ = std::make_unique<PagedKVCache>(DType::kF16, /*num_kv_heads=*/1,
                                                     /*head_dim=*/1, cfg_.page_size, pages);
+  }
+}
+
+void ServingEngine::ResetMetrics() {
+  metrics_ = ServingMetrics{};
+  metrics_.bounded_itl = cfg_.telemetry.enabled && cfg_.telemetry.bounded_itl;
+  if (cfg_.spec.enabled) {
+    metrics_.accepted_len_hist.assign(static_cast<size_t>(tree_->Depth()) + 1, 0);
   }
 }
 
@@ -921,9 +925,10 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     // Parallel-generation sibling groups of at least a page of shared
     // prompt, in ascending group id, members in row order (members index
     // the decode rows, which come first); a group's prefix_len is its last
-    // member's. A restored branch re-enters running_ at the back, so
-    // siblings need not be contiguous: sort (group id, row) pairs.
-    // Without composable-format support the engine materializes each
+    // member's. Branches join running_ at the back in group-id order, so
+    // the (group id, row) pairs arrive sorted, except on a decode replica
+    // whose migrated units land out of admission order: sort them only
+    // then. Without composable-format support the engine materializes each
     // branch's prompt KV separately (Sec. 5.1: prior shared-prefix systems
     // need separate prefix/suffix cache management), so sibling reads hit
     // distinct HBM addresses — no groups and no L2 dedup credit for the
@@ -931,10 +936,14 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     if (cfg_.backend.composable) {
       auto& rows = group_rows_;
       rows.clear();
+      bool sorted = true;
       for (size_t i = 0; i < running_.size(); ++i) {
-        if (running_[i].group >= 0) rows.emplace_back(running_[i].group, static_cast<int>(i));
+        const int group = running_[i].group;
+        if (group < 0) continue;
+        sorted = sorted && (rows.empty() || rows.back().first <= group);
+        rows.emplace_back(group, static_cast<int>(i));
       }
-      std::sort(rows.begin(), rows.end());
+      if (!sorted) std::sort(rows.begin(), rows.end());
       for (size_t a = 0, b; a < rows.size(); a = b) {
         for (b = a + 1; b < rows.size() && rows[b].first == rows[a].first;) ++b;
         const int64_t prefix_len = running_[static_cast<size_t>(rows[b - 1].second)].prefix_len;
@@ -1211,10 +1220,15 @@ void ServingEngine::CommitDecode() {
   const bool spec = cfg_.spec.enabled;
   // Every commit of the step lands at one instant: one ring position.
   const obs::WindowPos at = telemetry_ ? telemetry_->PosAt(now_s_) : obs::WindowPos{};
-  // Survivors compact to the front in order; FinishBranch never touches
-  // running_.
+  // Every branch that emitted in the previous step closes that step's gap,
+  // so runs of branches share one: bucket each distinct gap once.
+  double bucketed_ms = std::numeric_limits<double>::quiet_NaN();
+  int64_t gap_bucket = 0;
+  // Survivors compact to the front in order, written back only when they
+  // move; FinishBranch never touches running_.
   size_t keep = 0;
-  for (Branch& b : running_) {
+  for (size_t i = 0; i < running_.size(); ++i) {
+    Branch& b = running_[i];
     int64_t commit = 1;
     if (spec) {
       const int accepted = spec::SampleAcceptedLen(rng_, *tree_, b.accept_prob);
@@ -1233,7 +1247,10 @@ void ServingEngine::CommitDecode() {
     // since the last emission, the rest arrive at (simulated) zero ITL —
     // exactly the burst delivery real spec decoding produces.
     const double gap_ms = (now_s_ - b.last_emit_s) * 1e3;
-    const int64_t gap_bucket = metrics_.itl_sketch.IndexOf(gap_ms);
+    if (gap_ms != bucketed_ms) {
+      bucketed_ms = gap_ms;
+      gap_bucket = metrics_.itl_sketch.IndexOf(gap_ms);
+    }
     metrics_.AddItlAt(gap_bucket, gap_ms);
     for (int64_t t = 1; t < commit; ++t) metrics_.AddItl(0.0);
     if (telemetry_) {
@@ -1251,7 +1268,8 @@ void ServingEngine::CommitDecode() {
     metrics_.total_output_tokens += commit;
     b.remaining -= commit;
     if (b.remaining > 0) {
-      running_[keep++] = b;
+      if (keep != i) running_[keep] = b;
+      ++keep;
     } else {
       FinishBranch(b);
     }
@@ -1301,9 +1319,20 @@ void ServingEngine::SpecCommitKv(Branch& b, int accepted, int64_t commit) {
 
 ServingMetrics ServingEngine::Run(const std::vector<Request>& workload) {
   Reset();
-  for (const auto& r : workload) Admit(r);
+  // One TTFT per request and one ITL per later token of every branch: sized
+  // once, so the samples never regrow (exactly, when nothing is rejected).
+  int64_t itl_samples = 0;
+  for (const auto& r : workload) {
+    Admit(r);
+    itl_samples += r.parallel_n * std::max<int64_t>(r.output_len - 1, 0);
+  }
+  metrics_.ttft_ms.reserve(workload.size());
+  metrics_.ttft_priority.reserve(workload.size());
+  if (!metrics_.bounded_itl) metrics_.itl_ms.reserve(static_cast<size_t>(itl_samples));
   Drain();
-  return metrics_;
+  ServingMetrics out = std::move(metrics_);
+  ResetMetrics();
+  return out;
 }
 
 }  // namespace flashinfer::serving

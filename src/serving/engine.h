@@ -258,8 +258,14 @@ class ServingEngine {
  public:
   explicit ServingEngine(EngineConfig cfg);
 
-  /// Simulates the full workload and returns latency metrics. Equivalent to
-  /// Reset() + Admit() for every request + Drain().
+  /// Simulates the full workload and returns its metrics: Reset(), Admit()
+  /// of every request, Drain(). The sample vectors are sized once, up front:
+  /// ttft_ms and ttft_priority to the request count, itl_ms (unless
+  /// bounded_itl) to the later tokens of every branch, sum of parallel_n *
+  /// (output_len - 1). With nothing rejected, each one's capacity is its
+  /// size. The metrics move out to the caller, so afterwards Metrics() reads
+  /// as a freshly Reset() engine's; the trace, registry and clock keep the
+  /// run's. Start the next run with Run() or Reset().
   ServingMetrics Run(const std::vector<Request>& workload);
 
   // --- Incremental (steppable) API -----------------------------------------
@@ -307,7 +313,9 @@ class ServingEngine {
            preempted_.empty() && exportable_.empty();
   }
 
-  /// Metrics accumulated since the last Reset().
+  /// Metrics accumulated since the last Reset(): what an Admit()/StepTo()
+  /// driver reads. Run() returns its metrics instead and leaves these as
+  /// Reset() does.
   const ServingMetrics& Metrics() const noexcept { return metrics_; }
 
   /// Current simulated time, seconds.
@@ -478,6 +486,10 @@ class ServingEngine {
 
   /// What one engine iteration did.
   enum class StepKind { kNone, kIdle, kWork };
+
+  /// Sets metrics_ to a fresh run's: empty, with bounded_itl and the spec
+  /// accepted-length histogram's size taken from the config.
+  void ResetMetrics();
 
   /// Executes one engine iteration: admission, plan formation, execution —
   /// or, with nothing to run, an idle skip to the post-admission
@@ -667,7 +679,8 @@ class ServingEngine {
   /// The step's attention input at the engine's head geometry;
   /// ExecuteStepPlan rebuilds its lengths and groups in place every step.
   AttnSimInput step_in_;
-  /// ExecuteStepPlan's (group id, decode row) pairs, kept for their buffer.
+  /// ExecuteStepPlan's (group id, decode row) pairs, kept for their buffer;
+  /// sorted only when running_ holds groups out of group-id order.
   std::vector<std::pair<int, int>> group_rows_;
   /// SpecVerifyAttnUs's context lengths, one per running branch, kept for
   /// their buffer.

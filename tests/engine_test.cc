@@ -5,6 +5,7 @@
 
 #include "cluster/cluster.h"
 #include "serving/engine.h"
+#include "test_util.h"
 
 namespace flashinfer::serving {
 namespace {
@@ -112,6 +113,73 @@ TEST(Engine, OutputTokenAccounting) {
   EXPECT_EQ(m.total_output_tokens, 4 * 10);
   // ITL gaps: 9 per request (first token comes from prefill).
   EXPECT_EQ(m.itl_ms.size(), 4u * 9u);
+}
+
+/// The engines Run()'s sample contract is pinned on, with each one's
+/// parallel_n: the FlashInfer backend at n = 1, the composable backend at
+/// n = 4 (its sibling groups), and a spec engine over a branching draft tree
+/// (multi-token commits).
+std::vector<std::pair<EngineConfig, int>> RunContractConfigs() {
+  EngineConfig composable = BaseConfig();
+  composable.backend.composable = true;
+  EngineConfig spec = BaseConfig();
+  spec.spec.enabled = true;
+  spec.spec.tree = {/*depth=*/2, /*branching=*/2};
+  return {{BaseConfig(), 1}, {composable, 4}, {spec, 1}};
+}
+
+std::vector<Request> SeededShareGpt(int parallel_n) {
+  Rng rng(41);
+  auto reqs = ShareGptWorkload(rng, 40, 20.0, parallel_n);
+  AssignAcceptance(rng, reqs, 0.3, 0.95);
+  return reqs;
+}
+
+/// The metrics of an engine of `cfg` that has run nothing.
+ServingMetrics FreshMetrics(const EngineConfig& cfg) {
+  ServingEngine fresh(cfg);
+  fresh.Reset();
+  return fresh.Metrics();
+}
+
+// Run() sizes its sample vectors once and moves them out: with nothing
+// rejected each one is exactly as long as Run() sized it, the engine's own
+// metrics read as a fresh engine's afterwards, and a second Run() of the
+// same workload returns the same bits.
+TEST(Engine, RunSizesSamplesOnceAndMovesThemOut) {
+  for (const auto& [cfg, n] : RunContractConfigs()) {
+    SCOPED_TRACE("parallel_n=" + std::to_string(n) + " spec=" + std::to_string(cfg.spec.enabled));
+    const std::vector<Request> reqs = SeededShareGpt(n);
+    ServingEngine engine(cfg);
+    const ServingMetrics first = engine.Run(reqs);
+    ASSERT_EQ(first.rejected_requests, 0);
+    ASSERT_EQ(first.ttft_ms.size(), reqs.size());
+    EXPECT_GT(first.itl_ms.size(), 0u);
+    EXPECT_EQ(first.ttft_ms.capacity(), first.ttft_ms.size());
+    EXPECT_EQ(first.ttft_priority.capacity(), first.ttft_priority.size());
+    EXPECT_EQ(first.itl_ms.capacity(), first.itl_ms.size());
+    EXPECT_EQ(test::MetricsDiff(engine.Metrics(), FreshMetrics(cfg)), "");
+    EXPECT_EQ(test::MetricsDiff(engine.Run(reqs), first), "");
+  }
+}
+
+// A rejected request records no samples, so the vectors Run() sized for it
+// stay partly empty; the hand-off is the same.
+TEST(Engine, RunSizesSamplesOnceWithARejectedRequest) {
+  for (const auto& [cfg, n] : RunContractConfigs()) {
+    SCOPED_TRACE("parallel_n=" + std::to_string(n) + " spec=" + std::to_string(cfg.spec.enabled));
+    std::vector<Request> reqs = SeededShareGpt(n);
+    ServingEngine engine(cfg);
+    // More prompt than the whole KV budget: it could never run.
+    reqs.push_back(MakeReq(1000, reqs[5].arrival_s, engine.KvTokenBudget() + 1, 64));
+    const ServingMetrics m = engine.Run(reqs);
+    ASSERT_EQ(m.rejected_requests, 1);
+    EXPECT_EQ(m.ttft_ms.size(), reqs.size() - 1);
+    EXPECT_GE(m.ttft_ms.capacity(), m.ttft_ms.size());
+    EXPECT_GE(m.ttft_priority.capacity(), m.ttft_priority.size());
+    EXPECT_GE(m.itl_ms.capacity(), m.itl_ms.size());
+    EXPECT_EQ(test::MetricsDiff(engine.Metrics(), FreshMetrics(cfg)), "");
+  }
 }
 
 TEST(Engine, ParallelBranchesMultiplyOutputs) {

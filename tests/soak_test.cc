@@ -3,7 +3,8 @@
 // Every trial draws a random config point — batch policy (prefill-alone or
 // chunked, with random chunk size and per-step prefill budget), speculative
 // decoding on/off, preemption on/off (random restore policy), tight vs loose
-// KV budget — and a random bursty workload admitted in *shuffled* order,
+// KV budget, composable formats on a share of engine and disaggregated
+// trials — and a random bursty workload admitted in *shuffled* order,
 // then asserts the whole-engine invariants that every subsystem must
 // preserve when composed with the others:
 //
@@ -45,6 +46,10 @@
 //      back to the mirror capacity) matches each decision's recorded prefix
 //      tokens. ClusterEngine::Run reads the prefix off its one Insert's
 //      return instead; the reference's MatchPrefix is the independent oracle.
+//  13. every engine trial's Run() of its workload hands its metrics out and
+//      leaves the engine's reading as a fresh engine's; when it rejects
+//      nothing, each sample vector (TTFT, its priorities, ITL) has exactly
+//      the capacity Run() sized it to.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -182,6 +187,10 @@ EngineConfig RandomConfig(Rng& rng, uint64_t seed) {
                             : 80.0;
   return cfg;
 }
+
+/// Composable formats on a share of trials. A separate stream keeps the
+/// trial's other draws as they were.
+bool DrawComposable(uint64_t seed) { return Rng(seed ^ 0xC0B05Eull).NextDouble() < 0.3; }
 
 std::vector<Request> RandomWorkload(Rng& rng) {
   std::vector<Request> reqs;
@@ -505,6 +514,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
   const int failed_before = FailedPartCount();
   Rng rng(seed);
   EngineConfig cfg = RandomConfig(rng, seed);
+  cfg.backend.composable = DrawComposable(seed);
   if (pin != nullptr) pin(cfg);
   std::vector<Request> reqs = RandomWorkload(rng);
   if (one_token_requests) SetOneTokenRequests(seed, reqs);
@@ -640,6 +650,17 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
   }
 
   g_current_engine = nullptr;
+  // Invariant 13: Run() hands its metrics out, sized once.
+  ServingEngine reference(cfg);
+  const ServingMetrics run = reference.Run(reqs);
+  ServingEngine fresh(cfg);
+  fresh.Reset();
+  EXPECT_EQ(test::MetricsDiff(reference.Metrics(), fresh.Metrics()), "");
+  if (run.rejected_requests == 0) {
+    EXPECT_EQ(run.ttft_ms.capacity(), run.ttft_ms.size());
+    EXPECT_EQ(run.ttft_priority.capacity(), run.ttft_priority.size());
+    EXPECT_EQ(run.itl_ms.capacity(), run.itl_ms.size());
+  }
   if (!check_step_equiv) {
     if (FailedPartCount() > failed_before) {
       DumpTrialTrace({{"engine", engine.TraceEvents()}}, seed);
@@ -647,8 +668,6 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
     return;
   }
   // Run() ≡ external Admit/StepTo loop with rng-jittered deadlines.
-  ServingEngine reference(cfg);
-  const auto run = reference.Run(reqs);
   const auto expect_matches_run = [&](const ServingMetrics& st, const char* driver) {
     SCOPED_TRACE(driver);
     EXPECT_DOUBLE_EQ(st.makespan_s, run.makespan_s);
@@ -871,6 +890,7 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   // budgets) soaks through the disaggregated driver: export/import must
   // compose with every subsystem.
   cfg.engine = RandomConfig(rng, seed);
+  cfg.engine.backend.composable = DrawComposable(seed);
   cfg.num_replicas = 4;
   cfg.disaggregated = true;
   cfg.prefill_replicas = 1 + static_cast<int>(rng.UniformInt(0, 2));
@@ -887,6 +907,14 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   serving::AssignPriorities(rng, reqs, {0.6, 0.3, 0.1});
   serving::AssignAcceptance(rng, reqs, 0.3, 0.95);
   if (one_token_requests) SetOneTokenRequests(seed, reqs);
+  if (cfg.engine.backend.composable) {
+    // A quarter of the requests decode sibling pairs, whose units can reach
+    // a decode replica out of group order. Its own stream, as above.
+    Rng pairs(seed ^ 0x9A125ull);
+    for (auto& r : reqs) {
+      if (pairs.NextDouble() < 0.25) r.parallel_n = 2;
+    }
+  }
 
   cluster::ClusterEngine cluster(cfg);
   const auto m = cluster.Run(reqs);

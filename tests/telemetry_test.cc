@@ -501,11 +501,11 @@ TEST(Slo, EngineRunFiresAlertIntoTrace) {
   cfg.telemetry.slos.push_back(spec);
 
   ServingEngine engine(cfg);
-  engine.Run(MixedWorkload(24));
+  const ServingMetrics m = engine.Run(MixedWorkload(24));
   const SloMonitor* slo = engine.Slo();
   ASSERT_NE(slo, nullptr);
   EXPECT_GE(slo->TotalAlerts(), 1);
-  const auto status = slo->Status(engine.Metrics().makespan_s);
+  const auto status = slo->Status(m.makespan_s);
   ASSERT_EQ(status.size(), 1u);
   EXPECT_LT(status[0].attainment, 0.01);  // Every sample violated.
 

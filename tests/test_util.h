@@ -518,6 +518,40 @@ inline std::string CounterFieldDiff(const obs::MetricsRegistry& reg,
   return out;
 }
 
+/// Empty when `a` and `b` hold the same bits in every member: each
+/// kMetricFields value, the sample vectors, the ITL sketch (count, min, max,
+/// sum, every bucket), bounded_itl, makespan_s, branch_stalls and
+/// accepted_len_hist; otherwise names the first member that differs.
+inline std::string MetricsDiff(const serving::ServingMetrics& a,
+                               const serving::ServingMetrics& b) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+  };
+  const auto same_samples = [&same](const std::vector<double>& x, const std::vector<double>& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(), same);
+  };
+  for (size_t i = 0; i < std::size(serving::kMetricFields); ++i) {
+    const serving::MetricField& f = serving::kMetricFields[i];
+    if (!same(f.Value(a), f.Value(b))) return "kMetricFields[" + std::to_string(i) + "]";
+  }
+  if (!same_samples(a.ttft_ms, b.ttft_ms)) return "ttft_ms";
+  if (a.ttft_priority != b.ttft_priority) return "ttft_priority";
+  if (!same_samples(a.itl_ms, b.itl_ms)) return "itl_ms";
+  const obs::Histogram &sa = a.itl_sketch, &sb = b.itl_sketch;
+  bool sketch = sa.Count() == sb.Count() && same(sa.MinValue(), sb.MinValue()) &&
+                same(sa.MaxValue(), sb.MaxValue()) && same(sa.Sum(), sb.Sum()) &&
+                sa.NumBuckets() == sb.NumBuckets();
+  for (int64_t i = 0; sketch && i < sa.NumBuckets(); ++i) {
+    sketch = sa.BucketCount(i) == sb.BucketCount(i);
+  }
+  if (!sketch) return "itl_sketch";
+  if (a.bounded_itl != b.bounded_itl) return "bounded_itl";
+  if (!same(a.makespan_s, b.makespan_s)) return "makespan_s";
+  if (a.branch_stalls != b.branch_stalls) return "branch_stalls";
+  if (a.accepted_len_hist != b.accepted_len_hist) return "accepted_len_hist";
+  return "";
+}
+
 // --------------------------------------------------------------------------
 // Reference histogram bucketing. Histogram::IndexOf looks each sample up in a
 // table of every bucket's least value; this is the log formula that table

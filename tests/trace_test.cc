@@ -108,7 +108,7 @@ TEST(Trace, DisabledByDefaultAndMetricsBitIdentical) {
 TEST(Trace, StepSpansMonotoneAndPhasesTileStep) {
   auto cfg = BaseConfig();
   ServingEngine engine(cfg);
-  engine.Run(MixedWorkload(24));
+  const ServingMetrics m = engine.Run(MixedWorkload(24));
   const auto events = engine.TraceEvents();
   ASSERT_FALSE(events.empty());
 
@@ -137,7 +137,6 @@ TEST(Trace, StepSpansMonotoneAndPhasesTileStep) {
     EXPECT_NEAR(phase_sum, e.dur_us, kEpsUs);
     EXPECT_NEAR(cursor, e.ts_us + e.dur_us, kEpsUs);
   }
-  const ServingMetrics& m = engine.Metrics();
   EXPECT_EQ(steps, m.num_steps);  // One step span per executed work step.
   EXPECT_EQ(steps, m.mixed_steps + m.prefill_only_steps + m.decode_only_steps);
 }
