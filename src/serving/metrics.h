@@ -23,9 +23,11 @@ double Mean(const std::vector<double>& values);
 /// Aggregated serving metrics for one run.
 struct ServingMetrics {
   std::vector<double> ttft_ms;       // Per request.
-  /// Per emitted token (gaps). Empty when `bounded_itl` is set — long-lived
-  /// engines opt out of the one-double-per-token growth and answer ITL
-  /// percentile queries from the histogram sketch instead.
+  /// Per emitted token (gaps). ServingEngine::Run() sizes it once, to every
+  /// branch's later tokens, so only Admit()/StepTo() drivers grow it as
+  /// tokens land. Empty when `bounded_itl` is set — long-lived engines opt
+  /// out of the one-double-per-token growth and answer ITL percentile
+  /// queries from the histogram sketch instead.
   std::vector<double> itl_ms;
   /// Log-bucketed ITL sketch, always fed by AddItl (a few dozen buckets,
   /// ~19% worst-case relative quantile error, exact count/min/max/mean).
