@@ -1221,7 +1221,8 @@ void ServingEngine::CommitDecode() {
   // Every commit of the step lands at one instant: one ring position.
   const obs::WindowPos at = telemetry_ ? telemetry_->PosAt(now_s_) : obs::WindowPos{};
   // Every branch that emitted in the previous step closes that step's gap,
-  // so runs of branches share one: bucket each distinct gap once.
+  // so consecutive branches mostly share one: bucket a gap only when it
+  // differs from the previous branch's.
   double bucketed_ms = std::numeric_limits<double>::quiet_NaN();
   int64_t gap_bucket = 0;
   // Survivors compact to the front in order, written back only when they

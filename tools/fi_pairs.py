@@ -111,10 +111,10 @@ def verdict(spec, parent, change):
 
 def summarize(specs, workloads, pairs):
     """Per workload: attempted/failed per side, identical pairs, metric rows."""
+    simulated = [m["name"] for m in specs if m["name"] not in HOST_METRICS]
     out = {}
     for w in workloads:
         rows = [p for p in pairs if p["workload"] == w]
-        simulated = [m["name"] for m in specs if m["name"] not in HOST_METRICS]
         identical = sum(all(p["parent"]["metrics"][m]["value"] == p["change"]["metrics"][m]["value"]
                             for m in simulated) for p in rows)
         summary = {
