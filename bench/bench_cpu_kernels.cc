@@ -7,7 +7,8 @@
 // the CPU analog of the FlashInfer-vs-FlexAttention gap of Tables 1-4 —
 // plus the cost of the supporting machinery: state merging, scheduling (plan
 // time), per-step attention and spec-verify pricing, per-token telemetry
-// samples, KV storage conversions, and radix-tree matching and eviction.
+// samples, KV storage conversions, radix-tree matching and eviction, and
+// the set-up fi_bench times: tenant workload generation and admission.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -347,6 +348,46 @@ void BM_EngineRun(benchmark::State& state) {
       static_cast<double>(steps), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_EngineRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_MultiTenantWorkload(benchmark::State& state) {
+  // fi_bench's tenant_prefix window: 1,800 requests over 1,024 tenants at
+  // Zipf 1.0, each prompt a tenant's system prompt and a user turn. A
+  // tenant's prompt is drawn when a request first picks it; the stream
+  // skips the rest. Every iteration generates the same seeded window. Each
+  // window is freed only after the next is generated, so the allocator
+  // reuses its pages instead of returning them to the system and faulting
+  // them in again, as in fi_bench, where long-lived windows keep the heap.
+  serving::TenantPoolConfig pool;
+  pool.num_tenants = 1024;
+  pool.zipf_s = 1.0;
+  std::vector<serving::Request> window;
+  for (auto _ : state) {
+    Rng rng(53);
+    window = serving::MultiTenantWorkload(rng, 1800, 300.0, pool);
+    benchmark::DoNotOptimize(window.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 1800);
+}
+BENCHMARK(BM_MultiTenantWorkload)->Unit(benchmark::kMillisecond);
+
+void BM_AdmitInOrder(benchmark::State& state) {
+  // fi_bench's sharegpt set-up: a fresh engine, then an Admit of each of
+  // 1,800 ShareGPT requests in arrival order, each appended to the queue.
+  // The time is per engine, construction included.
+  serving::EngineConfig cfg;
+  cfg.model = serving::Llama31_8B();
+  cfg.device = gpusim::H100Sxm80GB();
+  cfg.backend = serving::FlashInferBackend();
+  Rng rng(47);
+  const auto reqs = serving::ShareGptWorkload(rng, 1800, 60.0);
+  for (auto _ : state) {
+    serving::ServingEngine engine(cfg);
+    for (const serving::Request& r : reqs) engine.Admit(r);
+    benchmark::DoNotOptimize(engine.Finished());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(reqs.size()));
+}
+BENCHMARK(BM_AdmitInOrder)->Unit(benchmark::kMicrosecond);
 
 /// 4096 ITL-like samples in ms, log-uniform from 1 ms (a decode step's gap)
 /// to 1 s (a preemption stall).

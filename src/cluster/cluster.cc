@@ -48,6 +48,22 @@ void MergeInto(ServingMetrics& agg, const ServingMetrics& m) {
   }
 }
 
+/// `r` without its prompt ids, which the engine never reads (workload.h):
+/// the router and the mirrors read the workload's own copy.
+Request WithoutPrompt(const Request& r) {
+  Request out;
+  out.id = r.id;
+  out.arrival_s = r.arrival_s;
+  out.input_len = r.input_len;
+  out.output_len = r.output_len;
+  out.parallel_n = r.parallel_n;
+  out.cached_prefix_len = r.cached_prefix_len;
+  out.tenant = r.tenant;
+  out.accept_prob = r.accept_prob;
+  out.priority = r.priority;
+  return out;
+}
+
 }  // namespace
 
 struct ClusterEngine::Replica {
@@ -136,7 +152,7 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
     pair_streams_.resize(prefill_n * (replicas_.size() - prefill_n));
   }
 
-  // Arrival order, by pointer: the prompts are copied once, into the engine.
+  // Arrival order, by pointer: the prompts are never copied.
   std::vector<const Request*> sorted(workload.size());
   for (size_t i = 0; i < workload.size(); ++i) sorted[i] = &workload[i];
   std::stable_sort(sorted.begin(), sorted.end(), [](const Request* a, const Request* b) {
@@ -169,14 +185,14 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
     FI_CHECK_LT(target, static_cast<int>(prefill_n));
     Replica& rep = *replicas_[static_cast<size_t>(target)];
 
-    Request routed = r;
-    if (!routed.prompt_tokens.empty()) {
+    Request routed = WithoutPrompt(r);
+    if (!r.prompt_tokens.empty()) {
       // One walk mirrors the prompt into the replica's cache; the full pages
       // it did not add are the cached prefix (see radix.h).
       const int64_t full_pages =
-          static_cast<int64_t>(routed.prompt_tokens.size()) / cfg_.engine.page_size;
+          static_cast<int64_t>(r.prompt_tokens.size()) / cfg_.engine.page_size;
       no_page_ids.resize(std::max(no_page_ids.size(), static_cast<size_t>(full_pages)));
-      const int64_t added = rep.prefix_cache.Insert(routed.prompt_tokens, no_page_ids);
+      const int64_t added = rep.prefix_cache.Insert(r.prompt_tokens, no_page_ids);
       routed.cached_prefix_len = (full_pages - added) * cfg_.engine.page_size;
       matched_prompt_tokens += routed.cached_prefix_len;
       total_prompt_tokens += routed.input_len;
@@ -250,11 +266,22 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
   // --- Aggregate ------------------------------------------------------------
   ClusterMetrics out;
   out.router = router_->Stats();
-  std::vector<double> work_tokens;
+  size_t ttft_samples = 0, itl_samples = 0, stalls = 0;
   for (auto& rep : replicas_) {
-    const ServingMetrics& m = rep->engine.Metrics();
-    out.per_replica.push_back(m);
-    out.replica_requests.push_back(rep->requests);
+    const ServingMetrics& m = out.per_replica.emplace_back(rep->engine.TakeMetrics());
+    ttft_samples += m.ttft_ms.size();
+    itl_samples += m.itl_ms.size();
+    stalls += m.branch_stalls.size();
+  }
+  // Sized once: the aggregate concatenates every replica's samples.
+  out.aggregate.ttft_ms.reserve(ttft_samples);
+  out.aggregate.ttft_priority.reserve(ttft_samples);
+  out.aggregate.itl_ms.reserve(itl_samples);
+  out.aggregate.branch_stalls.reserve(stalls);
+  std::vector<double> work_tokens;
+  for (size_t i = 0; i < replicas_.size(); ++i) {
+    const ServingMetrics& m = out.per_replica[i];
+    out.replica_requests.push_back(replicas_[i]->requests);
     out.makespan_s = std::max(out.makespan_s, m.makespan_s);
     work_tokens.push_back(
         static_cast<double>(m.total_prefill_tokens + m.total_output_tokens));

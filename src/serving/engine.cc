@@ -306,11 +306,16 @@ void ServingEngine::Admit(Request r) {
   // arrivals (bursts) order-independent of the Admit() call order: an
   // unsorted admission sequence yields the exact same schedule as a sorted
   // one.
-  auto it = std::upper_bound(
-      pending_.begin(), pending_.end(), r, [](const Request& a, const Request& b) {
-        return a.arrival_s != b.arrival_s ? a.arrival_s < b.arrival_s : a.id < b.id;
-      });
-  pending_.insert(it, std::move(r));
+  const auto before = [](const Request& a, const Request& b) {
+    return a.arrival_s != b.arrival_s ? a.arrival_s < b.arrival_s : a.id < b.id;
+  };
+  // Every generator emits requests in this order, and a request that does
+  // not sort before the back is exactly where upper_bound would put it.
+  if (pending_.empty() || !before(r, pending_.back())) {
+    pending_.push_back(std::move(r));
+    return;
+  }
+  pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), r, before), std::move(r));
 }
 
 double ServingEngine::SwapGateEnd() const noexcept {
@@ -1331,6 +1336,10 @@ ServingMetrics ServingEngine::Run(const std::vector<Request>& workload) {
   metrics_.ttft_priority.reserve(workload.size());
   if (!metrics_.bounded_itl) metrics_.itl_ms.reserve(static_cast<size_t>(itl_samples));
   Drain();
+  return TakeMetrics();
+}
+
+ServingMetrics ServingEngine::TakeMetrics() {
   ServingMetrics out = std::move(metrics_);
   ResetMetrics();
   return out;

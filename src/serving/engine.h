@@ -263,9 +263,10 @@ class ServingEngine {
   /// ttft_ms and ttft_priority to the request count, itl_ms (unless
   /// bounded_itl) to the later tokens of every branch, sum of parallel_n *
   /// (output_len - 1). With nothing rejected, each one's capacity is its
-  /// size. The metrics move out to the caller, so afterwards Metrics() reads
-  /// as a freshly Reset() engine's; the trace, registry and clock keep the
-  /// run's. Start the next run with Run() or Reset().
+  /// size. The metrics move out to the caller (TakeMetrics()), so
+  /// afterwards Metrics() reads as a freshly Reset() engine's; the trace,
+  /// registry and clock keep the run's. Start the next run with Run() or
+  /// Reset().
   ServingMetrics Run(const std::vector<Request>& workload);
 
   // --- Incremental (steppable) API -----------------------------------------
@@ -282,6 +283,8 @@ class ServingEngine {
   /// admitted into a batch before its arrival time. Requests may be admitted
   /// in any order; the queue is kept sorted by (arrival, id), so even
   /// simultaneous arrivals schedule independently of the Admit() call order.
+  /// A request that does not sort before the queue's back is appended; only
+  /// an earlier one searches for its place.
   void Admit(Request r);
 
   /// Simulated time at which the next step would change state: while
@@ -317,6 +320,12 @@ class ServingEngine {
   /// driver reads. Run() returns its metrics instead and leaves these as
   /// Reset() does.
   const ServingMetrics& Metrics() const noexcept { return metrics_; }
+
+  /// Moves the metrics accumulated since the last Reset() out to the caller
+  /// and leaves Metrics() reading as a freshly Reset() engine's, as Run()
+  /// does with its own; the trace, registry, clock and queues stay. The
+  /// cluster driver takes each replica's metrics this way.
+  ServingMetrics TakeMetrics();
 
   /// Current simulated time, seconds.
   double Now() const noexcept { return now_s_; }

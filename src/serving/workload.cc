@@ -59,17 +59,22 @@ std::vector<Request> MultiTenantWorkload(Rng& rng, int num_requests, double requ
   FI_CHECK_GE(cfg.num_tenants, 1);
   FI_CHECK_LE(cfg.prefix_len_lo, cfg.prefix_len_hi);
 
-  // Materialize each tenant's system prompt once. Ids live in disjoint
-  // per-tenant ranges so two tenants can never share a page-aligned prefix.
-  std::vector<std::vector<int32_t>> prompts(static_cast<size_t>(cfg.num_tenants));
+  // A tenant's prompt is one UniformInt draw per token, right after its
+  // length, but a window picks only some tenants. The stream is saved there
+  // and skips the prompt; the first request that picks the tenant draws the
+  // prompt from the saved copy into its own, and later ones copy it from
+  // that request. The draws are the same as drawing every prompt up front.
+  struct Tenant {
+    int64_t len = 0;
+    Rng stream;      // At the prompt's first token.
+    int first = -1;  // The request holding the prompt; -1 before first use.
+  };
+  std::vector<Tenant> tenants;
+  tenants.reserve(static_cast<size_t>(cfg.num_tenants));
   for (int t = 0; t < cfg.num_tenants; ++t) {
     const int64_t len = rng.UniformInt(cfg.prefix_len_lo, cfg.prefix_len_hi);
-    auto& p = prompts[static_cast<size_t>(t)];
-    p.reserve(static_cast<size_t>(len));
-    const int32_t base = (t + 1) * 1'000'000;
-    for (int64_t i = 0; i < len; ++i) {
-      p.push_back(base + static_cast<int32_t>(rng.UniformInt(0, 99'999)));
-    }
+    tenants.push_back({len, rng});
+    rng.Discard(static_cast<uint64_t>(len));
   }
 
   ZipfSampler popularity(cfg.num_tenants, cfg.zipf_s);
@@ -79,7 +84,7 @@ std::vector<Request> MultiTenantWorkload(Rng& rng, int num_requests, double requ
   for (int i = 0; i < num_requests; ++i) {
     now += rng.Exponential(request_rate);
     const int tenant = popularity.Sample(rng) - 1;
-    const auto& prefix = prompts[static_cast<size_t>(tenant)];
+    Tenant& owner = tenants[static_cast<size_t>(tenant)];
     const int64_t user_len =
         ClippedLogNormal(rng, static_cast<double>(cfg.user_len_mean), 0.8, 4, 512);
 
@@ -87,8 +92,19 @@ std::vector<Request> MultiTenantWorkload(Rng& rng, int num_requests, double requ
     r.id = i;
     r.arrival_s = now;
     r.tenant = tenant;
-    r.prompt_tokens = prefix;
-    r.prompt_tokens.reserve(prefix.size() + static_cast<size_t>(user_len));
+    r.prompt_tokens.reserve(static_cast<size_t>(owner.len + user_len));
+    if (owner.first < 0) {
+      // Ids live in disjoint per-tenant ranges so two tenants can never
+      // share a page-aligned prefix.
+      const int32_t base = (tenant + 1) * 1'000'000;
+      for (int64_t k = 0; k < owner.len; ++k) {
+        r.prompt_tokens.push_back(base + static_cast<int32_t>(owner.stream.UniformInt(0, 99'999)));
+      }
+      owner.first = i;
+    } else {
+      const auto& prefix = reqs[static_cast<size_t>(owner.first)].prompt_tokens;
+      r.prompt_tokens.assign(prefix.begin(), prefix.begin() + owner.len);
+    }
     for (int64_t u = 0; u < user_len; ++u) {
       // User turns draw from the shared low id range; they are unique per
       // request with overwhelming probability, which is all prefix matching

@@ -30,7 +30,8 @@ struct Request {
   /// OpenAI "n" parameter: parallel generations sharing the prompt (Sec. 4.4).
   int parallel_n = 1;
   /// Prompt token ids, `input_len` long when present (may be empty: the
-  /// engine itself never inspects ids; the cluster router matches prefixes).
+  /// engine itself never inspects ids, and the cluster admits its routed
+  /// requests without them; the cluster router matches prefixes).
   std::vector<int32_t> prompt_tokens;
   /// Prompt tokens already resident in the serving replica's prefix cache
   /// (set by the cluster layer before Admit); prefill recomputes only the
@@ -75,7 +76,11 @@ struct TenantPoolConfig {
 /// Requests with real token-id prompts: `tenant prefix + unique user turn`,
 /// tenant picked by Zipf popularity, Poisson arrivals. Token ids are drawn
 /// per tenant from disjoint id ranges so prefixes collide only by sharing a
-/// tenant.
+/// tenant. Every tenant's length is drawn up front, but its prompt only when
+/// a request first picks it, from a copy of `rng` saved at the prompt's
+/// stream position (`rng` itself skips the prompt with Rng::Discard). The
+/// requests and `rng`'s final state are therefore the same as when every
+/// prompt was drawn up front.
 std::vector<Request> MultiTenantWorkload(Rng& rng, int num_requests, double request_rate,
                                          const TenantPoolConfig& cfg = {});
 

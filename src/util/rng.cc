@@ -16,8 +16,6 @@ inline uint64_t SplitMix64(uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl(uint64_t x, int k) noexcept { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) noexcept {
@@ -25,25 +23,8 @@ Rng::Rng(uint64_t seed) noexcept {
   for (auto& s : s_) s = SplitMix64(sm);
 }
 
-uint64_t Rng::NextU64() noexcept {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
 double Rng::NextDouble() noexcept {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) noexcept {
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextU64() % span);
 }
 
 double Rng::Uniform(double lo, double hi) noexcept { return lo + (hi - lo) * NextDouble(); }

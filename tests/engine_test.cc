@@ -1,6 +1,7 @@
 // Serving-engine edge cases and regression tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "cluster/cluster.h"
@@ -113,6 +114,38 @@ TEST(Engine, OutputTokenAccounting) {
   EXPECT_EQ(m.total_output_tokens, 4 * 10);
   // ITL gaps: 9 per request (first token comes from prefill).
   EXPECT_EQ(m.itl_ms.size(), 4u * 9u);
+}
+
+// Admit appends a request that does not sort before the queue's back and
+// searches for the place of any other: admissions in order, an equal arrival
+// with a lower id and an arrival earlier than the back schedule exactly as
+// sorted admission does (the same admissions at the same instants, the same
+// metrics).
+TEST(Engine, AdmitOutOfOrderSchedulesAsSorted) {
+  EngineConfig cfg = BaseConfig();
+  cfg.trace.enabled = true;
+  Rng rng(43);
+  std::vector<Request> sorted = ShareGptWorkload(rng, 60, 20.0);
+  sorted[21].arrival_s = sorted[20].arrival_s;
+  std::vector<Request> order = sorted;
+  std::swap(order[20], order[21]);  // 21, then 20 at the same arrival.
+  std::rotate(order.begin() + 30, order.begin() + 31, order.begin() + 41);  // 30 after 40.
+  const auto run = [&cfg](const std::vector<Request>& admitted) {
+    ServingEngine engine(cfg);
+    engine.Reset();
+    for (const Request& r : admitted) engine.Admit(r);
+    engine.Drain();
+    std::vector<std::pair<int32_t, double>> admits;
+    for (const obs::TraceEvent& e : engine.TraceEvents()) {
+      if (e.name == obs::TraceName::kReqAdmit) admits.emplace_back(e.req, e.ts_us);
+    }
+    return std::pair{admits, engine.Metrics()};
+  };
+  const auto [want_admits, want] = run(sorted);
+  const auto [got_admits, got] = run(order);
+  ASSERT_EQ(want_admits.size(), sorted.size());
+  EXPECT_EQ(got_admits, want_admits);
+  EXPECT_EQ(test::MetricsDiff(got, want), "");
 }
 
 /// The engines Run()'s sample contract is pinned on, with each one's

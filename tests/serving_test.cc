@@ -6,6 +6,7 @@
 #include "serving/model.h"
 #include "serving/streaming_llm.h"
 #include "serving/workload.h"
+#include "test_util.h"
 
 namespace flashinfer::serving {
 namespace {
@@ -40,6 +41,47 @@ TEST(Workload, ShareGptShapes) {
   EXPECT_NEAR(out_sum / 2000.0, 190.0, 50.0);
   // Poisson arrivals at rate 8/s: ~250s horizon for 2000 requests.
   EXPECT_NEAR(reqs.back().arrival_s, 250.0, 50.0);
+}
+
+// MultiTenantWorkload draws a tenant's system prompt only when a request
+// first picks it, from a copy of the stream saved where the eager generator
+// drew it. Requests, tokens and the caller's final Rng state must match the
+// eager reference, including a Normal() value the caller's stream cached.
+TEST(Workload, MultiTenantMatchesEagerReference) {
+  struct Pool {
+    const char* name;
+    int requests;
+    TenantPoolConfig cfg;
+  };
+  std::vector<Pool> pools(5);
+  pools[0] = {"one tenant", 40, {}};
+  pools[0].cfg.num_tenants = 1;
+  pools[1] = {"fixed prefix length", 200, {}};
+  pools[1].cfg.prefix_len_lo = pools[1].cfg.prefix_len_hi = 300;
+  pools[2] = {"few requests over many tenants", 12, {}};
+  pools[2].cfg.num_tenants = 4096;
+  pools[3] = {"many requests over few tenants", 600, {}};
+  pools[3].cfg.num_tenants = 3;
+  pools[4] = {"1024 tenants at Zipf 1.0", 1800, {}};
+  pools[4].cfg.num_tenants = 1024;
+  pools[4].cfg.zipf_s = 1.0;
+  for (const Pool& pool : pools) {
+    for (const uint64_t seed : {1, 2, 3, 4}) {
+      SCOPED_TRACE(std::string(pool.name) + " seed=" + std::to_string(seed));
+      Rng lazy(seed), eager(seed);
+      if (seed % 2 == 1) {
+        lazy.Normal();
+        eager.Normal();
+      }
+      const auto got = MultiTenantWorkload(lazy, pool.requests, 300.0, pool.cfg);
+      const auto want = test::ReferenceMultiTenantWorkload(eager, pool.requests, 300.0, pool.cfg);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(test::RequestDiff(got[i], want[i]), "") << "request " << i;
+      }
+      EXPECT_TRUE(lazy == eager);
+    }
+  }
 }
 
 TEST(Workload, LengthDistributions) {

@@ -34,6 +34,7 @@
 #include "runtime/scheduler.h"
 #include "serving/backends.h"
 #include "serving/metrics.h"
+#include "serving/workload.h"
 #include "sparse/bsr.h"
 #include "util/rng.h"
 
@@ -982,6 +983,73 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops, int extra_pages = 4)
     return "seed " + std::to_string(seed) + ": final drain differs";
   }
   return {};
+}
+
+// --------------------------------------------------------------------------
+// Reference workload generation.
+
+/// serving::MultiTenantWorkload as first written: every tenant's system
+/// prompt drawn up front, in tenant order, before the requests, and each
+/// request's prompt a copy of its tenant's grown by the user turn. The
+/// generator draws a prompt only when a request first picks its tenant and
+/// must match this request for request, token for token, and in the
+/// caller's final Rng state.
+inline std::vector<serving::Request> ReferenceMultiTenantWorkload(
+    Rng& rng, int num_requests, double request_rate, const serving::TenantPoolConfig& cfg) {
+  const auto clipped_log_normal = [&rng](double mean, double sigma, int64_t lo, int64_t hi) {
+    const double mu = std::log(mean) - sigma * sigma / 2.0;
+    return std::clamp<int64_t>(static_cast<int64_t>(std::llround(rng.LogNormal(mu, sigma))), lo,
+                               hi);
+  };
+  std::vector<std::vector<int32_t>> prompts(static_cast<size_t>(cfg.num_tenants));
+  for (int t = 0; t < cfg.num_tenants; ++t) {
+    const int64_t len = rng.UniformInt(cfg.prefix_len_lo, cfg.prefix_len_hi);
+    for (int64_t i = 0; i < len; ++i) {
+      prompts[static_cast<size_t>(t)].push_back((t + 1) * 1'000'000 +
+                                                static_cast<int32_t>(rng.UniformInt(0, 99'999)));
+    }
+  }
+  ZipfSampler popularity(cfg.num_tenants, cfg.zipf_s);
+  std::vector<serving::Request> reqs;
+  double now = 0.0;
+  for (int i = 0; i < num_requests; ++i) {
+    now += rng.Exponential(request_rate);
+    const int tenant = popularity.Sample(rng) - 1;
+    const int64_t user_len =
+        clipped_log_normal(static_cast<double>(cfg.user_len_mean), 0.8, 4, 512);
+    serving::Request r;
+    r.id = i;
+    r.arrival_s = now;
+    r.tenant = tenant;
+    r.prompt_tokens = prompts[static_cast<size_t>(tenant)];
+    for (int64_t u = 0; u < user_len; ++u) {
+      r.prompt_tokens.push_back(static_cast<int32_t>(rng.UniformInt(0, 99'999)));
+    }
+    r.input_len = static_cast<int64_t>(r.prompt_tokens.size());
+    r.output_len = clipped_log_normal(static_cast<double>(cfg.output_len_mean), 0.9, 4, 1024);
+    reqs.push_back(std::move(r));
+  }
+  return reqs;
+}
+
+/// Empty when `a` and `b` hold the same bits in every field, the prompt's
+/// tokens included; otherwise names the first field that differs.
+inline std::string RequestDiff(const serving::Request& a, const serving::Request& b) {
+  if (a.id != b.id) return "id";
+  if (std::bit_cast<uint64_t>(a.arrival_s) != std::bit_cast<uint64_t>(b.arrival_s)) {
+    return "arrival_s";
+  }
+  if (a.input_len != b.input_len) return "input_len";
+  if (a.output_len != b.output_len) return "output_len";
+  if (a.parallel_n != b.parallel_n) return "parallel_n";
+  if (a.prompt_tokens != b.prompt_tokens) return "prompt_tokens";
+  if (a.cached_prefix_len != b.cached_prefix_len) return "cached_prefix_len";
+  if (a.tenant != b.tenant) return "tenant";
+  if (std::bit_cast<uint64_t>(a.accept_prob) != std::bit_cast<uint64_t>(b.accept_prob)) {
+    return "accept_prob";
+  }
+  if (a.priority != b.priority) return "priority";
+  return "";
 }
 
 /// Max absolute difference between two equally-shaped float vectors.

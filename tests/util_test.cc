@@ -357,6 +357,18 @@ TEST(Rng, DeterministicAcrossInstances) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
+// Discard(n) leaves the state that n NextU64() calls would, so a stream can
+// skip draws it replays later from a copy.
+TEST(Rng, DiscardMatchesNextU64Calls) {
+  for (const uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{1000}}) {
+    Rng skipped(29), drawn(29);
+    skipped.Discard(n);
+    for (uint64_t i = 0; i < n; ++i) drawn.NextU64();
+    EXPECT_TRUE(skipped == drawn) << "n=" << n;
+    EXPECT_EQ(skipped.NextU64(), drawn.NextU64()) << "n=" << n;
+  }
+}
+
 TEST(Rng, UniformIntBounds) {
   Rng rng(5);
   std::set<int64_t> seen;
