@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
@@ -57,6 +58,9 @@ std::vector<Request> UniformWorkload(Rng& rng, int num_requests, double request_
 std::vector<Request> MultiTenantWorkload(Rng& rng, int num_requests, double request_rate,
                                          const TenantPoolConfig& cfg) {
   FI_CHECK_GE(cfg.num_tenants, 1);
+  // Tenant t's ids are (t + 1) * 1,000,000 + [0, 99,999]: all must fit in an
+  // int32_t.
+  FI_CHECK_LE(cfg.num_tenants, (std::numeric_limits<int32_t>::max() - 99'999) / 1'000'000);
   FI_CHECK_LE(cfg.prefix_len_lo, cfg.prefix_len_hi);
 
   // A tenant's prompt is one UniformInt draw per token, right after its

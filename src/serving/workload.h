@@ -60,7 +60,8 @@ std::vector<Request> UniformWorkload(Rng& rng, int num_requests, double request_
 
 /// Multi-tenant system-prompt pool for cluster routing experiments.
 struct TenantPoolConfig {
-  /// Number of distinct tenants (each owns one fixed system prompt).
+  /// Number of distinct tenants (each owns one fixed system prompt), at
+  /// most 2,147 so that every tenant's token ids fit in an int32_t.
   int num_tenants = 32;
   /// Zipf exponent over tenant popularity (rank 1 = most popular).
   double zipf_s = 1.1;

@@ -58,8 +58,8 @@ TEST(Workload, MultiTenantMatchesEagerReference) {
   pools[0].cfg.num_tenants = 1;
   pools[1] = {"fixed prefix length", 200, {}};
   pools[1].cfg.prefix_len_lo = pools[1].cfg.prefix_len_hi = 300;
-  pools[2] = {"few requests over many tenants", 12, {}};
-  pools[2].cfg.num_tenants = 4096;
+  pools[2] = {"few requests over the most tenants", 12, {}};
+  pools[2].cfg.num_tenants = 2147;
   pools[3] = {"many requests over few tenants", 600, {}};
   pools[3].cfg.num_tenants = 3;
   pools[4] = {"1024 tenants at Zipf 1.0", 1800, {}};
@@ -82,6 +82,16 @@ TEST(Workload, MultiTenantMatchesEagerReference) {
       EXPECT_TRUE(lazy == eager);
     }
   }
+}
+
+// Tenant t's token ids start at (t + 1) * 1,000,000; a pool whose last
+// tenant's ids would pass INT32_MAX stops at the generator's edge instead of
+// overflowing.
+TEST(WorkloadDeathTest, MultiTenantRejectsTenantIdsBeyondInt32) {
+  TenantPoolConfig cfg;
+  cfg.num_tenants = 2148;
+  Rng rng(1);
+  EXPECT_DEATH(MultiTenantWorkload(rng, 1, 1.0, cfg), "num_tenants <= .*2148 vs 2147");
 }
 
 TEST(Workload, LengthDistributions) {
