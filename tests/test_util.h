@@ -988,7 +988,7 @@ inline std::string RadixOpsDiff(uint64_t seed, int num_ops, int extra_pages = 4)
 // --------------------------------------------------------------------------
 // Reference workload generation.
 
-/// serving::MultiTenantWorkload as first written: every tenant's system
+/// The eager form of serving::MultiTenantWorkload: every tenant's system
 /// prompt drawn up front, in tenant order, before the requests, and each
 /// request's prompt a copy of its tenant's grown by the user turn. The
 /// generator draws a prompt only when a request first picks its tenant and
