@@ -61,6 +61,7 @@ std::vector<Request> MultiTenantWorkload(Rng& rng, int num_requests, double requ
   // Tenant t's ids are (t + 1) * 1,000,000 + [0, 99,999]: all must fit in an
   // int32_t.
   FI_CHECK_LE(cfg.num_tenants, (std::numeric_limits<int32_t>::max() - 99'999) / 1'000'000);
+  FI_CHECK_GE(cfg.prefix_len_lo, 0);  // A length is a count of draws to skip.
   FI_CHECK_LE(cfg.prefix_len_lo, cfg.prefix_len_hi);
 
   // A tenant's prompt is one UniformInt draw per token, right after its

@@ -65,7 +65,8 @@ struct TenantPoolConfig {
   int num_tenants = 32;
   /// Zipf exponent over tenant popularity (rank 1 = most popular).
   double zipf_s = 1.1;
-  /// System-prompt length drawn once per tenant, uniform in [lo, hi].
+  /// System-prompt length drawn once per tenant, uniform in [lo, hi],
+  /// 0 <= lo <= hi.
   int64_t prefix_len_lo = 256;
   int64_t prefix_len_hi = 1024;
   /// Per-request unique user turn, log-normal with this mean, clip [4, 512].

@@ -84,14 +84,17 @@ TEST(Workload, MultiTenantMatchesEagerReference) {
   }
 }
 
-// Tenant t's token ids start at (t + 1) * 1,000,000; a pool whose last
-// tenant's ids would pass INT32_MAX stops at the generator's edge instead of
-// overflowing.
-TEST(WorkloadDeathTest, MultiTenantRejectsTenantIdsBeyondInt32) {
-  TenantPoolConfig cfg;
-  cfg.num_tenants = 2148;
+// Invalid pools stop at the generator's edge. Tenant t's token ids start at
+// (t + 1) * 1,000,000, so a pool whose last tenant's ids would pass
+// INT32_MAX overflowed; a negative prompt length would skip 2^64 - 1 draws.
+TEST(WorkloadDeathTest, MultiTenantRejectsInvalidPools) {
+  TenantPoolConfig too_many;
+  too_many.num_tenants = 2148;
   Rng rng(1);
-  EXPECT_DEATH(MultiTenantWorkload(rng, 1, 1.0, cfg), "num_tenants <= .*2148 vs 2147");
+  EXPECT_DEATH(MultiTenantWorkload(rng, 1, 1.0, too_many), "num_tenants <= .*2148 vs 2147");
+  TenantPoolConfig negative;
+  negative.prefix_len_lo = -1;
+  EXPECT_DEATH(MultiTenantWorkload(rng, 1, 1.0, negative), "prefix_len_lo >= 0");
 }
 
 TEST(Workload, LengthDistributions) {
