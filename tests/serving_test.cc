@@ -53,11 +53,13 @@ TEST(Workload, MultiTenantMatchesEagerReference) {
     int requests;
     TenantPoolConfig cfg;
   };
-  std::vector<Pool> pools(5);
+  std::vector<Pool> pools(6);
   pools[0] = {"one tenant", 40, {}};
   pools[0].cfg.num_tenants = 1;
   pools[1] = {"fixed prefix length", 200, {}};
   pools[1].cfg.prefix_len_lo = pools[1].cfg.prefix_len_hi = 300;
+  pools[5] = {"empty system prompts", 50, {}};
+  pools[5].cfg.prefix_len_lo = pools[5].cfg.prefix_len_hi = 0;
   pools[2] = {"few requests over the most tenants", 12, {}};
   pools[2].cfg.num_tenants = 2147;
   pools[3] = {"many requests over few tenants", 600, {}};

@@ -50,6 +50,11 @@
 //      leaves the engine's reading as a fresh engine's; when it rejects
 //      nothing, each sample vector (TTFT, its priorities, ITL) has exactly
 //      the capacity Run() sized it to.
+//  14. on cluster trials, MultiTenantWorkload over a random pool (empty
+//      prompts and zero requests included), which draws each tenant's
+//      prompt on first use, matches the eager reference generator
+//      (test_util.h) request for request and token for token, and leaves
+//      the caller's Rng in the same state.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -767,6 +772,26 @@ void ExpectRouteDecisionsMatchReferenceMirrors(const cluster::ClusterConfig& cfg
   EXPECT_EQ(decisions, static_cast<int64_t>(reqs.size()));
 }
 
+/// Invariant 14, on its own stream so the trial's other draws stay as-is.
+void ExpectMultiTenantMatchesEagerReference(uint64_t seed) {
+  Rng pick(seed ^ 0x7E4A47ull);
+  serving::TenantPoolConfig tcfg;
+  tcfg.num_tenants = static_cast<int>(pick.UniformInt(1, 64));
+  tcfg.zipf_s = pick.Uniform(0.5, 1.5);
+  tcfg.prefix_len_lo = pick.UniformInt(0, 512);
+  tcfg.prefix_len_hi = tcfg.prefix_len_lo + pick.UniformInt(0, 512);
+  const int n = static_cast<int>(pick.UniformInt(0, 200));
+  Rng lazy(pick.NextU64());
+  Rng eager = lazy;
+  const auto got = serving::MultiTenantWorkload(lazy, n, 50.0, tcfg);
+  const auto want = test::ReferenceMultiTenantWorkload(eager, n, 50.0, tcfg);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(test::RequestDiff(got[i], want[i]), "") << "request " << i;
+  }
+  EXPECT_TRUE(lazy == eager);
+}
+
 void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   g_current_seed = seed;
@@ -788,6 +813,7 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
     cfg.prefix_cache_pages = mirror_rng.UniformInt(8, 64);
   }
   EXPECT_EQ(test::RadixOpsDiff(seed, 200), "");
+  ExpectMultiTenantMatchesEagerReference(seed);
 
   serving::TenantPoolConfig tcfg;
   tcfg.num_tenants = static_cast<int>(rng.UniformInt(4, 12));
