@@ -10,6 +10,7 @@
 // samples, KV storage conversions, radix-tree matching and eviction, and
 // the set-up fi_bench times: tenant workload generation and admission.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <cmath>
@@ -436,24 +437,79 @@ void BM_SketchObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_SketchObserve);
 
+/// Bytes the allocator has handed out and not taken back (mallinfo2: heap
+/// chunks in use plus mmapped ones).
+double HeapBytes() {
+  const struct mallinfo2 m = mallinfo2();
+  return static_cast<double>(m.uordblks + m.hblkhd);
+}
+
 void BM_RegisterClassSeries(benchmark::State& state) {
   // N (tenant, priority) classes registered into a fresh registry through
   // the engine's class path: what a kv_pressure engine pays once per request
   // (every request is its own priority class there). The registry's
   // destruction is not timed; the engine's happens after its run.
+  // heap_B_per_class: the heap the N classes hold, over N.
   const int n = static_cast<int>(state.range(0));
+  const double before = HeapBytes();  // Every iteration frees what it takes.
+  double bytes = 0.0;
   for (auto _ : state) {
     auto reg = std::make_unique<obs::MetricsRegistry>();
     for (int i = 0; i < n; ++i) {
       benchmark::DoNotOptimize(serving::ClassSeries::Register(*reg, -1, i));
     }
     state.PauseTiming();
+    bytes = HeapBytes() - before;
     reg.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * n);
+  state.counters["heap_B_per_class"] = bytes / n;
 }
 BENCHMARK(BM_RegisterClassSeries)->Arg(64)->Arg(400);
+
+void BM_ClassLifecycle(benchmark::State& state) {
+  // What a kv_pressure window pays per request class, all timed: N classes
+  // registered into a fresh registry through the engine's class path, each
+  // given one TTFT sample and 255 ITL samples (one token per commit, as
+  // ClassSeries::ObserveTokens takes them) spread over three 2 s slots of
+  // the default window, then the registry's destruction. The ITL gaps rise
+  // from 20 to 160 ms with +-10% jitter, the 12-14 buckets most kv_pressure
+  // classes span. heap_B_per_class: the heap the N classes hold before
+  // destruction, over N.
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kItl = 255;
+  Rng rng(29);
+  const obs::Histogram geometry;
+  std::vector<double> itl_ms(kItl), itl_t(kItl);
+  std::vector<int64_t> itl_bucket(kItl);
+  for (int k = 0; k < kItl; ++k) {
+    itl_ms[static_cast<size_t>(k)] = 20.0 * std::exp2(3.0 * k / kItl) * rng.Uniform(0.9, 1.1);
+    itl_bucket[static_cast<size_t>(k)] = geometry.IndexOf(itl_ms[static_cast<size_t>(k)]);
+    itl_t[static_cast<size_t>(k)] = 0.1 + 5.8 * (k + 1) / kItl;  // Epochs 0, 1 and 2.
+  }
+  const double before = HeapBytes();  // Every iteration frees what it takes.
+  double bytes = 0.0;
+  for (auto _ : state) {
+    auto reg = std::make_unique<obs::MetricsRegistry>();
+    for (int i = 0; i < n; ++i) {
+      const serving::ClassSeries s = serving::ClassSeries::Register(*reg, -1, i);
+      const obs::WindowPos first = reg->PosAt(0.1);
+      s.ttft->Observe(first, 150.0);
+      s.tokens->Inc(first);
+      for (size_t k = 0; k < itl_ms.size(); ++k) {
+        s.ObserveTokens(reg->PosAt(itl_t[k]), 1, itl_bucket[k], itl_ms[k]);
+      }
+    }
+    state.PauseTiming();
+    bytes = HeapBytes() - before;
+    state.ResumeTiming();
+    reg.reset();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.counters["heap_B_per_class"] = bytes / n;
+}
+BENCHMARK(BM_ClassLifecycle)->Arg(400)->Unit(benchmark::kMicrosecond);
 
 void BM_ObserveClassTokens(benchmark::State& state) {
   // One committed token per class for K classes at one instant (a decode

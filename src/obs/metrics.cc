@@ -75,8 +75,8 @@ int64_t WindowConfig::LiveFrom(double now_s) const {
   return EpochAt(now_s, window_s / slots) - slots + 1;
 }
 
-WindowedSum::WindowedSum(double window_s, int slots)
-    : geometry_{window_s, slots}, slots_(static_cast<size_t>(slots)) {
+WindowedSum::WindowedSum(double window_s, int slots, std::pmr::memory_resource* mem)
+    : geometry_{window_s, slots}, slots_(static_cast<size_t>(slots), mem) {
   FI_CHECK_GT(window_s, 0.0);
   FI_CHECK_GT(slots, 0);
 }
@@ -117,22 +117,21 @@ void Counter::SetTotal(const WindowPos& at, double total) {
   total_ = total;
 }
 
-WindowedSketch::WindowedSketch(double window_s, int slots)
-    : geometry_{window_s, slots}, slots_(static_cast<size_t>(slots)) {
+WindowedSketch::WindowedSketch(double window_s, int slots, std::pmr::memory_resource* mem)
+    : geometry_{window_s, slots}, slots_(static_cast<size_t>(slots), mem) {
   FI_CHECK_GT(window_s, 0.0);
   FI_CHECK_GT(slots, 0);
 }
 
 void WindowedSketch::Observe(double t_s, double v) {
-  static const Histogram kGeometry;  // IndexOf reads only the shared geometry.
-  ObserveAt(geometry_.PosAt(t_s), kGeometry.IndexOf(v), v);
+  ObserveAt(geometry_.PosAt(t_s), Histogram::IndexOf(v), v);
 }
 
 Histogram WindowedSketch::Merged(double now_s) const {
   const int64_t lo = geometry_.LiveFrom(now_s);
   Histogram out;
   for (const Slot& s : slots_) {
-    if (s.epoch >= lo && s.hist) out.MergeFrom(*s.hist);
+    if (s.epoch >= lo) out.MergeFrom(s.hist);
   }
   return out;
 }
@@ -178,13 +177,14 @@ MetricsRegistry::Key MetricsRegistry::KeyOf(const LabelSet& labels) {
 
 template <class T>
 T* MetricsRegistry::GetKeyed(const std::string& name, Key key, const LabelSet& labels) {
-  Family& fam = families_[name];
+  Family& fam = families_.try_emplace(name, &arena_).first->second;
   // A name binds to one metric type.
   FI_CHECK(fam.empty() || std::holds_alternative<T>(fam.begin()->second.metric));
   auto it = fam.find(key);
   if (it == fam.end()) {
     const bool labeled = key.class_id == Key::kLabeled;
-    it = fam.emplace(std::move(key), Instance{labeled ? labels : LabelSet{}, T(window_)}).first;
+    it = fam.emplace(std::move(key), Instance{labeled ? labels : LabelSet{}, T(window_, &arena_)})
+             .first;
   }
   return &std::get<T>(it->second.metric);
 }

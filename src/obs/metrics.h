@@ -20,8 +20,17 @@
 // The Histogram reused here is the log-bucketed percentile sketch from
 // obs/stats.h: a few dozen buckets resolve latency tails spanning five orders
 // of magnitude at ~19% worst-case relative error, so per-token ITL
-// distributions cost O(1) memory instead of one double per emitted token. A
-// sketch's window slot allocates its buckets on its first sample.
+// distributions cost O(1) memory instead of one double per emitted token.
+//
+// Storage. A Histogram holds no heap memory until its first sample, and then
+// stores only the span of buckets it counts (obs/stats.h), so a window slot
+// is 24 bytes and no bucket block until it is written. The registry allocates its
+// instances' map nodes and their window rings from one arena that it frees
+// whole when it is destroyed (instances are never removed before that); only
+// histogram blocks come from the general heap. A (tenant, priority) class of
+// three instances (fi_tokens_total, fi_ttft_ms, fi_itl_ms) with one TTFT and
+// 255 ITL samples over three window slots holds ~1.7 KB in 6 heap blocks
+// (bench_cpu_kernels BM_ClassLifecycle).
 //
 // Labels are a small sorted key=value set (tenant, priority, replica, ...).
 // The registry stores each instance by value in one typed slot and hands out
@@ -45,7 +54,7 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <optional>
+#include <memory_resource>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -116,7 +125,9 @@ struct WindowConfig {
 /// and the window state is a fixed-size array regardless of run length.
 class WindowedSum {
  public:
-  WindowedSum(double window_s, int slots);
+  /// The ring is allocated from `mem`.
+  WindowedSum(double window_s, int slots,
+              std::pmr::memory_resource* mem = std::pmr::get_default_resource());
 
   void Add(double t_s, double v) { Add(geometry_.PosAt(t_s), v); }
   /// Add at a position this window's geometry gave.
@@ -145,18 +156,20 @@ class WindowedSum {
     int64_t count = 0;
   };
   WindowConfig geometry_;
-  std::vector<Slot> slots_;
+  std::pmr::vector<Slot> slots_;
 };
 
 /// Sliding-window percentile sketch: a ring of default-geometry Histograms
 /// (same lazy-epoch scheme as WindowedSum, a reused slot cleared in place).
-/// A slot's buckets are allocated by its first sample, so a series that
-/// touches one slot holds one Histogram, not one per slot. Merged(now) folds
-/// the live slots into one Histogram for quantile queries over the trailing
-/// window.
+/// A never-written slot is an epoch and an empty Histogram: its buckets are
+/// allocated by its first sample, so a series that touches one slot holds
+/// one bucket block, not one per slot. Merged(now) folds the live slots into
+/// one Histogram for quantile queries over the trailing window.
 class WindowedSketch {
  public:
-  WindowedSketch(double window_s, int slots);
+  /// The ring (not the slots' buckets) is allocated from `mem`.
+  WindowedSketch(double window_s, int slots,
+                 std::pmr::memory_resource* mem = std::pmr::get_default_resource());
 
   void Observe(double t_s, double v);
   /// Observe for a caller that knows v's default-geometry bucket `index`
@@ -165,13 +178,9 @@ class WindowedSketch {
     Slot& s = slots_[at.slot];
     if (s.epoch != at.epoch) {
       s.epoch = at.epoch;
-      if (s.hist) {
-        s.hist->Clear();
-      } else {
-        s.hist.emplace();
-      }
+      s.hist.Clear();
     }
-    s.hist->AddAt(index, v);
+    s.hist.AddAt(index, v);
   }
   Histogram Merged(double now_s) const;
 
@@ -180,16 +189,18 @@ class WindowedSketch {
  private:
   struct Slot {
     int64_t epoch = -1;
-    std::optional<Histogram> hist;  // Engaged from the slot's first sample on.
+    Histogram hist;
   };
   WindowConfig geometry_;
-  std::vector<Slot> slots_;
+  std::pmr::vector<Slot> slots_;
 };
 
 /// Monotone counter with a windowed rate view.
 class Counter {
  public:
-  explicit Counter(const WindowConfig& w) : window_(w.window_s, w.slots) {}
+  explicit Counter(const WindowConfig& w,
+                   std::pmr::memory_resource* mem = std::pmr::get_default_resource())
+      : window_(w.window_s, w.slots, mem) {}
 
   void Inc(double t_s, double v = 1.0) { Inc(window_.geometry().PosAt(t_s), v); }
   void Inc(const WindowPos& at, double v = 1.0) {
@@ -216,7 +227,9 @@ class Counter {
 /// Last-write-wins gauge with a windowed max.
 class Gauge {
  public:
-  explicit Gauge(const WindowConfig& w) : window_(w.window_s, w.slots) {}
+  explicit Gauge(const WindowConfig& w,
+                 std::pmr::memory_resource* mem = std::pmr::get_default_resource())
+      : window_(w.window_s, w.slots, mem) {}
 
   void Set(double t_s, double v) { Set(window_.geometry().PosAt(t_s), v); }
   void Set(const WindowPos& at, double v) {
@@ -236,7 +249,9 @@ class Gauge {
 /// sliding-window ring, one bucket lookup per sample for both.
 class Sketch {
  public:
-  explicit Sketch(const WindowConfig& w) : window_(w.window_s, w.slots) {}
+  explicit Sketch(const WindowConfig& w,
+                  std::pmr::memory_resource* mem = std::pmr::get_default_resource())
+      : window_(w.window_s, w.slots, mem) {}
 
   void Observe(double t_s, double v) { Observe(window_.geometry().PosAt(t_s), v); }
   void Observe(const WindowPos& at, double v) { ObserveAt(at, cumulative_.IndexOf(v), v); }
@@ -351,9 +366,9 @@ class MetricsRegistry {
     LabelSet labels;  // Empty for a class instance.
     std::variant<Counter, Gauge, Sketch> metric;
   };
-  /// A family's instances. The map's nodes keep the addresses Get hands
-  /// out; every reader that iterates sorts by label key (Sorted).
-  using Family = std::unordered_map<Key, Instance, KeyHash>;
+  /// A family's instances. The map's nodes (in arena_) keep the addresses
+  /// Get hands out; every reader that iterates sorts by label key (Sorted).
+  using Family = std::pmr::unordered_map<Key, Instance, KeyHash>;
   /// One family's instances with their labels, sorted by label key.
   struct Labeled {
     std::string key;
@@ -370,6 +385,9 @@ class MetricsRegistry {
   WindowConfig window_;
   WindowPos pos_;  // PosAt's last answer, for instant pos_t_s_.
   double pos_t_s_ = std::numeric_limits<double>::quiet_NaN();
+  /// Every family's nodes and every instance's window ring; declared before
+  /// families_ so that it outlives them.
+  std::pmr::monotonic_buffer_resource arena_;
   std::map<std::string, Family> families_;  // By name: exposition order.
 };
 

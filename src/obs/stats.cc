@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <new>
+#include <vector>
 
 namespace flashinfer::obs {
 
@@ -69,21 +72,30 @@ struct Histogram::Table {
   }
 };
 
-Histogram::Histogram() {
+const Histogram::Table& Histogram::Geometry() {
   static const Table kTable(
       kLo, kGrowth, static_cast<int64_t>(std::ceil(std::log(kHi / kLo) / std::log(kGrowth))));
-  table_ = &kTable;
-  counts_.assign(static_cast<size_t>(kTable.regular) + 2, 0);
+  return kTable;
 }
 
-Histogram Histogram::FromSamples(const std::vector<double>& samples) {
-  Histogram h;
-  for (double v : samples) h.Add(v);
-  return h;
+Histogram::Histogram(const Histogram& other) : first_(other.first_), size_(other.size_) {
+  if (other.block_ == nullptr) return;
+  const size_t bytes = sizeof(Block) + static_cast<size_t>(size_) * sizeof(int64_t);
+  block_ = static_cast<Block*>(::operator new(bytes));
+  std::memcpy(static_cast<void*>(block_), other.block_, bytes);
 }
 
-int64_t Histogram::IndexOf(double v) const {
-  const Table& t = *table_;
+Histogram& Histogram::operator=(const Histogram& other) {
+  if (this != &other) *this = Histogram(other);
+  return *this;
+}
+
+Histogram::~Histogram() { ::operator delete(block_); }
+
+int64_t Histogram::NumBuckets() { return Geometry().regular + 2; }
+
+int64_t Histogram::IndexOf(double v) {
+  const Table& t = Geometry();
   if (!(v >= t.lo)) return 0;  // Underflow (also catches NaN / negatives).
   const auto bits = std::bit_cast<uint64_t>(v);
   if (bits >= t.least.back()) return t.regular + 1;  // Overflow, +inf included.
@@ -92,53 +104,95 @@ int64_t Histogram::IndexOf(double v) const {
   return k + 1;
 }
 
+void Histogram::Widen(int64_t index) {
+  Cover(std::max<int64_t>(0, index - kHeadroom),
+        std::min(NumBuckets(), index + kHeadroom + 1));
+}
+
+void Histogram::Cover(int64_t lo, int64_t hi) {
+  const bool counted = Count() > 0;
+  if (block_ != nullptr && !counted && hi - lo <= size_) {
+    // Empty (cleared): every count is zero, so the span moves to centre
+    // [lo, hi) without reallocating.
+    first_ = static_cast<int32_t>(
+        std::clamp(lo - (size_ - (hi - lo)) / 2, int64_t{0}, NumBuckets() - size_));
+    return;
+  }
+  if (counted) {
+    lo = std::min<int64_t>(lo, first_);
+    hi = std::max<int64_t>(hi, first_ + size_);
+  }
+  // A Block is followed by its counts in the same allocation.
+  auto* grown =
+      ::new (::operator new(sizeof(Block) + static_cast<size_t>(hi - lo) * sizeof(int64_t)))
+          Block{};
+  std::fill_n(grown->Counts(), hi - lo, 0);
+  if (counted) {
+    *grown = *block_;
+    std::copy_n(block_->Counts(), size_, grown->Counts() + (first_ - lo));
+  }
+  ::operator delete(block_);
+  block_ = grown;
+  first_ = static_cast<int32_t>(lo);
+  size_ = static_cast<int32_t>(hi - lo);
+}
+
 void Histogram::Clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = max_ = 0.0;
+  if (block_ == nullptr) return;
+  *block_ = Block{};
+  std::fill_n(block_->Counts(), size_, 0);
 }
 
 void Histogram::MergeFrom(const Histogram& other) {
-  if (other.count_ == 0) return;
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
-  sum_ += other.sum_;
-  count_ += other.count_;
+  if (other.Count() == 0) return;
+  if (other.first_ < first_ || other.first_ + other.size_ > first_ + size_) {
+    Cover(other.first_, other.first_ + other.size_);
+  }
+  Block& b = *block_;
+  const Block& o = *other.block_;
+  for (int32_t k = 0; k < other.size_; ++k) {
+    b.Counts()[other.first_ - first_ + k] += o.Counts()[k];
+  }
+  b.min = b.count == 0 ? o.min : std::min(b.min, o.min);
+  b.max = b.count == 0 ? o.max : std::max(b.max, o.max);
+  b.sum += o.sum;
+  b.count += o.count;
 }
 
-double Histogram::lo() const noexcept { return table_->lo; }
-double Histogram::growth() const noexcept { return table_->growth; }
+double Histogram::lo() { return Geometry().lo; }
+double Histogram::growth() { return Geometry().growth; }
 
-double Histogram::BucketLowerEdge(int64_t i) const {
+double Histogram::BucketLowerEdge(int64_t i) {
   if (i <= 0) return 0.0;
-  return table_->lo * std::exp(static_cast<double>(i - 1) * table_->log_growth);
+  const Table& t = Geometry();
+  return t.lo * std::exp(static_cast<double>(i - 1) * t.log_growth);
 }
 
 double Histogram::Quantile(double p) const {
-  if (count_ == 0) return 0.0;
+  if (Count() == 0) return 0.0;
+  const Table& t = Geometry();
+  const Block& b = *block_;
   p = std::min(1.0, std::max(0.0, p));
-  const double target = p * static_cast<double>(count_ - 1) + 1.0;
+  const double target = p * static_cast<double>(b.count - 1) + 1.0;
   double seen = 0.0;
-  for (int64_t i = 0; i < NumBuckets(); ++i) {
-    const double n = static_cast<double>(counts_[static_cast<size_t>(i)]);
+  // Buckets outside the span count zero, and a zero bucket is skipped.
+  for (int64_t k = 0; k < size_; ++k) {
+    const double n = static_cast<double>(b.Counts()[k]);
     if (n == 0.0) continue;
     if (seen + n >= target) {
       // Geometric interpolation across the containing bucket's span.
+      const int64_t i = first_ + k;
       const double frac = (target - seen) / n;
-      const double edge_lo = std::max(BucketLowerEdge(i), min_);
+      const double edge_lo = std::max(BucketLowerEdge(i), b.min);
       const double edge_hi = std::min(
-          i >= table_->regular + 1
-              ? max_
-              : table_->lo * std::exp(static_cast<double>(i) * table_->log_growth),
-          max_);
-      if (edge_lo <= 0.0 || edge_hi <= edge_lo) return std::min(edge_hi, max_);
-      return std::min(max_, edge_lo * std::pow(edge_hi / edge_lo, frac));
+          i >= t.regular + 1 ? b.max : t.lo * std::exp(static_cast<double>(i) * t.log_growth),
+          b.max);
+      if (edge_lo <= 0.0 || edge_hi <= edge_lo) return std::min(edge_hi, b.max);
+      return std::min(b.max, edge_lo * std::pow(edge_hi / edge_lo, frac));
     }
     seen += n;
   }
-  return max_;
+  return b.max;
 }
 
 }  // namespace flashinfer::obs

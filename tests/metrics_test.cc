@@ -116,6 +116,42 @@ TEST(WindowedSketch, SlotFirstWrittenAfterWrapHoldsOnlyItsEpoch) {
   EXPECT_DOUBLE_EQ(s.Cumulative().Sum(), 49.0);
 }
 
+// A reused slot keeps its histogram's block: slot 0's first epoch counts
+// sub-millisecond samples at the bottom of the geometry, and epoch 5, which
+// reuses it after the ring wraps, counts samples six decades up and past
+// the top. The slot's span moves with its samples; the window must read
+// bucket for bucket as dense histograms of each live epoch's samples merged
+// in slot order.
+TEST(WindowedSketch, SlotReusedAfterWrapWithShiftedSpan) {
+  Sketch s(WindowConfig{10.0, 5});  // 2 s per slot.
+  const std::vector<double> early = {0.02, 0.03, 0.05}, late = {5e3, 9e3, 2e4, 1e6};
+  test::DenseHistogram slot0_early, slot0_late, slot1, all;
+  for (const double v : early) {
+    s.Observe(1.0, v);  // Epoch 0, slot 0.
+    slot0_early.Add(v);
+    all.Add(v);
+  }
+  s.Observe(3.0, 7.0);  // Epoch 1, slot 1.
+  slot1.Add(7.0);
+  all.Add(7.0);
+  for (const double v : late) {
+    s.Observe(11.0, v);  // Epoch 5 reuses slot 0.
+    slot0_late.Add(v);
+    all.Add(v);
+  }
+  test::DenseHistogram live;  // Epochs 1..5 at t = 11: slot 0 (late), slot 1.
+  live.MergeFrom(slot0_late);
+  live.MergeFrom(slot1);
+  EXPECT_EQ(test::HistogramDiff(s.WindowSnapshot(11.0), live), "");
+  EXPECT_EQ(test::HistogramDiff(s.WindowSnapshot(19.0), slot0_late), "");  // Epochs 5..9.
+  EXPECT_EQ(test::HistogramDiff(s.Cumulative(), all), "");
+  // Epoch 10 reuses slot 0 again, back at the bottom of the geometry.
+  s.Observe(21.0, 0.04);
+  test::DenseHistogram again;
+  again.Add(0.04);
+  EXPECT_EQ(test::HistogramDiff(s.WindowSnapshot(21.0), again), "");
+}
+
 // Never-written slots hold no buckets: merging, copying and the registry
 // merge must treat them as empty, and a copy's first write to one must not
 // reach the original.

@@ -209,12 +209,120 @@ TEST(Histogram, IndexOfMatchesLogFormula) {
   EXPECT_EQ(mismatches, 0);
 }
 
-TEST(Histogram, FromSamplesMatchesPercentileRoughly) {
-  std::vector<double> samples;
-  for (int i = 0; i < 500; ++i) samples.push_back(5.0 + (i % 50));
-  const Histogram h = Histogram::FromSamples(samples);
-  EXPECT_EQ(h.Count(), 500);
-  EXPECT_NEAR(h.Quantile(0.5), 30.0, 10.0);
+// A Histogram stores only the span of buckets it counts. Random sample
+// streams run through it and through the dense reference (test_util.h):
+// clustered samples whose centre jumps so that spans grow at either edge or
+// land disjoint, log-uniform samples far past both ends of the geometry, and
+// NaN, zeros, negatives, infinities and the extreme doubles; interleaved with
+// Clears, MergeFroms in both directions between two histograms whose spans
+// overlap or are disjoint, copies (a write to the copy must not reach the
+// original) and moves. After every step every bucket, the count, sum, min,
+// max and quantiles must read bit for bit as the reference's.
+TEST(Histogram, SpanStorageMatchesDenseReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::nan(""), 0.0, -0.0, -3.5, -inf, inf,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max(), 1e-2, 1e5};
+  Rng rng(11);
+  for (int trial = 0; trial < 150; ++trial) {
+    // Natural-log centres of the two histograms' sample clusters: the
+    // same on a third of the trials, else independent.
+    double centre[2] = {rng.Uniform(std::log(1e-5), std::log(1e8)), 0.0};
+    centre[1] = rng.NextDouble() < 0.33 ? centre[0] : rng.Uniform(std::log(1e-5), std::log(1e8));
+    const double spread = rng.Uniform(0.05, 2.0);
+    const auto draw = [&](int which) {
+      const double u = rng.NextDouble();
+      if (u < 0.8) return std::exp(centre[which] + spread * rng.Normal(0.0, 1.0));
+      if (u < 0.9) return std::exp(rng.Uniform(std::log(1e-7), std::log(1e9)));
+      return specials[rng.UniformInt(0, std::size(specials) - 1)];
+    };
+    Histogram h[2];
+    test::DenseHistogram ref[2];
+    const int64_t steps = rng.UniformInt(1, 400);
+    for (int64_t step = 0; step < steps; ++step) {
+      const int a = static_cast<int>(rng.UniformInt(0, 1)), b = 1 - a;
+      const double u = rng.NextDouble();
+      if (u < 0.75) {
+        const double v = draw(a);
+        h[a].Add(v);
+        ref[a].Add(v);
+      } else if (u < 0.82) {
+        h[a].MergeFrom(h[b]);
+        ref[a].MergeFrom(ref[b]);
+      } else if (u < 0.86) {
+        h[a].Clear();
+        ref[a].Clear();
+      } else if (u < 0.90) {
+        // The cluster moves: later samples widen the span or, after a
+        // Clear, re-centre it.
+        centre[a] = rng.Uniform(std::log(1e-5), std::log(1e8));
+      } else if (u < 0.95) {
+        Histogram copy = h[a];
+        const test::DenseHistogram before = ref[a];
+        const double v = draw(a);
+        copy.Add(v);
+        ref[a].Add(v);
+        ASSERT_EQ(test::HistogramDiff(h[a], before), "") << "copy wrote through: trial " << trial;
+        if (rng.NextDouble() < 0.5) {
+          h[a] = copy;
+        } else {
+          h[a] = std::move(copy);
+        }
+      } else {
+        Histogram moved(std::move(h[a]));
+        h[a] = Histogram();
+        h[a] = std::move(moved);
+      }
+      for (int k = 0; k < 2; ++k) {
+        ASSERT_EQ(test::HistogramDiff(h[k], ref[k]), "")
+            << "trial " << trial << " step " << step << " histogram " << k;
+      }
+    }
+  }
+}
+
+// Merging into an empty histogram, or an emptied one whose block is too
+// small or sits elsewhere, must cover the source's whole span; buckets 0 and
+// 95 are the edges a span's headroom is clamped at.
+TEST(Histogram, MergeIntoEmptyAndClampedEdges) {
+  Histogram wide, narrow, edges;
+  test::DenseHistogram wide_ref, narrow_ref, edges_ref;
+  for (const double v : {1e-3, 0.05, 3.0, 400.0, 2e4, 1e9}) {
+    wide.Add(v);
+    wide_ref.Add(v);
+  }
+  narrow.Add(7.0);
+  narrow_ref.Add(7.0);
+  narrow.Clear();
+  narrow_ref.Clear();
+  narrow.MergeFrom(wide);  // Emptied, block smaller than the source's span.
+  narrow_ref.MergeFrom(wide_ref);
+  EXPECT_EQ(test::HistogramDiff(narrow, narrow_ref), "");
+  // An emptied 3-bucket block (its sample's headroom clamped at bucket 0)
+  // takes a 4-bucket span clamped at the top whose last bucket counts: one
+  // bucket too many for the block to move in place.
+  Histogram low, top;
+  test::DenseHistogram top_ref;
+  low.Add(-1.0);
+  low.Clear();
+  for (const double v : {1.1e5, 2e5}) {  // Buckets 94 and 95.
+    top.Add(v);
+    top_ref.Add(v);
+  }
+  low.MergeFrom(top);
+  EXPECT_EQ(test::HistogramDiff(low, top_ref), "");
+  Histogram fresh;
+  fresh.MergeFrom(wide);
+  EXPECT_EQ(test::HistogramDiff(fresh, wide_ref), "");
+  for (const double v : {-1.0, 1e9, 2e-3, 5e8}) {  // Underflow, overflow, both again.
+    edges.Add(v);
+    edges_ref.Add(v);
+    EXPECT_EQ(test::HistogramDiff(edges, edges_ref), "") << v;
+  }
+  EXPECT_EQ(edges.BucketCount(0), 2);
+  EXPECT_EQ(edges.BucketCount(Histogram::NumBuckets() - 1), 2);
+  EXPECT_EQ(edges.BucketCount(-1), 0);
+  EXPECT_EQ(edges.BucketCount(Histogram::NumBuckets()), 0);
 }
 
 // --- JSON helpers ------------------------------------------------------------

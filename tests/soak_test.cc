@@ -55,6 +55,12 @@
 //      prompt on first use, matches the eager reference generator
 //      (test_util.h) request for request and token for token, and leaves
 //      the caller's Rng in the same state.
+//  15. on every engine, cluster and disaggregated trial, the registry's
+//      cumulative fi_ttft_ms and fi_itl_ms sketches, merged across every
+//      class (and replica), count the engine's TTFT and ITL samples bucket
+//      for bucket through the log formula (test_util.h); under bounded_itl,
+//      which keeps no ITL samples, the merged ITL sketch counts what the
+//      engine's own ITL sketch does.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -507,6 +513,38 @@ void ExpectItlSketchRebuilds(const EngineConfig& cfg, const ServingMetrics& m) {
   EXPECT_EQ(test::SketchRebuildDiff(m.itl_sketch, m.itl_ms), "");
 }
 
+/// Invariant 15: every class's cumulative TTFT and ITL sketches in `reg`,
+/// merged, count exactly `m`'s TTFT and ITL samples in every bucket.
+void ExpectClassSketchesRebuild(const obs::MetricsRegistry& reg, const ServingMetrics& m,
+                                bool bounded_itl) {
+  obs::Histogram ttft, itl;
+  for (const auto& [name, label_key] : reg.InstanceNames()) {
+    if (name != "fi_ttft_ms" && name != "fi_itl_ms") continue;
+    // Reconstruct the labels from the canonical key (k=v,k=v).
+    obs::LabelSet labels;
+    size_t pos = 0;
+    while (pos < label_key.size()) {
+      const size_t eq = label_key.find('=', pos);
+      size_t end = label_key.find(',', eq);
+      if (end == std::string::npos) end = label_key.size();
+      labels = labels.With(label_key.substr(pos, eq - pos), label_key.substr(eq + 1, end - eq - 1));
+      pos = end + 1;
+    }
+    const obs::Sketch* s = reg.FindSketch(name, labels);
+    ASSERT_NE(s, nullptr) << name << "{" << label_key << "}";
+    (name == "fi_ttft_ms" ? ttft : itl).MergeFrom(s->Cumulative());
+  }
+  EXPECT_EQ(test::SketchCountsDiff(ttft, m.ttft_ms), "") << "fi_ttft_ms";
+  if (!bounded_itl) {
+    EXPECT_EQ(test::SketchCountsDiff(itl, m.itl_ms), "") << "fi_itl_ms";
+    return;
+  }
+  EXPECT_EQ(itl.Count(), m.itl_sketch.Count());
+  for (int64_t b = 0; b < itl.NumBuckets(); ++b) {
+    EXPECT_EQ(itl.BucketCount(b), m.itl_sketch.BucketCount(b)) << "fi_itl_ms bucket " << b;
+  }
+}
+
 /// Runs one engine trial. `one_token_requests` ends a few requests at their
 /// first token; `pin`, when set, overrides the drawn config before the
 /// workload is drawn; `drained`, when set, receives the metrics after the
@@ -625,33 +663,15 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
 
   // The telemetry registry must reconcile with ServingMetrics on every
   // trial: each published counter equals its kMetricFields field bit for
-  // bit, and the per-class series tile the aggregate token and sample counts.
+  // bit, and the per-class series tile the aggregate token and sample counts
+  // (invariant 15).
   {
     const obs::MetricsRegistry* reg = engine.Telemetry();
     ASSERT_NE(reg, nullptr);
     EXPECT_EQ(test::CounterFieldDiff(*reg, m), "");
     EXPECT_EQ(reg->CounterFamilyTotal("fi_tokens_total"),
               static_cast<double>(m.total_output_tokens));
-    int64_t ttft_samples = 0, itl_samples = 0;
-    for (const auto& [name, label_key] : reg->InstanceNames()) {
-      if (name != "fi_ttft_ms" && name != "fi_itl_ms") continue;
-      // Reconstruct the class labels from the canonical key (k=v,k=v).
-      obs::LabelSet labels;
-      size_t pos = 0;
-      while (pos < label_key.size()) {
-        const size_t eq = label_key.find('=', pos);
-        size_t end = label_key.find(',', eq);
-        if (end == std::string::npos) end = label_key.size();
-        labels = labels.With(label_key.substr(pos, eq - pos),
-                             label_key.substr(eq + 1, end - eq - 1));
-        pos = end + 1;
-      }
-      const obs::Sketch* s = reg->FindSketch(name, labels);
-      ASSERT_NE(s, nullptr) << name << "{" << label_key << "}";
-      (name == "fi_ttft_ms" ? ttft_samples : itl_samples) += s->Cumulative().Count();
-    }
-    EXPECT_EQ(ttft_samples, static_cast<int64_t>(m.ttft_ms.size()));
-    EXPECT_EQ(itl_samples, m.ItlCount());
+    ExpectClassSketchesRebuild(*reg, m, cfg.telemetry.bounded_itl);
   }
 
   g_current_engine = nullptr;
@@ -846,6 +866,7 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
   const obs::MetricsRegistry* reg = cluster.Telemetry();
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
+  ExpectClassSketchesRebuild(*reg, m.aggregate, cfg.engine.telemetry.bounded_itl);
   if (cfg.policy == cluster::RouterPolicy::kPrefixAffinity) {
     ExpectRouteDecisionsMatchReferenceMirrors(cfg, reqs, cluster.LastTrace());
   }
@@ -972,6 +993,7 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   const obs::MetricsRegistry* reg = cluster.Telemetry();
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
+  ExpectClassSketchesRebuild(*reg, m.aggregate, cfg.engine.telemetry.bounded_itl);
   ExpectHandOffsEmptyThePool(cfg.engine, reqs, seed);
 
   if (FailedPartCount() > failed_before) {

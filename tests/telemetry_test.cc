@@ -360,12 +360,16 @@ std::vector<Request> KvPressureShapedRequests(int n) {
 /// One metric per line: a readable first differing line for JsonSnapshot's
 /// single-line document. Applied to both sides, so equal results mean equal
 /// bytes.
-std::string OneMetricPerLine(std::string json) {
+std::string OneMetricPerLine(const std::string& json) {
   const std::string sep = "},{\"name\":";
-  for (size_t pos = 0; (pos = json.find(sep, pos)) != std::string::npos; pos += sep.size()) {
-    json.insert(pos + 2, "\n");
+  std::string out;
+  size_t from = 0;
+  for (size_t pos = 0; (pos = json.find(sep, from)) != std::string::npos; from = pos + 2) {
+    out.append(json, from, pos + 2 - from);
+    out += '\n';
   }
-  return json;
+  out.append(json, from);
+  return out;
 }
 
 void ExpectPinnedExposition(const obs::MetricsRegistry& reg, double now_s,

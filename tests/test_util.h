@@ -570,27 +570,151 @@ inline int64_t ReferenceBucketIndex(const obs::Histogram& h, double v) {
   return static_cast<int64_t>(i) + 1;
 }
 
-/// Empty when `sketch` equals the histogram that adding `samples` in order
-/// through ReferenceBucketIndex builds — count, min, max, sum and every
-/// bucket, bit for bit; otherwise names the first difference.
-inline std::string SketchRebuildDiff(const obs::Histogram& sketch,
-                                     const std::vector<double>& samples) {
-  std::vector<int64_t> counts(static_cast<size_t>(sketch.NumBuckets()), 0);
-  double sum = 0.0, mn = 0.0, mx = 0.0;
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const double v = samples[i];
-    ++counts[static_cast<size_t>(ReferenceBucketIndex(sketch, v))];
-    mn = i == 0 ? v : std::min(mn, v);
-    mx = i == 0 ? v : std::max(mx, v);
-    sum += v;
+/// The dense histogram obs::Histogram stored before it kept only its bucket
+/// span: every bucket of the shared geometry in one array, the same
+/// count/sum/min/max updates and the same quantile walk over all buckets.
+/// Samples are bucketed through ReferenceBucketIndex.
+class DenseHistogram {
+ public:
+  DenseHistogram() : counts_(static_cast<size_t>(obs::Histogram::NumBuckets()), 0) {}
+
+  void Add(double v) {
+    ++counts_[static_cast<size_t>(ReferenceBucketIndex(obs::Histogram(), v))];
+    if (count_++ == 0) {
+      min_ = max_ = v;
+    } else {
+      min_ = std::min(min_, v);
+      max_ = std::max(max_, v);
+    }
+    sum_ += v;
   }
-  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  void Clear() { *this = DenseHistogram(); }
+  void MergeFrom(const DenseHistogram& other) {
+    if (other.count_ == 0) return;
+    for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+    min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+    max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+    sum_ += other.sum_;
+    count_ += other.count_;
+  }
+
+  int64_t Count() const { return count_; }
+  double MinValue() const { return count_ > 0 ? min_ : 0.0; }
+  double MaxValue() const { return count_ > 0 ? max_ : 0.0; }
+  double Sum() const { return sum_; }
+  int64_t BucketCount(int64_t i) const { return counts_[static_cast<size_t>(i)]; }
+
+  double Quantile(double p) const {
+    if (count_ == 0) return 0.0;
+    const double lo = obs::Histogram::lo(), log_growth = std::log(obs::Histogram::growth());
+    const int64_t regular = static_cast<int64_t>(counts_.size()) - 2;
+    p = std::min(1.0, std::max(0.0, p));
+    const double target = p * static_cast<double>(count_ - 1) + 1.0;
+    double seen = 0.0;
+    for (int64_t i = 0; i < static_cast<int64_t>(counts_.size()); ++i) {
+      const double n = static_cast<double>(counts_[static_cast<size_t>(i)]);
+      if (n == 0.0) continue;
+      if (seen + n >= target) {
+        const double frac = (target - seen) / n;
+        const double lower = i <= 0 ? 0.0 : lo * std::exp(static_cast<double>(i - 1) * log_growth);
+        const double edge_lo = std::max(lower, min_);
+        const double edge_hi = std::min(
+            i >= regular + 1 ? max_ : lo * std::exp(static_cast<double>(i) * log_growth), max_);
+        if (edge_lo <= 0.0 || edge_hi <= edge_lo) return std::min(edge_hi, max_);
+        return std::min(max_, edge_lo * std::pow(edge_hi / edge_lo, frac));
+      }
+      seen += n;
+    }
+    return max_;
+  }
+
+ private:
+  std::vector<int64_t> counts_;
+  int64_t count_ = 0;
+  double sum_ = 0.0, min_ = 0.0, max_ = 0.0;
+};
+
+/// Empty when `h` reads exactly as `ref`: bucket count, every bucket, count,
+/// min, max, sum and Quantile at 0, 0.001, 0.01, 0.1 ... 0.999 and 1, bit for
+/// bit; otherwise names the first difference. Any two NaNs match: which
+/// NaN an addition of two returns depends on the operand order the compiler
+/// picks.
+inline std::string HistogramDiff(const obs::Histogram& h, const DenseHistogram& ref) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y) ||
+           (std::isnan(x) && std::isnan(y));
+  };
+  char buf[160];
+  if (h.NumBuckets() != obs::Histogram::NumBuckets()) return "NumBuckets";
+  for (int64_t i = 0; i < h.NumBuckets(); ++i) {
+    if (h.BucketCount(i) != ref.BucketCount(i)) {
+      std::snprintf(buf, sizeof buf, "bucket %lld: %lld != %lld", static_cast<long long>(i),
+                    static_cast<long long>(h.BucketCount(i)),
+                    static_cast<long long>(ref.BucketCount(i)));
+      return buf;
+    }
+  }
+  if (h.Count() != ref.Count()) return "count";
+  const struct {
+    const char* name;
+    double got, want;
+  } stats[] = {{"min", h.MinValue(), ref.MinValue()},
+               {"max", h.MaxValue(), ref.MaxValue()},
+               {"sum", h.Sum(), ref.Sum()}};
+  for (const auto& st : stats) {
+    if (!same(st.got, st.want)) {
+      std::snprintf(buf, sizeof buf, "%s %.17g != %.17g", st.name, st.got, st.want);
+      return buf;
+    }
+  }
+  for (const double p : {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    if (!same(h.Quantile(p), ref.Quantile(p))) {
+      std::snprintf(buf, sizeof buf, "Quantile(%g) %.17g != %.17g", p, h.Quantile(p),
+                    ref.Quantile(p));
+      return buf;
+    }
+  }
+  return "";
+}
+
+/// Empty when `sketch` holds as many samples as `samples` and each of its
+/// buckets counts the samples ReferenceBucketIndex puts there; otherwise
+/// names the first difference.
+inline std::string SketchCountsDiff(const obs::Histogram& sketch,
+                                    const std::vector<double>& samples) {
+  std::vector<int64_t> counts(static_cast<size_t>(sketch.NumBuckets()), 0);
+  for (const double v : samples) ++counts[static_cast<size_t>(ReferenceBucketIndex(sketch, v))];
   char buf[160];
   if (sketch.Count() != static_cast<int64_t>(samples.size())) {
     std::snprintf(buf, sizeof buf, "count %lld != %zu", static_cast<long long>(sketch.Count()),
                   samples.size());
     return buf;
   }
+  for (int64_t b = 0; b < sketch.NumBuckets(); ++b) {
+    if (sketch.BucketCount(b) != counts[static_cast<size_t>(b)]) {
+      std::snprintf(buf, sizeof buf, "bucket %lld: %lld != %lld", static_cast<long long>(b),
+                    static_cast<long long>(sketch.BucketCount(b)),
+                    static_cast<long long>(counts[static_cast<size_t>(b)]));
+      return buf;
+    }
+  }
+  return "";
+}
+
+/// Empty when `sketch` equals the histogram that adding `samples` in order
+/// through ReferenceBucketIndex builds — count, every bucket, min, max and
+/// sum, bit for bit; otherwise names the first difference.
+inline std::string SketchRebuildDiff(const obs::Histogram& sketch,
+                                     const std::vector<double>& samples) {
+  if (std::string diff = SketchCountsDiff(sketch, samples); !diff.empty()) return diff;
+  double sum = 0.0, mn = 0.0, mx = 0.0;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const double v = samples[i];
+    mn = i == 0 ? v : std::min(mn, v);
+    mx = i == 0 ? v : std::max(mx, v);
+    sum += v;
+  }
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
   const struct {
     const char* name;
     double got, want;
@@ -598,15 +722,8 @@ inline std::string SketchRebuildDiff(const obs::Histogram& sketch,
                {"sum", sketch.Sum(), sum}};
   for (const auto& st : stats) {
     if (bits(st.got) != bits(st.want)) {
+      char buf[160];
       std::snprintf(buf, sizeof buf, "%s %.17g != %.17g", st.name, st.got, st.want);
-      return buf;
-    }
-  }
-  for (int64_t b = 0; b < sketch.NumBuckets(); ++b) {
-    if (sketch.BucketCount(b) != counts[static_cast<size_t>(b)]) {
-      std::snprintf(buf, sizeof buf, "bucket %lld: %lld != %lld", static_cast<long long>(b),
-                    static_cast<long long>(sketch.BucketCount(b)),
-                    static_cast<long long>(counts[static_cast<size_t>(b)]));
       return buf;
     }
   }
