@@ -248,8 +248,7 @@ ClusterMetrics ClusterEngine::Run(const std::vector<Request>& workload) {
   if (cfg_.engine.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::MetricsRegistry>(cfg_.engine.telemetry.window);
     for (size_t i = 0; i < replicas_.size(); ++i) {
-      telemetry_->MergeFrom(*replicas_[i]->engine.Telemetry(), "replica",
-                            std::to_string(i));
+      telemetry_->MergeFrom(*replicas_[i]->engine.Telemetry(), static_cast<int>(i));
     }
   }
 

@@ -1,9 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <charconv>
-#include <optional>
-#include <system_error>
 #include <type_traits>
 
 #include "util/check.h"
@@ -12,32 +9,25 @@
 namespace flashinfer::obs {
 
 // ---------------------------------------------------------------------------
-// LabelSet
+// Labels
 
-LabelSet::LabelSet(std::initializer_list<std::pair<std::string, std::string>> kv)
-    : kv_(kv) {
-  std::sort(kv_.begin(), kv_.end());
-  for (size_t i = 1; i < kv_.size(); ++i) {
-    FI_CHECK(kv_[i - 1].first != kv_[i].first);
-  }
-}
+namespace {
 
-LabelSet LabelSet::With(const std::string& key, const std::string& value) const {
-  LabelSet out = *this;
-  for (auto& [k, v] : out.kv_) {
-    if (k == key) {
-      v = value;
-      return out;
-    }
-  }
-  out.kv_.emplace_back(key, value);
-  std::sort(out.kv_.begin(), out.kv_.end());
+/// `labels` as (key, value) pairs in key order.
+std::vector<std::pair<const char*, std::string>> Pairs(const Labels& labels) {
+  const std::optional<int64_t>& id = labels.class_id;
+  std::vector<std::pair<const char*, std::string>> out;
+  if (id) out.emplace_back("priority", std::to_string(static_cast<int32_t>(*id)));
+  if (labels.replica) out.emplace_back("replica", std::to_string(*labels.replica));
+  if (id) out.emplace_back("tenant", *id < 0 ? std::string("-") : std::to_string(*id >> 32));
   return out;
 }
 
-std::string LabelSet::Key() const {
+}  // namespace
+
+std::string Labels::Key() const {
   std::string out;
-  for (const auto& [k, v] : kv_) {
+  for (const auto& [k, v] : Pairs(*this)) {
     if (!out.empty()) out += ',';
     out += k;
     out += '=';
@@ -46,22 +36,17 @@ std::string LabelSet::Key() const {
   return out;
 }
 
-LabelSet ClassLabels(int tenant, int priority) {
-  return LabelSet{{"tenant", tenant >= 0 ? std::to_string(tenant) : std::string("-")},
-                  {"priority", std::to_string(priority)}};
-}
-
 // ---------------------------------------------------------------------------
 // WindowConfig / WindowedSum / WindowedSketch
 
 namespace {
 
-/// floor(t_s / slot_s) as an integer, without a libm call: truncation, then
-/// one step down for a negative non-integer quotient.
+/// floor(t_s / slot_s) as an integer, without a libm call. The simulated
+/// clock starts at 0, so truncation is the floor; an earlier or NaN instant
+/// has no ring slot.
 int64_t EpochAt(double t_s, double slot_s) {
-  const double q = t_s / slot_s;
-  const auto epoch = static_cast<int64_t>(q);
-  return static_cast<double>(epoch) > q ? epoch - 1 : epoch;
+  FI_CHECK_GE(t_s, 0.0);
+  return static_cast<int64_t>(t_s / slot_s);
 }
 
 }  // namespace
@@ -139,99 +124,42 @@ Histogram WindowedSketch::Merged(double now_s) const {
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 
-namespace {
-
-LabelSet ClassIdLabels(int64_t id) {
-  return ClassLabels(static_cast<int>(id >> 32), static_cast<int>(static_cast<uint32_t>(id)));
-}
-
-/// `s` as an int when it is exactly std::to_string of that int.
-std::optional<int> CanonicalInt(const std::string& s) {
-  int v = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || end != s.data() + s.size() || std::to_string(v) != s) {
-    return std::nullopt;
-  }
-  return v;
-}
-
-}  // namespace
-
 MetricsRegistry::MetricsRegistry(WindowConfig window) : window_(window) {
   FI_CHECK_GT(window_.window_s, 0.0);
   FI_CHECK_GT(window_.slots, 0);
 }
 
-MetricsRegistry::Key MetricsRegistry::KeyOf(const LabelSet& labels) {
-  const auto& kv = labels.Pairs();
-  if (kv.size() == 2 && kv[0].first == "priority" && kv[1].first == "tenant") {
-    const std::string& t = kv[1].second;
-    const std::optional<int> priority = CanonicalInt(kv[0].second);
-    const std::optional<int> tenant = t == "-" ? std::optional<int>(-1) : CanonicalInt(t);
-    if (priority && tenant && (*tenant >= 0 || t == "-")) {
-      return {ClassId(*tenant, *priority), {}};
-    }
-  }
-  return {Key::kLabeled, labels.Key()};
-}
-
 template <class T>
-T* MetricsRegistry::GetKeyed(const std::string& name, Key key, const LabelSet& labels) {
+T* MetricsRegistry::Get(const std::string& name, const Labels& labels) {
   Family& fam = families_.try_emplace(name, &arena_).first->second;
   // A name binds to one metric type.
-  FI_CHECK(fam.empty() || std::holds_alternative<T>(fam.begin()->second.metric));
-  auto it = fam.find(key);
-  if (it == fam.end()) {
-    const bool labeled = key.class_id == Key::kLabeled;
-    it = fam.emplace(std::move(key), Instance{labeled ? labels : LabelSet{}, T(window_, &arena_)})
-             .first;
-  }
-  return &std::get<T>(it->second.metric);
+  FI_CHECK(fam.empty() || std::holds_alternative<T>(fam.begin()->second));
+  return &std::get<T>(
+      fam.try_emplace(labels, std::in_place_type<T>, window_, &arena_).first->second);
 }
 
 template <class T>
-T* MetricsRegistry::Get(const std::string& name, const LabelSet& labels) {
-  return GetKeyed<T>(name, KeyOf(labels), labels);
-}
-
-template <class T>
-T* MetricsRegistry::GetClass(const std::string& name, int tenant, int priority) {
-  return GetKeyed<T>(name, {ClassId(tenant, priority), {}}, {});
-}
-
-template <class T>
-const T* MetricsRegistry::Find(const std::string& name, const LabelSet& labels) const {
+const T* MetricsRegistry::Find(const std::string& name, const Labels& labels) const {
   const auto fit = families_.find(name);
   if (fit == families_.end()) return nullptr;
-  const auto it = fit->second.find(KeyOf(labels));
-  return it == fit->second.end() ? nullptr : std::get_if<T>(&it->second.metric);
+  const auto it = fit->second.find(labels);
+  return it == fit->second.end() ? nullptr : std::get_if<T>(&it->second);
 }
 
-template Counter* MetricsRegistry::Get<Counter>(const std::string&, const LabelSet&);
-template Gauge* MetricsRegistry::Get<Gauge>(const std::string&, const LabelSet&);
-template Sketch* MetricsRegistry::Get<Sketch>(const std::string&, const LabelSet&);
-template Counter* MetricsRegistry::GetClass<Counter>(const std::string&, int, int);
-template Gauge* MetricsRegistry::GetClass<Gauge>(const std::string&, int, int);
-template Sketch* MetricsRegistry::GetClass<Sketch>(const std::string&, int, int);
-template const Counter* MetricsRegistry::Find<Counter>(const std::string&,
-                                                       const LabelSet&) const;
-template const Gauge* MetricsRegistry::Find<Gauge>(const std::string&, const LabelSet&) const;
-template const Sketch* MetricsRegistry::Find<Sketch>(const std::string&, const LabelSet&) const;
+template Counter* MetricsRegistry::Get<Counter>(const std::string&, const Labels&);
+template Gauge* MetricsRegistry::Get<Gauge>(const std::string&, const Labels&);
+template Sketch* MetricsRegistry::Get<Sketch>(const std::string&, const Labels&);
+template const Counter* MetricsRegistry::Find<Counter>(const std::string&, const Labels&) const;
+template const Gauge* MetricsRegistry::Find<Gauge>(const std::string&, const Labels&) const;
+template const Sketch* MetricsRegistry::Find<Sketch>(const std::string&, const Labels&) const;
 
-std::vector<MetricsRegistry::Labeled> MetricsRegistry::Sorted(const Family& fam) {
-  std::vector<Labeled> out;
+std::vector<std::pair<std::string, const MetricsRegistry::Family::value_type*>>
+MetricsRegistry::Sorted(const Family& fam) {
+  std::vector<std::pair<std::string, const Family::value_type*>> out;
   out.reserve(fam.size());
-  for (const auto& [key, inst] : fam) {
-    if (key.class_id == Key::kLabeled) {
-      out.push_back({key.labels, inst.labels, &inst});
-    } else {
-      LabelSet labels = ClassIdLabels(key.class_id);
-      std::string text = labels.Key();
-      out.push_back({std::move(text), std::move(labels), &inst});
-    }
-  }
+  for (const auto& entry : fam) out.emplace_back(entry.first.Key(), &entry);
   std::sort(out.begin(), out.end(),
-            [](const Labeled& a, const Labeled& b) { return a.key < b.key; });
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
@@ -239,27 +167,26 @@ double MetricsRegistry::CounterFamilyTotal(const std::string& name) const {
   double sum = 0.0;
   const auto fit = families_.find(name);
   if (fit == families_.end()) return sum;
-  for (const Labeled& l : Sorted(fit->second)) {
-    if (const auto* c = std::get_if<Counter>(&l.inst->metric)) sum += c->total();
+  for (const auto& [key, entry] : Sorted(fit->second)) {
+    if (const auto* c = std::get_if<Counter>(&entry->second)) sum += c->total();
   }
   return sum;
 }
 
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other, const std::string& label_key,
-                                const std::string& label_value) {
+void MetricsRegistry::MergeFrom(const MetricsRegistry& other, int replica) {
   for (const auto& [name, fam] : other.families_) {
-    for (const Labeled& l : Sorted(fam)) {
-      const LabelSet labels = l.labels.With(label_key, label_value);
-      std::visit([&](const auto& m) { *Get<std::decay_t<decltype(m)>>(name, labels) = m; },
-                 l.inst->metric);
+    for (const auto& [labels, inst] : fam) {
+      const Labels relabeled{labels.class_id, replica};
+      std::visit([&](const auto& m) { *Get<std::decay_t<decltype(m)>>(name, relabeled) = m; },
+                 inst);
     }
   }
 }
 
-std::vector<std::pair<std::string, std::string>> MetricsRegistry::InstanceNames() const {
-  std::vector<std::pair<std::string, std::string>> out;
+std::vector<std::pair<std::string, Labels>> MetricsRegistry::InstanceNames() const {
+  std::vector<std::pair<std::string, Labels>> out;
   for (const auto& [name, fam] : families_) {
-    for (const Labeled& l : Sorted(fam)) out.emplace_back(name, l.key);
+    for (const auto& [key, entry] : Sorted(fam)) out.emplace_back(name, entry->first);
   }
   return out;
 }
@@ -274,16 +201,14 @@ void AppendJsonKv(std::string& out, const char* key, double v, bool last = false
   if (!last) out += ',';
 }
 
-std::string LabelsJson(const LabelSet& labels) {
+std::string LabelsJson(const Labels& labels) {
   std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels.Pairs()) {
-    if (!first) out += ',';
-    first = false;
+  for (const auto& [k, v] : Pairs(labels)) {
+    if (out.size() > 1) out += ',';
     out += '"';
-    out += util::JsonEscape(k);
+    out += k;
     out += "\":\"";
-    out += util::JsonEscape(v);
+    out += v;
     out += '"';
   }
   out += '}';
@@ -329,11 +254,11 @@ std::string MetricsRegistry::JsonSnapshot(double now_s) const {
                     ",\"window_s\":" + util::JsonNum(window_.window_s) + ",\"metrics\":[";
   bool first = true;
   for (const auto& [name, fam] : families_) {
-    for (const Labeled& l : Sorted(fam)) {
+    for (const auto& [key, entry] : Sorted(fam)) {
       if (!first) out += ',';
       first = false;
-      out += "{\"name\":\"" + util::JsonEscape(name) + "\",\"labels\":" + LabelsJson(l.labels);
-      std::visit([&](const auto& m) { AppendJson(out, m, now_s); }, l.inst->metric);
+      out += "{\"name\":\"" + util::JsonEscape(name) + "\",\"labels\":" + LabelsJson(entry->first);
+      std::visit([&](const auto& m) { AppendJson(out, m, now_s); }, entry->second);
       out += '}';
     }
   }

@@ -32,20 +32,19 @@
 // 255 ITL samples over three window slots holds ~1.7 KB in 6 heap blocks
 // (bench_cpu_kernels BM_ClassLifecycle).
 //
-// Labels are a small sorted key=value set (tenant, priority, replica, ...).
-// The registry stores each instance by value in one typed slot and hands out
-// stable pointers, so a hot emission site resolves its instance once and
-// publishes with a single function call per sample. Instances of a
-// (tenant, priority) class are keyed by the class's integer id: GetClass
-// registers one without building a label, and their label strings and key
-// order exist only inside Find, MergeFrom and JsonSnapshot.
+// An instance's Labels are its (tenant, priority) class, its replica, both
+// or neither, and they key it in its family. The registry stores each
+// instance by value in one typed slot and hands out stable pointers, so a
+// hot emission site resolves its instance once and publishes with a single
+// function call per sample. Label strings exist only in Labels::Key and
+// JsonSnapshot.
 //
 // Exposition is one format: JsonSnapshot(now), a JSON document (written and
 // parsed with the shared src/util/json machinery) carrying both cumulative
 // and windowed views, which `bench_kv_pressure --metrics` and
-// example_serving_sim write. MergeFrom(other, "replica", "3") is how
-// ClusterEngine folds per-replica registries into one cluster view: it
-// re-labels every instance.
+// example_serving_sim write. MergeFrom(other, 3) is how ClusterEngine folds
+// per-replica registries into one cluster view: it labels every instance
+// with replica 3.
 #pragma once
 
 #include <algorithm>
@@ -55,6 +54,7 @@
 #include <limits>
 #include <map>
 #include <memory_resource>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -65,40 +65,28 @@
 
 namespace flashinfer::obs {
 
-/// Canonical sorted label set. Construct with {{"tenant","3"},{"priority","1"}}
-/// in any order; Key() is the canonical `k1=v1,k2=v2` form used for instance
-/// identity and exposition.
-class LabelSet {
- public:
-  LabelSet() = default;
-  LabelSet(std::initializer_list<std::pair<std::string, std::string>> kv);
-
-  /// Returns a copy with `key=value` added (replacing an existing key).
-  LabelSet With(const std::string& key, const std::string& value) const;
-
-  const std::vector<std::pair<std::string, std::string>>& Pairs() const noexcept {
-    return kv_;
-  }
-  bool empty() const noexcept { return kv_.empty(); }
-
-  /// Canonical identity string: `k1=v1,k2=v2` (keys sorted).
-  std::string Key() const;
-
- private:
-  std::vector<std::pair<std::string, std::string>> kv_;  // Sorted by key.
-};
-
-/// Helper: the (tenant, priority) class labels every per-class serving metric
-/// uses. tenant < 0 (single-tenant workloads) labels as tenant="-".
-LabelSet ClassLabels(int tenant, int priority);
-
-/// The packed integer id of class (tenant, priority) that keys its
-/// instances in a registry. Every tenant < 0 is the unassigned one, as in
-/// ClassLabels.
+/// The packed integer id of class (tenant, priority). Every tenant < 0 is
+/// the unassigned one.
 constexpr int64_t ClassId(int tenant, int priority) {
   return (static_cast<int64_t>(std::max(tenant, -1)) << 32) |
          static_cast<int64_t>(static_cast<uint32_t>(priority));
 }
+
+/// An instance's labels: a (tenant, priority) class or none, and a replica
+/// or none.
+struct Labels {
+  std::optional<int64_t> class_id;  // ClassId(tenant, priority)
+  std::optional<int> replica;
+
+  static Labels Class(int tenant, int priority) { return {ClassId(tenant, priority), {}}; }
+  static Labels Replica(int replica) { return {{}, replica}; }
+
+  /// Canonical `priority=P,replica=R,tenant=T`, absent labels left out; the
+  /// unassigned tenant reads "-". A family exposes its instances in this
+  /// key's string order.
+  std::string Key() const;
+  bool operator==(const Labels&) const = default;
+};
 
 /// An instant's place in a window ring: its epoch, floor(t / slot width),
 /// and that epoch's slot, epoch mod the slot count.
@@ -109,7 +97,8 @@ struct WindowPos {
 
 /// Window geometry: a ring of `slots` slots, each `window_s / slots` of
 /// simulated time wide. Every instance a registry creates has the
-/// registry's geometry, so one WindowPos serves all of them.
+/// registry's geometry, so one WindowPos serves all of them. Instants are
+/// simulated times >= 0: PosAt and LiveFrom check it (NaN fails too).
 struct WindowConfig {
   double window_s = 10.0;
   int slots = 5;
@@ -273,12 +262,6 @@ class Sketch {
 /// stable pointer (instances are never destroyed while the registry lives),
 /// so emission sites resolve once and publish lock-free ever after (the
 /// engine is single-threaded per replica; cross-replica merge copies).
-///
-/// An instance whose labels are exactly a (tenant, priority) class's
-/// (ClassLabels) is keyed by the class's integer id, however it was
-/// registered: GetClass registers one without building a label, and label
-/// strings, key order and LabelSets of class instances are built only by
-/// Find, MergeFrom and JsonSnapshot.
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(WindowConfig window = {});
@@ -286,31 +269,28 @@ class MetricsRegistry {
   /// The `T` (Counter, Gauge or Sketch) instance of `name` with `labels`,
   /// registered on first use. A name binds to one type (checked).
   template <class T>
-  T* Get(const std::string& name, const LabelSet& labels = {});
-  /// Get(name, ClassLabels(tenant, priority)), without building labels.
-  template <class T>
-  T* GetClass(const std::string& name, int tenant, int priority);
+  T* Get(const std::string& name, const Labels& labels = {});
   /// Lookup without registration; nullptr when the instance does not exist
   /// or has another type.
   template <class T>
-  const T* Find(const std::string& name, const LabelSet& labels = {}) const;
+  const T* Find(const std::string& name, const Labels& labels = {}) const;
 
-  Counter* GetCounter(const std::string& name, const LabelSet& labels = {}) {
+  Counter* GetCounter(const std::string& name, const Labels& labels = {}) {
     return Get<Counter>(name, labels);
   }
-  Gauge* GetGauge(const std::string& name, const LabelSet& labels = {}) {
+  Gauge* GetGauge(const std::string& name, const Labels& labels = {}) {
     return Get<Gauge>(name, labels);
   }
-  Sketch* GetSketch(const std::string& name, const LabelSet& labels = {}) {
+  Sketch* GetSketch(const std::string& name, const Labels& labels = {}) {
     return Get<Sketch>(name, labels);
   }
-  const Counter* FindCounter(const std::string& name, const LabelSet& labels = {}) const {
+  const Counter* FindCounter(const std::string& name, const Labels& labels = {}) const {
     return Find<Counter>(name, labels);
   }
-  const Gauge* FindGauge(const std::string& name, const LabelSet& labels = {}) const {
+  const Gauge* FindGauge(const std::string& name, const Labels& labels = {}) const {
     return Find<Gauge>(name, labels);
   }
-  const Sketch* FindSketch(const std::string& name, const LabelSet& labels = {}) const {
+  const Sketch* FindSketch(const std::string& name, const Labels& labels = {}) const {
     return Find<Sketch>(name, labels);
   }
 
@@ -329,12 +309,11 @@ class MetricsRegistry {
   /// in exposition order.
   double CounterFamilyTotal(const std::string& name) const;
 
-  /// Copies every instance of `other` into this registry with
-  /// `label_key=label_value` added to its labels — the cluster merge: each
-  /// replica's registry lands under its own `replica="i"` label, so instances
-  /// never collide and per-replica views survive in the merged exposition.
-  void MergeFrom(const MetricsRegistry& other, const std::string& label_key,
-                 const std::string& label_value);
+  /// Copies every instance of `other` into this registry under `replica`,
+  /// keeping its class — the cluster merge: each replica's registry lands
+  /// under its own replica label, so instances never collide and
+  /// per-replica views survive in the merged exposition.
+  void MergeFrom(const MetricsRegistry& other, int replica);
 
   /// Full JSON snapshot: cumulative totals/distributions plus the windowed
   /// aggregates (rate over the trailing window, windowed quantiles), one
@@ -344,43 +323,24 @@ class MetricsRegistry {
 
   const WindowConfig& window() const noexcept { return window_; }
 
-  /// Every registered (family, label key) pair, in exposition order.
-  std::vector<std::pair<std::string, std::string>> InstanceNames() const;
+  /// Every registered (family, labels) pair, in exposition order.
+  std::vector<std::pair<std::string, Labels>> InstanceNames() const;
 
  private:
-  /// An instance's identity in its family: a class's packed (tenant,
-  /// priority) id, or kLabeled and the canonical LabelSet::Key().
-  struct Key {
-    static constexpr int64_t kLabeled = std::numeric_limits<int64_t>::min();
-    int64_t class_id = kLabeled;
-    std::string labels;
-    bool operator==(const Key& o) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const noexcept {
-      return k.class_id == Key::kLabeled ? std::hash<std::string>()(k.labels)
-                                         : std::hash<int64_t>()(k.class_id);
+  struct LabelsHash {
+    size_t operator()(const Labels& l) const noexcept {
+      return std::hash<uint64_t>()(static_cast<uint64_t>(l.class_id.value_or(0)) * 31u +
+                                   static_cast<uint64_t>(l.replica.value_or(-1)));
     }
   };
-  struct Instance {
-    LabelSet labels;  // Empty for a class instance.
-    std::variant<Counter, Gauge, Sketch> metric;
-  };
+  using Instance = std::variant<Counter, Gauge, Sketch>;
   /// A family's instances. The map's nodes (in arena_) keep the addresses
   /// Get hands out; every reader that iterates sorts by label key (Sorted).
-  using Family = std::pmr::unordered_map<Key, Instance, KeyHash>;
-  /// One family's instances with their labels, sorted by label key.
-  struct Labeled {
-    std::string key;
-    LabelSet labels;
-    const Instance* inst;
-  };
+  using Family = std::pmr::unordered_map<Labels, Instance, LabelsHash>;
 
-  /// The key `labels` has: a class id when they are a class's labels.
-  static Key KeyOf(const LabelSet& labels);
-  static std::vector<Labeled> Sorted(const Family& fam);
-  template <class T>
-  T* GetKeyed(const std::string& name, Key key, const LabelSet& labels);
+  /// `fam`'s instances with their label keys, sorted by key.
+  static std::vector<std::pair<std::string, const Family::value_type*>> Sorted(
+      const Family& fam);
 
   WindowConfig window_;
   WindowPos pos_;  // PosAt's last answer, for instant pos_t_s_.

@@ -95,10 +95,4 @@ std::vector<SloMonitor::SpecStatus> SloMonitor::Status(double now_s) const {
   return out;
 }
 
-int64_t SloMonitor::TotalAlerts() const noexcept {
-  int64_t n = 0;
-  for (const SpecState& st : states_) n += st.alerts;
-  return n;
-}
-
 }  // namespace flashinfer::obs

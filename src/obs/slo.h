@@ -88,7 +88,6 @@ class SloMonitor {
   };
   std::vector<SpecStatus> Status(double now_s) const;
 
-  int64_t TotalAlerts() const noexcept;
   const std::vector<SloSpec>& specs() const noexcept { return specs_; }
 
  private:

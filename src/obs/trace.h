@@ -162,12 +162,11 @@ inline constexpr TraceNameInfo kTraceNames[] = {
 static_assert(std::size(kTraceNames) == static_cast<size_t>(TraceName::kCtrHostStoredBytes) + 1,
               "one kTraceNames row per TraceName value");
 
-/// The row of `n`; TraceNameStr and KindOf read its name and kind.
+/// The row of `n`; TraceNameStr reads its name.
 constexpr const TraceNameInfo& InfoOf(TraceName n) noexcept {
   return kTraceNames[static_cast<size_t>(n)];
 }
 constexpr const char* TraceNameStr(TraceName n) noexcept { return InfoOf(n).name; }
-constexpr TraceKind KindOf(TraceName n) noexcept { return InfoOf(n).kind; }
 
 /// One recorded event. POD; payload field meanings are per-name (see
 /// kTraceNames and the header comment). Timestamps are simulated microseconds.

@@ -57,9 +57,9 @@ double HbmGbForKvBudget(const EngineConfig& cfg, int64_t kv_tokens) {
 }
 
 ClassSeries ClassSeries::Register(obs::MetricsRegistry& reg, int tenant, int priority) {
-  return {reg.GetClass<obs::Counter>("fi_tokens_total", tenant, priority),
-          reg.GetClass<obs::Sketch>("fi_ttft_ms", tenant, priority),
-          reg.GetClass<obs::Sketch>("fi_itl_ms", tenant, priority)};
+  const obs::Labels labels = obs::Labels::Class(tenant, priority);
+  return {reg.GetCounter("fi_tokens_total", labels), reg.GetSketch("fi_ttft_ms", labels),
+          reg.GetSketch("fi_itl_ms", labels)};
 }
 
 ServingEngine::ServingEngine(EngineConfig cfg)
@@ -204,16 +204,16 @@ void ServingEngine::FlushTelemetry() {
   if (!telemetry_) return;
   if (field_counters_.empty()) {
     for (const MetricField& f : kMetricFields) {
-      if (f.family) field_counters_.emplace_back(&f, telemetry_->GetCounter(f.family));
+      if (f.family) field_counters_.push_back({&f, telemetry_->GetCounter(f.family)});
     }
     for (size_t i = 0; i < kOccupancySeries; ++i) {
       gauges_[i] = telemetry_->GetGauge(std::string("fi_") + obs::TraceNameStr(kOccupancy[i]));
     }
   }
   const obs::WindowPos at = telemetry_->PosAt(now_s_);
-  for (const auto& [field, counter] : field_counters_) {
-    const double v = field->Value(metrics_);
-    if (v != counter->total()) counter->SetTotal(at, v);
+  for (const FieldCounter& c : field_counters_) {
+    const double v = c.taken + c.field->Value(metrics_);
+    if (v != c.counter->total()) c.counter->SetTotal(at, v);
   }
 }
 
@@ -1340,6 +1340,8 @@ ServingMetrics ServingEngine::Run(const std::vector<Request>& workload) {
 }
 
 ServingMetrics ServingEngine::TakeMetrics() {
+  FlushTelemetry();
+  for (FieldCounter& c : field_counters_) c.taken = c.counter->total();
   ServingMetrics out = std::move(metrics_);
   ResetMetrics();
   return out;

@@ -231,8 +231,8 @@ struct MigrationUnit {
 double HbmGbForKvBudget(const EngineConfig& cfg, int64_t kv_tokens);
 
 /// One (tenant, priority) class's telemetry instruments, resolved once per
-/// class: its output tokens, TTFT and ITL. The registry keys them by the
-/// class's integer id (MetricsRegistry::GetClass), so registering a class
+/// class: its output tokens, TTFT and ITL. The registry keys them by
+/// obs::Labels::Class, the class's integer id, so registering a class
 /// builds no label string.
 struct ClassSeries {
   obs::Counter* tokens = nullptr;  // fi_tokens_total
@@ -323,8 +323,9 @@ class ServingEngine {
 
   /// Moves the metrics accumulated since the last Reset() out to the caller
   /// and leaves Metrics() reading as a freshly Reset() engine's, as Run()
-  /// does with its own; the trace, registry, clock and queues stay. The
-  /// cluster driver takes each replica's metrics this way.
+  /// does with its own; the trace, registry, clock and queues stay, and the
+  /// registry's counters keep counting from their totals. The cluster
+  /// driver takes each replica's metrics this way.
   ServingMetrics TakeMetrics();
 
   /// Current simulated time, seconds.
@@ -751,8 +752,15 @@ class ServingEngine {
   std::vector<ClassSeries> class_series_;
   std::unordered_map<int64_t, int> class_index_;  // By obs::ClassId.
   /// Handles resolved by the first FlushTelemetry after Reset: one counter
-  /// per named kMetricFields entry, one gauge per occupancy series.
-  std::vector<std::pair<const MetricField*, obs::Counter*>> field_counters_;
+  /// per named kMetricFields entry, one gauge per occupancy series. Each
+  /// counter publishes `taken`, its total when TakeMetrics() last moved the
+  /// fields out, plus its field.
+  struct FieldCounter {
+    const MetricField* field;
+    obs::Counter* counter;
+    double taken = 0.0;
+  };
+  std::vector<FieldCounter> field_counters_;
   std::array<obs::Gauge*, kOccupancySeries> gauges_{};
 };
 

@@ -20,11 +20,4 @@ double Percentile(const std::vector<double>& values, double p) {
 
 double Median(const std::vector<double>& values) { return Percentile(values, 0.5); }
 
-double Mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : values) s += v;
-  return s / static_cast<double>(values.size());
-}
-
 }  // namespace flashinfer::serving

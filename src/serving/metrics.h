@@ -18,7 +18,6 @@ namespace flashinfer::serving {
 /// metric vectors that can hold one sample per emitted token.
 double Percentile(const std::vector<double>& values, double p);
 double Median(const std::vector<double>& values);
-double Mean(const std::vector<double>& values);
 
 /// Aggregated serving metrics for one run.
 struct ServingMetrics {
@@ -338,7 +337,8 @@ struct MetricField {
 /// Every scalar counter of ServingMetrics, the single list behind the
 /// engine's registry counters, the cluster merge and the reconciliation
 /// tests. The engine writes only the fields; its telemetry flush moves each
-/// named family's counter to the field's exact value.
+/// named family's counter to the field's exact value, plus the total it had
+/// when ServingEngine::TakeMetrics() last moved the fields out.
 inline constexpr MetricField kMetricFields[] = {
     {&ServingMetrics::total_output_tokens, "fi_output_tokens_total"},
     {&ServingMetrics::total_attention_ms},

@@ -1,10 +1,11 @@
-// Telemetry-plane unit tests: label canonicalization, sliding-window
-// accumulators (epoch ring expiry), registry instance identity, exposition
+// Telemetry-plane unit tests: label keys, sliding-window accumulators
+// (epoch ring expiry), registry instance identity, exposition
 // schema (the JSON snapshot, parsed with the shared JSON machinery), and the
 // cluster registry merge.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,38 +18,33 @@
 namespace flashinfer {
 namespace {
 
-using obs::ClassLabels;
+using obs::ClassId;
 using obs::Counter;
 using obs::Gauge;
 using obs::Histogram;
-using obs::LabelSet;
+using obs::Labels;
 using obs::MetricsRegistry;
 using obs::Sketch;
 using obs::WindowConfig;
 using obs::WindowedSketch;
 using obs::WindowedSum;
 
-// --- LabelSet ----------------------------------------------------------------
+// --- Labels ------------------------------------------------------------------
 
-TEST(LabelSet, CanonicalKeyIsSorted) {
-  const LabelSet a{{"tenant", "3"}, {"priority", "1"}};
-  const LabelSet b{{"priority", "1"}, {"tenant", "3"}};
-  EXPECT_EQ(a.Key(), "priority=1,tenant=3");
-  EXPECT_EQ(a.Key(), b.Key());
-  EXPECT_TRUE(LabelSet{}.empty());
-  EXPECT_EQ(LabelSet{}.Key(), "");
-}
-
-TEST(LabelSet, WithAddsAndReplaces) {
-  const LabelSet base{{"tenant", "3"}};
-  EXPECT_EQ(base.With("replica", "0").Key(), "replica=0,tenant=3");
-  EXPECT_EQ(base.With("tenant", "7").Key(), "tenant=7");
-  EXPECT_EQ(base.Key(), "tenant=3");  // With() copies; base untouched.
-}
-
-TEST(LabelSet, ClassLabelsMapUnassignedTenantToDash) {
-  EXPECT_EQ(ClassLabels(2, 1).Key(), "priority=1,tenant=2");
-  EXPECT_EQ(ClassLabels(-1, 0).Key(), "priority=0,tenant=-");
+// A key spells its labels in key order (priority, replica, tenant) and the
+// unassigned tenant as "-"; every tenant below -1 is the unassigned one.
+TEST(Labels, KeySpellsClassAndReplicaInKeyOrder) {
+  EXPECT_EQ(Labels::Class(2, 1).Key(), "priority=1,tenant=2");
+  EXPECT_EQ(Labels::Class(-1, 0).Key(), "priority=0,tenant=-");
+  EXPECT_EQ(Labels::Class(-7, 0), Labels::Class(-1, 0));
+  EXPECT_EQ(Labels::Class(-7, 0).Key(), "priority=0,tenant=-");
+  EXPECT_EQ(Labels::Class(0, -3).Key(), "priority=-3,tenant=0");
+  EXPECT_EQ((Labels{ClassId(11, 2), 10}).Key(), "priority=2,replica=10,tenant=11");
+  EXPECT_EQ((Labels{ClassId(-1, 2), 0}).Key(), "priority=2,replica=0,tenant=-");
+  EXPECT_EQ(Labels::Replica(3).Key(), "replica=3");
+  EXPECT_EQ(Labels{}.Key(), "");
+  EXPECT_NE(Labels::Replica(0), Labels{});
+  EXPECT_NE(Labels::Class(0, 0), Labels{});
 }
 
 // --- Sliding windows ---------------------------------------------------------
@@ -75,6 +71,27 @@ TEST(WindowedSum, RingReuseResetsStaleSlot) {
   w.Add(0.5, 100.0);  // Epoch 0.
   w.Add(20.5, 1.0);   // Epoch 10 — same ring index, must reset the slot.
   EXPECT_DOUBLE_EQ(w.Sum(20.5), 1.0);
+}
+
+// The simulated clock starts at 0. An instant before it, or NaN, has no ring
+// slot: every window instrument, and the registry's ring position, rejects
+// it rather than writing outside its ring.
+TEST(WindowDeathTest, RejectsNegativeAndNanTimes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const WindowConfig window{10.0, 5};
+  EXPECT_DEATH(window.PosAt(-0.5), "t_s >= 0\\.0 \\(-0\\.5 vs 0\\)");
+  EXPECT_DEATH(window.PosAt(-3.0), "t_s >= 0\\.0 \\(-3 vs 0\\)");
+  EXPECT_DEATH(window.PosAt(nan), "t_s >= 0\\.0 \\(-?nan vs 0\\)");
+  Counter c(window);
+  EXPECT_DEATH(c.Inc(-0.5), "t_s >= 0\\.0 \\(-0\\.5 vs 0\\)");
+  Gauge g(window);
+  EXPECT_DEATH(g.Set(nan, 1.0), "t_s >= 0\\.0 \\(-?nan vs 0\\)");
+  Sketch s(window);
+  EXPECT_DEATH(s.Observe(-0.5, 1.0), "t_s >= 0\\.0 \\(-0\\.5 vs 0\\)");
+  WindowedSum w(10.0, 5);
+  EXPECT_DEATH(w.Add(nan, 1.0), "t_s >= 0\\.0 \\(-?nan vs 0\\)");
+  MetricsRegistry reg(window);
+  EXPECT_DEATH(reg.PosAt(nan), "t_s >= 0\\.0 \\(-?nan vs 0\\)");
 }
 
 TEST(WindowedSketch, MergedCoversOnlyLiveSlots) {
@@ -174,14 +191,14 @@ TEST(WindowedSketch, NeverWrittenSlotsMergeCopyAndRegistryMerge) {
   EXPECT_DOUBLE_EQ(copy.WindowSnapshot(5.0).MaxValue(), 9.0);
 
   MetricsRegistry r0, merged;
-  r0.GetSketch("fi_itl_ms", ClassLabels(-1, 3))->Observe(1.0, 7.0);
-  r0.GetSketch("fi_ttft_ms", ClassLabels(-1, 3));  // No sample at all.
-  merged.MergeFrom(r0, "replica", "0");
-  const Sketch* m = merged.FindSketch("fi_itl_ms", ClassLabels(-1, 3).With("replica", "0"));
+  r0.GetSketch("fi_itl_ms", Labels::Class(-1, 3))->Observe(1.0, 7.0);
+  r0.GetSketch("fi_ttft_ms", Labels::Class(-1, 3));  // No sample at all.
+  merged.MergeFrom(r0, 0);
+  const Sketch* m = merged.FindSketch("fi_itl_ms", Labels{ClassId(-1, 3), 0});
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->WindowSnapshot(1.0).Count(), 1);
   EXPECT_DOUBLE_EQ(m->WindowSnapshot(1.0).MaxValue(), 7.0);
-  const Sketch* none = merged.FindSketch("fi_ttft_ms", ClassLabels(-1, 3).With("replica", "0"));
+  const Sketch* none = merged.FindSketch("fi_ttft_ms", Labels{ClassId(-1, 3), 0});
   ASSERT_NE(none, nullptr);
   EXPECT_EQ(none->WindowSnapshot(1.0).Count(), 0);
   EXPECT_EQ(none->Cumulative().Count(), 0);
@@ -249,9 +266,9 @@ TEST(Metrics, SketchCumulativeAndWindowDiverge) {
 
 TEST(Registry, GetReturnsStablePointerPerInstance) {
   MetricsRegistry reg;
-  Counter* a = reg.GetCounter("fi_x_total", ClassLabels(0, 1));
-  Counter* b = reg.GetCounter("fi_x_total", ClassLabels(0, 1));
-  Counter* other = reg.GetCounter("fi_x_total", ClassLabels(1, 1));
+  Counter* a = reg.GetCounter("fi_x_total", Labels::Class(0, 1));
+  Counter* b = reg.GetCounter("fi_x_total", Labels::Class(0, 1));
+  Counter* other = reg.GetCounter("fi_x_total", Labels::Class(1, 1));
   EXPECT_EQ(a, b);
   EXPECT_NE(a, other);
   a->Inc(0.0, 3.0);
@@ -267,7 +284,7 @@ TEST(Registry, FindDoesNotRegister) {
   EXPECT_NE(reg.FindCounter("fi_x_total"), nullptr);
   // Wrong type or wrong labels -> null, not a new instance.
   EXPECT_EQ(reg.FindGauge("fi_x_total"), nullptr);
-  EXPECT_EQ(reg.FindCounter("fi_x_total", ClassLabels(0, 0)), nullptr);
+  EXPECT_EQ(reg.FindCounter("fi_x_total", Labels::Class(0, 0)), nullptr);
   EXPECT_EQ(reg.InstanceNames().size(), 1u);
 }
 
@@ -275,9 +292,9 @@ TEST(Registry, FindDoesNotRegister) {
 
 TEST(Exposition, JsonSnapshotParsesWithSchema) {
   MetricsRegistry reg(WindowConfig{10.0, 5});
-  reg.GetCounter("fi_tokens_total", ClassLabels(2, 0))->Inc(1.0, 50.0);
+  reg.GetCounter("fi_tokens_total", Labels::Class(2, 0))->Inc(1.0, 50.0);
   reg.GetGauge("fi_kv_device_tokens")->Set(1.0, 4096.0);
-  Sketch* s = reg.GetSketch("fi_itl_ms", ClassLabels(2, 0));
+  Sketch* s = reg.GetSketch("fi_itl_ms", Labels::Class(2, 0));
   for (int i = 1; i <= 10; ++i) s->Observe(1.0, 5.0 * i);
 
   util::JsonValue doc;
@@ -325,30 +342,29 @@ TEST(Exposition, JsonSnapshotParsesWithSchema) {
 // answers only for its own type.
 TEST(Exposition, MergedRegistryMatchesPinnedOutput) {
   MetricsRegistry r0, r1, merged;
-  r0.GetCounter("fi_tokens_total", ClassLabels(0, 1))->Inc(1.0, 128.0);
-  r0.GetCounter("fi_tokens_total", ClassLabels(-1, 2))->Inc(7.0, 7.0);
+  r0.GetCounter("fi_tokens_total", Labels::Class(0, 1))->Inc(1.0, 128.0);
+  r0.GetCounter("fi_tokens_total", Labels::Class(-1, 2))->Inc(7.0, 7.0);
   r0.GetGauge("fi_queue_depth")->Set(2.0, 3.0);
   r0.GetGauge("fi_queue_depth")->Set(8.0, 1.0);
-  Sketch* ttft = r0.GetSketch("fi_ttft_ms", ClassLabels(0, 1));
+  Sketch* ttft = r0.GetSketch("fi_ttft_ms", Labels::Class(0, 1));
   for (int i = 1; i <= 20; ++i) ttft->Observe(i < 10 ? 1.0 : 9.0, 3.0 * i);
   r1.GetCounter("fi_steps_total")->SetTotal(4.0, 40.0);
   r1.GetCounter("fi_steps_total")->SetTotal(12.0, 46.0);
-  r1.GetGauge("fi_queue_depth", LabelSet{{"pool", "de\"code"}})->Set(12.5, 2.0);
   Sketch* itl = r1.GetSketch("fi_itl_ms");
   for (const double v : {0.0, 0.004, 6.5, 6.5, 250.0, 2e6}) itl->Observe(11.0, v);
   merged.GetCounter("fi_routed_total")->Inc(0.5, 9.0);
-  merged.MergeFrom(r0, "replica", "0");
-  merged.MergeFrom(r1, "replica", "1");
+  merged.MergeFrom(r0, 0);
+  merged.MergeFrom(r1, 1);
 
   EXPECT_EQ(test::FirstLineDiff(merged.JsonSnapshot(14.0),
                                 test::ReadGolden("merged_registry.json")),
             "");
 
-  const LabelSet tokens = ClassLabels(0, 1).With("replica", "0");
+  const Labels tokens{ClassId(0, 1), 0};
   EXPECT_NE(merged.FindCounter("fi_tokens_total", tokens), nullptr);
   EXPECT_EQ(merged.FindGauge("fi_tokens_total", tokens), nullptr);
   EXPECT_EQ(merged.FindSketch("fi_tokens_total", tokens), nullptr);
-  const LabelSet depth{{"replica", "0"}};
+  const Labels depth = Labels::Replica(0);
   EXPECT_NE(merged.FindGauge("fi_queue_depth", depth), nullptr);
   EXPECT_EQ(merged.FindCounter("fi_queue_depth", depth), nullptr);
   EXPECT_EQ(merged.FindSketch("fi_queue_depth", depth), nullptr);
@@ -358,7 +374,7 @@ TEST(Exposition, MergedRegistryMatchesPinnedOutput) {
   EXPECT_EQ(merged.FindCounter("fi_missing_total"), nullptr);
   EXPECT_DOUBLE_EQ(merged.CounterFamilyTotal("fi_tokens_total"), 135.0);
   EXPECT_DOUBLE_EQ(merged.CounterFamilyTotal("fi_queue_depth"), 0.0);  // A gauge family.
-  EXPECT_EQ(merged.InstanceNames().size(), 8u);
+  EXPECT_EQ(merged.InstanceNames().size(), 7u);
 }
 
 // --- Cluster merge -----------------------------------------------------------
@@ -366,20 +382,20 @@ TEST(Exposition, MergedRegistryMatchesPinnedOutput) {
 TEST(Merge, RelabelsEveryInstance) {
   MetricsRegistry r0, r1, merged;
   r0.GetCounter("fi_steps_total")->Inc(1.0, 10.0);
-  r0.GetSketch("fi_ttft_ms", ClassLabels(0, 0))->Observe(1.0, 25.0);
+  r0.GetSketch("fi_ttft_ms", Labels::Class(0, 0))->Observe(1.0, 25.0);
   r1.GetCounter("fi_steps_total")->Inc(1.0, 4.0);
-  merged.MergeFrom(r0, "replica", "0");
-  merged.MergeFrom(r1, "replica", "1");
+  merged.MergeFrom(r0, 0);
+  merged.MergeFrom(r1, 1);
 
-  const Counter* c0 = merged.FindCounter("fi_steps_total", LabelSet{{"replica", "0"}});
-  const Counter* c1 = merged.FindCounter("fi_steps_total", LabelSet{{"replica", "1"}});
+  const Counter* c0 = merged.FindCounter("fi_steps_total", Labels::Replica(0));
+  const Counter* c1 = merged.FindCounter("fi_steps_total", Labels::Replica(1));
   ASSERT_NE(c0, nullptr);
   ASSERT_NE(c1, nullptr);
   EXPECT_DOUBLE_EQ(c0->total(), 10.0);
   EXPECT_DOUBLE_EQ(c1->total(), 4.0);
   EXPECT_DOUBLE_EQ(merged.CounterFamilyTotal("fi_steps_total"), 14.0);
   // The sketch kept its class labels and gained the replica label.
-  const Sketch* s = merged.FindSketch("fi_ttft_ms", ClassLabels(0, 0).With("replica", "0"));
+  const Sketch* s = merged.FindSketch("fi_ttft_ms", Labels{ClassId(0, 0), 0});
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->Cumulative().Count(), 1);
   // Merge copies: mutating the source later does not affect the merged view.
@@ -407,8 +423,8 @@ TEST(Merge, ClusterEngineMergesReplicaRegistries) {
   EXPECT_DOUBLE_EQ(merged->CounterFamilyTotal("fi_steps_total"),
                    static_cast<double>(m.aggregate.num_steps));
   // Both replicas contributed distinct instances.
-  EXPECT_NE(merged->FindCounter("fi_steps_total", LabelSet{{"replica", "0"}}), nullptr);
-  EXPECT_NE(merged->FindCounter("fi_steps_total", LabelSet{{"replica", "1"}}), nullptr);
+  EXPECT_NE(merged->FindCounter("fi_steps_total", Labels::Replica(0)), nullptr);
+  EXPECT_NE(merged->FindCounter("fi_steps_total", Labels::Replica(1)), nullptr);
   // The merged snapshot still parses.
   util::JsonValue doc;
   std::string err;

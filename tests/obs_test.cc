@@ -68,13 +68,13 @@ TEST(TraceRecorder, ClearResetsCounts) {
 }
 
 TEST(TraceNames, KindPartitionAndStableStrings) {
-  EXPECT_EQ(KindOf(TraceName::kStep), TraceKind::kSpan);
-  EXPECT_EQ(KindOf(TraceName::kPhaseHost), TraceKind::kSpan);
-  EXPECT_EQ(KindOf(TraceName::kReqRecompute), TraceKind::kSpan);
-  EXPECT_EQ(KindOf(TraceName::kChunk), TraceKind::kInstant);
-  EXPECT_EQ(KindOf(TraceName::kRouteDecision), TraceKind::kInstant);
-  EXPECT_EQ(KindOf(TraceName::kCtrKvDevice), TraceKind::kCounter);
-  EXPECT_EQ(KindOf(TraceName::kCtrTokPerS), TraceKind::kCounter);
+  EXPECT_EQ(InfoOf(TraceName::kStep).kind, TraceKind::kSpan);
+  EXPECT_EQ(InfoOf(TraceName::kPhaseHost).kind, TraceKind::kSpan);
+  EXPECT_EQ(InfoOf(TraceName::kReqRecompute).kind, TraceKind::kSpan);
+  EXPECT_EQ(InfoOf(TraceName::kChunk).kind, TraceKind::kInstant);
+  EXPECT_EQ(InfoOf(TraceName::kRouteDecision).kind, TraceKind::kInstant);
+  EXPECT_EQ(InfoOf(TraceName::kCtrKvDevice).kind, TraceKind::kCounter);
+  EXPECT_EQ(InfoOf(TraceName::kCtrTokPerS).kind, TraceKind::kCounter);
   EXPECT_STREQ(TraceNameStr(TraceName::kStep), "step");
   EXPECT_STREQ(TraceNameStr(TraceName::kReqPreempted), "preempted");
   EXPECT_STREQ(TraceNameStr(TraceName::kCtrKvDevice), "kv_device_tokens");

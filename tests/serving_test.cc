@@ -119,7 +119,6 @@ TEST(Metrics, Percentiles) {
   EXPECT_DOUBLE_EQ(Median({1.0, 2.0, 3.0, 4.0}), 2.5);
   EXPECT_DOUBLE_EQ(Percentile({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(Percentile({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 1.0), 10.0);
-  EXPECT_DOUBLE_EQ(Mean({2.0, 4.0}), 3.0);
 }
 
 TEST(AttnSim, BalancedBeatsNaiveOnSkewedBatch) {

@@ -61,6 +61,10 @@
 //      for bucket through the log formula (test_util.h); under bounded_itl,
 //      which keeps no ITL samples, the merged ITL sketch counts what the
 //      engine's own ITL sketch does.
+//  16. on every engine trial (telemetry is always on there), a no-op
+//      StepTo(Now()) after invariant 13's Run() leaves the registry's JSON
+//      snapshot byte-identical: TakeMetrics() moves the fields out, not the
+//      published counters.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -394,7 +398,7 @@ std::string TelemetryStepDiff(const ServingEngine& engine,
     }
   }
   for (const auto& [tenant, priority] : classes) {
-    const obs::LabelSet labels = obs::ClassLabels(tenant, priority);
+    const obs::Labels labels = obs::Labels::Class(tenant, priority);
     const obs::Counter* tokens = reg.FindCounter("fi_tokens_total", labels);
     if (tokens == nullptr) continue;  // Not registered yet.
     const obs::Sketch* ttft = reg.FindSketch("fi_ttft_ms", labels);
@@ -518,20 +522,10 @@ void ExpectItlSketchRebuilds(const EngineConfig& cfg, const ServingMetrics& m) {
 void ExpectClassSketchesRebuild(const obs::MetricsRegistry& reg, const ServingMetrics& m,
                                 bool bounded_itl) {
   obs::Histogram ttft, itl;
-  for (const auto& [name, label_key] : reg.InstanceNames()) {
+  for (const auto& [name, labels] : reg.InstanceNames()) {
     if (name != "fi_ttft_ms" && name != "fi_itl_ms") continue;
-    // Reconstruct the labels from the canonical key (k=v,k=v).
-    obs::LabelSet labels;
-    size_t pos = 0;
-    while (pos < label_key.size()) {
-      const size_t eq = label_key.find('=', pos);
-      size_t end = label_key.find(',', eq);
-      if (end == std::string::npos) end = label_key.size();
-      labels = labels.With(label_key.substr(pos, eq - pos), label_key.substr(eq + 1, end - eq - 1));
-      pos = end + 1;
-    }
     const obs::Sketch* s = reg.FindSketch(name, labels);
-    ASSERT_NE(s, nullptr) << name << "{" << label_key << "}";
+    ASSERT_NE(s, nullptr) << name << "{" << labels.Key() << "}";
     (name == "fi_ttft_ms" ? ttft : itl).MergeFrom(s->Cumulative());
   }
   EXPECT_EQ(test::SketchCountsDiff(ttft, m.ttft_ms), "") << "fi_ttft_ms";
@@ -686,6 +680,11 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
     EXPECT_EQ(run.ttft_priority.capacity(), run.ttft_priority.size());
     EXPECT_EQ(run.itl_ms.capacity(), run.itl_ms.size());
   }
+  // Invariant 16: Run() took its metrics, and a later flush must not move
+  // the registry's counters back.
+  const std::string snapshot = reference.Telemetry()->JsonSnapshot(reference.Now());
+  reference.StepTo(reference.Now());
+  EXPECT_EQ(reference.Telemetry()->JsonSnapshot(reference.Now()), snapshot);
   if (!check_step_equiv) {
     if (FailedPartCount() > failed_before) {
       DumpTrialTrace({{"engine", engine.TraceEvents()}}, seed);

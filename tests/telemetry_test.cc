@@ -139,7 +139,7 @@ TEST(Telemetry, RegistryReconcilesWithServingMetrics) {
   int64_t ttft_samples = 0, itl_samples = 0;
   for (int tenant = 0; tenant < 3; ++tenant) {
     for (int priority = 0; priority < 2; ++priority) {
-      const obs::LabelSet labels = obs::ClassLabels(tenant, priority);
+      const obs::Labels labels = obs::Labels::Class(tenant, priority);
       if (const obs::Sketch* s = reg->FindSketch("fi_ttft_ms", labels)) {
         ttft_samples += s->Cumulative().Count();
       }
@@ -164,7 +164,7 @@ double ClassTokenWindow(const obs::MetricsRegistry& reg, double now_s) {
   double sum = 0.0;
   for (int tenant = 0; tenant < 3; ++tenant) {
     for (int priority = 0; priority < 2; ++priority) {
-      const obs::LabelSet labels = obs::ClassLabels(tenant, priority);
+      const obs::Labels labels = obs::Labels::Class(tenant, priority);
       if (const obs::Counter* c = reg.FindCounter("fi_tokens_total", labels)) {
         sum += c->WindowSum(now_s);
       }
@@ -214,6 +214,56 @@ TEST(Telemetry, FlushesBeforeEveryClockChange) {
   EXPECT_GT(engine.Metrics().num_preemptions, 0);
 }
 
+// TakeMetrics() moves the fields out, not the registry's counters. After
+// Run(), which ends with a take, a no-op StepTo(Now()) flushes again and must
+// leave every published counter's total and window sum as Run() left them.
+// A take in mid-run followed by Drain() must publish the taken part plus
+// the rest, and the rest's output tokens complete Run()'s.
+TEST(Telemetry, CountersKeepCountingAcrossTakeMetrics) {
+  EngineConfig cfg = PressuredConfig();
+  cfg.telemetry.enabled = true;
+  const std::vector<Request> reqs = MixedWorkload(24);
+  ServingEngine engine(cfg);
+  const ServingMetrics run = engine.Run(reqs);
+  const obs::MetricsRegistry& reg = *engine.Telemetry();
+  const double now = engine.Now();
+  std::vector<std::pair<double, double>> published;  // Total, window sum.
+  for (const serving::MetricField& f : serving::kMetricFields) {
+    if (f.family == nullptr) continue;
+    const obs::Counter* c = reg.FindCounter(f.family);
+    ASSERT_NE(c, nullptr) << f.family;
+    published.emplace_back(c->total(), c->WindowSum(now));
+  }
+  EXPECT_EQ(test::CounterFieldDiff(reg, run), "");
+  engine.StepTo(engine.Now());
+  size_t i = 0;
+  for (const serving::MetricField& f : serving::kMetricFields) {
+    if (f.family == nullptr) continue;
+    const obs::Counter* c = reg.FindCounter(f.family);
+    EXPECT_EQ(c->total(), published[i].first) << f.family;
+    EXPECT_EQ(c->WindowSum(now), published[i].second) << f.family;
+    ++i;
+  }
+  EXPECT_GT(published[0].first, 0.0);  // fi_output_tokens_total.
+
+  ServingEngine stepped(cfg);
+  stepped.Reset();
+  for (const Request& r : reqs) stepped.Admit(r);
+  stepped.StepTo(run.makespan_s / 2);
+  const ServingMetrics taken = stepped.TakeMetrics();
+  stepped.Drain();
+  const ServingMetrics& rest = stepped.Metrics();
+  EXPECT_GT(taken.total_output_tokens, 0);
+  EXPECT_GT(rest.total_output_tokens, 0);
+  EXPECT_EQ(taken.total_output_tokens + rest.total_output_tokens, run.total_output_tokens);
+  for (const serving::MetricField& f : serving::kMetricFields) {
+    if (f.family == nullptr) continue;
+    EXPECT_EQ(stepped.Telemetry()->FindCounter(f.family)->total(),
+              f.Value(taken) + f.Value(rest))
+        << f.family;
+  }
+}
+
 // The migration calls run outside StepTo, so each flushes before returning:
 // both engines reconcile right after every call, and the hand-off flushes
 // after each unit it ships or retains.
@@ -261,7 +311,7 @@ TEST(Telemetry, MigrationCallsFlushBeforeReturning) {
   double tokens = 0.0;
   int64_t ttft = 0, itl = 0;
   for (const Request& r : reqs) {
-    const obs::LabelSet labels = obs::ClassLabels(r.tenant, r.priority);
+    const obs::Labels labels = obs::Labels::Class(r.tenant, r.priority);
     double class_tokens = 0.0;
     int64_t class_ttft = 0, class_itl = 0;
     for (const ServingEngine* e : {&src, &dst}) {
@@ -437,12 +487,12 @@ TEST(Slo, AlertsAreEdgeTriggeredAndRecover) {
   for (int i = 0; i < 10; ++i) mon.Observe(SloSignal::kItl, 0, 0, 100.0, 1.0);
   mon.Evaluate(1.0);
   mon.Evaluate(1.5);  // Still firing: no second edge.
-  EXPECT_EQ(mon.TotalAlerts(), 1);
+  EXPECT_EQ(mon.Status(1.5)[0].alerts, 1);
   EXPECT_TRUE(mon.Status(1.5)[0].firing);
   // Far past both windows the burn is gone: the alert recovers.
   mon.Evaluate(100.0);
   EXPECT_FALSE(mon.Status(100.0)[0].firing);
-  EXPECT_EQ(mon.TotalAlerts(), 1);
+  EXPECT_EQ(mon.Status(100.0)[0].alerts, 1);
 
   int alerts = 0, recovers = 0;
   for (const auto& e : trace.Events()) {
@@ -470,7 +520,7 @@ TEST(Slo, SlowWindowVetoesTransientBurn) {
   EXPECT_GE(status[0].fast_burn, spec.fast_burn);
   EXPECT_LT(status[0].slow_burn, spec.slow_burn);
   EXPECT_FALSE(status[0].firing);
-  EXPECT_EQ(mon.TotalAlerts(), 0);
+  EXPECT_EQ(status[0].alerts, 0);
 }
 
 TEST(Slo, ClassFilterSelectsSamples) {
@@ -508,9 +558,9 @@ TEST(Slo, EngineRunFiresAlertIntoTrace) {
   const ServingMetrics m = engine.Run(MixedWorkload(24));
   const SloMonitor* slo = engine.Slo();
   ASSERT_NE(slo, nullptr);
-  EXPECT_GE(slo->TotalAlerts(), 1);
   const auto status = slo->Status(m.makespan_s);
   ASSERT_EQ(status.size(), 1u);
+  EXPECT_GE(status[0].alerts, 1);
   EXPECT_LT(status[0].attainment, 0.01);  // Every sample violated.
 
   int alert_instants = 0;
