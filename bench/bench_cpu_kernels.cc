@@ -201,8 +201,7 @@ void BM_ScheduleBalanced(benchmark::State& state) {
   for (auto _ : state) {
     BlockRowsFromLengths(qo_lens, kv_lens[next], /*fuse=*/4, /*tile_q=*/16, /*causal=*/true,
                          &rows);
-    ScheduleBalanced(rows, num_heads, /*tile_kv=*/64, /*num_ctas=*/132, 1.0, 1.0, &schedule,
-                     list);
+    ScheduleBalanced(rows, num_heads, /*tile_kv=*/64, /*num_ctas=*/132, &schedule, list);
     benchmark::DoNotOptimize(list.assignments().data());
     items += static_cast<int64_t>(list.assignments().size());
     next = (next + 1) % kv_lens.size();

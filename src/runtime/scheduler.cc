@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -68,23 +67,18 @@ uint64_t WordRange(int32_t lo, int32_t hi) noexcept {
 /// together): Place(cost, count, out) puts each of the run's `count` units
 /// of chunks, in order, on the unit that minimizes (accumulated load,
 /// index), adds `cost` to that unit's load and appends the unit to `out`.
-/// Costs are finite and non-negative, and runs come in decreasing cost
-/// order.
+/// Costs are positive, and runs come in decreasing cost order.
 ///
-/// Units with bit-identical loads share a class, a bitset of their indices.
-/// Classes are kept in load order; non-negative doubles order like their
-/// bit patterns read as integers. While the first runs have positive cost,
-/// chunk i lands on unit i: units 0..i-1 already hold positive loads and i
-/// is the lowest-indexed empty one, so each such run's units form one
-/// class, an index range at load 0.0 + cost == cost. The first zero-cost
-/// chunk, or the first chunk after every unit is loaded, adds the
-/// still-empty units as the least class. From then on a chunk goes to the
-/// least class's lowest index and moves it to the class at load + cost, so
-/// a run takes the least class's lowest indices in order and moves them
+/// Units with equal loads share a class, a bitset of their indices, and
+/// classes are kept in load order. Until every unit is loaded, chunk i
+/// lands on unit i: units 0..i-1 already hold positive loads and i is the
+/// lowest-indexed empty one, so each such run's units form one class, an
+/// index range at load `cost`. From then on a chunk goes to the least
+/// class's lowest index and moves it to the class at load + cost, so a run
+/// takes the least class's lowest indices in order and moves them
 /// together; when the least class empties, the run continues in the next
 /// one. A run that takes the whole least class relabels it at load + cost,
-/// or ORs it into the class already there. If load + cost rounds back to
-/// the load, the lowest index takes the whole run.
+/// or ORs it into the class already there.
 class LeastLoadedCtas {
  public:
   void Reset(int n) {
@@ -111,33 +105,22 @@ class LeastLoadedCtas {
     first_empty_ = 0;
   }
 
-  void Place(double cost, size_t count, std::vector<CtaWord>& out) {
-    if (first_empty_ >= 0) {
-      if (cost > 0.0 && first_empty_ < n_) {
-        const int32_t lo = first_empty_;
-        const int32_t hi = static_cast<int32_t>(
-            std::min<size_t>(static_cast<size_t>(n_), static_cast<size_t>(lo) + count));
-        AddRange(lo, hi, std::bit_cast<uint64_t>(cost));
-        for (int32_t w = lo / 64; 64 * w < hi; ++w) {
-          out.push_back({w, WordRange(lo - 64 * w, hi - 64 * w)});
-        }
-        first_empty_ = hi;
-        count -= static_cast<size_t>(hi - lo);
-        if (count == 0) return;
+  void Place(int64_t cost, size_t count, std::vector<CtaWord>& out) {
+    if (first_empty_ < n_) {
+      const int32_t lo = first_empty_;
+      const int32_t hi = static_cast<int32_t>(
+          std::min<size_t>(static_cast<size_t>(n_), static_cast<size_t>(lo) + count));
+      AddRange(lo, hi, cost);
+      for (int32_t w = lo / 64; 64 * w < hi; ++w) {
+        out.push_back({w, WordRange(lo - 64 * w, hi - 64 * w)});
       }
-      if (first_empty_ < n_) AddRange(first_empty_, n_, 0);
-      first_empty_ = -1;
+      first_empty_ = hi;
+      count -= static_cast<size_t>(hi - lo);
     }
     while (count > 0) {
       const Class least = order_[static_cast<size_t>(live_ - 1)];
-      const uint64_t load = std::bit_cast<uint64_t>(std::bit_cast<double>(least.load) + cost);
+      const int64_t load = least.load + cost;
       uint64_t* from = Members(least.id);
-      if (load == least.load) {  // The cost rounds away: the lowest index stays least.
-        int32_t w = 0;
-        while (from[w] == 0) ++w;
-        out.insert(out.end(), count, CtaWord{w, from[w] & (~from[w] + 1)});
-        return;
-      }
       // The least class's lowest indices, in order: every word of a whole
       // class, and the lowest members one by one otherwise.
       const size_t first_word = out.size();
@@ -182,7 +165,7 @@ class LeastLoadedCtas {
 
  private:
   struct Class {
-    uint64_t load;  // Bit pattern of the members' shared load.
+    int64_t load;  // The members' shared load.
     int32_t id;
   };
 
@@ -191,7 +174,7 @@ class LeastLoadedCtas {
   }
 
   /// A new class of the units [lo, hi), below every class so far.
-  void AddRange(int32_t lo, int32_t hi, uint64_t load) {
+  void AddRange(int32_t lo, int32_t hi, int64_t load) {
     const int32_t id = next_id_++;
     uint64_t* members = Members(id);
     for (int32_t w = 0; w < words_; ++w) members[w] = WordRange(lo - 64 * w, hi - 64 * w);
@@ -202,14 +185,14 @@ class LeastLoadedCtas {
   /// The position of the highest class at or below `load`, which is above
   /// the least class's load. A new load tends to land among the highest,
   /// so the search starts there.
-  size_t FindAbove(uint64_t load) const noexcept {
+  size_t FindAbove(int64_t load) const noexcept {
     size_t j = 0;
     while (order_[j].load > load) ++j;
     return j;
   }
 
   /// A new class at `load`, at position j of the order.
-  int32_t Insert(size_t j, uint64_t load) {
+  int32_t Insert(size_t j, int64_t load) {
     int32_t id;
     if (num_free_ == 0) {
       id = next_id_++;
@@ -226,8 +209,8 @@ class LeastLoadedCtas {
   }
 
   int32_t n_ = 0;
-  // The lowest empty unit, all later ones empty too (n_ once the first
-  // round has loaded every unit); -1 once every unit is in a class.
+  // The lowest empty unit, all later ones empty too; n_ once the first
+  // round has loaded every unit.
   int32_t first_empty_ = 0;
   int32_t words_ = 0;              // Bitset words per class.
   std::vector<uint64_t> members_;  // Class id -> bitset of member units.
@@ -252,15 +235,15 @@ bool SortsBefore(const ChunkKey& a, const ChunkKey& b) noexcept {
 
 /// Sorts keys generated in (block_row, chunk) order by descending cost,
 /// ties in generation order. From kRadixSortMinKeys keys on this is a
-/// stable LSD radix sort over the bytes of the costs' bit patterns, which
-/// for non-negative doubles order like the costs; bytes that every key
-/// shares take no pass. Fewer keys do not pay for its passes.
+/// stable LSD radix sort over the bytes of the non-negative costs; bytes
+/// that every key shares take no pass. Fewer keys do not pay for its
+/// passes.
 void SortByDescendingCost(std::vector<ChunkKey>& keys, std::vector<ChunkKey>& spare) {
   if (keys.size() < kRadixSortMinKeys) {
     std::sort(keys.begin(), keys.end(), SortsBefore);
     return;
   }
-  auto bits = [](const ChunkKey& k) { return std::bit_cast<uint64_t>(k.cost); };
+  auto bits = [](const ChunkKey& k) { return static_cast<uint64_t>(k.cost); };
   uint64_t varying = 0;
   for (const auto& k : keys) varying |= bits(k) ^ bits(keys[0]);
   spare.resize(keys.size());
@@ -323,16 +306,14 @@ thread_local ScheduleScratch t_scratch;
 /// rows with the same chunk counts reach within a few keys, the keys are
 /// sorted afresh.
 std::span<const ChunkKey> SortedKeys(const std::vector<BlockRowShape>& rows,
-                                     const std::vector<ChunkSchedule::RowSplit>& splits,
-                                     double alpha, double beta) {
+                                     const std::vector<ChunkSchedule::RowSplit>& splits) {
   ScheduleScratch& scratch = t_scratch;
   std::vector<ChunkKey>& keys = scratch.keys;
   std::vector<int32_t>& key_chunks = scratch.key_chunks;
   auto cost = [&](int32_t br, int32_t k) {
     const auto& split = splits[static_cast<size_t>(br)];
     const auto& row = rows[static_cast<size_t>(br)];
-    const int64_t tokens = split.ChunkEnd(k, row.kv_len) - split.ChunkBegin(k);
-    return alpha * static_cast<double>(row.rows) + beta * static_cast<double>(tokens);
+    return row.rows + split.ChunkEnd(k, row.kv_len) - split.ChunkBegin(k);
   };
   bool same_chunks = key_chunks.size() == rows.size();
   for (size_t i = 0; same_chunks && i < rows.size(); ++i) {
@@ -362,7 +343,7 @@ void PlaceRoundRobin(const std::vector<BlockRowShape>& rows, int num_heads,
   ctas.clear();
   for (size_t i = 0; i < rows.size(); ++i) {
     for (int32_t k = 0; k < s.splits[i].num_chunks; ++k) {
-      keys.push_back({0.0, static_cast<int32_t>(i), k});
+      keys.push_back({0, static_cast<int32_t>(i), k});
     }
   }
   if (keys.empty()) return;
@@ -459,31 +440,6 @@ void AssignmentList::Place(std::span<const ChunkKey> run, std::span<const CtaWor
   }
 }
 
-double Plan::MaxCtaCost(int tile_q) const noexcept {
-  double worst = 0.0;
-  for (const auto& queue : cta_queues) {
-    double c = 0.0;
-    for (const auto& it : queue) {
-      c += alpha * tile_q + beta * static_cast<double>(it.kv_end - it.kv_begin);
-    }
-    worst = std::max(worst, c);
-  }
-  return worst;
-}
-
-double Plan::MinCtaCost(int tile_q) const noexcept {
-  if (cta_queues.empty()) return 0.0;
-  double best = -1.0;
-  for (const auto& queue : cta_queues) {
-    double c = 0.0;
-    for (const auto& it : queue) {
-      c += alpha * tile_q + beta * static_cast<double>(it.kv_end - it.kv_begin);
-    }
-    if (best < 0.0 || c < best) best = c;
-  }
-  return best;
-}
-
 std::vector<BlockRowShape> BlockRowsFromBsr(const AttentionParams& p) {
   const auto& bsr = *p.bsr;
   const int fuse = p.head_fusion ? p.GroupSize() : 1;
@@ -575,11 +531,8 @@ double IntraBatchKvReuseFraction(const AttentionParams& p) {
 }
 
 void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
-                      int num_ctas, double alpha, double beta, ChunkSchedule* out,
-                      PlacementSink& sink) {
+                      int num_ctas, ChunkSchedule* out, PlacementSink& sink) {
   FI_CHECK_GE(num_ctas, 1);
-  FI_CHECK(std::isfinite(alpha) && alpha >= 0.0);
-  FI_CHECK(std::isfinite(beta) && beta >= 0.0);
   out->num_ctas = num_ctas;
 
   // Line 3: maximum KV chunk size, rounded up to the KV tile.
@@ -596,17 +549,10 @@ void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int
   // chunk). Every head of a block row has the same chunks, so the sort runs
   // over (block_row, chunk) and heads are expanded afterwards: within a run
   // of equal cost from one block row, generation order is head-major.
-  const std::span<const ChunkKey> keys = SortedKeys(rows, out->splits, alpha, beta);
+  const std::span<const ChunkKey> keys = SortedKeys(rows, out->splits);
 
-  // CTA groups (header comment): no CTA's load exceeds the sum of every
-  // chunk's cost, at most (#chunks) x the largest, and a cost above 2^-50 of
-  // that cannot round away against any load (2^-53 would do, before the
-  // sum's own rounding).
-  const size_t chunks = keys.size() * static_cast<size_t>(num_heads);
-  const bool no_round_away =
-      !keys.empty() &&
-      keys.back().cost > keys.front().cost * static_cast<double>(chunks) * 0x1p-50;
-  const int g = no_round_away ? std::gcd(num_ctas, num_heads) : 1;
+  // CTA groups (header comment).
+  const int g = std::gcd(num_ctas, num_heads);
   out->cta_group = g;
   sink.Split(*out);
 
@@ -654,16 +600,13 @@ void ScheduleFixedSplit(const std::vector<BlockRowShape>& rows, int num_heads, i
 }
 
 Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
-                      int64_t max_partial_rows, double alpha, double beta) {
+                      int64_t max_partial_rows) {
   const auto rows = BlockRowsFromBsr(p);
   ChunkSchedule s;
   AssignmentList list(NumUnitHeads(p));
-  ScheduleBalanced(rows, NumUnitHeads(p), cfg.tile_kv, num_ctas, alpha, beta, &s, list);
+  ScheduleBalanced(rows, NumUnitHeads(p), cfg.tile_kv, num_ctas, &s, list);
   FI_CHECK_LE(s.num_partial_rows, max_partial_rows);
-  Plan plan = Materialize(p, rows, s, list.assignments());
-  plan.alpha = alpha;
-  plan.beta = beta;
-  return plan;
+  return Materialize(p, rows, s, list.assignments());
 }
 
 Plan MakeNaivePlan(const AttentionParams& p, const KernelConfig&) {

@@ -9,48 +9,39 @@
 // with deterministic aggregation order instead of atomics: identical
 // sequence lengths always produce identical plans and identical outputs.
 //
-// The least-loaded CTA is found with the same choices a min-heap over
-// (load, index) would make, a whole run of equal-cost chunks at a time:
-//   1. Direct first round. While CTAs are still empty and the chunk's cost
-//      is positive, chunk i goes to CTA i: CTAs 0..i-1 already carry
-//      positive loads, so i is the lowest-indexed CTA at load zero. The
-//      first zero-cost chunk, or the first chunk once every CTA is loaded,
-//      ends the round.
-//   2. Equal-load classes. CTAs whose loads are bit-identical share a
-//      class, a bitset of their indices; classes are ordered by load, which
-//      for non-negative doubles is the order of their bit patterns read as
-//      integers. Each run of the first round loads an index range to its
-//      cost, one class, and the round leaves the empty CTAs as the least
-//      class. A run of m chunks of cost c takes the least class's lowest
-//      indices in order and moves them to the class at load + c; when the
-//      least class empties, the run continues in the next least one. A run
-//      that takes a whole class relabels it (or joins it to the class
-//      already at load + c) without moving a bit. (When load + c rounds
-//      back to load, the least class's lowest index takes the whole run.)
+// A chunk costs its rows plus its KV tokens, a whole number of at least 1,
+// and a CTA's load is the exact sum of its chunks' costs. The least-loaded
+// CTA is found with the same choices a min-heap over (load, index) would
+// make, a whole run of equal-cost chunks at a time:
+//   1. Direct first round. While CTAs are still empty, chunk i goes to
+//      CTA i: CTAs 0..i-1 already carry positive loads, so i is the
+//      lowest-indexed CTA at load zero. The round ends once every CTA is
+//      loaded.
+//   2. Equal-load classes. CTAs with equal loads share a class, a bitset of
+//      their indices, and classes are kept in load order. Each run of the
+//      first round loads an index range to its cost, one class. A run of m
+//      chunks of cost c takes the least class's lowest indices in order and
+//      moves them to the class at load + c; when the least class empties,
+//      the run continues in the next least one. A run that takes a whole
+//      class relabels it (or joins it to the class already at load + c)
+//      without moving a bit.
 //   3. CTA groups. Every head of a chunk costs the same, so each run holds
 //      a multiple of num_heads chunks, and CTAs only ever move in aligned
 //      groups of g = gcd(#CTAs, num_heads): the direct round starts at CTA 0
 //      and advances by such counts, and by induction every class is a
-//      union of groups whose CTAs hold bit-identical loads. So the classes
-//      track groups, not CTAs: with 8 kv heads a 132-CTA grid is 33 groups
-//      of 4, a run of one key moves two groups, and the grid holds at
-//      most 33 distinct loads. Round-away runs break the groups
-//      (the lowest single CTA takes the run), so a schedule whose smallest
-//      cost is zero, or small enough against the largest possible load to
-//      round away, uses g = 1.
-// The direct round and the classes accumulate each CTA's load chunk by
-// chunk in assignment order (in the direct round, 0.0 + cost == cost), so
-// the loads, and with them every choice, are bit-exact rather than
-// approximately balanced.
+//      union of groups whose CTAs hold equal loads. So the classes track
+//      groups, not CTAs: with 8 kv heads a 132-CTA grid is 33 groups of 4,
+//      a run of one key moves two groups, and the grid holds at most 33
+//      distinct loads.
 //
 // The longest-first order comes from one sort key per (block_row, chunk),
 // since every head of a block row has the same chunks. The order is
 // (cost desc, block_row asc, chunk asc), a strict total order, so every
 // correct sort yields it. Keys are generated in (block_row, chunk) order,
 // so a stable sort by descending cost does: from kRadixSortMinKeys keys on
-// that is an LSD radix sort over the bytes of the costs' bit patterns,
-// skipping the bytes every key shares (decode costs differ only in a few
-// high bytes); below it, std::sort with the same order is cheaper. A
+// that is an LSD radix sort over the bytes of the integer costs, skipping
+// the bytes every key shares (costs below 65,536 take at most two passes);
+// below it, std::sort with the same order is cheaper. A
 // serving step usually has the previous step's chunk structure: each thread
 // keeps its last order, and when a call's per-row chunk counts equal that
 // order's, each key in the old order gets its new cost and is
@@ -118,9 +109,6 @@ struct Plan {
   int64_t num_partial_rows = 0;
   /// The KV chunk cap used (diagnostic; Algorithm 1 line 3).
   int64_t lkv_chunk = 0;
-  /// Scheduling-cost hyperparameters actually applied.
-  double alpha = 1.0;
-  double beta = 1.0;
 
   int NumCtas() const noexcept { return static_cast<int>(cta_queues.size()); }
   int64_t NumWorkItems() const noexcept {
@@ -128,17 +116,13 @@ struct Plan {
     for (const auto& q : cta_queues) n += static_cast<int64_t>(q.size());
     return n;
   }
-  /// Scheduled cost of the most/least loaded CTA (for balance assertions).
-  double MaxCtaCost(int tile_q) const noexcept;
-  double MinCtaCost(int tile_q) const noexcept;
 };
 
 /// Algorithm 1. `num_ctas` is the persistent grid size (k x #SM). Head
 /// multiplicity comes from the params (kv heads when fused, qo heads
-/// otherwise). `max_partial_rows` bounds workspace usage (checked); alpha
-/// and beta are finite and non-negative (see ScheduleBalanced).
+/// otherwise). `max_partial_rows` bounds workspace usage (checked).
 Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
-                      int64_t max_partial_rows, double alpha = 1.0, double beta = 1.0);
+                      int64_t max_partial_rows);
 
 /// Baseline: no KV splitting; CTA i runs work unit i (grid = #units).
 Plan MakeNaivePlan(const AttentionParams& p, const KernelConfig& cfg);
@@ -201,7 +185,7 @@ struct ChunkSchedule {
   /// CTAs per placed group, g: a divisor of num_ctas and of the head count,
   /// set before the sink's Split. Group i is CTAs [i * g, i * g + g). Its
   /// CTAs take g consecutive chunks of a run, from one block row and of
-  /// one cost, so they hold bit-identical loads. 1 for the baselines.
+  /// one cost, so they hold equal loads. 1 for the baselines.
   int cta_group = 1;
   int64_t lkv_chunk = 0;  // Algorithm 1 line 3 (0 for the baselines).
   int64_t num_partial_rows = 0;
@@ -210,7 +194,7 @@ struct ChunkSchedule {
 
 /// One (block_row, chunk) key: the chunk of every head of the block row.
 struct ChunkKey {
-  double cost;  // Algorithm 1's sort key; 0 for the baselines.
+  int64_t cost;  // Algorithm 1's sort key, rows + KV tokens; 0 for the baselines.
   int32_t block_row;
   int32_t chunk;
 };
@@ -314,15 +298,11 @@ inline constexpr size_t kRadixSortMinKeys = 40;
 /// each placement to `sink`. Thread-safe: their scratch is thread-local.
 ///
 /// Algorithm 1 over `rows` x `num_heads` work units, `num_ctas` persistent
-/// CTAs and chunk cost alpha * rows + beta * kv_tokens. alpha and beta must
-/// be finite and non-negative (checked): CTA loads are then non-negative,
-/// and the equal-load classes order them by their bit patterns. Each run is
-/// a maximal run of equal-cost keys in sorted order. Places groups of
-/// gcd(num_ctas, num_heads) CTAs unless a cost could round away (see the
-/// header comment).
+/// CTAs and chunk cost rows + kv_tokens. Each run is a maximal run of
+/// equal-cost keys in sorted order. Places groups of gcd(num_ctas,
+/// num_heads) CTAs (see the header comment).
 void ScheduleBalanced(const std::vector<BlockRowShape>& rows, int num_heads, int tile_kv,
-                      int num_ctas, double alpha, double beta, ChunkSchedule* out,
-                      PlacementSink& sink);
+                      int num_ctas, ChunkSchedule* out, PlacementSink& sink);
 /// One CTA per work unit, unsplit: one run over every block row.
 void ScheduleNaive(const std::vector<BlockRowShape>& rows, int num_heads, ChunkSchedule* out,
                    PlacementSink& sink);

@@ -94,10 +94,10 @@ thread_local PricingScratch t_scratch;
 /// run whose chunks all take the same time looks that time up once.
 ///
 /// Charges go to CTA groups (ChunkSchedule::cta_group), one time or CtaCost
-/// per group. The pricer schedules with alpha = beta = 1, so chunks of one
-/// block row that cost the same read the same tokens, and the same rows
-/// and partial flag: a group's g chunks take bit-identical times and
-/// WorkCosts, so each member CTA's sum is the group's.
+/// per group. Algorithm 1 costs a chunk at its rows plus KV tokens, so
+/// chunks of one block row that cost the same read the same tokens, and
+/// the same rows and partial flag: a group's g chunks take bit-identical
+/// times and WorkCosts, so each member CTA's sum is the group's.
 template <bool kReport>
 class SchedulePricer final : public PlacementSink {
  public:
@@ -298,7 +298,7 @@ gpusim::SimReport ScheduleAndPrice(const gpusim::DeviceSpec& dev, const BackendC
   ChunkSchedule& schedule = t_scratch.schedule;
   switch (backend.scheduler) {
     case SchedulerKind::kBalanced:
-      ScheduleBalanced(rows, num_heads, cfg.tile_kv, num_ctas, 1.0, 1.0, &schedule, pricer);
+      ScheduleBalanced(rows, num_heads, cfg.tile_kv, num_ctas, &schedule, pricer);
       break;
     case SchedulerKind::kNaive:
       ScheduleNaive(rows, num_heads, &schedule, pricer);

@@ -928,36 +928,26 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
       in.kv_lens.push_back(b.kv_len);
     }
     // Parallel-generation sibling groups of at least a page of shared
-    // prompt, in ascending group id, members in row order (members index
-    // the decode rows, which come first); a group's prefix_len is its last
-    // member's. Branches join running_ at the back in group-id order, so
-    // the (group id, row) pairs arrive sorted, except on a decode replica
-    // whose migrated units land out of admission order: sort them only
-    // then. Without composable-format support the engine materializes each
-    // branch's prompt KV separately (Sec. 5.1: prior shared-prefix systems
-    // need separate prefix/suffix cache management), so sibling reads hit
-    // distinct HBM addresses — no groups and no L2 dedup credit for the
-    // single format.
+    // prompt, in running_ order, members in row order (members index the
+    // decode rows, which come first); a group's prefix_len is its last
+    // member's. Siblings are contiguous in running_: a unit joins whole at
+    // the back, compaction keeps the order, and preemption never takes a
+    // grouped branch. Without composable-format support the engine
+    // materializes each branch's prompt KV separately (Sec. 5.1: prior
+    // shared-prefix systems need separate prefix/suffix cache management),
+    // so sibling reads hit distinct HBM addresses — no groups and no L2
+    // dedup credit for the single format.
     if (cfg_.backend.composable) {
-      auto& rows = group_rows_;
-      rows.clear();
-      bool sorted = true;
-      for (size_t i = 0; i < running_.size(); ++i) {
-        const int group = running_[i].group;
-        if (group < 0) continue;
-        sorted = sorted && (rows.empty() || rows.back().first <= group);
-        rows.emplace_back(group, static_cast<int>(i));
-      }
-      if (!sorted) std::sort(rows.begin(), rows.end());
-      for (size_t a = 0, b; a < rows.size(); a = b) {
-        for (b = a + 1; b < rows.size() && rows[b].first == rows[a].first;) ++b;
-        const int64_t prefix_len = running_[static_cast<size_t>(rows[b - 1].second)].prefix_len;
-        if (b - a < 2 || prefix_len < cfg_.page_size) continue;
+      for (size_t a = 0, b; a < running_.size(); a = b) {
+        const int group = running_[a].group;
+        for (b = a + 1; b < running_.size() && running_[b].group == group;) ++b;
+        const int64_t prefix_len = running_[b - 1].prefix_len;
+        if (group < 0 || b - a < 2 || prefix_len < cfg_.page_size) continue;
         if (num_groups == in.groups.size()) in.groups.emplace_back();
         auto& grp = in.groups[num_groups++];
         grp.prefix_len = prefix_len;
         grp.members.clear();
-        for (size_t j = a; j < b; ++j) grp.members.push_back(rows[j].second);
+        for (size_t j = a; j < b; ++j) grp.members.push_back(static_cast<int>(j));
       }
     }
   }

@@ -689,9 +689,6 @@ class ServingEngine {
   /// The step's attention input at the engine's head geometry;
   /// ExecuteStepPlan rebuilds its lengths and groups in place every step.
   AttnSimInput step_in_;
-  /// ExecuteStepPlan's (group id, decode row) pairs, kept for their buffer;
-  /// sorted only when running_ holds groups out of group-id order.
-  std::vector<std::pair<int, int>> group_rows_;
   /// SpecVerifyAttnUs's context lengths, one per running branch, kept for
   /// their buffer.
   std::vector<int64_t> verify_ctx_lens_;

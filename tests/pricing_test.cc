@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <map>
 #include <numeric>
@@ -221,32 +220,27 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
   // The shared Algorithm 1 sorts per block row, expands heads afterwards and
   // places each run of equal-cost chunks at once, with a direct first round
   // and then over classes of CTAs with equal loads; its queues must equal
-  // the unit-by-unit statement exactly. Cost weights include zero (alpha =
-  // beta = 0 makes every chunk free, so the direct round must step aside at
-  // once) and 2^-60 (a positive cost that leaves a load unchanged, so the
-  // least class's lowest index takes the whole run), and grids straddle
-  // the class bitsets' 64-bit words. The reference's own loads count the
-  // class edge cases the trials reach. Trials fall on both sides of the
-  // key count where the sort switches from std::sort to the radix sort; on
-  // the radix side the 2^-60 weight makes costs that differ only in their
-  // low mantissa bytes, and equal costs from different block rows check
-  // that the sort is stable. The schedule places groups of gcd(#CTAs,
-  // heads) CTAs, and single CTAs where that gcd is 1 or a cost could round
-  // away (the zero and 2^-60 weights); trials reach all three.
+  // the unit-by-unit statement exactly. Grids straddle the class bitsets'
+  // 64-bit words. The reference's own loads count the class edge cases the
+  // trials reach. Trials fall on both sides of the key count where the sort
+  // switches from std::sort to the radix sort; on the radix side, costs
+  // that differ only in their lowest byte take a single pass, and equal
+  // costs from different block rows check that the sort is stable. The
+  // schedule places groups of gcd(#CTAs, heads) CTAs, single CTAs where
+  // that gcd is 1; trials reach both.
   Rng rng(0x51CE0005);
-  const double weights[] = {1.0, 0.0, 0.25, 8.0, 0x1p-60};
   const int boundary_ctas[] = {1, 2, 127, 128, 129, 255, 256, 257};
   std::map<int, int> boundary_hits;
-  int all_free = 0, free_after_paid = 0, past_first_round = 0, within_first_round = 0;
+  int past_first_round = 0, within_first_round = 0;
   // Trials whose reference runs reached each class edge case.
-  int outlast_least = 0, land_on_held_load = 0, keep_load = 0, single_cta_moves = 0;
+  int outlast_least = 0, land_on_held_load = 0, single_cta_moves = 0;
   // Trials on each side of kRadixSortMinKeys, and radix-sorted ones whose
-  // costs differ only in their low four bytes (beta = 2^-60 over tiles of
-  // equal rows) or that tie keys from different block rows.
-  int std_sorted = 0, radix_sorted = 0, radix_low_bytes_only = 0, radix_cross_row_ties = 0;
-  // Trials placing groups of g > 1 CTAs, single CTAs because the grid
-  // shares no factor with the heads, and single CTAs the guard forced.
-  int grouped = 0, coprime = 0, guarded = 0;
+  // costs differ only in their lowest byte or that tie keys from different
+  // block rows.
+  int std_sorted = 0, radix_sorted = 0, radix_low_byte_only = 0, radix_cross_row_ties = 0;
+  // Trials placing groups of g > 1 CTAs, and single CTAs because the grid
+  // shares no factor with the heads.
+  int grouped = 0, coprime = 0;
   for (int trial = 0; trial < 1000; ++trial) {
     AttentionParams p;
     p.num_kv_heads = static_cast<int>(1 << rng.UniformInt(0, 3));
@@ -255,16 +249,14 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
     p.variant.causal = rng.NextDouble() < 0.5;
     const int fuse = p.head_fusion ? p.GroupSize() : 1;
     std::vector<int64_t> qo_lens, kv_lens;
-    bool reads_no_kv = false;
     for (int r = static_cast<int>(rng.UniformInt(1, 24)); r > 0; --r) {
       qo_lens.push_back(rng.NextDouble() < 0.7 ? 1 : rng.UniformInt(0, 80));
       // Repeated lengths make equal-cost chunks across rows and heads. A few
-      // rows read no KV: with alpha = 0 their chunks are free and come last.
+      // rows read no KV: their chunks cost their rows alone.
       const bool empty = rng.NextDouble() < 0.05;
       kv_lens.push_back(empty ? 0
                               : qo_lens.back() + 64 * rng.UniformInt(0, 12) +
                                     rng.UniformInt(0, 1));
-      reads_no_kv |= empty && qo_lens.back() > 0;
     }
     qo_lens[0] = std::max<int64_t>(qo_lens[0], 1);
     std::vector<int64_t> fused(qo_lens);
@@ -281,32 +273,24 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
     const int num_ctas = rng.NextDouble() < 0.3
                              ? boundary_ctas[rng.UniformInt(0, 7)]
                              : static_cast<int>(rng.UniformInt(1, 300));
-    const double alpha = weights[rng.UniformInt(0, 4)];
-    const double beta = weights[rng.UniformInt(0, 4)];
 
     test::ReferenceRunStats trial_runs;
-    ASSERT_EQ(test::BalancedQueuesDiff(p, cfg, num_ctas, alpha, beta, &trial_runs), "")
-        << "trial " << trial << " ctas " << num_ctas << " alpha " << alpha << " beta "
-        << beta;
+    ASSERT_EQ(test::BalancedQueuesDiff(p, cfg, num_ctas, &trial_runs), "")
+        << "trial " << trial << " ctas " << num_ctas;
 
     const int num_heads = p.head_fusion ? p.num_kv_heads : p.num_qo_heads;
     const int gcd = std::gcd(num_ctas, num_heads);
     ChunkSchedule schedule;
     AssignmentList list(num_heads);
-    ScheduleBalanced(BlockRowsFromBsr(p), num_heads, cfg.tile_kv, num_ctas, alpha, beta,
-                     &schedule, list);
-    ASSERT_TRUE(schedule.cta_group == gcd || schedule.cta_group == 1) << "trial " << trial;
-    grouped += schedule.cta_group > 1;
+    ScheduleBalanced(BlockRowsFromBsr(p), num_heads, cfg.tile_kv, num_ctas, &schedule, list);
+    ASSERT_EQ(schedule.cta_group, gcd) << "trial " << trial;
+    grouped += gcd > 1;
     coprime += gcd == 1;
-    guarded += gcd > 1 && schedule.cta_group == 1;
 
     outlast_least += trial_runs.outlast_least > 0;
     land_on_held_load += trial_runs.land_on_held_load > 0;
-    keep_load += trial_runs.keep_load > 0;
     single_cta_moves += num_ctas == 1 && trial_runs.moves > 0;
     ++boundary_hits[num_ctas];
-    all_free += alpha == 0.0 && beta == 0.0;
-    free_after_paid += alpha == 0.0 && beta > 0.0 && reads_no_kv;
     const Plan plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40);
     const int64_t items = plan.NumWorkItems();
     past_first_round += items > num_ctas;
@@ -319,38 +303,33 @@ TEST(Pricing, BalancedPlanMatchesUnitByUnitAlgorithm1) {
       ++radix_sorted;
       const auto shapes = BlockRowsFromBsr(p);
       // Bits in which some chunk's cost differs from the first one's.
-      std::optional<uint64_t> first;
-      uint64_t differ = 0;
+      std::optional<int64_t> first;
+      int64_t differ = 0;
       for (const auto& queue : plan.cta_queues) {
         for (const auto& it : queue) {
-          const double cost = alpha * shapes[static_cast<size_t>(it.block_row)].rows +
-                              beta * static_cast<double>(it.kv_end - it.kv_begin);
-          if (!first) first = std::bit_cast<uint64_t>(cost);
-          differ |= std::bit_cast<uint64_t>(cost) ^ *first;
+          const int64_t cost = test::ChunkCost(shapes, it);
+          if (!first) first = cost;
+          differ |= cost ^ *first;
         }
       }
-      radix_low_bytes_only += differ != 0 && differ >> 32 == 0;
+      radix_low_byte_only += differ != 0 && differ >> 8 == 0;
       radix_cross_row_ties += trial_runs.cross_row_ties > 0;
     }
   }
   for (int n : {128, 129, 256, 257}) EXPECT_GT(boundary_hits[n], 5) << n << " CTAs";
-  EXPECT_GT(all_free, 20);
-  EXPECT_GT(free_after_paid, 5);
   EXPECT_GT(past_first_round, 100);
   EXPECT_GT(within_first_round, 50);
   EXPECT_GT(outlast_least, 350);
   EXPECT_GT(land_on_held_load, 150);
-  EXPECT_GT(keep_load, 20);
   // One CTA: every move creates its target class while the emptied one is
   // still live.
   EXPECT_GT(single_cta_moves, 15);
   EXPECT_GT(std_sorted, 150);
   EXPECT_GT(radix_sorted, 350);
-  EXPECT_GT(radix_low_bytes_only, 10);
+  EXPECT_GT(radix_low_byte_only, 50);
   EXPECT_GT(radix_cross_row_ties, 300);
   EXPECT_GT(grouped, 200);
   EXPECT_GT(coprime, 400);
-  EXPECT_GT(guarded, 30);
 }
 
 TEST(Pricing, DecodeStepsMatchReferenceWhileReusingKeyOrder) {
@@ -380,13 +359,13 @@ TEST(Pricing, DecodeStepsMatchReferenceWhileReusingKeyOrder) {
               "")
         << "step " << step;
     const test::ReferenceLaunch launch(dev, backend, in, in.qo_lens, in.kv_lens);
-    ASSERT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, dev.num_sms, 1.0, 1.0), "")
+    ASSERT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, dev.num_sms), "")
         << "step " << step;
 
     ChunkSchedule s;
     AssignmentList list(num_heads);
-    ScheduleBalanced(BlockRowsFromBsr(launch.p), num_heads, launch.cfg.tile_kv, dev.num_sms,
-                     1.0, 1.0, &s, list);
+    ScheduleBalanced(BlockRowsFromBsr(launch.p), num_heads, launch.cfg.tile_kv, dev.num_sms, &s,
+                     list);
     std::vector<int32_t> chunks;
     for (const auto& split : s.splits) chunks.push_back(split.num_chunks);
     if (step > 0) {
@@ -418,7 +397,7 @@ TEST(Pricing, ReversedKeyOrderFallsBackToTheFullSort) {
   ChunkSchedule s;
   AssignmentList list(/*num_heads=*/1);
   auto schedule = [&](const std::vector<BlockRowShape>& rows) {
-    ScheduleBalanced(rows, /*num_heads=*/1, /*tile_kv=*/16, /*num_ctas=*/1, 1.0, 1.0, &s, list);
+    ScheduleBalanced(rows, /*num_heads=*/1, /*tile_kv=*/16, /*num_ctas=*/1, &s, list);
   };
   auto sorted_rows = [&] {
     std::vector<int32_t> order;
@@ -473,7 +452,7 @@ TEST(Pricing, EqualCostRunChargesEachChunksOwnTime) {
   ChunkSchedule s;
   AssignmentList list(in.num_kv_heads);
   ScheduleBalanced(BlockRowsFromBsr(launch.p), in.num_kv_heads, launch.cfg.tile_kv, dev.num_sms,
-                   1.0, 1.0, &s, list);
+                   &s, list);
   ASSERT_EQ(s.lkv_chunk, 1024);
   ASSERT_EQ(s.splits[0].num_chunks, 1);
   ASSERT_EQ(s.splits[1].num_chunks, 2);

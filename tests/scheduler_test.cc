@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
-#include <limits>
 #include <map>
 #include <set>
 #include <span>
@@ -80,17 +78,13 @@ TEST(BalancedPlan, BalancesSkewedWork) {
 
   // Balanced: the 400-token request splits across CTAs, so the busiest CTA
   // carries far less than the whole request.
-  const double balanced_max = balanced.MaxCtaCost(cfg.tile_q);
-  double naive_max = 0;
-  for (const auto& q : naive.cta_queues) {
-    double c = 0;
-    for (const auto& it : q) c += static_cast<double>(it.kv_end - it.kv_begin);
-    naive_max = std::max(naive_max, c);
-  }
-  EXPECT_LT(balanced_max, naive_max * 0.5);
+  const auto loads = test::CtaLoads(p, balanced);
+  const auto naive_loads = test::CtaLoads(p, naive);
+  const int64_t balanced_max = *std::max_element(loads.begin(), loads.end());
+  EXPECT_LT(2 * balanced_max, *std::max_element(naive_loads.begin(), naive_loads.end()));
   // And the spread between busiest and idlest CTA is bounded by one chunk.
-  EXPECT_LE(balanced_max - balanced.MinCtaCost(cfg.tile_q),
-            static_cast<double>(balanced.lkv_chunk) + cfg.tile_q + 1.0);
+  EXPECT_LE(balanced_max - *std::min_element(loads.begin(), loads.end()),
+            balanced.lkv_chunk + cfg.tile_q);
 }
 
 TEST(BalancedPlan, ChunkCapMatchesAlgorithmLine3) {
@@ -302,78 +296,59 @@ std::vector<std::array<int32_t, 4>> Placements(const std::vector<ChunkAssignment
 TEST(BalancedSchedule, RunsAfterAnExactlyFullFirstRoundJoinTheClasses) {
   // 132 / num_heads rows of distinct cost take one run each, and together
   // their chunks load every CTA of a 132-CTA grid (132 is not a multiple of
-  // 64, so the grid's last word is partial). The next run of positive cost
-  // must start placing over the equal-load classes rather than open a
-  // first-round class of no CTAs. Its rows cost less than half the first
-  // round's, so that run's first move creates the class of a new load.
-  // Zero-cost rows (alpha = 0, no KV) end the batch; they would round away,
-  // so that schedule places single CTAs, and the alpha = 1 one places
-  // groups of gcd(132, num_heads) = num_heads. A 4096-token KV tile keeps
-  // every row unsplit, so Algorithm 1 is a least-loaded scan over (cost
-  // desc, block_row, head). Each schedule runs on a fresh thread, whose
-  // scheduler scratch this call alone sizes, so a sanitizer build sees any
-  // write past the class pool.
+  // 64, so the grid's last word is partial). The next run must start
+  // placing over the equal-load classes rather than open a first-round
+  // class of no CTAs. Its rows cost less than half the first round's, so
+  // that run's first move creates the class of a new load. Rows with no KV
+  // end the batch at one row's cost each. The schedule places groups of
+  // gcd(132, num_heads) = num_heads CTAs. A 4096-token KV tile keeps every
+  // row unsplit, so Algorithm 1 is a least-loaded scan over (cost desc,
+  // block_row, head). Each schedule runs on a fresh thread, whose scheduler
+  // scratch this call alone sizes, so a sanitizer build sees any write past
+  // the class pool.
   constexpr int kCtas = 132;
   for (int num_heads : {1, 2, 4}) {
-    for (double alpha : {1.0, 0.0}) {
-      std::vector<BlockRowShape> rows;
-      const int full_round = kCtas / num_heads;
-      for (int i = 0; i < full_round; ++i) rows.push_back({0, 1, 1000 + i});
-      for (int i = 0; i < 40; ++i) rows.push_back({0, 1, 300 + i % 20});
-      for (int i = 0; i < 6; ++i) rows.push_back({0, 1, 0});
-      for (int32_t i = 0; i < static_cast<int32_t>(rows.size()); ++i) rows[i].request = i;
+    std::vector<BlockRowShape> rows;
+    const int full_round = kCtas / num_heads;
+    for (int i = 0; i < full_round; ++i) rows.push_back({0, 1, 1000 + i});
+    for (int i = 0; i < 40; ++i) rows.push_back({0, 1, 300 + i % 20});
+    for (int i = 0; i < 6; ++i) rows.push_back({0, 1, 0});
+    for (int32_t i = 0; i < static_cast<int32_t>(rows.size()); ++i) rows[i].request = i;
 
-      std::vector<std::array<int32_t, 4>> expected;  // Unit by unit.
-      {
-        struct Unit {
-          double cost;
-          int32_t row, head;
-        };
-        std::vector<Unit> units;
-        for (int32_t r = 0; r < static_cast<int32_t>(rows.size()); ++r) {
-          const double cost = alpha * rows[r].rows + static_cast<double>(rows[r].kv_len);
-          for (int32_t h = 0; h < num_heads; ++h) units.push_back({cost, r, h});
-        }
-        std::stable_sort(units.begin(), units.end(),
-                         [](const Unit& a, const Unit& b) { return a.cost > b.cost; });
-        std::vector<double> load(kCtas, 0.0);
-        for (const Unit& u : units) {
-          const auto cta = std::min_element(load.begin(), load.end()) - load.begin();
-          load[static_cast<size_t>(cta)] += u.cost;
-          expected.push_back({u.row, u.head, 0, static_cast<int32_t>(cta)});
+    std::vector<std::array<int32_t, 4>> expected;  // Unit by unit.
+    {
+      struct Unit {
+        int64_t cost;
+        int32_t row, head;
+      };
+      std::vector<Unit> units;
+      for (int32_t r = 0; r < static_cast<int32_t>(rows.size()); ++r) {
+        for (int32_t h = 0; h < num_heads; ++h) {
+          units.push_back({rows[r].rows + rows[r].kv_len, r, h});
         }
       }
-      // The first round fills the grid exactly: chunk i on CTA i.
-      for (int32_t i = 0; i < kCtas; ++i) ASSERT_EQ(expected[static_cast<size_t>(i)][3], i);
-
-      CheckedAssignmentList sink(num_heads);
-      std::thread([&] {
-        ChunkSchedule s;
-        ScheduleBalanced(rows, num_heads, /*tile_kv=*/4096, kCtas, alpha, 1.0, &s, sink);
-      }).join();
-      EXPECT_EQ(sink.group, alpha > 0.0 ? num_heads : 1) << num_heads << " heads, alpha " << alpha;
-      EXPECT_EQ(sink.empty_words, 0) << num_heads << " heads, alpha " << alpha;
-      EXPECT_EQ(sink.miscounted_runs, 0) << num_heads << " heads, alpha " << alpha;
-      EXPECT_EQ(Placements(sink.assignments()), expected)
-          << num_heads << " heads, alpha " << alpha;
+      std::stable_sort(units.begin(), units.end(),
+                       [](const Unit& a, const Unit& b) { return a.cost > b.cost; });
+      std::vector<int64_t> load(kCtas, 0);
+      for (const Unit& u : units) {
+        const auto cta = std::min_element(load.begin(), load.end()) - load.begin();
+        load[static_cast<size_t>(cta)] += u.cost;
+        expected.push_back({u.row, u.head, 0, static_cast<int32_t>(cta)});
+      }
     }
-  }
-}
+    // The first round fills the grid exactly: chunk i on CTA i.
+    for (int32_t i = 0; i < kCtas; ++i) ASSERT_EQ(expected[static_cast<size_t>(i)][3], i);
 
-TEST(BalancedScheduleDeathTest, RejectsNegativeOrNonFiniteCostWeights) {
-  // The equal-load CTA classes order loads by their bit patterns, which
-  // needs non-negative loads, so the cost weights are checked.
-  const std::vector<BlockRowShape> rows = {{0, 4, 300}, {1, 4, 70}};
-  ChunkSchedule s;
-  AssignmentList list(2);
-  ScheduleBalanced(rows, 2, 64, 3, 0.0, 1.0, &s, list);  // Fine.
-  EXPECT_EQ(list.assignments().size(), 6u);  // Row 0 splits in two at Lkv = 256.
-  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, -1.0, 1.0, &s, list), "FI_CHECK");
-  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, 1.0, -0.25, &s, list), "FI_CHECK");
-  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, std::numeric_limits<double>::infinity(),
-                                1.0, &s, list),
-               "FI_CHECK");
-  EXPECT_DEATH(ScheduleBalanced(rows, 2, 64, 3, 1.0, std::nan(""), &s, list), "FI_CHECK");
+    CheckedAssignmentList sink(num_heads);
+    std::thread([&] {
+      ChunkSchedule s;
+      ScheduleBalanced(rows, num_heads, /*tile_kv=*/4096, kCtas, &s, sink);
+    }).join();
+    EXPECT_EQ(sink.group, num_heads) << num_heads << " heads";
+    EXPECT_EQ(sink.empty_words, 0) << num_heads << " heads";
+    EXPECT_EQ(sink.miscounted_runs, 0) << num_heads << " heads";
+    EXPECT_EQ(Placements(sink.assignments()), expected) << num_heads << " heads";
+  }
 }
 
 }  // namespace

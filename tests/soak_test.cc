@@ -65,6 +65,10 @@
 //      StepTo(Now()) after invariant 13's Run() leaves the registry's JSON
 //      snapshot byte-identical: TakeMetrics() moves the fields out, not the
 //      published counters.
+//  17. on invariant 5's random balanced batches, the balanced plan keeps
+//      Graham's list-scheduling bound on its exact loads (rows + KV tokens
+//      per chunk): with m CTAs, total cost T and largest chunk cost c, the
+//      busiest CTA's load L has T <= m * L <= T + (m - 1) * c.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -258,8 +262,9 @@ int64_t ExpectedOutputTokens(const Request& r) {
 /// composable modes turned on — and requires the step pricer to equal the
 /// plan-walking reference bit for bit. The plan walk schedules with the same
 /// ScheduleBalanced, so each batch's balanced schedule is also checked
-/// against Algorithm 1 stated unit by unit, as is one more batch's over a
-/// random head geometry and grid. Then one random decode batch steps like
+/// against Algorithm 1 stated unit by unit and against the list-scheduling
+/// bound (invariant 17), as is one more batch's over a random head geometry
+/// and grid. Then one random decode batch steps like
 /// the engine's, every row a KV token longer per step, so the time-only
 /// price reuses the previous step's key order; it must equal the report's
 /// time on every step. Last, one batch on a grid of 7, 108, 128, 129 or 132
@@ -287,8 +292,10 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
               "")
         << "time-only pricing of batch " << i;
     const test::ReferenceLaunch launch(cfg.device, backend, in, in.qo_lens, in.kv_lens);
-    EXPECT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, cfg.device.num_sms, 1.0, 1.0), "")
+    EXPECT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, cfg.device.num_sms), "")
         << "balanced schedule of batch " << i;
+    EXPECT_EQ(test::ListSchedulingBoundDiff(launch.p, launch.cfg, cfg.device.num_sms), "")
+        << "list-scheduling bound of batch " << i;
   }
   // One more balanced schedule over a random head geometry and grid, so
   // every trial also places fragmented equal-load CTA classes (1-2 kv
@@ -302,9 +309,12 @@ void ExpectPricerMatchesReference(const EngineConfig& cfg, uint64_t seed) {
   const int num_ctas = static_cast<int>(rng.UniformInt(1, 300));
   const auto in = test::RandomAttnBatch(rng, heads, /*with_groups=*/false);
   const test::ReferenceLaunch launch(cfg.device, backend, in, in.qo_lens, in.kv_lens);
-  EXPECT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, num_ctas, 1.0, 1.0), "")
+  EXPECT_EQ(test::BalancedQueuesDiff(launch.p, launch.cfg, num_ctas), "")
       << "balanced schedule over " << heads.num_kv_heads << " kv heads ("
       << heads.num_qo_heads << " qo, fused " << backend.head_fusion << ") and " << num_ctas
+      << " CTAs";
+  EXPECT_EQ(test::ListSchedulingBoundDiff(launch.p, launch.cfg, num_ctas), "")
+      << "list-scheduling bound over " << heads.num_kv_heads << " kv heads and " << num_ctas
       << " CTAs";
 
   serving::AttnSimInput decode = geometry;

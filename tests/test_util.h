@@ -1,7 +1,8 @@
 // Shared fixtures: random attention problems over the paged cache, a
 // serial (scheduler-free) kernel driver used to isolate kernel math, the
 // plan-walking reference the serving attention pricer must match bit for bit,
-// Algorithm 1 stated unit by unit, the scanning prefix cache the indexed
+// Algorithm 1 stated unit by unit and the list-scheduling bound its loads
+// keep, the scanning prefix cache the indexed
 // RadixTree must match, the registry-vs-ServingMetrics reconciliation, the
 // log formula the histogram's bucket table encodes, and the pinned exporter
 // outputs under tests/golden/.
@@ -754,22 +755,19 @@ struct ReferenceRunStats {
   int outlast_least = 0;
   /// Runs whose first chunk raised its CTA to a load another CTA held.
   int land_on_held_load = 0;
-  /// Chunks of positive cost that left their CTA's load unchanged.
-  int keep_load = 0;
-  /// Chunks that changed an already positive load.
+  /// Chunks placed on a CTA that already held a load.
   int moves = 0;
   /// Chunks whose cost equals the previous chunk's, from another block row.
   int cross_row_ties = 0;
 };
 
 /// Algorithm 1 unit by unit, as the paper states it: chunk every work unit,
-/// sort all chunks by descending cost alpha * rows + beta * tokens (ties in
-/// (block_row, kv_head, qo_head, kv_begin) order), assign longest-first to
-/// the least-loaded CTA, the lowest index on ties. Counts into `stats` when
+/// sort all chunks by descending cost rows + tokens (ties in (block_row,
+/// kv_head, qo_head, kv_begin) order), assign longest-first to the
+/// least-loaded CTA, the lowest index on ties. Counts into `stats` when
 /// given.
 inline std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(
-    const AttentionParams& p, int tile_kv, int num_ctas, double alpha, double beta,
-    ReferenceRunStats* stats = nullptr) {
+    const AttentionParams& p, int tile_kv, int num_ctas, ReferenceRunStats* stats = nullptr) {
   const auto units = EnumerateWorkUnits(p);
   int64_t total_kv = 0;
   for (const auto& u : units) total_kv += u.kv_len;
@@ -789,8 +787,7 @@ inline std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(
     }
   }
   auto cost = [&](const std::pair<WorkItem, int>& c) {
-    return alpha * static_cast<double>(c.second) +
-           beta * static_cast<double>(c.first.kv_end - c.first.kv_begin);
+    return c.second + (c.first.kv_end - c.first.kv_begin);
   };
   std::sort(chunks.begin(), chunks.end(), [&](const auto& a, const auto& b) {
     if (cost(a) != cost(b)) return cost(a) > cost(b);
@@ -798,27 +795,25 @@ inline std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(
            std::tie(b.first.block_row, b.first.kv_head, b.first.qo_head, b.first.kv_begin);
   });
   std::vector<std::vector<WorkItem>> queues(static_cast<size_t>(num_ctas));
-  std::vector<double> load(static_cast<size_t>(num_ctas), 0.0);
-  double run_load = 0.0;  // The least load when the current run began.
+  std::vector<int64_t> load(static_cast<size_t>(num_ctas), 0);
+  int64_t run_load = 0;  // The least load when the current run began.
   bool outlasted = false;
   for (size_t i = 0; i < chunks.size(); ++i) {
-    const double c = cost(chunks[i]);
+    const int64_t c = cost(chunks[i]);
     const size_t cta =
         static_cast<size_t>(std::min_element(load.begin(), load.end()) - load.begin());
     if (stats != nullptr) {
-      const double before = load[cta];
-      const double after = before + c;
+      const int64_t before = load[cta];
       if (i == 0 || cost(chunks[i - 1]) != c) {
         run_load = before;
         outlasted = false;
         stats->land_on_held_load +=
-            after != before && std::find(load.begin(), load.end(), after) != load.end();
+            std::find(load.begin(), load.end(), before + c) != load.end();
       } else if (!outlasted && before != run_load) {
         outlasted = true;
         ++stats->outlast_least;
       }
-      stats->keep_load += c > 0.0 && after == before;
-      stats->moves += before > 0.0 && after != before;
+      stats->moves += before > 0;
       stats->cross_row_ties += i > 0 && cost(chunks[i - 1]) == c &&
                                chunks[i - 1].first.block_row != chunks[i].first.block_row;
     }
@@ -832,10 +827,9 @@ inline std::vector<std::vector<WorkItem>> ReferenceBalancedQueues(
 /// ReferenceBalancedQueues item for item; otherwise names the first
 /// difference. Counts the reference's runs into `stats` when given.
 inline std::string BalancedQueuesDiff(const AttentionParams& p, const KernelConfig& cfg,
-                                      int num_ctas, double alpha, double beta,
-                                      ReferenceRunStats* stats = nullptr) {
-  const auto plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40, alpha, beta);
-  const auto want = ReferenceBalancedQueues(p, cfg.tile_kv, num_ctas, alpha, beta, stats);
+                                      int num_ctas, ReferenceRunStats* stats = nullptr) {
+  const auto plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40);
+  const auto want = ReferenceBalancedQueues(p, cfg.tile_kv, num_ctas, stats);
   if (plan.cta_queues.size() != want.size()) return "grid size differs";
   for (size_t c = 0; c < want.size(); ++c) {
     const auto& got = plan.cta_queues[c];
@@ -853,6 +847,50 @@ inline std::string BalancedQueuesDiff(const AttentionParams& p, const KernelConf
       }
     }
   }
+  return {};
+}
+
+/// Algorithm 1's cost of a plan's chunk over block rows `rows`: its tile's
+/// rows plus its KV tokens.
+inline int64_t ChunkCost(const std::vector<BlockRowShape>& rows, const WorkItem& item) {
+  return rows[static_cast<size_t>(item.block_row)].rows + (item.kv_end - item.kv_begin);
+}
+
+/// Each CTA's Algorithm 1 load in `plan` over `p`: the summed ChunkCost of
+/// its queue.
+inline std::vector<int64_t> CtaLoads(const AttentionParams& p, const Plan& plan) {
+  const auto rows = BlockRowsFromBsr(p);
+  std::vector<int64_t> loads;
+  for (const auto& queue : plan.cta_queues) {
+    int64_t load = 0;
+    for (const auto& it : queue) load += ChunkCost(rows, it);
+    loads.push_back(load);
+  }
+  return loads;
+}
+
+/// Empty when the balanced plan over `p` keeps Graham's list-scheduling
+/// bound on its exact loads: with m CTAs, total cost T and largest chunk
+/// cost c, the busiest CTA's load L has T <= m * L <= T + (m - 1) * c (the
+/// last chunk onto that CTA found it least loaded, at most (T - c) / m).
+/// Otherwise states the side that failed.
+inline std::string ListSchedulingBoundDiff(const AttentionParams& p, const KernelConfig& cfg,
+                                           int num_ctas) {
+  const auto plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40);
+  const auto rows = BlockRowsFromBsr(p);
+  int64_t largest_chunk = 0;
+  for (const auto& queue : plan.cta_queues) {
+    for (const auto& it : queue) largest_chunk = std::max(largest_chunk, ChunkCost(rows, it));
+  }
+  const auto loads = CtaLoads(p, plan);
+  const int64_t total = std::accumulate(loads.begin(), loads.end(), int64_t{0});
+  const int64_t m = static_cast<int64_t>(loads.size());
+  const int64_t busiest = m * *std::max_element(loads.begin(), loads.end());
+  const std::string sides = "m*L = " + std::to_string(busiest) + ", T = " +
+                            std::to_string(total) + ", c = " + std::to_string(largest_chunk) +
+                            ", m = " + std::to_string(m);
+  if (busiest < total) return "m*L < T: " + sides;
+  if (busiest > total + (m - 1) * largest_chunk) return "m*L > T + (m-1)*c: " + sides;
   return {};
 }
 
