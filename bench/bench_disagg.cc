@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
       dm.prefill_pool.num_migrations_out == dm.decode_pool.num_migrations_in;
   const obs::MetricsRegistry* reg = dce.Telemetry();
   for (int i = 0; reg != nullptr && i < replicas; ++i) {
-    const obs::Gauge* g = reg->FindGauge("fi_kv_device_tokens", obs::Labels::Replica(i));
+    const obs::Gauge* g = reg->Find<obs::Gauge>("fi_kv_device_tokens", obs::Labels::Replica(i));
     drain_ok = drain_ok && g != nullptr && g->value() == 0.0;
   }
   std::printf("drain check: %s (token conservation + zero final KV on all %d "

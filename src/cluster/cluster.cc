@@ -32,11 +32,7 @@ void MergeInto(ServingMetrics& agg, const ServingMetrics& m) {
   agg.ttft_priority.insert(agg.ttft_priority.end(), m.ttft_priority.begin(),
                            m.ttft_priority.end());
   agg.itl_ms.insert(agg.itl_ms.end(), m.itl_ms.begin(), m.itl_ms.end());
-  // Bounded-ITL replicas carry their distribution in the sketch; merging
-  // it (and propagating the flag) keeps aggregate percentile queries
-  // working when the per-token vectors are empty.
   agg.itl_sketch.MergeFrom(m.itl_sketch);
-  agg.bounded_itl = agg.bounded_itl || m.bounded_itl;
   for (const serving::MetricField& f : serving::kMetricFields) f.AddTo(agg, m);
   agg.branch_stalls.insert(agg.branch_stalls.end(), m.branch_stalls.begin(),
                            m.branch_stalls.end());

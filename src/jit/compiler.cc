@@ -156,9 +156,4 @@ JitCacheStats GetJitCacheStats() {
   return g_stats;
 }
 
-void ResetJitCacheStats() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  g_stats = {};
-}
-
 }  // namespace flashinfer::jit

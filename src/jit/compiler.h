@@ -63,6 +63,5 @@ struct JitCacheStats {
   int64_t disk_hits = 0;
 };
 JitCacheStats GetJitCacheStats();
-void ResetJitCacheStats();
 
 }  // namespace flashinfer::jit

@@ -275,25 +275,6 @@ class MetricsRegistry {
   template <class T>
   const T* Find(const std::string& name, const Labels& labels = {}) const;
 
-  Counter* GetCounter(const std::string& name, const Labels& labels = {}) {
-    return Get<Counter>(name, labels);
-  }
-  Gauge* GetGauge(const std::string& name, const Labels& labels = {}) {
-    return Get<Gauge>(name, labels);
-  }
-  Sketch* GetSketch(const std::string& name, const Labels& labels = {}) {
-    return Get<Sketch>(name, labels);
-  }
-  const Counter* FindCounter(const std::string& name, const Labels& labels = {}) const {
-    return Find<Counter>(name, labels);
-  }
-  const Gauge* FindGauge(const std::string& name, const Labels& labels = {}) const {
-    return Find<Gauge>(name, labels);
-  }
-  const Sketch* FindSketch(const std::string& name, const Labels& labels = {}) const {
-    return Find<Sketch>(name, labels);
-  }
-
   /// The ring position of instant `t_s` in every window this registry
   /// creates. The last answer is kept: the engine asks at one instant
   /// several times per step (commits, gauges, flush).

@@ -12,13 +12,6 @@ const char* SloSignalStr(SloSignal s) {
   return "?";
 }
 
-namespace {
-// Window slot count for burn tracking: finer than the registry default so a
-// short fast window still distinguishes "just went bad" from "was bad 4 s
-// ago" without the cost mattering (two sums per window per spec).
-constexpr int kBurnSlots = 5;
-}  // namespace
-
 SloMonitor::SloMonitor(std::vector<SloSpec> specs, TraceRecorder* trace)
     : specs_(std::move(specs)), trace_(trace) {
   states_.reserve(specs_.size());
@@ -28,8 +21,6 @@ SloMonitor::SloMonitor(std::vector<SloSpec> specs, TraceRecorder* trace)
     FI_CHECK_GT(s.fast_window_s, 0.0);
     FI_CHECK_GE(s.slow_window_s, s.fast_window_s);
     states_.push_back(SpecState{WindowedSum(s.fast_window_s, kBurnSlots),
-                                WindowedSum(s.fast_window_s, kBurnSlots),
-                                WindowedSum(s.slow_window_s, kBurnSlots),
                                 WindowedSum(s.slow_window_s, kBurnSlots)});
   }
 }
@@ -42,23 +33,23 @@ void SloMonitor::Observe(SloSignal signal, int tenant, int priority, double valu
     SpecState& st = states_[i];
     const bool good = value_ms <= spec.threshold_ms;
     (good ? st.good : st.bad) += 1;
-    (good ? st.fast_good : st.fast_bad).Add(t_s, 1.0);
-    (good ? st.slow_good : st.slow_bad).Add(t_s, 1.0);
+    st.fast.Add(t_s, good ? 0.0 : 1.0);
+    st.slow.Add(t_s, good ? 0.0 : 1.0);
   }
 }
 
-double SloMonitor::Burn(double bad, double good, double objective) {
-  const double total = good + bad;
+double SloMonitor::Burn(const WindowedSum& window, double t_s, double objective) {
+  const double total = static_cast<double>(window.Count(t_s));
   if (total <= 0.0) return 0.0;
-  return (bad / total) / (1.0 - objective);
+  return (window.Sum(t_s) / total) / (1.0 - objective);
 }
 
 void SloMonitor::Evaluate(double t_s) {
   for (size_t i = 0; i < specs_.size(); ++i) {
     const SloSpec& spec = specs_[i];
     SpecState& st = states_[i];
-    const double fast = Burn(st.fast_bad.Sum(t_s), st.fast_good.Sum(t_s), spec.objective);
-    const double slow = Burn(st.slow_bad.Sum(t_s), st.slow_good.Sum(t_s), spec.objective);
+    const double fast = Burn(st.fast, t_s, spec.objective);
+    const double slow = Burn(st.slow, t_s, spec.objective);
     const bool should_fire = fast >= spec.fast_burn && slow >= spec.slow_burn;
     if (should_fire == st.firing) continue;
     st.firing = should_fire;
@@ -86,8 +77,8 @@ std::vector<SloMonitor::SpecStatus> SloMonitor::Status(double now_s) const {
     s.attainment = st.good + st.bad > 0
                        ? static_cast<double>(st.good) / static_cast<double>(st.good + st.bad)
                        : 1.0;
-    s.fast_burn = Burn(st.fast_bad.Sum(now_s), st.fast_good.Sum(now_s), specs_[i].objective);
-    s.slow_burn = Burn(st.slow_bad.Sum(now_s), st.slow_good.Sum(now_s), specs_[i].objective);
+    s.fast_burn = Burn(st.fast, now_s, specs_[i].objective);
+    s.slow_burn = Burn(st.slow, now_s, specs_[i].objective);
     s.firing = st.firing;
     s.alerts = st.alerts;
     out.push_back(s);

@@ -15,9 +15,13 @@
 // the engine's TraceRecorder, so a violation lands on the Perfetto timeline
 // next to the steps, evictions, and stalls that caused it.
 //
+// Each spec keeps one WindowedSum per window: a sample adds 1 when bad and
+// 0 when good, so a window's Sum counts its bad samples and its Count all of
+// them, and burn = (Sum / Count) / (1 - objective) from those exact integers.
+//
 // TelemetryConfig is the engine-facing knob bundle: the registry window
-// geometry, the bounded-ITL switch, and the SLO spec list. It lives here
-// (not in metrics.h) because it is the one struct EngineConfig embeds.
+// geometry and the SLO spec list. It lives here (not in metrics.h) because
+// it is the one struct EngineConfig embeds.
 #pragma once
 
 #include <cstdint>
@@ -90,14 +94,20 @@ class SloMonitor {
 
   const std::vector<SloSpec>& specs() const noexcept { return specs_; }
 
+  /// Ring slots of every burn window: finer than the registry default so a
+  /// short fast window still tells "just went bad" from "was bad 4 s ago".
+  static constexpr int kBurnSlots = 5;
+
  private:
   struct SpecState {
-    WindowedSum fast_good, fast_bad, slow_good, slow_bad;
+    WindowedSum fast, slow;  // Sum: the window's bad samples; Count: all.
     int64_t good = 0, bad = 0;
     bool firing = false;
     int64_t alerts = 0;
   };
-  static double Burn(double bad, double good, double objective);
+  /// `window`'s burn at `t_s`: its bad fraction over 1 - objective, 0 when
+  /// the window holds no sample.
+  static double Burn(const WindowedSum& window, double t_s, double objective);
 
   std::vector<SloSpec> specs_;
   std::vector<SpecState> states_;
@@ -111,9 +121,6 @@ struct TelemetryConfig {
   bool enabled = false;
   /// Sliding-window geometry for every registry instance (simulated time).
   WindowConfig window;
-  /// Route ServingMetrics ITL percentile/max queries through the bounded
-  /// histogram sketch instead of the unbounded per-token vector.
-  bool bounded_itl = false;
   /// Declarative SLOs evaluated each step (empty = no SLO monitoring).
   std::vector<SloSpec> slos;
 };

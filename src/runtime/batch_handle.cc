@@ -1,7 +1,5 @@
 #include "runtime/batch_handle.h"
 
-#include <chrono>
-
 namespace flashinfer {
 
 namespace {
@@ -62,17 +60,7 @@ void BatchAttentionHandle::Plan(const sparse::BsrMatrix* bsr, std::vector<int64_
   kv_len_ = std::move(kv_len);
   plan_signature_ = sig;
 
-  AttentionParams p;
-  p.bsr = bsr_;
-  p.qo_indptr = qo_indptr_;
-  p.kv_len = kv_len_;
-  p.num_qo_heads = info_.num_qo_heads;
-  p.num_kv_heads = info_.num_kv_heads;
-  p.head_dim = info_.head_dim;
-  p.head_fusion = info_.head_fusion;
-  p.variant = variant_params_;  // Causal flag trims dead KV during planning.
-
-  const auto t0 = std::chrono::steady_clock::now();
+  const AttentionParams p = PlannedParams();  // Causal flag trims dead KV.
   switch (info_.scheduler) {
     case SchedulerKind::kBalanced:
       plan_ = MakeBalancedPlan(p, cfg_, num_ctas_, workspace_->MaxPartialRows());
@@ -85,21 +73,11 @@ void BatchAttentionHandle::Plan(const sparse::BsrMatrix* bsr, std::vector<int64_
                                  workspace_->MaxPartialRows());
       break;
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  last_plan_cpu_us_ =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() / 1e3;
   auto_l2_fraction_ = IntraBatchKvReuseFraction(p);
 }
 
-gpusim::SimReport BatchAttentionHandle::Run(const RaggedTensor& q, const PagedKVCache& kv,
-                                            RaggedTensor* o, std::vector<float>* lse) {
-  FI_CHECK(plan_.has_value());
-  FI_CHECK(o != nullptr);
+AttentionParams BatchAttentionHandle::PlannedParams() const {
   AttentionParams p;
-  p.q = &q;
-  p.o = o;
-  p.lse = lse;
-  p.kv = &kv;
   p.bsr = bsr_;
   p.qo_indptr = qo_indptr_;
   p.kv_len = kv_len_;
@@ -108,6 +86,18 @@ gpusim::SimReport BatchAttentionHandle::Run(const RaggedTensor& q, const PagedKV
   p.head_dim = info_.head_dim;
   p.head_fusion = info_.head_fusion;
   p.variant = variant_params_;
+  return p;
+}
+
+gpusim::SimReport BatchAttentionHandle::Run(const RaggedTensor& q, const PagedKVCache& kv,
+                                            RaggedTensor* o, std::vector<float>* lse) {
+  FI_CHECK(plan_.has_value());
+  FI_CHECK(o != nullptr);
+  AttentionParams p = PlannedParams();
+  p.q = &q;
+  p.o = o;
+  p.lse = lse;
+  p.kv = &kv;
 
   CostContext cc;
   cc.dev = &sim_.device();

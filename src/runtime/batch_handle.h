@@ -77,10 +77,12 @@ class BatchAttentionHandle {
     return *plan_;
   }
   int64_t plan_cache_hits() const noexcept { return plan_cache_hits_; }
-  /// Planning (inspector) CPU time of the last non-cached Plan call, us.
-  double last_plan_cpu_us() const noexcept { return last_plan_cpu_us_; }
 
  private:
+  /// The planned batch's parameters (BSR, lengths, heads, fusion, variant),
+  /// without tensors: Plan schedules them and Run adds q, o, lse and kv.
+  AttentionParams PlannedParams() const;
+
   gpusim::SimExecutor sim_;
   TaskInfo info_;
   Workspace* workspace_;
@@ -97,7 +99,6 @@ class BatchAttentionHandle {
   std::vector<int64_t> kv_len_;
   uint64_t plan_signature_ = 0;
   int64_t plan_cache_hits_ = 0;
-  double last_plan_cpu_us_ = 0.0;
 };
 
 }  // namespace flashinfer

@@ -58,8 +58,8 @@ double HbmGbForKvBudget(const EngineConfig& cfg, int64_t kv_tokens) {
 
 ClassSeries ClassSeries::Register(obs::MetricsRegistry& reg, int tenant, int priority) {
   const obs::Labels labels = obs::Labels::Class(tenant, priority);
-  return {reg.GetCounter("fi_tokens_total", labels), reg.GetSketch("fi_ttft_ms", labels),
-          reg.GetSketch("fi_itl_ms", labels)};
+  return {reg.Get<obs::Counter>("fi_tokens_total", labels),
+          reg.Get<obs::Sketch>("fi_ttft_ms", labels), reg.Get<obs::Sketch>("fi_itl_ms", labels)};
 }
 
 ServingEngine::ServingEngine(EngineConfig cfg)
@@ -204,10 +204,11 @@ void ServingEngine::FlushTelemetry() {
   if (!telemetry_) return;
   if (field_counters_.empty()) {
     for (const MetricField& f : kMetricFields) {
-      if (f.family) field_counters_.push_back({&f, telemetry_->GetCounter(f.family)});
+      if (f.family) field_counters_.push_back({&f, telemetry_->Get<obs::Counter>(f.family)});
     }
     for (size_t i = 0; i < kOccupancySeries; ++i) {
-      gauges_[i] = telemetry_->GetGauge(std::string("fi_") + obs::TraceNameStr(kOccupancy[i]));
+      gauges_[i] =
+          telemetry_->Get<obs::Gauge>(std::string("fi_") + obs::TraceNameStr(kOccupancy[i]));
     }
   }
   const obs::WindowPos at = telemetry_->PosAt(now_s_);
@@ -293,7 +294,6 @@ void ServingEngine::Reset() {
 
 void ServingEngine::ResetMetrics() {
   metrics_ = ServingMetrics{};
-  metrics_.bounded_itl = cfg_.telemetry.enabled && cfg_.telemetry.bounded_itl;
   if (cfg_.spec.enabled) {
     metrics_.accepted_len_hist.assign(static_cast<size_t>(tree_->Depth()) + 1, 0);
   }
@@ -726,7 +726,10 @@ void ServingEngine::PreemptFor(int priority, int64_t need) {
 void ServingEngine::PreemptBranch(size_t running_idx) {
   Branch b = running_[running_idx];
   running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(running_idx));
-  kv_tokens_in_use_ -= BranchKvCharge(b, /*grouped=*/false);  // Victims never are.
+  // Swapped or dropped, its charge and structural pages free now (victims
+  // are never grouped); a restore rebuilds them.
+  ReleaseKv(b);
+  b.kv_seq = -1;
   ++metrics_.num_preemptions;
   const int64_t evicted_pages = (b.kv_len + cfg_.page_size - 1) / cfg_.page_size;
   metrics_.evicted_pages += evicted_pages;
@@ -806,9 +809,6 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
               evicted_pages, static_cast<int64_t>((xfer.begin_s - now_s_) * 1e6));
     metrics_.total_swap_ms += t_us * 1e-3;
   }
-  // Either way the structural pages free now; the restore rebuilds them.
-  structural_kv_->DropSequence(b.kv_seq);
-  b.kv_seq = -1;
   p.branch = b;
   // Keep preempted_ sorted by priority desc: inserting after every entry of
   // equal priority keeps each level in eviction order.
@@ -1324,7 +1324,7 @@ ServingMetrics ServingEngine::Run(const std::vector<Request>& workload) {
   }
   metrics_.ttft_ms.reserve(workload.size());
   metrics_.ttft_priority.reserve(workload.size());
-  if (!metrics_.bounded_itl) metrics_.itl_ms.reserve(static_cast<size_t>(itl_samples));
+  metrics_.itl_ms.reserve(static_cast<size_t>(itl_samples));
   Drain();
   return TakeMetrics();
 }

@@ -260,13 +260,12 @@ class ServingEngine {
 
   /// Simulates the full workload and returns its metrics: Reset(), Admit()
   /// of every request, Drain(). The sample vectors are sized once, up front:
-  /// ttft_ms and ttft_priority to the request count, itl_ms (unless
-  /// bounded_itl) to the later tokens of every branch, sum of parallel_n *
-  /// (output_len - 1). With nothing rejected, each one's capacity is its
-  /// size. The metrics move out to the caller (TakeMetrics()), so
-  /// afterwards Metrics() reads as a freshly Reset() engine's; the trace,
-  /// registry and clock keep the run's. Start the next run with Run() or
-  /// Reset().
+  /// ttft_ms and ttft_priority to the request count, itl_ms to the later
+  /// tokens of every branch, sum of parallel_n * (output_len - 1). With
+  /// nothing rejected, each one's capacity is its size. The metrics move out
+  /// to the caller (TakeMetrics()), so afterwards Metrics() reads as a
+  /// freshly Reset() engine's; the trace, registry and clock keep the run's.
+  /// Start the next run with Run() or Reset().
   ServingMetrics Run(const std::vector<Request>& workload);
 
   // --- Incremental (steppable) API -----------------------------------------
@@ -497,8 +496,8 @@ class ServingEngine {
   /// What one engine iteration did.
   enum class StepKind { kNone, kIdle, kWork };
 
-  /// Sets metrics_ to a fresh run's: empty, with bounded_itl and the spec
-  /// accepted-length histogram's size taken from the config.
+  /// Sets metrics_ to a fresh run's: empty, with the spec accepted-length
+  /// histogram sized from the config.
   void ResetMetrics();
 
   /// Executes one engine iteration: admission, plan formation, execution —

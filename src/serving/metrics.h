@@ -22,18 +22,17 @@ double Median(const std::vector<double>& values);
 /// Aggregated serving metrics for one run.
 struct ServingMetrics {
   std::vector<double> ttft_ms;       // Per request.
-  /// Per emitted token (gaps). ServingEngine::Run() sizes it once, to every
-  /// branch's later tokens, so only Admit()/StepTo() drivers grow it as
-  /// tokens land. Empty when `bounded_itl` is set — long-lived engines opt
-  /// out of the one-double-per-token growth and answer ITL percentile
-  /// queries from the histogram sketch instead.
+  /// Per emitted token (gaps), the one store every ITL query reads.
+  /// ServingEngine::Run() sizes it once, to every branch's later tokens, so
+  /// only Admit()/StepTo() drivers grow it as tokens land.
   std::vector<double> itl_ms;
-  /// Log-bucketed ITL sketch, always fed by AddItl (a few dozen buckets,
-  /// ~19% worst-case relative quantile error, exact count/min/max/mean).
+  /// itl_ms bucketed by AddItl (log buckets, exact count/min/max/mean); the
+  /// cluster merges it. No accessor reads it: fi_bench's Fingerprint and
+  /// golden_test hash it.
   obs::Histogram itl_sketch;
-  /// When true (set from EngineConfig::telemetry.bounded_itl at Reset),
-  /// itl_ms stays empty and the percentile accessors use the sketch.
-  bool bounded_itl = false;
+  /// Always false: itl_ms holds every sample. Only fi_bench's Fingerprint
+  /// reads it (golden_test hashes it the same way).
+  static constexpr bool bounded_itl = false;
   double makespan_s = 0.0;           // Total simulated time.
   int64_t total_output_tokens = 0;
   double total_attention_ms = 0.0;   // Attention kernel time summed.
@@ -171,39 +170,29 @@ struct ServingMetrics {
     ttft_priority.push_back(priority);
   }
 
-  /// The only sanctioned way to record an ITL sample: feeds the bounded
-  /// sketch always, and the exact per-token vector unless `bounded_itl`
-  /// dropped it.
+  /// The only sanctioned way to record an ITL sample: appends it to itl_ms
+  /// and buckets it into itl_sketch.
   void AddItl(double ms) { AddItlAt(itl_sketch.IndexOf(ms), ms); }
   /// AddItl for a caller that already bucketed the sample:
   /// `index` == itl_sketch.IndexOf(ms).
   void AddItlAt(int64_t index, double ms) {
     itl_sketch.AddAt(index, ms);
-    if (!bounded_itl) itl_ms.push_back(ms);
+    itl_ms.push_back(ms);
   }
 
-  /// ITL samples recorded (vector- and sketch-backed agree by construction).
-  int64_t ItlCount() const {
-    return bounded_itl ? itl_sketch.Count() : static_cast<int64_t>(itl_ms.size());
-  }
+  int64_t ItlCount() const { return static_cast<int64_t>(itl_ms.size()); }
 
   double MedianTtftMs() const { return Median(ttft_ms); }
   double MedianItlMs() const { return ItlPercentileMs(0.5); }
   double P99TtftMs() const { return Percentile(ttft_ms, 0.99); }
   double P99ItlMs() const { return ItlPercentileMs(0.99); }
   /// Worst single inter-token gap — the stall a user actually notices.
-  /// Exact in both modes (the sketch tracks max outside its buckets).
   double MaxItlMs() const {
-    return bounded_itl ? itl_sketch.MaxValue()
-                       : (itl_ms.empty()
-                              ? 0.0
-                              : *std::max_element(itl_ms.begin(), itl_ms.end()));
+    return itl_ms.empty() ? 0.0 : *std::max_element(itl_ms.begin(), itl_ms.end());
   }
   /// Arbitrary-percentile helpers (p in [0,1]).
   double TtftPercentileMs(double p) const { return Percentile(ttft_ms, p); }
-  double ItlPercentileMs(double p) const {
-    return bounded_itl ? itl_sketch.Quantile(p) : Percentile(itl_ms, p);
-  }
+  double ItlPercentileMs(double p) const { return Percentile(itl_ms, p); }
   double ThroughputTokS() const {
     return makespan_s > 0.0 ? static_cast<double>(total_output_tokens) / makespan_s : 0.0;
   }

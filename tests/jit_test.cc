@@ -133,7 +133,7 @@ TEST_F(JitCompileTest, CustomMaskVariant) {
 }
 
 TEST_F(JitCompileTest, CacheHitsInMemoryAndOnDisk) {
-  ResetJitCacheStats();
+  const JitCacheStats before = GetJitCacheStats();
   AttentionSpecDesc spec;
   spec.name = "CacheProbe";
   spec.kv_dtype = DType::kF32;
@@ -142,9 +142,9 @@ TEST_F(JitCompileTest, CacheHitsInMemoryAndOnDisk) {
   auto k1 = CompileVariant(spec);
   auto k2 = CompileVariant(spec);
   EXPECT_EQ(k1.get(), k2.get());  // In-process registry hit.
-  const auto stats = GetJitCacheStats();
-  EXPECT_GE(stats.memory_hits, 1);
-  EXPECT_LE(stats.compilations, 1);  // 0 if a previous run left the .so.
+  const JitCacheStats after = GetJitCacheStats();
+  EXPECT_GE(after.memory_hits - before.memory_hits, 1);
+  EXPECT_LE(after.compilations - before.compilations, 1);  // 0 if a previous run left the .so.
 }
 
 TEST_F(JitCompileTest, SpecOnlyCacheNameIsNotLoaded) {
@@ -165,11 +165,12 @@ TEST_F(JitCompileTest, SpecOnlyCacheNameIsNotLoaded) {
   stale << opts.cache_dir << "/" << spec.name << "_" << std::hex << SpecHash(spec) << ".so";
   std::ofstream(stale.str()) << "compiled against other headers";
 
-  ResetJitCacheStats();
+  const JitCacheStats before = GetJitCacheStats();
   const auto kernel = CompileVariant(spec, opts);
   EXPECT_NE(kernel->so_path(), stale.str());
-  EXPECT_EQ(GetJitCacheStats().compilations, 1);
-  EXPECT_EQ(GetJitCacheStats().disk_hits, 0);
+  const JitCacheStats after = GetJitCacheStats();
+  EXPECT_EQ(after.compilations - before.compilations, 1);
+  EXPECT_EQ(after.disk_hits - before.disk_hits, 0);
   std::filesystem::remove_all(opts.cache_dir);
 }
 

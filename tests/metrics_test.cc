@@ -191,14 +191,14 @@ TEST(WindowedSketch, NeverWrittenSlotsMergeCopyAndRegistryMerge) {
   EXPECT_DOUBLE_EQ(copy.WindowSnapshot(5.0).MaxValue(), 9.0);
 
   MetricsRegistry r0, merged;
-  r0.GetSketch("fi_itl_ms", Labels::Class(-1, 3))->Observe(1.0, 7.0);
-  r0.GetSketch("fi_ttft_ms", Labels::Class(-1, 3));  // No sample at all.
+  r0.Get<Sketch>("fi_itl_ms", Labels::Class(-1, 3))->Observe(1.0, 7.0);
+  r0.Get<Sketch>("fi_ttft_ms", Labels::Class(-1, 3));  // No sample at all.
   merged.MergeFrom(r0, 0);
-  const Sketch* m = merged.FindSketch("fi_itl_ms", Labels{ClassId(-1, 3), 0});
+  const Sketch* m = merged.Find<Sketch>("fi_itl_ms", Labels{ClassId(-1, 3), 0});
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->WindowSnapshot(1.0).Count(), 1);
   EXPECT_DOUBLE_EQ(m->WindowSnapshot(1.0).MaxValue(), 7.0);
-  const Sketch* none = merged.FindSketch("fi_ttft_ms", Labels{ClassId(-1, 3), 0});
+  const Sketch* none = merged.Find<Sketch>("fi_ttft_ms", Labels{ClassId(-1, 3), 0});
   ASSERT_NE(none, nullptr);
   EXPECT_EQ(none->WindowSnapshot(1.0).Count(), 0);
   EXPECT_EQ(none->Cumulative().Count(), 0);
@@ -266,9 +266,9 @@ TEST(Metrics, SketchCumulativeAndWindowDiverge) {
 
 TEST(Registry, GetReturnsStablePointerPerInstance) {
   MetricsRegistry reg;
-  Counter* a = reg.GetCounter("fi_x_total", Labels::Class(0, 1));
-  Counter* b = reg.GetCounter("fi_x_total", Labels::Class(0, 1));
-  Counter* other = reg.GetCounter("fi_x_total", Labels::Class(1, 1));
+  Counter* a = reg.Get<Counter>("fi_x_total", Labels::Class(0, 1));
+  Counter* b = reg.Get<Counter>("fi_x_total", Labels::Class(0, 1));
+  Counter* other = reg.Get<Counter>("fi_x_total", Labels::Class(1, 1));
   EXPECT_EQ(a, b);
   EXPECT_NE(a, other);
   a->Inc(0.0, 3.0);
@@ -279,12 +279,12 @@ TEST(Registry, GetReturnsStablePointerPerInstance) {
 
 TEST(Registry, FindDoesNotRegister) {
   MetricsRegistry reg;
-  EXPECT_EQ(reg.FindCounter("fi_x_total"), nullptr);
-  reg.GetCounter("fi_x_total")->Inc(0.0);
-  EXPECT_NE(reg.FindCounter("fi_x_total"), nullptr);
+  EXPECT_EQ(reg.Find<Counter>("fi_x_total"), nullptr);
+  reg.Get<Counter>("fi_x_total")->Inc(0.0);
+  EXPECT_NE(reg.Find<Counter>("fi_x_total"), nullptr);
   // Wrong type or wrong labels -> null, not a new instance.
-  EXPECT_EQ(reg.FindGauge("fi_x_total"), nullptr);
-  EXPECT_EQ(reg.FindCounter("fi_x_total", Labels::Class(0, 0)), nullptr);
+  EXPECT_EQ(reg.Find<Gauge>("fi_x_total"), nullptr);
+  EXPECT_EQ(reg.Find<Counter>("fi_x_total", Labels::Class(0, 0)), nullptr);
   EXPECT_EQ(reg.InstanceNames().size(), 1u);
 }
 
@@ -292,9 +292,9 @@ TEST(Registry, FindDoesNotRegister) {
 
 TEST(Exposition, JsonSnapshotParsesWithSchema) {
   MetricsRegistry reg(WindowConfig{10.0, 5});
-  reg.GetCounter("fi_tokens_total", Labels::Class(2, 0))->Inc(1.0, 50.0);
-  reg.GetGauge("fi_kv_device_tokens")->Set(1.0, 4096.0);
-  Sketch* s = reg.GetSketch("fi_itl_ms", Labels::Class(2, 0));
+  reg.Get<Counter>("fi_tokens_total", Labels::Class(2, 0))->Inc(1.0, 50.0);
+  reg.Get<Gauge>("fi_kv_device_tokens")->Set(1.0, 4096.0);
+  Sketch* s = reg.Get<Sketch>("fi_itl_ms", Labels::Class(2, 0));
   for (int i = 1; i <= 10; ++i) s->Observe(1.0, 5.0 * i);
 
   util::JsonValue doc;
@@ -342,17 +342,17 @@ TEST(Exposition, JsonSnapshotParsesWithSchema) {
 // answers only for its own type.
 TEST(Exposition, MergedRegistryMatchesPinnedOutput) {
   MetricsRegistry r0, r1, merged;
-  r0.GetCounter("fi_tokens_total", Labels::Class(0, 1))->Inc(1.0, 128.0);
-  r0.GetCounter("fi_tokens_total", Labels::Class(-1, 2))->Inc(7.0, 7.0);
-  r0.GetGauge("fi_queue_depth")->Set(2.0, 3.0);
-  r0.GetGauge("fi_queue_depth")->Set(8.0, 1.0);
-  Sketch* ttft = r0.GetSketch("fi_ttft_ms", Labels::Class(0, 1));
+  r0.Get<Counter>("fi_tokens_total", Labels::Class(0, 1))->Inc(1.0, 128.0);
+  r0.Get<Counter>("fi_tokens_total", Labels::Class(-1, 2))->Inc(7.0, 7.0);
+  r0.Get<Gauge>("fi_queue_depth")->Set(2.0, 3.0);
+  r0.Get<Gauge>("fi_queue_depth")->Set(8.0, 1.0);
+  Sketch* ttft = r0.Get<Sketch>("fi_ttft_ms", Labels::Class(0, 1));
   for (int i = 1; i <= 20; ++i) ttft->Observe(i < 10 ? 1.0 : 9.0, 3.0 * i);
-  r1.GetCounter("fi_steps_total")->SetTotal(4.0, 40.0);
-  r1.GetCounter("fi_steps_total")->SetTotal(12.0, 46.0);
-  Sketch* itl = r1.GetSketch("fi_itl_ms");
+  r1.Get<Counter>("fi_steps_total")->SetTotal(4.0, 40.0);
+  r1.Get<Counter>("fi_steps_total")->SetTotal(12.0, 46.0);
+  Sketch* itl = r1.Get<Sketch>("fi_itl_ms");
   for (const double v : {0.0, 0.004, 6.5, 6.5, 250.0, 2e6}) itl->Observe(11.0, v);
-  merged.GetCounter("fi_routed_total")->Inc(0.5, 9.0);
+  merged.Get<Counter>("fi_routed_total")->Inc(0.5, 9.0);
   merged.MergeFrom(r0, 0);
   merged.MergeFrom(r1, 1);
 
@@ -361,17 +361,17 @@ TEST(Exposition, MergedRegistryMatchesPinnedOutput) {
             "");
 
   const Labels tokens{ClassId(0, 1), 0};
-  EXPECT_NE(merged.FindCounter("fi_tokens_total", tokens), nullptr);
-  EXPECT_EQ(merged.FindGauge("fi_tokens_total", tokens), nullptr);
-  EXPECT_EQ(merged.FindSketch("fi_tokens_total", tokens), nullptr);
+  EXPECT_NE(merged.Find<Counter>("fi_tokens_total", tokens), nullptr);
+  EXPECT_EQ(merged.Find<Gauge>("fi_tokens_total", tokens), nullptr);
+  EXPECT_EQ(merged.Find<Sketch>("fi_tokens_total", tokens), nullptr);
   const Labels depth = Labels::Replica(0);
-  EXPECT_NE(merged.FindGauge("fi_queue_depth", depth), nullptr);
-  EXPECT_EQ(merged.FindCounter("fi_queue_depth", depth), nullptr);
-  EXPECT_EQ(merged.FindSketch("fi_queue_depth", depth), nullptr);
-  EXPECT_NE(merged.FindSketch("fi_ttft_ms", tokens), nullptr);
-  EXPECT_EQ(merged.FindCounter("fi_ttft_ms", tokens), nullptr);
-  EXPECT_EQ(merged.FindGauge("fi_ttft_ms", tokens), nullptr);
-  EXPECT_EQ(merged.FindCounter("fi_missing_total"), nullptr);
+  EXPECT_NE(merged.Find<Gauge>("fi_queue_depth", depth), nullptr);
+  EXPECT_EQ(merged.Find<Counter>("fi_queue_depth", depth), nullptr);
+  EXPECT_EQ(merged.Find<Sketch>("fi_queue_depth", depth), nullptr);
+  EXPECT_NE(merged.Find<Sketch>("fi_ttft_ms", tokens), nullptr);
+  EXPECT_EQ(merged.Find<Counter>("fi_ttft_ms", tokens), nullptr);
+  EXPECT_EQ(merged.Find<Gauge>("fi_ttft_ms", tokens), nullptr);
+  EXPECT_EQ(merged.Find<Counter>("fi_missing_total"), nullptr);
   EXPECT_DOUBLE_EQ(merged.CounterFamilyTotal("fi_tokens_total"), 135.0);
   EXPECT_DOUBLE_EQ(merged.CounterFamilyTotal("fi_queue_depth"), 0.0);  // A gauge family.
   EXPECT_EQ(merged.InstanceNames().size(), 7u);
@@ -381,25 +381,25 @@ TEST(Exposition, MergedRegistryMatchesPinnedOutput) {
 
 TEST(Merge, RelabelsEveryInstance) {
   MetricsRegistry r0, r1, merged;
-  r0.GetCounter("fi_steps_total")->Inc(1.0, 10.0);
-  r0.GetSketch("fi_ttft_ms", Labels::Class(0, 0))->Observe(1.0, 25.0);
-  r1.GetCounter("fi_steps_total")->Inc(1.0, 4.0);
+  r0.Get<Counter>("fi_steps_total")->Inc(1.0, 10.0);
+  r0.Get<Sketch>("fi_ttft_ms", Labels::Class(0, 0))->Observe(1.0, 25.0);
+  r1.Get<Counter>("fi_steps_total")->Inc(1.0, 4.0);
   merged.MergeFrom(r0, 0);
   merged.MergeFrom(r1, 1);
 
-  const Counter* c0 = merged.FindCounter("fi_steps_total", Labels::Replica(0));
-  const Counter* c1 = merged.FindCounter("fi_steps_total", Labels::Replica(1));
+  const Counter* c0 = merged.Find<Counter>("fi_steps_total", Labels::Replica(0));
+  const Counter* c1 = merged.Find<Counter>("fi_steps_total", Labels::Replica(1));
   ASSERT_NE(c0, nullptr);
   ASSERT_NE(c1, nullptr);
   EXPECT_DOUBLE_EQ(c0->total(), 10.0);
   EXPECT_DOUBLE_EQ(c1->total(), 4.0);
   EXPECT_DOUBLE_EQ(merged.CounterFamilyTotal("fi_steps_total"), 14.0);
   // The sketch kept its class labels and gained the replica label.
-  const Sketch* s = merged.FindSketch("fi_ttft_ms", Labels{ClassId(0, 0), 0});
+  const Sketch* s = merged.Find<Sketch>("fi_ttft_ms", Labels{ClassId(0, 0), 0});
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->Cumulative().Count(), 1);
   // Merge copies: mutating the source later does not affect the merged view.
-  r0.GetCounter("fi_steps_total")->Inc(2.0, 100.0);
+  r0.Get<Counter>("fi_steps_total")->Inc(2.0, 100.0);
   EXPECT_DOUBLE_EQ(c0->total(), 10.0);
 }
 
@@ -423,8 +423,8 @@ TEST(Merge, ClusterEngineMergesReplicaRegistries) {
   EXPECT_DOUBLE_EQ(merged->CounterFamilyTotal("fi_steps_total"),
                    static_cast<double>(m.aggregate.num_steps));
   // Both replicas contributed distinct instances.
-  EXPECT_NE(merged->FindCounter("fi_steps_total", Labels::Replica(0)), nullptr);
-  EXPECT_NE(merged->FindCounter("fi_steps_total", Labels::Replica(1)), nullptr);
+  EXPECT_NE(merged->Find<Counter>("fi_steps_total", Labels::Replica(0)), nullptr);
+  EXPECT_NE(merged->Find<Counter>("fi_steps_total", Labels::Replica(1)), nullptr);
   // The merged snapshot still parses.
   util::JsonValue doc;
   std::string err;

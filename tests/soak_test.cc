@@ -28,8 +28,8 @@
 //   7. the engine's host byte meter never exceeds its capacity after any
 //      step, drains to 0, and on codec trials meters a stored/logical ratio
 //      inside the host page table's range,
-//   8. without bounded_itl, every engine's ITL sketch equals its per-token
-//      samples rebuilt in order through the log formula (test_util.h),
+//   8. every engine's ITL sketch equals its per-token samples rebuilt in
+//      order through the log formula (test_util.h),
 //   9. every recorded step has its batch policy's shape: a prefill-alone
 //      step with prompt tokens decodes no branch, a chunked step stalls no
 //      branch, and a step's prompt tokens exceed the policy's per-step
@@ -58,9 +58,7 @@
 //  15. on every engine, cluster and disaggregated trial, the registry's
 //      cumulative fi_ttft_ms and fi_itl_ms sketches, merged across every
 //      class (and replica), count the engine's TTFT and ITL samples bucket
-//      for bucket through the log formula (test_util.h); under bounded_itl,
-//      which keeps no ITL samples, the merged ITL sketch counts what the
-//      engine's own ITL sketch does.
+//      for bucket through the log formula (test_util.h).
 //  16. on every engine trial (telemetry is always on there), a no-op
 //      StepTo(Now()) after invariant 13's Run() leaves the registry's JSON
 //      snapshot byte-identical: TakeMetrics() moves the fields out, not the
@@ -69,6 +67,10 @@
 //      Graham's list-scheduling bound on its exact loads (rows + KV tokens
 //      per chunk): with m CTAs, total cost T and largest chunk cost c, the
 //      busiest CTA's load L has T <= m * L <= T + (m - 1) * c.
+//  18. every engine trial carries one wildcard TTFT and one wildcard ITL
+//      SloSpec with random thresholds, objectives, windows and burns; after
+//      the drain each spec's Status() counts every TTFT (ITL) sample once
+//      as good or bad, and as bad exactly those above its threshold.
 //
 // A failing trial prints `seed=...` — rerun with that seed to reproduce.
 // Trial count: FI_SOAK_TRIALS (default 50; 0 skips the randomized tests —
@@ -164,7 +166,7 @@ EngineConfig RandomConfig(Rng& rng, uint64_t seed) {
   cfg.telemetry.enabled = true;
   cfg.telemetry.window.window_s = rng.Uniform(2.0, 20.0);
   cfg.telemetry.window.slots = static_cast<int>(rng.UniformInt(2, 8));
-  cfg.telemetry.bounded_itl = rng.NextDouble() < 0.25;
+  rng.NextDouble();  // Discarded, so every seed draws the rest as before.
   // Batch policy: a quarter prefill-alone, else chunked with a random chunk
   // size and either chunked policy.
   const bool alone = rng.NextDouble() < 0.25;
@@ -402,17 +404,17 @@ std::string TelemetryStepDiff(const ServingEngine& engine,
                                      [n](const obs::TraceEvent& e) { return e.name == n; });
     const double want = latest == events.rend() ? 0.0 : latest->v;
     const std::string name = std::string("fi_") + obs::TraceNameStr(n);
-    const obs::Gauge* g = reg.FindGauge(name);
+    const obs::Gauge* g = reg.Find<obs::Gauge>(name);
     if (g == nullptr || g->value() != want) {
       out += name + " != trace " + std::to_string(want) + "; ";
     }
   }
   for (const auto& [tenant, priority] : classes) {
     const obs::Labels labels = obs::Labels::Class(tenant, priority);
-    const obs::Counter* tokens = reg.FindCounter("fi_tokens_total", labels);
+    const obs::Counter* tokens = reg.Find<obs::Counter>("fi_tokens_total", labels);
     if (tokens == nullptr) continue;  // Not registered yet.
-    const obs::Sketch* ttft = reg.FindSketch("fi_ttft_ms", labels);
-    const obs::Sketch* itl = reg.FindSketch("fi_itl_ms", labels);
+    const obs::Sketch* ttft = reg.Find<obs::Sketch>("fi_ttft_ms", labels);
+    const obs::Sketch* itl = reg.Find<obs::Sketch>("fi_itl_ms", labels);
     if (ttft == nullptr || itl == nullptr ||
         tokens->total() !=
             static_cast<double>(ttft->Cumulative().Count() + itl->Cumulative().Count())) {
@@ -519,34 +521,63 @@ void ExpectOutputTokens(const ServingMetrics& m, const std::vector<Request>& req
   }
 }
 
-/// Without bounded_itl, an engine's ITL sketch is exactly its per-token
-/// samples added in order through the log formula the sketch's bucket table
-/// encodes: count, min, max, sum and every bucket, bit for bit.
-void ExpectItlSketchRebuilds(const EngineConfig& cfg, const ServingMetrics& m) {
-  if (cfg.telemetry.bounded_itl) return;
+/// Invariant 8: an engine's ITL sketch is exactly its per-token samples
+/// added in order through the log formula the sketch's bucket table encodes:
+/// count, min, max, sum and every bucket, bit for bit.
+void ExpectItlSketchRebuilds(const ServingMetrics& m) {
   EXPECT_EQ(test::SketchRebuildDiff(m.itl_sketch, m.itl_ms), "");
 }
 
 /// Invariant 15: every class's cumulative TTFT and ITL sketches in `reg`,
 /// merged, count exactly `m`'s TTFT and ITL samples in every bucket.
-void ExpectClassSketchesRebuild(const obs::MetricsRegistry& reg, const ServingMetrics& m,
-                                bool bounded_itl) {
+void ExpectClassSketchesRebuild(const obs::MetricsRegistry& reg, const ServingMetrics& m) {
   obs::Histogram ttft, itl;
   for (const auto& [name, labels] : reg.InstanceNames()) {
     if (name != "fi_ttft_ms" && name != "fi_itl_ms") continue;
-    const obs::Sketch* s = reg.FindSketch(name, labels);
+    const obs::Sketch* s = reg.Find<obs::Sketch>(name, labels);
     ASSERT_NE(s, nullptr) << name << "{" << labels.Key() << "}";
     (name == "fi_ttft_ms" ? ttft : itl).MergeFrom(s->Cumulative());
   }
   EXPECT_EQ(test::SketchCountsDiff(ttft, m.ttft_ms), "") << "fi_ttft_ms";
-  if (!bounded_itl) {
-    EXPECT_EQ(test::SketchCountsDiff(itl, m.itl_ms), "") << "fi_itl_ms";
-    return;
+  EXPECT_EQ(test::SketchCountsDiff(itl, m.itl_ms), "") << "fi_itl_ms";
+}
+
+/// Invariant 18's specs: one wildcard TTFT and one wildcard ITL SloSpec. A
+/// separate stream keeps the trial's other draws as they were.
+void AddWildcardSlos(uint64_t seed, EngineConfig& cfg) {
+  Rng rng(seed ^ 0x5105EC5ull);
+  for (const obs::SloSignal signal : {obs::SloSignal::kTtft, obs::SloSignal::kItl}) {
+    obs::SloSpec spec;
+    spec.name = obs::SloSignalStr(signal);
+    spec.signal = signal;
+    spec.threshold_ms =
+        signal == obs::SloSignal::kTtft ? rng.Uniform(20.0, 2000.0) : rng.Uniform(5.0, 60.0);
+    spec.objective = rng.Uniform(0.5, 0.999);
+    spec.fast_window_s = rng.Uniform(0.2, 5.0);
+    spec.slow_window_s = spec.fast_window_s * rng.Uniform(1.0, 6.0);
+    spec.fast_burn = rng.Uniform(0.5, 10.0);
+    spec.slow_burn = rng.Uniform(0.5, 10.0);
+    cfg.telemetry.slos.push_back(spec);
   }
-  EXPECT_EQ(itl.Count(), m.itl_sketch.Count());
-  for (int64_t b = 0; b < itl.NumBuckets(); ++b) {
-    EXPECT_EQ(itl.BucketCount(b), m.itl_sketch.BucketCount(b)) << "fi_itl_ms bucket " << b;
+}
+
+/// Invariant 18: each spec of `slo` counted every sample of its signal in
+/// `m` once, and as bad exactly those above its threshold; "" when so.
+std::string SloCountDiff(const obs::SloMonitor& slo, const ServingMetrics& m, double now_s) {
+  std::string out;
+  for (const obs::SloMonitor::SpecStatus& s : slo.Status(now_s)) {
+    const bool ttft = s.spec->signal == obs::SloSignal::kTtft;
+    const std::vector<double>& samples = ttft ? m.ttft_ms : m.itl_ms;
+    const int64_t total = ttft ? static_cast<int64_t>(m.ttft_ms.size()) : m.ItlCount();
+    const int64_t above = std::count_if(samples.begin(), samples.end(),
+                                        [&s](double v) { return v > s.spec->threshold_ms; });
+    if (s.good + s.bad != total || s.bad != above) {
+      out += s.spec->name + ": good " + std::to_string(s.good) + " + bad " +
+             std::to_string(s.bad) + " vs " + std::to_string(total) + " samples, " +
+             std::to_string(above) + " above the threshold; ";
+    }
   }
+  return out;
 }
 
 /// Runs one engine trial. `one_token_requests` ends a few requests at their
@@ -562,6 +593,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
   Rng rng(seed);
   EngineConfig cfg = RandomConfig(rng, seed);
   cfg.backend.composable = DrawComposable(seed);
+  AddWildcardSlos(seed, cfg);
   if (pin != nullptr) pin(cfg);
   std::vector<Request> reqs = RandomWorkload(rng);
   if (one_token_requests) SetOneTokenRequests(seed, reqs);
@@ -602,8 +634,10 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
             reqs.size());
   EXPECT_EQ(m.ttft_ms.size(), m.ttft_priority.size());
   ExpectOutputTokens(m, reqs);
-  ExpectItlSketchRebuilds(cfg, m);
+  ExpectItlSketchRebuilds(m);
   EXPECT_EQ(StepShapeDiff(cfg, engine.TraceEvents()), "");
+  ASSERT_NE(engine.Slo(), nullptr);
+  EXPECT_EQ(SloCountDiff(*engine.Slo(), m, engine.Now()), "");
   // Restores must balance preemptions: nothing stays evicted.
   EXPECT_EQ(m.num_swap_restores + m.num_recompute_restores, m.num_preemptions);
   EXPECT_EQ(m.restored_pages == 0, m.num_swap_restores == 0);
@@ -675,7 +709,7 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv, bool one_token_request
     EXPECT_EQ(test::CounterFieldDiff(*reg, m), "");
     EXPECT_EQ(reg->CounterFamilyTotal("fi_tokens_total"),
               static_cast<double>(m.total_output_tokens));
-    ExpectClassSketchesRebuild(*reg, m, cfg.telemetry.bounded_itl);
+    ExpectClassSketchesRebuild(*reg, m);
   }
 
   g_current_engine = nullptr;
@@ -861,7 +895,7 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
                 static_cast<size_t>(m.aggregate.rejected_requests),
             reqs.size());
   ExpectOutputTokens(m.aggregate, reqs);
-  for (const ServingMetrics& r : m.per_replica) ExpectItlSketchRebuilds(cfg.engine, r);
+  for (const ServingMetrics& r : m.per_replica) ExpectItlSketchRebuilds(r);
   for (const obs::TraceTrack& t : cluster.LastTrace()) {
     EXPECT_EQ(StepShapeDiff(cfg.engine, t.events), "") << t.name;
   }
@@ -875,7 +909,7 @@ void RunClusterTrial(uint64_t seed, bool one_token_requests = false) {
   const obs::MetricsRegistry* reg = cluster.Telemetry();
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
-  ExpectClassSketchesRebuild(*reg, m.aggregate, cfg.engine.telemetry.bounded_itl);
+  ExpectClassSketchesRebuild(*reg, m.aggregate);
   if (cfg.policy == cluster::RouterPolicy::kPrefixAffinity) {
     ExpectRouteDecisionsMatchReferenceMirrors(cfg, reqs, cluster.LastTrace());
   }
@@ -982,7 +1016,7 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
                 static_cast<size_t>(m.aggregate.rejected_requests),
             reqs.size());
   ExpectOutputTokens(m.aggregate, reqs);
-  for (const ServingMetrics& r : m.per_replica) ExpectItlSketchRebuilds(cfg.engine, r);
+  for (const ServingMetrics& r : m.per_replica) ExpectItlSketchRebuilds(r);
   for (const obs::TraceTrack& t : cluster.LastTrace()) {
     EXPECT_EQ(StepShapeDiff(cfg.engine, t.events), "") << t.name;
   }
@@ -1002,7 +1036,7 @@ void RunDisaggTrial(uint64_t seed, bool one_token_requests = false) {
   const obs::MetricsRegistry* reg = cluster.Telemetry();
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(test::CounterFieldDiff(*reg, m.aggregate), "");
-  ExpectClassSketchesRebuild(*reg, m.aggregate, cfg.engine.telemetry.bounded_itl);
+  ExpectClassSketchesRebuild(*reg, m.aggregate);
   ExpectHandOffsEmptyThePool(cfg.engine, reqs, seed);
 
   if (FailedPartCount() > failed_before) {

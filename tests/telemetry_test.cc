@@ -8,14 +8,14 @@
 //    StepTo and migration call, with each increment in the window slot of
 //    the instant it was made; the per-class sketch sample counts tile the
 //    TTFT/ITL sample vectors.
-//  * Bounded ITL mode answers percentile/max queries from the log-bucketed
-//    sketch within its documented error, with exact count and max.
 //  * SLO burn-rate monitors classify, fire edge-triggered alerts into the
-//    trace, and recover when the burn subsides.
+//    trace, and recover when the burn subsides; every burn equals a
+//    brute-force recount of the window's live epochs, bit for bit.
 //  * A kv_pressure-shaped engine and a 2-replica cluster of it expose
 //    exactly the registry bytes pinned in tests/golden/.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -140,10 +140,10 @@ TEST(Telemetry, RegistryReconcilesWithServingMetrics) {
   for (int tenant = 0; tenant < 3; ++tenant) {
     for (int priority = 0; priority < 2; ++priority) {
       const obs::Labels labels = obs::Labels::Class(tenant, priority);
-      if (const obs::Sketch* s = reg->FindSketch("fi_ttft_ms", labels)) {
+      if (const obs::Sketch* s = reg->Find<obs::Sketch>("fi_ttft_ms", labels)) {
         ttft_samples += s->Cumulative().Count();
       }
-      if (const obs::Sketch* s = reg->FindSketch("fi_itl_ms", labels)) {
+      if (const obs::Sketch* s = reg->Find<obs::Sketch>("fi_itl_ms", labels)) {
         itl_samples += s->Cumulative().Count();
       }
     }
@@ -152,10 +152,10 @@ TEST(Telemetry, RegistryReconcilesWithServingMetrics) {
   EXPECT_EQ(itl_samples, m.ItlCount());
 
   // Occupancy gauges exist and the device gauge saw the pressure.
-  const obs::Gauge* kv = reg->FindGauge("fi_kv_device_tokens");
+  const obs::Gauge* kv = reg->Find<obs::Gauge>("fi_kv_device_tokens");
   ASSERT_NE(kv, nullptr);
   EXPECT_GT(kv->WindowMax(m.makespan_s), 0.0);
-  EXPECT_NE(reg->FindGauge("fi_queue_depth"), nullptr);
+  EXPECT_NE(reg->Find<obs::Gauge>("fi_queue_depth"), nullptr);
 }
 
 /// Sum of the per-class fi_tokens_total windows over MixedWorkload's classes
@@ -165,7 +165,7 @@ double ClassTokenWindow(const obs::MetricsRegistry& reg, double now_s) {
   for (int tenant = 0; tenant < 3; ++tenant) {
     for (int priority = 0; priority < 2; ++priority) {
       const obs::Labels labels = obs::Labels::Class(tenant, priority);
-      if (const obs::Counter* c = reg.FindCounter("fi_tokens_total", labels)) {
+      if (const obs::Counter* c = reg.Find<obs::Counter>("fi_tokens_total", labels)) {
         sum += c->WindowSum(now_s);
       }
     }
@@ -202,7 +202,7 @@ TEST(Telemetry, FlushesBeforeEveryClockChange) {
       const obs::MetricsRegistry& reg = *engine.Telemetry();
       EXPECT_EQ(test::CounterFieldDiff(reg, engine.Metrics()), "");
       const double now = engine.Now();
-      EXPECT_EQ(reg.FindCounter("fi_output_tokens_total")->WindowSum(now),
+      EXPECT_EQ(reg.Find<obs::Counter>("fi_output_tokens_total")->WindowSum(now),
                 ClassTokenWindow(reg, now))
           << "now=" << now;
     }
@@ -230,7 +230,7 @@ TEST(Telemetry, CountersKeepCountingAcrossTakeMetrics) {
   std::vector<std::pair<double, double>> published;  // Total, window sum.
   for (const serving::MetricField& f : serving::kMetricFields) {
     if (f.family == nullptr) continue;
-    const obs::Counter* c = reg.FindCounter(f.family);
+    const obs::Counter* c = reg.Find<obs::Counter>(f.family);
     ASSERT_NE(c, nullptr) << f.family;
     published.emplace_back(c->total(), c->WindowSum(now));
   }
@@ -239,7 +239,7 @@ TEST(Telemetry, CountersKeepCountingAcrossTakeMetrics) {
   size_t i = 0;
   for (const serving::MetricField& f : serving::kMetricFields) {
     if (f.family == nullptr) continue;
-    const obs::Counter* c = reg.FindCounter(f.family);
+    const obs::Counter* c = reg.Find<obs::Counter>(f.family);
     EXPECT_EQ(c->total(), published[i].first) << f.family;
     EXPECT_EQ(c->WindowSum(now), published[i].second) << f.family;
     ++i;
@@ -258,7 +258,7 @@ TEST(Telemetry, CountersKeepCountingAcrossTakeMetrics) {
   EXPECT_EQ(taken.total_output_tokens + rest.total_output_tokens, run.total_output_tokens);
   for (const serving::MetricField& f : serving::kMetricFields) {
     if (f.family == nullptr) continue;
-    EXPECT_EQ(stepped.Telemetry()->FindCounter(f.family)->total(),
+    EXPECT_EQ(stepped.Telemetry()->Find<obs::Counter>(f.family)->total(),
               f.Value(taken) + f.Value(rest))
         << f.family;
   }
@@ -316,13 +316,13 @@ TEST(Telemetry, MigrationCallsFlushBeforeReturning) {
     int64_t class_ttft = 0, class_itl = 0;
     for (const ServingEngine* e : {&src, &dst}) {
       const obs::MetricsRegistry& reg = *e->Telemetry();
-      if (const obs::Counter* c = reg.FindCounter("fi_tokens_total", labels)) {
+      if (const obs::Counter* c = reg.Find<obs::Counter>("fi_tokens_total", labels)) {
         class_tokens += c->total();
       }
-      if (const obs::Sketch* sk = reg.FindSketch("fi_ttft_ms", labels)) {
+      if (const obs::Sketch* sk = reg.Find<obs::Sketch>("fi_ttft_ms", labels)) {
         class_ttft += sk->Cumulative().Count();
       }
-      if (const obs::Sketch* sk = reg.FindSketch("fi_itl_ms", labels)) {
+      if (const obs::Sketch* sk = reg.Find<obs::Sketch>("fi_itl_ms", labels)) {
         class_itl += sk->Cumulative().Count();
       }
     }
@@ -338,36 +338,6 @@ TEST(Telemetry, MigrationCallsFlushBeforeReturning) {
   EXPECT_EQ(tokens, static_cast<double>(sm.total_output_tokens + dm.total_output_tokens));
   EXPECT_EQ(ttft, static_cast<int64_t>(sm.ttft_ms.size() + dm.ttft_ms.size()));
   EXPECT_EQ(itl, sm.ItlCount() + dm.ItlCount());
-}
-
-// Bounded-ITL mode: the schedule is untouched, the percentile queries come
-// from the sketch (within its ~19% bucket error), and count/max are exact.
-TEST(Telemetry, BoundedItlMatchesExactWithinSketchError) {
-  EngineConfig exact_cfg = PressuredConfig();
-  exact_cfg.telemetry.enabled = true;
-  EngineConfig bounded_cfg = exact_cfg;
-  bounded_cfg.telemetry.bounded_itl = true;
-
-  const auto reqs = MixedWorkload(24);
-  const ServingMetrics exact = ServingEngine(exact_cfg).Run(reqs);
-  const ServingMetrics bounded = ServingEngine(bounded_cfg).Run(reqs);
-
-  EXPECT_DOUBLE_EQ(exact.makespan_s, bounded.makespan_s);
-  EXPECT_EQ(exact.total_output_tokens, bounded.total_output_tokens);
-  // The bounded run dropped the per-token vector but kept the exact count,
-  // and the sketch tracks exact min/max.
-  EXPECT_TRUE(bounded.itl_ms.empty());
-  EXPECT_GT(exact.itl_ms.size(), 0u);
-  EXPECT_EQ(bounded.ItlCount(), exact.ItlCount());
-  EXPECT_DOUBLE_EQ(bounded.MaxItlMs(), exact.MaxItlMs());
-  // Percentiles answer from log buckets: pinned to the documented error.
-  for (const double p : {0.5, 0.9, 0.99}) {
-    const double e = exact.ItlPercentileMs(p);
-    const double b = bounded.ItlPercentileMs(p);
-    EXPECT_NEAR(b, e, 0.2 * std::max(e, 1e-9)) << "p=" << p;
-  }
-  EXPECT_NEAR(bounded.MedianItlMs(), exact.MedianItlMs(),
-              0.2 * std::max(exact.MedianItlMs(), 1e-9));
 }
 
 // --- Pinned exposition of engine-produced registries -------------------------
@@ -534,6 +504,82 @@ TEST(Slo, ClassFilterSelectsSamples) {
   mon.Observe(SloSignal::kTtft, 0, 0, 100.0, 1.0);  // Other signal: ignored.
   const auto status = mon.Status(1.0);
   EXPECT_EQ(status[0].good + status[0].bad, 1);
+}
+
+// Property: each burn Status() reports equals, bit for bit, a recount of the
+// matching samples whose epoch (the same floor(t / slot width)) is live.
+// Times never decrease, as in the engine; some gaps outrun the slow window,
+// so the rings wrap and whole windows empty. Samples are good and bad, from
+// the spec's class, other classes and the other signal.
+TEST(Slo, BurnsMatchRecountOverLiveEpochs) {
+  SloSpec spec = TightSpec();
+  spec.tenant = 1;
+  spec.fast_window_s = 0.7;  // Slots of 0.14 s and 0.66 s: inexact widths.
+  spec.slow_window_s = 3.3;
+  SloMonitor mon({spec}, nullptr);
+  struct Sample {
+    double t;
+    bool bad;
+  };
+  std::vector<Sample> matching;  // Non-decreasing times.
+  int64_t empty_slow = 0, partial_slow = 0;
+  // The burn of the matching samples live in a `window_s` window at `now_s`,
+  // and their count.
+  const auto recount = [&](double window_s, double now_s) {
+    const double slot_s = window_s / SloMonitor::kBurnSlots;
+    const int64_t live_from = static_cast<int64_t>(now_s / slot_s) - SloMonitor::kBurnSlots + 1;
+    int64_t bad = 0, total = 0;
+    for (auto x = matching.rbegin();
+         x != matching.rend() && static_cast<int64_t>(x->t / slot_s) >= live_from; ++x) {
+      ++total;
+      if (x->bad) ++bad;
+    }
+    const double burn = total == 0 ? 0.0
+                                   : (static_cast<double>(bad) / static_cast<double>(total)) /
+                                         (1.0 - spec.objective);
+    return std::make_pair(burn, total);
+  };
+  const auto burn_diff = [&](double now_s) -> std::string {
+    const SloMonitor::SpecStatus st = mon.Status(now_s)[0];
+    const auto [fast, fast_n] = recount(spec.fast_window_s, now_s);
+    const auto [slow, slow_n] = recount(spec.slow_window_s, now_s);
+    if (slow_n == 0 && !matching.empty()) ++empty_slow;
+    if (slow_n > 0 && slow_n < static_cast<int64_t>(matching.size())) ++partial_slow;
+    if (std::bit_cast<uint64_t>(st.fast_burn) != std::bit_cast<uint64_t>(fast)) {
+      return "fast burn " + std::to_string(st.fast_burn) + " != " + std::to_string(fast) +
+             " over " + std::to_string(fast_n) + " samples";
+    }
+    if (std::bit_cast<uint64_t>(st.slow_burn) != std::bit_cast<uint64_t>(slow)) {
+      return "slow burn " + std::to_string(st.slow_burn) + " != " + std::to_string(slow) +
+             " over " + std::to_string(slow_n) + " samples";
+    }
+    return "";
+  };
+  Rng rng(2024);
+  double t = 0.0;
+  for (int i = 0; i < 4000; ++i) {
+    const double u = rng.NextDouble();
+    t += u < 0.02   ? rng.Uniform(3.5, 10.0)  // Outruns the slow window.
+         : u < 0.15 ? rng.Uniform(0.3, 1.5)   // Wraps the fast ring.
+         : u < 0.35 ? 0.0                     // Same instant.
+                    : rng.Uniform(0.0, 0.05);
+    ASSERT_EQ(burn_diff(t), "") << "before sample " << i << " at " << t;
+    const bool other_signal = rng.NextDouble() < 0.1;
+    const int tenant = rng.NextDouble() < 0.75 ? 1 : static_cast<int>(rng.UniformInt(-1, 3));
+    const double v = rng.Uniform(0.0, 2.5 * spec.threshold_ms);
+    mon.Observe(other_signal ? SloSignal::kTtft : SloSignal::kItl, tenant,
+                static_cast<int>(rng.UniformInt(0, 2)), v, t);
+    if (!other_signal && tenant == 1) matching.push_back({t, v > spec.threshold_ms});
+    ASSERT_EQ(burn_diff(t), "") << "after sample " << i << " at " << t;
+  }
+  const SloMonitor::SpecStatus st = mon.Status(t)[0];
+  int64_t bad = 0;
+  for (const Sample& x : matching) bad += x.bad ? 1 : 0;
+  EXPECT_EQ(st.good + st.bad, static_cast<int64_t>(matching.size()));
+  EXPECT_EQ(st.bad, bad);
+  // The sweep reached empty windows, and windows that dropped older samples.
+  EXPECT_GT(empty_slow, 20);
+  EXPECT_GT(partial_slow, 1000);
 }
 
 // End-to-end: an impossible TTFT objective over a real pressured run fires at

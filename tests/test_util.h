@@ -522,8 +522,8 @@ inline std::string CounterFieldDiff(const obs::MetricsRegistry& reg,
 
 /// Empty when `a` and `b` hold the same bits in every member: each
 /// kMetricFields value, the sample vectors, the ITL sketch (count, min, max,
-/// sum, every bucket), bounded_itl, makespan_s, branch_stalls and
-/// accepted_len_hist; otherwise names the first member that differs.
+/// sum, every bucket), makespan_s, branch_stalls and accepted_len_hist;
+/// otherwise names the first member that differs.
 inline std::string MetricsDiff(const serving::ServingMetrics& a,
                                const serving::ServingMetrics& b) {
   const auto same = [](double x, double y) {
@@ -547,7 +547,6 @@ inline std::string MetricsDiff(const serving::ServingMetrics& a,
     sketch = sa.BucketCount(i) == sb.BucketCount(i);
   }
   if (!sketch) return "itl_sketch";
-  if (a.bounded_itl != b.bounded_itl) return "bounded_itl";
   if (!same(a.makespan_s, b.makespan_s)) return "makespan_s";
   if (a.branch_stalls != b.branch_stalls) return "branch_stalls";
   if (a.accepted_len_hist != b.accepted_len_hist) return "accepted_len_hist";

@@ -86,6 +86,15 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   EXPECT_EQ(inner_total.load(), 8 * 120);
 }
 
+TEST(ThreadPoolTest, ManySmallLaunches) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> n{0};
+    pool.ParallelFor(7, [&](int64_t) { n++; });
+    ASSERT_EQ(n.load(), 7);
+  }
+}
+
 TEST(ThreadPoolTest, EnvThreadsParsing) {
   const char* saved = std::getenv("FI_THREADS");
   std::string saved_val = saved ? saved : "";

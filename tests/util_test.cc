@@ -423,32 +423,6 @@ TEST(Zipf, LengthsHitTargetMean) {
   EXPECT_LT(mean, 1600.0);
 }
 
-// ---------------------------------------------------------------- threadpool
-TEST(ThreadPool, AllIndicesExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](int64_t i) { hits[static_cast<size_t>(i)]++; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, NestedCallsRunSerially) {
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  pool.ParallelFor(8, [&](int64_t) {
-    pool.ParallelFor(8, [&](int64_t) { total++; });
-  });
-  EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ThreadPool, ManySmallLaunches) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 200; ++round) {
-    std::atomic<int> n{0};
-    pool.ParallelFor(7, [&](int64_t) { n++; });
-    ASSERT_EQ(n.load(), 7);
-  }
-}
-
 // ---------------------------------------------------------------- table
 TEST(AsciiTable, RendersAlignedColumns) {
   AsciiTable t({"name", "value"});

@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Lists the functions defined in src/**/*.cc that only test binaries reach.
+"""Lists the functions defined in src/ that only test binaries reach.
 
 Builds the root project (every test, bench and example) and fi_bench
 (benchmark/) at -O0 -g with one section per function, linked with
 --gc-sections, so each binary keeps exactly the functions it can reach.
 Reads every binary's defined symbols with `nm -C -l --defined-only`, keeps
-those whose source line lies in a src/**/*.cc file, and prints the ones
-found in some *_test binary and in no bench, example or fi_bench binary.
+those whose source line lies in src/, and prints the ones found in some
+*_test binary and in no bench, example or fi_bench binary: first those
+defined in src/**/*.cc, then, after a blank line, those defined in
+src/**/*.h. At -O0 a binary emits every header (inline or template)
+function it uses as a weak symbol, so the second list sees them too; it
+leaves out constructors, destructors and assignment operators.
 
     python3 tools/test_only_functions.py [--build-dir DIR]
 
@@ -17,6 +21,7 @@ non-zero only when a build or nm fails.
 import argparse
 import concurrent.futures
 import os
+import re
 import subprocess
 import sys
 
@@ -35,8 +40,23 @@ def build(source, build_dir, extra):
                    stdout=subprocess.DEVNULL)
 
 
+# A demangled name (its parameter list stripped) that ends in a
+# constructor, a destructor or an assignment operator.
+SPECIAL = re.compile(r"(?:^|::)(\w+)(?:<.*>)?::\1(?:<.*>)?$|::~\w+(?:<.*>)?$|::operator=$")
+
+
+def special_member(name):
+    """True for a constructor, destructor or assignment operator."""
+    depth = 0
+    for i in range(len(name) - 1, -1, -1):  # The '(' opening the parameters.
+        depth += {")": 1, "(": -1}.get(name[i], 0)
+        if depth == 0 and name[i] == "(":
+            return bool(SPECIAL.search(name[:i]))
+    return False
+
+
 def src_functions(binary):
-    """{demangled name: 'src/...cc:line'} of the text symbols from src/*.cc."""
+    """{demangled name: 'src/...:line'} of the text symbols from src/."""
     out = subprocess.run(["nm", "-C", "-l", "--defined-only", binary], check=True,
                          capture_output=True, text=True).stdout
     funcs = {}
@@ -48,7 +68,8 @@ def src_functions(binary):
         loc = loc.split(" ")[0]  # Drop a trailing "(discriminator N)".
         path = os.path.normpath(loc.rsplit(":", 1)[0])
         # _GLOBAL__sub_I_* are compiler-made static initializers.
-        if path.startswith(SRC) and path.endswith(".cc") and not parts[2].startswith("_GLOBAL_"):
+        if path.startswith(SRC) and path.endswith((".cc", ".h")) and \
+                not parts[2].startswith("_GLOBAL_"):
             funcs[parts[2]] = os.path.relpath(loc, ROOT)
     return funcs
 
@@ -71,18 +92,20 @@ def main():
     with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
         symbols = dict(zip(binaries, pool.map(src_functions, binaries)))
 
-    tests, others = {}, set()
+    locs, tests, others = {}, set(), set()
     for binary, funcs in symbols.items():
-        if os.path.basename(binary).endswith("_test"):
-            tests.update(funcs)
-        else:
-            others.update(funcs)
-    test_only = sorted((loc, name) for name, loc in tests.items() if name not in others)
-    for loc, name in test_only:
-        print(f"{loc}\t{name}")
-    print(f"{len(test_only)} of {len(tests.keys() | others)} src/**/*.cc functions "
-          f"that any of {len(binaries)} binaries reaches are reached only by tests",
-          file=sys.stderr)
+        locs.update(funcs)
+        (tests if os.path.basename(binary).endswith("_test") else others).update(funcs)
+    for ext in (".cc", ".h"):
+        names = {n for n, loc in locs.items() if loc.split(":")[0].endswith(ext) and
+                 not (ext == ".h" and special_member(n))}
+        test_only = sorted((locs[n], n) for n in names & tests - others)
+        if ext == ".h":
+            print()
+        for loc, name in test_only:
+            print(f"{loc}\t{name}")
+        print(f"{len(test_only)} of {len(names)} src/**/*{ext} functions that any of "
+              f"{len(binaries)} binaries reaches are reached only by tests", file=sys.stderr)
 
 
 if __name__ == "__main__":
